@@ -15,8 +15,6 @@ from .infogain import StepSignal, assign_labels, StepLabels
 
 log = logging.getLogger(__name__)
 
-DEFAULT_GRID_SIZE = 256
-
 
 @dataclass
 class ConfusionCounts:
@@ -154,7 +152,7 @@ def sweep_threshold(
 
 def percentile_grid(
     values: list[float],
-    size: int = DEFAULT_GRID_SIZE,
+    size: int,
     lo_pct: float = 1.0,
     hi_pct: float = 99.0,
 ) -> list[float]:

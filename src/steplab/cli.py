@@ -9,6 +9,7 @@ error, 5 validator infrastructure error, 1 anything else.
 import argparse
 import json
 import logging
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .analysis import (
@@ -22,23 +23,46 @@ from .analysis import (
 )
 from .errors import ConfigError, ToolkitError
 from .ioutil import atomic_write_text
-from .pipeline import (
-    EVAL_SCORERS,
-    load_config,
-    run_pipeline,
-    stage_emit_orm,
-    stage_emit_prm,
-    stage_eval,
-    stage_ingest,
-    stage_label,
-    stage_score,
-    stage_signals,
-    stage_sweep,
-    stage_validate,
-    summarize_run,
-)
+from .pipeline import CHOICES, STAGE_TABLE, RunConfig, load_config, run_pipeline, run_stage, summarize_run
 
 log = logging.getLogger(__name__)
+
+
+def _comma_list(text: str) -> list[str]:
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+# Flag name and type of each RunConfig field a subcommand takes; the other
+# fields come from the global flags or the config file.
+_FLAGS = {
+    "problems": ("--problems", str),
+    "traces": ("--traces", str),
+    "domains": ("--domains", _comma_list),
+    "k_subsample": ("--k-subsample", int),
+    "concurrency_limit": ("--concurrency", int),
+    "method": ("--method", str),
+    "aggregation": ("--aggregation", str),
+    "reference": ("--reference", str),
+    "thresholds_file": ("--thresholds", str),
+    "grid_size": ("--grid-size", int),
+    "split": ("--split", str),
+    "shard_size": ("--shard-size", int),
+    "eval_scorer": ("--scorer", str),
+    "eval_k": ("--k", int),
+    "step_scores": ("--step-scores", str),
+}
+
+
+def _stage_parser(sub, name: str, help_text: str, stages) -> argparse.ArgumentParser:
+    """A subcommand running ``stages``, with a flag for every field they read."""
+    p = sub.add_parser(name, help=help_text)
+    p.add_argument("--out-dir", required=True)
+    p.add_argument("--force", action="store_true", default=None, help="re-run even if up to date")
+    for key in dict.fromkeys(key for stage in stages for key in STAGE_TABLE[stage].reads):
+        if key in _FLAGS:
+            flag, kind = _FLAGS[key]
+            p.add_argument(flag, type=kind, choices=CHOICES.get(key), default=None, dest=key)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,53 +73,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def stage_parser(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--out-dir", required=True)
-        p.add_argument("--force", action="store_true", help="re-run even if up to date")
-        return p
+    for stage in STAGE_TABLE.values():
+        if stage.command:
+            _stage_parser(sub, stage.command, stage.help, (*stage.runs_first, stage.name))
 
-    p = stage_parser("ingest", "parse raw traces into steps and answers")
-    p.add_argument("--problems", required=True)
-    p.add_argument("--traces", required=True)
-    p.add_argument("--domains", default=None, help="comma-separated domain filter")
-
-    stage_parser("validate", "validate answers and build answer pools")
-
-    p = stage_parser("score", "filter, subsample, and score information profiles")
-    p.add_argument("--k-subsample", type=int, default=None)
-    p.add_argument("--concurrency", type=int, default=None, dest="concurrency_limit")
-
-    p = stage_parser("label", "compute step signals and thresholded labels")
-    p.add_argument("--method", choices=["ig", "mcnig"], default=None)
-    p.add_argument("--aggregation", choices=["max", "mean"], default=None)
-    p.add_argument("--reference", choices=["step0", "previous"], default=None)
-    p.add_argument("--thresholds", default=None, dest="thresholds_file")
-
-    p = stage_parser("sweep", "calibrate per-domain thresholds by balanced accuracy")
-    p.add_argument("--grid-size", type=int, default=None)
-
-    for name in ("emit-prm", "emit-orm"):
-        p = stage_parser(name, f"write {name.split('-')[1]} training records")
-        p.add_argument("--split", default=None)
-        p.add_argument("--shard-size", type=int, default=None)
-
-    p = stage_parser("eval-bok", "best-of-K evaluation")
-    p.add_argument("--scorer", choices=list(EVAL_SCORERS), default=None, dest="eval_scorer")
-    p.add_argument("--k", type=int, default=None, dest="eval_k")
-    p.add_argument("--step-scores", default=None, dest="step_scores")
-
-    p = stage_parser("run", "run the full pipeline end to end")
-    p.add_argument("--problems", default=None)
-    p.add_argument("--traces", default=None)
-    p.add_argument("--domains", default=None)
-    p.add_argument("--k-subsample", type=int, default=None)
-    p.add_argument("--method", choices=["ig", "mcnig"], default=None)
-    p.add_argument("--aggregation", choices=["max", "mean"], default=None)
-    p.add_argument("--reference", choices=["step0", "previous"], default=None)
-    p.add_argument("--grid-size", type=int, default=None)
-    p.add_argument("--scorer", choices=list(EVAL_SCORERS), default=None, dest="eval_scorer")
-    p.add_argument("--k", type=int, default=None, dest="eval_k")
+    p = _stage_parser(sub, "run", "run the full pipeline end to end", STAGE_TABLE)
     p.add_argument("--stages", default=None, help="comma-separated stage subset")
 
     p = sub.add_parser("analyze-complexity", help="token-cost formulas for labeling strategies")
@@ -121,52 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# label and sweep both need the signal values, so they compute them first
-# (a no-op when signals are up to date).
-_STAGE_COMMANDS = {
-    "ingest": (stage_ingest,),
-    "validate": (stage_validate,),
-    "score": (stage_score,),
-    "label": (stage_signals, stage_label),
-    "sweep": (stage_signals, stage_sweep),
-    "emit-prm": (stage_emit_prm,),
-    "emit-orm": (stage_emit_orm,),
-    "eval-bok": (stage_eval,),
-}
-
-_CONFIG_KEYS = (
-    "problems",
-    "traces",
-    "out_dir",
-    "seed",
-    "backend",
-    "cache_dir",
-    "k_subsample",
-    "concurrency_limit",
-    "method",
-    "aggregation",
-    "reference",
-    "thresholds_file",
-    "grid_size",
-    "split",
-    "shard_size",
-    "eval_scorer",
-    "eval_k",
-    "step_scores",
-    "force",
-)
-
-
-def _config_from_args(args: argparse.Namespace):
-    overrides = {}
-    for key in _CONFIG_KEYS:
-        if hasattr(args, key) and getattr(args, key) is not None:
-            overrides[key] = getattr(args, key)
-    domains = getattr(args, "domains", None)
-    if domains:
-        overrides["domains"] = [d.strip() for d in domains.split(",") if d.strip()]
-    if getattr(args, "force", False):
-        overrides["force"] = True
+def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     return load_config(config_file=args.config, overrides=overrides)
 
 
@@ -196,14 +134,7 @@ def _cmd_analyze_complexity(args: argparse.Namespace) -> int:
         question_tokens=args.q_len,
     )
     report = {
-        "params": {
-            "steps": params.steps,
-            "tokens_per_step": params.tokens_per_step,
-            "rollouts_per_prefix": params.rollouts_per_prefix,
-            "sampled_answers": params.sampled_answers,
-            "answer_tokens": params.answer_tokens,
-            "question_tokens": params.question_tokens,
-        },
+        "params": asdict(params),
         "tokens": {
             "mathshepherd": tokens_mathshepherd(params),
             "omegaprm": tokens_omegaprm(params, natural_log=args.natural_log) if params.steps >= 2 else None,
@@ -246,8 +177,9 @@ def main(argv: list[str] | None = None) -> int:
             run_pipeline(cfg, stages=stages)
             print(summarize_run(cfg.out_dir))
             return 0
-        for stage_fn in _STAGE_COMMANDS[args.command]:
-            report = stage_fn(cfg)
+        stage = next(s for s in STAGE_TABLE.values() if s.command == args.command)
+        for name in (*stage.runs_first, stage.name):
+            report = run_stage(name, cfg)
             status = "skipped (up to date)" if report.get("skipped") else "done"
             print(f"{report['name']}: {status}")
         return 0

@@ -24,17 +24,6 @@ OutcomeValidator = Callable[[Problem, str], int]
 
 
 @dataclass
-class TraceScore:
-    trace_id: str
-    score: float
-    scorer_id: str
-
-    def __post_init__(self):
-        if math.isnan(self.score):
-            raise ValueError("trace score must not be NaN")
-
-
-@dataclass
 class ProblemSelection:
     problem_id: str
     selected_trace_id: str
@@ -149,19 +138,19 @@ def majority_best_of_k(
     k: int,
     validator: OutcomeValidator,
 ) -> BestOfKReport:
-    """Best-of-K report where the majority answer's earliest trace is selected."""
+    """Best-of-K report where the majority answer's earliest trace is selected.
+
+    Traces in the winning group score 1 and all others 0, so the earliest
+    member of the group wins; when no candidate parses, the first one does.
+    """
+    winners = {}
+    for problem in problems:
+        winner = majority_vote(candidates_by_problem.get(problem.id, [])[:k], problem.domain)
+        winners[problem.id] = None if winner is None else normalize_answer(winner, problem.domain)
 
     def scorer(problem: Problem, trace: ReasoningTrace) -> float:
-        window = candidates_by_problem[problem.id][:k]
-        if not trace.parse_ok:
-            return SCORE_FAILURE
-        key = normalize_answer(trace.final_answer, problem.domain)
-        votes = sum(
-            1
-            for t in window
-            if t.parse_ok and normalize_answer(t.final_answer, problem.domain) == key
-        )
-        return float(votes)
+        winner = winners[problem.id]
+        return float(trace.parse_ok and normalize_answer(trace.final_answer, problem.domain) == winner)
 
     return best_of_k(problems, candidates_by_problem, scorer, k, validator, scorer_id="majority")
 

@@ -18,7 +18,6 @@ from .errors import ConfigError, UndefinedSignalError
 from .scoring import InformationProfile
 from .trace_model import AnswerPool
 
-METHODS = ("IG", "MCNIG")
 AGGREGATIONS = ("max", "mean")
 REFERENCES = ("step0", "previous")
 
@@ -64,14 +63,6 @@ class StepLabels:
     trace_id: str
     labels: list[int]
     threshold: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "problem_id": self.problem_id,
-            "trace_id": self.trace_id,
-            "labels": self.labels,
-            "threshold": self.threshold,
-        }
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "StepLabels":

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import uuid
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -33,12 +34,20 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file and rename, so readers never see partial output."""
+    """Write via a temp file and rename, so readers never see partial output.
+
+    Each write gets its own temp name, so concurrent writers of one path never
+    rename each other's file; the last rename wins.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def sha256_text(text: str) -> str:

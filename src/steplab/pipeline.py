@@ -7,14 +7,21 @@ digests and per-item drop reasons. A stage whose inputs and configuration
 are unchanged is skipped on re-run, which makes the expensive scoring stage
 idempotent. Outputs are byte-stable given identical inputs, configuration,
 and seed; only manifests carry timestamps.
+
+Every stage is one row of :data:`STAGE_TABLE`, run by :func:`run_stage`;
+the CLI derives its subcommands and flags from the same table.
 """
 
 import json
 import logging
 import os
+import shutil
 import time
-from dataclasses import dataclass, field, fields
+from collections import Counter
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
+from typing import Any, Callable
 
 from . import __version__
 from .calibration import percentile_grid, sweep_threshold
@@ -28,7 +35,7 @@ from .evaluation import (
     random_scorer,
     step_product_scorer,
 )
-from .infogain import StepLabels, StepSignal, assign_labels, ig_signal, mcnig_signal
+from .infogain import AGGREGATIONS, REFERENCES, StepLabels, StepSignal, assign_labels, ig_signal, mcnig_signal
 from .ioutil import atomic_write_text, read_jsonl, sha256_file, sha256_text, write_jsonl
 from .scoring import InformationProfile, information_profile, make_backend
 from .trace_model import (
@@ -52,9 +59,19 @@ log = logging.getLogger(__name__)
 # labeling then consumes the thresholds file, so emitted datasets always use
 # calibrated labels.
 STAGES = ("ingest", "validate", "score", "signals", "sweep", "label", "emit", "eval")
-FULL_SEQUENCE = STAGES
 
+METHODS = ("ig", "mcnig")
 EVAL_SCORERS = ("step-product", "orm", "label-product", "oracle", "random", "majority")
+
+# Allowed values of each enumerated RunConfig field; the CLI offers the same.
+CHOICES = {
+    "method": METHODS,
+    "aggregation": AGGREGATIONS,
+    "reference": REFERENCES,
+    "eval_scorer": EVAL_SCORERS,
+}
+# RunConfig fields that count something and must be at least 1.
+_COUNTS = ("k_subsample", "eval_k", "grid_size", "shard_size", "backend_retries", "concurrency_limit")
 
 ENV_BACKEND = "STEPLAB_BACKEND_URL"
 ENV_CACHE_DIR = "STEPLAB_CACHE_DIR"
@@ -87,14 +104,19 @@ class RunConfig:
     force: bool = False
 
     def __post_init__(self):
-        if self.concurrency_limit < 1:
-            raise ConfigError("concurrency_limit must be at least 1")
-        if self.method not in ("ig", "mcnig"):
-            raise ConfigError(f"unknown method: {self.method!r}")
-        if self.aggregation not in ("max", "mean"):
-            raise ConfigError(f"unknown aggregation: {self.aggregation!r}")
-        if self.reference not in ("step0", "previous"):
-            raise ConfigError(f"unknown reference: {self.reference!r}")
+        """The one place where configuration is validated."""
+        for name, choices in CHOICES.items():
+            value = getattr(self, name)
+            if value not in choices:
+                raise ConfigError(f"unknown {name}: {value!r}; choose from {choices}")
+        for name in _COUNTS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ConfigError(f"{name} must be an integer of at least 1, got {value!r}")
+        if self.eval_scorer in ("step-product", "orm") and not self.step_scores:
+            raise ConfigError(
+                f"scorer {self.eval_scorer!r} needs --step-scores with per-trace probabilities"
+            )
 
     @property
     def out(self) -> Path:
@@ -192,23 +214,19 @@ def artifact_paths(out: Path) -> dict[str, Path]:
     }
 
 
-def _require(paths: dict[str, Path], names: list[str], stage: str) -> None:
-    for name in names:
-        if not paths[name].exists():
-            raise ConfigError(
-                f"stage {stage!r} needs {paths[name]}; run the upstream stage first"
-            )
+def _require(paths: list[Path], stage: str) -> None:
+    for path in paths:
+        if not path.exists():
+            raise ConfigError(f"stage {stage!r} needs {path}; run the upstream stage first")
+
+
+def _files(paths: list[Path]) -> list[Path]:
+    """The paths, with each directory replaced by its sorted JSONL files."""
+    return [child for p in paths for child in (sorted(p.glob("*.jsonl")) if p.is_dir() else [p])]
 
 
 def _digest_paths(paths: list[Path]) -> dict[str, str]:
-    digests = {}
-    for p in paths:
-        if p.is_dir():
-            for child in sorted(p.glob("*.jsonl")):
-                digests[str(child)] = sha256_file(child)
-        else:
-            digests[str(p)] = sha256_file(p)
-    return digests
+    return {str(p): sha256_file(p) for p in _files(paths)}
 
 
 def _fingerprint(inputs: dict[str, str], config_keys: dict) -> str:
@@ -258,22 +276,20 @@ def _finish_stage(
 
 
 # ---------------------------------------------------------------------------
-# Stages
+# Stage bodies. A body takes the config, the artifact paths, and the state
+# its stage's prepare hook returned, writes the stage's outputs, and returns
+# the counts for the stage manifest.
 
 
-def stage_ingest(cfg: RunConfig) -> dict:
-    paths = artifact_paths(cfg.out)
+def _prepare_ingest(cfg: RunConfig, paths: dict[str, Path]):
     if not cfg.problems or not Path(cfg.problems).exists():
         raise ConfigError(f"problems file not found: {cfg.problems!r}")
     if not cfg.traces or not Path(cfg.traces).exists():
         raise ConfigError(f"traces file not found: {cfg.traces!r}")
-    inputs = _digest_paths([Path(cfg.problems), Path(cfg.traces)])
-    fingerprint = _fingerprint(inputs, {"domains": cfg.domains})
-    outputs = [paths["problems"], paths["parsed_traces"]]
-    skipped = _maybe_skip(cfg.out, "ingest", fingerprint, cfg.force)
-    if skipped:
-        return skipped
+    return None, [Path(cfg.problems), Path(cfg.traces)], {}
 
+
+def _ingest(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
     problems = read_problems(cfg.problems)
     dropped: dict[str, str] = {}
     if cfg.domains:
@@ -300,7 +316,7 @@ def stage_ingest(cfg: RunConfig) -> dict:
         parsed.append(trace)
     write_problems(paths["problems"], problems)
     write_traces(paths["parsed_traces"], parsed)
-    counts = {
+    return {
         "problems_in": len(problems) + len(dropped),
         "problems_out": len(problems),
         "dropped_by_reason": _reason_counts(dropped),
@@ -309,24 +325,12 @@ def stage_ingest(cfg: RunConfig) -> dict:
         "traces_out": len(parsed),
         "parse_failures": parse_failures,
     }
-    return _finish_stage(cfg.out, "ingest", fingerprint, inputs, outputs, counts)
 
 
-def stage_validate(cfg: RunConfig) -> dict:
-    paths = artifact_paths(cfg.out)
-    _require(paths, ["problems", "parsed_traces"], "validate")
-    inputs = _digest_paths([paths["problems"], paths["parsed_traces"]])
-    fingerprint = _fingerprint(inputs, {})
-    outputs = [paths["validated_traces"], paths["pools"]]
-    skipped = _maybe_skip(cfg.out, "validate", fingerprint, cfg.force)
-    if skipped:
-        return skipped
-
+def _validate(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
     problems = read_problems(paths["problems"])
     traces = read_traces(paths["parsed_traces"])
-    by_problem: dict[str, list] = {}
-    for t in traces:
-        by_problem.setdefault(t.problem_id, []).append(t)
+    by_problem = _by_problem(traces)
 
     pool_rows = []
     validator_errors = 0
@@ -339,42 +343,23 @@ def stage_validate(cfg: RunConfig) -> dict:
         for t in problem_traces:
             if t.parse_ok:
                 t.correct = normalize_answer(t.final_answer, problem.domain) in correct_keys
-        pool_rows.append(
-            {
-                "problem_id": pool.problem_id,
-                "correct": pool.correct,
-                "wrong": pool.wrong,
-                "multiplicity": pool.multiplicity,
-                "diagnostics": pool.diagnostics,
-            }
-        )
+        pool_rows.append(asdict(pool))
     write_traces(paths["validated_traces"], traces)
     write_jsonl(paths["pools"], pool_rows)
-    counts = {
+    return {
         "problems_in": len(problems),
         "problems_out": len(problems),
         "traces_validated": sum(1 for t in traces if t.correct is not None),
         "validator_errors": validator_errors,
     }
-    return _finish_stage(cfg.out, "validate", fingerprint, inputs, outputs, counts)
 
 
 def _read_pools(path: Path) -> dict[str, AnswerPool]:
-    pools = {}
-    for obj in read_jsonl(path):
-        pools[obj["problem_id"]] = AnswerPool(
-            problem_id=obj["problem_id"],
-            correct=list(obj["correct"]),
-            wrong=list(obj["wrong"]),
-            multiplicity=dict(obj.get("multiplicity", {})),
-            diagnostics=dict(obj.get("diagnostics", {})),
-        )
-    return pools
+    return {obj["problem_id"]: AnswerPool(**obj) for obj in read_jsonl(path)}
 
 
-def stage_score(cfg: RunConfig) -> dict:
-    paths = artifact_paths(cfg.out)
-    _require(paths, ["problems", "validated_traces", "pools"], "score")
+def _prepare_score(cfg: RunConfig, paths: dict[str, Path]):
+    """Build the backend: its id is part of the fingerprint."""
     if not cfg.backend:
         raise ConfigError("no scoring backend configured (use --backend or the env override)")
     backend = make_backend(
@@ -384,24 +369,14 @@ def stage_score(cfg: RunConfig) -> dict:
         max_retries=cfg.backend_retries,
         backoff_s=cfg.backend_backoff_s,
     )
-    inputs = _digest_paths([paths["problems"], paths["validated_traces"], paths["pools"]])
-    fingerprint = _fingerprint(
-        inputs,
-        {"backend": backend.backend_id, "k_subsample": cfg.k_subsample, "seed": cfg.seed},
-    )
-    outputs = [paths["working_set"], paths["profiles"]]
-    skipped = _maybe_skip(cfg.out, "score", fingerprint, cfg.force)
-    if skipped:
-        return skipped
+    return backend, [], {"backend": backend.backend_id}
 
+
+def _score(cfg: RunConfig, paths: dict[str, Path], backend) -> dict:
     problems = read_problems(paths["problems"])
     traces = read_traces(paths["validated_traces"])
     pools = _read_pools(paths["pools"])
-    by_problem: dict[str, list] = {}
-    for t in traces:
-        by_problem.setdefault(t.problem_id, []).append(t)
-
-    result = filter_and_subsample(problems, by_problem, k=cfg.k_subsample, seed=cfg.seed)
+    result = filter_and_subsample(problems, _by_problem(traces), k=cfg.k_subsample, seed=cfg.seed)
     working_rows = []
     profile_rows = []
     scorings = 0
@@ -418,7 +393,7 @@ def stage_score(cfg: RunConfig) -> dict:
     write_jsonl(paths["working_set"], working_rows)
     write_jsonl(paths["profiles"], profile_rows)
     cache = getattr(backend, "cache", None)
-    counts = {
+    return {
         "problems_in": len(problems),
         "problems_out": len(result.kept),
         "dropped_by_reason": _reason_counts(result.dropped),
@@ -429,37 +404,9 @@ def stage_score(cfg: RunConfig) -> dict:
         "cache_misses": cache.misses if cache else 0,
         "cache_hit_rate": cache.hit_rate if cache else 0.0,
     }
-    return _finish_stage(cfg.out, "score", fingerprint, inputs, outputs, counts)
 
 
-def _resolve_thresholds(cfg: RunConfig) -> tuple[dict[str, float], str]:
-    """Threshold table for labeling: explicit file, else the sweep output in
-    the run directory, else an uncalibrated default of 0.0 per domain."""
-    paths = artifact_paths(cfg.out)
-    if cfg.thresholds_file:
-        source = Path(cfg.thresholds_file)
-        if not source.exists():
-            raise ConfigError(f"thresholds file not found: {source}")
-    elif paths["thresholds"].exists():
-        source = paths["thresholds"]
-    else:
-        return {}, ""
-    return json.loads(source.read_text(encoding="utf-8")), str(source)
-
-
-def stage_signals(cfg: RunConfig) -> dict:
-    paths = artifact_paths(cfg.out)
-    _require(paths, ["problems", "profiles", "pools"], "signals")
-    inputs = _digest_paths([paths["problems"], paths["profiles"], paths["pools"]])
-    fingerprint = _fingerprint(
-        inputs,
-        {"method": cfg.method, "aggregation": cfg.aggregation, "reference": cfg.reference},
-    )
-    outputs = [paths["signals"]]
-    skipped = _maybe_skip(cfg.out, "signals", fingerprint, cfg.force)
-    if skipped:
-        return skipped
-
+def _signals(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
     problems = {p.id: p for p in read_problems(paths["problems"])}
     pools = _read_pools(paths["pools"])
     rows = []
@@ -481,58 +428,16 @@ def stage_signals(cfg: RunConfig) -> dict:
             signal = ig_signal(profile, problem.gold_answer)
         rows.append(signal.to_json_dict())
     write_jsonl(paths["signals"], rows)
-    counts = {
+    return {
         "problems_in": len(profile_problems),
         "problems_out": len(profile_problems) - len(dropped),
         "dropped_by_reason": _reason_counts(dropped),
         "dropped": dropped,
         "traces_signaled": len(rows),
     }
-    return _finish_stage(cfg.out, "signals", fingerprint, inputs, outputs, counts)
 
 
-def stage_label(cfg: RunConfig) -> dict:
-    paths = artifact_paths(cfg.out)
-    _require(paths, ["problems", "signals"], "label")
-    thresholds, thresholds_source = _resolve_thresholds(cfg)
-    digest_list = [paths["problems"], paths["signals"]]
-    if thresholds_source:
-        digest_list.append(Path(thresholds_source))
-    inputs = _digest_paths(digest_list)
-    fingerprint = _fingerprint(inputs, {})
-    outputs = [paths["step_labels"]]
-    skipped = _maybe_skip(cfg.out, "label", fingerprint, cfg.force)
-    if skipped:
-        return skipped
-
-    domain_of = {p.id: p.domain for p in read_problems(paths["problems"])}
-    rows = []
-    for obj in read_jsonl(paths["signals"]):
-        signal = StepSignal.from_json_dict(obj)
-        tau = thresholds.get(domain_of[signal.problem_id], 0.0)
-        labels = assign_labels(signal, tau)
-        row = signal.to_json_dict()
-        row["labels"] = labels.labels
-        row["threshold"] = tau
-        rows.append(row)
-    write_jsonl(paths["step_labels"], rows)
-    counts = {
-        "traces_labeled": len(rows),
-        "thresholds_source": thresholds_source or "default:0.0",
-    }
-    return _finish_stage(cfg.out, "label", fingerprint, inputs, outputs, counts)
-
-
-def stage_sweep(cfg: RunConfig) -> dict:
-    paths = artifact_paths(cfg.out)
-    _require(paths, ["problems", "signals", "validated_traces"], "sweep")
-    inputs = _digest_paths([paths["problems"], paths["signals"], paths["validated_traces"]])
-    fingerprint = _fingerprint(inputs, {"grid_size": cfg.grid_size})
-    outputs = [paths["sweep"], paths["thresholds"]]
-    skipped = _maybe_skip(cfg.out, "sweep", fingerprint, cfg.force)
-    if skipped:
-        return skipped
-
+def _sweep(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
     problems = {p.id: p for p in read_problems(paths["problems"])}
     truth_of = {
         (t.problem_id, t.trace_id): int(bool(t.correct))
@@ -566,28 +471,49 @@ def stage_sweep(cfg: RunConfig) -> dict:
         thresholds[domain] = sweep.best_threshold
     atomic_write_text(paths["sweep"], json.dumps({"domains": reports}, ensure_ascii=False, indent=1))
     atomic_write_text(paths["thresholds"], json.dumps(thresholds, ensure_ascii=False, indent=1))
-    counts = {
+    return {
         "domains_swept": len(thresholds),
         "domains_skipped": len(reports) - len(thresholds),
         "best_thresholds": thresholds,
     }
-    return _finish_stage(cfg.out, "sweep", fingerprint, inputs, outputs, counts)
 
 
-def _emit_common(cfg: RunConfig, which: str) -> dict:
-    paths = artifact_paths(cfg.out)
-    needed = ["problems", "validated_traces", "working_set"]
-    if which == "prm":
-        needed.append("step_labels")
-    _require(paths, needed, f"emit-{which}")
-    inputs = _digest_paths([paths[n] for n in needed])
-    fingerprint = _fingerprint(inputs, {"split": cfg.split, "shard_size": cfg.shard_size})
-    out_dir = paths[f"{which}_dir"]
-    stage_name = f"emit_{which}"
-    skipped = _maybe_skip(cfg.out, stage_name, fingerprint, cfg.force)
-    if skipped:
-        return skipped
+def _prepare_label(cfg: RunConfig, paths: dict[str, Path]):
+    """Threshold table for labeling: explicit file, else the sweep output in
+    the run directory, else an uncalibrated default of 0.0 per domain. The
+    source, when there is one, is digested."""
+    if cfg.thresholds_file:
+        source = Path(cfg.thresholds_file)
+        if not source.exists():
+            raise ConfigError(f"thresholds file not found: {source}")
+    elif paths["thresholds"].exists():
+        source = paths["thresholds"]
+    else:
+        return ({}, ""), [], {}
+    thresholds = json.loads(source.read_text(encoding="utf-8"))
+    return (thresholds, str(source)), [source], {}
 
+
+def _label(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
+    thresholds, thresholds_source = state
+    domain_of = {p.id: p.domain for p in read_problems(paths["problems"])}
+    rows = []
+    for obj in read_jsonl(paths["signals"]):
+        signal = StepSignal.from_json_dict(obj)
+        tau = thresholds.get(domain_of[signal.problem_id], 0.0)
+        labels = assign_labels(signal, tau)
+        row = signal.to_json_dict()
+        row["labels"] = labels.labels
+        row["threshold"] = tau
+        rows.append(row)
+    write_jsonl(paths["step_labels"], rows)
+    return {
+        "traces_labeled": len(rows),
+        "thresholds_source": thresholds_source or "default:0.0",
+    }
+
+
+def _emit(which: str, cfg: RunConfig, paths: dict[str, Path], state) -> dict:
     problems = {p.id: p for p in read_problems(paths["problems"])}
     traces = {(t.problem_id, t.trace_id): t for t in read_traces(paths["validated_traces"])}
     working: list[tuple[str, str]] = []
@@ -595,78 +521,44 @@ def _emit_common(cfg: RunConfig, which: str) -> dict:
         for trace_id in obj["trace_ids"]:
             working.append((obj["problem_id"], trace_id))
 
+    if which == "prm":
+        labels = [StepLabels.from_json_dict(obj) for obj in read_jsonl(paths["step_labels"])]
+        jobs = [(l.problem_id, l.trace_id, partial(emit_prm_record, labels=l)) for l in labels]
+    else:
+        jobs = [(pid, trace_id, emit_orm_record) for pid, trace_id in working]
     records = []
     dropped: dict[str, str] = {}
-    if which == "prm":
-        for obj in read_jsonl(paths["step_labels"]):
-            labels = StepLabels.from_json_dict(obj)
-            problem = problems[labels.problem_id]
-            trace = traces[(labels.problem_id, labels.trace_id)]
-            try:
-                records.append(emit_prm_record(problem, trace, labels))
-            except ReservedSymbolError as exc:
-                dropped[labels.trace_id] = exc.reason_code
-                log.info("dropped trace %s: %s", labels.trace_id, exc.reason_code)
-    else:
-        for pid, trace_id in working:
-            trace = traces[(pid, trace_id)]
-            try:
-                records.append(emit_orm_record(problems[pid], trace))
-            except ReservedSymbolError as exc:
-                dropped[trace_id] = exc.reason_code
-                log.info("dropped trace %s: %s", trace_id, exc.reason_code)
+    for pid, trace_id, make_record in jobs:
+        try:
+            records.append(make_record(problems[pid], traces[(pid, trace_id)]))
+        except ReservedSymbolError as exc:
+            dropped[trace_id] = exc.reason_code
+            log.info("dropped trace %s: %s", trace_id, exc.reason_code)
 
+    out_dir = paths[f"{which}_dir"]
     tmp_dir = out_dir.with_name(out_dir.name + ".tmp")
-    if tmp_dir.exists():
-        for child in tmp_dir.iterdir():
-            child.unlink()
-        tmp_dir.rmdir()
+    shutil.rmtree(tmp_dir, ignore_errors=True)
     shard_paths = write_shards(records, tmp_dir, cfg.split, cfg.shard_size)
-    if out_dir.exists():
-        for child in out_dir.iterdir():
-            child.unlink()
-        out_dir.rmdir()
+    shutil.rmtree(out_dir, ignore_errors=True)
     tmp_dir.rename(out_dir)
-    shard_paths = [out_dir / p.name for p in shard_paths]
-
-    balance = label_balance(records)
-    counts = {
+    return {
         "records": len(records),
         "traces_in": len(working),
         "dropped_by_reason": _reason_counts(dropped),
         "dropped": dropped,
-        "balance": balance,
-        "shards": [str(p) for p in shard_paths],
+        "balance": label_balance(records),
+        "shards": [str(out_dir / p.name) for p in shard_paths],
     }
-    return _finish_stage(cfg.out, stage_name, fingerprint, inputs, shard_paths, counts)
 
 
-def stage_emit_prm(cfg: RunConfig) -> dict:
-    return _emit_common(cfg, "prm")
-
-
-def stage_emit_orm(cfg: RunConfig) -> dict:
-    return _emit_common(cfg, "orm")
-
-
-def stage_emit(cfg: RunConfig) -> dict:
-    prm = stage_emit_prm(cfg)
-    orm = stage_emit_orm(cfg)
-    report = {
-        "name": "emit",
-        "fingerprint": prm["fingerprint"] + orm["fingerprint"],
-        "inputs": {**prm["inputs"], **orm["inputs"]},
-        "outputs": prm["outputs"] + orm["outputs"],
-        "counts": {"prm": prm["counts"], "orm": orm["counts"]},
-        "skipped": prm["skipped"] and orm["skipped"],
-    }
-    paths = artifact_paths(cfg.out)
-    balance = {
-        "prm": prm["counts"]["balance"],
-        "orm": orm["counts"]["balance"],
-    }
-    atomic_write_text(paths["emit_report"], json.dumps(balance, ensure_ascii=False, indent=1))
-    return report
+def _prepare_eval(cfg: RunConfig, paths: dict[str, Path]):
+    """Digest the scorer's own inputs: labels or external step scores."""
+    extra = []
+    if cfg.eval_scorer == "label-product":
+        extra.append(paths["step_labels"])
+    if cfg.step_scores:
+        extra.append(Path(cfg.step_scores))
+    return None, extra, {}
 
 
 def _build_scorer(cfg: RunConfig, paths: dict[str, Path]):
@@ -676,45 +568,24 @@ def _build_scorer(cfg: RunConfig, paths: dict[str, Path]):
     if name == "random":
         return random_scorer(cfg.seed)
     if name == "label-product":
-        _require(paths, ["step_labels"], "eval")
         table = {
             (obj["problem_id"], obj["trace_id"]): [int(v) for v in obj["labels"]]
             for obj in read_jsonl(paths["step_labels"])
         }
         return label_product_scorer(table)
-    if name in ("step-product", "orm"):
-        if not cfg.step_scores:
-            raise ConfigError(f"scorer {name!r} needs --step-scores with per-trace probabilities")
-        table = {
-            (obj["problem_id"], obj["trace_id"]): [float(v) for v in obj["step_probs"]]
-            for obj in read_jsonl(cfg.step_scores)
-        }
-        scorer = step_product_scorer(table)
-        scorer.scorer_id = name
-        return scorer
-    raise ConfigError(f"unknown scorer {name!r}; choose from {EVAL_SCORERS}")
+    # step-product and orm: external per-step probabilities from --step-scores
+    table = {
+        (obj["problem_id"], obj["trace_id"]): [float(v) for v in obj["step_probs"]]
+        for obj in read_jsonl(cfg.step_scores)
+    }
+    scorer = step_product_scorer(table)
+    scorer.scorer_id = name
+    return scorer
 
 
-def stage_eval(cfg: RunConfig) -> dict:
-    paths = artifact_paths(cfg.out)
-    _require(paths, ["problems", "validated_traces"], "eval")
-    digest_list = [paths["problems"], paths["validated_traces"]]
-    if cfg.eval_scorer == "label-product" and paths["step_labels"].exists():
-        digest_list.append(paths["step_labels"])
-    if cfg.step_scores:
-        digest_list.append(Path(cfg.step_scores))
-    inputs = _digest_paths(digest_list)
-    fingerprint = _fingerprint(inputs, {"scorer": cfg.eval_scorer, "k": cfg.eval_k, "seed": cfg.seed})
-    outputs = [paths["eval_report"]]
-    skipped = _maybe_skip(cfg.out, "eval", fingerprint, cfg.force)
-    if skipped:
-        return skipped
-
-    problems = read_problems(paths["problems"])
-    candidates: dict[str, list] = {}
-    for t in read_traces(paths["validated_traces"]):
-        candidates.setdefault(t.problem_id, []).append(t)
-    problems = [p for p in problems if candidates.get(p.id)]
+def _eval(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
+    candidates = _by_problem(read_traces(paths["validated_traces"]))
+    problems = [p for p in read_problems(paths["problems"]) if candidates.get(p.id)]
 
     def outcome_validator(problem: Problem, answer: str) -> int:
         try:
@@ -729,33 +600,165 @@ def stage_eval(cfg: RunConfig) -> dict:
         scorer = _build_scorer(cfg, paths)
         report = best_of_k(problems, candidates, scorer, cfg.eval_k, outcome_validator)
     atomic_write_text(paths["eval_report"], json.dumps(report.to_json_dict(), ensure_ascii=False, indent=1))
-    counts = {
+    return {
         "problems_in": len(problems),
         "problems_out": len(problems),
         "K": report.k,
         "scorer": report.scorer_id,
         "accuracy": report.accuracy,
     }
-    return _finish_stage(cfg.out, "eval", fingerprint, inputs, outputs, counts)
+
+
+def _by_problem(traces: list) -> dict[str, list]:
+    grouped: dict[str, list] = {}
+    for t in traces:
+        grouped.setdefault(t.problem_id, []).append(t)
+    return grouped
 
 
 def _reason_counts(dropped: dict[str, str]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for reason in dropped.values():
-        counts[reason] = counts.get(reason, 0) + 1
-    return counts
+    return dict(Counter(dropped.values()))
 
 
-_STAGE_RUNNERS = {
-    "ingest": stage_ingest,
-    "validate": stage_validate,
-    "score": stage_score,
-    "signals": stage_signals,
-    "sweep": stage_sweep,
-    "label": stage_label,
-    "emit": stage_emit,
-    "eval": stage_eval,
+# ---------------------------------------------------------------------------
+# The stage table
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One stage: what it needs and writes, which config it reads, its body.
+
+    ``needs`` and ``writes`` name artifacts (keys of :func:`artifact_paths`).
+    ``reads`` lists the RunConfig fields the stage uses; they also give its
+    CLI flags. ``fingerprint`` is the subset of ``reads`` whose change makes
+    the stage re-run. ``prepare(cfg, paths)``, when set, runs before the
+    up-to-date check and returns the state handed to ``body``, extra files
+    to digest, and extra fingerprint entries. ``command`` is the CLI
+    subcommand that runs the stages in ``runs_first`` and then this one.
+    """
+
+    name: str
+    needs: tuple[str, ...]
+    writes: tuple[str, ...]
+    reads: tuple[str, ...]
+    fingerprint: tuple[str, ...]
+    body: Callable[[RunConfig, dict[str, Path], Any], dict]
+    prepare: Callable[[RunConfig, dict[str, Path]], tuple[Any, list[Path], dict]] | None = None
+    command: str = ""
+    help: str = ""
+    runs_first: tuple[str, ...] = ()
+
+
+_EMIT_READS = ("split", "shard_size")
+
+STAGE_TABLE = {
+    stage.name: stage
+    for stage in (
+        Stage(
+            "ingest", needs=(), writes=("problems", "parsed_traces"),
+            reads=("problems", "traces", "domains"), fingerprint=("domains",),
+            body=_ingest, prepare=_prepare_ingest,
+            command="ingest", help="parse raw traces into steps and answers",
+        ),
+        Stage(
+            "validate", needs=("problems", "parsed_traces"), writes=("validated_traces", "pools"),
+            reads=(), fingerprint=(), body=_validate,
+            command="validate", help="validate answers and build answer pools",
+        ),
+        Stage(
+            "score", needs=("problems", "validated_traces", "pools"), writes=("working_set", "profiles"),
+            reads=("backend", "cache_dir", "backend_timeout_s", "backend_retries", "backend_backoff_s",
+                   "k_subsample", "seed", "concurrency_limit"),
+            fingerprint=("k_subsample", "seed"), body=_score, prepare=_prepare_score,
+            command="score", help="filter, subsample, and score information profiles",
+        ),
+        Stage(
+            "signals", needs=("problems", "profiles", "pools"), writes=("signals",),
+            reads=("method", "aggregation", "reference"),
+            fingerprint=("method", "aggregation", "reference"), body=_signals,
+        ),
+        # label and sweep both need the signal values, so their subcommands
+        # compute them first (a no-op when signals are up to date).
+        Stage(
+            "sweep", needs=("problems", "signals", "validated_traces"), writes=("sweep", "thresholds"),
+            reads=("grid_size",), fingerprint=("grid_size",), body=_sweep,
+            command="sweep", help="calibrate per-domain thresholds by balanced accuracy",
+            runs_first=("signals",),
+        ),
+        Stage(
+            "label", needs=("problems", "signals"), writes=("step_labels",),
+            reads=("thresholds_file",), fingerprint=(), body=_label, prepare=_prepare_label,
+            command="label", help="compute step signals and thresholded labels",
+            runs_first=("signals",),
+        ),
+        Stage(
+            "emit_prm", needs=("problems", "validated_traces", "working_set", "step_labels"),
+            writes=("prm_dir",), reads=_EMIT_READS, fingerprint=_EMIT_READS,
+            body=partial(_emit, "prm"), command="emit-prm", help="write prm training records",
+        ),
+        Stage(
+            "emit_orm", needs=("problems", "validated_traces", "working_set"),
+            writes=("orm_dir",), reads=_EMIT_READS, fingerprint=_EMIT_READS,
+            body=partial(_emit, "orm"), command="emit-orm", help="write orm training records",
+        ),
+        Stage(
+            "eval", needs=("problems", "validated_traces"), writes=("eval_report",),
+            reads=("eval_scorer", "eval_k", "step_scores", "seed"),
+            fingerprint=("eval_scorer", "eval_k", "seed"), body=_eval, prepare=_prepare_eval,
+            command="eval-bok", help="best-of-K evaluation",
+        ),
+    )
 }
+
+# Fingerprint keys of fields whose key differs from the field name; changing
+# them would make every existing run directory out of date.
+_FINGERPRINT_KEYS = {"eval_scorer": "scorer", "eval_k": "k"}
+
+
+def run_stage(name: str, cfg: RunConfig) -> dict:
+    """Run one stage of the table, or skip it when it is up to date."""
+    stage = STAGE_TABLE[name]
+    paths = artifact_paths(cfg.out)
+    needs = [paths[n] for n in stage.needs]
+    _require(needs, name)
+    state, extra_inputs, extra_config = stage.prepare(cfg, paths) if stage.prepare else (None, [], {})
+    _require(extra_inputs, name)
+    inputs = _digest_paths(needs + extra_inputs)
+    config = {_FINGERPRINT_KEYS.get(f, f): getattr(cfg, f) for f in stage.fingerprint}
+    fingerprint = _fingerprint(inputs, {**config, **extra_config})
+    skipped = _maybe_skip(cfg.out, name, fingerprint, cfg.force)
+    if skipped:
+        return skipped
+    counts = stage.body(cfg, paths, state)
+    outputs = _files([paths[n] for n in stage.writes])
+    return _finish_stage(cfg.out, name, fingerprint, inputs, outputs, counts)
+
+
+stage_ingest = partial(run_stage, "ingest")
+stage_validate = partial(run_stage, "validate")
+stage_score = partial(run_stage, "score")
+stage_signals = partial(run_stage, "signals")
+stage_sweep = partial(run_stage, "sweep")
+stage_label = partial(run_stage, "label")
+stage_emit_prm = partial(run_stage, "emit_prm")
+stage_emit_orm = partial(run_stage, "emit_orm")
+stage_eval = partial(run_stage, "eval")
+
+
+def stage_emit(cfg: RunConfig) -> dict:
+    """Both emit sub-stages, reported as one stage, plus the label balance."""
+    prm = stage_emit_prm(cfg)
+    orm = stage_emit_orm(cfg)
+    balance = {"prm": prm["counts"]["balance"], "orm": orm["counts"]["balance"]}
+    atomic_write_text(artifact_paths(cfg.out)["emit_report"], json.dumps(balance, ensure_ascii=False, indent=1))
+    return {
+        "name": "emit",
+        "fingerprint": prm["fingerprint"] + orm["fingerprint"],
+        "inputs": {**prm["inputs"], **orm["inputs"]},
+        "outputs": prm["outputs"] + orm["outputs"],
+        "counts": {"prm": prm["counts"], "orm": orm["counts"]},
+        "skipped": prm["skipped"] and orm["skipped"],
+    }
 
 
 def run_pipeline(cfg: RunConfig, stages: list[str] | None = None) -> dict:
@@ -766,15 +769,15 @@ def run_pipeline(cfg: RunConfig, stages: list[str] | None = None) -> dict:
     datasets use calibrated labels. Re-running with identical inputs and
     config skips up-to-date stages.
     """
-    sequence = list(stages) if stages else list(FULL_SEQUENCE)
+    sequence = list(stages) if stages else list(STAGES)
     for name in sequence:
-        if name not in _STAGE_RUNNERS:
+        if name not in STAGES:
             raise ConfigError(f"unknown stage {name!r}; choose from {STAGES}")
     cfg.out.mkdir(parents=True, exist_ok=True)
     reports = []
     for name in sequence:
         log.info("running stage %s", name)
-        reports.append(_STAGE_RUNNERS[name](cfg))
+        reports.append(stage_emit(cfg) if name == "emit" else run_stage(name, cfg))
     manifest = {
         "toolkit_version": __version__,
         "created_unix": time.time(),

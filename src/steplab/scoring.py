@@ -7,7 +7,7 @@ natural-log probability per continuation token. Three backends exist:
 * :class:`ReferenceModel`, a deterministic table-driven stand-in for an LLM,
   used for fixtures and tests;
 * :class:`HttpBackend`, a client for the JSON-over-HTTP protocol
-  (``POST /v1/score`` and ``POST /v1/generate``);
+  (``POST /v1/score``);
 * :class:`CachingBackend`, which wraps either with a persistent on-disk
   cache so identical requests are never recomputed.
 
@@ -30,7 +30,7 @@ import requests
 
 from .errors import BackendError, ConfigError
 from .ioutil import sha256_text
-from .trace_model import GenerationConfig, Problem, ReasoningTrace
+from .trace_model import Problem, ReasoningTrace
 
 log = logging.getLogger(__name__)
 
@@ -144,11 +144,9 @@ class HttpBackend:
     """Client for a remote scoring server speaking the JSON protocol.
 
     ``POST {base}/v1/score`` with ``{"context", "continuation"}`` must return
-    ``{"tokens", "logprobs", "backend_id"}``; ``POST {base}/v1/generate``
-    with ``{"prompt", "temperature", "top_p", "n"}`` must return
-    ``{"texts"}``. Transport failures are retried with backoff and surface
-    as :class:`BackendError` (kind "transport"); malformed responses as kind
-    "protocol".
+    ``{"tokens", "logprobs", "backend_id"}``. Transport failures are retried
+    with backoff and surface as :class:`BackendError` (kind "transport");
+    malformed responses as kind "protocol".
     """
 
     def __init__(
@@ -196,30 +194,6 @@ class HttpBackend:
             return TokenLogprobs.clamped(obj["tokens"], obj["logprobs"], str(obj["backend_id"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise BackendError(f"malformed score response: {exc}", kind="protocol") from exc
-
-    def generate(self, prompt: str, n: int = 1, temperature: float = 1.0, top_p: float = 0.95) -> list[str]:
-        obj = self._post(
-            "/v1/generate",
-            {"prompt": prompt, "temperature": temperature, "top_p": top_p, "n": n},
-        )
-        try:
-            texts = obj["texts"]
-        except (KeyError, TypeError) as exc:
-            raise BackendError(f"malformed generate response: {exc}", kind="protocol") from exc
-        if not isinstance(texts, list):
-            raise BackendError("generate response 'texts' is not a list", kind="protocol")
-        return [str(t) for t in texts]
-
-
-def generate_traces(backend: HttpBackend, prompt: str, config: GenerationConfig) -> list[str]:
-    """Sample raw trace texts from a generation-capable backend using the
-    configured sampling settings."""
-    return backend.generate(
-        prompt,
-        n=config.samples_per_problem,
-        temperature=config.temperature,
-        top_p=config.top_p,
-    )
 
 
 class ScoreCache:
@@ -292,10 +266,6 @@ class ScoreCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def reset_counters(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
 
 class CachingBackend:
     """Backend wrapper that serves repeats from a :class:`ScoreCache`."""
@@ -314,16 +284,11 @@ class CachingBackend:
         return result
 
 
-def score_continuation(backend: Backend, request: ScoringRequest) -> TokenLogprobs:
-    """Score a continuation against its context on the given backend."""
-    return backend.score(request)
-
-
 def information(problem: Problem, steps_prefix: list[str], answer: str, backend: Backend) -> float:
     """Total log-likelihood (nats) of ``answer`` given the question and a step
     prefix. An empty prefix gives the no-reasoning baseline."""
     request = ScoringRequest(context=build_context(problem.question, steps_prefix), continuation=answer)
-    return score_continuation(backend, request).total()
+    return backend.score(request).total()
 
 
 @dataclass
@@ -344,10 +309,6 @@ class InformationProfile:
                 raise ValueError("profile row width does not match the answer list")
             if any(not math.isfinite(v) for v in row):
                 raise ValueError("profile entries must be finite")
-
-    @property
-    def step_count(self) -> int:
-        return len(self.values) - 1
 
     def column(self, answer: str) -> int:
         try:

@@ -85,26 +85,6 @@ class AnswerPool:
     multiplicity: dict[str, int] = field(default_factory=dict)
     diagnostics: dict[str, str] = field(default_factory=dict)
 
-    def answers(self) -> list[str]:
-        return self.correct + self.wrong
-
-
-@dataclass
-class GenerationConfig:
-    """Sampling settings for trace generation pass-through."""
-
-    samples_per_problem: int
-    temperature: float = 1.0
-    top_p: float = 0.95
-
-    def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if not 0 < self.top_p <= 1:
-            raise ValueError("top_p must lie in (0, 1]")
-        if self.samples_per_problem < 1:
-            raise ValueError("samples_per_problem must be at least 1")
-
 
 def extract_answer(step_text: str, domain: str) -> str | None:
     """Extract the final answer from a step's text, or None.

@@ -45,13 +45,6 @@ MAX_CONCURRENT_COMMANDS = 8
 _command_slots = threading.BoundedSemaphore(MAX_CONCURRENT_COMMANDS)
 
 
-def set_max_concurrent_commands(limit: int) -> None:
-    global _command_slots
-    if limit < 1:
-        raise ConfigError("command concurrency limit must be at least 1")
-    _command_slots = threading.BoundedSemaphore(limit)
-
-
 @dataclass(frozen=True)
 class ValidatorSpec:
     """Declarative description of how to check answers for one problem.
@@ -215,10 +208,6 @@ def check_sql(candidate_query: str, gold_query: str, fixture: str | Path) -> Sql
         conn.close()
 
 
-def sql_equivalent(candidate_query: str, gold_query: str, fixture: str | Path) -> int:
-    return check_sql(candidate_query, gold_query, fixture).value
-
-
 def check_external(command_template: str, candidate: str, timeout_s: float = DEFAULT_COMMAND_TIMEOUT_S) -> CommandCheck:
     """Materialize the candidate to a file and run the command template on it.
 
@@ -248,10 +237,6 @@ def check_external(command_template: str, candidate: str, timeout_s: float = DEF
             return CommandCheck(1)
         stderr_tail = proc.stderr.decode("utf-8", "replace").strip()[-200:]
         return CommandCheck(0, f"exit status {proc.returncode}: {stderr_tail}")
-
-
-def run_external(command_template: str, candidate: str, timeout_s: float = DEFAULT_COMMAND_TIMEOUT_S) -> int:
-    return check_external(command_template, candidate, timeout_s).value
 
 
 def validate(spec: ValidatorSpec, candidate: str, problem) -> int:

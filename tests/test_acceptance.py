@@ -36,7 +36,7 @@ from steplab.infogain import StepLabels, StepSignal, mcnig_extended, mcnig_signa
 from steplab.pipeline import RunConfig, artifact_paths, run_pipeline
 from steplab.scoring import InformationProfile, ReferenceModel, build_context, information, information_profile
 from steplab.trace_model import AnswerPool, filter_and_subsample
-from steplab.validators import check_sql, sql_equivalent
+from steplab.validators import check_sql
 
 
 def _passed(n, name):
@@ -375,8 +375,8 @@ def test_c11_sql_validator(sql_fixture):
         "SELECT e.name FROM employees e JOIN departments d "
         "ON e.dept_id = d.dept_id WHERE d.name = 'Engineering'"
     )
-    assert sql_equivalent(equivalent, gold, sql_fixture) == 1
-    assert sql_equivalent("SELECT name FROM employees WHERE dept_id = 2", gold, sql_fixture) == 0
+    assert check_sql(equivalent, gold, sql_fixture).value == 1
+    assert check_sql("SELECT name FROM employees WHERE dept_id = 2", gold, sql_fixture).value == 0
     broken = check_sql("SELEC name FRM employees", gold, sql_fixture)
     assert broken.value == 0 and broken.diagnostic
     assert time.monotonic() - start < 10.0

@@ -160,7 +160,7 @@ class TestPercentileGrid:
         assert max(steps) - min(steps) < 1e-9
 
     def test_degenerate_values_collapse_to_single_threshold(self):
-        assert percentile_grid([2.0, 2.0, 2.0]) == [2.0]
+        assert percentile_grid([2.0, 2.0, 2.0], size=256) == [2.0]
 
 
 class TestConfusion:

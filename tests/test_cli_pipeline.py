@@ -1,11 +1,14 @@
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from steplab.cli import main
+from steplab.cli import build_parser, main
 from steplab.errors import ConfigError
 from steplab.fixtures import build_demo_corpus
 from steplab.pipeline import (
+    STAGE_TABLE,
     RunConfig,
     artifact_paths,
     load_config,
@@ -76,6 +79,24 @@ class TestConfig:
             RunConfig(method="guess")
         with pytest.raises(ConfigError):
             RunConfig(aggregation="median")
+        with pytest.raises(ConfigError):
+            RunConfig(eval_scorer="bogus")
+
+    @pytest.mark.parametrize(
+        "key", ["k_subsample", "eval_k", "grid_size", "shard_size", "backend_retries", "concurrency_limit"]
+    )
+    def test_counts_below_one_rejected(self, key):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(**{key: 0})
+
+
+class TestStageTable:
+    def test_rows_name_known_artifacts_and_fields(self):
+        artifacts = set(artifact_paths(Path("run")))
+        config_fields = {f.name for f in fields(RunConfig)}
+        for stage in STAGE_TABLE.values():
+            assert set(stage.needs) | set(stage.writes) <= artifacts, stage.name
+            assert set(stage.fingerprint) <= set(stage.reads) <= config_fields, stage.name
 
 
 class TestStageIsolation:
@@ -227,6 +248,77 @@ class TestCli:
 
     def test_config_error_exit_code(self, tmp_path):
         assert main(["score", "--out-dir", str(tmp_path / "nowhere")]) == 2
+
+    @pytest.mark.parametrize(
+        "config_text, flags",
+        [
+            ("eval_scorer = bogus\n", []),
+            ("", ["--k", "0"]),
+            ("", ["--grid-size", "0"]),
+            ("k_subsample = 0\n", []),
+        ],
+        ids=["eval-scorer-bogus", "k-0", "grid-size-0", "k-subsample-0"],
+    )
+    def test_bad_config_fails_before_any_stage(self, small_corpus, tmp_path, config_text, flags):
+        config = tmp_path / "run.cfg"
+        config.write_text(config_text)
+        out = tmp_path / "cli-bad-config"
+        code = main([
+            "--config", str(config),
+            "--backend", f"reference:{small_corpus['reference_model']}",
+            "run", "--out-dir", str(out),
+            "--problems", str(small_corpus["problems"]),
+            "--traces", str(small_corpus["traces"]),
+            *flags,
+        ])
+        assert code == 2
+        assert not (out / "stages").exists()
+
+    def test_sweep_takes_the_signal_flags_of_label(self, small_corpus, tmp_path, capsys):
+        out = tmp_path / "cli-ig"
+        base = ["--backend", f"reference:{small_corpus['reference_model']}"]
+        assert main(base + [
+            "ingest", "--out-dir", str(out),
+            "--problems", str(small_corpus["problems"]),
+            "--traces", str(small_corpus["traces"]),
+        ]) == 0
+        assert main(base + ["validate", "--out-dir", str(out)]) == 0
+        assert main(base + ["score", "--out-dir", str(out)]) == 0
+        assert main(base + ["label", "--out-dir", str(out), "--method", "ig"]) == 0
+        capsys.readouterr()
+        assert main(base + ["sweep", "--out-dir", str(out), "--method", "ig"]) == 0
+        assert "signals: skipped (up to date)" in capsys.readouterr().out
+        rows = [json.loads(line) for line in (out / "signals.jsonl").read_text().splitlines()]
+        assert rows and all(row["method"] == "IG" for row in rows)
+
+    def test_run_help_lists_every_stage_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        help_text = capsys.readouterr().out
+        for flag in ("--concurrency", "--thresholds", "--split", "--shard-size", "--step-scores"):
+            assert flag in help_text
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("ingest", ["--problems", "--traces", "--domains"]),
+            ("validate", []),
+            ("score", ["--k-subsample", "--concurrency"]),
+            ("label", ["--method", "--aggregation", "--reference", "--thresholds"]),
+            ("sweep", ["--grid-size"]),
+            ("emit-prm", ["--split", "--shard-size"]),
+            ("emit-orm", ["--split", "--shard-size"]),
+            ("eval-bok", ["--scorer", "--k", "--step-scores"]),
+            ("run", ["--problems", "--traces", "--domains", "--k-subsample", "--method", "--aggregation",
+                     "--reference", "--grid-size", "--scorer", "--k", "--stages"]),
+        ],
+    )
+    def test_subcommands_keep_their_flags(self, command, flags):
+        values = {"--method": "ig", "--aggregation": "mean", "--reference": "previous", "--scorer": "oracle"}
+        argv = [command, "--out-dir", "run", "--force"]
+        for flag in flags:
+            argv += [flag, values.get(flag, "1")]
+        build_parser().parse_args(argv)
 
     def test_analyze_complexity_output(self, capsys):
         code = main([

@@ -1,7 +1,9 @@
+import threading
+
 import pytest
 
 from steplab.errors import DataError
-from steplab.ioutil import read_jsonl, sha256_file, stable_seed, write_jsonl
+from steplab.ioutil import atomic_write_text, read_jsonl, sha256_file, stable_seed, write_jsonl
 
 
 class TestJsonl:
@@ -23,6 +25,38 @@ class TestJsonl:
             list(read_jsonl(path))
         assert err.value.line == 2
         assert err.value.offset is not None
+
+
+class TestAtomicWrite:
+    def test_concurrent_writers_of_one_path(self, tmp_path):
+        path = tmp_path / "shared.json"
+        texts = [f"writer {i}\n" * 2000 for i in range(8)]
+        start = threading.Barrier(len(texts))
+        errors = []
+
+        def write(text):
+            start.wait()
+            try:
+                for _ in range(30):
+                    atomic_write_text(path, text)
+            except OSError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write, args=(text,)) for text in texts]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert errors == []
+        assert path.read_text() in texts
+        assert [p.name for p in tmp_path.iterdir()] == ["shared.json"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(path, "\udcff")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestHashing:

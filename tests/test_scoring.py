@@ -17,7 +17,6 @@ from steplab.scoring import (
     build_context,
     information,
     information_profile,
-    score_continuation,
 )
 
 
@@ -51,7 +50,7 @@ def info_problem_model():
 
 class TestReferenceModel:
     def test_hand_computed_two_token_continuation(self, two_token_model):
-        result = score_continuation(two_token_model, ScoringRequest("q", "42"))
+        result = two_token_model.score(ScoringRequest("q", "42"))
         assert result.tokens == ["4", "2"]
         assert result.logprobs == pytest.approx([math.log(0.5), math.log(0.25)], abs=1e-12)
         assert result.total() == pytest.approx(-0.6931 + -1.3863, abs=1e-3)
@@ -108,8 +107,8 @@ class TestCache:
         counting = CountingBackend(two_token_model)
         backend = CachingBackend(counting, ScoreCache(tmp_path / "cache"))
         request = ScoringRequest("q", "42")
-        first = score_continuation(backend, request)
-        second = score_continuation(backend, request)
+        first = backend.score(request)
+        second = backend.score(request)
         assert counting.calls == 1
         assert first == second
         assert backend.cache.hits == 1 and backend.cache.misses == 1
@@ -163,7 +162,7 @@ class TestInformation:
         problem, model = info_problem_model
         request = ScoringRequest(build_context(problem.question, ["r1"]), "b")
         assert information(problem, ["r1"], "b", model) == sum(
-            score_continuation(model, request).logprobs
+            model.score(request).logprobs
         )
 
 
@@ -229,8 +228,6 @@ class _StubHandler(BaseHTTPRequestHandler):
         elif self.path == "/v1/score":
             result = self.model.score(ScoringRequest(body["context"], body["continuation"]))
             payload = {"tokens": result.tokens, "logprobs": result.logprobs, "backend_id": "stub-llm"}
-        elif self.path == "/v1/generate":
-            payload = {"texts": [f"sample {i} for {body['prompt']}" for i in range(body["n"])]}
         else:
             self.send_response(404)
             self.end_headers()
@@ -268,13 +265,6 @@ class TestHttpBackend:
         assert remote.backend_id == "stub-llm"
         assert remote.logprobs == model.score(request).logprobs
 
-    def test_generate_passthrough(self, stub_server):
-        url, _ = stub_server
-        backend = HttpBackend(url)
-        texts = backend.generate("prompt text", n=3, temperature=1.0, top_p=0.95)
-        assert len(texts) == 3
-        assert all("prompt text" in t for t in texts)
-
     def test_malformed_response_is_protocol_error(self, stub_server):
         url, handler = stub_server
         handler.broken = True
@@ -298,34 +288,6 @@ class TestHttpBackend:
         second = backend.score(request)
         assert first == second
         assert backend.cache.hits == 1
-
-    def test_generate_traces_uses_sampling_config(self, stub_server):
-        from steplab.scoring import generate_traces
-        from steplab.trace_model import GenerationConfig
-
-        url, _ = stub_server
-        config = GenerationConfig(samples_per_problem=4, temperature=1.0, top_p=0.95)
-        texts = generate_traces(HttpBackend(url), "solve this", config)
-        assert len(texts) == 4
-
-
-class TestGenerationConfig:
-    def test_defaults(self):
-        from steplab.trace_model import GenerationConfig
-
-        config = GenerationConfig(samples_per_problem=8)
-        assert config.temperature == 1.0
-        assert config.top_p == 0.95
-
-    def test_invariants(self):
-        from steplab.trace_model import GenerationConfig
-
-        with pytest.raises(ValueError):
-            GenerationConfig(samples_per_problem=0)
-        with pytest.raises(ValueError):
-            GenerationConfig(samples_per_problem=1, temperature=0.0)
-        with pytest.raises(ValueError):
-            GenerationConfig(samples_per_problem=1, top_p=1.5)
 
 
 class TestProfileFailure:

@@ -13,8 +13,6 @@ from steplab.validators import (
     normalized_exact,
     numeric_equivalent,
     parse_numeric,
-    run_external,
-    sql_equivalent,
     validate,
 )
 
@@ -77,12 +75,12 @@ class TestSqlEquivalent:
         cand_rows = Counter(conn.execute(candidate).fetchall())
         conn.close()
         assert gold_rows == cand_rows
-        assert sql_equivalent(candidate, gold, sql_fixture) == 1
+        assert check_sql(candidate, gold, sql_fixture).value == 1
 
     def test_mutated_candidate_is_wrong(self, sql_fixture):
         gold = "SELECT name FROM employees WHERE dept_id = 1"
         candidate = "SELECT name FROM employees WHERE dept_id = 2"
-        assert sql_equivalent(candidate, gold, sql_fixture) == 0
+        assert check_sql(candidate, gold, sql_fixture).value == 0
 
     def test_syntax_error_scores_zero_with_diagnostic(self, sql_fixture):
         result = check_sql("SELEC name FRM employees", "SELECT name FROM employees", sql_fixture)
@@ -91,21 +89,21 @@ class TestSqlEquivalent:
 
     def test_identity(self, sql_fixture):
         gold = "SELECT name FROM employees WHERE salary > 9000"
-        assert sql_equivalent(gold, gold, sql_fixture) == 1
+        assert check_sql(gold, gold, sql_fixture).value == 1
 
     def test_order_insensitive_by_default(self, sql_fixture):
         gold = "SELECT name FROM employees"
         candidate = "SELECT name FROM employees ORDER BY salary DESC"
-        assert sql_equivalent(candidate, gold, sql_fixture) == 1
+        assert check_sql(candidate, gold, sql_fixture).value == 1
 
     def test_gold_with_order_by_is_order_sensitive(self, sql_fixture):
         gold = "SELECT name FROM employees ORDER BY salary DESC"
         candidate = "SELECT name FROM employees ORDER BY salary ASC"
-        assert sql_equivalent(candidate, gold, sql_fixture) == 0
+        assert check_sql(candidate, gold, sql_fixture).value == 0
 
     def test_missing_fixture_is_structured_error(self):
         with pytest.raises(ValidatorError):
-            sql_equivalent("SELECT 1", "SELECT 1", "does/not/exist.sqlite")
+            check_sql("SELECT 1", "SELECT 1", "does/not/exist.sqlite")
 
     def test_symmetry_without_ordering_clauses(self, sql_fixture):
         pairs = [
@@ -117,15 +115,15 @@ class TestSqlEquivalent:
              "SELECT DISTINCT city FROM departments"),
         ]
         for a, b in pairs:
-            assert sql_equivalent(a, b, sql_fixture) == sql_equivalent(b, a, sql_fixture)
+            assert check_sql(a, b, sql_fixture).value == check_sql(b, a, sql_fixture).value
 
 
 class TestRunExternal:
     def test_passing_command(self):
-        assert run_external(f"{sys.executable} {{candidate}}", "print('ok')", timeout_s=30) == 1
+        assert check_external(f"{sys.executable} {{candidate}}", "print('ok')", timeout_s=30).value == 1
 
     def test_failing_command(self):
-        assert run_external(f"{sys.executable} {{candidate}}", "raise SystemExit(3)", timeout_s=30) == 0
+        assert check_external(f"{sys.executable} {{candidate}}", "raise SystemExit(3)", timeout_s=30).value == 0
 
     def test_timeout_scores_zero_with_flag(self):
         result = check_external(
@@ -138,7 +136,7 @@ class TestRunExternal:
 
     def test_command_not_found_is_structured_error(self):
         with pytest.raises(ValidatorError):
-            run_external("definitely-not-a-command-9f2 {candidate}", "x", timeout_s=5)
+            check_external("definitely-not-a-command-9f2 {candidate}", "x", timeout_s=5)
 
 
 class TestValidateDispatch:
