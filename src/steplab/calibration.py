@@ -7,13 +7,13 @@ confusion matrix against validator truth. The threshold maximizing
 balanced accuracy wins, ties going to the smallest value.
 """
 
-import logging
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import UndefinedMetricError
-from .infogain import StepSignal, assign_labels, StepLabels
-
-log = logging.getLogger(__name__)
+from .infogain import StepSignal
+from .infogain import assign_labels  # noqa: F401  unused here; bench/traced.py counts calls through this name
 
 
 @dataclass
@@ -36,8 +36,7 @@ class ConfusionCounts:
 class SweepEntry:
     threshold: float
     counts: ConfusionCounts
-    balanced_accuracy: float | None
-    skipped: bool = False
+    balanced_accuracy: float
 
 
 @dataclass
@@ -60,7 +59,7 @@ class ThresholdSweep:
                     "tn": e.counts.tn,
                     "fp": e.counts.fp,
                     "balanced_accuracy": e.balanced_accuracy,
-                    "skipped": e.skipped,
+                    "skipped": False,  # on-disk format; every row has both classes
                 }
                 for e in self.per_threshold
             ],
@@ -69,42 +68,11 @@ class ThresholdSweep:
         }
 
 
-def cot_predicted_label(labels: StepLabels, exclude_final: bool = True) -> int:
-    """Product of the step labels: 1 iff every considered step is positive.
-
-    With ``exclude_final`` the last step is left out (it contains the answer
-    and would leak outcome signal into calibration); a single-step trace then
-    contributes the empty product, 1.
-    """
-    if not labels.labels:
-        raise ValueError("labels must be non-empty")
-    considered = labels.labels[:-1] if exclude_final else labels.labels
-    return int(all(considered))
-
-
 def balanced_accuracy(c: ConfusionCounts) -> float:
     """Mean of sensitivity and specificity."""
     if c.tp + c.fn == 0 or c.tn + c.fp == 0:
         raise UndefinedMetricError("balanced accuracy needs at least one trace of each class")
     return 0.5 * (c.tp / (c.tp + c.fn) + c.tn / (c.tn + c.fp))
-
-
-def confusion(predictions: list[int], truths: list[int]) -> ConfusionCounts:
-    if len(predictions) != len(truths):
-        raise ValueError("predictions and truths must be aligned")
-    tp = fn = tn = fp = 0
-    for pred, truth in zip(predictions, truths):
-        if truth:
-            if pred:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if pred:
-                fp += 1
-            else:
-                tn += 1
-    return ConfusionCounts(tp=tp, fn=fn, tn=tn, fp=fp)
 
 
 def sweep_threshold(
@@ -115,32 +83,34 @@ def sweep_threshold(
 ) -> ThresholdSweep:
     """Evaluate every grid threshold and return the table plus the argmax.
 
-    Thresholds where the metric is undefined are skipped with a flag. The
-    final reasoning step is excluded from the CoT prediction throughout.
+    The final reasoning step is excluded from the CoT prediction, so at a
+    finite threshold t a trace predicts 1 iff ``min(values[:-1]) > t``, and
+    a single-step trace (the empty product) always predicts 1. Each grid
+    point's counts therefore come from one bisection into the sorted minima
+    of each class: O((T + G) log T) for T traces and G thresholds. Signal
+    values must not be NaN.
     """
     if len(signals) != len(truths):
         raise ValueError("signals and truths must be aligned")
     if not grid:
         raise ValueError("threshold grid must be non-empty")
-    entries: list[SweepEntry] = []
-    for tau in grid:
-        predictions = [
-            cot_predicted_label(assign_labels(signal, tau), exclude_final=True)
-            for signal in signals
-        ]
-        counts = confusion(predictions, truths)
-        try:
-            ba = balanced_accuracy(counts)
-            entries.append(SweepEntry(threshold=tau, counts=counts, balanced_accuracy=ba))
-        except UndefinedMetricError:
-            log.warning("domain %s: balanced accuracy undefined at threshold %g, skipped", domain, tau)
-            entries.append(SweepEntry(threshold=tau, counts=counts, balanced_accuracy=None, skipped=True))
-    valid = [e for e in entries if not e.skipped]
-    if not valid:
+    minima: tuple[list[float], list[float]] = ([], [])  # indexed by truth
+    for signal, truth in zip(signals, truths):
+        if not signal.values:
+            raise ValueError(f"signal {signal.problem_id}/{signal.trace_id} has no values")
+        minima[bool(truth)].append(min(signal.values[:-1], default=math.inf))
+    neg, pos = (sorted(m) for m in minima)
+    if not pos or not neg:
         raise UndefinedMetricError(
             f"domain {domain!r}: balanced accuracy undefined at every grid threshold"
         )
-    best = min(valid, key=lambda e: (-e.balanced_accuracy, e.threshold))
+    entries: list[SweepEntry] = []
+    for tau in grid:
+        tp = len(pos) - bisect_right(pos, tau)
+        fp = len(neg) - bisect_right(neg, tau)
+        counts = ConfusionCounts(tp=tp, fn=len(pos) - tp, tn=len(neg) - fp, fp=fp)
+        entries.append(SweepEntry(threshold=tau, counts=counts, balanced_accuracy=balanced_accuracy(counts)))
+    best = min(entries, key=lambda e: (-e.balanced_accuracy, e.threshold))
     return ThresholdSweep(
         domain=domain,
         grid=list(grid),
@@ -162,17 +132,17 @@ def percentile_grid(
         raise ValueError("cannot build a grid from no signal values")
     if size < 1:
         raise ValueError("grid size must be at least 1")
-    lo = _percentile(values, lo_pct)
-    hi = _percentile(values, hi_pct)
+    ordered = sorted(values)
+    lo = _percentile(ordered, lo_pct)
+    hi = _percentile(ordered, hi_pct)
     if lo == hi or size == 1:
         return [lo]
     step = (hi - lo) / (size - 1)
     return [lo + i * step for i in range(size)]
 
 
-def _percentile(values: list[float], pct: float) -> float:
-    """Linear-interpolation percentile over the sorted values."""
-    ordered = sorted(values)
+def _percentile(ordered: list[float], pct: float) -> float:
+    """Linear-interpolation percentile over already sorted values."""
     if len(ordered) == 1:
         return ordered[0]
     rank = (pct / 100.0) * (len(ordered) - 1)

@@ -11,10 +11,11 @@ Two signals are computed per trace, both in nats:
 Binary step labels come from thresholding a signal with a strict ``>``.
 """
 
+import math
 from dataclasses import dataclass
 from statistics import fmean
 
-from .errors import ConfigError, UndefinedSignalError
+from .errors import ConfigError, DataError, UndefinedSignalError
 from .scoring import InformationProfile
 from .trace_model import AnswerPool
 
@@ -45,11 +46,16 @@ class StepSignal:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "StepSignal":
+        """Rebuild a signal, rejecting NaN and infinite values: thresholding
+        and calibration need a total order on them."""
+        values = [float(v) for v in obj["values"]]
+        if not all(math.isfinite(v) for v in values):
+            raise DataError(f"non-finite signal value for trace {obj['problem_id']}/{obj['trace_id']}")
         return cls(
             problem_id=obj["problem_id"],
             trace_id=obj["trace_id"],
             method=obj["method"],
-            values=[float(v) for v in obj["values"]],
+            values=values,
             aggregation=obj.get("aggregation"),
             reference=obj.get("reference"),
         )

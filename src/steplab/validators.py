@@ -39,6 +39,15 @@ VALIDATOR_KINDS = ("numeric_equivalence", "sql_execution", "external_command", "
 DEFAULT_REL_TOL = 1e-9
 DEFAULT_COMMAND_TIMEOUT_S = 30.0
 
+# Candidate SQL runs under a budget of SQLite VM instructions, checked every
+# SQL_PROGRESS_INTERVAL instructions, and may only read: no writes, ATTACH,
+# DETACH or PRAGMA.
+SQL_STEP_BUDGET = 20_000_000
+SQL_PROGRESS_INTERVAL = 1_000
+_SQL_READ_ACTIONS = frozenset(
+    (sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE)
+)
+
 # Callers may run validators from worker threads; child processes stay
 # bounded regardless.
 MAX_CONCURRENT_COMMANDS = 8
@@ -186,8 +195,10 @@ def check_sql(candidate_query: str, gold_query: str, fixture: str | Path) -> Sql
 
     Comparison is order-insensitive unless the gold query carries an explicit
     ORDER BY, in which case row order must match too. A candidate that fails
-    to execute scores 0 with a diagnostic; a broken fixture or gold query is
-    an infrastructure error.
+    to execute, or is denied anything but reading, scores 0 with a
+    diagnostic; one that exceeds ``SQL_STEP_BUDGET`` scores 0 with the
+    diagnostic "timeout". A broken fixture or gold query is an
+    infrastructure error.
     """
     conn = _open_fixture(fixture)
     try:
@@ -195,9 +206,23 @@ def check_sql(candidate_query: str, gold_query: str, fixture: str | Path) -> Sql
             gold_rows = conn.execute(gold_query).fetchall()
         except sqlite3.Error as exc:
             raise ValidatorError(f"gold query failed on fixture: {exc}") from exc
+        budget = SQL_STEP_BUDGET // SQL_PROGRESS_INTERVAL
+        ticks = 0
+
+        def over_budget() -> bool:
+            nonlocal ticks
+            ticks += 1
+            return ticks > budget
+
+        conn.set_authorizer(
+            lambda action, *_: sqlite3.SQLITE_OK if action in _SQL_READ_ACTIONS else sqlite3.SQLITE_DENY
+        )
+        conn.set_progress_handler(over_budget, SQL_PROGRESS_INTERVAL)
         try:
             cand_rows = conn.execute(candidate_query).fetchall()
         except sqlite3.Error as exc:
+            if ticks > budget:
+                return SqlCheck(0, "timeout")
             return SqlCheck(0, f"execution error: {exc}")
         if _has_order_by(gold_query):
             equal = cand_rows == gold_rows

@@ -5,13 +5,11 @@ import pytest
 from steplab.calibration import (
     ConfusionCounts,
     balanced_accuracy,
-    confusion,
-    cot_predicted_label,
     percentile_grid,
     sweep_threshold,
 )
 from steplab.errors import UndefinedMetricError
-from steplab.infogain import StepLabels, StepSignal
+from steplab.infogain import StepLabels, StepSignal, assign_labels
 
 
 def make_signal(values, tid="t"):
@@ -20,6 +18,53 @@ def make_signal(values, tid="t"):
 
 def make_labels(labels):
     return StepLabels(problem_id="p", trace_id="t", labels=list(labels), threshold=0.0)
+
+
+# Brute-force oracle for the closed-form sweep: label every step, take the
+# product of the labels, and count the predictions against the truths.
+
+
+def cot_predicted_label(labels: StepLabels, exclude_final: bool = True) -> int:
+    """Product of the step labels: 1 iff every considered step is positive.
+
+    With ``exclude_final`` the last step is left out; a single-step trace
+    then contributes the empty product, 1.
+    """
+    if not labels.labels:
+        raise ValueError("labels must be non-empty")
+    considered = labels.labels[:-1] if exclude_final else labels.labels
+    return int(all(considered))
+
+
+def confusion(predictions: list[int], truths: list[int]) -> ConfusionCounts:
+    if len(predictions) != len(truths):
+        raise ValueError("predictions and truths must be aligned")
+    tp = fn = tn = fp = 0
+    for pred, truth in zip(predictions, truths):
+        if truth:
+            if pred:
+                tp += 1
+            else:
+                fn += 1
+        else:
+            if pred:
+                fp += 1
+            else:
+                tn += 1
+    return ConfusionCounts(tp=tp, fn=fn, tn=tn, fp=fp)
+
+
+def relabelled_table(signals, truths, grid):
+    """``to_json_dict()["table"]`` as the per-threshold relabelling gives it."""
+    rows = []
+    for tau in grid:
+        predictions = [cot_predicted_label(assign_labels(s, tau)) for s in signals]
+        c = confusion(predictions, truths)
+        rows.append({
+            "threshold": tau, "tp": c.tp, "fn": c.fn, "tn": c.tn, "fp": c.fp,
+            "balanced_accuracy": balanced_accuracy(c), "skipped": False,
+        })
+    return rows
 
 
 class TestCotPredictedLabel:
@@ -121,6 +166,34 @@ class TestSweepThreshold:
             assert sweep.best_threshold == expected[0]
             assert sweep.best_balanced_accuracy == pytest.approx(expected[1], abs=1e-12)
 
+    def test_full_table_matches_relabelling(self):
+        # Integer-valued signals and grid points drawn from the same integers
+        # put thresholds exactly on signal values, where the strict ">"
+        # decides; grids come unsorted and with duplicates.
+        rng = random.Random(59)
+        for _ in range(200):
+            n_traces = rng.randint(2, 12)
+            signals = [
+                make_signal([float(rng.randint(-3, 3)) for _ in range(rng.randint(1, 5))], f"t{t}")
+                for t in range(n_traces)
+            ]
+            truths = [rng.randint(0, 1) for _ in range(n_traces)]
+            truths[0], truths[1] = 0, 1
+            grid = [float(rng.randint(-4, 4)) for _ in range(rng.randint(1, 12))]
+            sweep = sweep_threshold(signals, truths, grid)
+            table = relabelled_table(signals, truths, grid)
+            assert sweep.to_json_dict()["table"] == table
+            assert sweep.grid == grid
+            best = min(table, key=lambda row: (-row["balanced_accuracy"], row["threshold"]))
+            assert (sweep.best_threshold, sweep.best_balanced_accuracy) == (
+                best["threshold"], best["balanced_accuracy"],
+            )
+
+    def test_empty_signal_rejected(self):
+        signals = [make_signal([1.0, 2.0], "A"), make_signal([], "B")]
+        with pytest.raises(ValueError, match="p/B"):
+            sweep_threshold(signals, [1, 0], [0.0])
+
     def test_monotone_predictions_in_threshold(self):
         rng = random.Random(41)
         signals = [
@@ -141,6 +214,13 @@ class TestSweepThreshold:
         signals = [make_signal([1.0, 1.0], "A")]
         with pytest.raises(UndefinedMetricError):
             sweep_threshold(signals, [1], [0.0])
+
+    def test_single_class_checked_once_per_domain(self, caplog):
+        signals = [make_signal([1.0, 1.0], t) for t in ("A", "B")]
+        with pytest.raises(UndefinedMetricError) as excinfo:
+            sweep_threshold(signals, [0, 0], [float(i) for i in range(256)], domain="code")
+        assert str(excinfo.value) == "domain 'code': balanced accuracy undefined at every grid threshold"
+        assert not caplog.records
 
     def test_deterministic_table(self):
         signals = [make_signal([0.5, 0.9, 7.0], "A"), make_signal([0.2, -0.1, 7.0], "B")]

@@ -291,6 +291,22 @@ class TestCli:
         rows = [json.loads(line) for line in (out / "signals.jsonl").read_text().splitlines()]
         assert rows and all(row["method"] == "IG" for row in rows)
 
+    def test_sweep_rejects_a_non_finite_signal(self, small_corpus, tmp_path):
+        out = tmp_path / "cli-nan"
+        base = ["--backend", f"reference:{small_corpus['reference_model']}"]
+        assert main(base + [
+            "run", "--out-dir", str(out), "--stages", "ingest,validate,score,signals",
+            "--problems", str(small_corpus["problems"]),
+            "--traces", str(small_corpus["traces"]),
+        ]) == 0
+        signals = out / "signals.jsonl"
+        rows = [json.loads(line) for line in signals.read_text().splitlines()]
+        rows[0]["values"][0] = float("nan")
+        signals.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert main(base + ["sweep", "--out-dir", str(out)]) == 3
+        assert not (out / "sweep.json").exists()
+        assert not (out / "thresholds.json").exists()
+
     def test_run_help_lists_every_stage_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["run", "--help"])

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from helpers import make_problem, make_trace
-from steplab.errors import ConfigError, UndefinedSignalError
+from steplab.errors import ConfigError, DataError, UndefinedSignalError
 from steplab.infogain import (
     StepSignal,
     assign_labels,
@@ -156,6 +156,14 @@ class TestMcnig:
         for reference in ("step0", "previous"):
             signal = mcnig_signal(profile, pool, reference=reference)
             assert signal.values == pytest.approx([0.0, 0.0], abs=1e-12)
+
+
+class TestStepSignalJson:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), "NaN"])
+    def test_non_finite_value_rejected(self, bad):
+        obj = {"problem_id": "p7", "trace_id": "t3", "method": "MCNIG", "values": [0.5, bad, 1.0]}
+        with pytest.raises(DataError, match="p7/t3"):
+            StepSignal.from_json_dict(obj)
 
 
 class TestAssignLabels:

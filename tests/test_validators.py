@@ -1,5 +1,6 @@
 import sqlite3
 import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -116,6 +117,47 @@ class TestSqlEquivalent:
         ]
         for a, b in pairs:
             assert check_sql(a, b, sql_fixture).value == check_sql(b, a, sql_fixture).value
+
+
+class TestSqlGuards:
+    def test_unbounded_recursion_times_out(self, sql_fixture):
+        # Run in a daemon thread so a missing budget fails the test instead
+        # of hanging the suite.
+        candidate = "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x+1 FROM c) SELECT count(*) FROM c"
+        results = []
+        worker = threading.Thread(
+            target=lambda: results.append(check_sql(candidate, "SELECT 1", sql_fixture)), daemon=True
+        )
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive(), "check_sql did not stop the candidate"
+        assert (results[0].value, results[0].diagnostic) == (0, "timeout")
+
+    def test_bounded_recursion_still_runs(self, sql_fixture):
+        candidate = "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x+1 FROM c WHERE x < 10) SELECT sum(x) FROM c"
+        assert check_sql(candidate, "SELECT 55", sql_fixture).value == 1
+
+    def test_attach_is_denied_and_creates_no_file(self, sql_fixture, tmp_path):
+        target = tmp_path / "attached.db"
+        result = check_sql(f"ATTACH DATABASE '{target}' AS x", "SELECT 1", sql_fixture)
+        assert result.value == 0
+        assert "not authorized" in result.diagnostic
+        assert not target.exists()
+
+    @pytest.mark.parametrize("candidate", [
+        "DETACH DATABASE main",
+        "PRAGMA table_info(employees)",
+        "SELECT name FROM pragma_table_info('employees')",
+        "DELETE FROM employees",
+        "UPDATE employees SET salary = 0",
+        "INSERT INTO departments VALUES (4, 'Ops', 'Bern')",
+        "CREATE TABLE t (x)",
+        "DROP TABLE employees",
+    ])
+    def test_everything_but_reading_is_denied(self, sql_fixture, candidate):
+        result = check_sql(candidate, "SELECT 1", sql_fixture)
+        assert result.value == 0
+        assert "not authorized" in result.diagnostic
 
 
 class TestRunExternal:
