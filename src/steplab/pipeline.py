@@ -37,7 +37,7 @@ from .evaluation import (
 )
 from .infogain import AGGREGATIONS, REFERENCES, StepLabels, StepSignal, assign_labels, ig_signal, mcnig_signal
 from .ioutil import atomic_write_text, read_jsonl, sha256_file, sha256_text, write_jsonl
-from .scoring import InformationProfile, information_profile, make_backend
+from .scoring import InformationProfile, information_profile, make_backend, profile_requests, score_requests
 from .trace_model import (
     AnswerPool,
     Problem,
@@ -378,18 +378,19 @@ def _score(cfg: RunConfig, paths: dict[str, Path], backend) -> dict:
     pools = _read_pools(paths["pools"])
     result = filter_and_subsample(problems, _by_problem(traces), k=cfg.k_subsample, seed=cfg.seed)
     working_rows = []
-    profile_rows = []
-    scorings = 0
+    jobs = []
     for problem, kept_traces in result.kept:
         pool = pools[problem.id]
         answers = list(dict.fromkeys(pool.correct + pool.wrong + [problem.gold_answer]))
         working_rows.append({"problem_id": problem.id, "trace_ids": [t.trace_id for t in kept_traces]})
-        for trace in kept_traces:
-            profile = information_profile(
-                problem, trace, answers, backend, max_workers=cfg.concurrency_limit
-            )
-            scorings += (len(trace.steps) + 1) * len(answers)
-            profile_rows.append(profile.to_json_dict())
+        jobs.extend((problem, trace, answers) for trace in kept_traces)
+    # Traces of one problem share their step-0 requests, so the stage scores
+    # its distinct requests once and fills every profile by lookup.
+    requests = [r for problem, trace, answers in jobs for r in profile_requests(problem, trace, answers)]
+    scored = score_requests(backend, requests, max_workers=cfg.concurrency_limit)
+    profile_rows = [
+        information_profile(problem, trace, answers, scored).to_json_dict() for problem, trace, answers in jobs
+    ]
     write_jsonl(paths["working_set"], working_rows)
     write_jsonl(paths["profiles"], profile_rows)
     cache = getattr(backend, "cache", None)
@@ -399,7 +400,10 @@ def _score(cfg: RunConfig, paths: dict[str, Path], backend) -> dict:
         "dropped_by_reason": _reason_counts(result.dropped),
         "dropped": result.dropped,
         "traces_scored": len(profile_rows),
-        "scorings": scorings,
+        "requests": len(requests),
+        "unique_requests": len(scored.results),
+        "backend_calls": scored.backend_calls,
+        "retries": scored.retries,
         "cache_hits": cache.hits if cache else 0,
         "cache_misses": cache.misses if cache else 0,
         "cache_hit_rate": cache.hit_rate if cache else 0.0,
@@ -806,6 +810,11 @@ def summarize_run(out_dir: str | Path) -> str:
         reasons = counts.get("dropped_by_reason") or {}
         if reasons:
             parts.append("dropped " + ", ".join(f"{r}={n}" for r, n in sorted(reasons.items())))
+        if "unique_requests" in counts:
+            parts.append(
+                f"requests {counts['requests']} ({counts['unique_requests']} unique), "
+                f"backend calls {counts['backend_calls']}, retries {counts['retries']}"
+            )
         if "cache_hit_rate" in counts:
             parts.append(f"cache hit rate {counts['cache_hit_rate']:.1%}")
         if "accuracy" in counts:

@@ -8,8 +8,10 @@ natural-log probability per continuation token. Three backends exist:
   used for fixtures and tests;
 * :class:`HttpBackend`, a client for the JSON-over-HTTP protocol
   (``POST /v1/score``);
-* :class:`CachingBackend`, which wraps either with a persistent on-disk
-  cache so identical requests are never recomputed.
+* :class:`CachingBackend`, which wraps either with a persistent
+  :class:`ScoreCache` so identical requests are never recomputed.
+
+:func:`score_requests` scores a batch of requests, each distinct one once.
 
 The information value of an answer at step i is the sum of these token
 log-likelihoods conditioned on the question and the first i steps; step 0
@@ -19,23 +21,34 @@ conditions on the question alone. All values are in nats.
 import json
 import logging
 import math
+import sqlite3
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterable
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol
-
-import requests
+from typing import TYPE_CHECKING, Protocol
 
 from .errors import BackendError, ConfigError
 from .ioutil import sha256_text
 from .trace_model import Problem, ReasoningTrace
 
+if TYPE_CHECKING:
+    import requests
+
 log = logging.getLogger(__name__)
 
 CONTEXT_JOINER = "\n"
 LOGPROB_FLOOR = -100.0
+# Longest wait between HTTP attempts, whether from backoff or Retry-After.
+BACKOFF_CAP_S = 30.0
+# Keys per cache lookup statement (below SQLite's bound-parameter limit)
+# and results per cache commit.
+CACHE_BATCH = 500
+# How long a cache call waits for another process's write lock.
+CACHE_LOCK_TIMEOUT_S = 60.0
 
 
 def build_context(question: str, steps_prefix: list[str]) -> str:
@@ -144,9 +157,11 @@ class HttpBackend:
     """Client for a remote scoring server speaking the JSON protocol.
 
     ``POST {base}/v1/score`` with ``{"context", "continuation"}`` must return
-    ``{"tokens", "logprobs", "backend_id"}``. Transport failures are retried
-    with backoff and surface as :class:`BackendError` (kind "transport");
-    malformed responses as kind "protocol".
+    ``{"tokens", "logprobs", "backend_id"}``. Transport failures, 5xx
+    answers and HTTP 429 are retried with backoff (a 429's ``Retry-After``
+    replaces the backoff), every retry is logged and counted in
+    ``retries``, and exhausted retries surface as :class:`BackendError`
+    (kind "transport"); malformed responses as kind "protocol".
     """
 
     def __init__(
@@ -155,37 +170,51 @@ class HttpBackend:
         timeout_s: float = 30.0,
         max_retries: int = 3,
         backoff_s: float = 0.5,
-        session: requests.Session | None = None,
+        session: "requests.Session | None" = None,
     ):
+        # Imported here, not at module level: runs that never call a server
+        # (relabelling, warm caches) skip its import cost.
+        import requests
+
         self.base_url = base_url.rstrip("/")
         self.backend_id = self.base_url
         self.timeout_s = timeout_s
         self.max_retries = max_retries
         self.backoff_s = backoff_s
         self._session = session or requests.Session()
+        self._lock = threading.Lock()
+        self.retries = 0
 
     def _post(self, endpoint: str, payload: dict) -> dict:
+        import requests
+
         url = f"{self.base_url}{endpoint}"
         last_error: Exception | None = None
         for attempt in range(self.max_retries):
+            retry_after = None
             try:
                 response = self._session.post(url, json=payload, timeout=self.timeout_s)
             except requests.RequestException as exc:
                 last_error = exc
-                if attempt + 1 < self.max_retries:
-                    time.sleep(self.backoff_s * 2**attempt)
-                continue
-            if response.status_code >= 500:
-                last_error = BackendError(f"{url} returned {response.status_code}")
-                if attempt + 1 < self.max_retries:
-                    time.sleep(self.backoff_s * 2**attempt)
-                continue
-            if response.status_code != 200:
-                raise BackendError(f"{url} returned {response.status_code}", kind="protocol")
-            try:
-                return response.json()
-            except ValueError as exc:
-                raise BackendError(f"{url} returned non-JSON body", kind="protocol") from exc
+            else:
+                status = response.status_code
+                if status == 200:
+                    try:
+                        return response.json()
+                    except ValueError as exc:
+                        raise BackendError(f"{url} returned non-JSON body", kind="protocol") from exc
+                if status != 429 and status < 500:
+                    raise BackendError(f"{url} returned {status}", kind="protocol")
+                last_error = BackendError(f"{url} returned {status}")
+                if status == 429:
+                    retry_after = _retry_after_s(response.headers.get("Retry-After"))
+            if attempt + 1 < self.max_retries:
+                delay = self.backoff_s * 2**attempt if retry_after is None else retry_after
+                delay = min(BACKOFF_CAP_S, delay)
+                with self._lock:
+                    self.retries += 1
+                log.warning("retrying %s in %.2f s after: %s", url, delay, last_error)
+                time.sleep(delay)
         raise BackendError(f"backend unreachable after {self.max_retries} attempts: {last_error}")
 
     def score(self, request: ScoringRequest) -> TokenLogprobs:
@@ -196,70 +225,109 @@ class HttpBackend:
             raise BackendError(f"malformed score response: {exc}", kind="protocol") from exc
 
 
-class ScoreCache:
-    """Append-only store of scoring results, one JSON file per record.
+def _retry_after_s(value: str | None) -> float | None:
+    """Seconds a ``Retry-After`` header asks to wait (delta-seconds or an
+    HTTP date), or None when it is absent or unreadable."""
+    if value is None:
+        return None
+    try:
+        return max(0.0, float(value))
+    except ValueError:
+        pass
+    from email.utils import parsedate_to_datetime  # deferred like requests: HTTP only
 
-    Records are named by the content hash of (backend id, context,
-    continuation), which makes caches from different runs mergeable by
-    copying files. Appends are serialized; reads are lock-free apart from
-    the index lookup.
+    try:
+        when = parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return None
+    return max(0.0, when.timestamp() - time.time())
+
+
+class ScoreCache:
+    """Scoring results in one SQLite file, ``<directory>/scores.sqlite``.
+
+    A row is keyed by the content hash of (backend id, context,
+    continuation) and holds the result's tokens and logprobs (as JSON) and
+    its backend id, not the context. :meth:`get` and :meth:`put` work in
+    bulk, and each call opens its own connection, so only the calling
+    thread touches the database. Inserts are ``INSERT OR IGNORE`` in one
+    transaction per :meth:`put`: processes sharing the file lose no
+    record, and caches merge the same way from an attached file. A row
+    that does not decode is deleted and counts as a miss, so it gets
+    rewritten; a file SQLite cannot read is a :class:`ConfigError`.
     """
 
+    FILENAME = "scores.sqlite"
+
     def __init__(self, directory: str | Path):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._index = {p.stem for p in self.directory.glob("*.json")}
+        self.path = Path(directory) / self.FILENAME
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with self._connect() as db:
+            db.execute(
+                "CREATE TABLE IF NOT EXISTS scores (key TEXT PRIMARY KEY, tokens TEXT NOT NULL,"
+                " logprobs TEXT NOT NULL, backend_id TEXT NOT NULL) WITHOUT ROWID"
+            )
         self.hits = 0
         self.misses = 0
+
+    @contextmanager
+    def _connect(self):
+        """A connection for one call, committed when the call succeeds."""
+        try:
+            db = sqlite3.connect(self.path, timeout=CACHE_LOCK_TIMEOUT_S)
+            try:
+                with db:
+                    yield db
+            finally:
+                db.close()
+        except sqlite3.Error as exc:
+            raise ConfigError(f"score cache {self.path} is unusable: {exc}") from exc
 
     @staticmethod
     def key(backend_id: str, context: str, continuation: str) -> str:
         return sha256_text(json.dumps([backend_id, context, continuation]))
 
-    def get(self, backend_id: str, context: str, continuation: str) -> TokenLogprobs | None:
-        key = self.key(backend_id, context, continuation)
-        path = self.directory / f"{key}.json"
-        with self._lock:
-            present = key in self._index
-        result = None
-        if present:
-            try:
-                obj = json.loads(path.read_text(encoding="utf-8"))
-                result = TokenLogprobs(
-                    tokens=obj["tokens"], logprobs=obj["logprobs"], backend_id=obj["backend_id"]
+    def get(self, backend_id: str, requests: Iterable[ScoringRequest]) -> dict[ScoringRequest, TokenLogprobs]:
+        """The cached results among ``requests``; each distinct request
+        counts as one hit or one miss."""
+        wanted = {self.key(backend_id, r.context, r.continuation): r for r in requests}
+        keys = list(wanted)
+        found: dict[ScoringRequest, TokenLogprobs] = {}
+        damaged = []
+        with self._connect() as db:
+            for start in range(0, len(keys), CACHE_BATCH):
+                chunk = keys[start : start + CACHE_BATCH]
+                rows = db.execute(
+                    "SELECT key, tokens, logprobs, backend_id FROM scores"
+                    f" WHERE key IN ({','.join('?' * len(chunk))})",
+                    chunk,
                 )
-            except (ValueError, KeyError, OSError) as exc:
-                # A damaged record degrades to a miss and gets rewritten.
-                log.warning("discarding unreadable cache record %s: %s", key[:12], exc)
-                with self._lock:
-                    self._index.discard(key)
-                path.unlink(missing_ok=True)
-        with self._lock:
-            if result is not None:
-                self.hits += 1
-            else:
-                self.misses += 1
-        return result
+                for key, tokens, logprobs, result_id in rows:
+                    try:
+                        found[wanted[key]] = TokenLogprobs(json.loads(tokens), json.loads(logprobs), result_id)
+                    except (TypeError, ValueError) as exc:
+                        log.warning("discarding unreadable cache record %s: %s", key[:12], exc)
+                        damaged.append((key,))
+            if damaged:
+                db.executemany("DELETE FROM scores WHERE key = ?", damaged)
+        self.hits += len(found)
+        self.misses += len(wanted) - len(found)
+        return found
 
-    def put(self, backend_id: str, context: str, continuation: str, result: TokenLogprobs) -> None:
-        key = self.key(backend_id, context, continuation)
-        record = {
-            "key_backend_id": backend_id,
-            "context": context,
-            "continuation": continuation,
-            "tokens": result.tokens,
-            "logprobs": result.logprobs,
-            "backend_id": result.backend_id,
-        }
-        path = self.directory / f"{key}.json"
-        tmp = self.directory / f"{key}.json.tmp"
-        with self._lock:
-            if key in self._index:
-                return
-            tmp.write_text(json.dumps(record, ensure_ascii=False), encoding="utf-8")
-            tmp.replace(path)
-            self._index.add(key)
+    def put(self, backend_id: str, results: Iterable[tuple[ScoringRequest, TokenLogprobs]]) -> None:
+        """Store ``(request, result)`` pairs in one transaction; a key
+        already present keeps its row."""
+        rows = [
+            (
+                self.key(backend_id, request.context, request.continuation),
+                json.dumps(result.tokens, ensure_ascii=False),
+                json.dumps(result.logprobs),
+                result.backend_id,
+            )
+            for request, result in results
+        ]
+        with self._connect() as db:
+            db.executemany("INSERT OR IGNORE INTO scores VALUES (?, ?, ?, ?)", rows)
 
     @property
     def hit_rate(self) -> float:
@@ -276,12 +344,97 @@ class CachingBackend:
         self.backend_id = inner.backend_id
 
     def score(self, request: ScoringRequest) -> TokenLogprobs:
-        cached = self.cache.get(self.backend_id, request.context, request.continuation)
-        if cached is not None:
-            return cached
-        result = self.inner.score(request)
-        self.cache.put(self.backend_id, request.context, request.continuation, result)
-        return result
+        return score_requests(self, [request]).score(request)
+
+
+@dataclass
+class ScoredRequests:
+    """Results of :func:`score_requests`, one per distinct request.
+
+    ``score`` answers by lookup, so :func:`information_profile` fills
+    profiles from it as from a backend.
+    """
+
+    backend_id: str
+    results: dict[ScoringRequest, TokenLogprobs]
+    backend_calls: int
+    retries: int
+
+    def score(self, request: ScoringRequest) -> TokenLogprobs:
+        return self.results[request]
+
+
+def _score_each(backend: Backend, requests: list[ScoringRequest], max_workers: int):
+    """Yield ``(request, result)`` as each scoring completes.
+
+    With ``max_workers`` > 1 one executor serves all requests, with at most
+    twice that many submitted at a time. After a failure nothing new is
+    submitted; the results of scorings already submitted are still
+    yielded, and then the first failure is raised.
+    """
+    if max_workers <= 1:
+        for request in requests:
+            yield request, backend.score(request)
+        return
+    todo = iter(requests)
+    running: dict = {}
+    error: BaseException | None = None
+    pool = ThreadPoolExecutor(max_workers=max_workers)
+    try:
+        while True:
+            while error is None and len(running) < 2 * max_workers:
+                request = next(todo, None)
+                if request is None:
+                    break
+                running[pool.submit(backend.score, request)] = request
+            if not running:
+                break
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                request = running.pop(future)
+                if future.exception() is None:
+                    yield request, future.result()
+                elif error is None:
+                    error = future.exception()
+        if error is not None:
+            raise error
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def score_requests(backend: Backend, requests: Iterable[ScoringRequest], max_workers: int = 1) -> ScoredRequests:
+    """Score each distinct request once, on up to ``max_workers`` threads.
+
+    Through a :class:`CachingBackend`, all distinct requests are looked up
+    in one bulk call and only the misses reach the inner backend. Their
+    results are stored in batches as they complete; when a scoring fails,
+    every result completed before the error is stored, then the error
+    propagates.
+    """
+    unique = list(dict.fromkeys(requests))
+    cache = backend.cache if isinstance(backend, CachingBackend) else None
+    inner = backend.inner if cache is not None else backend
+    retries_before = getattr(inner, "retries", 0)
+    results = cache.get(backend.backend_id, unique) if cache is not None else {}
+    misses = [r for r in unique if r not in results]
+    batch: list[tuple[ScoringRequest, TokenLogprobs]] = []
+    try:
+        for request, result in _score_each(inner, misses, max_workers):
+            results[request] = result
+            if cache is not None:
+                batch.append((request, result))
+                if len(batch) == CACHE_BATCH:
+                    cache.put(backend.backend_id, batch)
+                    batch = []
+    finally:
+        if batch:
+            cache.put(backend.backend_id, batch)
+    return ScoredRequests(
+        backend_id=backend.backend_id,
+        results=results,
+        backend_calls=len(misses),
+        retries=getattr(inner, "retries", 0) - retries_before,
+    )
 
 
 def information(problem: Problem, steps_prefix: list[str], answer: str, backend: Backend) -> float:
@@ -334,43 +487,37 @@ class InformationProfile:
         )
 
 
+def profile_requests(problem: Problem, trace: ReasoningTrace, answers: list[str]) -> list[ScoringRequest]:
+    """The requests of a trace's profile in row order: each step prefix
+    0..N, and within a prefix each answer."""
+    contexts = [build_context(problem.question, trace.steps[:i]) for i in range(len(trace.steps) + 1)]
+    return [ScoringRequest(context, answer) for context in contexts for answer in answers]
+
+
 def information_profile(
     problem: Problem,
     trace: ReasoningTrace,
     answers: list[str],
     backend: Backend,
-    max_workers: int = 1,
 ) -> InformationProfile:
     """Score every answer against every step prefix of the trace.
 
-    Issues exactly (N+1) * len(answers) continuation scorings. Results are
-    placed by index, so the profile is identical regardless of completion
-    order; any failure aborts the whole profile.
+    Issues exactly (N+1) * len(answers) continuation scorings, one at a
+    time; any failure aborts the whole profile. To score many traces,
+    pass the :class:`ScoredRequests` of :func:`score_requests` over their
+    :func:`profile_requests`, which fills the profile by lookup.
     """
     if not answers:
         raise ValueError("answers must be a non-empty list")
     if len(set(answers)) != len(answers):
         raise ValueError("answers must be unique")
-    prefixes = [trace.steps[:i] for i in range(len(trace.steps) + 1)]
-    values = [[0.0] * len(answers) for _ in prefixes]
-
-    def cell(i: int, j: int) -> float:
-        return information(problem, prefixes[i], answers[j], backend)
-
-    coords = [(i, j) for i in range(len(prefixes)) for j in range(len(answers))]
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = pool.map(lambda c: cell(*c), coords)
-            for (i, j), value in zip(coords, results):
-                values[i][j] = value
-    else:
-        for i, j in coords:
-            values[i][j] = cell(i, j)
+    totals = [backend.score(request).total() for request in profile_requests(problem, trace, answers)]
+    width = len(answers)
     return InformationProfile(
         problem_id=problem.id,
         trace_id=trace.trace_id,
         answers=list(answers),
-        values=values,
+        values=[totals[i : i + width] for i in range(0, len(totals), width)],
     )
 
 

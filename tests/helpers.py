@@ -1,5 +1,8 @@
 """Tiny builders shared across test modules."""
 
+import threading
+
+from steplab.errors import BackendError
 from steplab.trace_model import Problem, ReasoningTrace, render_trace
 from steplab.validators import ValidatorSpec
 
@@ -25,3 +28,29 @@ def make_trace(problem_id="p1", trace_id="t1", steps=None, final_answer="4", cor
         parse_ok=final_answer is not None,
         correct=correct,
     )
+
+
+class CountingBackend:
+    """Wraps a backend and counts how many requests actually reach it.
+
+    With ``fail_at`` set, that call (1-based) raises a BackendError.
+    """
+
+    def __init__(self, inner, fail_at=None):
+        self.inner = inner
+        self.backend_id = inner.backend_id
+        self.fail_at = fail_at
+        self.calls = 0
+        self.succeeded = 0
+        self._lock = threading.Lock()
+
+    def score(self, request):
+        with self._lock:
+            self.calls += 1
+            failing = self.calls == self.fail_at
+        if failing:
+            raise BackendError("connection dropped")
+        result = self.inner.score(request)
+        with self._lock:
+            self.succeeded += 1
+        return result

@@ -4,9 +4,11 @@ from pathlib import Path
 
 import pytest
 
+from helpers import CountingBackend
 from steplab.cli import build_parser, main
 from steplab.errors import ConfigError
 from steplab.fixtures import build_demo_corpus
+from steplab.ioutil import read_jsonl
 from steplab.pipeline import (
     STAGE_TABLE,
     RunConfig,
@@ -170,6 +172,44 @@ class TestPipeline:
         for name in ("profiles", "signals", "step_labels"):
             assert p1[name].read_bytes() == p2[name].read_bytes(), name
 
+    @pytest.mark.parametrize("cached, workers", [(False, 1), (True, 4)], ids=["no-cache", "cache-4-workers"])
+    def test_backend_calls_equal_distinct_requests(self, demo_corpus, tmp_path, monkeypatch, cached, workers):
+        from steplab import pipeline
+        from steplab.scoring import CachingBackend, ReferenceModel, ScoreCache, build_context
+
+        counting = None
+
+        def counting_backend(spec, cache_dir, **kwargs):
+            nonlocal counting
+            counting = CountingBackend(ReferenceModel.from_file(spec.split(":", 1)[1]))
+            return CachingBackend(counting, ScoreCache(cache_dir)) if cache_dir else counting
+
+        monkeypatch.setattr(pipeline, "make_backend", counting_backend)
+        cfg = RunConfig(
+            problems=str(demo_corpus["problems"]),
+            traces=str(demo_corpus["traces"]),
+            out_dir=str(tmp_path / "run"),
+            backend=f"reference:{demo_corpus['reference_model']}",
+            cache_dir=str(tmp_path / "cache") if cached else "",
+            concurrency_limit=workers,
+        )
+        run_pipeline(cfg, stages=["ingest", "validate", "score"])
+        paths = artifact_paths(cfg.out)
+        questions = {obj["id"]: obj["question"] for obj in read_jsonl(paths["problems"])}
+        steps = {obj["trace_id"]: obj["steps"] for obj in read_jsonl(paths["validated_traces"])}
+        pairs = set()
+        requests = 0
+        for profile in read_jsonl(paths["profiles"]):
+            trace_steps = steps[profile["trace_id"]]
+            for i in range(len(trace_steps) + 1):
+                context = build_context(questions[profile["problem_id"]], trace_steps[:i])
+                pairs.update((context, answer) for answer in profile["answers"])
+                requests += len(profile["answers"])
+        counts = json.loads((cfg.out / "stages" / "score.json").read_text())["counts"]
+        assert counting.calls == len(pairs) == counts["unique_requests"] == counts["backend_calls"]
+        assert counts["requests"] == requests > len(pairs)
+        assert counts["cache_misses"] == (len(pairs) if cached else 0)
+
     def test_force_reruns(self, small_corpus, tmp_path):
         cfg = config_for(small_corpus, tmp_path)
         run_pipeline(cfg)
@@ -232,6 +272,25 @@ class TestCli:
         assert main(["report", "--out-dir", str(out)]) == 0
         captured = capsys.readouterr().out
         assert "cache hit rate" in captured
+        counts = json.loads((out / "stages" / "score.json").read_text())["counts"]
+        assert (
+            f"requests {counts['requests']} ({counts['unique_requests']} unique), "
+            f"backend calls {counts['backend_calls']}, retries 0"
+        ) in captured
+
+    def test_cache_file_that_is_not_a_database_exits_2(self, small_corpus, tmp_path, caplog):
+        cache_file = tmp_path / "cache" / "scores.sqlite"
+        cache_file.parent.mkdir()
+        cache_file.write_bytes(b"not a database\n" * 200)
+        code = main([
+            "--backend", f"reference:{small_corpus['reference_model']}",
+            "--cache-dir", str(cache_file.parent),
+            "run", "--out-dir", str(tmp_path / "run"),
+            "--problems", str(small_corpus["problems"]),
+            "--traces", str(small_corpus["traces"]),
+        ])
+        assert code == 2
+        assert any("ConfigError" in r.message and str(cache_file) in r.message for r in caplog.records)
 
     def test_backend_error_exit_code(self, small_corpus, tmp_path):
         out = tmp_path / "cli-bad"

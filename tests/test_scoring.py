@@ -1,11 +1,19 @@
 import json
 import math
+import os
+import sqlite3
+import subprocess
+import sys
 import threading
+import time
+from email.utils import formatdate
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
-from helpers import make_problem, make_trace
+from helpers import CountingBackend, make_problem, make_trace
+from steplab import scoring
 from steplab.errors import BackendError
 from steplab.scoring import (
     CachingBackend,
@@ -17,20 +25,16 @@ from steplab.scoring import (
     build_context,
     information,
     information_profile,
+    profile_requests,
+    score_requests,
 )
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 
-class CountingBackend:
-    """Wraps a backend and counts how many requests actually reach it."""
 
-    def __init__(self, inner):
-        self.inner = inner
-        self.backend_id = inner.backend_id
-        self.calls = 0
-
-    def score(self, request):
-        self.calls += 1
-        return self.inner.score(request)
+def cache_rows(cache_dir):
+    with sqlite3.connect(cache_dir / ScoreCache.FILENAME) as db:
+        return db.execute("SELECT count(*) FROM scores").fetchone()[0]
 
 
 @pytest.fixture()
@@ -135,13 +139,105 @@ class TestCache:
         backend = CachingBackend(CountingBackend(two_token_model), ScoreCache(cache_dir))
         request = ScoringRequest("q", "42")
         expected = backend.score(request)
-        record = next(cache_dir.glob("*.json"))
-        record.write_text("{ truncated")
-        healed = CachingBackend(CountingBackend(two_token_model), ScoreCache(cache_dir))
+        with sqlite3.connect(cache_dir / ScoreCache.FILENAME) as db:
+            db.execute("UPDATE scores SET logprobs = '{ truncated'")
+        counting = CountingBackend(two_token_model)
+        healed = CachingBackend(counting, ScoreCache(cache_dir))
         assert healed.score(request) == expected
-        assert healed.cache.misses == 1
+        assert healed.cache.misses == 1 and counting.calls == 1
         assert healed.score(request) == expected
-        assert healed.cache.hits == 1
+        assert healed.cache.hits == 1 and counting.calls == 1
+
+    def test_bulk_lookup_counts_each_distinct_request_once(self, tmp_path, two_token_model):
+        cache = ScoreCache(tmp_path / "cache")
+        cached, fresh = ScoringRequest("q", "42"), ScoringRequest("q", "4")
+        cache.put("b", [(cached, two_token_model.score(cached))])
+        found = cache.get("b", [cached, fresh, cached, fresh])
+        assert found == {cached: two_token_model.score(cached)}
+        assert cache.hits == 1 and cache.misses == 1
+
+    def test_record_holds_no_context(self, tmp_path, two_token_model):
+        cache_dir = tmp_path / "cache"
+        request = ScoringRequest("a long and distinctive context", "42")
+        ScoreCache(cache_dir).put("b", [(request, two_token_model.score(request))])
+        assert b"distinctive" not in (cache_dir / ScoreCache.FILENAME).read_bytes()
+        assert list(cache_dir.iterdir()) == [cache_dir / ScoreCache.FILENAME]
+
+    def test_caches_merge_with_attach_and_insert_or_ignore(self, tmp_path, two_token_model):
+        requests = [ScoringRequest("q", c) for c in ("4", "42", "x", "xy")]
+        first, second = ScoreCache(tmp_path / "one"), ScoreCache(tmp_path / "two")
+        first.put("b", [(r, two_token_model.score(r)) for r in requests[:3]])
+        second.put("b", [(r, two_token_model.score(r)) for r in requests[1:]])
+        with sqlite3.connect(first.path) as db:
+            db.execute("ATTACH DATABASE ? AS other", (str(second.path),))
+            db.execute("INSERT OR IGNORE INTO scores SELECT * FROM other.scores")
+        merged = ScoreCache(tmp_path / "one")
+        assert merged.get("b", requests) == {r: two_token_model.score(r) for r in requests}
+        assert merged.misses == 0
+        assert cache_rows(tmp_path / "one") == len(requests)
+
+    def test_two_processes_writing_one_file_lose_and_corrupt_nothing(self, tmp_path):
+        # Each writer stores 600 records, 200 of them shared with the other,
+        # one small transaction at a time, and looks up its own records
+        # between writes.
+        script = """
+import sys
+from steplab.scoring import ScoreCache, ScoringRequest, TokenLogprobs
+cache = ScoreCache(sys.argv[1])
+first = int(sys.argv[2])
+for start in range(first, first + 600, 10):
+    batch = [(ScoringRequest("ctx", f"a{i}"), TokenLogprobs([str(i)], [-i / 1000], "w")) for i in range(start, start + 10)]
+    cache.put("b", batch)
+    cache.get("b", [request for request, _ in batch])
+"""
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        cache_dir = tmp_path / "cache"
+        ScoreCache(cache_dir)
+        writers = [
+            subprocess.Popen([sys.executable, "-c", script, str(cache_dir), str(first)], env=env)
+            for first in (0, 400)
+        ]
+        assert [w.wait(timeout=120) for w in writers] == [0, 0]
+        with sqlite3.connect(cache_dir / ScoreCache.FILENAME) as db:
+            assert db.execute("PRAGMA integrity_check").fetchone() == ("ok",)
+        cache = ScoreCache(cache_dir)
+        requests = [ScoringRequest("ctx", f"a{i}") for i in range(1000)]
+        found = cache.get("b", requests)
+        assert cache.misses == 0
+        assert all(found[r] == TokenLogprobs([str(i)], [-i / 1000], "w") for i, r in enumerate(requests))
+        assert cache_rows(cache_dir) == 1000
+
+
+class TestScoreRequests:
+    def test_each_distinct_request_is_scored_once(self, two_token_model):
+        counting = CountingBackend(two_token_model)
+        requests = [ScoringRequest("q", c) for c in ("4", "42", "4", "4", "42")]
+        scored = score_requests(counting, requests)
+        assert counting.calls == 2 and scored.backend_calls == 2
+        assert set(scored.results) == set(requests)
+        assert all(scored.score(r) == two_token_model.score(r) for r in requests)
+
+    def test_cache_hits_skip_the_backend(self, tmp_path, two_token_model):
+        requests = [ScoringRequest("q", c) for c in ("4", "42", "x")]
+        score_requests(CachingBackend(two_token_model, ScoreCache(tmp_path / "cache")), requests[:2])
+        counting = CountingBackend(two_token_model)
+        backend = CachingBackend(counting, ScoreCache(tmp_path / "cache"))
+        scored = score_requests(backend, requests + requests, max_workers=2)
+        assert counting.calls == 1 and scored.backend_calls == 1
+        assert backend.cache.hits == 2 and backend.cache.misses == 1
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_failed_run_keeps_finished_results_and_rerun_scores_the_rest(self, tmp_path, workers):
+        model = ReferenceModel(table={}, fallback_prob=0.5)
+        requests = [ScoringRequest(f"context {i}", "answer") for i in range(40)]
+        flaky = CountingBackend(model, fail_at=25)
+        with pytest.raises(BackendError):
+            score_requests(CachingBackend(flaky, ScoreCache(tmp_path / "cache")), requests, max_workers=workers)
+        assert cache_rows(tmp_path / "cache") == flaky.succeeded >= 24
+        counting = CountingBackend(model)
+        scored = score_requests(CachingBackend(counting, ScoreCache(tmp_path / "cache")), requests)
+        assert counting.calls == len(requests) - flaky.succeeded
+        assert scored.results == {r: model.score(r) for r in requests}
 
 
 class TestInformation:
@@ -208,7 +304,8 @@ class TestInformationProfile:
         problem, model = info_problem_model
         trace = make_trace(steps=["r1", "r2"], final_answer="a")
         sequential = information_profile(problem, trace, ["a", "b"], model)
-        threaded = information_profile(problem, trace, ["a", "b"], model, max_workers=4)
+        scored = score_requests(model, profile_requests(problem, trace, ["a", "b"]), max_workers=4)
+        threaded = information_profile(problem, trace, ["a", "b"], scored)
         assert sequential.values == threaded.values
 
 
@@ -219,10 +316,21 @@ class TestInformationProfile:
 class _StubHandler(BaseHTTPRequestHandler):
     model: ReferenceModel = None
     broken: bool = False
+    # The next ``throttled`` requests get 429 with this Retry-After header.
+    throttled: int = 0
+    retry_after: str | None = None
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length)) if length else {}
+        if self.throttled:
+            type(self).throttled -= 1
+            self.send_response(429)
+            if self.retry_after is not None:
+                self.send_header("Retry-After", self.retry_after)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
         if self.broken:
             payload = {"nonsense": True}
         elif self.path == "/v1/score":
@@ -252,6 +360,7 @@ def stub_server(info_problem_model):
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}", handler
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 
@@ -279,6 +388,51 @@ class TestHttpBackend:
         with pytest.raises(BackendError) as err:
             backend.score(ScoringRequest("q", "a"))
         assert err.value.kind == "transport"
+
+    @pytest.mark.parametrize(
+        "retry_after", ["0", formatdate(0, usegmt=True)], ids=["delta-seconds", "past-http-date"]
+    )
+    def test_429_waits_retry_after_not_the_backoff(self, stub_server, retry_after):
+        url, handler = stub_server
+        handler.throttled, handler.retry_after = 2, retry_after
+        backend = HttpBackend(url, max_retries=3, backoff_s=60.0)
+        start = time.monotonic()
+        scored = score_requests(backend, [ScoringRequest("What?", "a")])
+        assert time.monotonic() - start < 30.0
+        assert scored.results[ScoringRequest("What?", "a")].backend_id == "stub-llm"
+        assert backend.retries == 2 and scored.retries == 2
+
+    def test_retry_after_is_capped(self, stub_server, monkeypatch):
+        url, handler = stub_server
+        handler.throttled, handler.retry_after = 1, "3600"
+        monkeypatch.setattr(scoring, "BACKOFF_CAP_S", 0.01)
+        backend = HttpBackend(url, max_retries=2)
+        start = time.monotonic()
+        assert backend.score(ScoringRequest("What?", "a")).backend_id == "stub-llm"
+        assert time.monotonic() - start < 30.0
+        assert backend.retries == 1
+
+    def test_429_without_retry_after_uses_backoff(self, stub_server):
+        url, handler = stub_server
+        handler.throttled, handler.retry_after = 1, None
+        backend = HttpBackend(url, max_retries=2, backoff_s=0.01)
+        assert backend.score(ScoringRequest("What?", "a")).backend_id == "stub-llm"
+        assert backend.retries == 1
+
+    def test_persistent_429_exhausts_retries(self, stub_server):
+        url, handler = stub_server
+        handler.throttled, handler.retry_after = 5, "0"
+        backend = HttpBackend(url, max_retries=2)
+        with pytest.raises(BackendError) as err:
+            backend.score(ScoringRequest("What?", "a"))
+        assert err.value.kind == "transport" and "429" in str(err.value)
+        assert backend.retries == 1
+
+    def test_import_does_not_load_the_http_client(self):
+        code = "import sys, steplab.cli; print('requests' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert out.stdout.strip() == "False", out.stderr
 
     def test_caching_wraps_http(self, stub_server, tmp_path):
         url, _ = stub_server
