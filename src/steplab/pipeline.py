@@ -387,7 +387,10 @@ def _score(cfg: RunConfig, paths: dict[str, Path], backend) -> dict:
     # Traces of one problem share their step-0 requests, so the stage scores
     # its distinct requests once and fills every profile by lookup.
     requests = [r for problem, trace, answers in jobs for r in profile_requests(problem, trace, answers)]
-    scored = score_requests(backend, requests, max_workers=cfg.concurrency_limit)
+    try:
+        scored = score_requests(backend, requests, max_workers=cfg.concurrency_limit)
+    finally:
+        backend.close()
     profile_rows = [
         information_profile(problem, trace, answers, scored).to_json_dict() for problem, trace, answers in jobs
     ]
@@ -404,6 +407,8 @@ def _score(cfg: RunConfig, paths: dict[str, Path], backend) -> dict:
         "unique_requests": len(scored.results),
         "backend_calls": scored.backend_calls,
         "retries": scored.retries,
+        "backend_p50_ms": round(scored.latency_ms(0.50), 3),
+        "backend_p99_ms": round(scored.latency_ms(0.99), 3),
         "cache_hits": cache.hits if cache else 0,
         "cache_misses": cache.misses if cache else 0,
         "cache_hit_rate": cache.hit_rate if cache else 0.0,
@@ -811,10 +816,15 @@ def summarize_run(out_dir: str | Path) -> str:
         if reasons:
             parts.append("dropped " + ", ".join(f"{r}={n}" for r, n in sorted(reasons.items())))
         if "unique_requests" in counts:
-            parts.append(
+            requests = (
                 f"requests {counts['requests']} ({counts['unique_requests']} unique), "
                 f"backend calls {counts['backend_calls']}, retries {counts['retries']}"
             )
+            if "backend_p50_ms" in counts:
+                requests += (
+                    f", backend p50 {counts['backend_p50_ms']:.2f} ms, p99 {counts['backend_p99_ms']:.2f} ms"
+                )
+            parts.append(requests)
         if "cache_hit_rate" in counts:
             parts.append(f"cache hit rate {counts['cache_hit_rate']:.1%}")
         if "accuracy" in counts:

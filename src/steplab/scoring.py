@@ -18,25 +18,26 @@ log-likelihoods conditioned on the question and the first i steps; step 0
 conditions on the question alone. All values are in nats.
 """
 
+import functools
 import json
 import logging
 import math
+import os
+import select
 import sqlite3
 import threading
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Protocol
+from typing import Protocol
+from urllib.parse import SplitResult, urlsplit
 
 from .errors import BackendError, ConfigError
 from .ioutil import sha256_text
 from .trace_model import Problem, ReasoningTrace
-
-if TYPE_CHECKING:
-    import requests
 
 log = logging.getLogger(__name__)
 
@@ -111,6 +112,9 @@ class Backend(Protocol):
 
     def score(self, request: ScoringRequest) -> TokenLogprobs: ...
 
+    def close(self) -> None:
+        """Release what the backend holds open between calls."""
+
 
 class ReferenceModel:
     """Deterministic, table-driven scoring backend.
@@ -152,62 +156,109 @@ class ReferenceModel:
             logprobs.append(math.log(prob))
         return TokenLogprobs.clamped(list(request.continuation), logprobs, self.backend_id)
 
+    def close(self) -> None:
+        pass
+
 
 class HttpBackend:
     """Client for a remote scoring server speaking the JSON protocol.
 
     ``POST {base}/v1/score`` with ``{"context", "continuation"}`` must return
-    ``{"tokens", "logprobs", "backend_id"}``. Transport failures, 5xx
-    answers and HTTP 429 are retried with backoff (a 429's ``Retry-After``
-    replaces the backoff), every retry is logged and counted in
-    ``retries``, and exhausted retries surface as :class:`BackendError`
-    (kind "transport"); malformed responses as kind "protocol".
+    ``{"tokens", "logprobs", "backend_id"}``. Requests go over stdlib
+    ``http.client`` keep-alive connections: a call takes an idle connection
+    or opens one, and returns it after reading the whole response, so N
+    threads hold at most N connections. Transport failures, 5xx answers and
+    HTTP 429 are retried with backoff (a 429's ``Retry-After`` replaces the
+    backoff), every retry is logged and counted in ``retries``, and
+    exhausted retries surface as :class:`BackendError` (kind "transport");
+    malformed responses as kind "protocol". Proxy variables are not read.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        timeout_s: float = 30.0,
-        max_retries: int = 3,
-        backoff_s: float = 0.5,
-        session: "requests.Session | None" = None,
-    ):
+    def __init__(self, base_url: str, timeout_s: float = 30.0, max_retries: int = 3, backoff_s: float = 0.5):
         # Imported here, not at module level: runs that never call a server
         # (relabelling, warm caches) skip its import cost.
-        import requests
+        import http.client
 
         self.base_url = base_url.rstrip("/")
         self.backend_id = self.base_url
-        self.timeout_s = timeout_s
         self.max_retries = max_retries
         self.backoff_s = backoff_s
-        self._session = session or requests.Session()
+        parts = urlsplit(self.base_url)
+        try:
+            port = parts.port
+        except ValueError as exc:
+            raise ConfigError(f"invalid backend URL {base_url!r}: {exc}") from exc
+        if not parts.hostname:
+            raise ConfigError(f"backend URL {base_url!r} names no host")
+        self._path = parts.path
+        if parts.scheme == "https":
+            import ssl
+
+            self._open = functools.partial(
+                http.client.HTTPSConnection,
+                parts.hostname,
+                port,
+                timeout=timeout_s,
+                context=ssl.create_default_context(),
+            )
+        else:
+            self._open = functools.partial(http.client.HTTPConnection, parts.hostname, port, timeout=timeout_s)
+        self._idle: list = []
         self._lock = threading.Lock()
         self.retries = 0
+        proxy_variable = _environment_proxy(parts)
+        if proxy_variable is not None:
+            log.warning("%s is set but not used: steplab connects to %s directly", proxy_variable, self.base_url)
+
+    def _request(self, path: str, body: bytes) -> tuple[int, str | None, bytes]:
+        """POST ``body`` on a pooled connection; (status, Retry-After, body)."""
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        # An idle socket that polls readable was closed by the server (or
+        # holds bytes no request asked for): it cannot carry a request.
+        if conn is not None and select.select([conn.sock], [], [], 0)[0]:
+            conn.close()
+            conn = None
+        if conn is None:
+            conn = self._open()
+        try:
+            # Bytes, not a stream: http.client sends headers and body in one write.
+            conn.request("POST", path, body, _JSON_HEADERS)
+            response = conn.getresponse()
+            data = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        if response.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.append(conn)
+        return response.status, response.getheader("Retry-After"), data
 
     def _post(self, endpoint: str, payload: dict) -> dict:
-        import requests
+        import http.client
 
         url = f"{self.base_url}{endpoint}"
+        body = json.dumps(payload).encode()
         last_error: Exception | None = None
         for attempt in range(self.max_retries):
             retry_after = None
             try:
-                response = self._session.post(url, json=payload, timeout=self.timeout_s)
-            except requests.RequestException as exc:
+                status, retry_after_header, data = self._request(self._path + endpoint, body)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
             else:
-                status = response.status_code
                 if status == 200:
                     try:
-                        return response.json()
+                        return json.loads(data)
                     except ValueError as exc:
                         raise BackendError(f"{url} returned non-JSON body", kind="protocol") from exc
                 if status != 429 and status < 500:
                     raise BackendError(f"{url} returned {status}", kind="protocol")
                 last_error = BackendError(f"{url} returned {status}")
                 if status == 429:
-                    retry_after = _retry_after_s(response.headers.get("Retry-After"))
+                    retry_after = _retry_after_s(retry_after_header)
             if attempt + 1 < self.max_retries:
                 delay = self.backoff_s * 2**attempt if retry_after is None else retry_after
                 delay = min(BACKOFF_CAP_S, delay)
@@ -224,6 +275,29 @@ class HttpBackend:
         except (KeyError, TypeError, ValueError) as exc:
             raise BackendError(f"malformed score response: {exc}", kind="protocol") from exc
 
+    def close(self) -> None:
+        """Close the idle connections; a later call opens new ones."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+
+_JSON_HEADERS = {"Content-Type": "application/json"}
+
+
+def _environment_proxy(url: SplitResult) -> str | None:
+    """The proxy variable an environment-honouring client would route
+    ``url`` through (``<scheme>_proxy`` or ``all_proxy``, either case,
+    unless ``no_proxy`` exempts the host), or None."""
+    for name in (f"{url.scheme}_proxy", "all_proxy"):
+        for variable in (name, name.upper()):
+            if os.environ.get(variable):
+                from urllib.request import proxy_bypass_environment
+
+                return None if proxy_bypass_environment(url.netloc) else variable
+    return None
+
 
 def _retry_after_s(value: str | None) -> float | None:
     """Seconds a ``Retry-After`` header asks to wait (delta-seconds or an
@@ -234,7 +308,7 @@ def _retry_after_s(value: str | None) -> float | None:
         return max(0.0, float(value))
     except ValueError:
         pass
-    from email.utils import parsedate_to_datetime  # deferred like requests: HTTP only
+    from email.utils import parsedate_to_datetime  # deferred like http.client: HTTP only
 
     try:
         when = parsedate_to_datetime(value)
@@ -346,6 +420,9 @@ class CachingBackend:
     def score(self, request: ScoringRequest) -> TokenLogprobs:
         return score_requests(self, [request]).score(request)
 
+    def close(self) -> None:
+        self.inner.close()
+
 
 @dataclass
 class ScoredRequests:
@@ -359,13 +436,23 @@ class ScoredRequests:
     results: dict[ScoringRequest, TokenLogprobs]
     backend_calls: int
     retries: int
+    latencies_s: list[float]
 
     def score(self, request: ScoringRequest) -> TokenLogprobs:
         return self.results[request]
 
+    def latency_ms(self, fraction: float) -> float:
+        """Nearest-rank quantile of the backend calls' latency; 0 without calls."""
+        if not self.latencies_s:
+            return 0.0
+        ordered = sorted(self.latencies_s)
+        return 1000.0 * ordered[max(0, math.ceil(fraction * len(ordered)) - 1)]
 
-def _score_each(backend: Backend, requests: list[ScoringRequest], max_workers: int):
-    """Yield ``(request, result)`` as each scoring completes.
+
+def _score_each(
+    score: Callable[[ScoringRequest], TokenLogprobs], requests: list[ScoringRequest], max_workers: int
+):
+    """Yield ``(request, score(request))`` as each scoring completes.
 
     With ``max_workers`` > 1 one executor serves all requests, with at most
     twice that many submitted at a time. After a failure nothing new is
@@ -374,7 +461,7 @@ def _score_each(backend: Backend, requests: list[ScoringRequest], max_workers: i
     """
     if max_workers <= 1:
         for request in requests:
-            yield request, backend.score(request)
+            yield request, score(request)
         return
     todo = iter(requests)
     running: dict = {}
@@ -386,7 +473,7 @@ def _score_each(backend: Backend, requests: list[ScoringRequest], max_workers: i
                 request = next(todo, None)
                 if request is None:
                     break
-                running[pool.submit(backend.score, request)] = request
+                running[pool.submit(score, request)] = request
             if not running:
                 break
             done, _ = wait(running, return_when=FIRST_COMPLETED)
@@ -409,7 +496,7 @@ def score_requests(backend: Backend, requests: Iterable[ScoringRequest], max_wor
     in one bulk call and only the misses reach the inner backend. Their
     results are stored in batches as they complete; when a scoring fails,
     every result completed before the error is stored, then the error
-    propagates.
+    propagates. Each backend call is timed.
     """
     unique = list(dict.fromkeys(requests))
     cache = backend.cache if isinstance(backend, CachingBackend) else None
@@ -417,9 +504,17 @@ def score_requests(backend: Backend, requests: Iterable[ScoringRequest], max_wor
     retries_before = getattr(inner, "retries", 0)
     results = cache.get(backend.backend_id, unique) if cache is not None else {}
     misses = [r for r in unique if r not in results]
+    latencies: list[float] = []
+
+    def timed_score(request: ScoringRequest) -> TokenLogprobs:
+        start = time.perf_counter()
+        result = inner.score(request)
+        latencies.append(time.perf_counter() - start)
+        return result
+
     batch: list[tuple[ScoringRequest, TokenLogprobs]] = []
     try:
-        for request, result in _score_each(inner, misses, max_workers):
+        for request, result in _score_each(timed_score, misses, max_workers):
             results[request] = result
             if cache is not None:
                 batch.append((request, result))
@@ -434,6 +529,7 @@ def score_requests(backend: Backend, requests: Iterable[ScoringRequest], max_wor
         results=results,
         backend_calls=len(misses),
         retries=getattr(inner, "retries", 0) - retries_before,
+        latencies_s=latencies,
     )
 
 

@@ -42,6 +42,7 @@ class CountingBackend:
         self.fail_at = fail_at
         self.calls = 0
         self.succeeded = 0
+        self.closed = False
         self._lock = threading.Lock()
 
     def score(self, request):
@@ -54,3 +55,7 @@ class CountingBackend:
         with self._lock:
             self.succeeded += 1
         return result
+
+    def close(self):
+        self.closed = True
+        self.inner.close()

@@ -209,6 +209,7 @@ class TestPipeline:
         assert counting.calls == len(pairs) == counts["unique_requests"] == counts["backend_calls"]
         assert counts["requests"] == requests > len(pairs)
         assert counts["cache_misses"] == (len(pairs) if cached else 0)
+        assert counting.closed
 
     def test_force_reruns(self, small_corpus, tmp_path):
         cfg = config_for(small_corpus, tmp_path)
@@ -275,8 +276,10 @@ class TestCli:
         counts = json.loads((out / "stages" / "score.json").read_text())["counts"]
         assert (
             f"requests {counts['requests']} ({counts['unique_requests']} unique), "
-            f"backend calls {counts['backend_calls']}, retries 0"
+            f"backend calls {counts['backend_calls']}, retries 0, "
+            f"backend p50 {counts['backend_p50_ms']:.2f} ms, p99 {counts['backend_p99_ms']:.2f} ms"
         ) in captured
+        assert counts["backend_p99_ms"] >= counts["backend_p50_ms"] > 0
 
     def test_cache_file_that_is_not_a_database_exits_2(self, small_corpus, tmp_path, caplog):
         cache_file = tmp_path / "cache" / "scores.sqlite"

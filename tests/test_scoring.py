@@ -1,6 +1,8 @@
 import json
 import math
+import logging
 import os
+import socket
 import sqlite3
 import subprocess
 import sys
@@ -14,7 +16,7 @@ import pytest
 
 from helpers import CountingBackend, make_problem, make_trace
 from steplab import scoring
-from steplab.errors import BackendError
+from steplab.errors import BackendError, ConfigError
 from steplab.scoring import (
     CachingBackend,
     HttpBackend,
@@ -240,6 +242,22 @@ class TestScoreRequests:
         assert scored.results == {r: model.score(r) for r in requests}
 
 
+    def test_backend_calls_are_timed(self, tmp_path, two_token_model):
+        requests = [ScoringRequest("q", c) for c in ("4", "42", "4")]
+        backend = CachingBackend(two_token_model, ScoreCache(tmp_path / "cache"))
+        cold = score_requests(backend, requests)
+        assert len(cold.latencies_s) == 2
+        assert cold.latency_ms(0.99) >= cold.latency_ms(0.5) > 0
+        warm = score_requests(backend, requests)
+        assert warm.latencies_s == [] and warm.latency_ms(0.5) == warm.latency_ms(0.99) == 0.0
+
+    def test_latency_quantiles_are_nearest_rank(self):
+        scored = scoring.ScoredRequests("b", {}, 0, 0, latencies_s=[i / 1000 for i in range(100, 0, -1)])
+        assert scored.latency_ms(0.5) == pytest.approx(50.0)
+        assert scored.latency_ms(0.99) == pytest.approx(99.0)
+        assert scored.latency_ms(1.0) == pytest.approx(100.0)
+
+
 class TestInformation:
     def test_baseline_and_one_step(self, info_problem_model):
         problem, model = info_problem_model
@@ -314,18 +332,38 @@ class TestInformationProfile:
 
 
 class _StubHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; without this, Nagle's algorithm
+    # holds the body until the client's delayed ACK.
+    disable_nagle_algorithm = True
     model: ReferenceModel = None
     broken: bool = False
-    # The next ``throttled`` requests get 429 with this Retry-After header.
+    # The next ``throttled`` requests get ``throttle_status`` with this
+    # Retry-After header.
     throttled: int = 0
+    throttle_status: int = 429
     retry_after: str | None = None
+    # Where /v1/score is served, for base URLs with a path.
+    prefix: str = ""
+    # Close each connection after one response without saying so (no
+    # "Connection: close"), releasing ``closed`` once the socket is shut.
+    close_after_response: bool = False
+    # Per fixture: one entry per accepted connection, and every request path.
+    connections: list
+    paths: list
+    closed: threading.Semaphore
+
+    def setup(self):
+        super().setup()
+        self.connections.append(self.client_address)
 
     def do_POST(self):
+        self.paths.append(self.path)
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length)) if length else {}
         if self.throttled:
             type(self).throttled -= 1
-            self.send_response(429)
+            self.send_response(self.throttle_status)
             if self.retry_after is not None:
                 self.send_header("Retry-After", self.retry_after)
             self.send_header("Content-Length", "0")
@@ -333,11 +371,12 @@ class _StubHandler(BaseHTTPRequestHandler):
             return
         if self.broken:
             payload = {"nonsense": True}
-        elif self.path == "/v1/score":
+        elif self.path == self.prefix + "/v1/score":
             result = self.model.score(ScoringRequest(body["context"], body["continuation"]))
             payload = {"tokens": result.tokens, "logprobs": result.logprobs, "backend_id": "stub-llm"}
         else:
             self.send_response(404)
+            self.send_header("Content-Length", "0")
             self.end_headers()
             return
         data = json.dumps(payload).encode()
@@ -346,6 +385,10 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
+        if self.close_after_response:
+            self.connection.shutdown(socket.SHUT_WR)
+            self.close_connection = True
+            self.closed.release()
 
     def log_message(self, *args):
         pass
@@ -354,9 +397,14 @@ class _StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def stub_server(info_problem_model):
     _, model = info_problem_model
-    handler = type("Handler", (_StubHandler,), {"model": model, "broken": False})
+    handler = type(
+        "Handler",
+        (_StubHandler,),
+        {"model": model, "broken": False, "connections": [], "paths": [], "closed": threading.Semaphore(0)},
+    )
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    server.daemon_threads = True
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}", handler
     server.shutdown()
@@ -364,20 +412,34 @@ def stub_server(info_problem_model):
     thread.join(timeout=5)
 
 
+@pytest.fixture()
+def http_backend():
+    """Builds HttpBackends and closes them after the test."""
+    made = []
+
+    def make(*args, **kwargs):
+        made.append(HttpBackend(*args, **kwargs))
+        return made[-1]
+
+    yield make
+    for backend in made:
+        backend.close()
+
+
 class TestHttpBackend:
-    def test_score_matches_local_reference(self, stub_server, info_problem_model):
+    def test_score_matches_local_reference(self, http_backend, stub_server, info_problem_model):
         url, _ = stub_server
         _, model = info_problem_model
-        backend = HttpBackend(url)
+        backend = http_backend(url)
         request = ScoringRequest("What?", "a")
         remote = backend.score(request)
         assert remote.backend_id == "stub-llm"
         assert remote.logprobs == model.score(request).logprobs
 
-    def test_malformed_response_is_protocol_error(self, stub_server):
+    def test_malformed_response_is_protocol_error(self, http_backend, stub_server):
         url, handler = stub_server
         handler.broken = True
-        backend = HttpBackend(url)
+        backend = http_backend(url)
         with pytest.raises(BackendError) as err:
             backend.score(ScoringRequest("What?", "a"))
         assert err.value.kind == "protocol"
@@ -392,51 +454,147 @@ class TestHttpBackend:
     @pytest.mark.parametrize(
         "retry_after", ["0", formatdate(0, usegmt=True)], ids=["delta-seconds", "past-http-date"]
     )
-    def test_429_waits_retry_after_not_the_backoff(self, stub_server, retry_after):
+    def test_429_waits_retry_after_not_the_backoff(self, http_backend, stub_server, retry_after):
         url, handler = stub_server
         handler.throttled, handler.retry_after = 2, retry_after
-        backend = HttpBackend(url, max_retries=3, backoff_s=60.0)
+        backend = http_backend(url, max_retries=3, backoff_s=60.0)
         start = time.monotonic()
         scored = score_requests(backend, [ScoringRequest("What?", "a")])
         assert time.monotonic() - start < 30.0
         assert scored.results[ScoringRequest("What?", "a")].backend_id == "stub-llm"
         assert backend.retries == 2 and scored.retries == 2
 
-    def test_retry_after_is_capped(self, stub_server, monkeypatch):
+    def test_retry_after_is_capped(self, http_backend, stub_server, monkeypatch):
         url, handler = stub_server
         handler.throttled, handler.retry_after = 1, "3600"
         monkeypatch.setattr(scoring, "BACKOFF_CAP_S", 0.01)
-        backend = HttpBackend(url, max_retries=2)
+        backend = http_backend(url, max_retries=2)
         start = time.monotonic()
         assert backend.score(ScoringRequest("What?", "a")).backend_id == "stub-llm"
         assert time.monotonic() - start < 30.0
         assert backend.retries == 1
 
-    def test_429_without_retry_after_uses_backoff(self, stub_server):
+    def test_429_without_retry_after_uses_backoff(self, http_backend, stub_server):
         url, handler = stub_server
         handler.throttled, handler.retry_after = 1, None
-        backend = HttpBackend(url, max_retries=2, backoff_s=0.01)
+        backend = http_backend(url, max_retries=2, backoff_s=0.01)
         assert backend.score(ScoringRequest("What?", "a")).backend_id == "stub-llm"
         assert backend.retries == 1
 
-    def test_persistent_429_exhausts_retries(self, stub_server):
+    def test_persistent_429_exhausts_retries(self, http_backend, stub_server):
         url, handler = stub_server
         handler.throttled, handler.retry_after = 5, "0"
-        backend = HttpBackend(url, max_retries=2)
+        backend = http_backend(url, max_retries=2)
         with pytest.raises(BackendError) as err:
             backend.score(ScoringRequest("What?", "a"))
         assert err.value.kind == "transport" and "429" in str(err.value)
         assert backend.retries == 1
 
     def test_import_does_not_load_the_http_client(self):
-        code = "import sys, steplab.cli; print('requests' in sys.modules)"
+        code = "import sys, steplab.cli; print('http.client' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert out.stdout.strip() == "False", out.stderr
 
-    def test_caching_wraps_http(self, stub_server, tmp_path):
+    def test_sequential_scores_share_one_connection(self, http_backend, stub_server, info_problem_model):
+        url, handler = stub_server
+        _, model = info_problem_model
+        backend = http_backend(url)
+        requests = [ScoringRequest("What?" + "\nr1" * (i % 2), "ab"[i % 2]) for i in range(20)]
+        for request in requests:
+            assert backend.score(request).logprobs == model.score(request).logprobs
+        assert len(handler.connections) == 1 and len(handler.paths) == 20
+
+    def test_worker_threads_open_at_most_one_connection_each(self, http_backend, stub_server, info_problem_model):
+        url, handler = stub_server
+        _, model = info_problem_model
+        requests = [ScoringRequest(f"context {i}", "a") for i in range(40)]
+        scored = score_requests(http_backend(url), requests, max_workers=4)
+        assert {r: result.logprobs for r, result in scored.results.items()} == {
+            r: model.score(r).logprobs for r in requests
+        }
+        assert 1 <= len(handler.connections) <= 4
+
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_retry_reuses_the_connection(self, http_backend, stub_server, status):
+        url, handler = stub_server
+        handler.throttled, handler.throttle_status, handler.retry_after = 1, status, None
+        backend = http_backend(url, backoff_s=0.01)
+        assert backend.score(ScoringRequest("What?", "a")).backend_id == "stub-llm"
+        assert backend.retries == 1
+        assert len(handler.paths) == 2 and len(handler.connections) == 1
+
+    def test_connection_closed_by_the_server_is_replaced_without_a_retry(
+        self, http_backend, stub_server, info_problem_model
+    ):
+        url, handler = stub_server
+        _, model = info_problem_model
+        handler.close_after_response = True
+        backend = http_backend(url, backoff_s=0.01)
+        for answer in "abab":
+            request = ScoringRequest("What?", answer)
+            assert backend.score(request).logprobs == model.score(request).logprobs
+            assert handler.closed.acquire(timeout=10)
+        assert backend.retries == 0
+        assert len(handler.connections) == len(handler.paths) == 4
+
+    def test_close_drops_idle_connections(self, http_backend, stub_server):
+        url, handler = stub_server
+        backend = http_backend(url)
+        request = ScoringRequest("What?", "a")
+        backend.score(request)
+        backend.close()
+        assert backend.score(request).backend_id == "stub-llm"
+        assert len(handler.connections) == 2 and backend.retries == 0
+
+    def test_base_url_path_prefixes_the_endpoint(self, http_backend, stub_server):
+        url, handler = stub_server
+        handler.prefix = "/api/model"
+        backend = http_backend(url + "/api/model/")
+        assert backend.score(ScoringRequest("What?", "a")).backend_id == "stub-llm"
+        assert handler.paths == ["/api/model/v1/score"]
+
+    def test_https_backend_speaks_tls(self, stub_server):
+        url, handler = stub_server
+        backend = HttpBackend(url.replace("http://", "https://"), max_retries=1)
+        with pytest.raises(BackendError) as err:
+            backend.score(ScoringRequest("What?", "a"))
+        assert err.value.kind == "transport"
+        assert handler.paths == []
+
+    @pytest.mark.parametrize("url", ["http://127.0.0.1:port", "http:///v1"])
+    def test_unusable_url_is_a_config_error(self, url):
+        with pytest.raises(ConfigError):
+            HttpBackend(url)
+
+    @pytest.mark.parametrize(
+        "env, warned",
+        [
+            ({"HTTP_PROXY": "http://proxy.invalid:3128"}, "HTTP_PROXY"),
+            ({"all_proxy": "http://proxy.invalid:3128"}, "all_proxy"),
+            ({"HTTP_PROXY": "http://proxy.invalid:3128", "NO_PROXY": "127.0.0.1"}, None),
+            ({"HTTPS_PROXY": "http://proxy.invalid:3128"}, None),
+            ({}, None),
+        ],
+        ids=["http-proxy", "all-proxy", "no-proxy-exempts", "other-scheme", "none"],
+    )
+    def test_environment_proxy_is_named_in_one_warning(self, monkeypatch, caplog, env, warned):
+        for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        with caplog.at_level(logging.WARNING, logger="steplab.scoring"):
+            HttpBackend("http://127.0.0.1:9")
+        messages = [r.getMessage() for r in caplog.records]
+        if warned is None:
+            assert messages == []
+        else:
+            assert len(messages) == 1 and messages[0].startswith(f"{warned} is set but not used")
+
+    def test_caching_wraps_http(self, http_backend, stub_server, tmp_path):
         url, _ = stub_server
-        backend = CachingBackend(HttpBackend(url), ScoreCache(tmp_path / "cache"))
+        backend = CachingBackend(http_backend(url), ScoreCache(tmp_path / "cache"))
         request = ScoringRequest("What?", "ab")
         first = backend.score(request)
         second = backend.score(request)
