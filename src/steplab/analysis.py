@@ -4,10 +4,9 @@ Token costs are closed-form expected counts for three labeling strategies:
 rollout-per-step (quadratic in the step count), rollout-with-binary-search
 (N log N), and prefix-rescoring (linear). The bias study quantifies how far
 the max over a size-s subsample sits below the max over the full candidate
-pool, exactly by enumeration or by seeded Monte Carlo replication.
+pool, exactly from order statistics or by seeded Monte Carlo replication.
 """
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -15,8 +14,6 @@ from fractions import Fraction
 from statistics import fmean
 
 from .ioutil import stable_seed
-
-EXHAUSTIVE_LIMIT = 1_000_000
 
 
 @dataclass
@@ -125,22 +122,23 @@ def subsample_bias_variance(pool: list[float], s: int, replicates: int, seed: in
 
 
 def exhaustive_bias(pool: list[float], s: int) -> tuple[float, float]:
-    """Exact bias and variance of the subsampled max, by enumerating all
-    size-s subsets with equal weight.
+    """Exact bias and variance of the subsampled max over all size-s
+    subsets, each equally likely.
 
-    Arithmetic is exact (rational), so e.g. a pool of {1,2,3} at s=2 gives
-    bias -1/3 and variance 2/9 with no float drift beyond the final
-    conversion.
+    Sorted ascending, the i-th value (1-based) is the max of C(i-1, s-1)
+    of the C(n, s) subsets (ties go to the later index), so E[max] and
+    E[max^2] are weighted sums over the sorted pool and the variance is
+    E[max^2] - E[max]^2. Arithmetic is exact (rational), so e.g. a pool of
+    {1,2,3} at s=2 gives bias -1/3 and variance 2/9 with no float drift
+    beyond the final conversion.
     """
     _check_subsample_args(pool, s)
-    n_subsets = math.comb(len(pool), s)
-    if n_subsets > EXHAUSTIVE_LIMIT:
-        raise ValueError(f"{n_subsets} subsets exceed the enumeration limit of {EXHAUSTIVE_LIMIT}")
-    maxes = [Fraction(max(combo)) for combo in itertools.combinations(pool, s)]
-    expectation = sum(maxes, Fraction(0)) / n_subsets
-    bias = expectation - Fraction(max(pool))
-    variance = sum(((m - expectation) ** 2 for m in maxes), Fraction(0)) / n_subsets
-    return float(bias), float(variance)
+    ordered = sorted(Fraction(v) for v in pool)
+    n_subsets = math.comb(len(ordered), s)
+    weights = [Fraction(math.comb(i, s - 1), n_subsets) for i in range(len(ordered))]
+    expectation = sum(w * v for w, v in zip(weights, ordered))
+    variance = sum(w * v * v for w, v in zip(weights, ordered)) - expectation**2
+    return float(expectation - ordered[-1]), float(variance)
 
 
 def _check_subsample_args(pool: list[float], s: int) -> None:

@@ -177,28 +177,16 @@ def random_scorer(seed: int) -> Scorer:
     return scorer
 
 
-def step_product_scorer(step_probs_by_trace: dict[tuple[str, str], list[float]]) -> Scorer:
-    """Score from an external table of per-step probabilities, keyed by
-    (problem_id, trace_id). Missing traces count as scorer failures."""
+def step_product_scorer(step_probs_by_trace: dict[tuple[str, str], list[float]], scorer_id: str) -> Scorer:
+    """Score from a table of per-step probabilities, keyed by (problem_id,
+    trace_id): external step scores, or this toolkit's own binary labels as
+    0/1 probabilities. Missing traces count as scorer failures."""
 
     def scorer(problem: Problem, trace: ReasoningTrace) -> float:
         key = (problem.id, trace.trace_id)
         if key not in step_probs_by_trace:
-            raise LookupError(f"no step probabilities for trace {key}")
+            raise LookupError(f"no {scorer_id} step values for trace {key}")
         return step_product_score(step_probs_by_trace[key])
 
-    scorer.scorer_id = "step-product"
-    return scorer
-
-
-def label_product_scorer(labels_by_trace: dict[tuple[str, str], list[int]]) -> Scorer:
-    """Score from this toolkit's own binary labels, treated as 0/1 probabilities."""
-
-    def scorer(problem: Problem, trace: ReasoningTrace) -> float:
-        key = (problem.id, trace.trace_id)
-        if key not in labels_by_trace:
-            raise LookupError(f"no step labels for trace {key}")
-        return step_product_score([float(l) for l in labels_by_trace[key]])
-
-    scorer.scorer_id = "label-product"
+    scorer.scorer_id = scorer_id
     return scorer

@@ -29,7 +29,6 @@ from .dataset_emit import emit_orm_record, emit_prm_record, label_balance, write
 from .errors import ConfigError, DataError, ReservedSymbolError, UndefinedMetricError, ValidatorError
 from .evaluation import (
     best_of_k,
-    label_product_scorer,
     majority_best_of_k,
     oracle_scorer,
     random_scorer,
@@ -383,16 +382,17 @@ def _score(cfg: RunConfig, paths: dict[str, Path], backend) -> dict:
         pool = pools[problem.id]
         answers = list(dict.fromkeys(pool.correct + pool.wrong + [problem.gold_answer]))
         working_rows.append({"problem_id": problem.id, "trace_ids": [t.trace_id for t in kept_traces]})
-        jobs.extend((problem, trace, answers) for trace in kept_traces)
+        jobs.extend((problem, trace, answers, profile_requests(problem, trace, answers)) for trace in kept_traces)
     # Traces of one problem share their step-0 requests, so the stage scores
     # its distinct requests once and fills every profile by lookup.
-    requests = [r for problem, trace, answers in jobs for r in profile_requests(problem, trace, answers)]
+    requests = [r for *_, trace_requests in jobs for r in trace_requests]
     try:
         scored = score_requests(backend, requests, max_workers=cfg.concurrency_limit)
     finally:
         backend.close()
     profile_rows = [
-        information_profile(problem, trace, answers, scored).to_json_dict() for problem, trace, answers in jobs
+        information_profile(problem, trace, answers, [scored.totals[r] for r in trace_requests]).to_json_dict()
+        for problem, trace, answers, trace_requests in jobs
     ]
     write_jsonl(paths["working_set"], working_rows)
     write_jsonl(paths["profiles"], profile_rows)
@@ -404,7 +404,7 @@ def _score(cfg: RunConfig, paths: dict[str, Path], backend) -> dict:
         "dropped": result.dropped,
         "traces_scored": len(profile_rows),
         "requests": len(requests),
-        "unique_requests": len(scored.results),
+        "unique_requests": len(scored.totals),
         "backend_calls": scored.backend_calls,
         "retries": scored.retries,
         "backend_p50_ms": round(scored.latency_ms(0.50), 3),
@@ -577,19 +577,13 @@ def _build_scorer(cfg: RunConfig, paths: dict[str, Path]):
     if name == "random":
         return random_scorer(cfg.seed)
     if name == "label-product":
-        table = {
-            (obj["problem_id"], obj["trace_id"]): [int(v) for v in obj["labels"]]
-            for obj in read_jsonl(paths["step_labels"])
-        }
-        return label_product_scorer(table)
-    # step-product and orm: external per-step probabilities from --step-scores
-    table = {
-        (obj["problem_id"], obj["trace_id"]): [float(v) for v in obj["step_probs"]]
-        for obj in read_jsonl(cfg.step_scores)
-    }
-    scorer = step_product_scorer(table)
-    scorer.scorer_id = name
-    return scorer
+        # This toolkit's own binary labels, as 0/1 step probabilities.
+        rows, column = read_jsonl(paths["step_labels"]), "labels"
+    else:
+        # step-product and orm: external per-step probabilities from --step-scores
+        rows, column = read_jsonl(cfg.step_scores), "step_probs"
+    table = {(obj["problem_id"], obj["trace_id"]): [float(v) for v in obj[column]] for obj in rows}
+    return step_product_scorer(table, name)
 
 
 def _eval(cfg: RunConfig, paths: dict[str, Path], state) -> dict:

@@ -11,11 +11,14 @@ natural-log probability per continuation token. Three backends exist:
 * :class:`CachingBackend`, which wraps either with a persistent
   :class:`ScoreCache` so identical requests are never recomputed.
 
-:func:`score_requests` scores a batch of requests, each distinct one once.
-
-The information value of an answer at step i is the sum of these token
-log-likelihoods conditioned on the question and the first i steps; step 0
-conditions on the question alone. All values are in nats.
+Per-token logprobs exist only at this backend boundary. The information
+value of an answer at step i is their sum: the answer's total
+log-likelihood given the question and the first i steps (step 0 conditions
+on the question alone). Every layer above the backend holds that one total
+per request. :func:`score_requests` scores a batch of requests, each
+distinct one once, into totals; :class:`ScoreCache` stores totals; and
+:func:`information_profile` reshapes a trace's totals into its profile.
+All values are in nats.
 """
 
 import functools
@@ -46,7 +49,7 @@ LOGPROB_FLOOR = -100.0
 # Longest wait between HTTP attempts, whether from backoff or Retry-After.
 BACKOFF_CAP_S = 30.0
 # Keys per cache lookup statement (below SQLite's bound-parameter limit)
-# and results per cache commit.
+# and totals per cache commit.
 CACHE_BATCH = 500
 # How long a cache call waits for another process's write lock.
 CACHE_LOCK_TIMEOUT_S = 60.0
@@ -318,17 +321,18 @@ def _retry_after_s(value: str | None) -> float | None:
 
 
 class ScoreCache:
-    """Scoring results in one SQLite file, ``<directory>/scores.sqlite``.
+    """Scoring totals in one SQLite file, ``<directory>/scores.sqlite``.
 
-    A row is keyed by the content hash of (backend id, context,
-    continuation) and holds the result's tokens and logprobs (as JSON) and
-    its backend id, not the context. :meth:`get` and :meth:`put` work in
+    A row of table ``totals`` is keyed by the content hash of (backend id,
+    context, continuation) and holds the continuation's total
+    log-likelihood, not the context. :meth:`get` and :meth:`put` work in
     bulk, and each call opens its own connection, so only the calling
     thread touches the database. Inserts are ``INSERT OR IGNORE`` in one
     transaction per :meth:`put`: processes sharing the file lose no
     record, and caches merge the same way from an attached file. A row
-    that does not decode is deleted and counts as a miss, so it gets
-    rewritten; a file SQLite cannot read is a :class:`ConfigError`.
+    whose total is not a finite float <= 0 is deleted and counts as a
+    miss, so it gets rewritten; a file SQLite cannot read is a
+    :class:`ConfigError`.
     """
 
     FILENAME = "scores.sqlite"
@@ -337,10 +341,7 @@ class ScoreCache:
         self.path = Path(directory) / self.FILENAME
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self._connect() as db:
-            db.execute(
-                "CREATE TABLE IF NOT EXISTS scores (key TEXT PRIMARY KEY, tokens TEXT NOT NULL,"
-                " logprobs TEXT NOT NULL, backend_id TEXT NOT NULL) WITHOUT ROWID"
-            )
+            db.execute("CREATE TABLE IF NOT EXISTS totals (key TEXT PRIMARY KEY, total REAL NOT NULL) WITHOUT ROWID")
         self.hits = 0
         self.misses = 0
 
@@ -361,47 +362,35 @@ class ScoreCache:
     def key(backend_id: str, context: str, continuation: str) -> str:
         return sha256_text(json.dumps([backend_id, context, continuation]))
 
-    def get(self, backend_id: str, requests: Iterable[ScoringRequest]) -> dict[ScoringRequest, TokenLogprobs]:
-        """The cached results among ``requests``; each distinct request
+    def get(self, backend_id: str, requests: Iterable[ScoringRequest]) -> dict[ScoringRequest, float]:
+        """The cached totals among ``requests``; each distinct request
         counts as one hit or one miss."""
         wanted = {self.key(backend_id, r.context, r.continuation): r for r in requests}
         keys = list(wanted)
-        found: dict[ScoringRequest, TokenLogprobs] = {}
+        found: dict[ScoringRequest, float] = {}
         damaged = []
         with self._connect() as db:
             for start in range(0, len(keys), CACHE_BATCH):
                 chunk = keys[start : start + CACHE_BATCH]
-                rows = db.execute(
-                    "SELECT key, tokens, logprobs, backend_id FROM scores"
-                    f" WHERE key IN ({','.join('?' * len(chunk))})",
-                    chunk,
-                )
-                for key, tokens, logprobs, result_id in rows:
-                    try:
-                        found[wanted[key]] = TokenLogprobs(json.loads(tokens), json.loads(logprobs), result_id)
-                    except (TypeError, ValueError) as exc:
-                        log.warning("discarding unreadable cache record %s: %s", key[:12], exc)
+                rows = db.execute(f"SELECT key, total FROM totals WHERE key IN ({','.join('?' * len(chunk))})", chunk)
+                for key, total in rows:
+                    if isinstance(total, float) and math.isfinite(total) and total <= 0:
+                        found[wanted[key]] = total
+                    else:
+                        log.warning("discarding damaged cache record %s: total %r", key[:12], total)
                         damaged.append((key,))
             if damaged:
-                db.executemany("DELETE FROM scores WHERE key = ?", damaged)
+                db.executemany("DELETE FROM totals WHERE key = ?", damaged)
         self.hits += len(found)
         self.misses += len(wanted) - len(found)
         return found
 
-    def put(self, backend_id: str, results: Iterable[tuple[ScoringRequest, TokenLogprobs]]) -> None:
-        """Store ``(request, result)`` pairs in one transaction; a key
+    def put(self, backend_id: str, totals: Iterable[tuple[ScoringRequest, float]]) -> None:
+        """Store ``(request, total)`` pairs in one transaction; a key
         already present keeps its row."""
-        rows = [
-            (
-                self.key(backend_id, request.context, request.continuation),
-                json.dumps(result.tokens, ensure_ascii=False),
-                json.dumps(result.logprobs),
-                result.backend_id,
-            )
-            for request, result in results
-        ]
+        rows = [(self.key(backend_id, r.context, r.continuation), total) for r, total in totals]
         with self._connect() as db:
-            db.executemany("INSERT OR IGNORE INTO scores VALUES (?, ?, ?, ?)", rows)
+            db.executemany("INSERT OR IGNORE INTO totals VALUES (?, ?)", rows)
 
     @property
     def hit_rate(self) -> float:
@@ -410,15 +399,20 @@ class ScoreCache:
 
 
 class CachingBackend:
-    """Backend wrapper that serves repeats from a :class:`ScoreCache`."""
+    """Backend wrapper that serves repeats from a :class:`ScoreCache`.
+
+    :func:`score_requests` looks requests up in its cache and scores the
+    misses with its inner backend; :meth:`score` returns one request's
+    total that way.
+    """
 
     def __init__(self, inner: Backend, cache: ScoreCache):
         self.inner = inner
         self.cache = cache
         self.backend_id = inner.backend_id
 
-    def score(self, request: ScoringRequest) -> TokenLogprobs:
-        return score_requests(self, [request]).score(request)
+    def score(self, request: ScoringRequest) -> float:
+        return score_requests(self, [request]).totals[request]
 
     def close(self) -> None:
         self.inner.close()
@@ -426,20 +420,13 @@ class CachingBackend:
 
 @dataclass
 class ScoredRequests:
-    """Results of :func:`score_requests`, one per distinct request.
-
-    ``score`` answers by lookup, so :func:`information_profile` fills
-    profiles from it as from a backend.
-    """
+    """Results of :func:`score_requests`: one total per distinct request."""
 
     backend_id: str
-    results: dict[ScoringRequest, TokenLogprobs]
+    totals: dict[ScoringRequest, float]
     backend_calls: int
     retries: int
     latencies_s: list[float]
-
-    def score(self, request: ScoringRequest) -> TokenLogprobs:
-        return self.results[request]
 
     def latency_ms(self, fraction: float) -> float:
         """Nearest-rank quantile of the backend calls' latency; 0 without calls."""
@@ -449,9 +436,7 @@ class ScoredRequests:
         return 1000.0 * ordered[max(0, math.ceil(fraction * len(ordered)) - 1)]
 
 
-def _score_each(
-    score: Callable[[ScoringRequest], TokenLogprobs], requests: list[ScoringRequest], max_workers: int
-):
+def _score_each(score: Callable[[ScoringRequest], float], requests: list[ScoringRequest], max_workers: int):
     """Yield ``(request, score(request))`` as each scoring completes.
 
     With ``max_workers`` > 1 one executor serves all requests, with at most
@@ -490,34 +475,35 @@ def _score_each(
 
 
 def score_requests(backend: Backend, requests: Iterable[ScoringRequest], max_workers: int = 1) -> ScoredRequests:
-    """Score each distinct request once, on up to ``max_workers`` threads.
+    """Score each distinct request once, on up to ``max_workers`` threads,
+    into its total.
 
     Through a :class:`CachingBackend`, all distinct requests are looked up
-    in one bulk call and only the misses reach the inner backend. Their
-    results are stored in batches as they complete; when a scoring fails,
-    every result completed before the error is stored, then the error
-    propagates. Each backend call is timed.
+    in one bulk call and only the misses reach the inner backend. Each
+    backend call is timed and reduced to its total as it returns. Totals
+    are stored in batches as they complete; when a scoring fails, every
+    total completed before the error is stored, then the error propagates.
     """
     unique = list(dict.fromkeys(requests))
     cache = backend.cache if isinstance(backend, CachingBackend) else None
     inner = backend.inner if cache is not None else backend
     retries_before = getattr(inner, "retries", 0)
-    results = cache.get(backend.backend_id, unique) if cache is not None else {}
-    misses = [r for r in unique if r not in results]
+    totals = cache.get(backend.backend_id, unique) if cache is not None else {}
+    misses = [r for r in unique if r not in totals]
     latencies: list[float] = []
 
-    def timed_score(request: ScoringRequest) -> TokenLogprobs:
+    def timed_total(request: ScoringRequest) -> float:
         start = time.perf_counter()
-        result = inner.score(request)
+        total = inner.score(request).total()
         latencies.append(time.perf_counter() - start)
-        return result
+        return total
 
-    batch: list[tuple[ScoringRequest, TokenLogprobs]] = []
+    batch: list[tuple[ScoringRequest, float]] = []
     try:
-        for request, result in _score_each(timed_score, misses, max_workers):
-            results[request] = result
+        for request, total in _score_each(timed_total, misses, max_workers):
+            totals[request] = total
             if cache is not None:
-                batch.append((request, result))
+                batch.append((request, total))
                 if len(batch) == CACHE_BATCH:
                     cache.put(backend.backend_id, batch)
                     batch = []
@@ -526,7 +512,7 @@ def score_requests(backend: Backend, requests: Iterable[ScoringRequest], max_wor
             cache.put(backend.backend_id, batch)
     return ScoredRequests(
         backend_id=backend.backend_id,
-        results=results,
+        totals=totals,
         backend_calls=len(misses),
         retries=getattr(inner, "retries", 0) - retries_before,
         latencies_s=latencies,
@@ -591,29 +577,19 @@ def profile_requests(problem: Problem, trace: ReasoningTrace, answers: list[str]
 
 
 def information_profile(
-    problem: Problem,
-    trace: ReasoningTrace,
-    answers: list[str],
-    backend: Backend,
+    problem: Problem, trace: ReasoningTrace, answers: list[str], totals: list[float]
 ) -> InformationProfile:
-    """Score every answer against every step prefix of the trace.
-
-    Issues exactly (N+1) * len(answers) continuation scorings, one at a
-    time; any failure aborts the whole profile. To score many traces,
-    pass the :class:`ScoredRequests` of :func:`score_requests` over their
-    :func:`profile_requests`, which fills the profile by lookup.
-    """
-    if not answers:
-        raise ValueError("answers must be a non-empty list")
-    if len(set(answers)) != len(answers):
-        raise ValueError("answers must be unique")
-    totals = [backend.score(request).total() for request in profile_requests(problem, trace, answers)]
-    width = len(answers)
+    """The trace's profile from its totals, listed row-major in
+    :func:`profile_requests` order: row i holds each answer's total given
+    the first i steps."""
+    rows, width = len(trace.steps) + 1, len(answers)
+    if len(totals) != rows * width:
+        raise ValueError(f"{len(totals)} totals do not fill {rows} rows of {width} answers")
     return InformationProfile(
         problem_id=problem.id,
         trace_id=trace.trace_id,
         answers=list(answers),
-        values=[totals[i : i + width] for i in range(0, len(totals), width)],
+        values=[totals[i * width : (i + 1) * width] for i in range(rows)],
     )
 
 

@@ -56,7 +56,6 @@ class ReasoningTrace:
     problem_id: str
     trace_id: str
     steps: list[str]
-    raw_text: str
     final_answer: str | None
     parse_ok: bool
     correct: bool | None = None
@@ -134,15 +133,9 @@ def parse_trace(raw: str, domain: str, problem_id: str = "", trace_id: str = "")
         problem_id=problem_id,
         trace_id=trace_id,
         steps=steps,
-        raw_text=raw,
         final_answer=final_answer,
         parse_ok=final_answer is not None,
     )
-
-
-def render_trace(steps: Iterable[str]) -> str:
-    """Inverse of the delimiter split, for traces whose steps contain no delimiter."""
-    return f" {STEP_DELIMITER} ".join(steps)
 
 
 def normalize_answer(text: str, domain: str) -> str:
@@ -317,7 +310,6 @@ def trace_from_json_dict(obj: dict) -> ReasoningTrace:
         problem_id=obj["problem_id"],
         trace_id=obj["trace_id"],
         steps=list(obj["steps"]),
-        raw_text=render_trace(obj["steps"]),
         final_answer=obj.get("final_answer"),
         parse_ok=bool(obj["parse_ok"]),
         correct=None if correct is None else bool(correct),

@@ -3,7 +3,8 @@
 import threading
 
 from steplab.errors import BackendError
-from steplab.trace_model import Problem, ReasoningTrace, render_trace
+from steplab.scoring import information_profile, profile_requests, score_requests
+from steplab.trace_model import Problem, ReasoningTrace
 from steplab.validators import ValidatorSpec
 
 
@@ -23,7 +24,6 @@ def make_trace(problem_id="p1", trace_id="t1", steps=None, final_answer="4", cor
         problem_id=problem_id,
         trace_id=trace_id,
         steps=steps,
-        raw_text=render_trace(steps),
         final_answer=final_answer,
         parse_ok=final_answer is not None,
         correct=correct,
@@ -59,3 +59,11 @@ class CountingBackend:
     def close(self):
         self.closed = True
         self.inner.close()
+
+
+def scored_profile(problem, trace, answers, backend, max_workers=1):
+    """A trace's information profile scored by ``backend`` as the score
+    stage does it: its requests through ``score_requests``, then reshaped."""
+    requests = profile_requests(problem, trace, answers)
+    scored = score_requests(backend, requests, max_workers=max_workers)
+    return information_profile(problem, trace, answers, [scored.totals[r] for r in requests])

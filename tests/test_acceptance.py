@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import make_problem, make_trace
+from helpers import make_problem, make_trace, scored_profile
 from steplab.analysis import (
     ComplexityParams,
     exhaustive_bias,
@@ -34,7 +34,7 @@ from steplab.errors import ReservedSymbolError
 from steplab.evaluation import best_of_k, oracle_scorer, random_scorer
 from steplab.infogain import StepLabels, StepSignal, mcnig_extended, mcnig_signal, net_info
 from steplab.pipeline import RunConfig, artifact_paths, run_pipeline
-from steplab.scoring import InformationProfile, ReferenceModel, build_context, information, information_profile
+from steplab.scoring import InformationProfile, ReferenceModel, build_context, information
 from steplab.trace_model import AnswerPool, filter_and_subsample
 from steplab.validators import check_sql
 
@@ -109,7 +109,7 @@ def test_c03_worked_mcnig_fixture():
         fallback_prob=0.01,
     )
     trace = make_trace(steps=["r1"], final_answer="a")
-    profile = information_profile(problem, trace, ["a", "b"], model)
+    profile = scored_profile(problem, trace, ["a", "b"], model)
     pool = AnswerPool(problem_id="p1", correct=["a"], wrong=["b"])
     net = net_info(profile, pool, "max")
     signal = mcnig_signal(profile, pool)
@@ -386,7 +386,7 @@ def test_c11_sql_validator(sql_fixture):
 def test_c12_pipeline_determinism_and_cache(demo_corpus, tmp_path):
     start = time.monotonic()
     problems_file = demo_corpus["problems"]
-    assert sum(1 for _ in open(problems_file)) >= 20
+    assert len(problems_file.read_text(encoding="utf-8").splitlines()) >= 20
 
     def config(out):
         return RunConfig(

@@ -128,9 +128,9 @@ class TestExhaustiveBias:
                 assert hi >= lo
             assert biases[-1] == 0.0
 
-    def test_combinatorial_blowup_guard(self):
-        with pytest.raises(ValueError):
-            exhaustive_bias(list(range(40)), 20)
+    def test_large_pool_is_exact_without_enumeration(self):
+        # C(40, 20) is about 1.4e11 subsets: too many to enumerate.
+        assert exhaustive_bias(list(range(40)), 20) == (float(Fraction(-20, 21)), float(Fraction(8200, 4851)))
 
 
 class TestSubsampleBiasVariance:

@@ -1,4 +1,5 @@
 import json
+import sqlite3
 from dataclasses import fields
 from pathlib import Path
 
@@ -25,6 +26,21 @@ from steplab.pipeline import (
 def small_corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("corpus")
     return build_demo_corpus(root, n_problems=8, traces_per_problem=4)
+
+
+def profile_requests_of(out):
+    """Every (context, answer) request behind a run's profiles, row-major."""
+    from steplab.scoring import ScoringRequest, build_context
+
+    paths = artifact_paths(out)
+    questions = {obj["id"]: obj["question"] for obj in read_jsonl(paths["problems"])}
+    steps = {obj["trace_id"]: obj["steps"] for obj in read_jsonl(paths["validated_traces"])}
+    return [
+        ScoringRequest(build_context(questions[profile["problem_id"]], steps[profile["trace_id"]][:i]), answer)
+        for profile in read_jsonl(paths["profiles"])
+        for i in range(len(steps[profile["trace_id"]]) + 1)
+        for answer in profile["answers"]
+    ]
 
 
 def config_for(small_corpus, tmp_path, out="run", **kw):
@@ -175,7 +191,7 @@ class TestPipeline:
     @pytest.mark.parametrize("cached, workers", [(False, 1), (True, 4)], ids=["no-cache", "cache-4-workers"])
     def test_backend_calls_equal_distinct_requests(self, demo_corpus, tmp_path, monkeypatch, cached, workers):
         from steplab import pipeline
-        from steplab.scoring import CachingBackend, ReferenceModel, ScoreCache, build_context
+        from steplab.scoring import CachingBackend, ReferenceModel, ScoreCache
 
         counting = None
 
@@ -194,22 +210,41 @@ class TestPipeline:
             concurrency_limit=workers,
         )
         run_pipeline(cfg, stages=["ingest", "validate", "score"])
-        paths = artifact_paths(cfg.out)
-        questions = {obj["id"]: obj["question"] for obj in read_jsonl(paths["problems"])}
-        steps = {obj["trace_id"]: obj["steps"] for obj in read_jsonl(paths["validated_traces"])}
-        pairs = set()
-        requests = 0
-        for profile in read_jsonl(paths["profiles"]):
-            trace_steps = steps[profile["trace_id"]]
-            for i in range(len(trace_steps) + 1):
-                context = build_context(questions[profile["problem_id"]], trace_steps[:i])
-                pairs.update((context, answer) for answer in profile["answers"])
-                requests += len(profile["answers"])
+        requests = profile_requests_of(cfg.out)
+        pairs = set(requests)
         counts = json.loads((cfg.out / "stages" / "score.json").read_text())["counts"]
         assert counting.calls == len(pairs) == counts["unique_requests"] == counts["backend_calls"]
-        assert counts["requests"] == requests > len(pairs)
+        assert counts["requests"] == len(requests) > len(pairs)
         assert counts["cache_misses"] == (len(pairs) if cached else 0)
         assert counting.closed
+
+    def test_warm_cache_totals_are_bit_equal_to_token_sums(self, demo_corpus, tmp_path):
+        from steplab.scoring import ReferenceModel, ScoreCache
+
+        cfg = config_for(demo_corpus, tmp_path)
+        run_pipeline(cfg, stages=["ingest", "validate", "score"])
+        model = ReferenceModel.from_file(demo_corpus["reference_model"])
+        requests = set(profile_requests_of(cfg.out))
+        cache = ScoreCache(tmp_path / "cache")
+        warm = cache.get(model.backend_id, requests)
+        assert cache.misses == 0 and len(warm) == len(requests)
+        assert {r: total.hex() for r, total in warm.items()} == {r: model.score(r).total().hex() for r in requests}
+
+    def test_profile_requests_are_built_once_per_scored_trace(self, small_corpus, tmp_path, monkeypatch):
+        from steplab import pipeline
+
+        built = []
+        original = pipeline.profile_requests
+
+        def counting_profile_requests(problem, trace, answers):
+            built.append(trace.trace_id)
+            return original(problem, trace, answers)
+
+        monkeypatch.setattr(pipeline, "profile_requests", counting_profile_requests)
+        cfg = config_for(small_corpus, tmp_path, cache_dir="")
+        run_pipeline(cfg, stages=["ingest", "validate", "score"])
+        counts = json.loads((cfg.out / "stages" / "score.json").read_text())["counts"]
+        assert len(built) == len(set(built)) == counts["traces_scored"] > 0
 
     def test_force_reruns(self, small_corpus, tmp_path):
         cfg = config_for(small_corpus, tmp_path)
@@ -294,6 +329,34 @@ class TestCli:
         ])
         assert code == 2
         assert any("ConfigError" in r.message and str(cache_file) in r.message for r in caplog.records)
+
+    def test_cache_with_only_the_old_scores_table_is_read_as_empty(self, small_corpus, tmp_path):
+        def run(cache_dir, out):
+            return main([
+                "--backend", f"reference:{small_corpus['reference_model']}",
+                "--cache-dir", str(cache_dir),
+                "run", "--out-dir", str(tmp_path / out),
+                "--problems", str(small_corpus["problems"]),
+                "--traces", str(small_corpus["traces"]),
+            ])
+
+        assert run(tmp_path / "new", "primed") == 0
+        # A cache in the former format: one row per key the primed run
+        # stored, holding tokens, logprobs and a backend id as JSON.
+        old = tmp_path / "old" / "scores.sqlite"
+        old.parent.mkdir()
+        with sqlite3.connect(old) as db:
+            db.execute(
+                "CREATE TABLE scores (key TEXT PRIMARY KEY, tokens TEXT NOT NULL,"
+                " logprobs TEXT NOT NULL, backend_id TEXT NOT NULL) WITHOUT ROWID"
+            )
+            db.execute("ATTACH DATABASE ? AS new", (str(tmp_path / "new" / "scores.sqlite"),))
+            db.execute("INSERT INTO scores SELECT key, '[\"a\"]', '[-1.0]', 'x' FROM new.totals")
+        db.close()
+        assert run(old.parent, "run") == 0
+        counts = json.loads((tmp_path / "run" / "stages" / "score.json").read_text())["counts"]
+        assert counts["cache_hits"] == 0
+        assert counts["cache_misses"] == counts["unique_requests"] == counts["backend_calls"] > 0
 
     def test_backend_error_exit_code(self, small_corpus, tmp_path):
         out = tmp_path / "cli-bad"

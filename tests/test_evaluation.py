@@ -7,12 +7,12 @@ import pytest
 from helpers import make_problem, make_trace
 from steplab.evaluation import (
     best_of_k,
-    label_product_scorer,
     majority_best_of_k,
     majority_vote,
     oracle_scorer,
     random_scorer,
     step_product_score,
+    step_product_scorer,
 )
 
 
@@ -217,7 +217,7 @@ class TestLabelProductScorer:
     def test_scores_from_labels(self):
         problem = make_problem()
         trace = make_trace(steps=["r1", "r2"])
-        scorer = label_product_scorer({(problem.id, trace.trace_id): [1, 1]})
-        assert scorer(problem, trace) == 1.0
-        scorer_zero = label_product_scorer({(problem.id, trace.trace_id): [1, 0]})
+        scorer = step_product_scorer({(problem.id, trace.trace_id): [1.0, 1.0]}, "label-product")
+        assert scorer(problem, trace) == 1.0 and scorer.scorer_id == "label-product"
+        scorer_zero = step_product_scorer({(problem.id, trace.trace_id): [1.0, 0.0]}, "label-product")
         assert scorer_zero(problem, trace) == 0.0

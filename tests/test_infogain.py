@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import make_problem, make_trace
+from helpers import make_problem, make_trace, scored_profile
 from steplab.errors import ConfigError, DataError, UndefinedSignalError
 from steplab.infogain import (
     StepSignal,
@@ -13,7 +13,7 @@ from steplab.infogain import (
     mcnig_signal,
     net_info,
 )
-from steplab.scoring import InformationProfile, ReferenceModel, information_profile
+from steplab.scoring import InformationProfile, ReferenceModel
 from steplab.trace_model import AnswerPool
 
 
@@ -44,7 +44,7 @@ def worked_fixture():
         fallback_prob=0.01,
     )
     trace = make_trace(steps=["r1"], final_answer="a")
-    profile = information_profile(problem, trace, ["a", "b"], model)
+    profile = scored_profile(problem, trace, ["a", "b"], model)
     pool = AnswerPool(problem_id="p1", correct=["a"], wrong=["b"])
     return profile, pool
 

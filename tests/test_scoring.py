@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import CountingBackend, make_problem, make_trace
+from helpers import CountingBackend, make_problem, make_trace, scored_profile
 from steplab import scoring
 from steplab.errors import BackendError, ConfigError
 from steplab.scoring import (
@@ -36,7 +36,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def cache_rows(cache_dir):
     with sqlite3.connect(cache_dir / ScoreCache.FILENAME) as db:
-        return db.execute("SELECT count(*) FROM scores").fetchone()[0]
+        return db.execute("SELECT count(*) FROM totals").fetchone()[0]
 
 
 @pytest.fixture()
@@ -141,40 +141,42 @@ class TestCache:
         backend = CachingBackend(CountingBackend(two_token_model), ScoreCache(cache_dir))
         request = ScoringRequest("q", "42")
         expected = backend.score(request)
-        with sqlite3.connect(cache_dir / ScoreCache.FILENAME) as db:
-            db.execute("UPDATE scores SET logprobs = '{ truncated'")
-        counting = CountingBackend(two_token_model)
-        healed = CachingBackend(counting, ScoreCache(cache_dir))
-        assert healed.score(request) == expected
-        assert healed.cache.misses == 1 and counting.calls == 1
-        assert healed.score(request) == expected
-        assert healed.cache.hits == 1 and counting.calls == 1
+        # Text, a positive log-likelihood, and overflows to +inf and -inf.
+        for damaged in ("{ truncated", 0.5, 1e999, -1e999):
+            with sqlite3.connect(cache_dir / ScoreCache.FILENAME) as db:
+                db.execute("UPDATE totals SET total = ?", (damaged,))
+            counting = CountingBackend(two_token_model)
+            healed = CachingBackend(counting, ScoreCache(cache_dir))
+            assert healed.score(request) == expected
+            assert healed.cache.misses == 1 and counting.calls == 1
+            assert healed.score(request) == expected
+            assert healed.cache.hits == 1 and counting.calls == 1
 
     def test_bulk_lookup_counts_each_distinct_request_once(self, tmp_path, two_token_model):
         cache = ScoreCache(tmp_path / "cache")
         cached, fresh = ScoringRequest("q", "42"), ScoringRequest("q", "4")
-        cache.put("b", [(cached, two_token_model.score(cached))])
+        cache.put("b", [(cached, two_token_model.score(cached).total())])
         found = cache.get("b", [cached, fresh, cached, fresh])
-        assert found == {cached: two_token_model.score(cached)}
+        assert found == {cached: two_token_model.score(cached).total()}
         assert cache.hits == 1 and cache.misses == 1
 
     def test_record_holds_no_context(self, tmp_path, two_token_model):
         cache_dir = tmp_path / "cache"
         request = ScoringRequest("a long and distinctive context", "42")
-        ScoreCache(cache_dir).put("b", [(request, two_token_model.score(request))])
+        ScoreCache(cache_dir).put("b", [(request, two_token_model.score(request).total())])
         assert b"distinctive" not in (cache_dir / ScoreCache.FILENAME).read_bytes()
         assert list(cache_dir.iterdir()) == [cache_dir / ScoreCache.FILENAME]
 
     def test_caches_merge_with_attach_and_insert_or_ignore(self, tmp_path, two_token_model):
         requests = [ScoringRequest("q", c) for c in ("4", "42", "x", "xy")]
         first, second = ScoreCache(tmp_path / "one"), ScoreCache(tmp_path / "two")
-        first.put("b", [(r, two_token_model.score(r)) for r in requests[:3]])
-        second.put("b", [(r, two_token_model.score(r)) for r in requests[1:]])
+        first.put("b", [(r, two_token_model.score(r).total()) for r in requests[:3]])
+        second.put("b", [(r, two_token_model.score(r).total()) for r in requests[1:]])
         with sqlite3.connect(first.path) as db:
             db.execute("ATTACH DATABASE ? AS other", (str(second.path),))
-            db.execute("INSERT OR IGNORE INTO scores SELECT * FROM other.scores")
+            db.execute("INSERT OR IGNORE INTO totals SELECT * FROM other.totals")
         merged = ScoreCache(tmp_path / "one")
-        assert merged.get("b", requests) == {r: two_token_model.score(r) for r in requests}
+        assert merged.get("b", requests) == {r: two_token_model.score(r).total() for r in requests}
         assert merged.misses == 0
         assert cache_rows(tmp_path / "one") == len(requests)
 
@@ -184,11 +186,11 @@ class TestCache:
         # between writes.
         script = """
 import sys
-from steplab.scoring import ScoreCache, ScoringRequest, TokenLogprobs
+from steplab.scoring import ScoreCache, ScoringRequest
 cache = ScoreCache(sys.argv[1])
 first = int(sys.argv[2])
 for start in range(first, first + 600, 10):
-    batch = [(ScoringRequest("ctx", f"a{i}"), TokenLogprobs([str(i)], [-i / 1000], "w")) for i in range(start, start + 10)]
+    batch = [(ScoringRequest("ctx", f"a{i}"), -i / 1000) for i in range(start, start + 10)]
     cache.put("b", batch)
     cache.get("b", [request for request, _ in batch])
 """
@@ -206,7 +208,7 @@ for start in range(first, first + 600, 10):
         requests = [ScoringRequest("ctx", f"a{i}") for i in range(1000)]
         found = cache.get("b", requests)
         assert cache.misses == 0
-        assert all(found[r] == TokenLogprobs([str(i)], [-i / 1000], "w") for i, r in enumerate(requests))
+        assert all(found[r] == -i / 1000 for i, r in enumerate(requests))
         assert cache_rows(cache_dir) == 1000
 
 
@@ -216,8 +218,8 @@ class TestScoreRequests:
         requests = [ScoringRequest("q", c) for c in ("4", "42", "4", "4", "42")]
         scored = score_requests(counting, requests)
         assert counting.calls == 2 and scored.backend_calls == 2
-        assert set(scored.results) == set(requests)
-        assert all(scored.score(r) == two_token_model.score(r) for r in requests)
+        assert set(scored.totals) == set(requests)
+        assert all(scored.totals[r] == two_token_model.score(r).total() for r in requests)
 
     def test_cache_hits_skip_the_backend(self, tmp_path, two_token_model):
         requests = [ScoringRequest("q", c) for c in ("4", "42", "x")]
@@ -239,7 +241,7 @@ class TestScoreRequests:
         counting = CountingBackend(model)
         scored = score_requests(CachingBackend(counting, ScoreCache(tmp_path / "cache")), requests)
         assert counting.calls == len(requests) - flaky.succeeded
-        assert scored.results == {r: model.score(r) for r in requests}
+        assert scored.totals == {r: model.score(r).total() for r in requests}
 
 
     def test_backend_calls_are_timed(self, tmp_path, two_token_model):
@@ -285,7 +287,7 @@ class TestInformationProfile:
         problem, model = info_problem_model
         counting = CountingBackend(model)
         trace = make_trace(steps=["r1", "r2"], final_answer="a")
-        profile = information_profile(problem, trace, ["a", "b"], counting)
+        profile = scored_profile(problem, trace, ["a", "b"], counting)
         assert counting.calls == 6
         assert len(profile.values) == 3
         assert all(len(row) == 2 for row in profile.values)
@@ -293,17 +295,26 @@ class TestInformationProfile:
     def test_row_zero_matches_information(self, info_problem_model):
         problem, model = info_problem_model
         trace = make_trace(steps=["r1"], final_answer="a")
-        profile = information_profile(problem, trace, ["a", "b"], model)
+        profile = scored_profile(problem, trace, ["a", "b"], model)
         for j, answer in enumerate(["a", "b"]):
             assert profile.values[0][j] == information(problem, [], answer, model)
 
     def test_one_step_gain_matches_hand_computation(self, info_problem_model):
         problem, model = info_problem_model
         trace = make_trace(steps=["r1"], final_answer="a")
-        profile = information_profile(problem, trace, ["a", "b"], model)
+        profile = scored_profile(problem, trace, ["a", "b"], model)
         gain = profile.values[1][0] - profile.values[0][0]
         assert gain == pytest.approx(math.log(0.8 / 0.5), abs=1e-12)
         assert gain == pytest.approx(0.4700, abs=1e-4)
+
+    def test_reshapes_totals_row_major(self):
+        problem = make_problem(question="What?")
+        trace = make_trace(steps=["r1", "r2"], final_answer="a")
+        profile = information_profile(problem, trace, ["a", "b"], [-1.0, -2.0, -3.0, -4.0, -5.0, -6.0])
+        assert profile.values == [[-1.0, -2.0], [-3.0, -4.0], [-5.0, -6.0]]
+        assert len(profile_requests(problem, trace, ["a", "b"])) == 6
+        with pytest.raises(ValueError):
+            information_profile(problem, trace, ["a", "b"], [-1.0, -2.0, -3.0, -4.0])
 
     def test_context_rows_are_prefix_extensions(self):
         problem = make_problem(question="Q text")
@@ -316,14 +327,13 @@ class TestInformationProfile:
         problem, model = info_problem_model
         trace = make_trace(steps=["r1"], final_answer="a")
         with pytest.raises(ValueError):
-            information_profile(problem, trace, ["a", "a"], model)
+            scored_profile(problem, trace, ["a", "a"], model)
 
     def test_threaded_profile_matches_sequential(self, info_problem_model):
         problem, model = info_problem_model
         trace = make_trace(steps=["r1", "r2"], final_answer="a")
-        sequential = information_profile(problem, trace, ["a", "b"], model)
-        scored = score_requests(model, profile_requests(problem, trace, ["a", "b"]), max_workers=4)
-        threaded = information_profile(problem, trace, ["a", "b"], scored)
+        sequential = scored_profile(problem, trace, ["a", "b"], model)
+        threaded = scored_profile(problem, trace, ["a", "b"], model, max_workers=4)
         assert sequential.values == threaded.values
 
 
@@ -461,7 +471,7 @@ class TestHttpBackend:
         start = time.monotonic()
         scored = score_requests(backend, [ScoringRequest("What?", "a")])
         assert time.monotonic() - start < 30.0
-        assert scored.results[ScoringRequest("What?", "a")].backend_id == "stub-llm"
+        assert scored.totals[ScoringRequest("What?", "a")] == math.log(0.5)
         assert backend.retries == 2 and scored.retries == 2
 
     def test_retry_after_is_capped(self, http_backend, stub_server, monkeypatch):
@@ -510,9 +520,7 @@ class TestHttpBackend:
         _, model = info_problem_model
         requests = [ScoringRequest(f"context {i}", "a") for i in range(40)]
         scored = score_requests(http_backend(url), requests, max_workers=4)
-        assert {r: result.logprobs for r, result in scored.results.items()} == {
-            r: model.score(r).logprobs for r in requests
-        }
+        assert scored.totals == {r: model.score(r).total() for r in requests}
         assert 1 <= len(handler.connections) <= 4
 
     @pytest.mark.parametrize("status", [429, 503])
@@ -620,4 +628,4 @@ class TestProfileFailure:
 
         trace = make_trace(steps=["r1", "r2"], final_answer="a")
         with pytest.raises(BackendError):
-            information_profile(problem, trace, ["a", "b"], FlakyBackend())
+            scored_profile(problem, trace, ["a", "b"], FlakyBackend())

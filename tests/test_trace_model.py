@@ -6,13 +6,13 @@ import pytest
 from helpers import make_problem, make_trace
 from steplab.errors import ValidatorError
 from steplab.trace_model import (
+    STEP_DELIMITER,
     FilterResult,
     build_answer_pool,
     extract_answer,
     filter_and_subsample,
     normalize_answer,
     parse_trace,
-    render_trace,
 )
 
 
@@ -48,7 +48,7 @@ class TestParseTrace:
                 "".join(rng.choice("abc XY.") for _ in range(rng.randint(1, 12))).strip() or "x"
                 for _ in range(rng.randint(1, 6))
             ]
-            reparsed = parse_trace(render_trace(steps), "math")
+            reparsed = parse_trace(f" {STEP_DELIMITER} ".join(steps), "math")
             assert reparsed.steps == steps
 
 
