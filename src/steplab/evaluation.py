@@ -1,9 +1,11 @@
 """Best-of-K selection harness with pluggable trace scorers.
 
 Candidates keep their generation order; the first K are considered, the
-highest-scoring one is selected (ties to the lowest index), and the
-validator decides success. Majority voting and single sampling (K=1) fall
-out as special cases.
+highest-scoring one is selected (ties to the lowest index), and an outcome
+callable (the validate stage's verdict, in the pipeline) decides success.
+A candidate without a score gets :data:`SCORE_FAILURE` and is counted; a
+scorer that raises fails the evaluation. Majority voting and single
+sampling (K=1) fall out as special cases.
 """
 
 import logging
@@ -36,6 +38,9 @@ class BestOfKReport:
     scorer_id: str
     per_problem: list[ProblemSelection]
     accuracy: float
+    # Run counts, kept out of the report file.
+    candidates: int
+    unscored_candidates: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -78,27 +83,25 @@ def best_of_k(
 ) -> BestOfKReport:
     """Select the best of the first K candidates per problem and validate it.
 
-    A scorer exception marks that candidate with a -inf sentinel, so it is
-    never selected unless every candidate failed. An unparseable selected
-    trace counts as failure without calling the validator.
+    A candidate scored SCORE_FAILURE is never selected unless every
+    candidate has that score; a scorer exception propagates. An
+    unparseable selected trace counts as failure without calling the
+    validator.
     """
     if k < 1:
         raise ValueError("K must be at least 1")
     if scorer_id is None:
         scorer_id = getattr(scorer, "scorer_id", getattr(scorer, "__name__", "scorer"))
     selections: list[ProblemSelection] = []
+    considered = unscored = 0
     for problem in problems:
         candidates = candidates_by_problem.get(problem.id, [])
         if not candidates:
             raise ValueError(f"problem {problem.id!r} has no candidates")
         window = candidates[:k]
-        scores = []
-        for trace in window:
-            try:
-                scores.append(float(scorer(problem, trace)))
-            except Exception as exc:
-                log.warning("scorer failed on %s/%s: %s", problem.id, trace.trace_id, exc)
-                scores.append(SCORE_FAILURE)
+        scores = [float(scorer(problem, trace)) for trace in window]
+        considered += len(window)
+        unscored += scores.count(SCORE_FAILURE)
         best_idx = max(range(len(window)), key=lambda i: scores[i])
         selected = window[best_idx]
         if selected.parse_ok:
@@ -109,7 +112,10 @@ def best_of_k(
             ProblemSelection(problem_id=problem.id, selected_trace_id=selected.trace_id, success=success)
         )
     accuracy = sum(s.success for s in selections) / len(selections) if selections else 0.0
-    return BestOfKReport(k=k, scorer_id=scorer_id, per_problem=selections, accuracy=accuracy)
+    return BestOfKReport(
+        k=k, scorer_id=scorer_id, per_problem=selections, accuracy=accuracy,
+        candidates=considered, unscored_candidates=unscored,
+    )
 
 
 def majority_vote(candidates: list[ReasoningTrace], domain: str = "other") -> str | None:
@@ -180,13 +186,11 @@ def random_scorer(seed: int) -> Scorer:
 def step_product_scorer(step_probs_by_trace: dict[tuple[str, str], list[float]], scorer_id: str) -> Scorer:
     """Score from a table of per-step probabilities, keyed by (problem_id,
     trace_id): external step scores, or this toolkit's own binary labels as
-    0/1 probabilities. Missing traces count as scorer failures."""
+    0/1 probabilities. A trace without step values scores SCORE_FAILURE."""
 
     def scorer(problem: Problem, trace: ReasoningTrace) -> float:
-        key = (problem.id, trace.trace_id)
-        if key not in step_probs_by_trace:
-            raise LookupError(f"no {scorer_id} step values for trace {key}")
-        return step_product_score(step_probs_by_trace[key])
+        step_probs = step_probs_by_trace.get((problem.id, trace.trace_id))
+        return SCORE_FAILURE if step_probs is None else step_product_score(step_probs)
 
     scorer.scorer_id = scorer_id
     return scorer

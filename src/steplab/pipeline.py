@@ -26,7 +26,7 @@ from typing import Any, Callable
 from . import __version__
 from .calibration import percentile_grid, sweep_threshold
 from .dataset_emit import emit_orm_record, emit_prm_record, label_balance, write_shards
-from .errors import ConfigError, DataError, ReservedSymbolError, UndefinedMetricError, ValidatorError
+from .errors import ConfigError, DataError, ReservedSymbolError, UndefinedMetricError
 from .evaluation import (
     best_of_k,
     majority_best_of_k,
@@ -396,7 +396,7 @@ def _score(cfg: RunConfig, paths: dict[str, Path], backend) -> dict:
     ]
     write_jsonl(paths["working_set"], working_rows)
     write_jsonl(paths["profiles"], profile_rows)
-    cache = getattr(backend, "cache", None)
+    lookups = scored.cache_hits + scored.cache_misses
     return {
         "problems_in": len(problems),
         "problems_out": len(result.kept),
@@ -409,9 +409,9 @@ def _score(cfg: RunConfig, paths: dict[str, Path], backend) -> dict:
         "retries": scored.retries,
         "backend_p50_ms": round(scored.latency_ms(0.50), 3),
         "backend_p99_ms": round(scored.latency_ms(0.99), 3),
-        "cache_hits": cache.hits if cache else 0,
-        "cache_misses": cache.misses if cache else 0,
-        "cache_hit_rate": cache.hit_rate if cache else 0.0,
+        "cache_hits": scored.cache_hits,
+        "cache_misses": scored.cache_misses,
+        "cache_hit_rate": scored.cache_hits / lookups if lookups else 0.0,
     }
 
 
@@ -570,10 +570,10 @@ def _prepare_eval(cfg: RunConfig, paths: dict[str, Path]):
     return None, extra, {}
 
 
-def _build_scorer(cfg: RunConfig, paths: dict[str, Path]):
+def _build_scorer(cfg: RunConfig, paths: dict[str, Path], verdict):
     name = cfg.eval_scorer
     if name == "oracle":
-        return oracle_scorer(lambda problem, answer: make_validator(problem)(answer))
+        return oracle_scorer(verdict)
     if name == "random":
         return random_scorer(cfg.seed)
     if name == "label-product":
@@ -587,21 +587,24 @@ def _build_scorer(cfg: RunConfig, paths: dict[str, Path]):
 
 
 def _eval(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
-    candidates = _by_problem(read_traces(paths["validated_traces"]))
+    traces = read_traces(paths["validated_traces"])
+    # The validate stage's verdict decides success: no validator runs here.
+    verdicts = {}
+    for t in traces:
+        if t.parse_ok:
+            if t.correct is None:
+                raise DataError(f"no validation outcome for trace {(t.problem_id, t.trace_id)}")
+            verdicts[(t.problem_id, t.final_answer)] = t.correct
+    candidates = _by_problem(traces)
     problems = [p for p in read_problems(paths["problems"]) if candidates.get(p.id)]
 
-    def outcome_validator(problem: Problem, answer: str) -> int:
-        try:
-            return make_validator(problem)(answer)
-        except ValidatorError as exc:
-            log.warning("validator error during eval on %s: %s", problem.id, exc)
-            return 0
+    def verdict(problem: Problem, answer: str) -> int:
+        return int(verdicts[(problem.id, answer)])
 
     if cfg.eval_scorer == "majority":
-        report = majority_best_of_k(problems, candidates, cfg.eval_k, outcome_validator)
+        report = majority_best_of_k(problems, candidates, cfg.eval_k, verdict)
     else:
-        scorer = _build_scorer(cfg, paths)
-        report = best_of_k(problems, candidates, scorer, cfg.eval_k, outcome_validator)
+        report = best_of_k(problems, candidates, _build_scorer(cfg, paths, verdict), cfg.eval_k, verdict)
     atomic_write_text(paths["eval_report"], json.dumps(report.to_json_dict(), ensure_ascii=False, indent=1))
     return {
         "problems_in": len(problems),
@@ -609,6 +612,8 @@ def _eval(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
         "K": report.k,
         "scorer": report.scorer_id,
         "accuracy": report.accuracy,
+        "candidates": report.candidates,
+        "unscored_candidates": report.unscored_candidates,
     }
 
 
@@ -823,5 +828,7 @@ def summarize_run(out_dir: str | Path) -> str:
             parts.append(f"cache hit rate {counts['cache_hit_rate']:.1%}")
         if "accuracy" in counts:
             parts.append(f"accuracy {counts['accuracy']:.4f}")
+        if "unscored_candidates" in counts:
+            parts.append(f"candidates {counts['candidates']} ({counts['unscored_candidates']} unscored)")
         lines.append("  " + " | ".join(parts))
     return "\n".join(lines)

@@ -342,8 +342,6 @@ class ScoreCache:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self._connect() as db:
             db.execute("CREATE TABLE IF NOT EXISTS totals (key TEXT PRIMARY KEY, total REAL NOT NULL) WITHOUT ROWID")
-        self.hits = 0
-        self.misses = 0
 
     @contextmanager
     def _connect(self):
@@ -363,8 +361,7 @@ class ScoreCache:
         return sha256_text(json.dumps([backend_id, context, continuation]))
 
     def get(self, backend_id: str, requests: Iterable[ScoringRequest]) -> dict[ScoringRequest, float]:
-        """The cached totals among ``requests``; each distinct request
-        counts as one hit or one miss."""
+        """The cached totals among ``requests``."""
         wanted = {self.key(backend_id, r.context, r.continuation): r for r in requests}
         keys = list(wanted)
         found: dict[ScoringRequest, float] = {}
@@ -381,8 +378,6 @@ class ScoreCache:
                         damaged.append((key,))
             if damaged:
                 db.executemany("DELETE FROM totals WHERE key = ?", damaged)
-        self.hits += len(found)
-        self.misses += len(wanted) - len(found)
         return found
 
     def put(self, backend_id: str, totals: Iterable[tuple[ScoringRequest, float]]) -> None:
@@ -391,11 +386,6 @@ class ScoreCache:
         rows = [(self.key(backend_id, r.context, r.continuation), total) for r, total in totals]
         with self._connect() as db:
             db.executemany("INSERT OR IGNORE INTO totals VALUES (?, ?)", rows)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class CachingBackend:
@@ -420,13 +410,15 @@ class CachingBackend:
 
 @dataclass
 class ScoredRequests:
-    """Results of :func:`score_requests`: one total per distinct request."""
+    """Results of :func:`score_requests`: one total per distinct request,
+    and the distinct requests found in and missing from the cache (0 without one)."""
 
-    backend_id: str
     totals: dict[ScoringRequest, float]
     backend_calls: int
     retries: int
     latencies_s: list[float]
+    cache_hits: int
+    cache_misses: int
 
     def latency_ms(self, fraction: float) -> float:
         """Nearest-rank quantile of the backend calls' latency; 0 without calls."""
@@ -479,16 +471,18 @@ def score_requests(backend: Backend, requests: Iterable[ScoringRequest], max_wor
     into its total.
 
     Through a :class:`CachingBackend`, all distinct requests are looked up
-    in one bulk call and only the misses reach the inner backend. Each
-    backend call is timed and reduced to its total as it returns. Totals
-    are stored in batches as they complete; when a scoring fails, every
-    total completed before the error is stored, then the error propagates.
+    in one bulk call, which gives the hit and miss counts, and only the
+    misses reach the inner backend. Each backend call is timed and reduced
+    to its total as it returns. Totals are stored in batches as they
+    complete; when a scoring fails, every total completed before the error
+    is stored, then the error propagates.
     """
     unique = list(dict.fromkeys(requests))
     cache = backend.cache if isinstance(backend, CachingBackend) else None
     inner = backend.inner if cache is not None else backend
     retries_before = getattr(inner, "retries", 0)
     totals = cache.get(backend.backend_id, unique) if cache is not None else {}
+    cache_hits = len(totals)
     misses = [r for r in unique if r not in totals]
     latencies: list[float] = []
 
@@ -511,19 +505,13 @@ def score_requests(backend: Backend, requests: Iterable[ScoringRequest], max_wor
         if batch:
             cache.put(backend.backend_id, batch)
     return ScoredRequests(
-        backend_id=backend.backend_id,
         totals=totals,
         backend_calls=len(misses),
         retries=getattr(inner, "retries", 0) - retries_before,
         latencies_s=latencies,
+        cache_hits=cache_hits,
+        cache_misses=len(misses) if cache is not None else 0,
     )
-
-
-def information(problem: Problem, steps_prefix: list[str], answer: str, backend: Backend) -> float:
-    """Total log-likelihood (nats) of ``answer`` given the question and a step
-    prefix. An empty prefix gives the no-reasoning baseline."""
-    request = ScoringRequest(context=build_context(problem.question, steps_prefix), continuation=answer)
-    return backend.score(request).total()
 
 
 @dataclass

@@ -3,7 +3,13 @@
 import threading
 
 from steplab.errors import BackendError
-from steplab.scoring import information_profile, profile_requests, score_requests
+from steplab.scoring import (
+    ScoringRequest,
+    build_context,
+    information_profile,
+    profile_requests,
+    score_requests,
+)
 from steplab.trace_model import Problem, ReasoningTrace
 from steplab.validators import ValidatorSpec
 
@@ -67,3 +73,12 @@ def scored_profile(problem, trace, answers, backend, max_workers=1):
     requests = profile_requests(problem, trace, answers)
     scored = score_requests(backend, requests, max_workers=max_workers)
     return information_profile(problem, trace, answers, [scored.totals[r] for r in requests])
+
+
+def information(problem, steps_prefix, answer, backend):
+    """Total log-likelihood (nats) of ``answer`` given the question and a
+    step prefix, from one backend call: the single-cell oracle the score
+    stage's totals are checked against. An empty prefix gives the
+    no-reasoning baseline."""
+    request = ScoringRequest(context=build_context(problem.question, steps_prefix), continuation=answer)
+    return backend.score(request).total()

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import make_problem, make_trace, scored_profile
+from helpers import information, make_problem, make_trace, scored_profile
 from steplab.analysis import (
     ComplexityParams,
     exhaustive_bias,
@@ -34,7 +34,7 @@ from steplab.errors import ReservedSymbolError
 from steplab.evaluation import best_of_k, oracle_scorer, random_scorer
 from steplab.infogain import StepLabels, StepSignal, mcnig_extended, mcnig_signal, net_info
 from steplab.pipeline import RunConfig, artifact_paths, run_pipeline
-from steplab.scoring import InformationProfile, ReferenceModel, build_context, information
+from steplab.scoring import InformationProfile, ReferenceModel, build_context
 from steplab.trace_model import AnswerPool, filter_and_subsample
 from steplab.validators import check_sql
 

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import make_problem, make_trace
 from steplab.evaluation import (
+    SCORE_FAILURE,
     best_of_k,
     majority_best_of_k,
     majority_vote,
@@ -95,22 +96,36 @@ class TestBestOfK:
         assert report.per_problem[0].selected_trace_id == "first"
         assert report.per_problem[0].success == 0
 
-    def test_scorer_failure_never_selected_unless_all_fail(self):
+    def test_unscored_candidate_never_selected_unless_all_are(self):
         problem = make_problem()
         traces = [
             make_trace(trace_id="bad", final_answer="9"),
             make_trace(trace_id="good", final_answer="4"),
         ]
+        truth = truth_validator({(problem.id, "4"): 1})
 
         def scorer(p, t):
-            if t.trace_id == "bad":
+            return SCORE_FAILURE if t.trace_id == "bad" else 0.1
+
+        report = best_of_k([problem], {problem.id: traces}, scorer, 2, truth)
+        assert report.per_problem[0].selected_trace_id == "good"
+        assert report.per_problem[0].success == 1
+        assert (report.candidates, report.unscored_candidates) == (2, 1)
+        report = best_of_k([problem], {problem.id: traces}, lambda p, t: SCORE_FAILURE, 2, truth)
+        assert report.per_problem[0].selected_trace_id == "bad"
+        assert (report.candidates, report.unscored_candidates) == (2, 2)
+
+    def test_scorer_exception_propagates(self):
+        problem = make_problem()
+        traces = [make_trace(trace_id="t0"), make_trace(trace_id="t1")]
+
+        def scorer(p, t):
+            if t.trace_id == "t1":
                 raise RuntimeError("broken")
             return 0.1
 
-        truth = {(problem.id, "4"): 1}
-        report = best_of_k([problem], {problem.id: traces}, scorer, 2, truth_validator(truth))
-        assert report.per_problem[0].selected_trace_id == "good"
-        assert report.per_problem[0].success == 1
+        with pytest.raises(RuntimeError, match="broken"):
+            best_of_k([problem], {problem.id: traces}, scorer, 2, lambda p, a: 1)
 
     def test_unparseable_selection_counts_as_failure(self):
         problem = make_problem()
@@ -221,3 +236,8 @@ class TestLabelProductScorer:
         assert scorer(problem, trace) == 1.0 and scorer.scorer_id == "label-product"
         scorer_zero = step_product_scorer({(problem.id, trace.trace_id): [1.0, 0.0]}, "label-product")
         assert scorer_zero(problem, trace) == 0.0
+
+    def test_trace_without_step_values_scores_failure(self):
+        problem = make_problem()
+        scorer = step_product_scorer({(problem.id, "other"): [1.0]}, "label-product")
+        assert scorer(problem, make_trace(trace_id="t1")) == SCORE_FAILURE

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import CountingBackend, make_problem, make_trace, scored_profile
+from helpers import CountingBackend, information, make_problem, make_trace, scored_profile
 from steplab import scoring
 from steplab.errors import BackendError, ConfigError
 from steplab.scoring import (
@@ -25,7 +25,6 @@ from steplab.scoring import (
     ScoringRequest,
     TokenLogprobs,
     build_context,
-    information,
     information_profile,
     profile_requests,
     score_requests,
@@ -113,11 +112,12 @@ class TestCache:
         counting = CountingBackend(two_token_model)
         backend = CachingBackend(counting, ScoreCache(tmp_path / "cache"))
         request = ScoringRequest("q", "42")
-        first = backend.score(request)
-        second = backend.score(request)
+        first = score_requests(backend, [request])
+        second = score_requests(backend, [request])
         assert counting.calls == 1
-        assert first == second
-        assert backend.cache.hits == 1 and backend.cache.misses == 1
+        assert first.totals == second.totals
+        assert (first.cache_hits, first.cache_misses) == (0, 1)
+        assert (second.cache_hits, second.cache_misses) == (1, 0)
 
     def test_cache_persists_across_instances(self, tmp_path, two_token_model):
         cache_dir = tmp_path / "cache"
@@ -147,18 +147,21 @@ class TestCache:
                 db.execute("UPDATE totals SET total = ?", (damaged,))
             counting = CountingBackend(two_token_model)
             healed = CachingBackend(counting, ScoreCache(cache_dir))
-            assert healed.score(request) == expected
-            assert healed.cache.misses == 1 and counting.calls == 1
-            assert healed.score(request) == expected
-            assert healed.cache.hits == 1 and counting.calls == 1
+            first = score_requests(healed, [request])
+            assert first.totals[request] == expected
+            assert first.cache_misses == 1 and counting.calls == 1
+            again = score_requests(healed, [request])
+            assert again.totals[request] == expected
+            assert again.cache_hits == 1 and counting.calls == 1
 
     def test_bulk_lookup_counts_each_distinct_request_once(self, tmp_path, two_token_model):
         cache = ScoreCache(tmp_path / "cache")
         cached, fresh = ScoringRequest("q", "42"), ScoringRequest("q", "4")
-        cache.put("b", [(cached, two_token_model.score(cached).total())])
-        found = cache.get("b", [cached, fresh, cached, fresh])
+        cache.put(two_token_model.backend_id, [(cached, two_token_model.score(cached).total())])
+        found = cache.get(two_token_model.backend_id, [cached, fresh, cached, fresh])
         assert found == {cached: two_token_model.score(cached).total()}
-        assert cache.hits == 1 and cache.misses == 1
+        scored = score_requests(CachingBackend(two_token_model, cache), [cached, fresh, cached, fresh])
+        assert scored.cache_hits == 1 and scored.cache_misses == 1
 
     def test_record_holds_no_context(self, tmp_path, two_token_model):
         cache_dir = tmp_path / "cache"
@@ -177,7 +180,6 @@ class TestCache:
             db.execute("INSERT OR IGNORE INTO totals SELECT * FROM other.totals")
         merged = ScoreCache(tmp_path / "one")
         assert merged.get("b", requests) == {r: two_token_model.score(r).total() for r in requests}
-        assert merged.misses == 0
         assert cache_rows(tmp_path / "one") == len(requests)
 
     def test_two_processes_writing_one_file_lose_and_corrupt_nothing(self, tmp_path):
@@ -207,7 +209,7 @@ for start in range(first, first + 600, 10):
         cache = ScoreCache(cache_dir)
         requests = [ScoringRequest("ctx", f"a{i}") for i in range(1000)]
         found = cache.get("b", requests)
-        assert cache.misses == 0
+        assert len(found) == len(requests)
         assert all(found[r] == -i / 1000 for i, r in enumerate(requests))
         assert cache_rows(cache_dir) == 1000
 
@@ -218,6 +220,7 @@ class TestScoreRequests:
         requests = [ScoringRequest("q", c) for c in ("4", "42", "4", "4", "42")]
         scored = score_requests(counting, requests)
         assert counting.calls == 2 and scored.backend_calls == 2
+        assert scored.cache_hits == scored.cache_misses == 0
         assert set(scored.totals) == set(requests)
         assert all(scored.totals[r] == two_token_model.score(r).total() for r in requests)
 
@@ -228,7 +231,7 @@ class TestScoreRequests:
         backend = CachingBackend(counting, ScoreCache(tmp_path / "cache"))
         scored = score_requests(backend, requests + requests, max_workers=2)
         assert counting.calls == 1 and scored.backend_calls == 1
-        assert backend.cache.hits == 2 and backend.cache.misses == 1
+        assert scored.cache_hits == 2 and scored.cache_misses == 1
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_failed_run_keeps_finished_results_and_rerun_scores_the_rest(self, tmp_path, workers):
@@ -254,7 +257,8 @@ class TestScoreRequests:
         assert warm.latencies_s == [] and warm.latency_ms(0.5) == warm.latency_ms(0.99) == 0.0
 
     def test_latency_quantiles_are_nearest_rank(self):
-        scored = scoring.ScoredRequests("b", {}, 0, 0, latencies_s=[i / 1000 for i in range(100, 0, -1)])
+        latencies = [i / 1000 for i in range(100, 0, -1)]
+        scored = scoring.ScoredRequests({}, 0, 0, latencies_s=latencies, cache_hits=0, cache_misses=0)
         assert scored.latency_ms(0.5) == pytest.approx(50.0)
         assert scored.latency_ms(0.99) == pytest.approx(99.0)
         assert scored.latency_ms(1.0) == pytest.approx(100.0)
@@ -604,10 +608,10 @@ class TestHttpBackend:
         url, _ = stub_server
         backend = CachingBackend(http_backend(url), ScoreCache(tmp_path / "cache"))
         request = ScoringRequest("What?", "ab")
-        first = backend.score(request)
-        second = backend.score(request)
-        assert first == second
-        assert backend.cache.hits == 1
+        first = score_requests(backend, [request])
+        second = score_requests(backend, [request])
+        assert first.totals == second.totals
+        assert second.cache_hits == 1
 
 
 class TestProfileFailure:
