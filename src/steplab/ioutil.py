@@ -50,6 +50,10 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
+def sha256_bytes(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

@@ -5,7 +5,7 @@ continuation (a candidate answer, wrappers stripped), a backend returns one
 natural-log probability per continuation token. Three backends exist:
 
 * :class:`ReferenceModel`, a deterministic table-driven stand-in for an LLM,
-  used for fixtures and tests;
+  used for fixtures and tests, named by its file's bytes and parsed lazily;
 * :class:`HttpBackend`, a client for the JSON-over-HTTP protocol
   (``POST /v1/score``);
 * :class:`CachingBackend`, which wraps either with a persistent
@@ -38,8 +38,8 @@ from pathlib import Path
 from typing import Protocol
 from urllib.parse import SplitResult, urlsplit
 
-from .errors import BackendError, ConfigError
-from .ioutil import sha256_text
+from .errors import BackendError, ConfigError, DataError
+from .ioutil import sha256_bytes, sha256_text
 from .trace_model import Problem, ReasoningTrace
 
 log = logging.getLogger(__name__)
@@ -126,32 +126,53 @@ class ReferenceModel:
     character ``ch`` is looked up in ``table[context + scored_prefix][ch]``,
     falling back to ``fallback_prob`` for unlisted entries. The fixture file
     is a JSON object ``{"fallback_prob": p, "table": {key: {token: prob}}}``.
+    The id hashes the file's bytes, or for a model built in memory the bytes
+    :meth:`to_file` writes. A file is parsed when a call first needs the table.
     """
 
     def __init__(self, table: dict[str, dict[str, float]], fallback_prob: float = 0.01):
+        self._set(table, fallback_prob)
+        self.backend_id = "reference:" + sha256_text(self._dump())[:12]
+
+    def _set(self, table: dict[str, dict[str, float]], fallback_prob: float) -> None:
         if not 0 < fallback_prob < 1:
             raise ValueError("fallback_prob must lie in (0, 1)")
         for key, dist in table.items():
             total = sum(dist.values())
             if total > 1 + 1e-9 or any(not 0 < p <= 1 for p in dist.values()):
                 raise ValueError(f"probabilities for context key {key[:40]!r}... are invalid")
-        self.table = table
-        self.fallback_prob = fallback_prob
-        fingerprint = sha256_text(
-            json.dumps({"fallback_prob": fallback_prob, "table": table}, sort_keys=True)
-        )[:12]
-        self.backend_id = f"reference:{fingerprint}"
+        self.table, self.fallback_prob, self._source = table, fallback_prob, None  # _source last: see _load
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ReferenceModel":
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(table=obj["table"], fallback_prob=obj.get("fallback_prob", 0.01))
+        try:
+            data = Path(path).read_bytes()
+        except OSError as exc:
+            raise ConfigError(f"reference model {path} is unreadable: {exc.strerror or exc}") from exc
+        model = cls.__new__(cls)
+        model._source, model._lock = (Path(path), data), threading.Lock()
+        model.backend_id = "reference:" + sha256_bytes(data)[:12]
+        return model
+
+    def _load(self) -> None:
+        if self._source is not None:
+            with self._lock:
+                if self._source is not None:
+                    try:
+                        obj = json.loads(self._source[1])
+                        self._set(obj["table"], obj.get("fallback_prob", 0.01))
+                    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                        raise DataError(f"reference model {self._source[0]} is invalid: {exc!r}") from exc
+
+    def _dump(self) -> str:
+        return json.dumps({"fallback_prob": self.fallback_prob, "table": self.table}, ensure_ascii=False)
 
     def to_file(self, path: str | Path) -> None:
-        payload = {"fallback_prob": self.fallback_prob, "table": self.table}
-        Path(path).write_text(json.dumps(payload, ensure_ascii=False, indent=1), encoding="utf-8")
+        self._load()
+        Path(path).write_text(self._dump(), encoding="utf-8")
 
     def score(self, request: ScoringRequest) -> TokenLogprobs:
+        self._load()
         logprobs = []
         for idx, ch in enumerate(request.continuation):
             key = request.context + request.continuation[:idx]
@@ -323,16 +344,16 @@ def _retry_after_s(value: str | None) -> float | None:
 class ScoreCache:
     """Scoring totals in one SQLite file, ``<directory>/scores.sqlite``.
 
-    A row of table ``totals`` is keyed by the content hash of (backend id,
-    context, continuation) and holds the continuation's total
-    log-likelihood, not the context. :meth:`get` and :meth:`put` work in
-    bulk, and each call opens its own connection, so only the calling
-    thread touches the database. Inserts are ``INSERT OR IGNORE`` in one
-    transaction per :meth:`put`: processes sharing the file lose no
-    record, and caches merge the same way from an attached file. A row
-    whose total is not a finite float <= 0 is deleted and counts as a
-    miss, so it gets rewritten; a file SQLite cannot read is a
-    :class:`ConfigError`.
+    A row of table ``totals`` is keyed by the sha256 of (backend id,
+    context, continuation), the first two prefixed by their lengths, and
+    holds the continuation's total log-likelihood, not the context.
+    :meth:`get` and :meth:`put` work in bulk, and each call opens its own
+    connection, so only the calling thread touches the database. Inserts
+    are ``INSERT OR IGNORE`` in one transaction per :meth:`put`: processes
+    sharing the file lose no record, and caches merge the same way from an
+    attached file. A row whose total is not a finite float <= 0 is deleted
+    and counts as a miss, so it gets rewritten; a file SQLite cannot read
+    is a :class:`ConfigError`.
     """
 
     FILENAME = "scores.sqlite"
@@ -358,7 +379,7 @@ class ScoreCache:
 
     @staticmethod
     def key(backend_id: str, context: str, continuation: str) -> str:
-        return sha256_text(json.dumps([backend_id, context, continuation]))
+        return sha256_text(f"{len(backend_id)}:{backend_id}{len(context)}:{context}{continuation}")
 
     def get(self, backend_id: str, requests: Iterable[ScoringRequest]) -> dict[ScoringRequest, float]:
         """The cached totals among ``requests``."""
@@ -590,7 +611,7 @@ def make_backend(
 ) -> Backend:
     """Build a backend from its config string.
 
-    ``reference:<fixture path>`` loads the deterministic reference model;
+    ``reference:<fixture path>`` names the reference model by its file;
     anything starting with http:// or https:// becomes an HTTP client. A
     cache directory, when given, wraps the backend in a CachingBackend.
     """

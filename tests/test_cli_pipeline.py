@@ -333,6 +333,66 @@ class TestCli:
         assert code == 2
         assert any("ConfigError" in r.message and str(cache_file) in r.message for r in caplog.records)
 
+    def test_missing_model_file_exits_2_naming_it(self, small_corpus, tmp_path, caplog):
+        missing = tmp_path / "absent_model.json"
+        code = main([
+            "--backend", f"reference:{missing}",
+            "run", "--out-dir", str(tmp_path / "run"),
+            "--problems", str(small_corpus["problems"]),
+            "--traces", str(small_corpus["traces"]),
+        ])
+        assert code == 2
+        assert any("ConfigError" in r.message and str(missing) in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("workers", ["1", "4"])
+    @pytest.mark.parametrize("damage", ["not-an-object", "no-table", "invalid-probabilities"])
+    def test_invalid_model_file_exits_3_when_a_miss_loads_it(self, small_corpus, tmp_path, caplog, damage, workers):
+        model = json.loads(Path(small_corpus["reference_model"]).read_text())
+        if damage == "not-an-object":
+            model = [model]
+        elif damage == "no-table":
+            del model["table"]
+        else:
+            model["table"][next(iter(model["table"]))] = {"a": 0.9, "b": 0.9}
+        path = tmp_path / "damaged_model.json"
+        path.write_text(json.dumps(model))
+        out = tmp_path / "run"
+        code = main([
+            "--backend", f"reference:{path}",
+            "run", "--out-dir", str(out),
+            "--problems", str(small_corpus["problems"]),
+            "--traces", str(small_corpus["traces"]),
+            "--concurrency", workers,
+        ])
+        assert code == 3
+        assert any("DataError" in r.message and str(path) in r.message for r in caplog.records)
+        assert not artifact_paths(out)["profiles"].exists()
+
+    def test_warm_or_skipped_score_stage_never_parses_the_model(self, small_corpus, tmp_path, monkeypatch, capsys):
+        from steplab.scoring import ReferenceModel
+
+        out = tmp_path / "run"
+        base = [
+            "--backend", f"reference:{small_corpus['reference_model']}",
+            "--cache-dir", str(tmp_path / "cache"),
+            "run", "--out-dir", str(out),
+            "--problems", str(small_corpus["problems"]),
+            "--traces", str(small_corpus["traces"]),
+        ]
+        assert main(base) == 0
+
+        def refuse(self):
+            raise AssertionError("the reference model was parsed")
+
+        monkeypatch.setattr(ReferenceModel, "_load", refuse)
+        capsys.readouterr()
+        assert main(base) == 0
+        assert "score: skipped" in capsys.readouterr().out
+        assert main(base + ["--stages", "score", "--force"]) == 0
+        counts = json.loads((out / "stages" / "score.json").read_text())["counts"]
+        assert counts["cache_hits"] == counts["unique_requests"] > 0
+        assert counts["backend_calls"] == counts["cache_misses"] == 0
+
     def test_cache_with_only_the_old_scores_table_is_read_as_empty(self, small_corpus, tmp_path):
         def run(cache_dir, out):
             return main([

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import logging
@@ -16,7 +17,7 @@ import pytest
 
 from helpers import CountingBackend, information, make_problem, make_trace, scored_profile
 from steplab import scoring
-from steplab.errors import BackendError, ConfigError
+from steplab.errors import BackendError, ConfigError, DataError
 from steplab.scoring import (
     CachingBackend,
     HttpBackend,
@@ -82,6 +83,70 @@ class TestReferenceModel:
         model.to_file(path)
         assert ReferenceModel.from_file(path).backend_id == model.backend_id
 
+    def test_id_is_the_hash_of_the_file_bytes(self, tmp_path):
+        path = tmp_path / "model.json"
+        ReferenceModel(table={"q": {"a": 0.5}}, fallback_prob=0.05).to_file(path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert ReferenceModel.from_file(path).backend_id == f"reference:{digest[:12]}"
+        spaced = tmp_path / "spaced.json"
+        spaced.write_bytes(path.read_bytes() + b" ")
+        assert ReferenceModel.from_file(spaced).backend_id != ReferenceModel.from_file(path).backend_id
+        assert ReferenceModel.from_file(spaced).score(ScoringRequest("q", "a")).logprobs == [math.log(0.5)]
+
+    def test_file_is_parsed_only_when_a_score_needs_it(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        ReferenceModel(table={"q": {"a": 0.5}}, fallback_prob=0.05).to_file(path)
+        parsed = []
+        original = ReferenceModel._set
+        monkeypatch.setattr(ReferenceModel, "_set", lambda self, *args: parsed.append(1) or original(self, *args))
+        model = ReferenceModel.from_file(path)
+        assert parsed == []
+        model.score(ScoringRequest("q", "a"))
+        model.score(ScoringRequest("q", "ab"))
+        assert parsed == [1]
+
+    def test_concurrent_misses_parse_the_file_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        ReferenceModel(table={"q": {"a": 0.5}}, fallback_prob=0.05).to_file(path)
+        parsed = []
+        original = ReferenceModel._set
+
+        def slow_set(self, *args):
+            parsed.append(threading.current_thread().name)
+            time.sleep(0.05)  # long enough for every worker to ask for the table
+            original(self, *args)
+
+        monkeypatch.setattr(ReferenceModel, "_set", slow_set)
+        model = ReferenceModel.from_file(path)
+        requests = [ScoringRequest(f"q{i}", "a") for i in range(64)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            scored = score_requests(model, requests, max_workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(parsed) == 1
+        assert scored.totals == {r: math.log(0.05) for r in requests}
+
+    def test_missing_file_is_a_config_error_naming_it(self, tmp_path):
+        path = tmp_path / "absent.json"
+        with pytest.raises(ConfigError, match="absent.json"):
+            ReferenceModel.from_file(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[1, 2]", '"model"', '{"fallback_prob": 0.1}', "{ truncated", '{"table": []}', '{"table": {"q": 1}}',
+         '{"table": {}, "fallback_prob": "x"}', '{"table": {"q": {"a": 0.9, "b": 0.9}}}'],
+        ids=["list", "string", "no-table", "truncated", "table-list", "row-number", "fallback-string", "sum-over-1"],
+    )
+    def test_invalid_model_file_is_a_data_error_on_first_score(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        model = ReferenceModel.from_file(path)
+        for _ in range(2):
+            with pytest.raises(DataError, match="model.json"):
+                model.score(ScoringRequest("q", "a"))
+
 
 class TestScoringRequest:
     def test_empty_continuation_rejected(self):
@@ -135,6 +200,29 @@ class TestCache:
         assert ScoreCache.key("b2", "ctx", "cont") != base
         assert ScoreCache.key("b", "ctx2", "cont") != base
         assert ScoreCache.key("b", "ctx", "cont2") != base
+
+    def test_key_tells_apart_triples_that_concatenate_alike(self):
+        triples = [
+            ("a", "b\0c", "d"),
+            ("a\0b", "c", "d"),
+            ("a", "b", "c\0d"),
+            ("ab", "c", "d"),
+            ("a", "bc", "d"),
+            ("a", "b", "cd"),
+            ("12", ":3", "4"),
+            ("1", "2:3", "4"),
+            ("1:", "2", "34"),
+            ("1", ":2", "34"),
+            ("2:ab", "1:c", "d"),
+            ("2", "ab1:c", "d"),
+        ]
+        keys = {ScoreCache.key(*triple) for triple in triples}
+        assert len(keys) == len(triples)
+
+    def test_key_format_is_pinned(self):
+        # sha256 of "22:reference:0123456789ab28:Compute 15 + 33.\nStep 1: add48".
+        key = ScoreCache.key("reference:0123456789ab", "Compute 15 + 33.\nStep 1: add", "48")
+        assert key == "fcbab66a671362df0b7517509be99f6fb53ed1aaed647c63bf12ca4c9f570447"
 
     def test_corrupt_record_degrades_to_miss_and_heals(self, tmp_path, two_token_model):
         cache_dir = tmp_path / "cache"
