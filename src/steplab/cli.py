@@ -23,33 +23,29 @@ from .analysis import (
 )
 from .errors import ConfigError, ToolkitError
 from .ioutil import atomic_write_text
-from .pipeline import CHOICES, STAGE_TABLE, RunConfig, load_config, run_pipeline, run_stage, summarize_run
+from .pipeline import CHOICES, STAGE_TABLE, RunConfig, comma_list, load_config, run_pipeline, run_stage, summarize_run
 
 log = logging.getLogger(__name__)
 
 
-def _comma_list(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
-
-
-# Flag name and type of each RunConfig field a subcommand takes; the other
-# fields come from the global flags or the config file.
+# Flag of each RunConfig field a subcommand takes; the other fields come
+# from the global flags or the config file. Values reach load_config as text.
 _FLAGS = {
-    "problems": ("--problems", str),
-    "traces": ("--traces", str),
-    "domains": ("--domains", _comma_list),
-    "k_subsample": ("--k-subsample", int),
-    "concurrency_limit": ("--concurrency", int),
-    "method": ("--method", str),
-    "aggregation": ("--aggregation", str),
-    "reference": ("--reference", str),
-    "thresholds_file": ("--thresholds", str),
-    "grid_size": ("--grid-size", int),
-    "split": ("--split", str),
-    "shard_size": ("--shard-size", int),
-    "eval_scorer": ("--scorer", str),
-    "eval_k": ("--k", int),
-    "step_scores": ("--step-scores", str),
+    "problems": "--problems",
+    "traces": "--traces",
+    "domains": "--domains",
+    "k_subsample": "--k-subsample",
+    "concurrency_limit": "--concurrency",
+    "method": "--method",
+    "aggregation": "--aggregation",
+    "reference": "--reference",
+    "thresholds_file": "--thresholds",
+    "grid_size": "--grid-size",
+    "split": "--split",
+    "shard_size": "--shard-size",
+    "eval_scorer": "--scorer",
+    "eval_k": "--k",
+    "step_scores": "--step-scores",
 }
 
 
@@ -60,15 +56,14 @@ def _stage_parser(sub, name: str, help_text: str, stages) -> argparse.ArgumentPa
     p.add_argument("--force", action="store_true", default=None, help="re-run even if up to date")
     for key in dict.fromkeys(key for stage in stages for key in STAGE_TABLE[stage].reads):
         if key in _FLAGS:
-            flag, kind = _FLAGS[key]
-            p.add_argument(flag, type=kind, choices=CHOICES.get(key), default=None, dest=key)
+            p.add_argument(_FLAGS[key], choices=CHOICES.get(key), default=None, dest=key)
     return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="steplab", description=__doc__)
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", default=None)
     parser.add_argument("--backend", default=None, help="backend URL or reference:<fixture path>")
     parser.add_argument("--cache-dir", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -101,11 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
-    return load_config(config_file=args.config, overrides=overrides)
 
 
 def _load_pool_file(path: str) -> list[float]:
@@ -165,16 +155,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "analyze-complexity":
             return _cmd_analyze_complexity(args)
         if args.command == "analyze-bias":
-            return _cmd_analyze_bias(args, seed=args.seed if args.seed is not None else 0)
+            return _cmd_analyze_bias(args, seed=load_config(overrides={"seed": args.seed}).seed)
         if args.command == "report":
             print(summarize_run(args.out_dir))
             return 0
-        cfg = _config_from_args(args)
+        cfg = load_config(args.config, overrides={f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
         if args.command == "run":
-            stages = None
-            if args.stages:
-                stages = [s.strip() for s in args.stages.split(",") if s.strip()]
-            run_pipeline(cfg, stages=stages)
+            run_pipeline(cfg, stages=comma_list(args.stages) if args.stages else None)
             print(summarize_run(cfg.out_dir))
             return 0
         stage = next(s for s in STAGE_TABLE.values() if s.command == args.command)

@@ -5,26 +5,32 @@ import json
 import os
 import uuid
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import DataError
 
 
-def read_jsonl(path: str | Path) -> Iterator[dict]:
-    """Yield one parsed object per non-empty line of a JSONL file."""
+def read_jsonl(path: str | Path, make: Callable[[dict], Any] | None = None) -> Iterator:
+    """Yield one parsed object per non-empty line of a JSONL file, or ``make(obj)``.
+    With ``make``, a line that is not a JSON object, or that ``make`` rejects
+    for a missing or wrong-typed field, is a DataError naming file and line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield json.loads(line)
+                obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DataError(
-                    f"{path}:{lineno}: invalid JSON: {exc.msg}",
-                    line=lineno,
-                    offset=exc.colno,
-                ) from exc
+                raise DataError(f"{path}:{lineno}: invalid JSON: {exc.msg}", line=lineno, offset=exc.colno) from exc
+            if make is not None:
+                try:
+                    if not isinstance(obj, dict):
+                        raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+                    obj = make(obj)
+                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                    raise DataError(f"{path}:{lineno}: malformed record: {exc!r}", line=lineno) from exc
+            yield obj
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:

@@ -14,6 +14,7 @@ the CLI derives its subcommands and flags from the same table.
 
 import json
 import logging
+import math
 import os
 import shutil
 import time
@@ -112,6 +113,9 @@ class RunConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ConfigError(f"{name} must be an integer of at least 1, got {value!r}")
+        for name in ("backend_timeout_s", "backend_backoff_s"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be a finite number of seconds, got {getattr(self, name)!r}")
         if self.eval_scorer in ("step-product", "orm") and not self.step_scores:
             raise ConfigError(
                 f"scorer {self.eval_scorer!r} needs --step-scores with per-trace probabilities"
@@ -123,16 +127,32 @@ class RunConfig:
             raise ConfigError("out_dir is not configured")
         return Path(self.out_dir)
 
-    def snapshot(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+def comma_list(text: str) -> list[str]:
+    """Comma-separated items, stripped, empty items dropped."""
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+_BOOLS = {"true": True, "false": False}
+_PARSERS = {str: str, int: int, float: float, bool: lambda text: _BOOLS[text.lower()], list[str]: comma_list}
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+
+
+def _parse_value(key: str, text: str):
+    """The value of option ``key`` given as text, parsed by its field's type."""
+    if key not in _FIELD_TYPES:
+        raise ConfigError(f"unknown config key: {key!r}")
+    try:
+        return _PARSERS[_FIELD_TYPES[key]](text)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{key}: cannot read {text!r} as {_FIELD_TYPES[key].__name__}") from None
 
 
 def parse_config_file(path: str | Path) -> dict:
     """Flat key = value config format with # comments.
 
-    Strings may be quoted; true/false, integers, and floats are coerced;
-    the ``domains`` key takes a comma-separated list.
-    """
+    Quotes around a value are optional; each value is parsed by its
+    option's type (:func:`_parse_value`)."""
     values: dict = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
@@ -140,27 +160,11 @@ def parse_config_file(path: str | Path) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
-        key, _, raw = line.partition("=")
-        values[key.strip()] = _coerce_value(key.strip(), raw.strip())
+        key, _, raw = (part.strip() for part in line.partition("="))
+        if len(raw) >= 2 and raw[0] == raw[-1] == '"':
+            raw = raw[1:-1]
+        values[key] = _parse_value(key, raw)
     return values
-
-
-def _coerce_value(key: str, raw: str):
-    if raw.startswith('"') and raw.endswith('"') and len(raw) >= 2:
-        return raw[1:-1]
-    if key == "domains":
-        return [part.strip() for part in raw.split(",") if part.strip()]
-    if raw.lower() in ("true", "false"):
-        return raw.lower() == "true"
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
-    return raw
 
 
 def load_config(
@@ -168,24 +172,20 @@ def load_config(
     overrides: dict | None = None,
     env: dict | None = None,
 ) -> RunConfig:
-    """Merge config sources: file, then environment, then explicit overrides."""
+    """Merge config sources: file, then environment, then explicit overrides.
+
+    Each text value is parsed by its field's type; a non-text override, from
+    Python code, is taken as it is. A None override leaves the field alone."""
     env = os.environ if env is None else env
     values: dict = {}
     if config_file:
         if not Path(config_file).exists():
             raise ConfigError(f"config file not found: {config_file}")
         values.update(parse_config_file(config_file))
-    if env.get(ENV_BACKEND):
-        values["backend"] = env[ENV_BACKEND]
-    if env.get(ENV_CACHE_DIR):
-        values["cache_dir"] = env[ENV_CACHE_DIR]
-    for key, value in (overrides or {}).items():
+    from_env = {"backend": env.get(ENV_BACKEND) or None, "cache_dir": env.get(ENV_CACHE_DIR) or None}
+    for key, value in [*from_env.items(), *(overrides or {}).items()]:
         if value is not None:
-            values[key] = value
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(values) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            values[key] = _parse_value(key, value) if isinstance(value, str) else value
     return RunConfig(**values)
 
 
@@ -499,7 +499,14 @@ def _prepare_label(cfg: RunConfig, paths: dict[str, Path]):
         source = paths["thresholds"]
     else:
         return ({}, ""), [], {}
-    thresholds = json.loads(source.read_text(encoding="utf-8"))
+    try:
+        thresholds = json.loads(source.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DataError(f"thresholds file {source} is not JSON: {exc}") from exc
+    if not isinstance(thresholds, dict) or not all(
+        type(tau) in (int, float) and abs(tau) < math.inf for tau in thresholds.values()
+    ):
+        raise DataError(f"thresholds file {source} must be a JSON object of finite numbers, one per domain")
     return (thresholds, str(source)), [source], {}
 
 
@@ -578,12 +585,12 @@ def _build_scorer(cfg: RunConfig, paths: dict[str, Path], verdict):
         return random_scorer(cfg.seed)
     if name == "label-product":
         # This toolkit's own binary labels, as 0/1 step probabilities.
-        rows, column = read_jsonl(paths["step_labels"]), "labels"
+        path, column = paths["step_labels"], "labels"
     else:
         # step-product and orm: external per-step probabilities from --step-scores
-        rows, column = read_jsonl(cfg.step_scores), "step_probs"
-    table = {(obj["problem_id"], obj["trace_id"]): [float(v) for v in obj[column]] for obj in rows}
-    return step_product_scorer(table, name)
+        path, column = cfg.step_scores, "step_probs"
+    rows = read_jsonl(path, lambda obj: ((obj["problem_id"], obj["trace_id"]), [float(v) for v in obj[column]]))
+    return step_product_scorer(dict(rows), name)
 
 
 def _eval(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
@@ -789,7 +796,7 @@ def run_pipeline(cfg: RunConfig, stages: list[str] | None = None) -> dict:
     manifest = {
         "toolkit_version": __version__,
         "created_unix": time.time(),
-        "config": cfg.snapshot(),
+        "config": asdict(cfg),
         "stages": reports,
     }
     atomic_write_text(

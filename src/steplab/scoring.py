@@ -150,19 +150,22 @@ class ReferenceModel:
         except OSError as exc:
             raise ConfigError(f"reference model {path} is unreadable: {exc.strerror or exc}") from exc
         model = cls.__new__(cls)
-        model._source, model._lock = (Path(path), data), threading.Lock()
+        model._source, model._lock, model._failure = (Path(path), data), threading.Lock(), ""
         model.backend_id = "reference:" + sha256_bytes(data)[:12]
         return model
 
     def _load(self) -> None:
         if self._source is not None:
             with self._lock:
+                if self._failure:  # the first load failed: parse no more
+                    raise DataError(self._failure)
                 if self._source is not None:
                     try:
                         obj = json.loads(self._source[1])
                         self._set(obj["table"], obj.get("fallback_prob", 0.01))
                     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                        raise DataError(f"reference model {self._source[0]} is invalid: {exc!r}") from exc
+                        self._failure = f"reference model {self._source[0]} is invalid: {exc!r}"
+                        raise DataError(self._failure) from exc
 
     def _dump(self) -> str:
         return json.dumps({"fallback_prob": self.fallback_prob, "table": self.table}, ensure_ascii=False)

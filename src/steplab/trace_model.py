@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .errors import ConfigError, ValidatorError
+from .errors import DataError, ValidatorError
 from .ioutil import read_jsonl, stable_seed, write_jsonl
 from .validators import ValidatorSpec, parse_numeric
 
@@ -251,23 +251,29 @@ def _subsample(parsed: list[ReasoningTrace], k: int, seed: int, problem_id: str)
 # JSONL interfaces
 
 
+def _string_fields(obj: dict, *keys: str) -> dict[str, str]:
+    for key in keys:
+        if not isinstance(obj[key], str):
+            raise TypeError(f"{key!r} must be a string, got {type(obj[key]).__name__}")
+    return {key: obj[key] for key in keys}
+
+
+def _problem(obj: dict) -> Problem:
+    spec = obj.get("validator")
+    if spec and not isinstance(spec, dict):
+        raise TypeError(f"'validator' must be an object, got {type(spec).__name__}")
+    return Problem(
+        **_string_fields(obj, "id", "domain", "question", "gold_answer"),
+        validator_spec=ValidatorSpec.from_json_dict(spec) if spec else None,
+    )
+
+
 def read_problems(path: str | Path) -> list[Problem]:
-    problems = []
-    for obj in read_jsonl(path):
-        spec = ValidatorSpec.from_json_dict(obj["validator"]) if obj.get("validator") else None
-        problems.append(
-            Problem(
-                id=obj["id"],
-                domain=obj["domain"],
-                question=obj["question"],
-                gold_answer=obj["gold_answer"],
-                validator_spec=spec,
-            )
-        )
+    problems = list(read_jsonl(path, _problem))
     seen: set[str] = set()
     for p in problems:
         if p.id in seen:
-            raise ConfigError(f"duplicate problem id {p.id!r} in {path}")
+            raise DataError(f"duplicate problem id {p.id!r} in {path}")
         seen.add(p.id)
     return problems
 
@@ -289,8 +295,8 @@ def write_problems(path: str | Path, problems: Iterable[Problem]) -> None:
 
 
 def read_raw_traces(path: str | Path) -> Iterable[dict]:
-    """Raw generation records: {problem_id, trace_id, raw_text}."""
-    return read_jsonl(path)
+    """Raw generation records: {problem_id, trace_id, raw_text}, all strings."""
+    return read_jsonl(path, lambda obj: _string_fields(obj, "problem_id", "trace_id", "raw_text"))
 
 
 def trace_to_json_dict(trace: ReasoningTrace) -> dict:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 import sqlite3
 from dataclasses import fields
 from pathlib import Path
@@ -14,6 +15,7 @@ from steplab.ioutil import read_jsonl
 from steplab.pipeline import (
     STAGE_TABLE,
     RunConfig,
+    _parse_value,
     artifact_paths,
     load_config,
     parse_config_file,
@@ -76,6 +78,28 @@ class TestConfig:
             "domains": ["math", "sql"],
             "force": True,
         }
+        path.write_text(
+            'domains = "math, qa"\n'
+            'seed = "11"\n'
+            "backend_timeout_s = 5\n"
+            "split = 2024\n"
+        )
+        values = parse_config_file(path)
+        assert values == {"domains": ["math", "qa"], "seed": 11, "backend_timeout_s": 5.0, "split": "2024"}
+        assert type(values["backend_timeout_s"]) is float
+
+    def test_every_field_default_parses_back_from_its_text(self):
+        for f in fields(RunConfig):
+            default = getattr(RunConfig(), f.name)
+            text = ",".join(default) if isinstance(default, list) else str(default)
+            assert _parse_value(f.name, text) == default, f.name
+
+    def test_env_and_override_text_is_typed(self):
+        env = {"STEPLAB_BACKEND_URL": "http://from-env:8000", "STEPLAB_CACHE_DIR": "env-cache"}
+        cfg = load_config(env=env, overrides={"seed": "5", "k_subsample": None, "force": True})
+        assert (cfg.backend, cfg.cache_dir, cfg.seed, cfg.k_subsample, cfg.force) == (
+            "http://from-env:8000", "env-cache", 5, 8, True
+        )
 
     def test_env_overrides_file_and_cli_overrides_env(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -438,16 +462,26 @@ class TestCli:
         assert main(["score", "--out-dir", str(tmp_path / "nowhere")]) == 2
 
     @pytest.mark.parametrize(
-        "config_text, flags",
+        "config_text, flags, key",
         [
-            ("eval_scorer = bogus\n", []),
-            ("", ["--k", "0"]),
-            ("", ["--grid-size", "0"]),
-            ("k_subsample = 0\n", []),
+            ("eval_scorer = bogus\n", [], "eval_scorer"),
+            ("", ["--k", "0"], "eval_k"),
+            ("", ["--grid-size", "0"], "grid_size"),
+            ("k_subsample = 0\n", [], "k_subsample"),
+            ("backend_timeout_s = soon\n", [], "backend_timeout_s"),
+            ("force = yes\n", [], "force"),
+            ("backend_retries = true\n", [], "backend_retries"),
+            ("seed = 7.0\n", [], "seed"),
+            ("", ["--k-subsample", "abc"], "k_subsample"),
+            ("backend_timeout_s = nan\n", [], "backend_timeout_s"),
+            ("backend_backoff_s = -1\n", [], "backend_backoff_s"),
         ],
-        ids=["eval-scorer-bogus", "k-0", "grid-size-0", "k-subsample-0"],
+        ids=[
+            "eval-scorer-bogus", "k-0", "grid-size-0", "k-subsample-0", "timeout-soon", "force-yes",
+            "retries-true", "seed-float", "k-subsample-abc", "timeout-nan", "backoff-negative",
+        ],
     )
-    def test_bad_config_fails_before_any_stage(self, small_corpus, tmp_path, config_text, flags):
+    def test_bad_config_fails_before_any_stage(self, small_corpus, tmp_path, caplog, config_text, flags, key):
         config = tmp_path / "run.cfg"
         config.write_text(config_text)
         out = tmp_path / "cli-bad-config"
@@ -461,6 +495,27 @@ class TestCli:
         ])
         assert code == 2
         assert not (out / "stages").exists()
+        assert any("ConfigError" in r.message and key in r.message for r in caplog.records)
+
+    def test_seed_flag_is_read_as_an_integer(self, tmp_path):
+        pool = tmp_path / "pool.txt"
+        pool.write_text("1\n2\n3\n")
+        analyze = ["analyze-bias", "--pool-file", str(pool), "--s", "2", "--replicates", "10"]
+        assert main(["--seed", "7", *analyze]) == 0
+        assert main(["--seed", "7.0", *analyze]) == 2
+
+    def test_domains_flag_and_config_line_give_the_same_config(self, tmp_path, monkeypatch):
+        from steplab import cli
+
+        seen = []
+        monkeypatch.setattr(cli, "run_stage", lambda name, cfg: seen.append(cfg.domains) or {"name": name})
+        out = ["ingest", "--out-dir", str(tmp_path / "run")]
+        assert main([*out, "--domains", "math, qa"]) == 0
+        for line in ("domains = math, qa", 'domains = "math, qa"'):
+            config = tmp_path / "run.cfg"
+            config.write_text(line + "\n")
+            assert main(["--config", str(config), *out]) == 0
+        assert seen == [["math", "qa"]] * 3
 
     def test_sweep_takes_the_signal_flags_of_label(self, small_corpus, tmp_path, capsys):
         out = tmp_path / "cli-ig"
@@ -612,6 +667,87 @@ class TestCli:
         ])
         assert code == 3
         assert not (out / "eval_report.json").exists()
+
+
+@pytest.fixture(scope="module")
+def small_run(small_corpus, tmp_path_factory):
+    """A finished run of the small corpus, to copy and damage."""
+    out = tmp_path_factory.mktemp("small-run") / "run"
+    run_pipeline(load_config(overrides=dict(
+        problems=str(small_corpus["problems"]),
+        traces=str(small_corpus["traces"]),
+        out_dir=str(out),
+        backend=f"reference:{small_corpus['reference_model']}",
+    ), env={}))
+    return out
+
+
+def _jsonl(rows) -> str:
+    return "".join(json.dumps(row) + "\n" for row in rows)
+
+
+# Each case: the user file it damages, and its damaged text from the small
+# corpus and its finished run.
+MALFORMED_USER_FILES = {
+    "problem-without-gold-answer": (
+        "problems",
+        lambda c, r: _jsonl([{k: v for k, v in row.items() if k != "gold_answer"} for row in read_jsonl(c["problems"])]),
+    ),
+    "problem-line-not-an-object": ("problems", lambda c, r: c["problems"].read_text() + "[1, 2]\n"),
+    "problem-id-repeated": (
+        "problems",
+        lambda c, r: c["problems"].read_text() + c["problems"].read_text().splitlines(keepends=True)[0],
+    ),
+    "problem-validator-not-an-object": (
+        "problems",
+        lambda c, r: _jsonl([{**row, "validator": "numeric"} for row in read_jsonl(c["problems"])]),
+    ),
+    "problem-gold-answer-a-number": (
+        "problems",
+        lambda c, r: _jsonl([{**row, "gold_answer": 4} for row in read_jsonl(c["problems"])]),
+    ),
+    "trace-without-raw-text": (
+        "traces",
+        lambda c, r: _jsonl([{k: v for k, v in row.items() if k != "raw_text"} for row in read_jsonl(c["traces"])]),
+    ),
+    "trace-raw-text-not-a-string": (
+        "traces",
+        lambda c, r: _jsonl([{**row, "raw_text": ["step", "$4$"]} for row in read_jsonl(c["traces"])]),
+    ),
+    "step-scores-without-step-probs": (
+        "step_scores",
+        lambda c, r: _jsonl(
+            {"problem_id": row["problem_id"], "trace_id": row["trace_id"]}
+            for row in read_jsonl(r / "validated_traces.jsonl")
+        ),
+    ),
+    "thresholds-a-list": ("thresholds", lambda c, r: "[0.5]"),
+    "thresholds-not-numbers": ("thresholds", lambda c, r: '{"math": "high"}'),
+    "thresholds-nan": ("thresholds", lambda c, r: '{"math": NaN}'),
+    "thresholds-infinite": ("thresholds", lambda c, r: '{"math": 0.1, "qa": -Infinity}'),
+    "thresholds-not-json": ("thresholds", lambda c, r: '{"math": 0.1'),
+}
+
+
+class TestMalformedUserFiles:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_USER_FILES))
+    def test_malformed_user_file_exits_3_naming_it(self, small_corpus, small_run, tmp_path, caplog, case):
+        kind, damage = MALFORMED_USER_FILES[case]
+        damaged = tmp_path / f"damaged-{kind}.json"
+        damaged.write_text(damage(small_corpus, small_run))
+        run = tmp_path / "run"
+        shutil.copytree(small_run, run)
+        backend = ["--backend", f"reference:{small_corpus['reference_model']}"]
+        if kind in ("problems", "traces"):
+            inputs = {"problems": small_corpus["problems"], "traces": small_corpus["traces"], kind: damaged}
+            argv = [*backend, "run", "--out-dir", str(tmp_path / "fresh"),
+                    "--problems", str(inputs["problems"]), "--traces", str(inputs["traces"])]
+        elif kind == "step_scores":
+            argv = ["eval-bok", "--out-dir", str(run), "--scorer", "step-product", "--step-scores", str(damaged)]
+        else:
+            argv = [*backend, "label", "--out-dir", str(run), "--thresholds", str(damaged)]
+        assert main(argv) == 3
+        assert any("DataError" in r.message and str(damaged) in r.message for r in caplog.records)
 
 
 # eval_report.json of the demo corpus's default run, re-evaluated with each

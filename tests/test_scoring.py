@@ -128,6 +128,27 @@ class TestReferenceModel:
         assert len(parsed) == 1
         assert scored.totals == {r: math.log(0.05) for r in requests}
 
+    def test_a_file_that_fails_to_load_is_parsed_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"fallback_prob": 0.05, "table": {"q": {"a": 1.5}}}))
+        parsed = []
+        original = ReferenceModel._set
+
+        def slow_set(self, *args):
+            parsed.append(threading.current_thread().name)
+            time.sleep(0.05)  # long enough for every worker to ask for the table
+            original(self, *args)
+
+        monkeypatch.setattr(ReferenceModel, "_set", slow_set)
+        model = ReferenceModel.from_file(path)
+        requests = [ScoringRequest(f"q{i}", "a") for i in range(100)]
+        with pytest.raises(DataError, match="model.json"):
+            score_requests(model, requests, max_workers=4)
+        assert len(parsed) == 1
+        with pytest.raises(DataError, match="model.json"):
+            model.score(requests[0])
+        assert len(parsed) == 1
+
     def test_missing_file_is_a_config_error_naming_it(self, tmp_path):
         path = tmp_path / "absent.json"
         with pytest.raises(ConfigError, match="absent.json"):
