@@ -309,7 +309,10 @@ def _ingest(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
         pid = obj["problem_id"]
         if pid not in problem_ids:
             continue
-        trace = parse_trace(obj["raw_text"], domain_of[pid], problem_id=pid, trace_id=obj["trace_id"])
+        try:
+            trace = parse_trace(obj["raw_text"], domain_of[pid], problem_id=pid, trace_id=obj["trace_id"])
+        except ValueError as exc:
+            raise DataError(f"{cfg.traces}: trace {obj['trace_id']!r}: {exc}") from exc
         if not trace.parse_ok:
             parse_failures += 1
         parsed.append(trace)
@@ -387,7 +390,7 @@ def _score(cfg: RunConfig, paths: dict[str, Path], backend) -> dict:
     # its distinct requests once and fills every profile by lookup.
     requests = [r for *_, trace_requests in jobs for r in trace_requests]
     try:
-        scored = score_requests(backend, requests, max_workers=cfg.concurrency_limit)
+        scored = score_requests(backend, requests, in_flight=cfg.concurrency_limit)
     finally:
         backend.close()
     profile_rows = [

@@ -30,8 +30,7 @@ import select
 import sqlite3
 import threading
 import time
-from collections.abc import Callable, Iterable
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -191,13 +190,11 @@ class HttpBackend:
     """Client for a remote scoring server speaking the JSON protocol.
 
     ``POST {base}/v1/score`` with ``{"context", "continuation"}`` must return
-    ``{"tokens", "logprobs", "backend_id"}``. Requests go over stdlib
-    ``http.client`` keep-alive connections: a call takes an idle connection
-    or opens one, and returns it after reading the whole response, so N
-    threads hold at most N connections. Transport failures, 5xx answers and
-    HTTP 429 are retried with backoff (a 429's ``Retry-After`` replaces the
-    backoff), every retry is logged and counted in ``retries``, and
-    exhausted retries surface as :class:`BackendError` (kind "transport");
+    ``{"tokens", "logprobs", "backend_id"}``, over stdlib ``http.client``
+    keep-alive connections. Transport failures, answers not started within
+    the timeout, 5xx and HTTP 429 are retried with backoff (a 429's
+    ``Retry-After`` replaces it), logged and counted in ``retries``;
+    exhausted retries surface as :class:`BackendError` (kind "transport"),
     malformed responses as kind "protocol". Proxy variables are not read.
     """
 
@@ -208,6 +205,7 @@ class HttpBackend:
 
         self.base_url = base_url.rstrip("/")
         self.backend_id = self.base_url
+        self.timeout_s = timeout_s
         self.max_retries = max_retries
         self.backoff_s = backoff_s
         parts = urlsplit(self.base_url)
@@ -217,100 +215,143 @@ class HttpBackend:
             raise ConfigError(f"invalid backend URL {base_url!r}: {exc}") from exc
         if not parts.hostname:
             raise ConfigError(f"backend URL {base_url!r} names no host")
-        self._path = parts.path
+        self._url = self.base_url + "/v1/score"
+        self._path = parts.path + "/v1/score"
+        connection = http.client.HTTPConnection
         if parts.scheme == "https":
             import ssl
 
-            self._open = functools.partial(
-                http.client.HTTPSConnection,
-                parts.hostname,
-                port,
-                timeout=timeout_s,
-                context=ssl.create_default_context(),
-            )
-        else:
-            self._open = functools.partial(http.client.HTTPConnection, parts.hostname, port, timeout=timeout_s)
+            connection = functools.partial(http.client.HTTPSConnection, context=ssl.create_default_context())
+        self._open = functools.partial(connection, parts.hostname, port, timeout=timeout_s)
+        self._failures = (OSError, http.client.HTTPException)
         self._idle: list = []
-        self._lock = threading.Lock()
         self.retries = 0
         proxy_variable = _environment_proxy(parts)
         if proxy_variable is not None:
             log.warning("%s is set but not used: steplab connects to %s directly", proxy_variable, self.base_url)
 
-    def _request(self, path: str, body: bytes) -> tuple[int, str | None, bytes]:
-        """POST ``body`` on a pooled connection; (status, Retry-After, body)."""
-        with self._lock:
-            conn = self._idle.pop() if self._idle else None
+    def _send(self, request: ScoringRequest):
+        """POST ``request`` on an idle connection or a new one; the connection."""
+        conn = self._idle.pop() if self._idle else self._open()
         # An idle socket that polls readable was closed by the server (or
-        # holds bytes no request asked for): it cannot carry a request.
-        if conn is not None and select.select([conn.sock], [], [], 0)[0]:
+        # holds bytes no request asked for): reconnect before sending.
+        if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
             conn.close()
-            conn = None
-        if conn is None:
-            conn = self._open()
         try:
-            # Bytes, not a stream: http.client sends headers and body in one write.
-            conn.request("POST", path, body, _JSON_HEADERS)
-            response = conn.getresponse()
-            data = response.read()
+            if conn.sock is None:
+                import socket  # loaded with http.client
+                conn.connect()
+                # http.client writes the headers and the body in two sends;
+                # Nagle's algorithm would hold the body for the server's ACK.
+                conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            body = json.dumps({"context": request.context, "continuation": request.continuation}).encode()
+            conn.request("POST", self._path, body, {"Content-Type": "application/json"})
         except BaseException:
             conn.close()
             raise
-        if response.will_close:
-            conn.close()
-        else:
-            with self._lock:
-                self._idle.append(conn)
-        return response.status, response.getheader("Retry-After"), data
+        return conn
 
-    def _post(self, endpoint: str, payload: dict) -> dict:
-        import http.client
+    def score_many(self, requests: Iterable[ScoringRequest], in_flight: int = 1):
+        """Yield ``(request, logprobs, latency_s)`` for each request as its
+        answer arrives, with at most ``in_flight`` requests outstanding.
 
-        url = f"{self.base_url}{endpoint}"
-        body = json.dumps(payload).encode()
-        last_error: Exception | None = None
-        for attempt in range(self.max_retries):
-            retry_after = None
-            try:
-                status, retry_after_header, data = self._request(self._path + endpoint, body)
-            except (OSError, http.client.HTTPException) as exc:
-                last_error = exc
-            else:
-                if status == 200:
+        Each request sent holds one connection, and ``select`` waits for
+        whichever answers first; an answer is read whole once it starts to
+        arrive. A request waiting to retry keeps its place but holds no
+        connection. The latency runs from a request's first send to its
+        answer, retries included. After a failure nothing new is sent:
+        answers already on their way are still yielded, and then the first
+        failure is raised.
+        """
+        todo = iter(requests)
+        sent: dict = {}  # socket -> (connection, request, attempt, first send, answer deadline)
+        waiting: list = []  # (retry time, request, attempt, first send)
+        errors: list[BackendError] = []
+
+        def stop(error: BackendError) -> None:
+            errors.append(error)
+            waiting.clear()
+
+        def retry(request, attempt, started, failure, retry_after=None) -> None:
+            """Queue the request's next attempt, or stop after its last."""
+            if attempt + 1 >= self.max_retries:
+                stop(BackendError(f"backend unreachable after {self.max_retries} attempts: {failure}"))
+            elif not errors:
+                delay = min(BACKOFF_CAP_S, self.backoff_s * 2**attempt if retry_after is None else retry_after)
+                self.retries += 1
+                log.warning("retrying %s in %.2f s after: %s", self._url, delay, failure)
+                waiting.append((time.monotonic() + delay, request, attempt + 1, started))
+
+        try:
+            while True:
+                now = time.monotonic()
+                due = [entry for entry in waiting if entry[0] <= now]
+                waiting[:] = [entry for entry in waiting if entry[0] > now]
+                while not errors and len(sent) + len(waiting) + len(due) < in_flight and (request := next(todo, None)):
+                    due.append((now, request, 0, now))
+                for _, request, attempt, started in due:
+                    if errors:
+                        break
                     try:
-                        return json.loads(data)
-                    except ValueError as exc:
-                        raise BackendError(f"{url} returned non-JSON body", kind="protocol") from exc
-                if status != 429 and status < 500:
-                    raise BackendError(f"{url} returned {status}", kind="protocol")
-                last_error = BackendError(f"{url} returned {status}")
-                if status == 429:
-                    retry_after = _retry_after_s(retry_after_header)
-            if attempt + 1 < self.max_retries:
-                delay = self.backoff_s * 2**attempt if retry_after is None else retry_after
-                delay = min(BACKOFF_CAP_S, delay)
-                with self._lock:
-                    self.retries += 1
-                log.warning("retrying %s in %.2f s after: %s", url, delay, last_error)
-                time.sleep(delay)
-        raise BackendError(f"backend unreachable after {self.max_retries} attempts: {last_error}")
+                        conn = self._send(request)
+                    except self._failures as exc:
+                        retry(request, attempt, started, exc)
+                    else:
+                        sent[conn.sock] = (conn, request, attempt, started, time.monotonic() + self.timeout_s)
+                if not sent and not waiting:
+                    break
+                timeout = max(0.0, min([e[4] for e in sent.values()] + [e[0] for e in waiting]) - time.monotonic())
+                if not sent:
+                    time.sleep(timeout)
+                    continue
+                ready = select.select(list(sent), [], [], timeout)[0]
+                now = time.monotonic()
+                for sock, (conn, request, attempt, started, deadline) in list(sent.items()):
+                    if sock not in ready and deadline > now:
+                        continue
+                    try:
+                        if sock not in ready:
+                            raise TimeoutError("timed out")
+                        response = conn.getresponse()
+                        data = response.read()
+                    except self._failures as exc:
+                        conn.close()
+                        del sent[sock]
+                        retry(request, attempt, started, exc)
+                        continue
+                    del sent[sock]
+                    if response.will_close:
+                        conn.close()
+                    else:
+                        self._idle.append(conn)
+                    status = response.status
+                    if status == 429 or status >= 500:
+                        retry_after = _retry_after_s(response.getheader("Retry-After")) if status == 429 else None
+                        retry(request, attempt, started, BackendError(f"{self._url} returned {status}"), retry_after)
+                    elif status != 200:
+                        stop(BackendError(f"{self._url} returned {status}", kind="protocol"))
+                    else:
+                        try:
+                            obj = json.loads(data)
+                            result = TokenLogprobs.clamped(obj["tokens"], obj["logprobs"], str(obj["backend_id"]))
+                        except (KeyError, TypeError, ValueError) as exc:
+                            stop(BackendError(f"malformed score response from {self._url}: {exc!r}", kind="protocol"))
+                        else:
+                            yield request, result, time.monotonic() - started
+            if errors:
+                raise errors[0]
+        finally:
+            for conn, *_ in sent.values():
+                conn.close()
 
     def score(self, request: ScoringRequest) -> TokenLogprobs:
-        obj = self._post("/v1/score", {"context": request.context, "continuation": request.continuation})
-        try:
-            return TokenLogprobs.clamped(obj["tokens"], obj["logprobs"], str(obj["backend_id"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise BackendError(f"malformed score response: {exc}", kind="protocol") from exc
+        ((_, result, _),) = self.score_many([request])
+        return result
 
     def close(self) -> None:
         """Close the idle connections; a later call opens new ones."""
-        with self._lock:
-            idle, self._idle = self._idle, []
-        for conn in idle:
-            conn.close()
-
-
-_JSON_HEADERS = {"Content-Type": "application/json"}
+        while self._idle:
+            self._idle.pop().close()
 
 
 def _environment_proxy(url: SplitResult) -> str | None:
@@ -452,47 +493,10 @@ class ScoredRequests:
         return 1000.0 * ordered[max(0, math.ceil(fraction * len(ordered)) - 1)]
 
 
-def _score_each(score: Callable[[ScoringRequest], float], requests: list[ScoringRequest], max_workers: int):
-    """Yield ``(request, score(request))`` as each scoring completes.
-
-    With ``max_workers`` > 1 one executor serves all requests, with at most
-    twice that many submitted at a time. After a failure nothing new is
-    submitted; the results of scorings already submitted are still
-    yielded, and then the first failure is raised.
-    """
-    if max_workers <= 1:
-        for request in requests:
-            yield request, score(request)
-        return
-    todo = iter(requests)
-    running: dict = {}
-    error: BaseException | None = None
-    pool = ThreadPoolExecutor(max_workers=max_workers)
-    try:
-        while True:
-            while error is None and len(running) < 2 * max_workers:
-                request = next(todo, None)
-                if request is None:
-                    break
-                running[pool.submit(score, request)] = request
-            if not running:
-                break
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            for future in done:
-                request = running.pop(future)
-                if future.exception() is None:
-                    yield request, future.result()
-                elif error is None:
-                    error = future.exception()
-        if error is not None:
-            raise error
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def score_requests(backend: Backend, requests: Iterable[ScoringRequest], max_workers: int = 1) -> ScoredRequests:
-    """Score each distinct request once, on up to ``max_workers`` threads,
-    into its total.
+def score_requests(backend: Backend, requests: Iterable[ScoringRequest], in_flight: int = 1) -> ScoredRequests:
+    """Score each distinct request once into its total, from the calling
+    thread: a backend with ``score_many`` keeps up to ``in_flight`` requests
+    outstanding, any other scores one at a time.
 
     Through a :class:`CachingBackend`, all distinct requests are looked up
     in one bulk call, which gives the hit and miss counts, and only the
@@ -509,19 +513,14 @@ def score_requests(backend: Backend, requests: Iterable[ScoringRequest], max_wor
     cache_hits = len(totals)
     misses = [r for r in unique if r not in totals]
     latencies: list[float] = []
-
-    def timed_total(request: ScoringRequest) -> float:
-        start = time.perf_counter()
-        total = inner.score(request).total()
-        latencies.append(time.perf_counter() - start)
-        return total
-
+    results = inner.score_many(misses, in_flight) if hasattr(inner, "score_many") else _score_serially(inner, misses)
     batch: list[tuple[ScoringRequest, float]] = []
     try:
-        for request, total in _score_each(timed_total, misses, max_workers):
-            totals[request] = total
+        for request, logprobs, latency_s in results:
+            totals[request] = logprobs.total()
+            latencies.append(latency_s)
             if cache is not None:
-                batch.append((request, total))
+                batch.append((request, totals[request]))
                 if len(batch) == CACHE_BATCH:
                     cache.put(backend.backend_id, batch)
                     batch = []
@@ -536,6 +535,14 @@ def score_requests(backend: Backend, requests: Iterable[ScoringRequest], max_wor
         cache_hits=cache_hits,
         cache_misses=len(misses) if cache is not None else 0,
     )
+
+
+def _score_serially(backend: Backend, requests: list[ScoringRequest]):
+    """Yield ``(request, logprobs, latency_s)`` for each request in turn."""
+    for request in requests:
+        start = time.perf_counter()
+        result = backend.score(request)
+        yield request, result, time.perf_counter() - start
 
 
 @dataclass

@@ -122,8 +122,6 @@ def parse_trace(raw: str, domain: str, problem_id: str = "", trace_id: str = "")
     Never aborts on an unextractable answer (``parse_ok`` goes false); raw
     text with no step content at all is a hard error.
     """
-    if not raw or not raw.strip():
-        raise ValueError("trace text is empty")
     steps = [seg.strip() for seg in raw.split(STEP_DELIMITER)]
     steps = [seg for seg in steps if seg]
     if not steps:

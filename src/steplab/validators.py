@@ -93,8 +93,8 @@ class ValidatorSpec:
     def from_json_dict(cls, obj: dict) -> "ValidatorSpec":
         obj = dict(obj)
         kind = obj.pop("kind", None)
-        if kind is None:
-            raise ConfigError("validator object is missing 'kind'")
+        if kind not in VALIDATOR_KINDS:  # a problem record's fault, unlike a bad spec built in code
+            raise ValueError(f"validator kind must be one of {', '.join(VALIDATOR_KINDS)}, got {kind!r}")
         return cls(kind=kind, payload=obj)
 
 

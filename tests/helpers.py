@@ -67,11 +67,11 @@ class CountingBackend:
         self.inner.close()
 
 
-def scored_profile(problem, trace, answers, backend, max_workers=1):
+def scored_profile(problem, trace, answers, backend, in_flight=1):
     """A trace's information profile scored by ``backend`` as the score
     stage does it: its requests through ``score_requests``, then reshaped."""
     requests = profile_requests(problem, trace, answers)
-    scored = score_requests(backend, requests, max_workers=max_workers)
+    scored = score_requests(backend, requests, in_flight=in_flight)
     return information_profile(problem, trace, answers, [scored.totals[r] for r in requests])
 
 

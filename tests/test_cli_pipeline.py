@@ -702,6 +702,14 @@ MALFORMED_USER_FILES = {
         "problems",
         lambda c, r: _jsonl([{**row, "validator": "numeric"} for row in read_jsonl(c["problems"])]),
     ),
+    "problem-validator-without-kind": (
+        "problems",
+        lambda c, r: _jsonl([{**row, "validator": {"rel_tol": 0.01}} for row in read_jsonl(c["problems"])]),
+    ),
+    "problem-validator-of-unknown-kind": (
+        "problems",
+        lambda c, r: _jsonl([{**row, "validator": {"kind": "quantum"}} for row in read_jsonl(c["problems"])]),
+    ),
     "problem-gold-answer-a-number": (
         "problems",
         lambda c, r: _jsonl([{**row, "gold_answer": 4} for row in read_jsonl(c["problems"])]),
@@ -709,6 +717,10 @@ MALFORMED_USER_FILES = {
     "trace-without-raw-text": (
         "traces",
         lambda c, r: _jsonl([{k: v for k, v in row.items() if k != "raw_text"} for row in read_jsonl(c["traces"])]),
+    ),
+    "trace-raw-text-blank": (
+        "traces",
+        lambda c, r: _jsonl([{**row, "raw_text": "   "} for row in read_jsonl(c["traces"])]),
     ),
     "trace-raw-text-not-a-string": (
         "traces",

@@ -39,6 +39,27 @@ def cache_rows(cache_dir):
         return db.execute("SELECT count(*) FROM totals").fetchone()[0]
 
 
+def score_from_threads(model, requests, threads=4):
+    """Score ``requests`` with ``model.score`` from several threads at once,
+    as the loopback scoring server's handler threads do: (totals, errors)."""
+    totals, errors = {}, []
+
+    def work(share):
+        for request in share:
+            try:
+                totals[request] = model.score(request).total()
+            except DataError as exc:
+                errors.append(exc)
+
+    workers = [threading.Thread(target=work, args=(requests[i::threads],)) for i in range(threads)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=60)
+    assert not any(worker.is_alive() for worker in workers)
+    return totals, errors
+
+
 @pytest.fixture()
 def two_token_model():
     return ReferenceModel(table={"q": {"4": 0.5}, "q4": {"2": 0.25}}, fallback_prob=0.01)
@@ -122,11 +143,11 @@ class TestReferenceModel:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            scored = score_requests(model, requests, max_workers=4)
+            totals, errors = score_from_threads(model, requests)
         finally:
             sys.setswitchinterval(interval)
-        assert len(parsed) == 1
-        assert scored.totals == {r: math.log(0.05) for r in requests}
+        assert len(parsed) == 1 and errors == []
+        assert totals == {r: math.log(0.05) for r in requests}
 
     def test_a_file_that_fails_to_load_is_parsed_once(self, tmp_path, monkeypatch):
         path = tmp_path / "model.json"
@@ -142,8 +163,9 @@ class TestReferenceModel:
         monkeypatch.setattr(ReferenceModel, "_set", slow_set)
         model = ReferenceModel.from_file(path)
         requests = [ScoringRequest(f"q{i}", "a") for i in range(100)]
-        with pytest.raises(DataError, match="model.json"):
-            score_requests(model, requests, max_workers=4)
+        totals, errors = score_from_threads(model, requests)
+        assert totals == {} and len(errors) == len(requests)
+        assert all(isinstance(e, DataError) and "model.json" in str(e) for e in errors)
         assert len(parsed) == 1
         with pytest.raises(DataError, match="model.json"):
             model.score(requests[0])
@@ -338,7 +360,7 @@ class TestScoreRequests:
         score_requests(CachingBackend(two_token_model, ScoreCache(tmp_path / "cache")), requests[:2])
         counting = CountingBackend(two_token_model)
         backend = CachingBackend(counting, ScoreCache(tmp_path / "cache"))
-        scored = score_requests(backend, requests + requests, max_workers=2)
+        scored = score_requests(backend, requests + requests, in_flight=2)
         assert counting.calls == 1 and scored.backend_calls == 1
         assert scored.cache_hits == 2 and scored.cache_misses == 1
 
@@ -348,7 +370,7 @@ class TestScoreRequests:
         requests = [ScoringRequest(f"context {i}", "answer") for i in range(40)]
         flaky = CountingBackend(model, fail_at=25)
         with pytest.raises(BackendError):
-            score_requests(CachingBackend(flaky, ScoreCache(tmp_path / "cache")), requests, max_workers=workers)
+            score_requests(CachingBackend(flaky, ScoreCache(tmp_path / "cache")), requests, in_flight=workers)
         assert cache_rows(tmp_path / "cache") == flaky.succeeded >= 24
         counting = CountingBackend(model)
         scored = score_requests(CachingBackend(counting, ScoreCache(tmp_path / "cache")), requests)
@@ -446,7 +468,7 @@ class TestInformationProfile:
         problem, model = info_problem_model
         trace = make_trace(steps=["r1", "r2"], final_answer="a")
         sequential = scored_profile(problem, trace, ["a", "b"], model)
-        threaded = scored_profile(problem, trace, ["a", "b"], model, max_workers=4)
+        threaded = scored_profile(problem, trace, ["a", "b"], model, in_flight=4)
         assert sequential.values == threaded.values
 
 
@@ -471,21 +493,35 @@ class _StubHandler(BaseHTTPRequestHandler):
     # Close each connection after one response without saying so (no
     # "Connection: close"), releasing ``closed`` once the socket is shut.
     close_after_response: bool = False
-    # Per fixture: one entry per accepted connection, and every request path.
+    # Seconds each answer is held back, and a context never answered (its
+    # handler waits for ``release``).
+    hold_s: float = 0.0
+    stalled: str | None = None
+    # Per fixture: one entry per accepted connection, every request path,
+    # and the (start, end) times of each answer.
     connections: list
     paths: list
+    spans: list
     closed: threading.Semaphore
+    release: threading.Event
+    lock = threading.Lock()
 
     def setup(self):
         super().setup()
         self.connections.append(self.client_address)
 
     def do_POST(self):
+        start = time.monotonic()
         self.paths.append(self.path)
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length)) if length else {}
-        if self.throttled:
-            type(self).throttled -= 1
+        if body.get("context") == self.stalled:
+            self.release.wait(timeout=60)
+            return
+        time.sleep(self.hold_s)
+        with self.lock:  # requests arrive on several connections at once
+            throttle, type(self).throttled = self.throttled > 0, max(0, self.throttled - 1)
+        if throttle:
             self.send_response(self.throttle_status)
             if self.retry_after is not None:
                 self.send_header("Retry-After", self.retry_after)
@@ -508,6 +544,7 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
+        self.spans.append((start, time.monotonic()))
         if self.close_after_response:
             self.connection.shutdown(socket.SHUT_WR)
             self.close_connection = True
@@ -523,13 +560,22 @@ def stub_server(info_problem_model):
     handler = type(
         "Handler",
         (_StubHandler,),
-        {"model": model, "broken": False, "connections": [], "paths": [], "closed": threading.Semaphore(0)},
+        {
+            "model": model,
+            "broken": False,
+            "connections": [],
+            "paths": [],
+            "spans": [],
+            "closed": threading.Semaphore(0),
+            "release": threading.Event(),
+        },
     )
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     server.daemon_threads = True
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}", handler
+    handler.release.set()
     server.shutdown()
     server.server_close()
     thread.join(timeout=5)
@@ -628,13 +674,69 @@ class TestHttpBackend:
             assert backend.score(request).logprobs == model.score(request).logprobs
         assert len(handler.connections) == 1 and len(handler.paths) == 20
 
-    def test_worker_threads_open_at_most_one_connection_each(self, http_backend, stub_server, info_problem_model):
+    def test_requests_in_flight_overlap_from_one_thread(
+        self, http_backend, stub_server, info_problem_model, monkeypatch
+    ):
         url, handler = stub_server
         _, model = info_problem_model
+        handler.hold_s = 0.02
+        caller, started, thread_start = threading.current_thread(), [], threading.Thread.start
+
+        def start(thread):
+            if threading.current_thread() is caller:
+                started.append(thread)
+            thread_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
         requests = [ScoringRequest(f"context {i}", "a") for i in range(40)]
-        scored = score_requests(http_backend(url), requests, max_workers=4)
+        scored = score_requests(http_backend(url), requests, in_flight=4)
         assert scored.totals == {r: model.score(r).total() for r in requests}
+        assert started == []
         assert 1 <= len(handler.connections) <= 4
+        overlap = max(sum(s <= start < e for s, e in handler.spans) for start, _ in handler.spans)
+        assert 2 <= overlap <= 4
+
+    def test_a_request_waiting_to_retry_lets_the_others_finish(self, http_backend, stub_server, info_problem_model):
+        url, handler = stub_server
+        _, model = info_problem_model
+        handler.throttled, handler.throttle_status, handler.retry_after = 1, 503, None
+        backend = http_backend(url, backoff_s=0.3)
+        requests = [ScoringRequest(f"context {i}", "a") for i in range(8)]
+        answers = list(backend.score_many(requests, 4))
+        totals = {request: result.total() for request, result, _ in answers}
+        assert totals == {r: model.score(r).total() for r in requests}
+        *others, (_, _, retried_latency_s) = answers
+        assert retried_latency_s >= 0.3 > max(latency_s for *_, latency_s in others)
+        assert backend.retries == 1 and len(handler.paths) == 9
+
+    def test_a_request_never_answered_fails_after_the_others_are_cached(
+        self, http_backend, stub_server, tmp_path
+    ):
+        url, handler = stub_server
+        handler.stalled = "context 0"
+        backend = CachingBackend(http_backend(url, timeout_s=0.3, max_retries=2, backoff_s=0.01), ScoreCache(tmp_path))
+        requests = [ScoringRequest(f"context {i}", "a") for i in range(12)]
+        with pytest.raises(BackendError) as err:
+            score_requests(backend, requests, in_flight=4)
+        assert err.value.kind == "transport"
+        assert cache_rows(tmp_path) == 11
+        assert backend.inner.retries == 1 and len(handler.paths) == 13
+
+    def test_every_connection_disables_nagle(self, http_backend, stub_server, monkeypatch):
+        """TCP_NODELAY is set on the backend's sockets whatever http.client's
+        own ``connect`` does."""
+        import http.client
+
+        url, _ = stub_server
+
+        def connect(conn):
+            conn.sock = socket.create_connection((conn.host, conn.port), conn.timeout)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "connect", connect)
+        backend = http_backend(url)
+        backend.score(ScoringRequest("What?", "a"))
+        [conn] = backend._idle
+        assert conn.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
 
     @pytest.mark.parametrize("status", [429, 503])
     def test_retry_reuses_the_connection(self, http_backend, stub_server, status):
