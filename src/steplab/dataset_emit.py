@@ -1,5 +1,5 @@
 """Serialization of labeled traces into step-level and outcome-level
-training records, and the round-trip parser for them.
+training records.
 
 A step-level record interleaves the question and steps with a reserved
 marker segment after every step; the classifier target (POS or NEG) applies
@@ -9,11 +9,11 @@ strings here; trainers map them onto unused vocabulary ids.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
-from .errors import DataError, ReservedSymbolError
+from .errors import ReservedSymbolError
 from .infogain import StepLabels
 from .trace_model import Problem, ReasoningTrace
 
@@ -38,7 +38,6 @@ class PRMRecord:
     trace_id: str
     segments: list[Segment]
     targets: list[str]
-    extras: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -47,7 +46,6 @@ class ORMRecord:
     trace_id: str
     segments: list[Segment]
     target: str
-    extras: dict = field(default_factory=dict)
 
 
 Record = Union[PRMRecord, ORMRecord]
@@ -111,8 +109,7 @@ def emit_orm_record(problem: Problem, trace: ReasoningTrace) -> ORMRecord:
 
 
 def serialize_record(record: Record) -> str:
-    """One JSON line, canonical key order. Extras survive verbatim so that a
-    parse/serialize round trip is byte-identical."""
+    """One JSON line, canonical key order."""
     obj: dict = {
         "problem_id": record.problem_id,
         "trace_id": record.trace_id,
@@ -122,47 +119,7 @@ def serialize_record(record: Record) -> str:
         obj["targets"] = record.targets
     else:
         obj["target"] = record.target
-    obj.update(record.extras)
     return json.dumps(obj, ensure_ascii=False)
-
-
-def parse_record_line(line: str, lineno: int = 0) -> Record:
-    """Parse a serialized record, validating its marker layout.
-
-    Unknown fields are kept (tolerant reader). Malformed lines raise
-    :class:`DataError` with line and offset information.
-    """
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"line {lineno}: invalid JSON: {exc.msg}", line=lineno, offset=exc.colno) from exc
-    if not isinstance(obj, dict):
-        raise DataError(f"line {lineno}: record is not an object", line=lineno)
-    try:
-        segments = [Segment(text=s["text"], is_target=bool(s["is_target"])) for s in obj["segments"]]
-        problem_id = obj["problem_id"]
-        trace_id = obj["trace_id"]
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"line {lineno}: missing record field: {exc}", line=lineno) from exc
-    known = {"problem_id", "trace_id", "segments", "targets", "target"}
-    extras = {k: v for k, v in obj.items() if k not in known}
-    n_targets = sum(1 for s in segments if s.is_target)
-    if not segments or segments[0].is_target:
-        raise DataError(f"line {lineno}: record must start with a question segment", line=lineno)
-    if "targets" in obj:
-        targets = list(obj["targets"])
-        if len(targets) != n_targets:
-            raise DataError(
-                f"line {lineno}: {len(targets)} targets for {n_targets} marker segments", line=lineno
-            )
-        return PRMRecord(problem_id, trace_id, segments, targets, extras)
-    if "target" in obj:
-        if n_targets != 1 or not segments[-1].is_target:
-            raise DataError(
-                f"line {lineno}: outcome record must have exactly one trailing target", line=lineno
-            )
-        return ORMRecord(problem_id, trace_id, segments, obj["target"], extras)
-    raise DataError(f"line {lineno}: record has neither 'targets' nor 'target'", line=lineno)
 
 
 def write_shards(
@@ -194,14 +151,6 @@ def write_shards(
         if handle is not None:
             handle.close()
     return paths
-
-
-def read_records(path: str | Path) -> Iterator[Record]:
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line:
-                yield parse_record_line(line, lineno=lineno)
 
 
 def label_balance(records: Iterable[Record]) -> dict[str, int]:

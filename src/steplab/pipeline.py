@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from . import __version__
 from .calibration import percentile_grid, sweep_threshold
@@ -41,6 +41,7 @@ from .scoring import InformationProfile, information_profile, make_backend, prof
 from .trace_model import (
     AnswerPool,
     Problem,
+    ReasoningTrace,
     build_answer_pool,
     filter_and_subsample,
     normalize_answer,
@@ -197,7 +198,6 @@ def artifact_paths(out: Path) -> dict[str, Path]:
     return {
         "problems": out / "problems.jsonl",
         "parsed_traces": out / "parsed_traces.jsonl",
-        "validated_traces": out / "validated_traces.jsonl",
         "pools": out / "pools.jsonl",
         "working_set": out / "working_set.jsonl",
         "profiles": out / "profiles.jsonl",
@@ -334,30 +334,41 @@ def _validate(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
     traces = read_traces(paths["parsed_traces"])
     by_problem = _by_problem(traces)
 
-    pool_rows = []
-    validator_errors = 0
-    for problem in problems:
-        problem_traces = by_problem.get(problem.id, [])
-        validator = make_validator(problem)
-        pool = build_answer_pool(problem, problem_traces, validator)
-        validator_errors += len(pool.diagnostics)
-        correct_keys = {normalize_answer(a, problem.domain) for a in pool.correct}
-        for t in problem_traces:
-            if t.parse_ok:
-                t.correct = normalize_answer(t.final_answer, problem.domain) in correct_keys
-        pool_rows.append(asdict(pool))
-    write_traces(paths["validated_traces"], traces)
-    write_jsonl(paths["pools"], pool_rows)
+    pools = [build_answer_pool(p, by_problem.get(p.id, []), make_validator(p)) for p in problems]
+    write_jsonl(paths["pools"], (asdict(pool) for pool in pools))
     return {
         "problems_in": len(problems),
         "problems_out": len(problems),
-        "traces_validated": sum(1 for t in traces if t.correct is not None),
-        "validator_errors": validator_errors,
+        "traces_validated": sum(t.parse_ok for t in traces),
+        "validator_errors": sum(len(pool.diagnostics) for pool in pools),
     }
 
 
 def _read_pools(path: Path) -> dict[str, AnswerPool]:
     return {obj["problem_id"]: AnswerPool(**obj) for obj in read_jsonl(path)}
+
+
+def _judged_traces(paths: dict[str, Path], problems: Iterable[Problem]) -> list[ReasoningTrace]:
+    """The parsed traces, each parseable one with ``correct`` set from its
+    problem's answer pool: its normalized final answer is among the pool's
+    normalized correct answers. Each (problem, final answer) pair is
+    normalized once."""
+    domain_of = {p.id: p.domain for p in problems}
+    correct_keys = {
+        pid: {normalize_answer(a, domain_of[pid]) for a in pool.correct}
+        for pid, pool in _read_pools(paths["pools"]).items()
+    }
+    verdicts: dict[tuple[str, str], bool] = {}
+    traces = read_traces(paths["parsed_traces"])
+    for t in traces:
+        if t.parse_ok:
+            key = (t.problem_id, t.final_answer)
+            if key not in verdicts:
+                if t.problem_id not in correct_keys:
+                    raise DataError(f"{paths['pools']}: no answer pool for problem {t.problem_id!r}")
+                verdicts[key] = normalize_answer(t.final_answer, domain_of[t.problem_id]) in correct_keys[t.problem_id]
+            t.correct = verdicts[key]
+    return traces
 
 
 def _prepare_score(cfg: RunConfig, paths: dict[str, Path]):
@@ -376,7 +387,7 @@ def _prepare_score(cfg: RunConfig, paths: dict[str, Path]):
 
 def _score(cfg: RunConfig, paths: dict[str, Path], backend) -> dict:
     problems = read_problems(paths["problems"])
-    traces = read_traces(paths["validated_traces"])
+    traces = _judged_traces(paths, problems)
     pools = _read_pools(paths["pools"])
     result = filter_and_subsample(problems, _by_problem(traces), k=cfg.k_subsample, seed=cfg.seed)
     working_rows = []
@@ -451,17 +462,14 @@ def _signals(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
 
 def _sweep(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
     problems = {p.id: p for p in read_problems(paths["problems"])}
-    truth_of = {
-        (t.problem_id, t.trace_id): int(bool(t.correct))
-        for t in read_traces(paths["validated_traces"])
-        if t.correct is not None
-    }
+    traces = _judged_traces(paths, problems.values())
+    truth_of = {(t.problem_id, t.trace_id): int(t.correct) for t in traces if t.parse_ok}
     by_domain: dict[str, tuple[list[StepSignal], list[int]]] = {}
     for obj in read_jsonl(paths["signals"]):
         signal = StepSignal.from_json_dict(obj)
         key = (signal.problem_id, signal.trace_id)
         if key not in truth_of:
-            raise DataError(f"no validation outcome for trace {key}")
+            raise DataError(f"{paths['signals']}: trace {key} is not a parseable trace of {paths['parsed_traces']}")
         domain = problems[signal.problem_id].domain
         signals, truths = by_domain.setdefault(domain, ([], []))
         signals.append(signal)
@@ -534,7 +542,7 @@ def _label(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
 
 def _emit(which: str, cfg: RunConfig, paths: dict[str, Path], state) -> dict:
     problems = {p.id: p for p in read_problems(paths["problems"])}
-    traces = {(t.problem_id, t.trace_id): t for t in read_traces(paths["validated_traces"])}
+    traces = {(t.problem_id, t.trace_id): t for t in _judged_traces(paths, problems.values())}
     working: list[tuple[str, str]] = []
     for obj in read_jsonl(paths["working_set"]):
         for trace_id in obj["trace_ids"]:
@@ -597,16 +605,12 @@ def _build_scorer(cfg: RunConfig, paths: dict[str, Path], verdict):
 
 
 def _eval(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
-    traces = read_traces(paths["validated_traces"])
-    # The validate stage's verdict decides success: no validator runs here.
-    verdicts = {}
-    for t in traces:
-        if t.parse_ok:
-            if t.correct is None:
-                raise DataError(f"no validation outcome for trace {(t.problem_id, t.trace_id)}")
-            verdicts[(t.problem_id, t.final_answer)] = t.correct
+    problems = read_problems(paths["problems"])
+    # The validate stage's answer pools decide success: no validator runs here.
+    traces = _judged_traces(paths, problems)
+    verdicts = {(t.problem_id, t.final_answer): t.correct for t in traces if t.parse_ok}
     candidates = _by_problem(traces)
-    problems = [p for p in read_problems(paths["problems"]) if candidates.get(p.id)]
+    problems = [p for p in problems if candidates.get(p.id)]
 
     def verdict(problem: Problem, answer: str) -> int:
         return int(verdicts[(problem.id, answer)])
@@ -679,12 +683,12 @@ STAGE_TABLE = {
             command="ingest", help="parse raw traces into steps and answers",
         ),
         Stage(
-            "validate", needs=("problems", "parsed_traces"), writes=("validated_traces", "pools"),
+            "validate", needs=("problems", "parsed_traces"), writes=("pools",),
             reads=(), fingerprint=(), body=_validate,
             command="validate", help="validate answers and build answer pools",
         ),
         Stage(
-            "score", needs=("problems", "validated_traces", "pools"), writes=("working_set", "profiles"),
+            "score", needs=("problems", "parsed_traces", "pools"), writes=("working_set", "profiles"),
             reads=("backend", "cache_dir", "backend_timeout_s", "backend_retries", "backend_backoff_s",
                    "k_subsample", "seed", "concurrency_limit"),
             fingerprint=("k_subsample", "seed"), body=_score, prepare=_prepare_score,
@@ -698,7 +702,7 @@ STAGE_TABLE = {
         # label and sweep both need the signal values, so their subcommands
         # compute them first (a no-op when signals are up to date).
         Stage(
-            "sweep", needs=("problems", "signals", "validated_traces"), writes=("sweep", "thresholds"),
+            "sweep", needs=("problems", "signals", "parsed_traces", "pools"), writes=("sweep", "thresholds"),
             reads=("grid_size",), fingerprint=("grid_size",), body=_sweep,
             command="sweep", help="calibrate per-domain thresholds by balanced accuracy",
             runs_first=("signals",),
@@ -710,17 +714,17 @@ STAGE_TABLE = {
             runs_first=("signals",),
         ),
         Stage(
-            "emit_prm", needs=("problems", "validated_traces", "working_set", "step_labels"),
+            "emit_prm", needs=("problems", "parsed_traces", "pools", "working_set", "step_labels"),
             writes=("prm_dir",), reads=_EMIT_READS, fingerprint=_EMIT_READS,
             body=partial(_emit, "prm"), command="emit-prm", help="write prm training records",
         ),
         Stage(
-            "emit_orm", needs=("problems", "validated_traces", "working_set"),
+            "emit_orm", needs=("problems", "parsed_traces", "pools", "working_set"),
             writes=("orm_dir",), reads=_EMIT_READS, fingerprint=_EMIT_READS,
             body=partial(_emit, "orm"), command="emit-orm", help="write orm training records",
         ),
         Stage(
-            "eval", needs=("problems", "validated_traces"), writes=("eval_report",),
+            "eval", needs=("problems", "parsed_traces", "pools"), writes=("eval_report",),
             reads=("eval_scorer", "eval_k", "step_scores", "seed"),
             fingerprint=("eval_scorer", "eval_k", "seed"), body=_eval, prepare=_prepare_eval,
             command="eval-bok", help="best-of-K evaluation",

@@ -73,7 +73,7 @@ class ValidatorSpec:
 
     def __post_init__(self):
         if self.kind not in VALIDATOR_KINDS:
-            raise ConfigError(f"unknown validator kind: {self.kind!r}")
+            raise ConfigError(f"validator kind must be one of {', '.join(VALIDATOR_KINDS)}, got {self.kind!r}")
         if self.kind == "sql_execution":
             for key in ("fixture", "gold_query"):
                 if not self.payload.get(key):
@@ -91,11 +91,14 @@ class ValidatorSpec:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ValidatorSpec":
+        """A spec read from a problem record. A bad kind or payload is then the
+        record's fault, a ValueError, unlike a bad spec built in code."""
         obj = dict(obj)
         kind = obj.pop("kind", None)
-        if kind not in VALIDATOR_KINDS:  # a problem record's fault, unlike a bad spec built in code
-            raise ValueError(f"validator kind must be one of {', '.join(VALIDATOR_KINDS)}, got {kind!r}")
-        return cls(kind=kind, payload=obj)
+        try:
+            return cls(kind=kind, payload=obj)
+        except ConfigError as exc:
+            raise ValueError(str(exc)) from None
 
 
 @dataclass

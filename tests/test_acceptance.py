@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import information, make_problem, make_trace, scored_profile
+from helpers import information, make_problem, make_trace, parse_record_line, scored_profile
 from steplab.analysis import (
     ComplexityParams,
     exhaustive_bias,
@@ -27,7 +27,6 @@ from steplab.dataset_emit import (
     STEP_MARKER,
     emit_orm_record,
     emit_prm_record,
-    parse_record_line,
     serialize_record,
 )
 from steplab.errors import ReservedSymbolError

@@ -37,7 +37,7 @@ def profile_requests_of(out):
 
     paths = artifact_paths(out)
     questions = {obj["id"]: obj["question"] for obj in read_jsonl(paths["problems"])}
-    steps = {obj["trace_id"]: obj["steps"] for obj in read_jsonl(paths["validated_traces"])}
+    steps = {obj["trace_id"]: obj["steps"] for obj in read_jsonl(paths["parsed_traces"])}
     return [
         ScoringRequest(build_context(questions[profile["problem_id"]], steps[profile["trace_id"]][:i]), answer)
         for profile in read_jsonl(paths["profiles"])
@@ -198,11 +198,13 @@ class TestPipeline:
         run_pipeline(cfg2)
         p1, p2 = artifact_paths(cfg1.out), artifact_paths(cfg2.out)
         for name in (
-            "problems", "parsed_traces", "validated_traces", "pools",
+            "problems", "parsed_traces", "pools",
             "working_set", "profiles", "signals", "step_labels",
             "sweep", "thresholds", "eval_report",
         ):
             assert p1[name].read_bytes() == p2[name].read_bytes(), name
+        # Verdicts are derived from the answer pools, never copied into a file.
+        assert not (cfg1.out / "validated_traces.jsonl").exists()
 
     def test_concurrent_scoring_matches_sequential(self, small_corpus, tmp_path):
         sequential = config_for(small_corpus, tmp_path, out="seq")
@@ -625,7 +627,7 @@ class TestCli:
             assert main(base + cmd) == 0
         # External per-step probabilities: favorable for every trace.
         rows = []
-        for line in (out / "validated_traces.jsonl").read_text().splitlines():
+        for line in (out / "parsed_traces.jsonl").read_text().splitlines():
             obj = json.loads(line)
             rows.append(
                 json.dumps(
@@ -658,7 +660,7 @@ class TestCli:
         assert main(base + ["validate", "--out-dir", str(out)]) == 0
         rows = [
             {"problem_id": obj["problem_id"], "trace_id": obj["trace_id"], "step_probs": [0.5, 1.5]}
-            for obj in read_jsonl(out / "validated_traces.jsonl")
+            for obj in read_jsonl(out / "parsed_traces.jsonl")
         ]
         scores_file = tmp_path / "step_scores.jsonl"
         scores_file.write_text("".join(json.dumps(row) + "\n" for row in rows))
@@ -710,6 +712,25 @@ MALFORMED_USER_FILES = {
         "problems",
         lambda c, r: _jsonl([{**row, "validator": {"kind": "quantum"}} for row in read_jsonl(c["problems"])]),
     ),
+    "problem-sql-validator-without-gold-query": (
+        "problems",
+        lambda c, r: _jsonl([
+            {**row, "validator": {"kind": "sql_execution", "fixture": "f.sql"}} for row in read_jsonl(c["problems"])
+        ]),
+    ),
+    "problem-command-validator-without-placeholder": (
+        "problems",
+        lambda c, r: _jsonl([
+            {**row, "validator": {"kind": "external_command", "command": "true"}} for row in read_jsonl(c["problems"])
+        ]),
+    ),
+    "problem-validator-timeout-not-positive": (
+        "problems",
+        lambda c, r: _jsonl([
+            {**row, "validator": {"kind": "external_command", "command": "test {candidate}", "timeout_s": 0}}
+            for row in read_jsonl(c["problems"])
+        ]),
+    ),
     "problem-gold-answer-a-number": (
         "problems",
         lambda c, r: _jsonl([{**row, "gold_answer": 4} for row in read_jsonl(c["problems"])]),
@@ -730,7 +751,7 @@ MALFORMED_USER_FILES = {
         "step_scores",
         lambda c, r: _jsonl(
             {"problem_id": row["problem_id"], "trace_id": row["trace_id"]}
-            for row in read_jsonl(r / "validated_traces.jsonl")
+            for row in read_jsonl(r / "parsed_traces.jsonl")
         ),
     ),
     "thresholds-a-list": ("thresholds", lambda c, r: "[0.5]"),
@@ -802,7 +823,7 @@ class TestEvalVerdicts:
         counts = json.loads((demo_run / "stages" / "eval.json").read_text())["counts"]
         labeled = {(obj["problem_id"], obj["trace_id"]) for obj in read_jsonl(demo_run / "step_labels.jsonl")}
         window: dict[str, list] = {}
-        for obj in read_jsonl(demo_run / "validated_traces.jsonl"):
+        for obj in read_jsonl(demo_run / "parsed_traces.jsonl"):
             window.setdefault(obj["problem_id"], []).append(obj["trace_id"])
         considered = [(pid, tid) for pid, tids in window.items() for tid in tids[: counts["K"]]]
         unscored = sum(key not in labeled for key in considered)
@@ -810,12 +831,19 @@ class TestEvalVerdicts:
         assert (counts["candidates"], counts["unscored_candidates"]) == (len(considered), unscored)
         assert 0 < unscored < len(considered)
 
-    def test_parseable_trace_without_a_verdict_exits_3(self, demo_run):
-        path = demo_run / "validated_traces.jsonl"
+    def test_signal_of_a_trace_not_in_the_run_exits_3(self, demo_run, caplog):
+        path = demo_run / "profiles.jsonl"
         rows = list(read_jsonl(path))
-        next(obj for obj in rows if obj["parse_ok"])["correct"] = None
-        path.write_text("".join(json.dumps(obj) + "\n" for obj in rows))
+        rows[0]["trace_id"] = "no-such-trace"
+        path.write_text(_jsonl(rows))
+        assert main(["sweep", "--out-dir", str(demo_run)]) == 3
+        assert any("DataError" in r.message and "no-such-trace" in r.message for r in caplog.records)
+
+    def test_parseable_trace_without_a_verdict_exits_3(self, demo_run, caplog):
+        path = demo_run / "pools.jsonl"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
         assert main(["eval-bok", "--out-dir", str(demo_run), "--force"]) == 3
+        assert any("DataError" in r.message and str(path) in r.message for r in caplog.records)
 
 
 class TestSummarize:

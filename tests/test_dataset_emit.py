@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import make_problem, make_trace
+from helpers import make_problem, make_trace, parse_record_line, read_records
 from steplab.dataset_emit import (
     NEGATIVE_SYMBOL,
     POSITIVE_SYMBOL,
@@ -11,8 +11,6 @@ from steplab.dataset_emit import (
     emit_orm_record,
     emit_prm_record,
     label_balance,
-    parse_record_line,
-    read_records,
     serialize_record,
     write_shards,
 )
@@ -101,16 +99,6 @@ class TestRoundtrip:
             line = serialize_record(record)
             again = serialize_record(parse_record_line(line))
             assert again == line
-
-    def test_unknown_extra_field_preserved(self):
-        rng = random.Random(10)
-        _, _, record = random_record(rng, 0)
-        obj = json.loads(serialize_record(record))
-        obj["provenance_note"] = {"source": "unit-test"}
-        line = json.dumps(obj, ensure_ascii=False)
-        parsed = parse_record_line(line)
-        assert parsed.extras == {"provenance_note": {"source": "unit-test"}}
-        assert serialize_record(parsed) == line
 
     def test_truncated_line_is_parse_error(self):
         rng = random.Random(11)

@@ -14,7 +14,6 @@ from steplab.cli import main
 GOLDEN = {
     "problems.jsonl": "ee603f7fed7d7bdc870673e212463326bb70f23c9f0eaf5784659f0c1b4262a6",
     "parsed_traces.jsonl": "78dd1e78a13439f7150fe9d715d2e8688cc9a295398ce24520619baec6c1d5ef",
-    "validated_traces.jsonl": "ea967a6bac21b2cba2d88c5800e21584aed80ecaf8d10f98ca511af5d7c58883",
     "pools.jsonl": "660b5339632b84c3069879ae4e10af77d4ea761460ac76785ae2e7ee4d803a9c",
     "working_set.jsonl": "2eb1d58e1b5e7723940e7b9a71170ff168f0389a1277282a8c3b8ca8aac55f13",
     "profiles.jsonl": "1282c8bf2b8debe97a5d9e7a787a781582220657dae6bfb740d51e99929fe08f",
