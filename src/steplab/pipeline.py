@@ -56,11 +56,6 @@ from .validators import make_validator
 
 log = logging.getLogger(__name__)
 
-# Signals are computed once; the sweep calibrates thresholds from them and
-# labeling then consumes the thresholds file, so emitted datasets always use
-# calibrated labels.
-STAGES = ("ingest", "validate", "score", "signals", "sweep", "label", "emit", "eval")
-
 METHODS = ("ig", "mcnig")
 EVAL_SCORERS = ("step-product", "orm", "label-product", "oracle", "random", "majority")
 
@@ -348,16 +343,15 @@ def _read_pools(path: Path) -> dict[str, AnswerPool]:
     return {obj["problem_id"]: AnswerPool(**obj) for obj in read_jsonl(path)}
 
 
-def _judged_traces(paths: dict[str, Path], problems: Iterable[Problem]) -> list[ReasoningTrace]:
+def _judged_traces(
+    paths: dict[str, Path], problems: Iterable[Problem], pools: dict[str, AnswerPool]
+) -> list[ReasoningTrace]:
     """The parsed traces, each parseable one with ``correct`` set from its
-    problem's answer pool: its normalized final answer is among the pool's
-    normalized correct answers. Each (problem, final answer) pair is
-    normalized once."""
+    problem's answer pool (``pools``, as read from ``pools.jsonl``): its
+    normalized final answer is among the pool's normalized correct answers.
+    Each (problem, final answer) pair is normalized once."""
     domain_of = {p.id: p.domain for p in problems}
-    correct_keys = {
-        pid: {normalize_answer(a, domain_of[pid]) for a in pool.correct}
-        for pid, pool in _read_pools(paths["pools"]).items()
-    }
+    correct_keys = {pid: {normalize_answer(a, domain_of[pid]) for a in pool.correct} for pid, pool in pools.items()}
     verdicts: dict[tuple[str, str], bool] = {}
     traces = read_traces(paths["parsed_traces"])
     for t in traces:
@@ -387,8 +381,8 @@ def _prepare_score(cfg: RunConfig, paths: dict[str, Path]):
 
 def _score(cfg: RunConfig, paths: dict[str, Path], backend) -> dict:
     problems = read_problems(paths["problems"])
-    traces = _judged_traces(paths, problems)
     pools = _read_pools(paths["pools"])
+    traces = _judged_traces(paths, problems, pools)
     result = filter_and_subsample(problems, _by_problem(traces), k=cfg.k_subsample, seed=cfg.seed)
     working_rows = []
     jobs = []
@@ -462,7 +456,7 @@ def _signals(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
 
 def _sweep(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
     problems = {p.id: p for p in read_problems(paths["problems"])}
-    traces = _judged_traces(paths, problems.values())
+    traces = _judged_traces(paths, problems.values(), _read_pools(paths["pools"]))
     truth_of = {(t.problem_id, t.trace_id): int(t.correct) for t in traces if t.parse_ok}
     by_domain: dict[str, tuple[list[StepSignal], list[int]]] = {}
     for obj in read_jsonl(paths["signals"]):
@@ -540,42 +534,49 @@ def _label(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
     }
 
 
-def _emit(which: str, cfg: RunConfig, paths: dict[str, Path], state) -> dict:
+def _emit(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
+    """Both training datasets from one read of their inputs: a PRM record per
+    labeled trace and an ORM record per working-set trace. Every row is
+    checked before either dataset is written."""
     problems = {p.id: p for p in read_problems(paths["problems"])}
-    traces = {(t.problem_id, t.trace_id): t for t in _judged_traces(paths, problems.values())}
-    working: list[tuple[str, str]] = []
-    for obj in read_jsonl(paths["working_set"]):
-        for trace_id in obj["trace_ids"]:
-            working.append((obj["problem_id"], trace_id))
-
-    if which == "prm":
-        labels = [StepLabels.from_json_dict(obj) for obj in read_jsonl(paths["step_labels"])]
-        jobs = [(l.problem_id, l.trace_id, partial(emit_prm_record, labels=l)) for l in labels]
-    else:
-        jobs = [(pid, trace_id, emit_orm_record) for pid, trace_id in working]
-    records = []
-    dropped: dict[str, str] = {}
-    for pid, trace_id, make_record in jobs:
-        try:
-            records.append(make_record(problems[pid], traces[(pid, trace_id)]))
-        except ReservedSymbolError as exc:
-            dropped[trace_id] = exc.reason_code
-            log.info("dropped trace %s: %s", trace_id, exc.reason_code)
-
-    out_dir = paths[f"{which}_dir"]
-    tmp_dir = out_dir.with_name(out_dir.name + ".tmp")
-    shutil.rmtree(tmp_dir, ignore_errors=True)
-    shard_paths = write_shards(records, tmp_dir, cfg.split, cfg.shard_size)
-    shutil.rmtree(out_dir, ignore_errors=True)
-    tmp_dir.rename(out_dir)
-    return {
-        "records": len(records),
-        "traces_in": len(working),
-        "dropped_by_reason": _reason_counts(dropped),
-        "dropped": dropped,
-        "balance": label_balance(records),
-        "shards": [str(out_dir / p.name) for p in shard_paths],
+    judged = _judged_traces(paths, problems.values(), _read_pools(paths["pools"]))
+    traces = {(t.problem_id, t.trace_id): t for t in judged}
+    working = [(obj["problem_id"], tid) for obj in read_jsonl(paths["working_set"]) for tid in obj["trace_ids"]]
+    labels = [StepLabels.from_json_dict(obj) for obj in read_jsonl(paths["step_labels"])]
+    jobs = {
+        "prm": (paths["step_labels"], [(l.problem_id, l.trace_id, partial(emit_prm_record, labels=l)) for l in labels]),
+        "orm": (paths["working_set"], [(pid, tid, emit_orm_record) for pid, tid in working]),
     }
+    for source, dataset_jobs in jobs.values():
+        for pid, trace_id, _ in dataset_jobs:
+            if pid not in problems or (pid, trace_id) not in traces:
+                raise DataError(f"{source}: trace {trace_id!r} of problem {pid!r} is not in {paths['parsed_traces']}")
+    counts = {}
+    for which, (_, dataset_jobs) in jobs.items():
+        records, dropped = [], {}
+        for pid, trace_id, make_record in dataset_jobs:
+            try:
+                records.append(make_record(problems[pid], traces[(pid, trace_id)]))
+            except ReservedSymbolError as exc:
+                dropped[trace_id] = exc.reason_code
+                log.info("dropped trace %s: %s", trace_id, exc.reason_code)
+        out_dir = paths[f"{which}_dir"]
+        tmp_dir = out_dir.with_name(out_dir.name + ".tmp")
+        shutil.rmtree(tmp_dir, ignore_errors=True)
+        shard_paths = write_shards(records, tmp_dir, cfg.split, cfg.shard_size)
+        shutil.rmtree(out_dir, ignore_errors=True)
+        tmp_dir.rename(out_dir)
+        counts[which] = {
+            "records": len(records),
+            "traces_in": len(working),
+            "dropped_by_reason": _reason_counts(dropped),
+            "dropped": dropped,
+            "balance": label_balance(records),
+            "shards": [str(out_dir / p.name) for p in shard_paths],
+        }
+    balance = {which: c["balance"] for which, c in counts.items()}
+    atomic_write_text(paths["emit_report"], json.dumps(balance, ensure_ascii=False, indent=1))
+    return counts
 
 
 def _prepare_eval(cfg: RunConfig, paths: dict[str, Path]):
@@ -607,7 +608,7 @@ def _build_scorer(cfg: RunConfig, paths: dict[str, Path], verdict):
 def _eval(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
     problems = read_problems(paths["problems"])
     # The validate stage's answer pools decide success: no validator runs here.
-    traces = _judged_traces(paths, problems)
+    traces = _judged_traces(paths, problems, _read_pools(paths["pools"]))
     verdicts = {(t.problem_id, t.final_answer): t.correct for t in traces if t.parse_ok}
     candidates = _by_problem(traces)
     problems = [p for p in problems if candidates.get(p.id)]
@@ -671,8 +672,6 @@ class Stage:
     runs_first: tuple[str, ...] = ()
 
 
-_EMIT_READS = ("split", "shard_size")
-
 STAGE_TABLE = {
     stage.name: stage
     for stage in (
@@ -714,14 +713,10 @@ STAGE_TABLE = {
             runs_first=("signals",),
         ),
         Stage(
-            "emit_prm", needs=("problems", "parsed_traces", "pools", "working_set", "step_labels"),
-            writes=("prm_dir",), reads=_EMIT_READS, fingerprint=_EMIT_READS,
-            body=partial(_emit, "prm"), command="emit-prm", help="write prm training records",
-        ),
-        Stage(
-            "emit_orm", needs=("problems", "parsed_traces", "pools", "working_set"),
-            writes=("orm_dir",), reads=_EMIT_READS, fingerprint=_EMIT_READS,
-            body=partial(_emit, "orm"), command="emit-orm", help="write orm training records",
+            "emit", needs=("problems", "parsed_traces", "pools", "working_set", "step_labels"),
+            writes=("prm_dir", "orm_dir", "emit_report"),
+            reads=("split", "shard_size"), fingerprint=("split", "shard_size"), body=_emit,
+            command="emit", help="write the prm and orm training records",
         ),
         Stage(
             "eval", needs=("problems", "parsed_traces", "pools"), writes=("eval_report",),
@@ -731,6 +726,11 @@ STAGE_TABLE = {
         ),
     )
 }
+
+# Signals are computed once; the sweep calibrates thresholds from them and
+# labeling then consumes the thresholds file, so emitted datasets always use
+# calibrated labels.
+STAGES = tuple(STAGE_TABLE)
 
 # Fingerprint keys of fields whose key differs from the field name; changing
 # them would make every existing run directory out of date.
@@ -762,25 +762,8 @@ stage_score = partial(run_stage, "score")
 stage_signals = partial(run_stage, "signals")
 stage_sweep = partial(run_stage, "sweep")
 stage_label = partial(run_stage, "label")
-stage_emit_prm = partial(run_stage, "emit_prm")
-stage_emit_orm = partial(run_stage, "emit_orm")
+stage_emit = partial(run_stage, "emit")
 stage_eval = partial(run_stage, "eval")
-
-
-def stage_emit(cfg: RunConfig) -> dict:
-    """Both emit sub-stages, reported as one stage, plus the label balance."""
-    prm = stage_emit_prm(cfg)
-    orm = stage_emit_orm(cfg)
-    balance = {"prm": prm["counts"]["balance"], "orm": orm["counts"]["balance"]}
-    atomic_write_text(artifact_paths(cfg.out)["emit_report"], json.dumps(balance, ensure_ascii=False, indent=1))
-    return {
-        "name": "emit",
-        "fingerprint": prm["fingerprint"] + orm["fingerprint"],
-        "inputs": {**prm["inputs"], **orm["inputs"]},
-        "outputs": prm["outputs"] + orm["outputs"],
-        "counts": {"prm": prm["counts"], "orm": orm["counts"]},
-        "skipped": prm["skipped"] and orm["skipped"],
-    }
 
 
 def run_pipeline(cfg: RunConfig, stages: list[str] | None = None) -> dict:
@@ -799,7 +782,7 @@ def run_pipeline(cfg: RunConfig, stages: list[str] | None = None) -> dict:
     reports = []
     for name in sequence:
         log.info("running stage %s", name)
-        reports.append(stage_emit(cfg) if name == "emit" else run_stage(name, cfg))
+        reports.append(run_stage(name, cfg))
     manifest = {
         "toolkit_version": __version__,
         "created_unix": time.time(),

@@ -317,10 +317,36 @@ class TestCli:
         assert main(base + ["score", "--out-dir", str(out)]) == 0
         assert main(base + ["label", "--out-dir", str(out)]) == 0
         assert main(base + ["sweep", "--out-dir", str(out)]) == 0
-        assert main(base + ["emit-prm", "--out-dir", str(out)]) == 0
-        assert main(base + ["emit-orm", "--out-dir", str(out)]) == 0
+        assert main(base + ["emit", "--out-dir", str(out), "--split", "dev", "--shard-size", "5"]) == 0
         assert main(base + ["eval-bok", "--out-dir", str(out), "--scorer", "oracle", "--k", "4"]) == 0
         assert (out / "eval_report.json").exists()
+        assert len(list((out / "prm").glob("dev-*.jsonl"))) > 1
+
+    def test_emit_is_one_stage_that_reads_the_traces_once(self, small_corpus, tmp_path, monkeypatch, capsys):
+        from steplab import pipeline
+
+        out = tmp_path / "run"
+        base = ["--backend", f"reference:{small_corpus['reference_model']}", "--cache-dir", str(tmp_path / "cache")]
+        assert main(base + [
+            "run", "--out-dir", str(out), "--stages", "ingest,validate,score,signals,sweep,label",
+            "--problems", str(small_corpus["problems"]),
+            "--traces", str(small_corpus["traces"]),
+        ]) == 0
+        parses = []
+        read_traces = pipeline.read_traces
+        monkeypatch.setattr(pipeline, "read_traces", lambda path: parses.append(path) or read_traces(path))
+        capsys.readouterr()
+        assert main(["emit", "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().out == "emit: done\n"
+        assert parses == [artifact_paths(out)["parsed_traces"]]
+        assert list((out / "prm").glob("train-*.jsonl")) and list((out / "orm").glob("train-*.jsonl"))
+        report = json.loads((out / "emit_report.json").read_text())
+        counts = json.loads((out / "stages" / "emit.json").read_text())["counts"]
+        assert report == {which: counts[which]["balance"] for which in ("prm", "orm")}
+        assert not (out / "stages" / "emit_prm.json").exists()
+        assert not (out / "stages" / "emit_orm.json").exists()
+        assert main(["emit", "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().out == "emit: skipped (up to date)\n"
 
     def test_run_and_report(self, small_corpus, tmp_path, capsys):
         out = tmp_path / "cli-full"
@@ -567,8 +593,7 @@ class TestCli:
             ("score", ["--k-subsample", "--concurrency"]),
             ("label", ["--method", "--aggregation", "--reference", "--thresholds"]),
             ("sweep", ["--grid-size"]),
-            ("emit-prm", ["--split", "--shard-size"]),
-            ("emit-orm", ["--split", "--shard-size"]),
+            ("emit", ["--split", "--shard-size"]),
             ("eval-bok", ["--scorer", "--k", "--step-scores"]),
             ("run", ["--problems", "--traces", "--domains", "--k-subsample", "--method", "--aggregation",
                      "--reference", "--grid-size", "--scorer", "--k", "--stages"]),
@@ -844,6 +869,42 @@ class TestEvalVerdicts:
         path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
         assert main(["eval-bok", "--out-dir", str(demo_run), "--force"]) == 3
         assert any("DataError" in r.message and str(path) in r.message for r in caplog.records)
+
+
+@pytest.fixture(scope="module")
+def run_6x4(tmp_path_factory):
+    """A finished run of a 6x4 demo corpus, to copy and damage."""
+    root = tmp_path_factory.mktemp("run-6x4")
+    corpus = build_demo_corpus(root / "corpus", n_problems=6, traces_per_problem=4)
+    assert main([
+        "--backend", f"reference:{corpus['reference_model']}",
+        "run", "--out-dir", str(root / "run"),
+        "--problems", str(corpus["problems"]),
+        "--traces", str(corpus["traces"]),
+    ]) == 0
+    return root / "run"
+
+
+class TestEmitInputs:
+    @pytest.mark.parametrize("artifact", ["working_set", "step_labels"])
+    def test_row_naming_an_unknown_trace_exits_3(self, run_6x4, tmp_path, caplog, artifact):
+        run = tmp_path / "run"
+        shutil.copytree(run_6x4, run)
+        path = artifact_paths(run)[artifact]
+        rows = list(read_jsonl(path))
+        if artifact == "working_set":
+            rows[0]["trace_ids"][0] = "no-such-trace"
+        else:
+            rows[0]["trace_id"] = "no-such-trace"
+        path.write_text(_jsonl(rows))
+        datasets = {name: (run / name).stat().st_ino for name in ("prm", "orm")}
+        assert main(["emit", "--out-dir", str(run)]) == 3
+        assert any(
+            "DataError" in r.message and str(path) in r.message and "no-such-trace" in r.message
+            for r in caplog.records
+        )
+        # Every record is checked before either dataset is replaced.
+        assert {name: (run / name).stat().st_ino for name in datasets} == datasets
 
 
 class TestSummarize:
