@@ -1,6 +1,9 @@
 """Serialization of labeled traces into step-level and outcome-level
 training records.
 
+Each record is the JSON object written to its shard line:
+``problem_id``, ``trace_id``, ``segments`` (each ``{"text", "is_target"}``)
+and then ``targets`` (step-level) or ``target`` (outcome-level).
 A step-level record interleaves the question and steps with a reserved
 marker segment after every step; the classifier target (POS or NEG) applies
 at each marker. An outcome-level record keeps the same layout but carries a
@@ -9,9 +12,8 @@ strings here; trainers map them onto unused vocabulary ids.
 """
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import ReservedSymbolError
 from .infogain import StepLabels
@@ -24,31 +26,6 @@ RESERVED_SYMBOLS = (STEP_MARKER, POSITIVE_SYMBOL, NEGATIVE_SYMBOL)
 
 TARGET_POS = "POS"
 TARGET_NEG = "NEG"
-
-
-@dataclass
-class Segment:
-    text: str
-    is_target: bool = False
-
-
-@dataclass
-class PRMRecord:
-    problem_id: str
-    trace_id: str
-    segments: list[Segment]
-    targets: list[str]
-
-
-@dataclass
-class ORMRecord:
-    problem_id: str
-    trace_id: str
-    segments: list[Segment]
-    target: str
-
-
-Record = Union[PRMRecord, ORMRecord]
 
 
 def _check_reserved(problem: Problem, trace: ReasoningTrace) -> None:
@@ -66,69 +43,48 @@ def _check_reserved(problem: Problem, trace: ReasoningTrace) -> None:
                 )
 
 
-def _interleaved_segments(problem: Problem, trace: ReasoningTrace, target_markers: str) -> list[Segment]:
-    """[question, step, marker, step, marker, ...]; ``target_markers`` is
-    "all" or "last" and controls which markers carry a prediction target."""
-    segments = [Segment(text=problem.question)]
+def _record(problem: Problem, trace: ReasoningTrace, target_markers: str) -> dict:
+    """A record without its targets: ids and the segments [question, step,
+    marker, step, marker, ...]; ``target_markers`` is "all" or "last" and
+    controls which markers carry a prediction target."""
+    _check_reserved(problem, trace)
+    segments = [{"text": problem.question, "is_target": False}]
     last = len(trace.steps) - 1
     for i, step in enumerate(trace.steps):
-        segments.append(Segment(text=step))
-        is_target = target_markers == "all" or i == last
-        segments.append(Segment(text=STEP_MARKER, is_target=is_target))
-    return segments
+        segments.append({"text": step, "is_target": False})
+        segments.append({"text": STEP_MARKER, "is_target": target_markers == "all" or i == last})
+    return {"problem_id": problem.id, "trace_id": trace.trace_id, "segments": segments}
 
 
-def emit_prm_record(problem: Problem, trace: ReasoningTrace, labels: StepLabels) -> PRMRecord:
+def emit_prm_record(problem: Problem, trace: ReasoningTrace, labels: StepLabels) -> dict:
     """Build a step-level record: one target marker per step, POS where the
     step label is 1."""
     if len(labels.labels) != len(trace.steps):
         raise ValueError(
             f"trace {trace.trace_id!r}: {len(labels.labels)} labels for {len(trace.steps)} steps"
         )
-    _check_reserved(problem, trace)
-    return PRMRecord(
-        problem_id=problem.id,
-        trace_id=trace.trace_id,
-        segments=_interleaved_segments(problem, trace, target_markers="all"),
-        targets=[TARGET_POS if l == 1 else TARGET_NEG for l in labels.labels],
-    )
+    record = _record(problem, trace, target_markers="all")
+    record["targets"] = [TARGET_POS if l == 1 else TARGET_NEG for l in labels.labels]
+    return record
 
 
-def emit_orm_record(problem: Problem, trace: ReasoningTrace) -> ORMRecord:
+def emit_orm_record(problem: Problem, trace: ReasoningTrace) -> dict:
     """Build an outcome-level record: the single trailing marker carries the
     validator outcome."""
     if trace.correct is None:
         raise ValueError(f"trace {trace.trace_id!r} has no validation outcome")
-    _check_reserved(problem, trace)
-    return ORMRecord(
-        problem_id=problem.id,
-        trace_id=trace.trace_id,
-        segments=_interleaved_segments(problem, trace, target_markers="last"),
-        target=TARGET_POS if trace.correct else TARGET_NEG,
-    )
-
-
-def serialize_record(record: Record) -> str:
-    """One JSON line, canonical key order."""
-    obj: dict = {
-        "problem_id": record.problem_id,
-        "trace_id": record.trace_id,
-        "segments": [{"text": s.text, "is_target": s.is_target} for s in record.segments],
-    }
-    if isinstance(record, PRMRecord):
-        obj["targets"] = record.targets
-    else:
-        obj["target"] = record.target
-    return json.dumps(obj, ensure_ascii=False)
+    record = _record(problem, trace, target_markers="last")
+    record["target"] = TARGET_POS if trace.correct else TARGET_NEG
+    return record
 
 
 def write_shards(
-    records: Iterable[Record],
+    records: list[dict],
     directory: str | Path,
     split: str,
     records_per_shard: int = 100_000,
 ) -> list[Path]:
-    """Write records into ``{split}-{shard:05d}.jsonl`` files."""
+    """Write records, one JSON line each, into ``{split}-{shard:05d}.jsonl`` files."""
     if records_per_shard < 1:
         raise ValueError("records_per_shard must be at least 1")
     directory = Path(directory)
@@ -145,7 +101,7 @@ def write_shards(
                 handle = open(path, "w", encoding="utf-8")
                 paths.append(path)
                 written = 0
-            handle.write(serialize_record(record) + "\n")
+            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
             written += 1
     finally:
         if handle is not None:
@@ -153,11 +109,10 @@ def write_shards(
     return paths
 
 
-def label_balance(records: Iterable[Record]) -> dict[str, int]:
+def label_balance(records: Iterable[dict]) -> dict[str, int]:
     """Dataset-level POS/NEG target counts."""
     counts = {TARGET_POS: 0, TARGET_NEG: 0}
     for record in records:
-        targets = record.targets if isinstance(record, PRMRecord) else [record.target]
-        for t in targets:
+        for t in record["targets"] if "targets" in record else [record["target"]]:
             counts[t] = counts.get(t, 0) + 1
     return counts

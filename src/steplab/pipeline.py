@@ -432,8 +432,10 @@ def _signals(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
     for obj in read_jsonl(paths["profiles"]):
         profile = InformationProfile.from_json_dict(obj)
         profile_problems.add(profile.problem_id)
+        _check_known(paths["profiles"], profile, paths["problems"], problems)
         problem = problems[profile.problem_id]
         if cfg.method == "mcnig":
+            _check_known(paths["profiles"], profile, paths["pools"], pools)
             pool = pools[profile.problem_id]
             if not pool.correct:
                 if profile.problem_id not in dropped:
@@ -521,6 +523,7 @@ def _label(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
     rows = []
     for obj in read_jsonl(paths["signals"]):
         signal = StepSignal.from_json_dict(obj)
+        _check_known(paths["signals"], signal, paths["problems"], domain_of)
         tau = thresholds.get(domain_of[signal.problem_id], 0.0)
         labels = assign_labels(signal, tau)
         row = signal.to_json_dict()
@@ -589,6 +592,15 @@ def _prepare_eval(cfg: RunConfig, paths: dict[str, Path]):
     return None, extra, {}
 
 
+def _probability(value) -> float:
+    """One step probability of a scorer's input row; NaN or a value outside
+    [0, 1] is a ValueError, which ``read_jsonl`` reports with file and line."""
+    p = float(value)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"step probability out of [0, 1]: {p}")
+    return p
+
+
 def _build_scorer(cfg: RunConfig, paths: dict[str, Path], verdict):
     name = cfg.eval_scorer
     if name == "oracle":
@@ -601,7 +613,7 @@ def _build_scorer(cfg: RunConfig, paths: dict[str, Path], verdict):
     else:
         # step-product and orm: external per-step probabilities from --step-scores
         path, column = cfg.step_scores, "step_probs"
-    rows = read_jsonl(path, lambda obj: ((obj["problem_id"], obj["trace_id"]), [float(v) for v in obj[column]]))
+    rows = read_jsonl(path, lambda obj: ((obj["problem_id"], obj["trace_id"]), [_probability(v) for v in obj[column]]))
     return step_product_scorer(dict(rows), name)
 
 
@@ -630,6 +642,12 @@ def _eval(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
         "candidates": report.candidates,
         "unscored_candidates": report.unscored_candidates,
     }
+
+
+def _check_known(source: Path, row, table: Path, known: dict) -> None:
+    """A ``source`` row (a profile or signal) must name a problem of ``table``."""
+    if row.problem_id not in known:
+        raise DataError(f"{source}: trace {row.trace_id!r} names problem {row.problem_id!r}, which is not in {table}")
 
 
 def _by_problem(traces: list) -> dict[str, list]:
@@ -795,6 +813,12 @@ def run_pipeline(cfg: RunConfig, stages: list[str] | None = None) -> dict:
     return manifest
 
 
+def _drops(counts: dict) -> list[str]:
+    """A stage's drop reasons as one report part, or none."""
+    reasons = counts.get("dropped_by_reason") or {}
+    return ["dropped " + ", ".join(f"{r}={n}" for r, n in sorted(reasons.items()))] if reasons else []
+
+
 def summarize_run(out_dir: str | Path) -> str:
     """Human-readable accounting of a finished run."""
     manifest_path = artifact_paths(Path(out_dir))["manifest"]
@@ -808,9 +832,10 @@ def summarize_run(out_dir: str | Path) -> str:
         parts = [f"{report['name']}: {status}"]
         if "problems_in" in counts:
             parts.append(f"problems {counts['problems_in']} -> {counts.get('problems_out', '?')}")
-        reasons = counts.get("dropped_by_reason") or {}
-        if reasons:
-            parts.append("dropped " + ", ".join(f"{r}={n}" for r, n in sorted(reasons.items())))
+        parts.extend(_drops(counts))
+        for which in ("prm", "orm"):
+            if which in counts:
+                parts.append(", ".join([f"{which} records {counts[which]['records']}", *_drops(counts[which])]))
         if "unique_requests" in counts:
             requests = (
                 f"requests {counts['requests']} ({counts['unique_requests']} unique), "

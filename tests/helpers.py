@@ -3,7 +3,6 @@
 import json
 import threading
 
-from steplab.dataset_emit import ORMRecord, PRMRecord, Segment
 from steplab.errors import BackendError, DataError
 from steplab.scoring import (
     ScoringRequest,
@@ -88,8 +87,8 @@ def information(problem, steps_prefix, answer, backend):
 
 def parse_record_line(line, lineno=0):
     """Parse one emitted training record, checking its marker layout: the
-    round-trip oracle for ``serialize_record``. A malformed line raises
-    DataError with its line (and, for bad JSON, offset)."""
+    round-trip oracle for the records ``write_shards`` writes. A malformed
+    line raises DataError with its line (and, for bad JSON, offset)."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -97,23 +96,22 @@ def parse_record_line(line, lineno=0):
     if not isinstance(obj, dict):
         raise DataError(f"line {lineno}: record is not an object", line=lineno)
     try:
-        segments = [Segment(text=s["text"], is_target=bool(s["is_target"])) for s in obj["segments"]]
-        problem_id = obj["problem_id"]
-        trace_id = obj["trace_id"]
+        segments = [{"text": s["text"], "is_target": bool(s["is_target"])} for s in obj["segments"]]
+        record = {"problem_id": obj["problem_id"], "trace_id": obj["trace_id"], "segments": segments}
     except (KeyError, TypeError) as exc:
         raise DataError(f"line {lineno}: missing record field: {exc}", line=lineno) from exc
-    n_targets = sum(1 for s in segments if s.is_target)
-    if not segments or segments[0].is_target:
+    n_targets = sum(1 for s in segments if s["is_target"])
+    if not segments or segments[0]["is_target"]:
         raise DataError(f"line {lineno}: record must start with a question segment", line=lineno)
     if "targets" in obj:
         targets = list(obj["targets"])
         if len(targets) != n_targets:
             raise DataError(f"line {lineno}: {len(targets)} targets for {n_targets} marker segments", line=lineno)
-        return PRMRecord(problem_id, trace_id, segments, targets)
+        return {**record, "targets": targets}
     if "target" in obj:
-        if n_targets != 1 or not segments[-1].is_target:
+        if n_targets != 1 or not segments[-1]["is_target"]:
             raise DataError(f"line {lineno}: outcome record must have exactly one trailing target", line=lineno)
-        return ORMRecord(problem_id, trace_id, segments, obj["target"])
+        return {**record, "target": obj["target"]}
     raise DataError(f"line {lineno}: record has neither 'targets' nor 'target'", line=lineno)
 
 

@@ -23,12 +23,7 @@ from steplab.analysis import (
     tokens_omegaprm,
 )
 from steplab.calibration import sweep_threshold
-from steplab.dataset_emit import (
-    STEP_MARKER,
-    emit_orm_record,
-    emit_prm_record,
-    serialize_record,
-)
+from steplab.dataset_emit import STEP_MARKER, emit_orm_record, emit_prm_record, write_shards
 from steplab.errors import ReservedSymbolError
 from steplab.evaluation import best_of_k, oracle_scorer, random_scorer
 from steplab.infogain import StepLabels, StepSignal, mcnig_extended, mcnig_signal, net_info
@@ -335,8 +330,9 @@ def test_c09_best_of_k_properties():
     _passed(9, "best-of-k-properties")
 
 
-def test_c10_dataset_emission():
+def test_c10_dataset_emission(tmp_path):
     rng = random.Random(1010)
+    built = {"prm": [], "orm": []}
     for i in range(1000):
         problem = make_problem(pid=f"p{i}", question=f"q {rng.randint(0, 10**6)}")
         n_steps = rng.randint(1, 7)
@@ -351,14 +347,22 @@ def test_c10_dataset_emission():
             labels=[rng.randint(0, 1) for _ in range(n_steps)], threshold=0.0,
         )
         prm = emit_prm_record(problem, trace, labels)
-        line = serialize_record(prm)
-        assert serialize_record(parse_record_line(line)) == line
-        assert sum(s.is_target for s in prm.segments) == n_steps == len(prm.targets)
+        assert sum(s["is_target"] for s in prm["segments"]) == n_steps == len(prm["targets"])
+        built["prm"].append(prm)
 
         orm = emit_orm_record(problem, trace)
-        orm_line = serialize_record(orm)
-        assert serialize_record(parse_record_line(orm_line)) == orm_line
-        assert sum(s.is_target for s in orm.segments) == 1
+        assert sum(s["is_target"] for s in orm["segments"]) == 1
+        built["orm"].append(orm)
+
+    # Round trip: each shard line loads back as the builder's dict, and
+    # passes the marker-layout check.
+    for which, records in built.items():
+        lines = [
+            line for path in write_shards(records, tmp_path / which, "train", records_per_shard=300)
+            for line in path.read_text(encoding="utf-8").splitlines()
+        ]
+        assert [json.loads(line) for line in lines] == records
+        assert [parse_record_line(line) for line in lines] == records
 
     poisoned = make_trace(steps=[f"uses {STEP_MARKER} inline"], correct=True)
     with pytest.raises(ReservedSymbolError) as err:

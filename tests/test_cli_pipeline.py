@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import shutil
 import sqlite3
 from dataclasses import fields
@@ -370,6 +371,9 @@ class TestCli:
         assert counts["backend_p99_ms"] >= counts["backend_p50_ms"] > 0
         evals = json.loads((out / "stages" / "eval.json").read_text())["counts"]
         assert f"candidates {evals['candidates']} ({evals['unscored_candidates']} unscored)" in captured
+        emitted = json.loads((out / "stages" / "emit.json").read_text())["counts"]
+        assert emitted["prm"]["records"] > 0 and emitted["orm"]["records"] > 0
+        assert f"prm records {emitted['prm']['records']} | orm records {emitted['orm']['records']}" in captured
 
     def test_cache_file_that_is_not_a_database_exits_2(self, small_corpus, tmp_path, caplog):
         cache_file = tmp_path / "cache" / "scores.sqlite"
@@ -715,6 +719,17 @@ def _jsonl(rows) -> str:
 
 # Each case: the user file it damages, and its damaged text from the small
 # corpus and its finished run.
+def _step_scores(run, damage):
+    """A step-scores file for every parsed trace of ``run``, each step 0.5,
+    with the first trace's probabilities passed through ``damage``."""
+    rows = [
+        {"problem_id": row["problem_id"], "trace_id": row["trace_id"], "step_probs": [0.5] * len(row["steps"])}
+        for row in read_jsonl(run / "parsed_traces.jsonl")
+    ]
+    rows[0]["step_probs"] = damage(rows[0]["step_probs"])
+    return _jsonl(rows)
+
+
 MALFORMED_USER_FILES = {
     "problem-without-gold-answer": (
         "problems",
@@ -778,6 +793,14 @@ MALFORMED_USER_FILES = {
             {"problem_id": row["problem_id"], "trace_id": row["trace_id"]}
             for row in read_jsonl(r / "parsed_traces.jsonl")
         ),
+    ),
+    "step-scores-probability-above-1": (
+        "step_scores",
+        lambda c, r: _step_scores(r, lambda probs: [*probs[:-1], 1.5]),
+    ),
+    "step-scores-nan": (
+        "step_scores",
+        lambda c, r: _step_scores(r, lambda probs: [math.nan, *probs[1:]]),
     ),
     "thresholds-a-list": ("thresholds", lambda c, r: "[0.5]"),
     "thresholds-not-numbers": ("thresholds", lambda c, r: '{"math": "high"}'),
@@ -907,7 +930,45 @@ class TestEmitInputs:
         assert {name: (run / name).stat().st_ino for name in datasets} == datasets
 
 
+class TestSignalAndLabelInputs:
+    # (artifact with the damaged row, the table its problem is missing from);
+    # profiles are read by the signals stage, signals by the label stage.
+    @pytest.mark.parametrize("artifact, table", [("profiles", "problems"), ("profiles", "pools"), ("signals", "problems")])
+    def test_row_naming_an_unknown_problem_exits_3(self, run_6x4, tmp_path, caplog, artifact, table):
+        run = tmp_path / "run"
+        shutil.copytree(run_6x4, run)
+        # The copy's paths differ, so this first label run redoes signals;
+        # after it only the damage makes a stage run again.
+        assert main(["label", "--out-dir", str(run)]) == 0
+        paths = artifact_paths(run)
+        rows = list(read_jsonl(paths[artifact]))
+        if table == "pools":
+            pools = [pool for pool in read_jsonl(paths["pools"]) if pool["problem_id"] != rows[0]["problem_id"]]
+            paths["pools"].write_text(_jsonl(pools))
+        else:
+            rows[0]["problem_id"] = "no-such"
+            paths[artifact].write_text(_jsonl(rows))
+        assert main(["label", "--out-dir", str(run)]) == 3
+        assert any(
+            "DataError" in r.message
+            and str(paths[artifact]) in r.message
+            and str(paths[table]) in r.message
+            and rows[0]["trace_id"] in r.message
+            for r in caplog.records
+        )
+
+
 class TestSummarize:
     def test_missing_manifest_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             summarize_run(tmp_path)
+
+    def test_emit_line_shows_each_dataset_and_its_drops(self, tmp_path):
+        dataset = {"records": 5, "dropped_by_reason": {"reserved_symbol_in_step": 2, "reserved_symbol_in_question": 1}}
+        emit = {"name": "emit", "skipped": False, "counts": {"prm": dataset, "orm": {**dataset, "records": 7}}}
+        (tmp_path / "manifest.json").write_text(json.dumps({"toolkit_version": "0", "stages": [emit]}))
+        assert summarize_run(tmp_path).splitlines()[1] == (
+            "  emit: ran"
+            " | prm records 5, dropped reserved_symbol_in_question=1, reserved_symbol_in_step=2"
+            " | orm records 7, dropped reserved_symbol_in_question=1, reserved_symbol_in_step=2"
+        )
