@@ -12,10 +12,10 @@ Binary step labels come from thresholding a signal with a strict ``>``.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from statistics import fmean
 
-from .errors import ConfigError, DataError, UndefinedSignalError
+from .errors import ConfigError, UndefinedSignalError
 from .scoring import InformationProfile
 from .trace_model import AnswerPool
 
@@ -30,35 +30,15 @@ class StepSignal:
     problem_id: str
     trace_id: str
     method: str
-    values: list[float]
     aggregation: str | None = None
     reference: str | None = None
+    values: list[float] = field(kw_only=True)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "problem_id": self.problem_id,
-            "trace_id": self.trace_id,
-            "method": self.method,
-            "aggregation": self.aggregation,
-            "reference": self.reference,
-            "values": self.values,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "StepSignal":
-        """Rebuild a signal, rejecting NaN and infinite values: thresholding
-        and calibration need a total order on them."""
-        values = [float(v) for v in obj["values"]]
-        if not all(math.isfinite(v) for v in values):
-            raise DataError(f"non-finite signal value for trace {obj['problem_id']}/{obj['trace_id']}")
-        return cls(
-            problem_id=obj["problem_id"],
-            trace_id=obj["trace_id"],
-            method=obj["method"],
-            values=values,
-            aggregation=obj.get("aggregation"),
-            reference=obj.get("reference"),
-        )
+    def __post_init__(self):
+        """Values must be finite numbers: thresholding and calibration need
+        a total order on them."""
+        if not all(type(v) in (int, float) and math.isfinite(v) for v in self.values):
+            raise ValueError(f"trace {self.problem_id}/{self.trace_id}: signal values must be finite numbers")
 
 
 @dataclass

@@ -224,7 +224,9 @@ def _digest_paths(paths: list[Path]) -> dict[str, str]:
 
 
 def _fingerprint(inputs: dict[str, str], config_keys: dict) -> str:
-    return sha256_text(json.dumps({"inputs": inputs, "config": config_keys}, sort_keys=True))
+    """Hash of the input digests, in input order, and the config: not of the
+    input paths, so a moved or renamed run directory stays up to date."""
+    return sha256_text(json.dumps({"inputs": list(inputs.values()), "config": config_keys}, sort_keys=True))
 
 
 def _stage_manifest_path(out: Path, stage: str) -> Path:
@@ -242,7 +244,7 @@ def _maybe_skip(out: Path, stage: str, fingerprint: str, force: bool) -> dict | 
     if stored.get("fingerprint") != fingerprint:
         return None
     for output in stored.get("outputs", []):
-        if not Path(output).exists():
+        if not (out / output).exists():
             return None
     stored["skipped"] = True
     log.info("stage %s is up to date, skipped", stage)
@@ -261,7 +263,7 @@ def _finish_stage(
         "name": stage,
         "fingerprint": fingerprint,
         "inputs": inputs,
-        "outputs": [str(p) for p in outputs],
+        "outputs": [str(p.relative_to(out)) for p in outputs],
         "counts": counts,
         "skipped": False,
     }
@@ -330,7 +332,7 @@ def _validate(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
     by_problem = _by_problem(traces)
 
     pools = [build_answer_pool(p, by_problem.get(p.id, []), make_validator(p)) for p in problems]
-    write_jsonl(paths["pools"], (asdict(pool) for pool in pools))
+    write_jsonl(paths["pools"], (vars(pool) for pool in pools))
     return {
         "problems_in": len(problems),
         "problems_out": len(problems),
@@ -340,7 +342,7 @@ def _validate(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
 
 
 def _read_pools(path: Path) -> dict[str, AnswerPool]:
-    return {obj["problem_id"]: AnswerPool(**obj) for obj in read_jsonl(path)}
+    return {pool.problem_id: pool for pool in read_jsonl(path, lambda obj: AnswerPool(**obj))}
 
 
 def _judged_traces(
@@ -399,7 +401,7 @@ def _score(cfg: RunConfig, paths: dict[str, Path], backend) -> dict:
     finally:
         backend.close()
     profile_rows = [
-        information_profile(problem, trace, answers, [scored.totals[r] for r in trace_requests]).to_json_dict()
+        vars(information_profile(problem, trace, answers, [scored.totals[r] for r in trace_requests]))
         for problem, trace, answers, trace_requests in jobs
     ]
     write_jsonl(paths["working_set"], working_rows)
@@ -429,8 +431,7 @@ def _signals(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
     rows = []
     dropped: dict[str, str] = {}
     profile_problems: set[str] = set()
-    for obj in read_jsonl(paths["profiles"]):
-        profile = InformationProfile.from_json_dict(obj)
+    for profile in read_jsonl(paths["profiles"], lambda obj: InformationProfile(**obj)):
         profile_problems.add(profile.problem_id)
         _check_known(paths["profiles"], profile, paths["problems"], problems)
         problem = problems[profile.problem_id]
@@ -445,7 +446,7 @@ def _signals(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
             signal = mcnig_signal(profile, pool, cfg.aggregation, cfg.reference)
         else:
             signal = ig_signal(profile, problem.gold_answer)
-        rows.append(signal.to_json_dict())
+        rows.append(vars(signal))
     write_jsonl(paths["signals"], rows)
     return {
         "problems_in": len(profile_problems),
@@ -461,8 +462,7 @@ def _sweep(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
     traces = _judged_traces(paths, problems.values(), _read_pools(paths["pools"]))
     truth_of = {(t.problem_id, t.trace_id): int(t.correct) for t in traces if t.parse_ok}
     by_domain: dict[str, tuple[list[StepSignal], list[int]]] = {}
-    for obj in read_jsonl(paths["signals"]):
-        signal = StepSignal.from_json_dict(obj)
+    for signal in read_jsonl(paths["signals"], lambda obj: StepSignal(**obj)):
         key = (signal.problem_id, signal.trace_id)
         if key not in truth_of:
             raise DataError(f"{paths['signals']}: trace {key} is not a parseable trace of {paths['parsed_traces']}")
@@ -521,15 +521,10 @@ def _label(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
     thresholds, thresholds_source = state
     domain_of = {p.id: p.domain for p in read_problems(paths["problems"])}
     rows = []
-    for obj in read_jsonl(paths["signals"]):
-        signal = StepSignal.from_json_dict(obj)
+    for signal in read_jsonl(paths["signals"], lambda obj: StepSignal(**obj)):
         _check_known(paths["signals"], signal, paths["problems"], domain_of)
         tau = thresholds.get(domain_of[signal.problem_id], 0.0)
-        labels = assign_labels(signal, tau)
-        row = signal.to_json_dict()
-        row["labels"] = labels.labels
-        row["threshold"] = tau
-        rows.append(row)
+        rows.append({**vars(signal), "labels": assign_labels(signal, tau).labels, "threshold": tau})
     write_jsonl(paths["step_labels"], rows)
     return {
         "traces_labeled": len(rows),
@@ -544,8 +539,9 @@ def _emit(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
     problems = {p.id: p for p in read_problems(paths["problems"])}
     judged = _judged_traces(paths, problems.values(), _read_pools(paths["pools"]))
     traces = {(t.problem_id, t.trace_id): t for t in judged}
-    working = [(obj["problem_id"], tid) for obj in read_jsonl(paths["working_set"]) for tid in obj["trace_ids"]]
-    labels = [StepLabels.from_json_dict(obj) for obj in read_jsonl(paths["step_labels"])]
+    working_set = read_jsonl(paths["working_set"], lambda obj: (obj["problem_id"], obj["trace_ids"]))
+    working = [(pid, tid) for pid, trace_ids in working_set for tid in trace_ids]
+    labels = list(read_jsonl(paths["step_labels"], StepLabels.from_json_dict))
     jobs = {
         "prm": (paths["step_labels"], [(l.problem_id, l.trace_id, partial(emit_prm_record, labels=l)) for l in labels]),
         "orm": (paths["working_set"], [(pid, tid, emit_orm_record) for pid, tid in working]),
@@ -571,7 +567,7 @@ def _emit(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
         tmp_dir.rename(out_dir)
         counts[which] = {
             "records": len(records),
-            "traces_in": len(working),
+            "traces_in": len(dataset_jobs),
             "dropped_by_reason": _reason_counts(dropped),
             "dropped": dropped,
             "balance": label_balance(records),

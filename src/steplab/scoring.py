@@ -32,7 +32,7 @@ import threading
 import time
 from collections.abc import Iterable
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 from urllib.parse import SplitResult, urlsplit
@@ -553,9 +553,11 @@ class InformationProfile:
     problem_id: str
     trace_id: str
     answers: list[str]
-    values: list[list[float]] = field(default_factory=list)
+    values: list[list[float]]
 
     def __post_init__(self):
+        if not self.values:
+            raise ValueError("a profile holds at least the step-0 row")
         if len(set(self.answers)) != len(self.answers):
             raise ValueError("profile answers must be unique")
         for row in self.values:
@@ -569,23 +571,6 @@ class InformationProfile:
             return self.answers.index(answer)
         except ValueError:
             raise KeyError(f"answer {answer!r} is not a profile column") from None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "problem_id": self.problem_id,
-            "trace_id": self.trace_id,
-            "answers": self.answers,
-            "values": self.values,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "InformationProfile":
-        return cls(
-            problem_id=obj["problem_id"],
-            trace_id=obj["trace_id"],
-            answers=list(obj["answers"]),
-            values=[list(row) for row in obj["values"]],
-        )
 
 
 def profile_requests(problem: Problem, trace: ReasoningTrace, answers: list[str]) -> list[ScoringRequest]:

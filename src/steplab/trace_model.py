@@ -297,32 +297,9 @@ def read_raw_traces(path: str | Path) -> Iterable[dict]:
     return read_jsonl(path, lambda obj: _string_fields(obj, "problem_id", "trace_id", "raw_text"))
 
 
-def trace_to_json_dict(trace: ReasoningTrace) -> dict:
-    return {
-        "problem_id": trace.problem_id,
-        "trace_id": trace.trace_id,
-        "steps": trace.steps,
-        "final_answer": trace.final_answer,
-        "parse_ok": trace.parse_ok,
-        "correct": trace.correct,
-    }
-
-
-def trace_from_json_dict(obj: dict) -> ReasoningTrace:
-    correct = obj.get("correct")
-    return ReasoningTrace(
-        problem_id=obj["problem_id"],
-        trace_id=obj["trace_id"],
-        steps=list(obj["steps"]),
-        final_answer=obj.get("final_answer"),
-        parse_ok=bool(obj["parse_ok"]),
-        correct=None if correct is None else bool(correct),
-    )
-
-
 def write_traces(path: str | Path, traces: Iterable[ReasoningTrace]) -> None:
-    write_jsonl(path, (trace_to_json_dict(t) for t in traces))
+    write_jsonl(path, (vars(t) for t in traces))
 
 
 def read_traces(path: str | Path) -> list[ReasoningTrace]:
-    return [trace_from_json_dict(obj) for obj in read_jsonl(path)]
+    return list(read_jsonl(path, lambda obj: ReasoningTrace(**obj)))

@@ -185,12 +185,25 @@ class TestPipeline:
             if "problems_in" in counts and "dropped_by_reason" in counts:
                 dropped_total = sum(counts["dropped_by_reason"].values())
                 assert counts["problems_in"] == counts["problems_out"] + dropped_total
+        emit = next(stage["counts"] for stage in manifest["stages"] if stage["name"] == "emit")
+        for which in ("prm", "orm"):
+            dropped_total = sum(emit[which]["dropped_by_reason"].values())
+            assert emit[which]["records"] + dropped_total == emit[which]["traces_in"], which
 
     def test_rerun_same_dir_skips_all_stages(self, small_corpus, tmp_path):
         cfg = config_for(small_corpus, tmp_path)
         run_pipeline(cfg)
         again = run_pipeline(cfg)
         assert all(s["skipped"] for s in again["stages"])
+
+    def test_moved_run_directory_stays_up_to_date(self, small_corpus, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_pipeline(config_for(small_corpus, tmp_path, out_dir="mv-run"))
+        absolute = run_pipeline(config_for(small_corpus, tmp_path, out="mv-run"))
+        assert all(s["skipped"] for s in absolute["stages"])
+        (tmp_path / "mv-run").rename(tmp_path / "moved")
+        moved = run_pipeline(config_for(small_corpus, tmp_path, out="moved"))
+        assert all(s["skipped"] for s in moved["stages"])
 
     def test_fresh_dir_reproduces_every_artifact_byte_for_byte(self, small_corpus, tmp_path):
         cfg1 = config_for(small_corpus, tmp_path, out="byte1")
@@ -566,7 +579,7 @@ class TestCli:
         rows = [json.loads(line) for line in (out / "signals.jsonl").read_text().splitlines()]
         assert rows and all(row["method"] == "IG" for row in rows)
 
-    def test_sweep_rejects_a_non_finite_signal(self, small_corpus, tmp_path):
+    def test_sweep_rejects_a_non_finite_signal(self, small_corpus, tmp_path, caplog):
         out = tmp_path / "cli-nan"
         base = ["--backend", f"reference:{small_corpus['reference_model']}"]
         assert main(base + [
@@ -579,6 +592,7 @@ class TestCli:
         rows[0]["values"][0] = float("nan")
         signals.write_text("".join(json.dumps(row) + "\n" for row in rows))
         assert main(base + ["sweep", "--out-dir", str(out)]) == 3
+        assert any("DataError" in r.message and f"{signals}:1:" in r.message for r in caplog.records)
         assert not (out / "sweep.json").exists()
         assert not (out / "thresholds.json").exists()
 
@@ -937,9 +951,7 @@ class TestSignalAndLabelInputs:
     def test_row_naming_an_unknown_problem_exits_3(self, run_6x4, tmp_path, caplog, artifact, table):
         run = tmp_path / "run"
         shutil.copytree(run_6x4, run)
-        # The copy's paths differ, so this first label run redoes signals;
-        # after it only the damage makes a stage run again.
-        assert main(["label", "--out-dir", str(run)]) == 0
+        # The copy is up to date, so only the damage makes a stage run again.
         paths = artifact_paths(run)
         rows = list(read_jsonl(paths[artifact]))
         if table == "pools":
@@ -956,6 +968,36 @@ class TestSignalAndLabelInputs:
             and rows[0]["trace_id"] in r.message
             for r in caplog.records
         )
+
+
+def _without(key):
+    return lambda row: {k: v for k, v in row.items() if k != key}
+
+
+# Each case: the run artifact whose first row it damages, the damage, and
+# the command that reads the artifact.
+MALFORMED_RUN_ARTIFACTS = {
+    "parsed-trace-without-steps": ("parsed_traces", _without("steps"), ["validate"]),
+    "pool-with-an-unknown-key": ("pools", lambda row: {**row, "verdict": True}, ["eval-bok"]),
+    "profile-without-values": ("profiles", _without("values"), ["label"]),
+    "profile-with-no-rows": ("profiles", lambda row: {**row, "values": []}, ["label"]),
+    "signal-without-method": ("signals", _without("method"), ["run", "--stages", "label"]),
+    "step-labels-without-labels": ("step_labels", _without("labels"), ["emit"]),
+    "working-set-without-trace-ids": ("working_set", _without("trace_ids"), ["emit"]),
+}
+
+
+class TestMalformedRunArtifacts:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_RUN_ARTIFACTS))
+    def test_malformed_row_exits_3_naming_file_and_line(self, run_6x4, tmp_path, caplog, case):
+        artifact, damage, command = MALFORMED_RUN_ARTIFACTS[case]
+        run = tmp_path / "run"
+        shutil.copytree(run_6x4, run)
+        path = artifact_paths(run)[artifact]
+        rows = list(read_jsonl(path))
+        path.write_text(_jsonl([damage(rows[0]), *rows[1:]]))
+        assert main([*command, "--out-dir", str(run)]) == 3
+        assert any("DataError" in r.message and f"{path}:1:" in r.message for r in caplog.records)
 
 
 class TestSummarize:

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from helpers import make_problem, make_trace, scored_profile
-from steplab.errors import ConfigError, DataError, UndefinedSignalError
+from steplab.errors import ConfigError, UndefinedSignalError
 from steplab.infogain import (
     StepSignal,
     assign_labels,
@@ -162,8 +162,8 @@ class TestStepSignalJson:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), "NaN"])
     def test_non_finite_value_rejected(self, bad):
         obj = {"problem_id": "p7", "trace_id": "t3", "method": "MCNIG", "values": [0.5, bad, 1.0]}
-        with pytest.raises(DataError, match="p7/t3"):
-            StepSignal.from_json_dict(obj)
+        with pytest.raises(ValueError, match="p7/t3"):
+            StepSignal(**obj)
 
 
 class TestAssignLabels:
