@@ -72,31 +72,9 @@ def tokens_mcnig(p: ComplexityParams) -> float:
     )
 
 
-@dataclass
-class SubsampleStudy:
-    """Bias and variance of the subsampled max against the full-pool max."""
-
-    pool: list[float]
-    s: int
-    replicates: int
-    bias: float
-    variance: float
-    exact: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pool_size": len(self.pool),
-            "pool_max": max(self.pool),
-            "s": self.s,
-            "replicates": self.replicates,
-            "bias": self.bias,
-            "variance": self.variance,
-            "exact": self.exact,
-        }
-
-
-def subsample_bias_variance(pool: list[float], s: int, replicates: int, seed: int = 0) -> SubsampleStudy:
-    """Monte Carlo estimate of the subsampled-max bias and variance.
+def subsample_bias_variance(pool: list[float], s: int, replicates: int, seed: int = 0) -> tuple[float, float]:
+    """Monte Carlo estimate of the subsampled-max bias and variance, as
+    ``(bias, variance)`` like :func:`exhaustive_bias`.
 
     Each replicate draws s values without replacement (with its own derived
     seed, so replicates are order-independent) and takes their max. The bias
@@ -111,14 +89,7 @@ def subsample_bias_variance(pool: list[float], s: int, replicates: int, seed: in
         rng = random.Random(stable_seed(seed, r))
         maxes.append(max(rng.sample(pool, s)))
     mean = fmean(maxes)
-    return SubsampleStudy(
-        pool=list(pool),
-        s=s,
-        replicates=replicates,
-        bias=mean - max(pool),
-        variance=fmean((m - mean) ** 2 for m in maxes),
-        exact=False,
-    )
+    return mean - max(pool), fmean((m - mean) ** 2 for m in maxes)
 
 
 def exhaustive_bias(pool: list[float], s: int) -> tuple[float, float]:

@@ -5,74 +5,24 @@ the labels into a single CoT-level prediction (their product, with the
 final step excluded during calibration), and the predictions into a
 confusion matrix against validator truth. The threshold maximizing
 balanced accuracy wins, ties going to the smallest value.
+
+:func:`sweep_threshold` returns the plain dict written for its domain in
+``sweep.json``: no result class stands between the sweep and the file.
 """
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
 from .errors import UndefinedMetricError
 from .infogain import StepSignal
 from .infogain import assign_labels  # noqa: F401  unused here; bench/traced.py counts calls through this name
 
 
-@dataclass
-class ConfusionCounts:
-    tp: int
-    fn: int
-    tn: int
-    fp: int
-
-    def __post_init__(self):
-        if min(self.tp, self.fn, self.tn, self.fp) < 0:
-            raise ValueError("confusion counts must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fn + self.tn + self.fp
-
-
-@dataclass
-class SweepEntry:
-    threshold: float
-    counts: ConfusionCounts
-    balanced_accuracy: float
-
-
-@dataclass
-class ThresholdSweep:
-    domain: str
-    grid: list[float]
-    per_threshold: list[SweepEntry]
-    best_threshold: float
-    best_balanced_accuracy: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "domain": self.domain,
-            "grid": self.grid,
-            "table": [
-                {
-                    "threshold": e.threshold,
-                    "tp": e.counts.tp,
-                    "fn": e.counts.fn,
-                    "tn": e.counts.tn,
-                    "fp": e.counts.fp,
-                    "balanced_accuracy": e.balanced_accuracy,
-                    "skipped": False,  # on-disk format; every row has both classes
-                }
-                for e in self.per_threshold
-            ],
-            "best_threshold": self.best_threshold,
-            "best_balanced_accuracy": self.best_balanced_accuracy,
-        }
-
-
-def balanced_accuracy(c: ConfusionCounts) -> float:
+def balanced_accuracy(tp: int, fn: int, tn: int, fp: int) -> float:
     """Mean of sensitivity and specificity."""
-    if c.tp + c.fn == 0 or c.tn + c.fp == 0:
+    if tp + fn == 0 or tn + fp == 0:
         raise UndefinedMetricError("balanced accuracy needs at least one trace of each class")
-    return 0.5 * (c.tp / (c.tp + c.fn) + c.tn / (c.tn + c.fp))
+    return 0.5 * (tp / (tp + fn) + tn / (tn + fp))
 
 
 def sweep_threshold(
@@ -80,8 +30,9 @@ def sweep_threshold(
     truths: list[int],
     grid: list[float],
     domain: str = "other",
-) -> ThresholdSweep:
-    """Evaluate every grid threshold and return the table plus the argmax.
+) -> dict:
+    """Evaluate every grid threshold; return the domain's ``sweep.json``
+    object: the table and the argmax.
 
     The final reasoning step is excluded from the CoT prediction, so at a
     finite threshold t a trace predicts 1 iff ``min(values[:-1]) > t``, and
@@ -104,20 +55,24 @@ def sweep_threshold(
         raise UndefinedMetricError(
             f"domain {domain!r}: balanced accuracy undefined at every grid threshold"
         )
-    entries: list[SweepEntry] = []
+    table = []
     for tau in grid:
         tp = len(pos) - bisect_right(pos, tau)
         fp = len(neg) - bisect_right(neg, tau)
-        counts = ConfusionCounts(tp=tp, fn=len(pos) - tp, tn=len(neg) - fp, fp=fp)
-        entries.append(SweepEntry(threshold=tau, counts=counts, balanced_accuracy=balanced_accuracy(counts)))
-    best = min(entries, key=lambda e: (-e.balanced_accuracy, e.threshold))
-    return ThresholdSweep(
-        domain=domain,
-        grid=list(grid),
-        per_threshold=entries,
-        best_threshold=best.threshold,
-        best_balanced_accuracy=best.balanced_accuracy,
-    )
+        fn, tn = len(pos) - tp, len(neg) - fp
+        table.append({
+            "threshold": tau, "tp": tp, "fn": fn, "tn": tn, "fp": fp,
+            "balanced_accuracy": balanced_accuracy(tp, fn, tn, fp),
+            "skipped": False,  # on-disk format; every row has both classes
+        })
+    best = min(table, key=lambda row: (-row["balanced_accuracy"], row["threshold"]))
+    return {
+        "domain": domain,
+        "grid": list(grid),
+        "table": table,
+        "best_threshold": best["threshold"],
+        "best_balanced_accuracy": best["balanced_accuracy"],
+    }
 
 
 def percentile_grid(

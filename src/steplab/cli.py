@@ -14,7 +14,6 @@ from pathlib import Path
 
 from .analysis import (
     ComplexityParams,
-    SubsampleStudy,
     exhaustive_bias,
     subsample_bias_variance,
     tokens_mathshepherd,
@@ -138,12 +137,15 @@ def _cmd_analyze_complexity(args: argparse.Namespace) -> int:
 
 def _cmd_analyze_bias(args: argparse.Namespace, seed: int) -> int:
     pool = _load_pool_file(args.pool_file)
+    replicates = 0 if args.exhaustive else args.replicates
     if args.exhaustive:
         bias, variance = exhaustive_bias(pool, args.s)
-        study = SubsampleStudy(pool=pool, s=args.s, replicates=0, bias=bias, variance=variance, exact=True)
     else:
-        study = subsample_bias_variance(pool, args.s, args.replicates, seed=seed)
-    _emit_report(study.to_json_dict(), args.out)
+        bias, variance = subsample_bias_variance(pool, args.s, replicates, seed=seed)
+    _emit_report({
+        "pool_size": len(pool), "pool_max": max(pool), "s": args.s, "replicates": replicates,
+        "bias": bias, "variance": variance, "exact": args.exhaustive,
+    }, args.out)
     return 0
 
 

@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import ReservedSymbolError
-from .infogain import StepLabels
 from .trace_model import Problem, ReasoningTrace
 
 STEP_MARKER = "<|s_req|>"
@@ -56,15 +55,13 @@ def _record(problem: Problem, trace: ReasoningTrace, target_markers: str) -> dic
     return {"problem_id": problem.id, "trace_id": trace.trace_id, "segments": segments}
 
 
-def emit_prm_record(problem: Problem, trace: ReasoningTrace, labels: StepLabels) -> dict:
+def emit_prm_record(problem: Problem, trace: ReasoningTrace, labels: list[int]) -> dict:
     """Build a step-level record: one target marker per step, POS where the
     step label is 1."""
-    if len(labels.labels) != len(trace.steps):
-        raise ValueError(
-            f"trace {trace.trace_id!r}: {len(labels.labels)} labels for {len(trace.steps)} steps"
-        )
+    if len(labels) != len(trace.steps):
+        raise ValueError(f"trace {trace.trace_id!r}: {len(labels)} labels for {len(trace.steps)} steps")
     record = _record(problem, trace, target_markers="all")
-    record["targets"] = [TARGET_POS if l == 1 else TARGET_NEG for l in labels.labels]
+    record["targets"] = [TARGET_POS if l == 1 else TARGET_NEG for l in labels]
     return record
 
 

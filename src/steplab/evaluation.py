@@ -6,12 +6,16 @@ callable (the validate stage's verdict, in the pipeline) decides success.
 A candidate without a score gets :data:`SCORE_FAILURE` and is counted; a
 scorer that raises fails the evaluation. Majority voting and single
 sampling (K=1) fall out as special cases.
+
+An evaluation returns ``(report, candidates, unscored_candidates)``:
+``report`` is the ``eval_report.json`` object (``K``, ``scorer_id``,
+``accuracy``, ``per_problem``) and the two run counts go to the stage
+manifest, not the report file.
 """
 
 import logging
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable
 
 from .ioutil import stable_seed
@@ -23,39 +27,6 @@ SCORE_FAILURE = float("-inf")
 
 Scorer = Callable[[Problem, ReasoningTrace], float]
 OutcomeValidator = Callable[[Problem, str], int]
-
-
-@dataclass
-class ProblemSelection:
-    problem_id: str
-    selected_trace_id: str
-    success: int
-
-
-@dataclass
-class BestOfKReport:
-    k: int
-    scorer_id: str
-    per_problem: list[ProblemSelection]
-    accuracy: float
-    # Run counts, kept out of the report file.
-    candidates: int
-    unscored_candidates: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "K": self.k,
-            "scorer_id": self.scorer_id,
-            "accuracy": self.accuracy,
-            "per_problem": [
-                {
-                    "problem_id": s.problem_id,
-                    "selected_trace_id": s.selected_trace_id,
-                    "success": s.success,
-                }
-                for s in self.per_problem
-            ],
-        }
 
 
 def step_product_score(step_probs: list[float]) -> float:
@@ -80,7 +51,7 @@ def best_of_k(
     k: int,
     validator: OutcomeValidator,
     scorer_id: str | None = None,
-) -> BestOfKReport:
+) -> tuple[dict, int, int]:
     """Select the best of the first K candidates per problem and validate it.
 
     A candidate scored SCORE_FAILURE is never selected unless every
@@ -92,7 +63,7 @@ def best_of_k(
         raise ValueError("K must be at least 1")
     if scorer_id is None:
         scorer_id = getattr(scorer, "scorer_id", getattr(scorer, "__name__", "scorer"))
-    selections: list[ProblemSelection] = []
+    selections = []
     considered = unscored = 0
     for problem in problems:
         candidates = candidates_by_problem.get(problem.id, [])
@@ -104,18 +75,11 @@ def best_of_k(
         unscored += scores.count(SCORE_FAILURE)
         best_idx = max(range(len(window)), key=lambda i: scores[i])
         selected = window[best_idx]
-        if selected.parse_ok:
-            success = int(validator(problem, selected.final_answer))
-        else:
-            success = 0
-        selections.append(
-            ProblemSelection(problem_id=problem.id, selected_trace_id=selected.trace_id, success=success)
-        )
-    accuracy = sum(s.success for s in selections) / len(selections) if selections else 0.0
-    return BestOfKReport(
-        k=k, scorer_id=scorer_id, per_problem=selections, accuracy=accuracy,
-        candidates=considered, unscored_candidates=unscored,
-    )
+        success = int(validator(problem, selected.final_answer)) if selected.parse_ok else 0
+        selections.append({"problem_id": problem.id, "selected_trace_id": selected.trace_id, "success": success})
+    accuracy = sum(s["success"] for s in selections) / len(selections) if selections else 0.0
+    report = {"K": k, "scorer_id": scorer_id, "accuracy": accuracy, "per_problem": selections}
+    return report, considered, unscored
 
 
 def majority_vote(candidates: list[ReasoningTrace], domain: str = "other") -> str | None:
@@ -143,8 +107,8 @@ def majority_best_of_k(
     candidates_by_problem: dict[str, list[ReasoningTrace]],
     k: int,
     validator: OutcomeValidator,
-) -> BestOfKReport:
-    """Best-of-K report where the majority answer's earliest trace is selected.
+) -> tuple[dict, int, int]:
+    """Best-of-K evaluation where the majority answer's earliest trace is selected.
 
     Traces in the winning group score 1 and all others 0, so the earliest
     member of the group wins; when no candidate parses, the first one does.

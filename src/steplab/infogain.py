@@ -41,25 +41,6 @@ class StepSignal:
             raise ValueError(f"trace {self.problem_id}/{self.trace_id}: signal values must be finite numbers")
 
 
-@dataclass
-class StepLabels:
-    """Thresholded binary labels for one trace, aligned with its signal."""
-
-    problem_id: str
-    trace_id: str
-    labels: list[int]
-    threshold: float
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "StepLabels":
-        return cls(
-            problem_id=obj["problem_id"],
-            trace_id=obj["trace_id"],
-            labels=[int(v) for v in obj["labels"]],
-            threshold=float(obj["threshold"]),
-        )
-
-
 def ig_signal(profile: InformationProfile, gold_answer: str) -> StepSignal:
     """Gold-answer information lift of each step prefix over step 0."""
     try:
@@ -144,11 +125,6 @@ def mcnig_signal(
     )
 
 
-def assign_labels(signal: StepSignal, threshold: float) -> StepLabels:
-    """Label step i positive iff its signal value strictly exceeds the threshold."""
-    return StepLabels(
-        problem_id=signal.problem_id,
-        trace_id=signal.trace_id,
-        labels=[int(v > threshold) for v in signal.values],
-        threshold=threshold,
-    )
+def assign_labels(signal: StepSignal, threshold: float) -> list[int]:
+    """Label step i positive (1) iff its signal value strictly exceeds the threshold."""
+    return [int(v > threshold) for v in signal.values]

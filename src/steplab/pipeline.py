@@ -35,7 +35,7 @@ from .evaluation import (
     random_scorer,
     step_product_scorer,
 )
-from .infogain import AGGREGATIONS, REFERENCES, StepLabels, StepSignal, assign_labels, ig_signal, mcnig_signal
+from .infogain import AGGREGATIONS, REFERENCES, StepSignal, assign_labels, ig_signal, mcnig_signal
 from .ioutil import atomic_write_text, read_jsonl, sha256_file, sha256_text, write_jsonl
 from .scoring import InformationProfile, information_profile, make_backend, profile_requests, score_requests
 from .trace_model import (
@@ -258,6 +258,7 @@ def _finish_stage(
     inputs: dict[str, str],
     outputs: list[Path],
     counts: dict,
+    wall_s: float,
 ) -> dict:
     report = {
         "name": stage,
@@ -265,6 +266,7 @@ def _finish_stage(
         "inputs": inputs,
         "outputs": [str(p.relative_to(out)) for p in outputs],
         "counts": counts,
+        "wall_s": round(wall_s, 3),
         "skipped": False,
     }
     atomic_write_text(_stage_manifest_path(out, stage), json.dumps(report, ensure_ascii=False, indent=1))
@@ -483,8 +485,8 @@ def _sweep(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
             log.warning("sweep skipped for domain %s: %s", domain, exc)
             reports.append({"domain": domain, "skipped": True, "reason": str(exc)})
             continue
-        reports.append(sweep.to_json_dict())
-        thresholds[domain] = sweep.best_threshold
+        reports.append(sweep)
+        thresholds[domain] = sweep["best_threshold"]
     atomic_write_text(paths["sweep"], json.dumps({"domains": reports}, ensure_ascii=False, indent=1))
     atomic_write_text(paths["thresholds"], json.dumps(thresholds, ensure_ascii=False, indent=1))
     return {
@@ -524,7 +526,7 @@ def _label(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
     for signal in read_jsonl(paths["signals"], lambda obj: StepSignal(**obj)):
         _check_known(paths["signals"], signal, paths["problems"], domain_of)
         tau = thresholds.get(domain_of[signal.problem_id], 0.0)
-        rows.append({**vars(signal), "labels": assign_labels(signal, tau).labels, "threshold": tau})
+        rows.append({**vars(signal), "labels": assign_labels(signal, tau), "threshold": tau})
     write_jsonl(paths["step_labels"], rows)
     return {
         "traces_labeled": len(rows),
@@ -541,21 +543,27 @@ def _emit(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
     traces = {(t.problem_id, t.trace_id): t for t in judged}
     working_set = read_jsonl(paths["working_set"], lambda obj: (obj["problem_id"], obj["trace_ids"]))
     working = [(pid, tid) for pid, trace_ids in working_set for tid in trace_ids]
-    labels = list(read_jsonl(paths["step_labels"], StepLabels.from_json_dict))
+    # A job is (problem id, trace id, step labels); an ORM job has no labels.
     jobs = {
-        "prm": (paths["step_labels"], [(l.problem_id, l.trace_id, partial(emit_prm_record, labels=l)) for l in labels]),
-        "orm": (paths["working_set"], [(pid, tid, emit_orm_record) for pid, tid in working]),
+        "prm": (paths["step_labels"], list(read_jsonl(paths["step_labels"], _step_labels_row))),
+        "orm": (paths["working_set"], [(pid, tid, None) for pid, tid in working]),
     }
     for source, dataset_jobs in jobs.values():
-        for pid, trace_id, _ in dataset_jobs:
-            if pid not in problems or (pid, trace_id) not in traces:
-                raise DataError(f"{source}: trace {trace_id!r} of problem {pid!r} is not in {paths['parsed_traces']}")
+        for pid, trace_id, labels in dataset_jobs:
+            trace = traces.get((pid, trace_id))
+            where = f"{source}: trace {trace_id!r} of problem {pid!r}"
+            if pid not in problems or trace is None:
+                raise DataError(f"{where} is not in {paths['parsed_traces']}")
+            if labels is not None and len(labels) != len(trace.steps):
+                raise DataError(f"{where} has {len(labels)} labels for {len(trace.steps)} steps")
     counts = {}
     for which, (_, dataset_jobs) in jobs.items():
         records, dropped = [], {}
-        for pid, trace_id, make_record in dataset_jobs:
+        for pid, trace_id, labels in dataset_jobs:
+            problem, trace = problems[pid], traces[(pid, trace_id)]
             try:
-                records.append(make_record(problems[pid], traces[(pid, trace_id)]))
+                record = emit_orm_record(problem, trace) if labels is None else emit_prm_record(problem, trace, labels)
+                records.append(record)
             except ReservedSymbolError as exc:
                 dropped[trace_id] = exc.reason_code
                 log.info("dropped trace %s: %s", trace_id, exc.reason_code)
@@ -576,6 +584,15 @@ def _emit(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
     balance = {which: c["balance"] for which, c in counts.items()}
     atomic_write_text(paths["emit_report"], json.dumps(balance, ensure_ascii=False, indent=1))
     return counts
+
+
+def _step_labels_row(obj: dict) -> tuple[str, str, list[int]]:
+    """A ``step_labels.jsonl`` row as (problem id, trace id, labels); each
+    label must be the integer 0 or 1 (JSON ``true`` is not one)."""
+    labels = obj["labels"]
+    if type(labels) is not list or not all(type(l) is int and l in (0, 1) for l in labels):
+        raise ValueError(f"labels must be a list of 0 and 1, got {labels!r}")
+    return obj["problem_id"], obj["trace_id"], labels
 
 
 def _prepare_eval(cfg: RunConfig, paths: dict[str, Path]):
@@ -625,18 +642,19 @@ def _eval(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
         return int(verdicts[(problem.id, answer)])
 
     if cfg.eval_scorer == "majority":
-        report = majority_best_of_k(problems, candidates, cfg.eval_k, verdict)
+        report, considered, unscored = majority_best_of_k(problems, candidates, cfg.eval_k, verdict)
     else:
-        report = best_of_k(problems, candidates, _build_scorer(cfg, paths, verdict), cfg.eval_k, verdict)
-    atomic_write_text(paths["eval_report"], json.dumps(report.to_json_dict(), ensure_ascii=False, indent=1))
+        scorer = _build_scorer(cfg, paths, verdict)
+        report, considered, unscored = best_of_k(problems, candidates, scorer, cfg.eval_k, verdict)
+    atomic_write_text(paths["eval_report"], json.dumps(report, ensure_ascii=False, indent=1))
     return {
         "problems_in": len(problems),
         "problems_out": len(problems),
-        "K": report.k,
-        "scorer": report.scorer_id,
-        "accuracy": report.accuracy,
-        "candidates": report.candidates,
-        "unscored_candidates": report.unscored_candidates,
+        "K": report["K"],
+        "scorer": report["scorer_id"],
+        "accuracy": report["accuracy"],
+        "candidates": considered,
+        "unscored_candidates": unscored,
     }
 
 
@@ -765,9 +783,11 @@ def run_stage(name: str, cfg: RunConfig) -> dict:
     skipped = _maybe_skip(cfg.out, name, fingerprint, cfg.force)
     if skipped:
         return skipped
+    start = time.perf_counter()
     counts = stage.body(cfg, paths, state)
+    wall_s = time.perf_counter() - start
     outputs = _files([paths[n] for n in stage.writes])
-    return _finish_stage(cfg.out, name, fingerprint, inputs, outputs, counts)
+    return _finish_stage(cfg.out, name, fingerprint, inputs, outputs, counts, wall_s)
 
 
 stage_ingest = partial(run_stage, "ingest")
@@ -826,6 +846,8 @@ def summarize_run(out_dir: str | Path) -> str:
         counts = report.get("counts", {})
         status = "skipped" if report.get("skipped") else "ran"
         parts = [f"{report['name']}: {status}"]
+        if status == "ran" and "wall_s" in report:
+            parts.append(f"wall {report['wall_s']:.3f} s")
         if "problems_in" in counts:
             parts.append(f"problems {counts['problems_in']} -> {counts.get('problems_out', '?')}")
         parts.extend(_drops(counts))

@@ -61,10 +61,12 @@ class ReasoningTrace:
     correct: bool | None = None
 
     def __post_init__(self):
+        if type(self.steps) is not list or not self.steps or not all(type(s) is str and s for s in self.steps):
+            raise ValueError("steps must be a non-empty list of non-empty strings")
+        if self.final_answer is not None and type(self.final_answer) is not str:
+            raise ValueError("final_answer must be a string or null")
         if self.parse_ok != (self.final_answer is not None):
             raise ValueError("parse_ok must mirror the presence of final_answer")
-        if not self.steps or any(not s for s in self.steps):
-            raise ValueError("steps must be a non-empty list of non-empty strings")
         if self.correct is not None and not self.parse_ok:
             raise ValueError("only parseable traces can carry a validation outcome")
 
@@ -83,6 +85,12 @@ class AnswerPool:
     wrong: list[str] = field(default_factory=list)
     multiplicity: dict[str, int] = field(default_factory=dict)
     diagnostics: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not all(type(v) is list and all(type(a) is str for a in v) for v in (self.correct, self.wrong)):
+            raise ValueError(f"pool {self.problem_id!r}: correct and wrong must be lists of strings")
+        if type(self.multiplicity) is not dict or type(self.diagnostics) is not dict:
+            raise ValueError(f"pool {self.problem_id!r}: multiplicity and diagnostics must be objects")
 
 
 def extract_answer(step_text: str, domain: str) -> str | None:

@@ -26,7 +26,7 @@ from steplab.calibration import sweep_threshold
 from steplab.dataset_emit import STEP_MARKER, emit_orm_record, emit_prm_record, write_shards
 from steplab.errors import ReservedSymbolError
 from steplab.evaluation import best_of_k, oracle_scorer, random_scorer
-from steplab.infogain import StepLabels, StepSignal, mcnig_extended, mcnig_signal, net_info
+from steplab.infogain import StepSignal, mcnig_extended, mcnig_signal, net_info
 from steplab.pipeline import RunConfig, artifact_paths, run_pipeline
 from steplab.scoring import InformationProfile, ReferenceModel, build_context
 from steplab.trace_model import AnswerPool, filter_and_subsample
@@ -170,8 +170,8 @@ def test_c05_calibration_sweep():
     signal_a = StepSignal(problem_id="p", trace_id="A", method="MCNIG", values=[0.5, 0.9, 5.0])
     signal_b = StepSignal(problem_id="p", trace_id="B", method="MCNIG", values=[0.2, -0.1, 5.0])
     sweep = sweep_threshold([signal_a, signal_b], [1, 0], [0.3, 0.7], domain="math")
-    assert sweep.best_threshold == 0.3
-    assert sweep.best_balanced_accuracy == 1.0
+    assert sweep["best_threshold"] == 0.3
+    assert sweep["best_balanced_accuracy"] == 1.0
 
     rng = random.Random(505)
     for _ in range(100):
@@ -185,14 +185,14 @@ def test_c05_calibration_sweep():
         grid = sorted(rng.uniform(-2, 2) for _ in range(rng.randint(1, 10)))
         result = sweep_threshold(signals, truths, grid)
         expected = _exhaustive_sweep(signals, truths, grid)
-        assert result.best_threshold == expected[0]
-        assert result.best_balanced_accuracy == expected[1]
+        assert result["best_threshold"] == expected[0]
+        assert result["best_balanced_accuracy"] == expected[1]
 
         # A threshold below every signal value predicts 1 everywhere, which
         # must score a balanced accuracy of exactly 0.5.
         low = min(v for s in signals for v in s.values) - 1.0
         constant = sweep_threshold(signals, truths, [low])
-        assert constant.best_balanced_accuracy == 0.5
+        assert constant["best_balanced_accuracy"] == 0.5
     _passed(5, "calibration-sweep")
 
 
@@ -218,9 +218,10 @@ def test_c07_bias_variance_oracle():
     assert bias == float(Fraction(-1, 3))
     assert variance == float(Fraction(2, 9))
 
-    study = subsample_bias_variance([1.0, 2.0, 3.0], 2, replicates=10_000, seed=0)
-    se = (variance / study.replicates) ** 0.5
-    assert abs(study.bias - bias) <= 3 * se
+    replicates = 10_000
+    mc_bias, _ = subsample_bias_variance([1.0, 2.0, 3.0], 2, replicates=replicates, seed=0)
+    se = (variance / replicates) ** 0.5
+    assert abs(mc_bias - bias) <= 3 * se
 
     rng = random.Random(707)
     for _ in range(500):
@@ -300,30 +301,30 @@ def test_c09_best_of_k_properties():
         problems, candidates, truth, validator = _bok_instance(rng)
         k = rng.randint(1, 10)
 
-        report_k1 = best_of_k(problems, candidates, random_scorer(3), 1, validator)
-        for selection in report_k1.per_problem:
-            first = candidates[selection.problem_id][0]
-            assert selection.selected_trace_id == first.trace_id
-            assert selection.success == validator(
-                next(p for p in problems if p.id == selection.problem_id), first.final_answer
+        report_k1, _, _ = best_of_k(problems, candidates, random_scorer(3), 1, validator)
+        for selection in report_k1["per_problem"]:
+            first = candidates[selection["problem_id"]][0]
+            assert selection["selected_trace_id"] == first.trace_id
+            assert selection["success"] == validator(
+                next(p for p in problems if p.id == selection["problem_id"]), first.final_answer
             )
 
-        oracle = best_of_k(problems, candidates, oracle_scorer(validator), k, validator)
+        oracle, _, _ = best_of_k(problems, candidates, oracle_scorer(validator), k, validator)
         brute = sum(
             any(truth.get((p.id, t.final_answer), 0) for t in candidates[p.id][:k])
             for p in problems
         ) / len(problems)
-        assert oracle.accuracy == brute
+        assert oracle["accuracy"] == brute
 
         base = random_scorer(rng.randint(0, 10**6))
         a, b = rng.uniform(0.1, 4.0), rng.uniform(-3, 3)
         monotone = lambda p, t: math.exp(a * base(p, t) + b)
-        assert [s.selected_trace_id for s in best_of_k(problems, candidates, base, k, validator).per_problem] == [
-            s.selected_trace_id for s in best_of_k(problems, candidates, monotone, k, validator).per_problem
+        assert [s["selected_trace_id"] for s in best_of_k(problems, candidates, base, k, validator)[0]["per_problem"]] == [
+            s["selected_trace_id"] for s in best_of_k(problems, candidates, monotone, k, validator)[0]["per_problem"]
         ]
 
         accs = [
-            best_of_k(problems, candidates, oracle_scorer(validator), kk, validator).accuracy
+            best_of_k(problems, candidates, oracle_scorer(validator), kk, validator)[0]["accuracy"]
             for kk in range(1, 11)
         ]
         assert all(hi >= lo for lo, hi in zip(accs, accs[1:]))
@@ -342,10 +343,7 @@ def test_c10_dataset_emission(tmp_path):
             steps=[f"step {j} {rng.randint(0, 99)}" for j in range(n_steps)],
             correct=bool(rng.randint(0, 1)),
         )
-        labels = StepLabels(
-            problem_id=problem.id, trace_id=trace.trace_id,
-            labels=[rng.randint(0, 1) for _ in range(n_steps)], threshold=0.0,
-        )
+        labels = [rng.randint(0, 1) for _ in range(n_steps)]
         prm = emit_prm_record(problem, trace, labels)
         assert sum(s["is_target"] for s in prm["segments"]) == n_steps == len(prm["targets"])
         built["prm"].append(prm)

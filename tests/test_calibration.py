@@ -1,42 +1,34 @@
+import json
 import random
 
 import pytest
 
-from steplab.calibration import (
-    ConfusionCounts,
-    balanced_accuracy,
-    percentile_grid,
-    sweep_threshold,
-)
+from steplab.calibration import balanced_accuracy, percentile_grid, sweep_threshold
 from steplab.errors import UndefinedMetricError
-from steplab.infogain import StepLabels, StepSignal, assign_labels
+from steplab.infogain import StepSignal, assign_labels
 
 
 def make_signal(values, tid="t"):
     return StepSignal(problem_id="p", trace_id=tid, method="MCNIG", values=list(values))
 
 
-def make_labels(labels):
-    return StepLabels(problem_id="p", trace_id="t", labels=list(labels), threshold=0.0)
-
-
 # Brute-force oracle for the closed-form sweep: label every step, take the
 # product of the labels, and count the predictions against the truths.
 
 
-def cot_predicted_label(labels: StepLabels, exclude_final: bool = True) -> int:
+def cot_predicted_label(labels: list[int], exclude_final: bool = True) -> int:
     """Product of the step labels: 1 iff every considered step is positive.
 
     With ``exclude_final`` the last step is left out; a single-step trace
     then contributes the empty product, 1.
     """
-    if not labels.labels:
+    if not labels:
         raise ValueError("labels must be non-empty")
-    considered = labels.labels[:-1] if exclude_final else labels.labels
+    considered = labels[:-1] if exclude_final else labels
     return int(all(considered))
 
 
-def confusion(predictions: list[int], truths: list[int]) -> ConfusionCounts:
+def confusion(predictions: list[int], truths: list[int]) -> dict[str, int]:
     if len(predictions) != len(truths):
         raise ValueError("predictions and truths must be aligned")
     tp = fn = tn = fp = 0
@@ -51,53 +43,50 @@ def confusion(predictions: list[int], truths: list[int]) -> ConfusionCounts:
                 fp += 1
             else:
                 tn += 1
-    return ConfusionCounts(tp=tp, fn=fn, tn=tn, fp=fp)
+    return {"tp": tp, "fn": fn, "tn": tn, "fp": fp}
 
 
 def relabelled_table(signals, truths, grid):
-    """``to_json_dict()["table"]`` as the per-threshold relabelling gives it."""
+    """The sweep's ``table`` as the per-threshold relabelling gives it."""
     rows = []
     for tau in grid:
         predictions = [cot_predicted_label(assign_labels(s, tau)) for s in signals]
         c = confusion(predictions, truths)
-        rows.append({
-            "threshold": tau, "tp": c.tp, "fn": c.fn, "tn": c.tn, "fp": c.fp,
-            "balanced_accuracy": balanced_accuracy(c), "skipped": False,
-        })
+        rows.append({"threshold": tau, **c, "balanced_accuracy": balanced_accuracy(**c), "skipped": False})
     return rows
 
 
 class TestCotPredictedLabel:
     def test_final_step_excluded(self):
-        assert cot_predicted_label(make_labels([1, 1, 0])) == 1
+        assert cot_predicted_label([1, 1, 0]) == 1
 
     def test_any_zero_kills_the_product(self):
-        assert cot_predicted_label(make_labels([1, 0, 1])) == 0
+        assert cot_predicted_label([1, 0, 1]) == 0
 
     def test_single_step_empty_product(self):
-        assert cot_predicted_label(make_labels([0])) == 1
+        assert cot_predicted_label([0]) == 1
 
     def test_without_exclusion_all_steps_count(self):
-        assert cot_predicted_label(make_labels([1, 1, 0]), exclude_final=False) == 0
+        assert cot_predicted_label([1, 1, 0], exclude_final=False) == 0
 
     def test_empty_labels_rejected(self):
         with pytest.raises(ValueError):
-            cot_predicted_label(make_labels([]))
+            cot_predicted_label([])
 
 
 class TestBalancedAccuracy:
     def test_formula(self):
-        assert balanced_accuracy(ConfusionCounts(tp=3, fn=1, tn=2, fp=2)) == pytest.approx(0.625)
+        assert balanced_accuracy(tp=3, fn=1, tn=2, fp=2) == pytest.approx(0.625)
 
     def test_perfect_classifier(self):
-        assert balanced_accuracy(ConfusionCounts(tp=4, fn=0, tn=3, fp=0)) == 1.0
+        assert balanced_accuracy(tp=4, fn=0, tn=3, fp=0) == 1.0
 
     def test_constant_positive_predictor_is_half(self):
-        assert balanced_accuracy(ConfusionCounts(tp=4, fn=0, tn=0, fp=4)) == 0.5
+        assert balanced_accuracy(tp=4, fn=0, tn=0, fp=4) == 0.5
 
     def test_missing_class_is_undefined(self):
         with pytest.raises(UndefinedMetricError):
-            balanced_accuracy(ConfusionCounts(tp=3, fn=1, tn=0, fp=0))
+            balanced_accuracy(tp=3, fn=1, tn=0, fp=0)
 
 
 def exhaustive_best(signals, truths, grid):
@@ -128,25 +117,42 @@ class TestSweepThreshold:
         signals = [make_signal([0.5, 0.9, 7.0], "A"), make_signal([0.2, -0.1, 7.0], "B")]
         truths = [1, 0]
         sweep = sweep_threshold(signals, truths, [0.3, 0.7], domain="math")
-        by_tau = {e.threshold: e for e in sweep.per_threshold}
-        assert by_tau[0.3].balanced_accuracy == 1.0
-        assert by_tau[0.7].balanced_accuracy == 0.5
-        assert sweep.best_threshold == 0.3
-        assert sweep.best_balanced_accuracy == 1.0
+        by_tau = {row["threshold"]: row for row in sweep["table"]}
+        assert by_tau[0.3]["balanced_accuracy"] == 1.0
+        assert by_tau[0.7]["balanced_accuracy"] == 0.5
+        assert sweep["best_threshold"] == 0.3
+        assert sweep["best_balanced_accuracy"] == 1.0
+
+    def test_two_trace_sweep_is_its_sweep_json_object(self):
+        # Minima without the final step: A (correct) 0.5, B (wrong) -0.1.
+        signals = [make_signal([0.5, 0.9, 7.0], "A"), make_signal([0.2, -0.1, 7.0], "B")]
+        sweep = sweep_threshold(signals, [1, 0], [0.3, 0.7], domain="math")
+        expected = {
+            "domain": "math",
+            "grid": [0.3, 0.7],
+            "table": [
+                {"threshold": 0.3, "tp": 1, "fn": 0, "tn": 1, "fp": 0, "balanced_accuracy": 1.0, "skipped": False},
+                {"threshold": 0.7, "tp": 0, "fn": 1, "tn": 1, "fp": 0, "balanced_accuracy": 0.5, "skipped": False},
+            ],
+            "best_threshold": 0.3,
+            "best_balanced_accuracy": 1.0,
+        }
+        assert sweep == expected
+        assert json.dumps(sweep) == json.dumps(expected)  # key order too
 
     def test_singleton_grid(self):
         signals = [make_signal([1.0, 2.0], "A"), make_signal([-1.0, 2.0], "B")]
         sweep = sweep_threshold(signals, [1, 0], [0.5])
-        assert sweep.best_threshold == 0.5
+        assert sweep["best_threshold"] == 0.5
 
     def test_identical_signals_tie_break_to_smallest(self):
         signals = [make_signal([1.0, 5.0], t) for t in ("A", "B", "C", "D")]
         truths = [1, 0, 1, 0]
         grid = [-1.0, 0.0, 0.5]
         sweep = sweep_threshold(signals, truths, grid)
-        for entry in sweep.per_threshold:
-            assert entry.balanced_accuracy == 0.5
-        assert sweep.best_threshold == -1.0
+        for row in sweep["table"]:
+            assert row["balanced_accuracy"] == 0.5
+        assert sweep["best_threshold"] == -1.0
 
     def test_matches_exhaustive_re_evaluation(self):
         rng = random.Random(31)
@@ -163,8 +169,8 @@ class TestSweepThreshold:
             grid = sorted(rng.uniform(-2, 2) for _ in range(rng.randint(1, 12)))
             sweep = sweep_threshold(signals, truths, grid)
             expected = exhaustive_best(signals, truths, grid)
-            assert sweep.best_threshold == expected[0]
-            assert sweep.best_balanced_accuracy == pytest.approx(expected[1], abs=1e-12)
+            assert sweep["best_threshold"] == expected[0]
+            assert sweep["best_balanced_accuracy"] == pytest.approx(expected[1], abs=1e-12)
 
     def test_full_table_matches_relabelling(self):
         # Integer-valued signals and grid points drawn from the same integers
@@ -182,10 +188,10 @@ class TestSweepThreshold:
             grid = [float(rng.randint(-4, 4)) for _ in range(rng.randint(1, 12))]
             sweep = sweep_threshold(signals, truths, grid)
             table = relabelled_table(signals, truths, grid)
-            assert sweep.to_json_dict()["table"] == table
-            assert sweep.grid == grid
+            assert sweep["table"] == table
+            assert sweep["grid"] == grid
             best = min(table, key=lambda row: (-row["balanced_accuracy"], row["threshold"]))
-            assert (sweep.best_threshold, sweep.best_balanced_accuracy) == (
+            assert (sweep["best_threshold"], sweep["best_balanced_accuracy"]) == (
                 best["threshold"], best["balanced_accuracy"],
             )
 
@@ -204,11 +210,11 @@ class TestSweepThreshold:
         grid = sorted(rng.uniform(-1, 1) for _ in range(20))
         sweep = sweep_threshold(signals, truths, grid)
         previous_tp, previous_fp = None, None
-        for entry in sweep.per_threshold:
+        for row in sweep["table"]:
             if previous_tp is not None:
-                assert entry.counts.tp <= previous_tp
-                assert entry.counts.fp <= previous_fp
-            previous_tp, previous_fp = entry.counts.tp, entry.counts.fp
+                assert row["tp"] <= previous_tp
+                assert row["fp"] <= previous_fp
+            previous_tp, previous_fp = row["tp"], row["fp"]
 
     def test_single_class_truths_raise(self):
         signals = [make_signal([1.0, 1.0], "A")]
@@ -224,8 +230,8 @@ class TestSweepThreshold:
 
     def test_deterministic_table(self):
         signals = [make_signal([0.5, 0.9, 7.0], "A"), make_signal([0.2, -0.1, 7.0], "B")]
-        one = sweep_threshold(signals, [1, 0], [0.3, 0.7]).to_json_dict()
-        two = sweep_threshold(signals, [1, 0], [0.3, 0.7]).to_json_dict()
+        one = sweep_threshold(signals, [1, 0], [0.3, 0.7])
+        two = sweep_threshold(signals, [1, 0], [0.3, 0.7])
         assert one == two
 
 
@@ -246,10 +252,10 @@ class TestPercentileGrid:
 class TestConfusion:
     def test_counts(self):
         counts = confusion([1, 1, 0, 0], [1, 0, 1, 0])
-        assert (counts.tp, counts.fp, counts.fn, counts.tn) == (1, 1, 1, 1)
+        assert (counts["tp"], counts["fp"], counts["fn"], counts["tn"]) == (1, 1, 1, 1)
 
     def test_total_matches_traces(self):
         rng = random.Random(3)
         preds = [rng.randint(0, 1) for _ in range(50)]
         truths = [rng.randint(0, 1) for _ in range(50)]
-        assert confusion(preds, truths).total == 50
+        assert sum(confusion(preds, truths).values()) == 50

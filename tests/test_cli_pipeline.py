@@ -26,6 +26,10 @@ from steplab.pipeline import (
 )
 
 
+# The keys analyze-bias prints, in order.
+ANALYZE_BIAS_KEYS = ["pool_size", "pool_max", "s", "replicates", "bias", "variance", "exact"]
+
+
 @pytest.fixture(scope="module")
 def small_corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("corpus")
@@ -364,14 +368,14 @@ class TestCli:
 
     def test_run_and_report(self, small_corpus, tmp_path, capsys):
         out = tmp_path / "cli-full"
-        code = main([
+        run = [
             "--backend", f"reference:{small_corpus['reference_model']}",
             "--cache-dir", str(tmp_path / "cache"),
             "run", "--out-dir", str(out),
             "--problems", str(small_corpus["problems"]),
             "--traces", str(small_corpus["traces"]),
-        ])
-        assert code == 0
+        ]
+        assert main(run) == 0
         assert main(["report", "--out-dir", str(out)]) == 0
         captured = capsys.readouterr().out
         assert "cache hit rate" in captured
@@ -387,6 +391,13 @@ class TestCli:
         emitted = json.loads((out / "stages" / "emit.json").read_text())["counts"]
         assert emitted["prm"]["records"] > 0 and emitted["orm"]["records"] > 0
         assert f"prm records {emitted['prm']['records']} | orm records {emitted['orm']['records']}" in captured
+        # Each stage that ran shows its wall time; a skipped stage shows none.
+        for stage in STAGE_TABLE:
+            wall_s = json.loads((out / "stages" / f"{stage}.json").read_text())["wall_s"]
+            assert f"  {stage}: ran | wall {wall_s:.3f} s" in captured
+        assert main(run) == 0
+        rerun = capsys.readouterr().out
+        assert rerun.count(": skipped") == len(STAGE_TABLE) and "wall" not in rerun
 
     def test_cache_file_that_is_not_a_database_exits_2(self, small_corpus, tmp_path, caplog):
         cache_file = tmp_path / "cache" / "scores.sqlite"
@@ -641,6 +652,8 @@ class TestCli:
         code = main(["analyze-bias", "--pool-file", str(pool_file), "--s", "2", "--exhaustive"])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
+        assert list(report) == ANALYZE_BIAS_KEYS
+        assert (report["pool_size"], report["pool_max"], report["s"], report["replicates"]) == (3, 3.0, 2, 0)
         assert report["bias"] == pytest.approx(-1 / 3)
         assert report["variance"] == pytest.approx(2 / 9)
         assert report["exact"] is True
@@ -654,6 +667,8 @@ class TestCli:
         ])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
+        assert list(report) == ANALYZE_BIAS_KEYS
+        assert (report["pool_size"], report["pool_max"], report["s"], report["replicates"]) == (3, 3.0, 2, 4000)
         assert report["exact"] is False
         assert abs(report["bias"] - (-1 / 3)) < 0.05
 
@@ -943,6 +958,21 @@ class TestEmitInputs:
         # Every record is checked before either dataset is replaced.
         assert {name: (run / name).stat().st_ino for name in datasets} == datasets
 
+    def test_label_count_unlike_the_step_count_exits_3(self, run_6x4, tmp_path, caplog):
+        run = tmp_path / "run"
+        shutil.copytree(run_6x4, run)
+        path = artifact_paths(run)["step_labels"]
+        rows = list(read_jsonl(path))
+        rows[-1]["labels"].append(0)
+        path.write_text(_jsonl(rows))
+        datasets = {name: (run / name).stat().st_ino for name in ("prm", "orm")}
+        assert main(["emit", "--out-dir", str(run)]) == 3
+        assert any(
+            "DataError" in r.message and str(path) in r.message and repr(rows[-1]["trace_id"]) in r.message
+            for r in caplog.records
+        )
+        assert {name: (run / name).stat().st_ino for name in datasets} == datasets
+
 
 class TestSignalAndLabelInputs:
     # (artifact with the damaged row, the table its problem is missing from);
@@ -978,11 +1008,18 @@ def _without(key):
 # the command that reads the artifact.
 MALFORMED_RUN_ARTIFACTS = {
     "parsed-trace-without-steps": ("parsed_traces", _without("steps"), ["validate"]),
+    "parsed-trace-with-steps-as-one-string": ("parsed_traces", lambda row: {**row, "steps": " ".join(row["steps"])}, ["validate"]),
+    "parsed-trace-with-a-numeric-answer": ("parsed_traces", lambda row: {**row, "final_answer": 4, "parse_ok": True}, ["validate"]),
     "pool-with-an-unknown-key": ("pools", lambda row: {**row, "verdict": True}, ["eval-bok"]),
+    "pool-with-correct-as-a-string": ("pools", lambda row: {**row, "correct": "".join(row["correct"])}, ["eval-bok"]),
+    "pool-with-wrong-as-a-number": ("pools", lambda row: {**row, "wrong": 7}, ["eval-bok"]),
     "profile-without-values": ("profiles", _without("values"), ["label"]),
     "profile-with-no-rows": ("profiles", lambda row: {**row, "values": []}, ["label"]),
     "signal-without-method": ("signals", _without("method"), ["run", "--stages", "label"]),
     "step-labels-without-labels": ("step_labels", _without("labels"), ["emit"]),
+    "step-labels-as-a-string": ("step_labels", lambda row: {**row, "labels": "10"}, ["emit"]),
+    "step-labels-out-of-0-and-1": ("step_labels", lambda row: {**row, "labels": [7] * len(row["labels"])}, ["emit"]),
+    "step-labels-as-booleans": ("step_labels", lambda row: {**row, "labels": [True] * len(row["labels"])}, ["emit"]),
     "working-set-without-trace-ids": ("working_set", _without("trace_ids"), ["emit"]),
 }
 

@@ -14,18 +14,13 @@ from steplab.dataset_emit import (
     write_shards,
 )
 from steplab.errors import DataError, ReservedSymbolError
-from steplab.infogain import StepLabels
-
-
-def labels_for(trace, labels):
-    return StepLabels(problem_id=trace.problem_id, trace_id=trace.trace_id, labels=labels, threshold=0.0)
 
 
 class TestEmitPrm:
     def test_two_step_record(self):
         problem = make_problem()
         trace = make_trace(steps=["r1", "r2"])
-        record = emit_prm_record(problem, trace, labels_for(trace, [1, 0]))
+        record = emit_prm_record(problem, trace, [1, 0])
         assert list(record) == ["problem_id", "trace_id", "segments", "targets"]
         assert record["targets"] == ["POS", "NEG"]
         texts = [s["text"] for s in record["segments"]]
@@ -37,7 +32,7 @@ class TestEmitPrm:
     def test_single_step(self):
         problem = make_problem()
         trace = make_trace(steps=["only"])
-        record = emit_prm_record(problem, trace, labels_for(trace, [1]))
+        record = emit_prm_record(problem, trace, [1])
         assert record["targets"] == ["POS"]
         assert sum(s["is_target"] for s in record["segments"]) == 1
 
@@ -45,20 +40,20 @@ class TestEmitPrm:
         problem = make_problem()
         trace = make_trace(steps=["r1", "r2", "r3"])
         with pytest.raises(ValueError):
-            emit_prm_record(problem, trace, labels_for(trace, [1, 1]))
+            emit_prm_record(problem, trace, [1, 1])
 
     def test_reserved_symbol_in_step_rejected(self):
         problem = make_problem()
         trace = make_trace(steps=["fine", f"sneaky {STEP_MARKER} here"])
         with pytest.raises(ReservedSymbolError) as err:
-            emit_prm_record(problem, trace, labels_for(trace, [1, 0]))
+            emit_prm_record(problem, trace, [1, 0])
         assert err.value.reason_code == "reserved_symbol_in_step"
 
     def test_reserved_symbol_in_question_rejected(self):
         problem = make_problem(question=f"what is {POSITIVE_SYMBOL}?")
         trace = make_trace(steps=["r1"])
         with pytest.raises(ReservedSymbolError) as err:
-            emit_prm_record(problem, trace, labels_for(trace, [1]))
+            emit_prm_record(problem, trace, [1])
         assert err.value.reason_code == "reserved_symbol_in_question"
 
 
@@ -93,7 +88,7 @@ def random_record(rng, i):
     n_steps = rng.randint(1, 6)
     steps = [f"step {j} text {rng.randint(0, 999)}" for j in range(n_steps)]
     trace = make_trace(problem_id=problem.id, trace_id=f"p{i}-t0", steps=steps)
-    labels = labels_for(trace, [rng.randint(0, 1) for _ in range(n_steps)])
+    labels = [rng.randint(0, 1) for _ in range(n_steps)]
     return problem, trace, emit_prm_record(problem, trace, labels)
 
 

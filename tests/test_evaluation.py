@@ -64,11 +64,11 @@ class TestBestOfK:
         rng = random.Random(19)
         for _ in range(50):
             problems, candidates, truth = random_instance(rng)
-            report = best_of_k(problems, candidates, random_scorer(1), 1, truth_validator(truth))
-            for selection in report.per_problem:
-                first = candidates[selection.problem_id][0]
-                assert selection.selected_trace_id == first.trace_id
-                assert selection.success == truth.get((selection.problem_id, first.final_answer), 0)
+            report, _, _ = best_of_k(problems, candidates, random_scorer(1), 1, truth_validator(truth))
+            for selection in report["per_problem"]:
+                first = candidates[selection["problem_id"]][0]
+                assert selection["selected_trace_id"] == first.trace_id
+                assert selection["success"] == truth.get((selection["problem_id"], first.final_answer), 0)
 
     def test_oracle_equals_brute_force_any_correct(self):
         rng = random.Random(23)
@@ -76,12 +76,12 @@ class TestBestOfK:
             problems, candidates, truth = random_instance(rng)
             k = rng.randint(1, 10)
             validator = truth_validator(truth)
-            report = best_of_k(problems, candidates, oracle_scorer(validator), k, validator)
+            report, _, _ = best_of_k(problems, candidates, oracle_scorer(validator), k, validator)
             expected = sum(
                 any(truth.get((p.id, t.final_answer), 0) for t in candidates[p.id][:k])
                 for p in problems
             ) / len(problems)
-            assert report.accuracy == expected
+            assert report["accuracy"] == expected
 
     def test_tie_breaks_to_lowest_index(self):
         problem = make_problem()
@@ -90,11 +90,11 @@ class TestBestOfK:
             make_trace(trace_id="second", final_answer="4"),
         ]
         truth = {(problem.id, "4"): 1, (problem.id, "9"): 0}
-        report = best_of_k(
+        report, _, _ = best_of_k(
             [problem], {problem.id: traces}, lambda p, t: 1.0, 2, truth_validator(truth)
         )
-        assert report.per_problem[0].selected_trace_id == "first"
-        assert report.per_problem[0].success == 0
+        assert report["per_problem"][0]["selected_trace_id"] == "first"
+        assert report["per_problem"][0]["success"] == 0
 
     def test_unscored_candidate_never_selected_unless_all_are(self):
         problem = make_problem()
@@ -107,13 +107,13 @@ class TestBestOfK:
         def scorer(p, t):
             return SCORE_FAILURE if t.trace_id == "bad" else 0.1
 
-        report = best_of_k([problem], {problem.id: traces}, scorer, 2, truth)
-        assert report.per_problem[0].selected_trace_id == "good"
-        assert report.per_problem[0].success == 1
-        assert (report.candidates, report.unscored_candidates) == (2, 1)
-        report = best_of_k([problem], {problem.id: traces}, lambda p, t: SCORE_FAILURE, 2, truth)
-        assert report.per_problem[0].selected_trace_id == "bad"
-        assert (report.candidates, report.unscored_candidates) == (2, 2)
+        report, candidates, unscored = best_of_k([problem], {problem.id: traces}, scorer, 2, truth)
+        assert report["per_problem"][0]["selected_trace_id"] == "good"
+        assert report["per_problem"][0]["success"] == 1
+        assert (candidates, unscored) == (2, 1)
+        report, candidates, unscored = best_of_k([problem], {problem.id: traces}, lambda p, t: SCORE_FAILURE, 2, truth)
+        assert report["per_problem"][0]["selected_trace_id"] == "bad"
+        assert (candidates, unscored) == (2, 2)
 
     def test_scorer_exception_propagates(self):
         problem = make_problem()
@@ -130,8 +130,8 @@ class TestBestOfK:
     def test_unparseable_selection_counts_as_failure(self):
         problem = make_problem()
         traces = [make_trace(trace_id="t0", final_answer=None, steps=["s"])]
-        report = best_of_k([problem], {problem.id: traces}, lambda p, t: 1.0, 1, lambda p, a: 1)
-        assert report.per_problem[0].success == 0
+        report, _, _ = best_of_k([problem], {problem.id: traces}, lambda p, t: 1.0, 1, lambda p, a: 1)
+        assert report["per_problem"][0]["success"] == 0
 
     def test_invariance_under_strictly_increasing_transforms(self):
         rng = random.Random(29)
@@ -145,19 +145,19 @@ class TestBestOfK:
                 return math.exp(_a * _base(p, t) + _b)
 
             validator = truth_validator(truth)
-            first = best_of_k(problems, candidates, base, k, validator)
-            second = best_of_k(problems, candidates, transformed, k, validator)
-            assert [s.selected_trace_id for s in first.per_problem] == [
-                s.selected_trace_id for s in second.per_problem
+            first, _, _ = best_of_k(problems, candidates, base, k, validator)
+            second, _, _ = best_of_k(problems, candidates, transformed, k, validator)
+            assert [s["selected_trace_id"] for s in first["per_problem"]] == [
+                s["selected_trace_id"] for s in second["per_problem"]
             ]
-            assert first.accuracy == second.accuracy
+            assert first["accuracy"] == second["accuracy"]
 
     def test_oracle_accuracy_non_decreasing_in_k(self):
         rng = random.Random(37)
         problems, candidates, truth = random_instance(rng, n_problems=20)
         validator = truth_validator(truth)
         accuracies = [
-            best_of_k(problems, candidates, oracle_scorer(validator), k, validator).accuracy
+            best_of_k(problems, candidates, oracle_scorer(validator), k, validator)[0]["accuracy"]
             for k in range(1, 11)
         ]
         for lo, hi in zip(accuracies, accuracies[1:]):
@@ -177,7 +177,7 @@ class TestBestOfK:
         ) / len(problems)
         trials = 400
         accs = [
-            best_of_k(problems, candidates, random_scorer(seed), 10, validator).accuracy
+            best_of_k(problems, candidates, random_scorer(seed), 10, validator)[0]["accuracy"]
             for seed in range(trials)
         ]
         mean = sum(accs) / trials
@@ -222,10 +222,11 @@ class TestMajorityVote:
             for i, a in enumerate(["5", "4", "4"])
         ]
         truth = {(problem.id, "4"): 1, (problem.id, "5"): 0}
-        report = majority_best_of_k([problem], {problem.id: traces}, 3, truth_validator(truth))
-        assert report.per_problem[0].selected_trace_id == "t1"
-        assert report.per_problem[0].success == 1
-        assert report.scorer_id == "majority"
+        report, _, _ = majority_best_of_k([problem], {problem.id: traces}, 3, truth_validator(truth))
+        assert report["per_problem"][0]["selected_trace_id"] == "t1"
+        assert report["per_problem"][0]["success"] == 1
+        assert report["scorer_id"] == "majority"
+        assert list(report) == ["K", "scorer_id", "accuracy", "per_problem"]
 
 
 class TestLabelProductScorer:

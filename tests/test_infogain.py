@@ -78,7 +78,7 @@ class TestIgSignal:
             )
             base = assign_labels(ig_signal(profile, gold), 0.0)
             moved = assign_labels(ig_signal(shifted, gold), 0.0)
-            assert base.labels == moved.labels
+            assert base == moved
 
 
 class TestNetInfo:
@@ -170,19 +170,18 @@ class TestAssignLabels:
     def test_positive_signal_above_zero_threshold(self, worked_fixture):
         profile, pool = worked_fixture
         labels = assign_labels(mcnig_signal(profile, pool), 0.0)
-        assert labels.labels == [1]
-        assert labels.threshold == 0.0
+        assert labels == [1]
 
     def test_strict_inequality_at_boundary(self):
         labels = assign_labels(
             StepSignal(problem_id="p", trace_id="t", method="IG", values=[0.0, -0.5]), 0.0
         )
-        assert labels.labels == [0, 0]
+        assert labels == [0, 0]
 
     def test_minus_infinity_threshold_labels_everything(self):
         signal = StepSignal(problem_id="p", trace_id="t", method="IG", values=[-9.0, 0.0, 4.0])
         labels = assign_labels(signal, float("-inf"))
-        assert labels.labels == [1, 1, 1]
+        assert labels == [1, 1, 1]
 
     def test_monotone_in_threshold(self):
         rng = random.Random(23)
@@ -190,7 +189,7 @@ class TestAssignLabels:
             values = [rng.uniform(-3, 3) for _ in range(rng.randint(1, 8))]
             signal = StepSignal(problem_id="p", trace_id="t", method="IG", values=values)
             lo, hi = sorted((rng.uniform(-3, 3), rng.uniform(-3, 3)))
-            low_labels = assign_labels(signal, lo).labels
-            high_labels = assign_labels(signal, hi).labels
+            low_labels = assign_labels(signal, lo)
+            high_labels = assign_labels(signal, hi)
             for l_low, l_high in zip(low_labels, high_labels):
                 assert l_high <= l_low
