@@ -167,8 +167,9 @@ def main(argv: list[str] | None = None) -> int:
             print(summarize_run(cfg.out_dir))
             return 0
         stage = next(s for s in STAGE_TABLE.values() if s.command == args.command)
+        memo: dict = {}
         for name in (*stage.runs_first, stage.name):
-            report = run_stage(name, cfg)
+            report = run_stage(name, cfg, memo)
             status = "skipped (up to date)" if report.get("skipped") else "done"
             print(f"{report['name']}: {status}")
         return 0

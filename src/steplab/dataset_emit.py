@@ -11,11 +11,11 @@ single target at the trailing marker only. The reserved symbols are literal
 strings here; trainers map them onto unused vocabulary ids.
 """
 
-import json
 from pathlib import Path
 from typing import Iterable
 
 from .errors import ReservedSymbolError
+from .ioutil import encode_json
 from .trace_model import Problem, ReasoningTrace
 
 STEP_MARKER = "<|s_req|>"
@@ -98,7 +98,7 @@ def write_shards(
                 handle = open(path, "w", encoding="utf-8")
                 paths.append(path)
                 written = 0
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+            handle.write(encode_json(record) + "\n")
             written += 1
     finally:
         if handle is not None:

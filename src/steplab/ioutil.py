@@ -33,14 +33,19 @@ def read_jsonl(path: str | Path, make: Callable[[dict], Any] | None = None) -> I
             yield obj
 
 
-def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
-    """Write records as one JSON object per line. The file appears atomically."""
-    text = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
-    atomic_write_text(path, text)
+# One encoder for all rows: json.dumps(r, ensure_ascii=False) builds one per row.
+encode_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> str:
+    """Write records as one JSON object per line. The file appears atomically.
+    Returns the sha256 of the bytes written."""
+    return atomic_write_text(path, "".join(encode_json(r) + "\n" for r in records))
+
+
+def atomic_write_text(path: str | Path, text: str) -> str:
     """Write via a temp file and rename, so readers never see partial output.
+    Returns the sha256 of the bytes written.
 
     Each write gets its own temp name, so concurrent writers of one path never
     rename each other's file; the last rename wins.
@@ -48,12 +53,14 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    data = text.encode("utf-8")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return sha256_bytes(data)
 
 
 def sha256_bytes(data: bytes) -> str:

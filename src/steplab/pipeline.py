@@ -19,22 +19,16 @@ import os
 import shutil
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from . import __version__
 from .calibration import percentile_grid, sweep_threshold
 from .dataset_emit import emit_orm_record, emit_prm_record, label_balance, write_shards
 from .errors import ConfigError, DataError, ReservedSymbolError, UndefinedMetricError
-from .evaluation import (
-    best_of_k,
-    majority_best_of_k,
-    oracle_scorer,
-    random_scorer,
-    step_product_scorer,
-)
+from .evaluation import best_of_k, majority_best_of_k, oracle_scorer, random_scorer, step_product_scorer
 from .infogain import AGGREGATIONS, REFERENCES, StepSignal, assign_labels, ig_signal, mcnig_signal
 from .ioutil import atomic_write_text, read_jsonl, sha256_file, sha256_text, write_jsonl
 from .scoring import InformationProfile, information_profile, make_backend, profile_requests, score_requests
@@ -113,9 +107,7 @@ class RunConfig:
             if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be a finite number of seconds, got {getattr(self, name)!r}")
         if self.eval_scorer in ("step-product", "orm") and not self.step_scores:
-            raise ConfigError(
-                f"scorer {self.eval_scorer!r} needs --step-scores with per-trace probabilities"
-            )
+            raise ConfigError(f"scorer {self.eval_scorer!r} needs --step-scores with per-trace probabilities")
 
     @property
     def out(self) -> Path:
@@ -163,11 +155,7 @@ def parse_config_file(path: str | Path) -> dict:
     return values
 
 
-def load_config(
-    config_file: str | None = None,
-    overrides: dict | None = None,
-    env: dict | None = None,
-) -> RunConfig:
+def load_config(config_file: str | None = None, overrides: dict | None = None, env: dict | None = None) -> RunConfig:
     """Merge config sources: file, then environment, then explicit overrides.
 
     Each text value is parsed by its field's type; a non-text override, from
@@ -273,10 +261,59 @@ def _finish_stage(
     return report
 
 
+def _step_labels_row(obj: dict) -> tuple[str, str, list[int]]:
+    """A ``step_labels.jsonl`` row as (problem id, trace id, labels); each
+    label must be the integer 0 or 1 (JSON ``true`` is not one)."""
+    labels = obj["labels"]
+    if type(labels) is not list or not all(type(l) is int and l in (0, 1) for l in labels):
+        raise ValueError(f"labels must be a list of 0 and 1, got {labels!r}")
+    return obj["problem_id"], obj["trace_id"], labels
+
+
+# The one row builder of each JSONL run artifact. Readers are looked up when
+# called, so a reader patched in this module is the one used.
+READERS: dict[str, Callable[[Path], Any]] = {
+    "problems": lambda path: read_problems(path),
+    "parsed_traces": lambda path: read_traces(path),
+    "pools": lambda path: {pool.problem_id: pool for pool in read_jsonl(path, lambda obj: AnswerPool(**obj))},
+    "working_set": lambda path: list(read_jsonl(path, lambda obj: (obj["problem_id"], obj["trace_ids"]))),
+    "profiles": lambda path: list(read_jsonl(path, lambda obj: InformationProfile(**obj))),
+    "signals": lambda path: list(read_jsonl(path, lambda obj: StepSignal(**obj))),
+    "step_labels": lambda path: list(read_jsonl(path, _step_labels_row)),
+}
+
+
+@dataclass
+class StageIO:
+    """A stage body's artifact paths and input rows. ``digests`` maps each
+    input path to the sha256 its fingerprint took. Rows are memoized in
+    ``memo`` under (artifact, digest), unless read with ``keep=False``, so
+    stages sharing one memo parse each artifact's bytes once, and a rewritten
+    artifact is parsed afresh. Rows are shared: never change them."""
+
+    paths: dict[str, Path]
+    digests: dict[str, str]
+    memo: dict
+
+    def digest(self, key: str) -> str:
+        return self.digests[str(self.paths[key])]
+
+    def rows(self, key: str, keep: bool = True):
+        memo_key = (key, self.digest(key))
+        rows = self.memo.pop(memo_key) if memo_key in self.memo else READERS[key](self.paths[key])
+        if keep:
+            self.memo[memo_key] = rows
+        return rows
+
+    def wrote(self, key: str, digest: str, rows) -> None:
+        """Hand on ``rows``, equal to a parse of the bytes just written to ``key``."""
+        self.memo[(key, digest)] = rows
+
+
 # ---------------------------------------------------------------------------
-# Stage bodies. A body takes the config, the artifact paths, and the state
-# its stage's prepare hook returned, writes the stage's outputs, and returns
-# the counts for the stage manifest.
+# Stage bodies. A body takes the config, its StageIO, and the state its
+# stage's prepare hook returned, writes the stage's outputs, and returns the
+# counts for the stage manifest.
 
 
 def _prepare_ingest(cfg: RunConfig, paths: dict[str, Path]):
@@ -287,7 +324,7 @@ def _prepare_ingest(cfg: RunConfig, paths: dict[str, Path]):
     return None, [Path(cfg.problems), Path(cfg.traces)], {}
 
 
-def _ingest(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
+def _ingest(cfg: RunConfig, io: StageIO, state) -> dict:
     problems = read_problems(cfg.problems)
     dropped: dict[str, str] = {}
     if cfg.domains:
@@ -315,8 +352,8 @@ def _ingest(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
         if not trace.parse_ok:
             parse_failures += 1
         parsed.append(trace)
-    write_problems(paths["problems"], problems)
-    write_traces(paths["parsed_traces"], parsed)
+    io.wrote("problems", write_problems(io.paths["problems"], problems), problems)
+    io.wrote("parsed_traces", write_traces(io.paths["parsed_traces"], parsed), parsed)
     return {
         "problems_in": len(problems) + len(dropped),
         "problems_out": len(problems),
@@ -328,13 +365,13 @@ def _ingest(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
     }
 
 
-def _validate(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
-    problems = read_problems(paths["problems"])
-    traces = read_traces(paths["parsed_traces"])
+def _validate(cfg: RunConfig, io: StageIO, state) -> dict:
+    problems = io.rows("problems")
+    traces = io.rows("parsed_traces")
     by_problem = _by_problem(traces)
 
     pools = [build_answer_pool(p, by_problem.get(p.id, []), make_validator(p)) for p in problems]
-    write_jsonl(paths["pools"], (vars(pool) for pool in pools))
+    io.wrote("pools", write_jsonl(io.paths["pools"], map(vars, pools)), {pool.problem_id: pool for pool in pools})
     return {
         "problems_in": len(problems),
         "problems_out": len(problems),
@@ -343,30 +380,30 @@ def _validate(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
     }
 
 
-def _read_pools(path: Path) -> dict[str, AnswerPool]:
-    return {pool.problem_id: pool for pool in read_jsonl(path, lambda obj: AnswerPool(**obj))}
-
-
-def _judged_traces(
-    paths: dict[str, Path], problems: Iterable[Problem], pools: dict[str, AnswerPool]
-) -> list[ReasoningTrace]:
-    """The parsed traces, each parseable one with ``correct`` set from its
-    problem's answer pool (``pools``, as read from ``pools.jsonl``): its
-    normalized final answer is among the pool's normalized correct answers.
-    Each (problem, final answer) pair is normalized once."""
-    domain_of = {p.id: p.domain for p in problems}
+def _judged_traces(io: StageIO) -> list[ReasoningTrace]:
+    """The parsed traces, each parseable one copied with ``correct`` set: its
+    normalized final answer is among its answer pool's normalized correct
+    answers. Each (problem, final answer) pair is normalized once, and the
+    list is memoized on the digests of its three inputs."""
+    memo_key = ("judged", *(io.digest(key) for key in ("problems", "parsed_traces", "pools")))
+    if memo_key in io.memo:
+        return io.memo[memo_key]
+    domain_of = {p.id: p.domain for p in io.rows("problems")}
+    pools = io.rows("pools")
     correct_keys = {pid: {normalize_answer(a, domain_of[pid]) for a in pool.correct} for pid, pool in pools.items()}
     verdicts: dict[tuple[str, str], bool] = {}
-    traces = read_traces(paths["parsed_traces"])
-    for t in traces:
+    judged = []
+    for t in io.rows("parsed_traces"):
         if t.parse_ok:
             key = (t.problem_id, t.final_answer)
             if key not in verdicts:
                 if t.problem_id not in correct_keys:
-                    raise DataError(f"{paths['pools']}: no answer pool for problem {t.problem_id!r}")
+                    raise DataError(f"{io.paths['pools']}: no answer pool for problem {t.problem_id!r}")
                 verdicts[key] = normalize_answer(t.final_answer, domain_of[t.problem_id]) in correct_keys[t.problem_id]
-            t.correct = verdicts[key]
-    return traces
+            t = replace(t, correct=verdicts[key])
+        judged.append(t)
+    io.memo[memo_key] = judged
+    return judged
 
 
 def _prepare_score(cfg: RunConfig, paths: dict[str, Path]):
@@ -374,26 +411,23 @@ def _prepare_score(cfg: RunConfig, paths: dict[str, Path]):
     if not cfg.backend:
         raise ConfigError("no scoring backend configured (use --backend or the env override)")
     backend = make_backend(
-        cfg.backend,
-        cfg.cache_dir or None,
-        timeout_s=cfg.backend_timeout_s,
-        max_retries=cfg.backend_retries,
-        backoff_s=cfg.backend_backoff_s,
+        cfg.backend, cfg.cache_dir or None,
+        timeout_s=cfg.backend_timeout_s, max_retries=cfg.backend_retries, backoff_s=cfg.backend_backoff_s,
     )
     return backend, [], {"backend": backend.backend_id}
 
 
-def _score(cfg: RunConfig, paths: dict[str, Path], backend) -> dict:
-    problems = read_problems(paths["problems"])
-    pools = _read_pools(paths["pools"])
-    traces = _judged_traces(paths, problems, pools)
+def _score(cfg: RunConfig, io: StageIO, backend) -> dict:
+    problems = io.rows("problems")
+    pools = io.rows("pools")
+    traces = _judged_traces(io)
     result = filter_and_subsample(problems, _by_problem(traces), k=cfg.k_subsample, seed=cfg.seed)
-    working_rows = []
+    working = []
     jobs = []
     for problem, kept_traces in result.kept:
         pool = pools[problem.id]
         answers = list(dict.fromkeys(pool.correct + pool.wrong + [problem.gold_answer]))
-        working_rows.append({"problem_id": problem.id, "trace_ids": [t.trace_id for t in kept_traces]})
+        working.append((problem.id, [t.trace_id for t in kept_traces]))
         jobs.extend((problem, trace, answers, profile_requests(problem, trace, answers)) for trace in kept_traces)
     # Traces of one problem share their step-0 requests, so the stage scores
     # its distinct requests once and fills every profile by lookup.
@@ -402,19 +436,20 @@ def _score(cfg: RunConfig, paths: dict[str, Path], backend) -> dict:
         scored = score_requests(backend, requests, in_flight=cfg.concurrency_limit)
     finally:
         backend.close()
-    profile_rows = [
-        vars(information_profile(problem, trace, answers, [scored.totals[r] for r in trace_requests]))
+    profiles = [
+        information_profile(problem, trace, answers, [scored.totals[r] for r in trace_requests])
         for problem, trace, answers, trace_requests in jobs
     ]
-    write_jsonl(paths["working_set"], working_rows)
-    write_jsonl(paths["profiles"], profile_rows)
+    working_rows = ({"problem_id": pid, "trace_ids": trace_ids} for pid, trace_ids in working)
+    io.wrote("working_set", write_jsonl(io.paths["working_set"], working_rows), working)
+    io.wrote("profiles", write_jsonl(io.paths["profiles"], map(vars, profiles)), profiles)
     lookups = scored.cache_hits + scored.cache_misses
     return {
         "problems_in": len(problems),
         "problems_out": len(result.kept),
         "dropped_by_reason": _reason_counts(result.dropped),
         "dropped": result.dropped,
-        "traces_scored": len(profile_rows),
+        "traces_scored": len(profiles),
         "requests": len(requests),
         "unique_requests": len(scored.totals),
         "backend_calls": scored.backend_calls,
@@ -427,13 +462,14 @@ def _score(cfg: RunConfig, paths: dict[str, Path], backend) -> dict:
     }
 
 
-def _signals(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
-    problems = {p.id: p for p in read_problems(paths["problems"])}
-    pools = _read_pools(paths["pools"])
-    rows = []
+def _signals(cfg: RunConfig, io: StageIO, state) -> dict:
+    paths = io.paths
+    problems = {p.id: p for p in io.rows("problems")}
+    pools = io.rows("pools")
+    signals = []
     dropped: dict[str, str] = {}
     profile_problems: set[str] = set()
-    for profile in read_jsonl(paths["profiles"], lambda obj: InformationProfile(**obj)):
+    for profile in io.rows("profiles", keep=False):  # no later stage reads profiles
         profile_problems.add(profile.problem_id)
         _check_known(paths["profiles"], profile, paths["problems"], problems)
         problem = problems[profile.problem_id]
@@ -448,23 +484,23 @@ def _signals(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
             signal = mcnig_signal(profile, pool, cfg.aggregation, cfg.reference)
         else:
             signal = ig_signal(profile, problem.gold_answer)
-        rows.append(vars(signal))
-    write_jsonl(paths["signals"], rows)
+        signals.append(signal)
+    io.wrote("signals", write_jsonl(paths["signals"], map(vars, signals)), signals)
     return {
         "problems_in": len(profile_problems),
         "problems_out": len(profile_problems) - len(dropped),
         "dropped_by_reason": _reason_counts(dropped),
         "dropped": dropped,
-        "traces_signaled": len(rows),
+        "traces_signaled": len(signals),
     }
 
 
-def _sweep(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
-    problems = {p.id: p for p in read_problems(paths["problems"])}
-    traces = _judged_traces(paths, problems.values(), _read_pools(paths["pools"]))
-    truth_of = {(t.problem_id, t.trace_id): int(t.correct) for t in traces if t.parse_ok}
+def _sweep(cfg: RunConfig, io: StageIO, state) -> dict:
+    paths = io.paths
+    problems = {p.id: p for p in io.rows("problems")}
+    truth_of = {(t.problem_id, t.trace_id): int(t.correct) for t in _judged_traces(io) if t.parse_ok}
     by_domain: dict[str, tuple[list[StepSignal], list[int]]] = {}
-    for signal in read_jsonl(paths["signals"], lambda obj: StepSignal(**obj)):
+    for signal in io.rows("signals"):
         key = (signal.problem_id, signal.trace_id)
         if key not in truth_of:
             raise DataError(f"{paths['signals']}: trace {key} is not a parseable trace of {paths['parsed_traces']}")
@@ -489,11 +525,8 @@ def _sweep(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
         thresholds[domain] = sweep["best_threshold"]
     atomic_write_text(paths["sweep"], json.dumps({"domains": reports}, ensure_ascii=False, indent=1))
     atomic_write_text(paths["thresholds"], json.dumps(thresholds, ensure_ascii=False, indent=1))
-    return {
-        "domains_swept": len(thresholds),
-        "domains_skipped": len(reports) - len(thresholds),
-        "best_thresholds": thresholds,
-    }
+    swept = len(thresholds)
+    return {"domains_swept": swept, "domains_skipped": len(reports) - swept, "best_thresholds": thresholds}
 
 
 def _prepare_label(cfg: RunConfig, paths: dict[str, Path]):
@@ -519,33 +552,29 @@ def _prepare_label(cfg: RunConfig, paths: dict[str, Path]):
     return (thresholds, str(source)), [source], {}
 
 
-def _label(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
+def _label(cfg: RunConfig, io: StageIO, state) -> dict:
     thresholds, thresholds_source = state
-    domain_of = {p.id: p.domain for p in read_problems(paths["problems"])}
+    domain_of = {p.id: p.domain for p in io.rows("problems")}
     rows = []
-    for signal in read_jsonl(paths["signals"], lambda obj: StepSignal(**obj)):
-        _check_known(paths["signals"], signal, paths["problems"], domain_of)
+    for signal in io.rows("signals"):
+        _check_known(io.paths["signals"], signal, io.paths["problems"], domain_of)
         tau = thresholds.get(domain_of[signal.problem_id], 0.0)
         rows.append({**vars(signal), "labels": assign_labels(signal, tau), "threshold": tau})
-    write_jsonl(paths["step_labels"], rows)
-    return {
-        "traces_labeled": len(rows),
-        "thresholds_source": thresholds_source or "default:0.0",
-    }
+    io.wrote("step_labels", write_jsonl(io.paths["step_labels"], rows), [_step_labels_row(row) for row in rows])
+    return {"traces_labeled": len(rows), "thresholds_source": thresholds_source or "default:0.0"}
 
 
-def _emit(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
+def _emit(cfg: RunConfig, io: StageIO, state) -> dict:
     """Both training datasets from one read of their inputs: a PRM record per
     labeled trace and an ORM record per working-set trace. Every row is
     checked before either dataset is written."""
-    problems = {p.id: p for p in read_problems(paths["problems"])}
-    judged = _judged_traces(paths, problems.values(), _read_pools(paths["pools"]))
-    traces = {(t.problem_id, t.trace_id): t for t in judged}
-    working_set = read_jsonl(paths["working_set"], lambda obj: (obj["problem_id"], obj["trace_ids"]))
-    working = [(pid, tid) for pid, trace_ids in working_set for tid in trace_ids]
+    paths = io.paths
+    problems = {p.id: p for p in io.rows("problems")}
+    traces = {(t.problem_id, t.trace_id): t for t in _judged_traces(io)}
+    working = [(pid, tid) for pid, trace_ids in io.rows("working_set") for tid in trace_ids]
     # A job is (problem id, trace id, step labels); an ORM job has no labels.
     jobs = {
-        "prm": (paths["step_labels"], list(read_jsonl(paths["step_labels"], _step_labels_row))),
+        "prm": (paths["step_labels"], io.rows("step_labels")),
         "orm": (paths["working_set"], [(pid, tid, None) for pid, tid in working]),
     }
     for source, dataset_jobs in jobs.values():
@@ -586,15 +615,6 @@ def _emit(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
     return counts
 
 
-def _step_labels_row(obj: dict) -> tuple[str, str, list[int]]:
-    """A ``step_labels.jsonl`` row as (problem id, trace id, labels); each
-    label must be the integer 0 or 1 (JSON ``true`` is not one)."""
-    labels = obj["labels"]
-    if type(labels) is not list or not all(type(l) is int and l in (0, 1) for l in labels):
-        raise ValueError(f"labels must be a list of 0 and 1, got {labels!r}")
-    return obj["problem_id"], obj["trace_id"], labels
-
-
 def _prepare_eval(cfg: RunConfig, paths: dict[str, Path]):
     """Digest the scorer's own inputs: labels or external step scores."""
     extra = []
@@ -614,7 +634,7 @@ def _probability(value) -> float:
     return p
 
 
-def _build_scorer(cfg: RunConfig, paths: dict[str, Path], verdict):
+def _build_scorer(cfg: RunConfig, io: StageIO, verdict):
     name = cfg.eval_scorer
     if name == "oracle":
         return oracle_scorer(verdict)
@@ -622,18 +642,19 @@ def _build_scorer(cfg: RunConfig, paths: dict[str, Path], verdict):
         return random_scorer(cfg.seed)
     if name == "label-product":
         # This toolkit's own binary labels, as 0/1 step probabilities.
-        path, column = paths["step_labels"], "labels"
-    else:
-        # step-product and orm: external per-step probabilities from --step-scores
-        path, column = cfg.step_scores, "step_probs"
-    rows = read_jsonl(path, lambda obj: ((obj["problem_id"], obj["trace_id"]), [_probability(v) for v in obj[column]]))
+        probs = {(pid, tid): [float(l) for l in labels] for pid, tid, labels in io.rows("step_labels")}
+        return step_product_scorer(probs, name)
+    # step-product and orm: external per-step probabilities from --step-scores
+    rows = read_jsonl(
+        cfg.step_scores, lambda r: ((r["problem_id"], r["trace_id"]), [_probability(v) for v in r["step_probs"]])
+    )
     return step_product_scorer(dict(rows), name)
 
 
-def _eval(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
-    problems = read_problems(paths["problems"])
+def _eval(cfg: RunConfig, io: StageIO, state) -> dict:
+    problems = io.rows("problems")
     # The validate stage's answer pools decide success: no validator runs here.
-    traces = _judged_traces(paths, problems, _read_pools(paths["pools"]))
+    traces = _judged_traces(io)
     verdicts = {(t.problem_id, t.final_answer): t.correct for t in traces if t.parse_ok}
     candidates = _by_problem(traces)
     problems = [p for p in problems if candidates.get(p.id)]
@@ -644,9 +665,9 @@ def _eval(cfg: RunConfig, paths: dict[str, Path], state) -> dict:
     if cfg.eval_scorer == "majority":
         report, considered, unscored = majority_best_of_k(problems, candidates, cfg.eval_k, verdict)
     else:
-        scorer = _build_scorer(cfg, paths, verdict)
+        scorer = _build_scorer(cfg, io, verdict)
         report, considered, unscored = best_of_k(problems, candidates, scorer, cfg.eval_k, verdict)
-    atomic_write_text(paths["eval_report"], json.dumps(report, ensure_ascii=False, indent=1))
+    atomic_write_text(io.paths["eval_report"], json.dumps(report, ensure_ascii=False, indent=1))
     return {
         "problems_in": len(problems),
         "problems_out": len(problems),
@@ -697,7 +718,7 @@ class Stage:
     writes: tuple[str, ...]
     reads: tuple[str, ...]
     fingerprint: tuple[str, ...]
-    body: Callable[[RunConfig, dict[str, Path], Any], dict]
+    body: Callable[[RunConfig, StageIO, Any], dict]
     prepare: Callable[[RunConfig, dict[str, Path]], tuple[Any, list[Path], dict]] | None = None
     command: str = ""
     help: str = ""
@@ -769,8 +790,9 @@ STAGES = tuple(STAGE_TABLE)
 _FINGERPRINT_KEYS = {"eval_scorer": "scorer", "eval_k": "k"}
 
 
-def run_stage(name: str, cfg: RunConfig) -> dict:
-    """Run one stage of the table, or skip it when it is up to date."""
+def run_stage(name: str, cfg: RunConfig, memo: dict | None = None) -> dict:
+    """Run one stage of the table, or skip it when it is up to date. Stages
+    run with one ``memo`` share their parsed inputs (:class:`StageIO`)."""
     stage = STAGE_TABLE[name]
     paths = artifact_paths(cfg.out)
     needs = [paths[n] for n in stage.needs]
@@ -784,7 +806,7 @@ def run_stage(name: str, cfg: RunConfig) -> dict:
     if skipped:
         return skipped
     start = time.perf_counter()
-    counts = stage.body(cfg, paths, state)
+    counts = stage.body(cfg, StageIO(paths, inputs, {} if memo is None else memo), state)
     wall_s = time.perf_counter() - start
     outputs = _files([paths[n] for n in stage.writes])
     return _finish_stage(cfg.out, name, fingerprint, inputs, outputs, counts, wall_s)
@@ -814,9 +836,10 @@ def run_pipeline(cfg: RunConfig, stages: list[str] | None = None) -> dict:
             raise ConfigError(f"unknown stage {name!r}; choose from {STAGES}")
     cfg.out.mkdir(parents=True, exist_ok=True)
     reports = []
+    memo: dict = {}
     for name in sequence:
         log.info("running stage %s", name)
-        reports.append(run_stage(name, cfg))
+        reports.append(run_stage(name, cfg, memo))
     manifest = {
         "toolkit_version": __version__,
         "created_unix": time.time(),

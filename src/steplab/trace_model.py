@@ -284,8 +284,8 @@ def read_problems(path: str | Path) -> list[Problem]:
     return problems
 
 
-def write_problems(path: str | Path, problems: Iterable[Problem]) -> None:
-    write_jsonl(
+def write_problems(path: str | Path, problems: Iterable[Problem]) -> str:
+    return write_jsonl(
         path,
         (
             {
@@ -305,8 +305,8 @@ def read_raw_traces(path: str | Path) -> Iterable[dict]:
     return read_jsonl(path, lambda obj: _string_fields(obj, "problem_id", "trace_id", "raw_text"))
 
 
-def write_traces(path: str | Path, traces: Iterable[ReasoningTrace]) -> None:
-    write_jsonl(path, (vars(t) for t in traces))
+def write_traces(path: str | Path, traces: Iterable[ReasoningTrace]) -> str:
+    return write_jsonl(path, (vars(t) for t in traces))
 
 
 def read_traces(path: str | Path) -> list[ReasoningTrace]:

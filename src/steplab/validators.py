@@ -16,14 +16,17 @@ as 0. Infrastructure failures (missing fixture, unspawnable command) raise
 
 import logging
 import math
+import os
 import re
 import shlex
+import signal
 import sqlite3
 import string
 import subprocess
 import tempfile
 import threading
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -102,13 +105,7 @@ class ValidatorSpec:
 
 
 @dataclass
-class SqlCheck:
-    value: int
-    diagnostic: str | None = None
-
-
-@dataclass
-class CommandCheck:
+class Check:
     value: int
     diagnostic: str | None = None
     timed_out: bool = False
@@ -193,7 +190,7 @@ def _open_fixture(fixture: str | Path) -> sqlite3.Connection:
         raise ValidatorError(f"failed to open fixture {path}: {exc}") from exc
 
 
-def check_sql(candidate_query: str, gold_query: str, fixture: str | Path) -> SqlCheck:
+def check_sql(candidate_query: str, gold_query: str, fixture: str | Path) -> Check:
     """Execute both queries on the fixture and compare result multisets.
 
     Comparison is order-insensitive unless the gold query carries an explicit
@@ -225,24 +222,26 @@ def check_sql(candidate_query: str, gold_query: str, fixture: str | Path) -> Sql
             cand_rows = conn.execute(candidate_query).fetchall()
         except sqlite3.Error as exc:
             if ticks > budget:
-                return SqlCheck(0, "timeout")
-            return SqlCheck(0, f"execution error: {exc}")
+                return Check(0, "timeout")
+            return Check(0, f"execution error: {exc}")
         if _has_order_by(gold_query):
             equal = cand_rows == gold_rows
         else:
             equal = Counter(cand_rows) == Counter(gold_rows)
-        return SqlCheck(int(equal), None if equal else "result mismatch")
+        return Check(int(equal), None if equal else "result mismatch")
     finally:
         conn.close()
 
 
-def check_external(command_template: str, candidate: str, timeout_s: float = DEFAULT_COMMAND_TIMEOUT_S) -> CommandCheck:
+def check_external(command_template: str, candidate: str, timeout_s: float = DEFAULT_COMMAND_TIMEOUT_S) -> Check:
     """Materialize the candidate to a file and run the command template on it.
 
     The command runs in a throwaway working directory with ``{candidate}``
     replaced by the file path. Exit status 0 scores 1, anything else 0.
     Timeouts score 0 with the ``timed_out`` flag; a command that cannot be
-    spawned at all raises :class:`ValidatorError`.
+    spawned at all raises :class:`ValidatorError`. The command runs in its
+    own process group, which is killed at the timeout and after the command
+    exits, so nothing it started outlives it.
     """
     if "{candidate}" not in command_template:
         raise ValidatorError("command template must contain a {candidate} placeholder")
@@ -253,18 +252,26 @@ def check_external(command_template: str, candidate: str, timeout_s: float = DEF
         if not argv:
             raise ValidatorError("command template is empty")
         try:
-            with _command_slots:
-                proc = subprocess.run(argv, cwd=workdir, capture_output=True, timeout=timeout_s)
-        except subprocess.TimeoutExpired:
-            return CommandCheck(0, f"timeout after {timeout_s}s", timed_out=True)
+            with _command_slots, subprocess.Popen(
+                argv, cwd=workdir, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True
+            ) as proc:
+                try:
+                    stderr = proc.communicate(timeout=timeout_s)[1]
+                except subprocess.TimeoutExpired:
+                    stderr = None
+                finally:
+                    with suppress(ProcessLookupError):
+                        os.killpg(proc.pid, signal.SIGKILL)
         except FileNotFoundError as exc:
             raise ValidatorError(f"command not found: {argv[0]}") from exc
         except OSError as exc:
             raise ValidatorError(f"failed to spawn command: {exc}") from exc
+        if stderr is None:
+            return Check(0, f"timeout after {timeout_s}s", timed_out=True)
         if proc.returncode == 0:
-            return CommandCheck(1)
-        stderr_tail = proc.stderr.decode("utf-8", "replace").strip()[-200:]
-        return CommandCheck(0, f"exit status {proc.returncode}: {stderr_tail}")
+            return Check(1)
+        stderr_tail = stderr.decode("utf-8", "replace").strip()[-200:]
+        return Check(0, f"exit status {proc.returncode}: {stderr_tail}")
 
 
 def validate(spec: ValidatorSpec, candidate: str, problem) -> int:

@@ -3,6 +3,7 @@ import json
 import math
 import shutil
 import sqlite3
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,17 +11,20 @@ import pytest
 
 from helpers import CountingBackend
 from steplab.cli import build_parser, main
-from steplab.errors import ConfigError
+from steplab.errors import ConfigError, DataError
 from steplab.fixtures import build_demo_corpus
-from steplab.ioutil import read_jsonl
+from steplab.ioutil import read_jsonl, sha256_file
 from steplab.pipeline import (
+    READERS,
     STAGE_TABLE,
+    STAGES,
     RunConfig,
     _parse_value,
     artifact_paths,
     load_config,
     parse_config_file,
     run_pipeline,
+    run_stage,
     stage_score,
     summarize_run,
 )
@@ -564,7 +568,7 @@ class TestCli:
         from steplab import cli
 
         seen = []
-        monkeypatch.setattr(cli, "run_stage", lambda name, cfg: seen.append(cfg.domains) or {"name": name})
+        monkeypatch.setattr(cli, "run_stage", lambda name, cfg, memo: seen.append(cfg.domains) or {"name": name})
         out = ["ingest", "--out-dir", str(tmp_path / "run")]
         assert main([*out, "--domains", "math, qa"]) == 0
         for line in ("domains = math, qa", 'domains = "math, qa"'):
@@ -1020,6 +1024,13 @@ MALFORMED_RUN_ARTIFACTS = {
     "step-labels-as-a-string": ("step_labels", lambda row: {**row, "labels": "10"}, ["emit"]),
     "step-labels-out-of-0-and-1": ("step_labels", lambda row: {**row, "labels": [7] * len(row["labels"])}, ["emit"]),
     "step-labels-as-booleans": ("step_labels", lambda row: {**row, "labels": [True] * len(row["labels"])}, ["emit"]),
+    # eval's label-product scorer reads step labels through emit's row check
+    "step-labels-as-booleans-in-eval": (
+        "step_labels", lambda row: {**row, "labels": [True] * len(row["labels"])}, ["eval-bok"],
+    ),
+    "step-labels-of-one-half-in-eval": (
+        "step_labels", lambda row: {**row, "labels": [0.5] * len(row["labels"])}, ["eval-bok"],
+    ),
     "working-set-without-trace-ids": ("working_set", _without("trace_ids"), ["emit"]),
 }
 
@@ -1035,6 +1046,95 @@ class TestMalformedRunArtifacts:
         path.write_text(_jsonl([damage(rows[0]), *rows[1:]]))
         assert main([*command, "--out-dir", str(run)]) == 3
         assert any("DataError" in r.message and f"{path}:1:" in r.message for r in caplog.records)
+
+
+@pytest.fixture()
+def parses(monkeypatch):
+    """Counts of JSONL parses by path, through every reader the pipeline
+    calls."""
+    from steplab import pipeline, trace_model
+
+    counts = Counter()
+    for module in (pipeline, trace_model):
+        def counted(path, make=None, read=module.read_jsonl):
+            counts[Path(path)] += 1
+            return read(path, make)
+
+        monkeypatch.setattr(module, "read_jsonl", counted)
+    return counts
+
+
+RELABEL = ["signals", "sweep", "label", "emit", "eval"]
+
+
+class TestEachArtifactParsedOnce:
+    def test_relabel_parses_each_artifact_at_most_once(self, run_6x4, tmp_path, parses):
+        run = tmp_path / "run"
+        shutil.copytree(run_6x4, run)
+        run_pipeline(load_config(overrides={"out_dir": str(run), "force": True}, env={}), RELABEL)
+        paths = artifact_paths(run)
+        assert parses and max(parses.values()) == 1
+        assert parses[paths["signals"]] == parses[paths["step_labels"]] == 0
+
+    def test_an_artifact_edited_between_calls_is_read_fresh(self, run_6x4, tmp_path, parses):
+        run = tmp_path / "run"
+        shutil.copytree(run_6x4, run)
+        cfg = load_config(overrides={"out_dir": str(run), "force": True}, env={})
+        run_pipeline(cfg, RELABEL)
+        path = artifact_paths(run)["pools"]
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
+        parses.clear()
+        with pytest.raises(DataError, match=str(path)):
+            run_pipeline(cfg, ["eval"])
+        assert parses[path] == 1
+
+    def test_rerun_ingest_hands_its_new_rows_to_validate(self, small_corpus, tmp_path, parses):
+        traces = tmp_path / "traces.jsonl"
+        lines = small_corpus["traces"].read_text().splitlines(keepends=True)
+        traces.write_text("".join(lines))
+        cfg = config_for(small_corpus, tmp_path, traces=str(traces))
+        run_pipeline(cfg, ["ingest", "validate"])
+        traces.write_text("".join(lines[:-1]))
+        parses.clear()
+        run_pipeline(cfg, ["ingest", "validate"])
+        assert set(parses) == {small_corpus["problems"], traces}
+        fresh = config_for(small_corpus, tmp_path, out="fresh", traces=str(traces))
+        run_pipeline(fresh, ["ingest", "validate"])
+        assert (cfg.out / "pools.jsonl").read_bytes() == (fresh.out / "pools.jsonl").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def memo_run(small_corpus, tmp_path_factory):
+    """A full run whose stages share one memo, and every memo entry seen
+    after a stage."""
+    root = tmp_path_factory.mktemp("memo-run")
+    cfg = config_for(small_corpus, root)
+    cfg.out.mkdir()
+    memo: dict = {}
+    seen: dict = {}
+    for name in STAGES:
+        run_stage(name, cfg, memo)
+        seen.update(memo)
+    return cfg.out, seen
+
+
+class TestHandedOnRows:
+    @pytest.mark.parametrize("key", sorted(READERS))
+    def test_rows_handed_on_equal_a_fresh_parse(self, memo_run, key):
+        out, memo = memo_run
+        path = artifact_paths(out)[key]
+        assert memo[(key, sha256_file(path))] == READERS[key](path)
+
+    def test_a_full_run_never_parses_its_own_artifacts(self, small_corpus, tmp_path, parses):
+        run_pipeline(config_for(small_corpus, tmp_path))
+        assert set(parses) == {small_corpus["problems"], small_corpus["traces"]}
+
+    def test_memoized_parsed_traces_carry_no_verdict(self, memo_run):
+        out, memo = memo_run
+        traces = memo[("parsed_traces", sha256_file(artifact_paths(out)["parsed_traces"]))]
+        assert traces and all(t.correct is None for t in traces)
+        judged = next(rows for key, rows in memo.items() if key[0] == "judged")
+        assert {t.correct for t in judged if t.parse_ok} == {True, False}
 
 
 class TestSummarize:

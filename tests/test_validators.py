@@ -1,6 +1,7 @@
 import sqlite3
 import sys
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -175,6 +176,18 @@ class TestRunExternal:
         )
         assert result.value == 0
         assert result.timed_out
+
+    # The command starts a background job that would create a marker file
+    # 0.5 s later, then times out or exits at once; either way the job must
+    # die with it. Two processes are started below the command, no more.
+    @pytest.mark.parametrize("rest, timeout_s", [("exec sleep 5", 0.2), ("true", 5.0)])
+    def test_nothing_the_command_started_outlives_it(self, tmp_path, rest, timeout_s):
+        marker = tmp_path / "marker"
+        command = f'sh -c "(sleep 0.5; touch {marker}) >/dev/null 2>&1 & {rest}" {{candidate}}'
+        result = check_external(command, "x", timeout_s=timeout_s)
+        assert result.timed_out == (rest != "true")
+        time.sleep(1.2)
+        assert not marker.exists()
 
     def test_command_not_found_is_structured_error(self):
         with pytest.raises(ValidatorError):
