@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Stage subcommands operate on a run directory and can be re-run
-individually from persisted artifacts; ``run`` executes the whole
-pipeline. Exit codes: 0 ok, 2 config error, 3 data error, 4 backend
-error, 5 validator infrastructure error, 1 anything else.
+Stage subcommands run stages of a run directory from persisted artifacts;
+``run`` runs the whole pipeline. Both print the run report, as ``report``
+does. Exit codes: 0 ok, 2 config error, 3 data error, 4 backend error,
+5 validator infrastructure error, 1 anything else.
 """
 
 import argparse
@@ -20,9 +20,9 @@ from .analysis import (
     tokens_mcnig,
     tokens_omegaprm,
 )
-from .errors import ConfigError, ToolkitError
+from .errors import ConfigError, exit_code
 from .ioutil import atomic_write_text
-from .pipeline import CHOICES, STAGE_TABLE, RunConfig, comma_list, load_config, run_pipeline, run_stage, summarize_run
+from .pipeline import CHOICES, STAGE_TABLE, RunConfig, comma_list, load_config, run_pipeline, summarize_run
 
 log = logging.getLogger(__name__)
 
@@ -51,6 +51,7 @@ _FLAGS = {
 def _stage_parser(sub, name: str, help_text: str, stages) -> argparse.ArgumentParser:
     """A subcommand running ``stages``, with a flag for every field they read."""
     p = sub.add_parser(name, help=help_text)
+    p.set_defaults(stages=list(stages))
     p.add_argument("--out-dir", required=True)
     p.add_argument("--force", action="store_true", default=None, help="re-run even if up to date")
     for key in dict.fromkeys(key for stage in stages for key in STAGE_TABLE[stage].reads):
@@ -72,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
             _stage_parser(sub, stage.command, stage.help, (*stage.runs_first, stage.name))
 
     p = _stage_parser(sub, "run", "run the full pipeline end to end", STAGE_TABLE)
-    p.add_argument("--stages", default=None, help="comma-separated stage subset")
+    p.add_argument("--stages", type=comma_list, help="comma-separated stage subset")
 
     p = sub.add_parser("analyze-complexity", help="token-cost formulas for labeling strategies")
     p.add_argument("--n", type=int, required=True, help="number of reasoning steps")
@@ -158,30 +159,16 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_analyze_complexity(args)
         if args.command == "analyze-bias":
             return _cmd_analyze_bias(args, seed=load_config(overrides={"seed": args.seed}).seed)
-        if args.command == "report":
-            print(summarize_run(args.out_dir))
-            return 0
-        cfg = load_config(args.config, overrides={f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
-        if args.command == "run":
-            run_pipeline(cfg, stages=comma_list(args.stages) if args.stages else None)
-            print(summarize_run(cfg.out_dir))
-            return 0
-        stage = next(s for s in STAGE_TABLE.values() if s.command == args.command)
-        memo: dict = {}
-        for name in (*stage.runs_first, stage.name):
-            report = run_stage(name, cfg, memo)
-            status = "skipped (up to date)" if report.get("skipped") else "done"
-            print(f"{report['name']}: {status}")
+        if args.command != "report":
+            cfg = load_config(args.config, overrides={f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
+            run_pipeline(cfg, args.stages)
+        print(summarize_run(args.out_dir))
         return 0
-    except ToolkitError as exc:
-        log.error("%s: %s", type(exc).__name__, exc)
-        return exc.exit_code
-    except ValueError as exc:
-        log.error("invalid input: %s", exc)
-        return 3
     except Exception as exc:  # noqa: BLE001
-        log.error("internal error: %s", exc, exc_info=True)
-        return 1
+        code = exit_code(exc)
+        # Exit code 1 means an unexpected error: log its traceback.
+        log.error("%s: %s", type(exc).__name__, exc, exc_info=code == 1)
+        return code
 
 
 if __name__ == "__main__":

@@ -54,3 +54,11 @@ class ReservedSymbolError(DataError):
     def __init__(self, message: str, *, reason_code: str):
         super().__init__(message)
         self.reason_code = reason_code
+
+
+def exit_code(exc: BaseException) -> int:
+    """The process exit code of a command that failed with ``exc``: a
+    ToolkitError's own, 3 for any other ValueError (invalid input), else 1."""
+    if isinstance(exc, ToolkitError):
+        return exc.exit_code
+    return 3 if isinstance(exc, ValueError) else 1

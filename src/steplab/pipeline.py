@@ -19,7 +19,7 @@ import os
 import shutil
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable
@@ -27,7 +27,7 @@ from typing import Any, Callable
 from . import __version__
 from .calibration import percentile_grid, sweep_threshold
 from .dataset_emit import emit_orm_record, emit_prm_record, label_balance, write_shards
-from .errors import ConfigError, DataError, ReservedSymbolError, UndefinedMetricError
+from .errors import ConfigError, DataError, ReservedSymbolError, UndefinedMetricError, exit_code
 from .evaluation import best_of_k, majority_best_of_k, oracle_scorer, random_scorer, step_product_scorer
 from .infogain import AGGREGATIONS, REFERENCES, StepSignal, assign_labels, ig_signal, mcnig_signal
 from .ioutil import atomic_write_text, read_jsonl, sha256_file, sha256_text, write_jsonl
@@ -384,7 +384,8 @@ def _judged_traces(io: StageIO) -> list[ReasoningTrace]:
     """The parsed traces, each parseable one copied with ``correct`` set: its
     normalized final answer is among its answer pool's normalized correct
     answers. Each (problem, final answer) pair is normalized once, and the
-    list is memoized on the digests of its three inputs."""
+    list is memoized on the digests of its three inputs. The copies skip
+    ``ReasoningTrace.__post_init__``: their fields were checked when parsed."""
     memo_key = ("judged", *(io.digest(key) for key in ("problems", "parsed_traces", "pools")))
     if memo_key in io.memo:
         return io.memo[memo_key]
@@ -400,7 +401,9 @@ def _judged_traces(io: StageIO) -> list[ReasoningTrace]:
                 if t.problem_id not in correct_keys:
                     raise DataError(f"{io.paths['pools']}: no answer pool for problem {t.problem_id!r}")
                 verdicts[key] = normalize_answer(t.final_answer, domain_of[t.problem_id]) in correct_keys[t.problem_id]
-            t = replace(t, correct=verdicts[key])
+            copy = object.__new__(ReasoningTrace)
+            copy.__dict__.update(vars(t), correct=verdicts[key])
+            t = copy
         judged.append(t)
     io.memo[memo_key] = judged
     return judged
@@ -530,17 +533,16 @@ def _sweep(cfg: RunConfig, io: StageIO, state) -> dict:
 
 
 def _prepare_label(cfg: RunConfig, paths: dict[str, Path]):
-    """Threshold table for labeling: explicit file, else the sweep output in
-    the run directory, else an uncalibrated default of 0.0 per domain. The
-    source, when there is one, is digested."""
+    """Threshold table for labeling, and its source, which is digested: the
+    ``--thresholds`` file, else the sweep's output in the run directory. A
+    domain the table does not name, such as one the sweep skipped, gets 0.0."""
     if cfg.thresholds_file:
         source = Path(cfg.thresholds_file)
         if not source.exists():
             raise ConfigError(f"thresholds file not found: {source}")
-    elif paths["thresholds"].exists():
-        source = paths["thresholds"]
     else:
-        return ({}, ""), [], {}
+        source = paths["thresholds"]
+        _require([source], "label")
     try:
         thresholds = json.loads(source.read_text(encoding="utf-8"))
     except ValueError as exc:
@@ -561,7 +563,7 @@ def _label(cfg: RunConfig, io: StageIO, state) -> dict:
         tau = thresholds.get(domain_of[signal.problem_id], 0.0)
         rows.append({**vars(signal), "labels": assign_labels(signal, tau), "threshold": tau})
     io.wrote("step_labels", write_jsonl(io.paths["step_labels"], rows), [_step_labels_row(row) for row in rows])
-    return {"traces_labeled": len(rows), "thresholds_source": thresholds_source or "default:0.0"}
+    return {"traces_labeled": len(rows), "thresholds_source": thresholds_source}
 
 
 def _emit(cfg: RunConfig, io: StageIO, state) -> dict:
@@ -781,8 +783,8 @@ STAGE_TABLE = {
 }
 
 # Signals are computed once; the sweep calibrates thresholds from them and
-# labeling then consumes the thresholds file, so emitted datasets always use
-# calibrated labels.
+# labeling then consumes the thresholds file, and fails without one, so
+# emitted datasets always use calibrated labels.
 STAGES = tuple(STAGE_TABLE)
 
 # Fingerprint keys of fields whose key differs from the field name; changing
@@ -828,7 +830,8 @@ def run_pipeline(cfg: RunConfig, stages: list[str] | None = None) -> dict:
     With no explicit stage list the full sequence runs: thresholds are
     calibrated from the signals before labels are assigned, so emitted
     datasets use calibrated labels. Re-running with identical inputs and
-    config skips up-to-date stages.
+    config skips up-to-date stages. A stage that fails comes last in the
+    manifest, with its error and exit code, and runs again next time.
     """
     sequence = list(stages) if stages else list(STAGES)
     for name in sequence:
@@ -837,18 +840,16 @@ def run_pipeline(cfg: RunConfig, stages: list[str] | None = None) -> dict:
     cfg.out.mkdir(parents=True, exist_ok=True)
     reports = []
     memo: dict = {}
-    for name in sequence:
-        log.info("running stage %s", name)
-        reports.append(run_stage(name, cfg, memo))
-    manifest = {
-        "toolkit_version": __version__,
-        "created_unix": time.time(),
-        "config": asdict(cfg),
-        "stages": reports,
-    }
-    atomic_write_text(
-        artifact_paths(cfg.out)["manifest"], json.dumps(manifest, ensure_ascii=False, indent=1)
-    )
+    try:
+        for name in sequence:
+            log.info("running stage %s", name)
+            reports.append(run_stage(name, cfg, memo))
+    except Exception as exc:  # ``name`` is the stage that raised
+        reports.append({"name": name, "error": type(exc).__name__, "message": str(exc), "exit_code": exit_code(exc)})
+        raise
+    finally:
+        manifest = dict(toolkit_version=__version__, created_unix=time.time(), config=asdict(cfg), stages=reports)
+        atomic_write_text(artifact_paths(cfg.out)["manifest"], json.dumps(manifest, ensure_ascii=False, indent=1))
     return manifest
 
 
@@ -859,13 +860,16 @@ def _drops(counts: dict) -> list[str]:
 
 
 def summarize_run(out_dir: str | Path) -> str:
-    """Human-readable accounting of a finished run."""
+    """Human-readable accounting of the last run in ``out_dir``, failed or not."""
     manifest_path = artifact_paths(Path(out_dir))["manifest"]
     if not manifest_path.exists():
         raise ConfigError(f"no run manifest under {out_dir}")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     lines = [f"run of steplab {manifest['toolkit_version']}"]
     for report in manifest["stages"]:
+        if "error" in report:
+            lines.append(f"  {report['name']}: failed | {report['error']}: {report['message']}")
+            continue
         counts = report.get("counts", {})
         status = "skipped" if report.get("skipped") else "ran"
         parts = [f"{report['name']}: {status}"]

@@ -337,12 +337,19 @@ class TestCli:
         ]) == 0
         assert main(base + ["validate", "--out-dir", str(out)]) == 0
         assert main(base + ["score", "--out-dir", str(out)]) == 0
-        assert main(base + ["label", "--out-dir", str(out)]) == 0
         assert main(base + ["sweep", "--out-dir", str(out)]) == 0
+        assert main(base + ["label", "--out-dir", str(out)]) == 0
         assert main(base + ["emit", "--out-dir", str(out), "--split", "dev", "--shard-size", "5"]) == 0
         assert main(base + ["eval-bok", "--out-dir", str(out), "--scorer", "oracle", "--k", "4"]) == 0
         assert (out / "eval_report.json").exists()
         assert len(list((out / "prm").glob("dev-*.jsonl"))) > 1
+        # The chain labels at the thresholds the sweep calibrated, as run does.
+        assert main(base + [
+            "run", "--out-dir", str(tmp_path / "one-run"),
+            "--problems", str(small_corpus["problems"]),
+            "--traces", str(small_corpus["traces"]),
+        ]) == 0
+        assert (out / "step_labels.jsonl").read_bytes() == (tmp_path / "one-run" / "step_labels.jsonl").read_bytes()
 
     def test_emit_is_one_stage_that_reads_the_traces_once(self, small_corpus, tmp_path, monkeypatch, capsys):
         from steplab import pipeline
@@ -359,7 +366,8 @@ class TestCli:
         monkeypatch.setattr(pipeline, "read_traces", lambda path: parses.append(path) or read_traces(path))
         capsys.readouterr()
         assert main(["emit", "--out-dir", str(out)]) == 0
-        assert capsys.readouterr().out == "emit: done\n"
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 2 and printed[1].startswith("  emit: ran | ")
         assert parses == [artifact_paths(out)["parsed_traces"]]
         assert list((out / "prm").glob("train-*.jsonl")) and list((out / "orm").glob("train-*.jsonl"))
         report = json.loads((out / "emit_report.json").read_text())
@@ -368,7 +376,8 @@ class TestCli:
         assert not (out / "stages" / "emit_prm.json").exists()
         assert not (out / "stages" / "emit_orm.json").exists()
         assert main(["emit", "--out-dir", str(out)]) == 0
-        assert capsys.readouterr().out == "emit: skipped (up to date)\n"
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 2 and printed[1].startswith("  emit: skipped | ")
 
     def test_run_and_report(self, small_corpus, tmp_path, capsys):
         out = tmp_path / "cli-full"
@@ -565,10 +574,10 @@ class TestCli:
         assert main(["--seed", "7.0", *analyze]) == 2
 
     def test_domains_flag_and_config_line_give_the_same_config(self, tmp_path, monkeypatch):
-        from steplab import cli
+        from steplab import pipeline
 
         seen = []
-        monkeypatch.setattr(cli, "run_stage", lambda name, cfg, memo: seen.append(cfg.domains) or {"name": name})
+        monkeypatch.setattr(pipeline, "run_stage", lambda name, cfg, memo: seen.append(cfg.domains) or {"name": name})
         out = ["ingest", "--out-dir", str(tmp_path / "run")]
         assert main([*out, "--domains", "math, qa"]) == 0
         for line in ("domains = math, qa", 'domains = "math, qa"'):
@@ -587,10 +596,10 @@ class TestCli:
         ]) == 0
         assert main(base + ["validate", "--out-dir", str(out)]) == 0
         assert main(base + ["score", "--out-dir", str(out)]) == 0
-        assert main(base + ["label", "--out-dir", str(out), "--method", "ig"]) == 0
-        capsys.readouterr()
         assert main(base + ["sweep", "--out-dir", str(out), "--method", "ig"]) == 0
-        assert "signals: skipped (up to date)" in capsys.readouterr().out
+        capsys.readouterr()
+        assert main(base + ["label", "--out-dir", str(out), "--method", "ig"]) == 0
+        assert "  signals: skipped | " in capsys.readouterr().out
         rows = [json.loads(line) for line in (out / "signals.jsonl").read_text().splitlines()]
         assert rows and all(row["method"] == "IG" for row in rows)
 
@@ -731,6 +740,63 @@ class TestCli:
         ])
         assert code == 3
         assert not (out / "eval_report.json").exists()
+
+
+class TestRunReport:
+    """Every invocation that runs stages, failed ones too, leaves the
+    manifest that ``report`` reads, naming that invocation's stages."""
+
+    def report(self, out, capsys) -> list[str]:
+        capsys.readouterr()
+        assert main(["report", "--out-dir", str(out)]) == 0
+        return capsys.readouterr().out.splitlines()[1:]
+
+    def test_run_against_a_refused_port_reports_the_failed_stage(self, small_corpus, tmp_path, capsys):
+        config = tmp_path / "fast.cfg"
+        config.write_text("backend_backoff_s = 0\n")
+        out = tmp_path / "run"
+        assert main([
+            "--config", str(config), "--backend", "http://127.0.0.1:9",
+            "run", "--out-dir", str(out),
+            "--problems", str(small_corpus["problems"]),
+            "--traces", str(small_corpus["traces"]),
+        ]) == 4
+        lines = self.report(out, capsys)
+        assert [line.split(":")[0].strip() for line in lines] == ["ingest", "validate", "score"]
+        assert lines[-1].startswith("  score: failed | BackendError: ")
+        failed = json.loads((out / "manifest.json").read_text())["stages"][-1]
+        assert (failed["name"], failed["error"], failed["exit_code"]) == ("score", "BackendError", 4)
+        # The failed stage leaves no stage manifest, so it runs again next time.
+        assert not (out / "stages" / "score.json").exists()
+
+    def test_stage_subcommands_each_leave_a_manifest(self, small_corpus, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main([
+            "ingest", "--out-dir", str(out),
+            "--problems", str(small_corpus["problems"]),
+            "--traces", str(small_corpus["traces"]),
+        ]) == 0
+        assert main(["validate", "--out-dir", str(out)]) == 0
+        assert [line.split(":")[0].strip() for line in self.report(out, capsys)] == ["validate"]
+
+    def test_lone_emit_on_a_labelled_run_reports_only_emit(self, run_6x4, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(run_6x4, run)
+        assert main(["emit", "--out-dir", str(run)]) == 0
+        lines = self.report(run, capsys)
+        assert len(lines) == 1 and lines[0].startswith("  emit: skipped | prm records ")
+
+    def test_label_without_thresholds_exits_2(self, small_corpus, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_pipeline(config_for(small_corpus, tmp_path), ["ingest", "validate", "score"])
+        assert main(["label", "--out-dir", str(out)]) == 2
+        assert not artifact_paths(out)["step_labels"].exists()
+        lines = self.report(out, capsys)
+        assert lines[0].startswith("  signals: ran | ")
+        assert lines[1] == (
+            f"  label: failed | ConfigError: stage 'label' needs {out / 'thresholds.json'};"
+            " run the upstream stage first"
+        )
 
 
 @pytest.fixture(scope="module")
