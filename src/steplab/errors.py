@@ -58,7 +58,10 @@ class ReservedSymbolError(DataError):
 
 def exit_code(exc: BaseException) -> int:
     """The process exit code of a command that failed with ``exc``: a
-    ToolkitError's own, 3 for any other ValueError (invalid input), else 1."""
+    ToolkitError's own, 3 for any other ValueError (invalid input), 130 for
+    an interrupt (the shell's code for SIGINT), else 1."""
     if isinstance(exc, ToolkitError):
         return exc.exit_code
+    if isinstance(exc, KeyboardInterrupt):
+        return 130
     return 3 if isinstance(exc, ValueError) else 1

@@ -31,7 +31,7 @@ from .errors import ConfigError, DataError, ReservedSymbolError, UndefinedMetric
 from .evaluation import best_of_k, majority_best_of_k, oracle_scorer, random_scorer, step_product_scorer
 from .infogain import AGGREGATIONS, REFERENCES, StepSignal, assign_labels, ig_signal, mcnig_signal
 from .ioutil import atomic_write_text, read_jsonl, sha256_file, sha256_text, write_jsonl
-from .scoring import InformationProfile, information_profile, make_backend, profile_requests, score_requests
+from .scoring import InformationProfile, information_profile, make_backend, score_traces
 from .trace_model import (
     AnswerPool,
     Problem,
@@ -431,37 +431,23 @@ def _score(cfg: RunConfig, io: StageIO, backend) -> dict:
         pool = pools[problem.id]
         answers = list(dict.fromkeys(pool.correct + pool.wrong + [problem.gold_answer]))
         working.append((problem.id, [t.trace_id for t in kept_traces]))
-        jobs.extend((problem, trace, answers, profile_requests(problem, trace, answers)) for trace in kept_traces)
-    # Traces of one problem share their step-0 requests, so the stage scores
-    # its distinct requests once and fills every profile by lookup.
-    requests = [r for *_, trace_requests in jobs for r in trace_requests]
+        jobs.extend((problem, trace, answers) for trace in kept_traces)
     try:
-        scored = score_requests(backend, requests, in_flight=cfg.concurrency_limit)
+        totals, counts = score_traces(backend, jobs, in_flight=cfg.concurrency_limit)
     finally:
         backend.close()
-    profiles = [
-        information_profile(problem, trace, answers, [scored.totals[r] for r in trace_requests])
-        for problem, trace, answers, trace_requests in jobs
-    ]
+    profiles = [information_profile(*job, job_totals) for job, job_totals in zip(jobs, totals)]
     working_rows = ({"problem_id": pid, "trace_ids": trace_ids} for pid, trace_ids in working)
     io.wrote("working_set", write_jsonl(io.paths["working_set"], working_rows), working)
     io.wrote("profiles", write_jsonl(io.paths["profiles"], map(vars, profiles)), profiles)
-    lookups = scored.cache_hits + scored.cache_misses
     return {
         "problems_in": len(problems),
         "problems_out": len(result.kept),
         "dropped_by_reason": _reason_counts(result.dropped),
         "dropped": result.dropped,
         "traces_scored": len(profiles),
-        "requests": len(requests),
-        "unique_requests": len(scored.totals),
-        "backend_calls": scored.backend_calls,
-        "retries": scored.retries,
-        "backend_p50_ms": round(scored.latency_ms(0.50), 3),
-        "backend_p99_ms": round(scored.latency_ms(0.99), 3),
-        "cache_hits": scored.cache_hits,
-        "cache_misses": scored.cache_misses,
-        "cache_hit_rate": scored.cache_hits / lookups if lookups else 0.0,
+        "requests": sum(map(len, totals)),
+        **counts,
     }
 
 
@@ -830,22 +816,27 @@ def run_pipeline(cfg: RunConfig, stages: list[str] | None = None) -> dict:
     With no explicit stage list the full sequence runs: thresholds are
     calibrated from the signals before labels are assigned, so emitted
     datasets use calibrated labels. Re-running with identical inputs and
-    config skips up-to-date stages. A stage that fails comes last in the
-    manifest, with its error and exit code, and runs again next time.
+    config skips up-to-date stages. A stage that fails or is interrupted
+    comes last in the manifest, with its error, its exit code and the
+    ``counts`` its error carries, and runs again next time; an unknown stage
+    name fails as itself before any stage runs.
     """
     sequence = list(stages) if stages else list(STAGES)
-    for name in sequence:
-        if name not in STAGES:
-            raise ConfigError(f"unknown stage {name!r}; choose from {STAGES}")
     cfg.out.mkdir(parents=True, exist_ok=True)
     reports = []
     memo: dict = {}
     try:
+        for name in sequence:  # every name is checked before any stage runs
+            if name not in STAGES:
+                raise ConfigError(f"unknown stage {name!r}; choose from {STAGES}")
         for name in sequence:
             log.info("running stage %s", name)
             reports.append(run_stage(name, cfg, memo))
-    except Exception as exc:  # ``name`` is the stage that raised
-        reports.append({"name": name, "error": type(exc).__name__, "message": str(exc), "exit_code": exit_code(exc)})
+    except (Exception, KeyboardInterrupt) as exc:  # ``name`` is the stage that raised
+        failed = {"name": name, "error": type(exc).__name__, "message": str(exc), "exit_code": exit_code(exc)}
+        if hasattr(exc, "counts"):  # the work a failed stage did before it raised
+            failed["counts"] = exc.counts
+        reports.append(failed)
         raise
     finally:
         manifest = dict(toolkit_version=__version__, created_unix=time.time(), config=asdict(cfg), stages=reports)
@@ -868,7 +859,10 @@ def summarize_run(out_dir: str | Path) -> str:
     lines = [f"run of steplab {manifest['toolkit_version']}"]
     for report in manifest["stages"]:
         if "error" in report:
-            lines.append(f"  {report['name']}: failed | {report['error']}: {report['message']}")
+            line = f"  {report['name']}: failed | {report['error']}: {report['message']}"
+            if report.get("counts"):  # what the stage did before it failed
+                line += " | " + ", ".join(f"{key.replace('_', ' ')} {value}" for key, value in report["counts"].items())
+            lines.append(line)
             continue
         counts = report.get("counts", {})
         status = "skipped" if report.get("skipped") else "ran"
@@ -881,10 +875,9 @@ def summarize_run(out_dir: str | Path) -> str:
         for which in ("prm", "orm"):
             if which in counts:
                 parts.append(", ".join([f"{which} records {counts[which]['records']}", *_drops(counts[which])]))
-        if "unique_requests" in counts:
+        if "backend_calls" in counts:
             requests = (
-                f"requests {counts['requests']} ({counts['unique_requests']} unique), "
-                f"backend calls {counts['backend_calls']}, retries {counts['retries']}"
+                f"requests {counts['requests']}, backend calls {counts['backend_calls']}, retries {counts['retries']}"
             )
             if "backend_p50_ms" in counts:
                 requests += (

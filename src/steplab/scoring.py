@@ -2,21 +2,25 @@
 
 The scoring contract: given a context (question plus a step prefix) and a
 continuation (a candidate answer, wrappers stripped), a backend returns one
-natural-log probability per continuation token. Three backends exist:
+natural-log probability per continuation token. Two backends exist:
 
 * :class:`ReferenceModel`, a deterministic table-driven stand-in for an LLM,
   used for fixtures and tests, named by its file's bytes and parsed lazily;
 * :class:`HttpBackend`, a client for the JSON-over-HTTP protocol
-  (``POST /v1/score``);
-* :class:`CachingBackend`, which wraps either with a persistent
-  :class:`ScoreCache` so identical requests are never recomputed.
+  (``POST /v1/score``).
+
+:class:`CachingBackend` pairs either with a persistent :class:`ScoreCache`.
 
 Per-token logprobs exist only at this backend boundary. The information
 value of an answer at step i is their sum: the answer's total
 log-likelihood given the question and the first i steps (step 0 conditions
 on the question alone). Every layer above the backend holds that one total
-per request. :func:`score_requests` scores a batch of requests, each
-distinct one once, into totals; :class:`ScoreCache` stores totals; and
+per (prefix, answer) cell, and a trace's profile is its cells' totals,
+row-major. :func:`score_requests` scores a batch of cells, each distinct
+one once, into totals. :func:`score_traces` scores the profiles of a
+working set: the cache stores one row per trace, keyed by
+:func:`trace_key`, so a cached trace is read whole and builds no cell, and
+only the cells of missed traces reach the backend.
 :func:`information_profile` reshapes a trace's totals into its profile.
 All values are in nats.
 """
@@ -28,9 +32,10 @@ import math
 import os
 import select
 import sqlite3
+import struct
 import threading
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,7 +53,7 @@ LOGPROB_FLOOR = -100.0
 # Longest wait between HTTP attempts, whether from backoff or Retry-After.
 BACKOFF_CAP_S = 30.0
 # Keys per cache lookup statement (below SQLite's bound-parameter limit)
-# and totals per cache commit.
+# and trace rows per cache commit.
 CACHE_BATCH = 500
 # How long a cache call waits for another process's write lock.
 CACHE_LOCK_TIMEOUT_S = 60.0
@@ -385,19 +390,37 @@ def _retry_after_s(value: str | None) -> float | None:
     return max(0.0, when.timestamp() - time.time())
 
 
-class ScoreCache:
-    """Scoring totals in one SQLite file, ``<directory>/scores.sqlite``.
+def trace_key(backend_id: str, question: str, steps: list[str], answers: list[str]) -> str:
+    """The cache key of a trace's profile: the sha256 of the step count and
+    the answer count, then the backend id, :data:`CONTEXT_JOINER`, the
+    question, each step and each answer, each prefixed by its length. It
+    names exactly the cells :func:`profile_requests` builds."""
+    parts = [backend_id, CONTEXT_JOINER, question, *steps, *answers]
+    return sha256_text(f"{len(steps)}:{len(answers)}:" + "".join(f"{len(part)}:{part}" for part in parts))
 
-    A row of table ``totals`` is keyed by the sha256 of (backend id,
-    context, continuation), the first two prefixed by their lengths, and
-    holds the continuation's total log-likelihood, not the context.
-    :meth:`get` and :meth:`put` work in bulk, and each call opens its own
-    connection, so only the calling thread touches the database. Inserts
-    are ``INSERT OR IGNORE`` in one transaction per :meth:`put`: processes
-    sharing the file lose no record, and caches merge the same way from an
-    attached file. A row whose total is not a finite float <= 0 is deleted
-    and counts as a miss, so it gets rewritten; a file SQLite cannot read
-    is a :class:`ConfigError`.
+
+def _unpack_totals(blob, cells: int) -> list[float] | None:
+    """The ``cells`` totals packed in ``blob``, or None when it is not that
+    many finite totals <= 0."""
+    if not isinstance(blob, bytes) or len(blob) != 8 * cells:
+        return None
+    totals = list(struct.unpack(f"<{cells}d", blob))
+    return totals if all(-math.inf < total <= 0 for total in totals) else None
+
+
+class ScoreCache:
+    """Trace profiles in one SQLite file, ``<directory>/scores.sqlite``.
+
+    A row of table ``profiles`` is keyed by :func:`trace_key` and holds the
+    trace's totals, row-major, packed as little-endian float64, so they read
+    back bit-exact; it holds no text of the trace. :meth:`get` and
+    :meth:`put` work in bulk, and each call opens its own connection, so
+    only the calling thread touches the database. Inserts are ``INSERT OR
+    IGNORE`` in one transaction per :meth:`put`: processes sharing the file
+    lose no row, and caches merge the same way from an attached file. A row
+    that is not the expected number of finite totals <= 0 is deleted and
+    counts as a miss, so it gets rewritten; a file SQLite cannot read is a
+    :class:`ConfigError`. Tables of earlier formats are not read.
     """
 
     FILENAME = "scores.sqlite"
@@ -406,7 +429,7 @@ class ScoreCache:
         self.path = Path(directory) / self.FILENAME
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self._connect() as db:
-            db.execute("CREATE TABLE IF NOT EXISTS totals (key TEXT PRIMARY KEY, total REAL NOT NULL) WITHOUT ROWID")
+            db.execute("CREATE TABLE IF NOT EXISTS profiles (key TEXT PRIMARY KEY, totals BLOB NOT NULL) WITHOUT ROWID")
 
     @contextmanager
     def _connect(self):
@@ -421,53 +444,47 @@ class ScoreCache:
         except sqlite3.Error as exc:
             raise ConfigError(f"score cache {self.path} is unusable: {exc}") from exc
 
-    @staticmethod
-    def key(backend_id: str, context: str, continuation: str) -> str:
-        return sha256_text(f"{len(backend_id)}:{backend_id}{len(context)}:{context}{continuation}")
-
-    def get(self, backend_id: str, requests: Iterable[ScoringRequest]) -> dict[ScoringRequest, float]:
-        """The cached totals among ``requests``."""
-        wanted = {self.key(backend_id, r.context, r.continuation): r for r in requests}
+    def get(self, wanted: dict[str, int]) -> dict[str, list[float]]:
+        """The stored totals of the keys in ``wanted``, which maps each key
+        to its trace's number of cells."""
         keys = list(wanted)
-        found: dict[ScoringRequest, float] = {}
+        found: dict[str, list[float]] = {}
         damaged = []
         with self._connect() as db:
             for start in range(0, len(keys), CACHE_BATCH):
                 chunk = keys[start : start + CACHE_BATCH]
-                rows = db.execute(f"SELECT key, total FROM totals WHERE key IN ({','.join('?' * len(chunk))})", chunk)
-                for key, total in rows:
-                    if isinstance(total, float) and math.isfinite(total) and total <= 0:
-                        found[wanted[key]] = total
-                    else:
-                        log.warning("discarding damaged cache record %s: total %r", key[:12], total)
+                marks = ",".join("?" * len(chunk))
+                for key, blob in db.execute(f"SELECT key, totals FROM profiles WHERE key IN ({marks})", chunk):
+                    totals = _unpack_totals(blob, wanted[key])
+                    if totals is None:
+                        log.warning("discarding damaged cache record %s", key[:12])
                         damaged.append((key,))
+                    else:
+                        found[key] = totals
             if damaged:
-                db.executemany("DELETE FROM totals WHERE key = ?", damaged)
+                db.executemany("DELETE FROM profiles WHERE key = ?", damaged)
         return found
 
-    def put(self, backend_id: str, totals: Iterable[tuple[ScoringRequest, float]]) -> None:
-        """Store ``(request, total)`` pairs in one transaction; a key
-        already present keeps its row."""
-        rows = [(self.key(backend_id, r.context, r.continuation), total) for r, total in totals]
+    def put(self, rows: Iterable[tuple[str, list[float]]]) -> None:
+        """Store ``(key, totals)`` rows in one transaction; a key already
+        present keeps its row."""
+        packed = [(key, struct.pack(f"<{len(totals)}d", *totals)) for key, totals in rows]
         with self._connect() as db:
-            db.executemany("INSERT OR IGNORE INTO totals VALUES (?, ?)", rows)
+            db.executemany("INSERT OR IGNORE INTO profiles VALUES (?, ?)", packed)
 
 
 class CachingBackend:
-    """Backend wrapper that serves repeats from a :class:`ScoreCache`.
-
-    :func:`score_requests` looks requests up in its cache and scores the
-    misses with its inner backend; :meth:`score` returns one request's
-    total that way.
-    """
+    """A backend and the :class:`ScoreCache` that :func:`score_traces`
+    reads and fills for it. :meth:`score` scores through the inner backend,
+    without the cache."""
 
     def __init__(self, inner: Backend, cache: ScoreCache):
         self.inner = inner
         self.cache = cache
         self.backend_id = inner.backend_id
 
-    def score(self, request: ScoringRequest) -> float:
-        return score_requests(self, [request]).totals[request]
+    def score(self, request: ScoringRequest) -> TokenLogprobs:
+        return self.inner.score(request)
 
     def close(self) -> None:
         self.inner.close()
@@ -476,14 +493,10 @@ class CachingBackend:
 @dataclass
 class ScoredRequests:
     """Results of :func:`score_requests`: one total per distinct request,
-    and the distinct requests found in and missing from the cache (0 without one)."""
+    and the latency of each backend call."""
 
     totals: dict[ScoringRequest, float]
-    backend_calls: int
-    retries: int
     latencies_s: list[float]
-    cache_hits: int
-    cache_misses: int
 
     def latency_ms(self, fraction: float) -> float:
         """Nearest-rank quantile of the backend calls' latency; 0 without calls."""
@@ -493,48 +506,32 @@ class ScoredRequests:
         return 1000.0 * ordered[max(0, math.ceil(fraction * len(ordered)) - 1)]
 
 
-def score_requests(backend: Backend, requests: Iterable[ScoringRequest], in_flight: int = 1) -> ScoredRequests:
+def score_requests(
+    backend: Backend,
+    requests: Iterable[ScoringRequest],
+    in_flight: int = 1,
+    on_total: Callable[[ScoringRequest, float], None] | None = None,
+) -> ScoredRequests:
     """Score each distinct request once into its total, from the calling
     thread: a backend with ``score_many`` keeps up to ``in_flight`` requests
     outstanding, any other scores one at a time.
 
-    Through a :class:`CachingBackend`, all distinct requests are looked up
-    in one bulk call, which gives the hit and miss counts, and only the
-    misses reach the inner backend. Each backend call is timed and reduced
-    to its total as it returns. Totals are stored in batches as they
-    complete; when a scoring fails, every total completed before the error
-    is stored, then the error propagates.
+    Each backend call is timed and reduced to its total as it returns, and
+    ``on_total``, when given, is called with the request and its total.
     """
     unique = list(dict.fromkeys(requests))
-    cache = backend.cache if isinstance(backend, CachingBackend) else None
-    inner = backend.inner if cache is not None else backend
-    retries_before = getattr(inner, "retries", 0)
-    totals = cache.get(backend.backend_id, unique) if cache is not None else {}
-    cache_hits = len(totals)
-    misses = [r for r in unique if r not in totals]
+    totals: dict[ScoringRequest, float] = {}
     latencies: list[float] = []
-    results = inner.score_many(misses, in_flight) if hasattr(inner, "score_many") else _score_serially(inner, misses)
-    batch: list[tuple[ScoringRequest, float]] = []
-    try:
-        for request, logprobs, latency_s in results:
-            totals[request] = logprobs.total()
-            latencies.append(latency_s)
-            if cache is not None:
-                batch.append((request, totals[request]))
-                if len(batch) == CACHE_BATCH:
-                    cache.put(backend.backend_id, batch)
-                    batch = []
-    finally:
-        if batch:
-            cache.put(backend.backend_id, batch)
-    return ScoredRequests(
-        totals=totals,
-        backend_calls=len(misses),
-        retries=getattr(inner, "retries", 0) - retries_before,
-        latencies_s=latencies,
-        cache_hits=cache_hits,
-        cache_misses=len(misses) if cache is not None else 0,
-    )
+    if hasattr(backend, "score_many"):
+        results = backend.score_many(unique, in_flight)
+    else:
+        results = _score_serially(backend, unique)
+    for request, logprobs, latency_s in results:
+        totals[request] = logprobs.total()
+        latencies.append(latency_s)
+        if on_total is not None:
+            on_total(request, totals[request])
+    return ScoredRequests(totals, latencies)
 
 
 def _score_serially(backend: Backend, requests: list[ScoringRequest]):
@@ -597,6 +594,83 @@ def information_profile(
     )
 
 
+def score_traces(
+    backend: Backend, jobs: list[tuple[Problem, ReasoningTrace, list[str]]], in_flight: int = 1
+) -> tuple[list[list[float]], dict]:
+    """Each job's totals, row-major as :func:`information_profile` takes
+    them, and the counts of the work done. A job is (problem, trace, answers).
+
+    Through a :class:`CachingBackend`, the distinct trace keys
+    (:func:`trace_key`) are looked up in one bulk call: a hit is its stored
+    row, and only missed traces build their cells. The distinct cells of
+    all missed traces are scored once through the inner backend, so the
+    traces of one problem share their step-0 cells. A missed trace's row is
+    queued once its last cell returns and stored in batches. When scoring
+    fails, every completed row is stored, then the error propagates with
+    the counts so far as its ``counts`` attribute.
+
+    The counts are ``backend_calls`` completed, ``retries``, ``cache_hits``
+    and ``cache_misses`` per distinct trace (0 without a cache) and
+    ``rows_stored``; on success also the backend latency quantiles and the
+    cache hit rate.
+    """
+    cache, inner = (backend.cache, backend.inner) if isinstance(backend, CachingBackend) else (None, backend)
+    keys = [trace_key(backend.backend_id, problem.question, trace.steps, answers) for problem, trace, answers in jobs]
+    distinct = dict(zip(keys, jobs))
+    counts = {"backend_calls": 0, "retries": 0, "cache_hits": 0, "cache_misses": 0, "rows_stored": 0}
+    retries_before = getattr(inner, "retries", 0)
+    rows: dict[str, list[float]] = {}
+    queue: list[tuple[str, list[float]]] = []
+
+    def store() -> None:
+        if queue:
+            cache.put(queue)
+            counts["rows_stored"] += len(queue)
+            queue.clear()
+
+    try:
+        try:
+            if cache is not None:
+                rows = cache.get({key: (len(t.steps) + 1) * len(answers) for key, (_, t, answers) in distinct.items()})
+                counts["cache_hits"], counts["cache_misses"] = len(rows), len(distinct) - len(rows)
+            cells = {key: profile_requests(*job) for key, job in distinct.items() if key not in rows}
+            # Each cell lists the missed traces waiting for it; a trace is
+            # complete when its count of cells still to come reaches 0.
+            waiting: dict[ScoringRequest, list[str]] = {}
+            for key, requests in cells.items():
+                for request in requests:
+                    waiting.setdefault(request, []).append(key)
+            remaining = {key: len(requests) for key, requests in cells.items()}
+            done: dict[ScoringRequest, float] = {}
+
+            def arrived(request: ScoringRequest, total: float) -> None:
+                done[request] = total
+                counts["backend_calls"] += 1
+                for key in waiting[request]:
+                    remaining[key] -= 1
+                    if not remaining[key]:
+                        rows[key] = [done[r] for r in cells[key]]
+                        if cache is not None:
+                            queue.append((key, rows[key]))
+                            if len(queue) == CACHE_BATCH:
+                                store()
+
+            scored = score_requests(inner, waiting, in_flight, on_total=arrived)
+        finally:
+            counts["retries"] = getattr(inner, "retries", 0) - retries_before
+            store()
+    except BaseException as exc:
+        exc.counts = counts
+        raise
+    lookups = counts["cache_hits"] + counts["cache_misses"]
+    counts.update(
+        backend_p50_ms=round(scored.latency_ms(0.50), 3),
+        backend_p99_ms=round(scored.latency_ms(0.99), 3),
+        cache_hit_rate=counts["cache_hits"] / lookups if lookups else 0.0,
+    )
+    return [rows[key] for key in keys], counts
+
+
 def make_backend(
     backend_spec: str,
     cache_dir: str | Path | None = None,
@@ -608,7 +682,8 @@ def make_backend(
 
     ``reference:<fixture path>`` names the reference model by its file;
     anything starting with http:// or https:// becomes an HTTP client. A
-    cache directory, when given, wraps the backend in a CachingBackend.
+    cache directory, when given, pairs the backend with its ScoreCache in a
+    CachingBackend.
     """
     if backend_spec.startswith("reference:"):
         backend: Backend = ReferenceModel.from_file(backend_spec.split(":", 1)[1])

@@ -40,13 +40,15 @@ def make_trace(problem_id="p1", trace_id="t1", steps=None, final_answer="4", cor
 class CountingBackend:
     """Wraps a backend and counts how many requests actually reach it.
 
-    With ``fail_at`` set, that call (1-based) raises a BackendError.
+    With ``fail_at`` set, that call (1-based) raises ``fail_with``, a
+    BackendError unless given.
     """
 
-    def __init__(self, inner, fail_at=None):
+    def __init__(self, inner, fail_at=None, fail_with=BackendError):
         self.inner = inner
         self.backend_id = inner.backend_id
         self.fail_at = fail_at
+        self.fail_with = fail_with
         self.calls = 0
         self.succeeded = 0
         self.closed = False
@@ -57,7 +59,7 @@ class CountingBackend:
             self.calls += 1
             failing = self.calls == self.fail_at
         if failing:
-            raise BackendError("connection dropped")
+            raise self.fail_with("connection dropped")
         result = self.inner.score(request)
         with self._lock:
             self.succeeded += 1
@@ -69,8 +71,9 @@ class CountingBackend:
 
 
 def scored_profile(problem, trace, answers, backend, in_flight=1):
-    """A trace's information profile scored by ``backend`` as the score
-    stage does it: its requests through ``score_requests``, then reshaped."""
+    """A trace's information profile scored by ``backend`` cell by cell:
+    its requests through ``score_requests``, then reshaped. The reference
+    that ``score_traces`` is checked against."""
     requests = profile_requests(problem, trace, answers)
     scored = score_requests(backend, requests, in_flight=in_flight)
     return information_profile(problem, trace, answers, [scored.totals[r] for r in requests])

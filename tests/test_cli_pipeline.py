@@ -55,6 +55,26 @@ def profile_requests_of(out):
     ]
 
 
+def distinct_traces_of(out):
+    """The distinct (question, steps, answers) behind a run's profiles."""
+    paths = artifact_paths(out)
+    questions = {obj["id"]: obj["question"] for obj in read_jsonl(paths["problems"])}
+    steps = {obj["trace_id"]: tuple(obj["steps"]) for obj in read_jsonl(paths["parsed_traces"])}
+    return {
+        (questions[profile["problem_id"]], steps[profile["trace_id"]], tuple(profile["answers"]))
+        for profile in read_jsonl(paths["profiles"])
+    }
+
+
+def cache_tables(cache_dir):
+    """Row count of each table in a cache file."""
+    with sqlite3.connect(Path(cache_dir) / "scores.sqlite") as db:
+        names = [name for (name,) in db.execute("SELECT name FROM sqlite_master WHERE type = 'table'")]
+        tables = {name: db.execute(f"SELECT count(*) FROM {name}").fetchone()[0] for name in names}
+    db.close()
+    return tables
+
+
 def config_for(small_corpus, tmp_path, out="run", **kw):
     values = dict(
         problems=str(small_corpus["problems"]),
@@ -262,38 +282,59 @@ class TestPipeline:
         requests = profile_requests_of(cfg.out)
         pairs = set(requests)
         counts = json.loads((cfg.out / "stages" / "score.json").read_text())["counts"]
-        assert counting.calls == len(pairs) == counts["unique_requests"] == counts["backend_calls"]
+        assert counting.calls == len(pairs) == counts["backend_calls"]
         assert counts["requests"] == len(requests) > len(pairs)
-        assert counts["cache_misses"] == (len(pairs) if cached else 0)
+        traces = len(distinct_traces_of(cfg.out))
+        assert counts["cache_misses"] == counts["rows_stored"] == (traces if cached else 0)
         assert counting.closed
 
     def test_warm_cache_totals_are_bit_equal_to_token_sums(self, demo_corpus, tmp_path):
-        from steplab.scoring import ReferenceModel, ScoreCache
+        from steplab.scoring import ReferenceModel, ScoreCache, ScoringRequest, build_context, trace_key
 
         cfg = config_for(demo_corpus, tmp_path)
         run_pipeline(cfg, stages=["ingest", "validate", "score"])
         model = ReferenceModel.from_file(demo_corpus["reference_model"])
-        requests = set(profile_requests_of(cfg.out))
-        cache = ScoreCache(tmp_path / "cache")
-        warm = cache.get(model.backend_id, requests)
-        assert len(warm) == len(requests)
-        assert {r: total.hex() for r, total in warm.items()} == {r: model.score(r).total().hex() for r in requests}
+        traces = {trace_key(model.backend_id, q, list(steps), list(answers)): (q, steps, answers)
+                  for q, steps, answers in distinct_traces_of(cfg.out)}
+        warm = ScoreCache(tmp_path / "cache").get(
+            {key: (len(steps) + 1) * len(answers) for key, (_, steps, answers) in traces.items()}
+        )
+        assert len(warm) == len(traces)
+        for key, (question, steps, answers) in traces.items():
+            cells = [ScoringRequest(build_context(question, list(steps[:i])), a)
+                     for i in range(len(steps) + 1) for a in answers]
+            assert [total.hex() for total in warm[key]] == [model.score(cell).total().hex() for cell in cells]
 
-    def test_profile_requests_are_built_once_per_scored_trace(self, small_corpus, tmp_path, monkeypatch):
-        from steplab import pipeline
+    def test_profile_requests_are_built_once_per_distinct_scored_trace(self, small_corpus, tmp_path, monkeypatch):
+        from steplab import scoring
 
         built = []
-        original = pipeline.profile_requests
+        original = scoring.profile_requests
 
         def counting_profile_requests(problem, trace, answers):
             built.append(trace.trace_id)
             return original(problem, trace, answers)
 
-        monkeypatch.setattr(pipeline, "profile_requests", counting_profile_requests)
+        monkeypatch.setattr(scoring, "profile_requests", counting_profile_requests)
         cfg = config_for(small_corpus, tmp_path, cache_dir="")
         run_pipeline(cfg, stages=["ingest", "validate", "score"])
         counts = json.loads((cfg.out / "stages" / "score.json").read_text())["counts"]
-        assert len(built) == len(set(built)) == counts["traces_scored"] > 0
+        assert len(built) == len(set(built)) == len(distinct_traces_of(cfg.out)) > 0
+        assert len(built) <= counts["traces_scored"]
+
+    def test_cache_holds_one_row_per_distinct_scored_trace(self, small_corpus, tmp_path):
+        # The corpus plus a copy of one trace under another id: two
+        # working-set traces, one profile row.
+        traces = [json.loads(line) for line in Path(small_corpus["traces"]).read_text().splitlines()]
+        copied = tmp_path / "traces.jsonl"
+        copied.write_text("".join(json.dumps(t) + "\n" for t in [*traces, {**traces[0], "trace_id": "copy"}]))
+        cfg = config_for(small_corpus, tmp_path, traces=str(copied))
+        run_pipeline(cfg, stages=["ingest", "validate", "score"])
+        counts = json.loads((cfg.out / "stages" / "score.json").read_text())["counts"]
+        rows = len(distinct_traces_of(cfg.out))
+        assert counts["traces_scored"] == rows + 1
+        assert counts["cache_misses"] == counts["rows_stored"] == rows
+        assert cache_tables(tmp_path / "cache") == {"profiles": rows}
 
     def test_force_reruns(self, small_corpus, tmp_path):
         cfg = config_for(small_corpus, tmp_path)
@@ -394,8 +435,7 @@ class TestCli:
         assert "cache hit rate" in captured
         counts = json.loads((out / "stages" / "score.json").read_text())["counts"]
         assert (
-            f"requests {counts['requests']} ({counts['unique_requests']} unique), "
-            f"backend calls {counts['backend_calls']}, retries 0, "
+            f"requests {counts['requests']}, backend calls {counts['backend_calls']}, retries 0, "
             f"backend p50 {counts['backend_p50_ms']:.2f} ms, p99 {counts['backend_p99_ms']:.2f} ms"
         ) in captured
         assert counts["backend_p99_ms"] >= counts["backend_p50_ms"] > 0
@@ -462,6 +502,7 @@ class TestCli:
         assert not artifact_paths(out)["profiles"].exists()
 
     def test_warm_or_skipped_score_stage_never_parses_the_model(self, small_corpus, tmp_path, monkeypatch, capsys):
+        from steplab import scoring
         from steplab.scoring import ReferenceModel
 
         out = tmp_path / "run"
@@ -474,19 +515,22 @@ class TestCli:
         ]
         assert main(base) == 0
 
-        def refuse(self):
-            raise AssertionError("the reference model was parsed")
+        def refuse(*args):
+            raise AssertionError("the reference model was parsed or a request was built")
 
         monkeypatch.setattr(ReferenceModel, "_load", refuse)
+        # A fully warm score stage builds no (prefix, answer) request.
+        monkeypatch.setattr(scoring, "profile_requests", refuse)
         capsys.readouterr()
         assert main(base) == 0
         assert "score: skipped" in capsys.readouterr().out
         assert main(base + ["--stages", "score", "--force"]) == 0
         counts = json.loads((out / "stages" / "score.json").read_text())["counts"]
-        assert counts["cache_hits"] == counts["unique_requests"] > 0
-        assert counts["backend_calls"] == counts["cache_misses"] == 0
+        assert counts["cache_hits"] == len(distinct_traces_of(out)) > 0
+        assert counts["backend_calls"] == counts["cache_misses"] == counts["rows_stored"] == 0
 
-    def test_cache_with_only_the_old_scores_table_is_read_as_empty(self, small_corpus, tmp_path):
+    @pytest.mark.parametrize("table", ["scores", "totals"])
+    def test_cache_with_only_an_old_table_is_read_as_empty(self, small_corpus, tmp_path, table):
         def run(cache_dir, out):
             return main([
                 "--backend", f"reference:{small_corpus['reference_model']}",
@@ -497,22 +541,37 @@ class TestCli:
             ])
 
         assert run(tmp_path / "new", "primed") == 0
-        # A cache in the former format: one row per key the primed run
-        # stored, holding tokens, logprobs and a backend id as JSON.
+        # A cache in a former format, holding a row under the per-cell key
+        # of every (prefix, answer) cell the primed run scored: `scores`
+        # held tokens, logprobs and a backend id as JSON, `totals` the total.
+        from steplab.scoring import ReferenceModel
+
+        backend_id = ReferenceModel.from_file(small_corpus["reference_model"]).backend_id
+        keys = [
+            (hashlib.sha256(f"{len(backend_id)}:{backend_id}{len(r.context)}:{r.context}{r.continuation}".encode())
+             .hexdigest(),)
+            for r in set(profile_requests_of(tmp_path / "primed"))
+        ]
         old = tmp_path / "old" / "scores.sqlite"
         old.parent.mkdir()
         with sqlite3.connect(old) as db:
-            db.execute(
-                "CREATE TABLE scores (key TEXT PRIMARY KEY, tokens TEXT NOT NULL,"
-                " logprobs TEXT NOT NULL, backend_id TEXT NOT NULL) WITHOUT ROWID"
-            )
-            db.execute("ATTACH DATABASE ? AS new", (str(tmp_path / "new" / "scores.sqlite"),))
-            db.execute("INSERT INTO scores SELECT key, '[\"a\"]', '[-1.0]', 'x' FROM new.totals")
+            if table == "scores":
+                db.execute(
+                    "CREATE TABLE scores (key TEXT PRIMARY KEY, tokens TEXT NOT NULL,"
+                    " logprobs TEXT NOT NULL, backend_id TEXT NOT NULL) WITHOUT ROWID"
+                )
+                db.executemany("INSERT INTO scores VALUES (?, '[\"a\"]', '[-1.0]', 'x')", keys)
+            else:
+                db.execute("CREATE TABLE totals (key TEXT PRIMARY KEY, total REAL NOT NULL) WITHOUT ROWID")
+                db.executemany("INSERT INTO totals VALUES (?, -1.0)", keys)
         db.close()
         assert run(old.parent, "run") == 0
         counts = json.loads((tmp_path / "run" / "stages" / "score.json").read_text())["counts"]
         assert counts["cache_hits"] == 0
-        assert counts["cache_misses"] == counts["unique_requests"] == counts["backend_calls"] > 0
+        assert counts["cache_misses"] == counts["rows_stored"] == len(distinct_traces_of(tmp_path / "run")) > 0
+        assert counts["backend_calls"] == len(keys)
+        assert cache_tables(old.parent) == {table: len(keys), "profiles": counts["rows_stored"]}
+        assert (tmp_path / "run" / "profiles.jsonl").read_bytes() == (tmp_path / "primed" / "profiles.jsonl").read_bytes()
 
     def test_backend_error_exit_code(self, small_corpus, tmp_path):
         out = tmp_path / "cli-bad"
@@ -766,8 +825,61 @@ class TestRunReport:
         assert lines[-1].startswith("  score: failed | BackendError: ")
         failed = json.loads((out / "manifest.json").read_text())["stages"][-1]
         assert (failed["name"], failed["error"], failed["exit_code"]) == ("score", "BackendError", 4)
+        # The failed entry keeps the stage's counts so far: every attempt was
+        # refused, so no backend call completed and each retry is counted.
+        counts = failed["counts"]
+        assert counts["retries"] >= 1 and counts["backend_calls"] == counts["rows_stored"] == 0
+        assert lines[-1].endswith(
+            f" | backend calls 0, retries {counts['retries']}, cache hits 0,"
+            f" cache misses {counts['cache_misses']}, rows stored 0"
+        )
         # The failed stage leaves no stage manifest, so it runs again next time.
         assert not (out / "stages" / "score.json").exists()
+
+    def test_failed_score_stage_records_the_rows_it_stored(self, small_corpus, tmp_path, monkeypatch, capsys):
+        from steplab import pipeline
+        from steplab.errors import BackendError
+        from steplab.scoring import CachingBackend, ReferenceModel, ScoreCache
+
+        model = ReferenceModel.from_file(small_corpus["reference_model"])
+        flaky = CountingBackend(model, fail_at=25)
+        monkeypatch.setattr(
+            pipeline, "make_backend", lambda spec, cache_dir, **kw: CachingBackend(flaky, ScoreCache(cache_dir))
+        )
+        cfg = config_for(small_corpus, tmp_path)
+        with pytest.raises(BackendError):
+            run_pipeline(cfg)
+        failed = json.loads((cfg.out / "manifest.json").read_text())["stages"][-1]
+        assert (failed["name"], failed["exit_code"]) == ("score", 4)
+        assert failed["counts"]["backend_calls"] == 24
+        assert 0 < failed["counts"]["rows_stored"] == cache_tables(tmp_path / "cache")["profiles"]
+        assert f"rows stored {failed['counts']['rows_stored']}" in self.report(cfg.out, capsys)[-1]
+
+    def test_unknown_stage_is_recorded_as_failed_before_any_stage_runs(self, run_6x4, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(run_6x4, run)
+        assert main(["run", "--out-dir", str(run), "--stages", "signals,bogus"]) == 2
+        assert self.report(run, capsys) == [
+            f"  bogus: failed | ConfigError: unknown stage 'bogus'; choose from {STAGES}"
+        ]
+
+    def test_interrupted_stage_is_recorded_with_exit_code_130(self, small_corpus, tmp_path, monkeypatch, capsys):
+        from steplab import pipeline
+        from steplab.scoring import CachingBackend, ReferenceModel, ScoreCache
+
+        model = ReferenceModel.from_file(small_corpus["reference_model"])
+        interrupted = CountingBackend(model, fail_at=40, fail_with=KeyboardInterrupt)
+        monkeypatch.setattr(
+            pipeline, "make_backend", lambda spec, cache_dir, **kw: CachingBackend(interrupted, ScoreCache(cache_dir))
+        )
+        cfg = config_for(small_corpus, tmp_path)
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(cfg)
+        failed = json.loads((cfg.out / "manifest.json").read_text())["stages"][-1]
+        assert (failed["name"], failed["error"], failed["exit_code"]) == ("score", "KeyboardInterrupt", 130)
+        assert failed["counts"]["backend_calls"] == 39
+        assert failed["counts"]["rows_stored"] == cache_tables(tmp_path / "cache")["profiles"] > 0
+        assert self.report(cfg.out, capsys)[-1].startswith("  score: failed | KeyboardInterrupt: connection dropped | ")
 
     def test_stage_subcommands_each_leave_a_manifest(self, small_corpus, tmp_path, capsys):
         out = tmp_path / "run"

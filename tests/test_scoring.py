@@ -5,6 +5,7 @@ import logging
 import os
 import socket
 import sqlite3
+import struct
 import subprocess
 import sys
 import threading
@@ -29,6 +30,8 @@ from steplab.scoring import (
     information_profile,
     profile_requests,
     score_requests,
+    score_traces,
+    trace_key,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -36,7 +39,21 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def cache_rows(cache_dir):
     with sqlite3.connect(cache_dir / ScoreCache.FILENAME) as db:
-        return db.execute("SELECT count(*) FROM totals").fetchone()[0]
+        count = db.execute("SELECT count(*) FROM profiles").fetchone()[0]
+    db.close()
+    return count
+
+
+def stored_blobs(cache_dir):
+    with sqlite3.connect(cache_dir / ScoreCache.FILENAME) as db:
+        blobs = [blob for (blob,) in db.execute("SELECT totals FROM profiles")]
+    db.close()
+    return blobs
+
+
+def job(question, steps, answers, trace_id="t1"):
+    """A score-stage job: (problem, trace, answers)."""
+    return make_problem(question=question), make_trace(trace_id=trace_id, steps=steps, final_answer=answers[0]), answers
 
 
 def score_from_threads(model, requests, threads=4):
@@ -219,113 +236,141 @@ class TestCache:
     def test_second_call_is_served_from_cache(self, tmp_path, two_token_model):
         counting = CountingBackend(two_token_model)
         backend = CachingBackend(counting, ScoreCache(tmp_path / "cache"))
-        request = ScoringRequest("q", "42")
-        first = score_requests(backend, [request])
-        second = score_requests(backend, [request])
-        assert counting.calls == 1
-        assert first.totals == second.totals
-        assert (first.cache_hits, first.cache_misses) == (0, 1)
-        assert (second.cache_hits, second.cache_misses) == (1, 0)
+        jobs = [job("q", ["4"], ["42", "4"])]
+        first, first_counts = score_traces(backend, jobs)
+        second, second_counts = score_traces(backend, jobs)
+        assert counting.calls == 4
+        assert first == second
+        assert (first_counts["cache_hits"], first_counts["cache_misses"], first_counts["rows_stored"]) == (0, 1, 1)
+        assert (second_counts["cache_hits"], second_counts["cache_misses"], second_counts["backend_calls"]) == (1, 0, 0)
 
     def test_cache_persists_across_instances(self, tmp_path, two_token_model):
         cache_dir = tmp_path / "cache"
-        backend1 = CachingBackend(CountingBackend(two_token_model), ScoreCache(cache_dir))
-        request = ScoringRequest("q", "42")
-        result1 = backend1.score(request)
+        jobs = [job("q", ["4"], ["42", "4"])]
+        first, _ = score_traces(CachingBackend(CountingBackend(two_token_model), ScoreCache(cache_dir)), jobs)
         counting = CountingBackend(two_token_model)
-        backend2 = CachingBackend(counting, ScoreCache(cache_dir))
-        result2 = backend2.score(request)
+        second, _ = score_traces(CachingBackend(counting, ScoreCache(cache_dir)), jobs)
         assert counting.calls == 0
-        assert result1 == result2
+        assert first == second
 
-    def test_key_depends_on_all_three_parts(self):
-        base = ScoreCache.key("b", "ctx", "cont")
-        assert ScoreCache.key("b2", "ctx", "cont") != base
-        assert ScoreCache.key("b", "ctx2", "cont") != base
-        assert ScoreCache.key("b", "ctx", "cont2") != base
+    def test_key_depends_on_every_part(self, monkeypatch):
+        base = trace_key("b", "q", ["s1", "s2"], ["a", "c"])
+        assert trace_key("b2", "q", ["s1", "s2"], ["a", "c"]) != base
+        assert trace_key("b", "q2", ["s1", "s2"], ["a", "c"]) != base
+        assert trace_key("b", "q", ["s1", "s3"], ["a", "c"]) != base
+        assert trace_key("b", "q", ["s2", "s1"], ["a", "c"]) != base
+        assert trace_key("b", "q", ["s1", "s2"], ["a", "d"]) != base
+        assert trace_key("b", "q", ["s1", "s2"], ["c", "a"]) != base
+        monkeypatch.setattr(scoring, "CONTEXT_JOINER", " ")
+        assert trace_key("b", "q", ["s1", "s2"], ["a", "c"]) != base
 
-    def test_key_tells_apart_triples_that_concatenate_alike(self):
-        triples = [
-            ("a", "b\0c", "d"),
-            ("a\0b", "c", "d"),
-            ("a", "b", "c\0d"),
-            ("ab", "c", "d"),
-            ("a", "bc", "d"),
-            ("a", "b", "cd"),
-            ("12", ":3", "4"),
-            ("1", "2:3", "4"),
-            ("1:", "2", "34"),
-            ("1", ":2", "34"),
-            ("2:ab", "1:c", "d"),
-            ("2", "ab1:c", "d"),
+    def test_key_tells_apart_traces_that_concatenate_alike(self):
+        traces = [
+            ("b", "q", ["s1", "s2"], ["a"]),
+            ("b", "q", ["s1"], ["s2", "a"]),
+            ("b", "q", ["s1s2"], ["a"]),
+            ("b", "q\ns1", ["s2"], ["a"]),
+            ("b", "q", ["s1\ns2"], ["a"]),
+            ("bq", "", ["s1", "s2"], ["a"]),
+            ("12", ":3", ["4"], ["5"]),
+            ("1", "2:3", ["4"], ["5"]),
+            ("1:", "2", ["34"], ["5"]),
+            ("1", ":2", ["34"], ["5"]),
+            ("2:ab", "1:c", ["d"], ["e"]),
+            ("2", "ab1:c", ["d"], ["e"]),
+            ("b", "q", ["s"] * 11, ["a"]),
+            ("b", "q", ["s"], ["a"] * 11),
+            ("b", "q", ["s"] * 11 + ["a"], []),
         ]
-        keys = {ScoreCache.key(*triple) for triple in triples}
-        assert len(keys) == len(triples)
+        assert len({trace_key(*trace) for trace in traces}) == len(traces)
 
     def test_key_format_is_pinned(self):
-        # sha256 of "22:reference:0123456789ab28:Compute 15 + 33.\nStep 1: add48".
-        key = ScoreCache.key("reference:0123456789ab", "Compute 15 + 33.\nStep 1: add", "48")
-        assert key == "fcbab66a671362df0b7517509be99f6fb53ed1aaed647c63bf12ca4c9f570447"
+        # sha256 of "1:2:22:reference:0123456789ab1:\n16:Compute 15 + 33.11:Step 1: add2:482:49".
+        key = trace_key("reference:0123456789ab", "Compute 15 + 33.", ["Step 1: add"], ["48", "49"])
+        assert key == "5521beeb42965737c858fdc4f60ab1e77c819104bcc869090edd0c9cafbd0156"
 
-    def test_corrupt_record_degrades_to_miss_and_heals(self, tmp_path, two_token_model):
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda blob: "{ truncated",
+            lambda blob: -1.0,
+            lambda blob: blob[:-1],
+            lambda blob: blob[:-8],
+            lambda blob: blob + blob[:8],
+            lambda blob: struct.pack("<d", 0.5) + blob[8:],
+            lambda blob: struct.pack("<d", math.inf) + blob[8:],
+            lambda blob: struct.pack("<d", -math.inf) + blob[8:],
+            lambda blob: blob[:8] + struct.pack("<d", math.nan) + blob[16:],
+        ],
+        ids=["text", "real", "short-by-a-byte", "one-total-short", "one-total-long", "positive", "inf", "-inf", "nan"],
+    )
+    def test_damaged_row_is_a_miss_and_is_rewritten(self, tmp_path, two_token_model, damage):
         cache_dir = tmp_path / "cache"
-        backend = CachingBackend(CountingBackend(two_token_model), ScoreCache(cache_dir))
-        request = ScoringRequest("q", "42")
-        expected = backend.score(request)
-        # Text, a positive log-likelihood, and overflows to +inf and -inf.
-        for damaged in ("{ truncated", 0.5, 1e999, -1e999):
-            with sqlite3.connect(cache_dir / ScoreCache.FILENAME) as db:
-                db.execute("UPDATE totals SET total = ?", (damaged,))
-            counting = CountingBackend(two_token_model)
-            healed = CachingBackend(counting, ScoreCache(cache_dir))
-            first = score_requests(healed, [request])
-            assert first.totals[request] == expected
-            assert first.cache_misses == 1 and counting.calls == 1
-            again = score_requests(healed, [request])
-            assert again.totals[request] == expected
-            assert again.cache_hits == 1 and counting.calls == 1
+        jobs = [job("q", ["4"], ["42", "4"])]
+        expected, _ = score_traces(CachingBackend(two_token_model, ScoreCache(cache_dir)), jobs)
+        with sqlite3.connect(cache_dir / ScoreCache.FILENAME) as db:
+            (blob,) = db.execute("SELECT totals FROM profiles").fetchone()
+            db.execute("UPDATE profiles SET totals = ?", (damage(blob),))
+        db.close()
+        counting = CountingBackend(two_token_model)
+        healed = CachingBackend(counting, ScoreCache(cache_dir))
+        first, counts = score_traces(healed, jobs)
+        assert first == expected
+        assert counts["cache_misses"] == 1 and counting.calls == 4
+        assert stored_blobs(cache_dir) == [blob]
+        again, counts = score_traces(healed, jobs)
+        assert again == expected
+        assert counts["cache_hits"] == 1 and counting.calls == 4
 
-    def test_bulk_lookup_counts_each_distinct_request_once(self, tmp_path, two_token_model):
+    def test_bulk_lookup_counts_each_distinct_trace_once(self, tmp_path, two_token_model):
         cache = ScoreCache(tmp_path / "cache")
-        cached, fresh = ScoringRequest("q", "42"), ScoringRequest("q", "4")
-        cache.put(two_token_model.backend_id, [(cached, two_token_model.score(cached).total())])
-        found = cache.get(two_token_model.backend_id, [cached, fresh, cached, fresh])
-        assert found == {cached: two_token_model.score(cached).total()}
-        scored = score_requests(CachingBackend(two_token_model, cache), [cached, fresh, cached, fresh])
-        assert scored.cache_hits == 1 and scored.cache_misses == 1
+        cached, fresh = job("q", ["4"], ["42"]), job("q", ["x"], ["42"])
+        backend_id = two_token_model.backend_id
+        cached_key, fresh_key = (trace_key(backend_id, p.question, t.steps, a) for p, t, a in (cached, fresh))
+        totals, _ = score_traces(two_token_model, [cached])
+        cache.put([(cached_key, totals[0])])
+        assert cache.get({cached_key: 2, fresh_key: 2}) == {cached_key: totals[0]}
+        same_as_cached = job("q", ["4"], ["42"], trace_id="t2")
+        _, counts = score_traces(CachingBackend(two_token_model, cache), [cached, fresh, same_as_cached, fresh])
+        assert counts["cache_hits"] == 1 and counts["cache_misses"] == 1
+        assert cache_rows(tmp_path / "cache") == 2
 
     def test_record_holds_no_context(self, tmp_path, two_token_model):
         cache_dir = tmp_path / "cache"
-        request = ScoringRequest("a long and distinctive context", "42")
-        ScoreCache(cache_dir).put("b", [(request, two_token_model.score(request).total())])
-        assert b"distinctive" not in (cache_dir / ScoreCache.FILENAME).read_bytes()
+        jobs = [job("a long and distinctive question", ["an unusual step"], ["42"])]
+        score_traces(CachingBackend(two_token_model, ScoreCache(cache_dir)), jobs)
+        data = (cache_dir / ScoreCache.FILENAME).read_bytes()
+        assert b"distinctive" not in data and b"unusual" not in data
         assert list(cache_dir.iterdir()) == [cache_dir / ScoreCache.FILENAME]
 
     def test_caches_merge_with_attach_and_insert_or_ignore(self, tmp_path, two_token_model):
-        requests = [ScoringRequest("q", c) for c in ("4", "42", "x", "xy")]
+        jobs = [job("q", [step], ["4", "42"]) for step in ("4", "x", "y", "z")]
         first, second = ScoreCache(tmp_path / "one"), ScoreCache(tmp_path / "two")
-        first.put("b", [(r, two_token_model.score(r).total()) for r in requests[:3]])
-        second.put("b", [(r, two_token_model.score(r).total()) for r in requests[1:]])
+        score_traces(CachingBackend(two_token_model, first), jobs[:3])
+        score_traces(CachingBackend(two_token_model, second), jobs[1:])
         with sqlite3.connect(first.path) as db:
             db.execute("ATTACH DATABASE ? AS other", (str(second.path),))
-            db.execute("INSERT OR IGNORE INTO totals SELECT * FROM other.totals")
-        merged = ScoreCache(tmp_path / "one")
-        assert merged.get("b", requests) == {r: two_token_model.score(r).total() for r in requests}
-        assert cache_rows(tmp_path / "one") == len(requests)
+            db.execute("INSERT OR IGNORE INTO profiles SELECT * FROM other.profiles")
+        db.close()
+        counting = CountingBackend(two_token_model)
+        merged, counts = score_traces(CachingBackend(counting, ScoreCache(tmp_path / "one")), jobs)
+        assert counting.calls == 0 and counts["cache_hits"] == len(jobs)
+        assert merged == score_traces(two_token_model, jobs)[0]
+        assert cache_rows(tmp_path / "one") == len(jobs)
 
     def test_two_processes_writing_one_file_lose_and_corrupt_nothing(self, tmp_path):
-        # Each writer stores 600 records, 200 of them shared with the other,
-        # one small transaction at a time, and looks up its own records
+        # Each writer stores 600 rows, 200 of them shared with the other,
+        # one small transaction at a time, and looks up its own rows
         # between writes.
         script = """
 import sys
-from steplab.scoring import ScoreCache, ScoringRequest
+from steplab.scoring import ScoreCache
 cache = ScoreCache(sys.argv[1])
 first = int(sys.argv[2])
 for start in range(first, first + 600, 10):
-    batch = [(ScoringRequest("ctx", f"a{i}"), -i / 1000) for i in range(start, start + 10)]
-    cache.put("b", batch)
-    cache.get("b", [request for request, _ in batch])
+    batch = [(f"key{i}", [-i / 1000, -1.0]) for i in range(start, start + 10)]
+    cache.put(batch)
+    assert len(cache.get({key: 2 for key, _ in batch})) == 10
 """
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         cache_dir = tmp_path / "cache"
@@ -337,11 +382,9 @@ for start in range(first, first + 600, 10):
         assert [w.wait(timeout=120) for w in writers] == [0, 0]
         with sqlite3.connect(cache_dir / ScoreCache.FILENAME) as db:
             assert db.execute("PRAGMA integrity_check").fetchone() == ("ok",)
-        cache = ScoreCache(cache_dir)
-        requests = [ScoringRequest("ctx", f"a{i}") for i in range(1000)]
-        found = cache.get("b", requests)
-        assert len(found) == len(requests)
-        assert all(found[r] == -i / 1000 for i, r in enumerate(requests))
+        db.close()
+        found = ScoreCache(cache_dir).get({f"key{i}": 2 for i in range(1000)})
+        assert found == {f"key{i}": [-i / 1000, -1.0] for i in range(1000)}
         assert cache_rows(cache_dir) == 1000
 
 
@@ -349,50 +392,76 @@ class TestScoreRequests:
     def test_each_distinct_request_is_scored_once(self, two_token_model):
         counting = CountingBackend(two_token_model)
         requests = [ScoringRequest("q", c) for c in ("4", "42", "4", "4", "42")]
-        scored = score_requests(counting, requests)
-        assert counting.calls == 2 and scored.backend_calls == 2
-        assert scored.cache_hits == scored.cache_misses == 0
+        arrived = []
+        scored = score_requests(counting, requests, on_total=lambda request, total: arrived.append((request, total)))
+        assert counting.calls == 2
         assert set(scored.totals) == set(requests)
         assert all(scored.totals[r] == two_token_model.score(r).total() for r in requests)
+        assert arrived == list(scored.totals.items())
 
-    def test_cache_hits_skip_the_backend(self, tmp_path, two_token_model):
-        requests = [ScoringRequest("q", c) for c in ("4", "42", "x")]
-        score_requests(CachingBackend(two_token_model, ScoreCache(tmp_path / "cache")), requests[:2])
-        counting = CountingBackend(two_token_model)
-        backend = CachingBackend(counting, ScoreCache(tmp_path / "cache"))
-        scored = score_requests(backend, requests + requests, in_flight=2)
-        assert counting.calls == 1 and scored.backend_calls == 1
-        assert scored.cache_hits == 2 and scored.cache_misses == 1
-
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_failed_run_keeps_finished_results_and_rerun_scores_the_rest(self, tmp_path, workers):
-        model = ReferenceModel(table={}, fallback_prob=0.5)
-        requests = [ScoringRequest(f"context {i}", "answer") for i in range(40)]
-        flaky = CountingBackend(model, fail_at=25)
-        with pytest.raises(BackendError):
-            score_requests(CachingBackend(flaky, ScoreCache(tmp_path / "cache")), requests, in_flight=workers)
-        assert cache_rows(tmp_path / "cache") == flaky.succeeded >= 24
-        counting = CountingBackend(model)
-        scored = score_requests(CachingBackend(counting, ScoreCache(tmp_path / "cache")), requests)
-        assert counting.calls == len(requests) - flaky.succeeded
-        assert scored.totals == {r: model.score(r).total() for r in requests}
-
-
-    def test_backend_calls_are_timed(self, tmp_path, two_token_model):
+    def test_backend_calls_are_timed(self, two_token_model):
         requests = [ScoringRequest("q", c) for c in ("4", "42", "4")]
-        backend = CachingBackend(two_token_model, ScoreCache(tmp_path / "cache"))
-        cold = score_requests(backend, requests)
-        assert len(cold.latencies_s) == 2
-        assert cold.latency_ms(0.99) >= cold.latency_ms(0.5) > 0
-        warm = score_requests(backend, requests)
-        assert warm.latencies_s == [] and warm.latency_ms(0.5) == warm.latency_ms(0.99) == 0.0
+        scored = score_requests(two_token_model, requests)
+        assert len(scored.latencies_s) == 2
+        assert scored.latency_ms(0.99) >= scored.latency_ms(0.5) > 0
+        empty = score_requests(two_token_model, [])
+        assert empty.latencies_s == [] and empty.latency_ms(0.5) == empty.latency_ms(0.99) == 0.0
 
     def test_latency_quantiles_are_nearest_rank(self):
         latencies = [i / 1000 for i in range(100, 0, -1)]
-        scored = scoring.ScoredRequests({}, 0, 0, latencies_s=latencies, cache_hits=0, cache_misses=0)
+        scored = scoring.ScoredRequests({}, latencies_s=latencies)
         assert scored.latency_ms(0.5) == pytest.approx(50.0)
         assert scored.latency_ms(0.99) == pytest.approx(99.0)
         assert scored.latency_ms(1.0) == pytest.approx(100.0)
+
+
+class TestScoreTraces:
+    def test_totals_equal_per_cell_scoring_and_shared_cells_are_scored_once(self, two_token_model):
+        counting = CountingBackend(two_token_model)
+        jobs = [job("q", [step], ["4", "42"], trace_id=step) for step in ("4", "x", "y")]
+        totals, counts = score_traces(counting, jobs)
+        assert totals == [sum(scored_profile(*j, two_token_model).values, []) for j in jobs]
+        # The step-0 row is shared: 2 cells, then 2 more per trace.
+        assert counting.calls == counts["backend_calls"] == 2 + 2 * len(jobs)
+        assert counts["cache_hits"] == counts["cache_misses"] == counts["rows_stored"] == 0
+
+    def test_cache_hits_skip_the_backend(self, tmp_path, two_token_model):
+        jobs = [job("q", [step], ["4", "42"], trace_id=step) for step in ("4", "x", "y")]
+        score_traces(CachingBackend(two_token_model, ScoreCache(tmp_path / "cache")), jobs[:2])
+        counting = CountingBackend(two_token_model)
+        backend = CachingBackend(counting, ScoreCache(tmp_path / "cache"))
+        _, counts = score_traces(backend, jobs + jobs, in_flight=2)
+        # The missed trace scores all four of its cells, step-0 row included.
+        assert counting.calls == counts["backend_calls"] == 4
+        assert counts["cache_hits"] == 2 and counts["cache_misses"] == 1 and counts["rows_stored"] == 1
+
+    def test_warm_traces_are_timed_as_no_backend_call(self, tmp_path, two_token_model):
+        backend = CachingBackend(two_token_model, ScoreCache(tmp_path / "cache"))
+        jobs = [job("q", ["4"], ["4", "42"])]
+        _, cold = score_traces(backend, jobs)
+        assert cold["backend_p99_ms"] >= cold["backend_p50_ms"] > 0
+        _, warm = score_traces(backend, jobs)
+        assert warm["backend_calls"] == 0 and warm["backend_p50_ms"] == warm["backend_p99_ms"] == 0.0
+        assert warm["cache_hit_rate"] == 1.0
+
+    def test_failed_run_stores_only_complete_traces_and_rerun_scores_the_rest(self, tmp_path):
+        model = ReferenceModel(table={}, fallback_prob=0.5)
+        jobs = [
+            job(f"question {p}", [f"s1 {t}", "s2"], ["a", "b"], trace_id=f"{p}-{t}") for p in range(2) for t in range(10)
+        ]
+        flaky = CountingBackend(model, fail_at=25)
+        with pytest.raises(BackendError) as err:
+            score_traces(CachingBackend(flaky, ScoreCache(tmp_path / "cache")), jobs)
+        # The first trace's 6 cells, then 4 new ones for each later trace of
+        # its problem: 24 calls complete 5 traces.
+        assert err.value.counts == dict(backend_calls=24, retries=0, cache_hits=0, cache_misses=20, rows_stored=5)
+        assert cache_rows(tmp_path / "cache") == 5
+        counting = CountingBackend(model)
+        totals, counts = score_traces(CachingBackend(counting, ScoreCache(tmp_path / "cache")), jobs)
+        rest = {request for j in jobs[5:] for request in profile_requests(*j)}
+        assert counting.calls == counts["backend_calls"] == len(rest)
+        assert (counts["cache_hits"], counts["cache_misses"]) == (5, 15)
+        assert totals == score_traces(model, jobs)[0]
 
 
 class TestInformation:
@@ -631,7 +700,7 @@ class TestHttpBackend:
         scored = score_requests(backend, [ScoringRequest("What?", "a")])
         assert time.monotonic() - start < 30.0
         assert scored.totals[ScoringRequest("What?", "a")] == math.log(0.5)
-        assert backend.retries == 2 and scored.retries == 2
+        assert backend.retries == 2
 
     def test_retry_after_is_capped(self, http_backend, stub_server, monkeypatch):
         url, handler = stub_server
@@ -709,18 +778,19 @@ class TestHttpBackend:
         assert retried_latency_s >= 0.3 > max(latency_s for *_, latency_s in others)
         assert backend.retries == 1 and len(handler.paths) == 9
 
-    def test_a_request_never_answered_fails_after_the_others_are_cached(
+    def test_a_request_never_answered_fails_after_the_other_traces_are_cached(
         self, http_backend, stub_server, tmp_path
     ):
         url, handler = stub_server
         handler.stalled = "context 0"
         backend = CachingBackend(http_backend(url, timeout_s=0.3, max_retries=2, backoff_s=0.01), ScoreCache(tmp_path))
-        requests = [ScoringRequest(f"context {i}", "a") for i in range(12)]
+        jobs = [job(f"context {i}", ["s"], ["a"], trace_id=str(i)) for i in range(12)]
         with pytest.raises(BackendError) as err:
-            score_requests(backend, requests, in_flight=4)
+            score_traces(backend, jobs, in_flight=4)
         assert err.value.kind == "transport"
         assert cache_rows(tmp_path) == 11
-        assert backend.inner.retries == 1 and len(handler.paths) == 13
+        assert err.value.counts == dict(backend_calls=23, retries=1, cache_hits=0, cache_misses=12, rows_stored=11)
+        assert backend.inner.retries == 1 and len(handler.paths) == 25
 
     def test_every_connection_disables_nagle(self, http_backend, stub_server, monkeypatch):
         """TCP_NODELAY is set on the backend's sockets whatever http.client's
@@ -816,13 +886,13 @@ class TestHttpBackend:
             assert len(messages) == 1 and messages[0].startswith(f"{warned} is set but not used")
 
     def test_caching_wraps_http(self, http_backend, stub_server, tmp_path):
-        url, _ = stub_server
+        url, handler = stub_server
         backend = CachingBackend(http_backend(url), ScoreCache(tmp_path / "cache"))
-        request = ScoringRequest("What?", "ab")
-        first = score_requests(backend, [request])
-        second = score_requests(backend, [request])
-        assert first.totals == second.totals
-        assert second.cache_hits == 1
+        jobs = [job("What?", ["r1"], ["a", "b"])]
+        first, _ = score_traces(backend, jobs)
+        second, counts = score_traces(backend, jobs)
+        assert first == second
+        assert counts["cache_hits"] == 1 and len(handler.paths) == 4
 
 
 class TestProfileFailure:
