@@ -16,11 +16,11 @@ value of an answer at step i is their sum: the answer's total
 log-likelihood given the question and the first i steps (step 0 conditions
 on the question alone). Every layer above the backend holds that one total
 per (prefix, answer) cell, and a trace's profile is its cells' totals,
-row-major. :func:`score_requests` scores a batch of cells, each distinct
-one once, into totals. :func:`score_traces` scores the profiles of a
-working set: the cache stores one row per trace, keyed by
-:func:`trace_key`, so a cached trace is read whole and builds no cell, and
-only the cells of missed traces reach the backend.
+row-major. :func:`score_traces` scores the profiles of a working set: the
+cache stores one row per trace, keyed by :func:`trace_key`, so a cached
+trace is read whole and builds no cell. Missed traces are scored in
+batches of :data:`CACHE_BATCH`, each distinct cell once, and each batch's
+rows are stored together.
 :func:`information_profile` reshapes a trace's totals into its profile.
 All values are in nats.
 """
@@ -35,7 +35,7 @@ import sqlite3
 import struct
 import threading
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,6 +52,8 @@ CONTEXT_JOINER = "\n"
 LOGPROB_FLOOR = -100.0
 # Longest wait between HTTP attempts, whether from backoff or Retry-After.
 BACKOFF_CAP_S = 30.0
+# Longest HTTP answer body read, in bytes.
+MAX_ANSWER_BYTES = 1 << 20
 # Keys per cache lookup statement (below SQLite's bound-parameter limit)
 # and trace rows per cache commit.
 CACHE_BATCH = 500
@@ -105,8 +107,6 @@ class TokenLogprobs:
             lp = float(lp)
             if math.isnan(lp):
                 raise ValueError("logprob is NaN")
-            if math.isinf(lp):
-                lp = LOGPROB_FLOOR if lp < 0 else 0.0
             safe.append(min(0.0, max(LOGPROB_FLOOR, lp)))
         return cls(tokens=list(tokens), logprobs=safe, backend_id=backend_id)
 
@@ -196,11 +196,12 @@ class HttpBackend:
 
     ``POST {base}/v1/score`` with ``{"context", "continuation"}`` must return
     ``{"tokens", "logprobs", "backend_id"}``, over stdlib ``http.client``
-    keep-alive connections. Transport failures, answers not started within
-    the timeout, 5xx and HTTP 429 are retried with backoff (a 429's
-    ``Retry-After`` replaces it), logged and counted in ``retries``;
-    exhausted retries surface as :class:`BackendError` (kind "transport"),
-    malformed responses as kind "protocol". Proxy variables are not read.
+    keep-alive connections. Transport failures, answers not read whole
+    within the timeout of their send or longer than :data:`MAX_ANSWER_BYTES`,
+    5xx and HTTP 429 are retried with backoff (a 429's ``Retry-After``
+    replaces it), logged and counted in ``retries``; exhausted retries
+    surface as :class:`BackendError` (kind "transport"), malformed responses
+    as kind "protocol". Proxy variables are not read.
     """
 
     def __init__(self, base_url: str, timeout_s: float = 30.0, max_retries: int = 3, backoff_s: float = 0.5):
@@ -238,10 +239,14 @@ class HttpBackend:
     def _send(self, request: ScoringRequest):
         """POST ``request`` on an idle connection or a new one; the connection."""
         conn = self._idle.pop() if self._idle else self._open()
-        # An idle socket that polls readable was closed by the server (or
-        # holds bytes no request asked for): reconnect before sending.
-        if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
-            conn.close()
+        if conn.sock is not None:
+            conn.sock.settimeout(self.timeout_s)  # the last answer's read shortened it
+            # An idle socket that polls readable was closed by the server (or
+            # holds bytes no request asked for): reconnect before sending.
+            idle = select.poll()  # unlike select.select, takes any descriptor
+            idle.register(conn.sock, select.POLLIN)
+            if idle.poll(0):
+                conn.close()
         try:
             if conn.sock is None:
                 import socket  # loaded with http.client
@@ -260,18 +265,19 @@ class HttpBackend:
         """Yield ``(request, logprobs, latency_s)`` for each request as its
         answer arrives, with at most ``in_flight`` requests outstanding.
 
-        Each request sent holds one connection, and ``select`` waits for
+        Each request sent holds one connection, and ``poll`` waits for
         whichever answers first; an answer is read whole once it starts to
-        arrive. A request waiting to retry keeps its place but holds no
-        connection. The latency runs from a request's first send to its
-        answer, retries included. After a failure nothing new is sent:
-        answers already on their way are still yielded, and then the first
-        failure is raised.
+        arrive, by the deadline its send set. A request waiting to retry
+        keeps its place but holds no connection. The latency runs from a
+        request's first send to its answer, retries included. After a
+        failure nothing new is sent: answers already on their way are still
+        yielded, and then the first failure is raised.
         """
         todo = iter(requests)
-        sent: dict = {}  # socket -> (connection, request, attempt, first send, answer deadline)
+        sent: dict = {}  # descriptor -> (connection, request, attempt, first send, answer deadline)
         waiting: list = []  # (retry time, request, attempt, first send)
         errors: list[BackendError] = []
+        poller = select.poll()
 
         def stop(error: BackendError) -> None:
             errors.append(error)
@@ -302,29 +308,27 @@ class HttpBackend:
                     except self._failures as exc:
                         retry(request, attempt, started, exc)
                     else:
-                        sent[conn.sock] = (conn, request, attempt, started, time.monotonic() + self.timeout_s)
+                        poller.register(conn.sock, select.POLLIN)
+                        sent[conn.sock.fileno()] = (conn, request, attempt, started, time.monotonic() + self.timeout_s)
                 if not sent and not waiting:
                     break
                 timeout = max(0.0, min([e[4] for e in sent.values()] + [e[0] for e in waiting]) - time.monotonic())
                 if not sent:
                     time.sleep(timeout)
                     continue
-                ready = select.select(list(sent), [], [], timeout)[0]
+                ready = {fd for fd, _ in poller.poll(1000 * timeout)}
                 now = time.monotonic()
-                for sock, (conn, request, attempt, started, deadline) in list(sent.items()):
-                    if sock not in ready and deadline > now:
+                for fd, (conn, request, attempt, started, deadline) in list(sent.items()):
+                    if fd not in ready and deadline > now:
                         continue
-                    try:
-                        if sock not in ready:
-                            raise TimeoutError("timed out")
-                        response = conn.getresponse()
-                        data = response.read()
+                    poller.unregister(fd)
+                    del sent[fd]
+                    try:  # past its deadline, a socket not ready fails here
+                        response, data = self._read_answer(conn, deadline)
                     except self._failures as exc:
                         conn.close()
-                        del sent[sock]
                         retry(request, attempt, started, exc)
                         continue
-                    del sent[sock]
                     if response.will_close:
                         conn.close()
                     else:
@@ -349,6 +353,23 @@ class HttpBackend:
             for conn, *_ in sent.values():
                 conn.close()
 
+    def _read_answer(self, conn, deadline: float):
+        """The response on ``conn`` and its body, read by ``deadline`` (each
+        read waits only for the time left); a body, or a ``Content-Length``,
+        over :data:`MAX_ANSWER_BYTES` is refused."""
+        sock, body = conn.sock, bytearray()
+        sock.settimeout(_time_left(deadline))
+        response = conn.getresponse()
+        while response.length != 0:  # None for a chunked or close-delimited body: read to b""
+            if len(body) + (response.length or 0) > MAX_ANSWER_BYTES:
+                raise OSError(f"answer exceeds {MAX_ANSWER_BYTES} bytes")
+            sock.settimeout(_time_left(deadline))
+            if not (chunk := response.read1(65536)):
+                break
+            body += chunk
+        response.close()
+        return response, body
+
     def score(self, request: ScoringRequest) -> TokenLogprobs:
         ((_, result, _),) = self.score_many([request])
         return result
@@ -357,6 +378,13 @@ class HttpBackend:
         """Close the idle connections; a later call opens new ones."""
         while self._idle:
             self._idle.pop().close()
+
+
+def _time_left(deadline: float) -> float:
+    """Seconds until ``deadline``, which must lie ahead."""
+    if (left := deadline - time.monotonic()) <= 0:
+        raise TimeoutError("answer not read by its deadline")
+    return left
 
 
 def _environment_proxy(url: SplitResult) -> str | None:
@@ -490,52 +518,14 @@ class CachingBackend:
         self.inner.close()
 
 
-@dataclass
-class ScoredRequests:
-    """Results of :func:`score_requests`: one total per distinct request,
-    and the latency of each backend call."""
-
-    totals: dict[ScoringRequest, float]
-    latencies_s: list[float]
-
-    def latency_ms(self, fraction: float) -> float:
-        """Nearest-rank quantile of the backend calls' latency; 0 without calls."""
-        if not self.latencies_s:
-            return 0.0
-        ordered = sorted(self.latencies_s)
-        return 1000.0 * ordered[max(0, math.ceil(fraction * len(ordered)) - 1)]
+def _latency_ms(latencies_s: list[float], fraction: float) -> float:
+    """Nearest-rank quantile of backend call latencies, in ms; 0 without calls."""
+    ordered = sorted(latencies_s) or [0.0]
+    return 1000.0 * ordered[max(0, math.ceil(fraction * len(ordered)) - 1)]
 
 
-def score_requests(
-    backend: Backend,
-    requests: Iterable[ScoringRequest],
-    in_flight: int = 1,
-    on_total: Callable[[ScoringRequest, float], None] | None = None,
-) -> ScoredRequests:
-    """Score each distinct request once into its total, from the calling
-    thread: a backend with ``score_many`` keeps up to ``in_flight`` requests
-    outstanding, any other scores one at a time.
-
-    Each backend call is timed and reduced to its total as it returns, and
-    ``on_total``, when given, is called with the request and its total.
-    """
-    unique = list(dict.fromkeys(requests))
-    totals: dict[ScoringRequest, float] = {}
-    latencies: list[float] = []
-    if hasattr(backend, "score_many"):
-        results = backend.score_many(unique, in_flight)
-    else:
-        results = _score_serially(backend, unique)
-    for request, logprobs, latency_s in results:
-        totals[request] = logprobs.total()
-        latencies.append(latency_s)
-        if on_total is not None:
-            on_total(request, totals[request])
-    return ScoredRequests(totals, latencies)
-
-
-def _score_serially(backend: Backend, requests: list[ScoringRequest]):
-    """Yield ``(request, logprobs, latency_s)`` for each request in turn."""
+def _score_serially(backend: Backend, requests: list[ScoringRequest], in_flight: int = 1):
+    """Yield ``(request, logprobs, latency_s)`` for each request in turn, ignoring ``in_flight``."""
     for request in requests:
         start = time.perf_counter()
         result = backend.score(request)
@@ -601,13 +591,13 @@ def score_traces(
     them, and the counts of the work done. A job is (problem, trace, answers).
 
     Through a :class:`CachingBackend`, the distinct trace keys
-    (:func:`trace_key`) are looked up in one bulk call: a hit is its stored
-    row, and only missed traces build their cells. The distinct cells of
-    all missed traces are scored once through the inner backend, so the
-    traces of one problem share their step-0 cells. A missed trace's row is
-    queued once its last cell returns and stored in batches. When scoring
-    fails, every completed row is stored, then the error propagates with
-    the counts so far as its ``counts`` attribute.
+    (:func:`trace_key`) are looked up in one bulk call. Batches of up to
+    :data:`CACHE_BATCH` missed traces, in job order, send their distinct
+    cells not yet scored to the inner backend (``score_many``, up to
+    ``in_flight`` at once, if it has it), so a problem's traces share their
+    step-0 cells. Each batch's rows are stored in one call. When scoring
+    fails, the rows of every missed trace whose cells all came back are
+    stored, and the error carries the counts as ``counts``.
 
     The counts are ``backend_calls`` completed, ``retries``, ``cache_hits``
     and ``cache_misses`` per distinct trace (0 without a cache) and
@@ -620,75 +610,54 @@ def score_traces(
     counts = {"backend_calls": 0, "retries": 0, "cache_hits": 0, "cache_misses": 0, "rows_stored": 0}
     retries_before = getattr(inner, "retries", 0)
     rows: dict[str, list[float]] = {}
-    queue: list[tuple[str, list[float]]] = []
-
-    def store() -> None:
-        if queue:
-            cache.put(queue)
-            counts["rows_stored"] += len(queue)
-            queue.clear()
-
+    done: dict[ScoringRequest, float] = {}  # every cell scored so far, and its total
+    latencies: list[float] = []
     try:
-        try:
-            if cache is not None:
-                rows = cache.get({key: (len(t.steps) + 1) * len(answers) for key, (_, t, answers) in distinct.items()})
-                counts["cache_hits"], counts["cache_misses"] = len(rows), len(distinct) - len(rows)
-            cells = {key: profile_requests(*job) for key, job in distinct.items() if key not in rows}
-            # Each cell lists the missed traces waiting for it; a trace is
-            # complete when its count of cells still to come reaches 0.
-            waiting: dict[ScoringRequest, list[str]] = {}
-            for key, requests in cells.items():
-                for request in requests:
-                    waiting.setdefault(request, []).append(key)
-            remaining = {key: len(requests) for key, requests in cells.items()}
-            done: dict[ScoringRequest, float] = {}
-
-            def arrived(request: ScoringRequest, total: float) -> None:
-                done[request] = total
-                counts["backend_calls"] += 1
-                for key in waiting[request]:
-                    remaining[key] -= 1
-                    if not remaining[key]:
-                        rows[key] = [done[r] for r in cells[key]]
-                        if cache is not None:
-                            queue.append((key, rows[key]))
-                            if len(queue) == CACHE_BATCH:
-                                store()
-
-            scored = score_requests(inner, waiting, in_flight, on_total=arrived)
-        finally:
-            counts["retries"] = getattr(inner, "retries", 0) - retries_before
-            store()
+        if cache is not None:
+            rows = cache.get({key: (len(t.steps) + 1) * len(answers) for key, (_, t, answers) in distinct.items()})
+            counts["cache_hits"], counts["cache_misses"] = len(rows), len(distinct) - len(rows)
+        missed = [key for key in distinct if key not in rows]
+        score_many = getattr(inner, "score_many", functools.partial(_score_serially, inner))
+        for start in range(0, len(missed), CACHE_BATCH):
+            cells = {key: profile_requests(*distinct[key]) for key in missed[start : start + CACHE_BATCH]}
+            try:
+                todo = [cell for cell in dict.fromkeys(c for cs in cells.values() for c in cs) if cell not in done]
+                for request, logprobs, latency_s in score_many(todo, in_flight):
+                    done[request] = logprobs.total()
+                    latencies.append(latency_s)
+            except BaseException:  # a later trace may have all its cells too
+                cells = {key: profile_requests(*distinct[key]) for key in missed[start:]}
+                raise
+            finally:
+                batch = [(key, [done[c] for c in cs]) for key, cs in cells.items() if all(c in done for c in cs)]
+                rows.update(batch)
+                if cache is not None and batch:
+                    cache.put(batch)
+                    counts["rows_stored"] += len(batch)
     except BaseException as exc:
-        exc.counts = counts
+        exc.counts = counts  # filled in by the finally clause below
         raise
+    finally:
+        counts["backend_calls"] = len(done)
+        counts["retries"] = getattr(inner, "retries", 0) - retries_before
     lookups = counts["cache_hits"] + counts["cache_misses"]
     counts.update(
-        backend_p50_ms=round(scored.latency_ms(0.50), 3),
-        backend_p99_ms=round(scored.latency_ms(0.99), 3),
+        backend_p50_ms=round(_latency_ms(latencies, 0.50), 3),
+        backend_p99_ms=round(_latency_ms(latencies, 0.99), 3),
         cache_hit_rate=counts["cache_hits"] / lookups if lookups else 0.0,
     )
     return [rows[key] for key in keys], counts
 
 
-def make_backend(
-    backend_spec: str,
-    cache_dir: str | Path | None = None,
-    timeout_s: float = 30.0,
-    max_retries: int = 3,
-    backoff_s: float = 0.5,
-) -> Backend:
-    """Build a backend from its config string.
-
-    ``reference:<fixture path>`` names the reference model by its file;
-    anything starting with http:// or https:// becomes an HTTP client. A
-    cache directory, when given, pairs the backend with its ScoreCache in a
-    CachingBackend.
-    """
+def make_backend(backend_spec: str, cache_dir: str | Path | None = None, **http_options) -> Backend:
+    """Build a backend from its config string: ``reference:<fixture path>``
+    names the reference model by its file, an http:// or https:// URL an
+    :class:`HttpBackend` built with ``http_options``. A cache directory, when
+    given, pairs the backend with its ScoreCache in a CachingBackend."""
     if backend_spec.startswith("reference:"):
         backend: Backend = ReferenceModel.from_file(backend_spec.split(":", 1)[1])
     elif backend_spec.startswith(("http://", "https://")):
-        backend = HttpBackend(backend_spec, timeout_s=timeout_s, max_retries=max_retries, backoff_s=backoff_s)
+        backend = HttpBackend(backend_spec, **http_options)
     else:
         raise ConfigError(f"unrecognized backend spec: {backend_spec!r}")
     if cache_dir is not None:

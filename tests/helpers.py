@@ -4,13 +4,7 @@ import json
 import threading
 
 from steplab.errors import BackendError, DataError
-from steplab.scoring import (
-    ScoringRequest,
-    build_context,
-    information_profile,
-    profile_requests,
-    score_requests,
-)
+from steplab.scoring import InformationProfile, ScoringRequest, build_context
 from steplab.trace_model import Problem, ReasoningTrace
 from steplab.validators import ValidatorSpec
 
@@ -70,13 +64,12 @@ class CountingBackend:
         self.inner.close()
 
 
-def scored_profile(problem, trace, answers, backend, in_flight=1):
-    """A trace's information profile scored by ``backend`` cell by cell:
-    its requests through ``score_requests``, then reshaped. The reference
-    that ``score_traces`` is checked against."""
-    requests = profile_requests(problem, trace, answers)
-    scored = score_requests(backend, requests, in_flight=in_flight)
-    return information_profile(problem, trace, answers, [scored.totals[r] for r in requests])
+def scored_profile(problem, trace, answers, backend):
+    """A trace's information profile from one ``backend.score`` call per
+    (prefix, answer) cell, through :func:`information`: the reference that
+    ``score_traces`` is checked against."""
+    values = [[information(problem, trace.steps[:i], a, backend) for a in answers] for i in range(len(trace.steps) + 1)]
+    return InformationProfile(problem.id, trace.trace_id, list(answers), values)
 
 
 def information(problem, steps_prefix, answer, backend):

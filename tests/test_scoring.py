@@ -3,6 +3,7 @@ import json
 import math
 import logging
 import os
+import resource
 import socket
 import sqlite3
 import struct
@@ -29,7 +30,6 @@ from steplab.scoring import (
     build_context,
     information_profile,
     profile_requests,
-    score_requests,
     score_traces,
     trace_key,
 )
@@ -388,34 +388,14 @@ for start in range(first, first + 600, 10):
         assert cache_rows(cache_dir) == 1000
 
 
-class TestScoreRequests:
-    def test_each_distinct_request_is_scored_once(self, two_token_model):
-        counting = CountingBackend(two_token_model)
-        requests = [ScoringRequest("q", c) for c in ("4", "42", "4", "4", "42")]
-        arrived = []
-        scored = score_requests(counting, requests, on_total=lambda request, total: arrived.append((request, total)))
-        assert counting.calls == 2
-        assert set(scored.totals) == set(requests)
-        assert all(scored.totals[r] == two_token_model.score(r).total() for r in requests)
-        assert arrived == list(scored.totals.items())
-
-    def test_backend_calls_are_timed(self, two_token_model):
-        requests = [ScoringRequest("q", c) for c in ("4", "42", "4")]
-        scored = score_requests(two_token_model, requests)
-        assert len(scored.latencies_s) == 2
-        assert scored.latency_ms(0.99) >= scored.latency_ms(0.5) > 0
-        empty = score_requests(two_token_model, [])
-        assert empty.latencies_s == [] and empty.latency_ms(0.5) == empty.latency_ms(0.99) == 0.0
-
+class TestScoreTraces:
     def test_latency_quantiles_are_nearest_rank(self):
         latencies = [i / 1000 for i in range(100, 0, -1)]
-        scored = scoring.ScoredRequests({}, latencies_s=latencies)
-        assert scored.latency_ms(0.5) == pytest.approx(50.0)
-        assert scored.latency_ms(0.99) == pytest.approx(99.0)
-        assert scored.latency_ms(1.0) == pytest.approx(100.0)
+        assert scoring._latency_ms(latencies, 0.5) == pytest.approx(50.0)
+        assert scoring._latency_ms(latencies, 0.99) == pytest.approx(99.0)
+        assert scoring._latency_ms(latencies, 1.0) == pytest.approx(100.0)
+        assert scoring._latency_ms([], 0.5) == scoring._latency_ms([], 0.99) == 0.0
 
-
-class TestScoreTraces:
     def test_totals_equal_per_cell_scoring_and_shared_cells_are_scored_once(self, two_token_model):
         counting = CountingBackend(two_token_model)
         jobs = [job("q", [step], ["4", "42"], trace_id=step) for step in ("4", "x", "y")]
@@ -462,6 +442,39 @@ class TestScoreTraces:
         assert counting.calls == counts["backend_calls"] == len(rest)
         assert (counts["cache_hits"], counts["cache_misses"]) == (5, 15)
         assert totals == score_traces(model, jobs)[0]
+
+    def test_batches_share_cells_and_store_their_rows_together(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scoring, "CACHE_BATCH", 2)
+        model = ReferenceModel(table={}, fallback_prob=0.5)
+        jobs = [job(f"question {p}", [f"s1 {t}", "s2"], ["a", "b"], trace_id=f"{p}-{t}") for p in "01" for t in "012"]
+        cache = ScoreCache(tmp_path / "cache")
+        puts = []
+        monkeypatch.setattr(cache, "put", lambda rows, put=cache.put: (puts.append(len(rows)), put(rows))[1])
+        counting = CountingBackend(model)
+        totals, counts = score_traces(CachingBackend(counting, cache), jobs)
+        assert totals == [sum(scored_profile(*j, model).values, []) for j in jobs]
+        # Question 0's step-0 row is scored in the first batch and reused by
+        # its third trace in the second: 6 cells, then 4 more per trace.
+        cells = {request for j in jobs for request in profile_requests(*j)}
+        assert counting.calls == counts["backend_calls"] == len(cells) == 2 * (6 + 2 * 4)
+        assert puts == [2, 2, 2] and counts["rows_stored"] == cache_rows(tmp_path / "cache") == 6
+
+    def test_failure_in_a_later_batch_keeps_every_complete_row(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scoring, "CACHE_BATCH", 2)
+        model = ReferenceModel(table={}, fallback_prob=0.5)
+        jobs = [job(f"question {p}", [f"s1 {t}", "s2"], ["a", "b"], trace_id=f"{p}-{t}") for p in "01" for t in "012"]
+        # The last batch's trace is a prefix of the first: its cells are all
+        # scored in batch 1.
+        jobs.append(job("question 0", ["s1 0"], ["a", "b"], trace_id="0-prefix"))
+        # Batch 1 takes 10 calls, then question 0's third trace 4 more; the
+        # 15th, question 1's first cell, fails in batch 2.
+        flaky = CountingBackend(model, fail_at=15)
+        with pytest.raises(BackendError) as err:
+            score_traces(CachingBackend(flaky, ScoreCache(tmp_path / "cache")), jobs)
+        assert err.value.counts == dict(backend_calls=14, retries=0, cache_hits=0, cache_misses=7, rows_stored=4)
+        keys = [trace_key(model.backend_id, p.question, t.steps, a) for p, t, a in jobs]
+        stored = ScoreCache(tmp_path / "cache").get({key: (len(t.steps) + 1) * 2 for key, (_, t, _) in zip(keys, jobs)})
+        assert set(stored) == {*keys[:3], keys[6]}
 
 
 class TestInformation:
@@ -533,12 +546,12 @@ class TestInformationProfile:
         with pytest.raises(ValueError):
             scored_profile(problem, trace, ["a", "a"], model)
 
-    def test_threaded_profile_matches_sequential(self, info_problem_model):
+    def test_profile_scored_in_flight_matches_per_cell(self, info_problem_model):
         problem, model = info_problem_model
         trace = make_trace(steps=["r1", "r2"], final_answer="a")
-        sequential = scored_profile(problem, trace, ["a", "b"], model)
-        threaded = scored_profile(problem, trace, ["a", "b"], model, in_flight=4)
-        assert sequential.values == threaded.values
+        ([totals], _) = score_traces(model, [(problem, trace, ["a", "b"])], in_flight=4)
+        reference = scored_profile(problem, trace, ["a", "b"], model)
+        assert information_profile(problem, trace, ["a", "b"], totals) == reference
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +579,13 @@ class _StubHandler(BaseHTTPRequestHandler):
     # handler waits for ``release``).
     hold_s: float = 0.0
     stalled: str | None = None
+    # Answer bodies go out one byte every ``drip_s`` seconds; a set
+    # ``claimed_length`` is sent as the Content-Length of a body never sent;
+    # a ``close_delimited`` answer has no Content-Length and ends with its
+    # connection.
+    drip_s: float = 0.0
+    claimed_length: int | None = None
+    close_delimited: bool = False
     # Per fixture: one entry per accepted connection, every request path,
     # and the (start, end) times of each answer.
     connections: list
@@ -610,9 +630,22 @@ class _StubHandler(BaseHTTPRequestHandler):
         data = json.dumps(payload).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
+        if self.close_delimited:
+            self.send_header("Connection", "close")
+            self.close_connection = True
+        else:
+            self.send_header("Content-Length", str(self.claimed_length or len(data)))
         self.end_headers()
-        self.wfile.write(data)
+        if self.claimed_length:
+            self.release.wait(timeout=60)
+            return
+        try:
+            step = 1 if self.drip_s else len(data)
+            for offset in range(0, len(data), step):
+                self.wfile.write(data[offset : offset + step])
+                time.sleep(self.drip_s)
+        except OSError:  # the client gave up on a dripped answer
+            return
         self.spans.append((start, time.monotonic()))
         if self.close_after_response:
             self.connection.shutdown(socket.SHUT_WR)
@@ -697,9 +730,8 @@ class TestHttpBackend:
         handler.throttled, handler.retry_after = 2, retry_after
         backend = http_backend(url, max_retries=3, backoff_s=60.0)
         start = time.monotonic()
-        scored = score_requests(backend, [ScoringRequest("What?", "a")])
+        assert backend.score(ScoringRequest("What?", "a")).total() == math.log(0.5)
         assert time.monotonic() - start < 30.0
-        assert scored.totals[ScoringRequest("What?", "a")] == math.log(0.5)
         assert backend.retries == 2
 
     def test_retry_after_is_capped(self, http_backend, stub_server, monkeypatch):
@@ -758,8 +790,8 @@ class TestHttpBackend:
 
         monkeypatch.setattr(threading.Thread, "start", start)
         requests = [ScoringRequest(f"context {i}", "a") for i in range(40)]
-        scored = score_requests(http_backend(url), requests, in_flight=4)
-        assert scored.totals == {r: model.score(r).total() for r in requests}
+        totals = {request: result.total() for request, result, _ in http_backend(url).score_many(requests, in_flight=4)}
+        assert totals == {r: model.score(r).total() for r in requests}
         assert started == []
         assert 1 <= len(handler.connections) <= 4
         overlap = max(sum(s <= start < e for s, e in handler.spans) for start, _ in handler.spans)
@@ -791,6 +823,54 @@ class TestHttpBackend:
         assert cache_rows(tmp_path) == 11
         assert err.value.counts == dict(backend_calls=23, retries=1, cache_hits=0, cache_misses=12, rows_stored=11)
         assert backend.inner.retries == 1 and len(handler.paths) == 25
+
+    def test_an_answer_dripped_past_its_deadline_is_a_transport_failure(self, http_backend, stub_server):
+        url, handler = stub_server
+        handler.drip_s = 0.1
+        backend = http_backend(url, timeout_s=0.3, max_retries=2, backoff_s=0.01)
+        start = time.monotonic()
+        with pytest.raises(BackendError) as err:
+            backend.score(ScoringRequest("What?", "a"))
+        assert err.value.kind == "transport" and time.monotonic() - start < 3.0
+        assert backend.retries == 1 and len(handler.paths) == 2
+
+    def test_an_answer_longer_than_the_cap_is_refused_unread(self, http_backend, stub_server):
+        url, handler = stub_server
+        handler.claimed_length = scoring.MAX_ANSWER_BYTES + 1
+        backend = http_backend(url, timeout_s=5.0, max_retries=2, backoff_s=0.01)
+        start = time.monotonic()
+        with pytest.raises(BackendError) as err:
+            backend.score(ScoringRequest("What?", "a"))
+        assert err.value.kind == "transport" and "exceeds" in str(err.value)
+        assert time.monotonic() - start < 2.0 and backend.retries == 1
+
+    def test_a_close_delimited_answer_is_read_to_its_end_and_capped_as_read(
+        self, http_backend, stub_server, monkeypatch
+    ):
+        url, handler = stub_server
+        handler.close_delimited = True
+        backend = http_backend(url, max_retries=1)
+        assert backend.score(ScoringRequest("What?", "a")).logprobs == [math.log(0.5)]
+        monkeypatch.setattr(scoring, "MAX_ANSWER_BYTES", 10)
+        with pytest.raises(BackendError) as err:
+            backend.score(ScoringRequest("What?", "a"))
+        assert err.value.kind == "transport" and "exceeds 10 bytes" in str(err.value)
+
+    def test_sockets_numbered_past_1024_are_polled(self, http_backend, stub_server):
+        if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1100:
+            pytest.skip("needs a soft RLIMIT_NOFILE of at least 1100")
+        url, _ = stub_server
+        backend = http_backend(url)
+        held = []
+        try:
+            while len(held) < 1030:
+                held.append(os.open(os.devnull, os.O_RDONLY))
+            for _ in range(2):  # on a new connection, then on the idle one
+                assert backend.score(ScoringRequest("What?", "a")).backend_id == "stub-llm"
+            assert backend._idle[0].sock.fileno() >= 1024
+        finally:
+            for fd in held:
+                os.close(fd)
 
     def test_every_connection_disables_nagle(self, http_backend, stub_server, monkeypatch):
         """TCP_NODELAY is set on the backend's sockets whatever http.client's
