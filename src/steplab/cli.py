@@ -12,14 +12,6 @@ import logging
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from .analysis import (
-    ComplexityParams,
-    exhaustive_bias,
-    subsample_bias_variance,
-    tokens_mathshepherd,
-    tokens_mcnig,
-    tokens_omegaprm,
-)
 from .errors import ConfigError, exit_code
 from .ioutil import atomic_write_text
 from .pipeline import CHOICES, STAGE_TABLE, RunConfig, comma_list, load_config, run_pipeline, summarize_run
@@ -115,6 +107,8 @@ def _emit_report(report: dict, out: str | None) -> None:
 
 
 def _cmd_analyze_complexity(args: argparse.Namespace) -> int:
+    from .analysis import ComplexityParams, tokens_mathshepherd, tokens_mcnig, tokens_omegaprm
+
     params = ComplexityParams(
         steps=args.n,
         tokens_per_step=args.s_bar,
@@ -137,6 +131,8 @@ def _cmd_analyze_complexity(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze_bias(args: argparse.Namespace, seed: int) -> int:
+    from .analysis import exhaustive_bias, subsample_bias_variance
+
     pool = _load_pool_file(args.pool_file)
     replicates = 0 if args.exhaustive else args.replicates
     if args.exhaustive:

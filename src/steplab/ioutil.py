@@ -3,7 +3,6 @@
 import hashlib
 import json
 import os
-import uuid
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -33,8 +32,18 @@ def read_jsonl(path: str | Path, make: Callable[[dict], Any] | None = None) -> I
             yield obj
 
 
-# One encoder for all rows: json.dumps(r, ensure_ascii=False) builds one per row.
-encode_json = json.JSONEncoder(ensure_ascii=False).encode
+def _json_encoder() -> Callable[[Any], str]:
+    """``json.dumps(obj, ensure_ascii=False)``, built once and without the check
+    for reference cycles (rows are trees), on json's C encoder where there is one."""
+    python = json.JSONEncoder(ensure_ascii=False, check_circular=False)
+    c_make = json.encoder.c_make_encoder  # its arguments are CPython's own
+    if c_make is None:
+        return python.encode
+    encode = c_make(None, python.default, json.encoder.encode_basestring, None, ": ", ", ", False, False, True)
+    return lambda obj: "".join(encode(obj, 0))
+
+
+encode_json = _json_encoder()
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> str:
@@ -52,7 +61,7 @@ def atomic_write_text(path: str | Path, text: str) -> str:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(16).hex()}.tmp")
     data = text.encode("utf-8")
     try:
         tmp.write_bytes(data)

@@ -12,6 +12,7 @@ Every stage is one row of :data:`STAGE_TABLE`, run by :func:`run_stage`;
 the CLI derives its subcommands and flags from the same table.
 """
 
+import gc
 import json
 import logging
 import math
@@ -819,13 +820,17 @@ def run_pipeline(cfg: RunConfig, stages: list[str] | None = None) -> dict:
     config skips up-to-date stages. A stage that fails or is interrupted
     comes last in the manifest, with its error, its exit code and the
     ``counts`` its error carries, and runs again next time; an unknown stage
-    name fails as itself before any stage runs.
+    name fails as itself before any stage runs. Python's cyclic garbage
+    collector is paused while the stages run (their rows hold no reference
+    cycles), and the caller's setting restored after.
     """
     sequence = list(stages) if stages else list(STAGES)
     cfg.out.mkdir(parents=True, exist_ok=True)
     reports = []
     memo: dict = {}
+    gc_was_enabled = gc.isenabled()
     try:
+        gc.disable()
         for name in sequence:  # every name is checked before any stage runs
             if name not in STAGES:
                 raise ConfigError(f"unknown stage {name!r}; choose from {STAGES}")
@@ -839,8 +844,12 @@ def run_pipeline(cfg: RunConfig, stages: list[str] | None = None) -> dict:
         reports.append(failed)
         raise
     finally:
-        manifest = dict(toolkit_version=__version__, created_unix=time.time(), config=asdict(cfg), stages=reports)
-        atomic_write_text(artifact_paths(cfg.out)["manifest"], json.dumps(manifest, ensure_ascii=False, indent=1))
+        try:
+            manifest = dict(toolkit_version=__version__, created_unix=time.time(), config=asdict(cfg), stages=reports)
+            atomic_write_text(artifact_paths(cfg.out)["manifest"], json.dumps(manifest, ensure_ascii=False, indent=1))
+        finally:
+            if gc_was_enabled:
+                gc.enable()
     return manifest
 
 

@@ -31,7 +31,6 @@ import logging
 import math
 import os
 import select
-import sqlite3
 import struct
 import threading
 import time
@@ -462,6 +461,8 @@ class ScoreCache:
     @contextmanager
     def _connect(self):
         """A connection for one call, committed when the call succeeds."""
+        import sqlite3  # runs without --cache-dir never load it
+
         try:
             db = sqlite3.connect(self.path, timeout=CACHE_LOCK_TIMEOUT_S)
             try:

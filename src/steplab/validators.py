@@ -18,12 +18,7 @@ import logging
 import math
 import os
 import re
-import shlex
-import signal
-import sqlite3
 import string
-import subprocess
-import tempfile
 import threading
 from collections import Counter
 from contextlib import suppress
@@ -47,9 +42,6 @@ DEFAULT_COMMAND_TIMEOUT_S = 30.0
 # DETACH or PRAGMA.
 SQL_STEP_BUDGET = 20_000_000
 SQL_PROGRESS_INTERVAL = 1_000
-_SQL_READ_ACTIONS = frozenset(
-    (sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE)
-)
 
 # Callers may run validators from worker threads; child processes stay
 # bounded regardless.
@@ -171,7 +163,9 @@ def _has_order_by(query: str) -> bool:
     return re.search(r"\border\s+by\b", query, re.IGNORECASE) is not None
 
 
-def _open_fixture(fixture: str | Path) -> sqlite3.Connection:
+def _open_fixture(fixture: str | Path) -> "sqlite3.Connection":
+    import sqlite3  # only SQL validators load it
+
     path = Path(fixture)
     if not path.exists():
         raise ValidatorError(f"database fixture not found: {path}")
@@ -200,6 +194,8 @@ def check_sql(candidate_query: str, gold_query: str, fixture: str | Path) -> Che
     diagnostic "timeout". A broken fixture or gold query is an
     infrastructure error.
     """
+    import sqlite3
+
     conn = _open_fixture(fixture)
     try:
         try:
@@ -214,9 +210,8 @@ def check_sql(candidate_query: str, gold_query: str, fixture: str | Path) -> Che
             ticks += 1
             return ticks > budget
 
-        conn.set_authorizer(
-            lambda action, *_: sqlite3.SQLITE_OK if action in _SQL_READ_ACTIONS else sqlite3.SQLITE_DENY
-        )
+        reads = (sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE)
+        conn.set_authorizer(lambda action, *_: sqlite3.SQLITE_OK if action in reads else sqlite3.SQLITE_DENY)
         conn.set_progress_handler(over_budget, SQL_PROGRESS_INTERVAL)
         try:
             cand_rows = conn.execute(candidate_query).fetchall()
@@ -243,6 +238,8 @@ def check_external(command_template: str, candidate: str, timeout_s: float = DEF
     own process group, which is killed at the timeout and after the command
     exits, so nothing it started outlives it.
     """
+    import shlex, signal, subprocess, tempfile  # noqa: E401  only command validators load them
+
     if "{candidate}" not in command_template:
         raise ValidatorError("command template must contain a {candidate} placeholder")
     with tempfile.TemporaryDirectory(prefix="steplab-validate-") as workdir:

@@ -27,6 +27,12 @@ def test_every_patch_point_resolves():
     assert traced.PATCHES and missing == []
 
 
+def test_every_stage_has_the_name_it_is_run_by():
+    """The traced child runs stage ``s`` as ``pipeline.stage_<s>``."""
+    missing = [stage for stage in pipeline.STAGES if not callable(getattr(pipeline, f"stage_{stage}", None))]
+    assert missing == []
+
+
 def test_the_scoring_layers_it_wraps_exist(tmp_path):
     assert load_traced().CachingBackend is CachingBackend
     backend = CachingBackend(ReferenceModel({}, 0.5), ScoreCache(tmp_path))

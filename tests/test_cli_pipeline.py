@@ -1,8 +1,12 @@
+import gc
 import hashlib
 import json
 import math
+import os
 import shutil
 import sqlite3
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -29,6 +33,8 @@ from steplab.pipeline import (
     summarize_run,
 )
 
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # The keys analyze-bias prints, in order.
 ANALYZE_BIAS_KEYS = ["pool_size", "pool_max", "s", "replicates", "bias", "variance", "exact"]
@@ -1329,3 +1335,86 @@ class TestSummarize:
             " | prm records 5, dropped reserved_symbol_in_question=1, reserved_symbol_in_step=2"
             " | orm records 7, dropped reserved_symbol_in_question=1, reserved_symbol_in_step=2"
         )
+
+
+def _python(code: str, *args: str) -> str:
+    """Standard output of ``code`` run by a fresh interpreter, with ``src`` on its path."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+class TestImports:
+    @pytest.fixture(scope="class")
+    def loaded_by_the_cli(self):
+        return set(json.loads(_python("import json, sys, steplab.cli; print(json.dumps(list(sys.modules)))")))
+
+    # Each is used only by some backends, validators or commands.
+    @pytest.mark.parametrize("module", ["http.client", "sqlite3", "subprocess", "uuid", "steplab.analysis"])
+    def test_importing_the_cli_does_not_load(self, loaded_by_the_cli, module):
+        assert module not in loaded_by_the_cli
+
+    def test_a_relabel_loads_neither_sqlite3_nor_subprocess(self, run_6x4, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(run_6x4, run)
+        code = (
+            "import json, sys; from steplab.cli import main; code = main(sys.argv[1:]); "
+            "print(json.dumps([code, 'sqlite3' in sys.modules, 'subprocess' in sys.modules]))"
+        )
+        out = _python(code, "run", "--out-dir", str(run), "--stages", "signals,sweep,label,emit,eval", "--force")
+        assert json.loads(out.splitlines()[-1]) == [0, False, False]
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def gc_before(request):
+    """Python's cyclic collector switched on or off for the test, then reset."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    def test_stages_run_paused_and_the_callers_setting_comes_back(self, run_6x4, tmp_path, monkeypatch, gc_before):
+        from steplab import pipeline
+
+        run = tmp_path / "run"
+        shutil.copytree(run_6x4, run)
+        during = []
+        write = pipeline.write_jsonl
+
+        def recording_write(*args):
+            during.append(gc.isenabled())
+            return write(*args)
+
+        monkeypatch.setattr(pipeline, "write_jsonl", recording_write)
+        run_pipeline(load_config(overrides={"out_dir": str(run), "force": True}), ["signals", "label", "emit"])
+        assert during == [False, False]
+        assert gc.isenabled() is gc_before
+
+    def test_a_failed_stage_gives_back_the_callers_setting(self, small_corpus, tmp_path, gc_before):
+        from steplab.errors import BackendError
+
+        cfg = config_for(small_corpus, tmp_path, backend="http://127.0.0.1:9", backend_backoff_s=0.0)
+        with pytest.raises(BackendError):
+            run_pipeline(cfg)
+        assert gc.isenabled() is gc_before
+
+    @pytest.mark.parametrize("gc_before", [False], indirect=True)
+    def test_a_run_leaves_as_many_cycles_at_any_corpus_size(self, tmp_path, gc_before):
+        """Per-row work builds no reference cycles, so pausing the collector
+        holds back no more garbage on a bigger corpus."""
+        left = {}
+        for n_problems in (6, 24):
+            corpus = build_demo_corpus(tmp_path / f"corpus-{n_problems}", n_problems=n_problems, traces_per_problem=4)
+            cfg = RunConfig(
+                problems=str(corpus["problems"]),
+                traces=str(corpus["traces"]),
+                out_dir=str(tmp_path / f"run-{n_problems}"),
+                backend=f"reference:{corpus['reference_model']}",
+            )
+            gc.collect()
+            run_pipeline(cfg)
+            left[n_problems] = gc.collect()
+        assert left[6] == left[24]

@@ -1,9 +1,24 @@
+import json
 import threading
 
 import pytest
 
+from steplab import ioutil
 from steplab.errors import DataError
 from steplab.ioutil import atomic_write_text, read_jsonl, sha256_file, stable_seed, write_jsonl
+
+# Values whose text json.dumps spells in a way of its own.
+JSON_VALUES = [
+    "naïve ∑ 数学 \U0001f600",
+    "\x00\x1f\t\n\r\x7f\u2028",
+    'a "quoted" \\ backslash /',
+    [0.1, -0.0, 1e300, 1e-7, float("inf"), float("-inf"), float("nan"), 123456789012345678901234567890],
+    [True, False, None],
+    {"empty": [[], {}, [[]], [{}]], "": {"nested": {"deeper": []}}},
+    {"x": 1, "ü": [1.5, "two", None], "1": True},
+    [],
+    {},
+]
 
 
 class TestJsonl:
@@ -25,6 +40,25 @@ class TestJsonl:
             list(read_jsonl(path))
         assert err.value.line == 2
         assert err.value.offset is not None
+
+
+class TestEncodeJson:
+    @pytest.fixture(params=["c", "python"])
+    def encode(self, request, monkeypatch):
+        """The module's encoder, and one built where json has no C encoder."""
+        if request.param == "c":
+            assert json.encoder.c_make_encoder is not None
+            return ioutil.encode_json
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        return ioutil._json_encoder()
+
+    @pytest.mark.parametrize("value", JSON_VALUES, ids=range(len(JSON_VALUES)))
+    def test_bytes_equal_json_dumps(self, encode, value):
+        assert encode(value) == json.dumps(value, ensure_ascii=False)
+
+    def test_an_unserializable_value_is_a_type_error(self, encode):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            encode({"rows": [1, {2}]})
 
 
 class TestAtomicWrite:

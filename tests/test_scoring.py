@@ -760,12 +760,6 @@ class TestHttpBackend:
         assert err.value.kind == "transport" and "429" in str(err.value)
         assert backend.retries == 1
 
-    def test_import_does_not_load_the_http_client(self):
-        code = "import sys, steplab.cli; print('http.client' in sys.modules)"
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-        assert out.stdout.strip() == "False", out.stderr
-
     def test_sequential_scores_share_one_connection(self, http_backend, stub_server, info_problem_model):
         url, handler = stub_server
         _, model = info_problem_model
