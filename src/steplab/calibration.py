@@ -38,13 +38,9 @@ def sweep_threshold(
     finite threshold t a trace predicts 1 iff ``min(values[:-1]) > t``, and
     a single-step trace (the empty product) always predicts 1. Each grid
     point's counts therefore come from one bisection into the sorted minima
-    of each class: O((T + G) log T) for T traces and G thresholds. Signal
-    values must not be NaN.
+    of each class: O((T + G) log T) for T traces and G thresholds. Truths
+    align with signals, and signal values must not be NaN.
     """
-    if len(signals) != len(truths):
-        raise ValueError("signals and truths must be aligned")
-    if not grid:
-        raise ValueError("threshold grid must be non-empty")
     minima: tuple[list[float], list[float]] = ([], [])  # indexed by truth
     for signal, truth in zip(signals, truths):
         if not signal.values:
@@ -85,8 +81,6 @@ def percentile_grid(
     values. Percentile bounds absorb scale differences between domains."""
     if not values:
         raise ValueError("cannot build a grid from no signal values")
-    if size < 1:
-        raise ValueError("grid size must be at least 1")
     ordered = sorted(values)
     lo = _percentile(ordered, lo_pct)
     hi = _percentile(ordered, hi_pct)

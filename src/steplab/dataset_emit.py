@@ -58,8 +58,6 @@ def _record(problem: Problem, trace: ReasoningTrace, target_markers: str) -> dic
 def emit_prm_record(problem: Problem, trace: ReasoningTrace, labels: list[int]) -> dict:
     """Build a step-level record: one target marker per step, POS where the
     step label is 1."""
-    if len(labels) != len(trace.steps):
-        raise ValueError(f"trace {trace.trace_id!r}: {len(labels)} labels for {len(trace.steps)} steps")
     record = _record(problem, trace, target_markers="all")
     record["targets"] = [TARGET_POS if l == 1 else TARGET_NEG for l in labels]
     return record
@@ -82,8 +80,6 @@ def write_shards(
     records_per_shard: int = 100_000,
 ) -> list[Path]:
     """Write records, one JSON line each, into ``{split}-{shard:05d}.jsonl`` files."""
-    if records_per_shard < 1:
-        raise ValueError("records_per_shard must be at least 1")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths: list[Path] = []

@@ -35,9 +35,6 @@ def step_product_score(step_probs: list[float]) -> float:
     No step is excluded here; final-step exclusion is a calibration-time
     concern only. An empty list yields the empty product, 1, with a warning.
     """
-    for p in step_probs:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"step probability out of [0, 1]: {p}")
     if not step_probs:
         log.warning("step_product_score called with no steps; empty product is 1")
         return 1.0
@@ -59,17 +56,12 @@ def best_of_k(
     unparseable selected trace counts as failure without calling the
     validator.
     """
-    if k < 1:
-        raise ValueError("K must be at least 1")
     if scorer_id is None:
         scorer_id = getattr(scorer, "scorer_id", getattr(scorer, "__name__", "scorer"))
     selections = []
     considered = unscored = 0
     for problem in problems:
-        candidates = candidates_by_problem.get(problem.id, [])
-        if not candidates:
-            raise ValueError(f"problem {problem.id!r} has no candidates")
-        window = candidates[:k]
+        window = candidates_by_problem[problem.id][:k]
         scores = [float(scorer(problem, trace)) for trace in window]
         considered += len(window)
         unscored += scores.count(SCORE_FAILURE)

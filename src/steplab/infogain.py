@@ -19,7 +19,8 @@ from .errors import ConfigError, UndefinedSignalError
 from .scoring import InformationProfile
 from .trace_model import AnswerPool
 
-AGGREGATIONS = ("max", "mean")
+# Each aggregation's function over a row's picked columns.
+AGGREGATIONS = {"max": max, "mean": fmean}
 REFERENCES = ("step0", "previous")
 
 
@@ -59,15 +60,6 @@ def ig_signal(profile: InformationProfile, gold_answer: str) -> StepSignal:
     )
 
 
-def _aggregate(row: list[float], columns: list[int], aggregation: str) -> float:
-    picked = [row[c] for c in columns]
-    if aggregation == "max":
-        return max(picked)
-    if aggregation == "mean":
-        return fmean(picked)
-    raise ConfigError(f"unknown aggregation: {aggregation!r}")
-
-
 def net_info(profile: InformationProfile, pool: AnswerPool, aggregation: str = "max") -> list[float]:
     """Aggregated correct-answer information minus aggregated wrong-answer
     information, one value per step prefix 0..N.
@@ -85,10 +77,8 @@ def net_info(profile: InformationProfile, pool: AnswerPool, aggregation: str = "
         w_cols = [profile.column(a) for a in pool.wrong]
     except KeyError as exc:
         raise ConfigError(f"pool answer missing from profile: {exc}") from None
-    return [
-        _aggregate(row, c_cols, aggregation) - _aggregate(row, w_cols, aggregation)
-        for row in profile.values
-    ]
+    aggregate = AGGREGATIONS[aggregation]
+    return [aggregate([row[c] for c in c_cols]) - aggregate([row[c] for c in w_cols]) for row in profile.values]
 
 
 def mcnig_extended(
@@ -98,13 +88,11 @@ def mcnig_extended(
     reference: str = "step0",
 ) -> list[float]:
     """Net-information gain including the step-0 entry, which is 0 by
-    construction under either reference."""
+    construction under either reference: "step0", or else "previous"."""
     net = net_info(profile, pool, aggregation)
     if reference == "step0":
         return [v - net[0] for v in net]
-    if reference == "previous":
-        return [0.0] + [net[i] - net[i - 1] for i in range(1, len(net))]
-    raise ConfigError(f"unknown reference: {reference!r}")
+    return [0.0] + [net[i] - net[i - 1] for i in range(1, len(net))]
 
 
 def mcnig_signal(
@@ -114,7 +102,6 @@ def mcnig_signal(
     reference: str = "step0",
 ) -> StepSignal:
     extended = mcnig_extended(profile, pool, aggregation, reference)
-    assert extended[0] == 0.0
     return StepSignal(
         problem_id=profile.problem_id,
         trace_id=profile.trace_id,

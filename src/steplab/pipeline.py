@@ -12,6 +12,7 @@ Every stage is one row of :data:`STAGE_TABLE`, run by :func:`run_stage`;
 the CLI derives its subcommands and flags from the same table.
 """
 
+import fcntl
 import gc
 import json
 import logging
@@ -57,7 +58,7 @@ EVAL_SCORERS = ("step-product", "orm", "label-product", "oracle", "random", "maj
 # Allowed values of each enumerated RunConfig field; the CLI offers the same.
 CHOICES = {
     "method": METHODS,
-    "aggregation": AGGREGATIONS,
+    "aggregation": tuple(AGGREGATIONS),
     "reference": REFERENCES,
     "eval_scorer": EVAL_SCORERS,
 }
@@ -822,10 +823,18 @@ def run_pipeline(cfg: RunConfig, stages: list[str] | None = None) -> dict:
     ``counts`` its error carries, and runs again next time; an unknown stage
     name fails as itself before any stage runs. Python's cyclic garbage
     collector is paused while the stages run (their rows hold no reference
-    cycles), and the caller's setting restored after.
+    cycles), and the caller's setting restored after. A run holds an
+    exclusive ``flock`` on the run directory until its manifest is written;
+    a second run there fails at once with a ConfigError, manifest untouched.
     """
     sequence = list(stages) if stages else list(STAGES)
     cfg.out.mkdir(parents=True, exist_ok=True)
+    lock = os.open(cfg.out, os.O_RDONLY)  # the directory's own descriptor: no lock file
+    try:
+        fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except OSError as exc:
+        os.close(lock)
+        raise ConfigError(f"run directory {cfg.out} is in use") if isinstance(exc, BlockingIOError) else exc
     reports = []
     memo: dict = {}
     gc_was_enabled = gc.isenabled()
@@ -848,6 +857,7 @@ def run_pipeline(cfg: RunConfig, stages: list[str] | None = None) -> dict:
             manifest = dict(toolkit_version=__version__, created_unix=time.time(), config=asdict(cfg), stages=reports)
             atomic_write_text(artifact_paths(cfg.out)["manifest"], json.dumps(manifest, ensure_ascii=False, indent=1))
         finally:
+            os.close(lock)
             if gc_was_enabled:
                 gc.enable()
     return manifest

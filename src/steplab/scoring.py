@@ -87,20 +87,16 @@ class TokenLogprobs:
     logprobs: list[float]
     backend_id: str
 
-    def __post_init__(self):
-        if len(self.tokens) != len(self.logprobs) or not self.tokens:
-            raise ValueError("tokens and logprobs must be equal-length and non-empty")
-        for lp in self.logprobs:
-            if not math.isfinite(lp) or lp > 0:
-                raise ValueError(f"logprob out of range after clamping: {lp}")
-
     @classmethod
     def clamped(cls, tokens: list[str], logprobs: list[float], backend_id: str) -> "TokenLogprobs":
         """Construct with each logprob clamped into [LOGPROB_FLOOR, 0].
 
-        Infinities clamp to the range edges; NaN is rejected, since a backend
-        emitting NaN is broken rather than merely extreme.
+        Tokens and logprobs must be equal-length and non-empty. Infinities
+        clamp to the range edges; NaN is rejected, since a backend emitting
+        NaN is broken rather than merely extreme.
         """
+        if len(tokens) != len(logprobs) or not tokens:
+            raise ValueError("tokens and logprobs must be equal-length and non-empty")
         safe = []
         for lp in logprobs:
             lp = float(lp)
@@ -575,8 +571,6 @@ def information_profile(
     :func:`profile_requests` order: row i holds each answer's total given
     the first i steps."""
     rows, width = len(trace.steps) + 1, len(answers)
-    if len(totals) != rows * width:
-        raise ValueError(f"{len(totals)} totals do not fill {rows} rows of {width} answers")
     return InformationProfile(
         problem_id=problem.id,
         trace_id=trace.trace_id,

@@ -169,8 +169,6 @@ def build_answer_pool(
     pool = AnswerPool(problem_id=problem.id)
     representatives: dict[str, str] = {}
     for trace in traces:
-        if trace.problem_id != problem.id:
-            raise ValueError(f"trace {trace.trace_id!r} does not belong to problem {problem.id!r}")
         if not trace.parse_ok:
             continue
         key = normalize_answer(trace.final_answer, problem.domain)
@@ -205,7 +203,7 @@ def filter_and_subsample(
     k: int = 8,
     seed: int = 0,
 ) -> FilterResult:
-    """Build the working candidate set for labeling.
+    """Build the working candidate set for labeling from validated traces.
 
     Unparseable traces are removed, problems whose parsed traces are all
     correct are dropped (no contrast), and each surviving problem keeps a
@@ -214,8 +212,6 @@ def filter_and_subsample(
     incorrect traces first. The RNG is derived from (seed, problem id) so the
     choice is independent of dataset order.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
     kept: list[tuple[Problem, list[ReasoningTrace]]] = []
     dropped: dict[str, str] = {}
     for problem in problems:
@@ -224,8 +220,6 @@ def filter_and_subsample(
             dropped[problem.id] = "no_parsed_traces"
             log.info("dropped problem %s: no_parsed_traces", problem.id)
             continue
-        if any(t.correct is None for t in parsed):
-            raise ValueError(f"problem {problem.id!r}: traces must be validated before filtering")
         if all(t.correct for t in parsed):
             dropped[problem.id] = "all_correct"
             log.info("dropped problem %s: all_correct", problem.id)

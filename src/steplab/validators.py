@@ -232,22 +232,19 @@ def check_external(command_template: str, candidate: str, timeout_s: float = DEF
     """Materialize the candidate to a file and run the command template on it.
 
     The command runs in a throwaway working directory with ``{candidate}``
-    replaced by the file path. Exit status 0 scores 1, anything else 0.
-    Timeouts score 0 with the ``timed_out`` flag; a command that cannot be
-    spawned at all raises :class:`ValidatorError`. The command runs in its
-    own process group, which is killed at the timeout and after the command
-    exits, so nothing it started outlives it.
+    (which :class:`ValidatorSpec` requires) replaced by the file path. Exit
+    status 0 scores 1, anything else 0. Timeouts score 0 with the
+    ``timed_out`` flag; a command that cannot be spawned at all raises
+    :class:`ValidatorError`. The command runs in its own process group,
+    which is killed at the timeout and after the command exits, so nothing
+    it started outlives it.
     """
     import shlex, signal, subprocess, tempfile  # noqa: E401  only command validators load them
 
-    if "{candidate}" not in command_template:
-        raise ValidatorError("command template must contain a {candidate} placeholder")
     with tempfile.TemporaryDirectory(prefix="steplab-validate-") as workdir:
         cand_path = Path(workdir) / "candidate"
         cand_path.write_text(candidate, encoding="utf-8")
         argv = shlex.split(command_template.replace("{candidate}", str(cand_path)))
-        if not argv:
-            raise ValidatorError("command template is empty")
         try:
             with _command_slots, subprocess.Popen(
                 argv, cwd=workdir, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True
@@ -274,7 +271,8 @@ def check_external(command_template: str, candidate: str, timeout_s: float = DEF
 def validate(spec: ValidatorSpec, candidate: str, problem) -> int:
     """Apply the validator described by ``spec`` to a candidate answer.
 
-    Deterministic in its arguments and any fixture contents.
+    Deterministic in its arguments and any fixture contents. ``spec`` was
+    checked when built, so a kind not named below is ``external_command``.
     """
     if not candidate:
         raise ValueError("candidate answer must be non-empty")
@@ -287,10 +285,8 @@ def validate(spec: ValidatorSpec, candidate: str, problem) -> int:
         return normalized_exact(candidate, gold)
     if spec.kind == "sql_execution":
         return check_sql(candidate, spec.payload["gold_query"], spec.payload["fixture"]).value
-    if spec.kind == "external_command":
-        timeout_s = spec.payload.get("timeout_s", DEFAULT_COMMAND_TIMEOUT_S)
-        return check_external(spec.payload["command"], candidate, timeout_s).value
-    raise ConfigError(f"unknown validator kind: {spec.kind!r}")
+    timeout_s = spec.payload.get("timeout_s", DEFAULT_COMMAND_TIMEOUT_S)
+    return check_external(spec.payload["command"], candidate, timeout_s).value
 
 
 def make_validator(problem) -> Callable[[str], int]:

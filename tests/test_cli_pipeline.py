@@ -1,3 +1,4 @@
+import fcntl
 import gc
 import hashlib
 import json
@@ -15,7 +16,7 @@ import pytest
 
 from helpers import CountingBackend
 from steplab.cli import build_parser, main
-from steplab.errors import ConfigError, DataError
+from steplab.errors import ConfigError, DataError, exit_code
 from steplab.fixtures import build_demo_corpus
 from steplab.ioutil import read_jsonl, sha256_file
 from steplab.pipeline import (
@@ -157,6 +158,8 @@ class TestConfig:
             RunConfig(method="guess")
         with pytest.raises(ConfigError):
             RunConfig(aggregation="median")
+        with pytest.raises(ConfigError):
+            RunConfig(reference="next")
         with pytest.raises(ConfigError):
             RunConfig(eval_scorer="bogus")
 
@@ -1418,3 +1421,60 @@ class TestCollectorPause:
             run_pipeline(cfg)
             left[n_problems] = gc.collect()
         assert left[6] == left[24]
+
+
+@pytest.fixture()
+def held_lock():
+    """Takes a run directory's exclusive ``flock`` on a descriptor of this
+    test's own, as another run would; released after the test."""
+    held = []
+
+    def hold(run: Path) -> int:
+        held.append(os.open(run, os.O_RDONLY))
+        fcntl.flock(held[-1], fcntl.LOCK_EX | fcntl.LOCK_NB)
+        return held[-1]
+
+    yield hold
+    for fd in held:
+        os.close(fd)
+
+
+class TestOneWriterPerRunDirectory:
+    RELABEL = ["signals", "sweep", "label", "emit", "eval"]
+
+    def test_a_second_run_fails_with_exit_2_and_leaves_the_manifest(self, run_6x4, tmp_path, held_lock):
+        run = tmp_path / "run"
+        shutil.copytree(run_6x4, run)
+        manifest = (run / "manifest.json").read_bytes()
+        cfg = load_config(overrides={"out_dir": str(run), "force": True}, env={})
+        lock = held_lock(run)
+        with pytest.raises(ConfigError) as err:
+            run_pipeline(cfg, self.RELABEL)
+        assert str(run) in str(err.value) and exit_code(err.value) == 2
+        assert main(["run", "--out-dir", str(run), "--stages", ",".join(self.RELABEL), "--force"]) == 2
+        assert (run / "manifest.json").read_bytes() == manifest
+        assert main(["report", "--out-dir", str(run)]) == 0  # takes no lock
+        fcntl.flock(lock, fcntl.LOCK_UN)
+        reports = run_pipeline(cfg, self.RELABEL)["stages"]
+        assert [(r["name"], r["skipped"]) for r in reports] == [(name, False) for name in self.RELABEL]
+        assert (run / "manifest.json").read_bytes() != manifest
+
+    def test_the_lock_is_held_until_the_manifest_is_written(self, run_6x4, tmp_path, held_lock, monkeypatch):
+        from steplab import pipeline
+
+        run = tmp_path / "run"
+        shutil.copytree(run_6x4, run)
+        attempts = []
+        write = pipeline.atomic_write_text
+
+        def try_lock_then_write(path, text):
+            if Path(path).name == "manifest.json":
+                with pytest.raises(BlockingIOError):
+                    held_lock(run)
+                attempts.append(path)
+            return write(path, text)
+
+        monkeypatch.setattr(pipeline, "atomic_write_text", try_lock_then_write)
+        run_pipeline(load_config(overrides={"out_dir": str(run)}, env={}), ["signals"])
+        assert len(attempts) == 1
+        held_lock(run)  # released once the run returns

@@ -36,12 +36,6 @@ class TestEmitPrm:
         assert record["targets"] == ["POS"]
         assert sum(s["is_target"] for s in record["segments"]) == 1
 
-    def test_label_length_mismatch_is_hard_error(self):
-        problem = make_problem()
-        trace = make_trace(steps=["r1", "r2", "r3"])
-        with pytest.raises(ValueError):
-            emit_prm_record(problem, trace, [1, 1])
-
     def test_reserved_symbol_in_step_rejected(self):
         problem = make_problem()
         trace = make_trace(steps=["fine", f"sneaky {STEP_MARKER} here"])

@@ -54,10 +54,6 @@ class TestStepProductScore:
     def test_empty_product_is_one(self):
         assert step_product_score([]) == 1.0
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            step_product_score([0.5, 1.2])
-
 
 class TestBestOfK:
     def test_k1_equals_first_candidate_validation(self):

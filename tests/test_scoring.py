@@ -228,8 +228,9 @@ class TestTokenLogprobs:
             TokenLogprobs.clamped(["a"], [float("nan")], "b")
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            TokenLogprobs(tokens=["a", "b"], logprobs=[-1.0], backend_id="x")
+        for tokens, logprobs in ((["a", "b"], [-1.0]), ([], [])):
+            with pytest.raises(ValueError):
+                TokenLogprobs.clamped(tokens, logprobs, "x")
 
 
 class TestCache:
@@ -564,7 +565,8 @@ class _StubHandler(BaseHTTPRequestHandler):
     # holds the body until the client's delayed ACK.
     disable_nagle_algorithm = True
     model: ReferenceModel = None
-    broken: bool = False
+    # A 200 answer sent instead of the model's, when set.
+    broken: dict | None = None
     # The next ``throttled`` requests get ``throttle_status`` with this
     # Retry-After header.
     throttled: int = 0
@@ -617,8 +619,8 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", "0")
             self.end_headers()
             return
-        if self.broken:
-            payload = {"nonsense": True}
+        if self.broken is not None:
+            payload = self.broken
         elif self.path == self.prefix + "/v1/score":
             result = self.model.score(ScoringRequest(body["context"], body["continuation"]))
             payload = {"tokens": result.tokens, "logprobs": result.logprobs, "backend_id": "stub-llm"}
@@ -664,7 +666,7 @@ def stub_server(info_problem_model):
         (_StubHandler,),
         {
             "model": model,
-            "broken": False,
+            "broken": None,
             "connections": [],
             "paths": [],
             "spans": [],
@@ -707,14 +709,22 @@ class TestHttpBackend:
         assert remote.backend_id == "stub-llm"
         assert remote.logprobs == model.score(request).logprobs
 
-    def test_malformed_response_is_protocol_error(self, http_backend, stub_server):
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"nonsense": True},
+            {"tokens": ["a", "b"], "logprobs": [-1.0], "backend_id": "stub-llm"},
+            {"tokens": [], "logprobs": [], "backend_id": "stub-llm"},
+        ],
+        ids=["no-fields", "unequal-lengths", "no-tokens"],
+    )
+    def test_malformed_response_is_protocol_error(self, http_backend, stub_server, payload):
         url, handler = stub_server
-        handler.broken = True
+        handler.broken = payload
         backend = http_backend(url)
         with pytest.raises(BackendError) as err:
             backend.score(ScoringRequest("What?", "a"))
         assert err.value.kind == "protocol"
-        handler.broken = False
 
     def test_unreachable_backend_is_transport_error(self):
         backend = HttpBackend("http://127.0.0.1:9", timeout_s=0.2, max_retries=2, backoff_s=0.01)
