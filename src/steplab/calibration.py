@@ -43,8 +43,6 @@ def sweep_threshold(
     """
     minima: tuple[list[float], list[float]] = ([], [])  # indexed by truth
     for signal, truth in zip(signals, truths):
-        if not signal.values:
-            raise ValueError(f"signal {signal.problem_id}/{signal.trace_id} has no values")
         minima[bool(truth)].append(min(signal.values[:-1], default=math.inf))
     neg, pos = (sorted(m) for m in minima)
     if not pos or not neg:
@@ -79,8 +77,6 @@ def percentile_grid(
 ) -> list[float]:
     """Evenly spaced thresholds between two percentiles of the pooled signal
     values. Percentile bounds absorb scale differences between domains."""
-    if not values:
-        raise ValueError("cannot build a grid from no signal values")
     ordered = sorted(values)
     lo = _percentile(ordered, lo_pct)
     hi = _percentile(ordered, hi_pct)

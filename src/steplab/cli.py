@@ -3,12 +3,15 @@
 Stage subcommands run stages of a run directory from persisted artifacts;
 ``run`` runs the whole pipeline. Both print the run report, as ``report``
 does. Exit codes: 0 ok, 2 config error, 3 data error, 4 backend error,
-5 validator infrastructure error, 1 anything else.
+5 validator infrastructure error, 141 stdout closed by its reader
+(``steplab report | head``), 1 anything else.
 """
 
 import argparse
 import json
 import logging
+import os
+import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -103,7 +106,7 @@ def _emit_report(report: dict, out: str | None) -> None:
     text = json.dumps(report, ensure_ascii=False, indent=1)
     if out:
         atomic_write_text(out, text)
-    print(text)
+    print(text, flush=True)
 
 
 def _cmd_analyze_complexity(args: argparse.Namespace) -> int:
@@ -158,12 +161,19 @@ def main(argv: list[str] | None = None) -> int:
         if args.command != "report":
             cfg = load_config(args.config, overrides={f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
             run_pipeline(cfg, args.stages)
-        print(summarize_run(args.out_dir))
+        print(summarize_run(args.out_dir), flush=True)  # a closed pipe fails here, not at exit
         return 0
     except Exception as exc:  # noqa: BLE001
         code = exit_code(exc)
-        # Exit code 1 means an unexpected error: log its traceback.
-        log.error("%s: %s", type(exc).__name__, exc, exc_info=code == 1)
+        if isinstance(exc, BrokenPipeError):
+            # Nobody reads stdout any more: log nothing, and send what is
+            # still buffered to devnull so the interpreter's last flush passes.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        else:
+            # Exit code 1 means an unexpected error: log its traceback.
+            log.error("%s: %s", type(exc).__name__, exc, exc_info=code == 1)
         return code
 
 

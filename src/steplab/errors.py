@@ -59,9 +59,12 @@ class ReservedSymbolError(DataError):
 def exit_code(exc: BaseException) -> int:
     """The process exit code of a command that failed with ``exc``: a
     ToolkitError's own, 3 for any other ValueError (invalid input), 130 for
-    an interrupt (the shell's code for SIGINT), else 1."""
+    an interrupt (the shell's code for SIGINT), 141 for a write to a closed
+    pipe (the shell's code for SIGPIPE), else 1."""
     if isinstance(exc, ToolkitError):
         return exc.exit_code
     if isinstance(exc, KeyboardInterrupt):
         return 130
+    if isinstance(exc, BrokenPipeError):
+        return 141
     return 3 if isinstance(exc, ValueError) else 1

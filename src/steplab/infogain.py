@@ -36,10 +36,10 @@ class StepSignal:
     values: list[float] = field(kw_only=True)
 
     def __post_init__(self):
-        """Values must be finite numbers: thresholding and calibration need
-        a total order on them."""
-        if not all(type(v) in (int, float) and math.isfinite(v) for v in self.values):
-            raise ValueError(f"trace {self.problem_id}/{self.trace_id}: signal values must be finite numbers")
+        """Values, one per step, must be finite numbers: thresholding and
+        calibration need a total order on them."""
+        if not self.values or not all(type(v) in (int, float) and math.isfinite(v) for v in self.values):
+            raise ValueError(f"trace {self.problem_id}/{self.trace_id}: values must be one or more finite numbers")
 
 
 def ig_signal(profile: InformationProfile, gold_answer: str) -> StepSignal:

@@ -30,13 +30,12 @@ from . import __version__
 from .calibration import percentile_grid, sweep_threshold
 from .dataset_emit import emit_orm_record, emit_prm_record, label_balance, write_shards
 from .errors import ConfigError, DataError, ReservedSymbolError, UndefinedMetricError, exit_code
-from .evaluation import best_of_k, majority_best_of_k, oracle_scorer, random_scorer, step_product_scorer
+from .evaluation import best_of_k, majority_best_of_k, oracle_score, random_scorer, step_product_scorer
 from .infogain import AGGREGATIONS, REFERENCES, StepSignal, assign_labels, ig_signal, mcnig_signal
 from .ioutil import atomic_write_text, read_jsonl, sha256_file, sha256_text, write_jsonl
 from .scoring import InformationProfile, information_profile, make_backend, score_traces
 from .trace_model import (
     AnswerPool,
-    Problem,
     ReasoningTrace,
     build_answer_pool,
     filter_and_subsample,
@@ -264,11 +263,12 @@ def _finish_stage(
 
 
 def _step_labels_row(obj: dict) -> tuple[str, str, list[int]]:
-    """A ``step_labels.jsonl`` row as (problem id, trace id, labels); each
-    label must be the integer 0 or 1 (JSON ``true`` is not one)."""
+    """A ``step_labels.jsonl`` row as (problem id, trace id, labels): one
+    label per step, so at least one, each the integer 0 or 1 (JSON ``true``
+    is not one)."""
     labels = obj["labels"]
-    if type(labels) is not list or not all(type(l) is int and l in (0, 1) for l in labels):
-        raise ValueError(f"labels must be a list of 0 and 1, got {labels!r}")
+    if type(labels) is not list or not labels or not all(type(l) is int and l in (0, 1) for l in labels):
+        raise ValueError(f"labels must be a non-empty list of 0 and 1, got {labels!r}")
     return obj["problem_id"], obj["trace_id"], labels
 
 
@@ -340,11 +340,13 @@ def _ingest(cfg: RunConfig, io: StageIO, state) -> dict:
     domain_of = {p.id: p.domain for p in problems}
 
     parsed = []
-    n_raw = 0
+    seen: set[tuple[str, str]] = set()
     parse_failures = 0
     for obj in read_raw_traces(cfg.traces):
-        n_raw += 1
         pid = obj["problem_id"]
+        if (pid, obj["trace_id"]) in seen:
+            raise DataError(f"duplicate trace id {obj['trace_id']!r} of problem {pid!r} in {cfg.traces}")
+        seen.add((pid, obj["trace_id"]))
         if pid not in problem_ids:
             continue
         try:
@@ -361,7 +363,7 @@ def _ingest(cfg: RunConfig, io: StageIO, state) -> dict:
         "problems_out": len(problems),
         "dropped_by_reason": _reason_counts(dropped),
         "dropped": dropped,
-        "traces_in": n_raw,
+        "traces_in": len(seen),
         "traces_out": len(parsed),
         "parse_failures": parse_failures,
     }
@@ -615,48 +617,37 @@ def _prepare_eval(cfg: RunConfig, paths: dict[str, Path]):
     return None, extra, {}
 
 
-def _probability(value) -> float:
-    """One step probability of a scorer's input row; NaN or a value outside
-    [0, 1] is a ValueError, which ``read_jsonl`` reports with file and line."""
-    p = float(value)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"step probability out of [0, 1]: {p}")
-    return p
+def _step_scores_row(obj: dict) -> tuple[tuple[str, str], list[float]]:
+    """A ``--step-scores`` row as ((problem id, trace id), step probabilities):
+    one per step, so at least one, each in [0, 1] (NaN is not)."""
+    probs = [float(v) for v in obj["step_probs"]]
+    if not probs or not all(0.0 <= p <= 1.0 for p in probs):
+        raise ValueError(f"step_probs must be a non-empty list of probabilities in [0, 1], got {obj['step_probs']!r}")
+    return (obj["problem_id"], obj["trace_id"]), probs
 
 
-def _build_scorer(cfg: RunConfig, io: StageIO, verdict):
-    name = cfg.eval_scorer
-    if name == "oracle":
-        return oracle_scorer(verdict)
-    if name == "random":
+def _build_scorer(cfg: RunConfig, io: StageIO):
+    if cfg.eval_scorer == "oracle":
+        return oracle_score
+    if cfg.eval_scorer == "random":
         return random_scorer(cfg.seed)
-    if name == "label-product":
+    if cfg.eval_scorer == "label-product":
         # This toolkit's own binary labels, as 0/1 step probabilities.
-        probs = {(pid, tid): [float(l) for l in labels] for pid, tid, labels in io.rows("step_labels")}
-        return step_product_scorer(probs, name)
+        return step_product_scorer({(pid, tid): labels for pid, tid, labels in io.rows("step_labels")})
     # step-product and orm: external per-step probabilities from --step-scores
-    rows = read_jsonl(
-        cfg.step_scores, lambda r: ((r["problem_id"], r["trace_id"]), [_probability(v) for v in r["step_probs"]])
-    )
-    return step_product_scorer(dict(rows), name)
+    return step_product_scorer(dict(read_jsonl(cfg.step_scores, _step_scores_row)))
 
 
 def _eval(cfg: RunConfig, io: StageIO, state) -> dict:
-    problems = io.rows("problems")
-    # The validate stage's answer pools decide success: no validator runs here.
-    traces = _judged_traces(io)
-    verdicts = {(t.problem_id, t.final_answer): t.correct for t in traces if t.parse_ok}
-    candidates = _by_problem(traces)
-    problems = [p for p in problems if candidates.get(p.id)]
-
-    def verdict(problem: Problem, answer: str) -> int:
-        return int(verdicts[(problem.id, answer)])
-
+    # Each judged trace carries the verdict of the validate stage's answer
+    # pools, which decides success: no validator runs here.
+    candidates = _by_problem(_judged_traces(io))
+    problems = [p for p in io.rows("problems") if candidates.get(p.id)]
     if cfg.eval_scorer == "majority":
-        report, considered, unscored = majority_best_of_k(problems, candidates, cfg.eval_k, verdict)
+        report, considered, unscored = majority_best_of_k(problems, candidates, cfg.eval_k)
     else:
-        scorer = _build_scorer(cfg, io, verdict)
-        report, considered, unscored = best_of_k(problems, candidates, scorer, cfg.eval_k, verdict)
+        scorer_id = f"random:{cfg.seed}" if cfg.eval_scorer == "random" else cfg.eval_scorer
+        report, considered, unscored = best_of_k(problems, candidates, _build_scorer(cfg, io), cfg.eval_k, scorer_id)
     atomic_write_text(io.paths["eval_report"], json.dumps(report, ensure_ascii=False, indent=1))
     return {
         "problems_in": len(problems),

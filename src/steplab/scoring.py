@@ -540,8 +540,8 @@ class InformationProfile:
     values: list[list[float]]
 
     def __post_init__(self):
-        if not self.values:
-            raise ValueError("a profile holds at least the step-0 row")
+        if len(self.values) < 2:
+            raise ValueError("a profile holds the step-0 row and at least one step row")
         if len(set(self.answers)) != len(self.answers):
             raise ValueError("profile answers must be unique")
         for row in self.values:

@@ -25,7 +25,7 @@ from steplab.analysis import (
 from steplab.calibration import sweep_threshold
 from steplab.dataset_emit import STEP_MARKER, emit_orm_record, emit_prm_record, write_shards
 from steplab.errors import ReservedSymbolError
-from steplab.evaluation import best_of_k, oracle_scorer, random_scorer
+from steplab.evaluation import best_of_k, oracle_score, random_scorer
 from steplab.infogain import StepSignal, mcnig_extended, mcnig_signal, net_info
 from steplab.pipeline import RunConfig, artifact_paths, run_pipeline
 from steplab.scoring import InformationProfile, ReferenceModel, build_context
@@ -133,10 +133,11 @@ def test_c04_aggregation_dominance():
         if len(set(values)) > 1:
             assert Fraction(max(values)) > exact_mean
         # Same comparison through the module's aggregations: with a singleton
-        # wrong set, the net difference reduces to max_c - mean_c.
+        # wrong set, the net difference reduces to max_c - mean_c. A profile
+        # holds a step row besides step 0; only the step-0 row is compared.
         answers = [f"a{j}" for j in range(size)] + ["w"]
         profile = InformationProfile(
-            problem_id="p", trace_id="t", answers=answers, values=[values + [-1.0]]
+            problem_id="p", trace_id="t", answers=answers, values=[values + [-1.0]] * 2
         )
         pool = AnswerPool(problem_id="p", correct=answers[:-1], wrong=["w"])
         gap = net_info(profile, pool, "max")[0] - net_info(profile, pool, "mean")[0]
@@ -282,34 +283,32 @@ def _bok_instance(rng):
     problems, candidates, truth = [], {}, {}
     for i in range(rng.randint(2, 10)):
         problem = make_problem(pid=f"p{i}")
-        traces = []
-        for t in range(rng.randint(1, 10)):
-            answer = str(rng.randint(0, 4))
-            traces.append(make_trace(problem_id=problem.id, trace_id=f"p{i}-t{t}", final_answer=answer))
+        answers = [str(rng.randint(0, 4)) for _ in range(rng.randint(1, 10))]
         winners = {str(v) for v in range(5) if rng.random() < 0.35}
+        traces = [
+            make_trace(problem_id=problem.id, trace_id=f"p{i}-t{t}", final_answer=a, correct=a in winners)
+            for t, a in enumerate(answers)
+        ]
         for trace in traces:
-            truth[(problem.id, trace.final_answer)] = int(trace.final_answer in winners)
+            truth[(problem.id, trace.final_answer)] = int(trace.correct)
         problems.append(problem)
         candidates[problem.id] = traces
-    validator = lambda problem, answer: truth.get((problem.id, answer), 0)
-    return problems, candidates, truth, validator
+    return problems, candidates, truth
 
 
 def test_c09_best_of_k_properties():
     rng = random.Random(909)
     for _ in range(100):
-        problems, candidates, truth, validator = _bok_instance(rng)
+        problems, candidates, truth = _bok_instance(rng)
         k = rng.randint(1, 10)
 
-        report_k1, _, _ = best_of_k(problems, candidates, random_scorer(3), 1, validator)
+        report_k1, _, _ = best_of_k(problems, candidates, random_scorer(3), 1, "random:3")
         for selection in report_k1["per_problem"]:
             first = candidates[selection["problem_id"]][0]
             assert selection["selected_trace_id"] == first.trace_id
-            assert selection["success"] == validator(
-                next(p for p in problems if p.id == selection["problem_id"]), first.final_answer
-            )
+            assert selection["success"] == truth[(selection["problem_id"], first.final_answer)]
 
-        oracle, _, _ = best_of_k(problems, candidates, oracle_scorer(validator), k, validator)
+        oracle, _, _ = best_of_k(problems, candidates, oracle_score, k, "oracle")
         brute = sum(
             any(truth.get((p.id, t.final_answer), 0) for t in candidates[p.id][:k])
             for p in problems
@@ -319,14 +318,11 @@ def test_c09_best_of_k_properties():
         base = random_scorer(rng.randint(0, 10**6))
         a, b = rng.uniform(0.1, 4.0), rng.uniform(-3, 3)
         monotone = lambda p, t: math.exp(a * base(p, t) + b)
-        assert [s["selected_trace_id"] for s in best_of_k(problems, candidates, base, k, validator)[0]["per_problem"]] == [
-            s["selected_trace_id"] for s in best_of_k(problems, candidates, monotone, k, validator)[0]["per_problem"]
+        assert [s["selected_trace_id"] for s in best_of_k(problems, candidates, base, k, "base")[0]["per_problem"]] == [
+            s["selected_trace_id"] for s in best_of_k(problems, candidates, monotone, k, "monotone")[0]["per_problem"]
         ]
 
-        accs = [
-            best_of_k(problems, candidates, oracle_scorer(validator), kk, validator)[0]["accuracy"]
-            for kk in range(1, 11)
-        ]
+        accs = [best_of_k(problems, candidates, oracle_score, kk, "oracle")[0]["accuracy"] for kk in range(1, 11)]
         assert all(hi >= lo for lo, hi in zip(accs, accs[1:]))
     _passed(9, "best-of-k-properties")
 

@@ -195,11 +195,6 @@ class TestSweepThreshold:
                 best["threshold"], best["balanced_accuracy"],
             )
 
-    def test_empty_signal_rejected(self):
-        signals = [make_signal([1.0, 2.0], "A"), make_signal([], "B")]
-        with pytest.raises(ValueError, match="p/B"):
-            sweep_threshold(signals, [1, 0], [0.0])
-
     def test_monotone_predictions_in_threshold(self):
         rng = random.Random(41)
         signals = [

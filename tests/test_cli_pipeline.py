@@ -919,6 +919,22 @@ class TestRunReport:
             " run the upstream stage first"
         )
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_report_into_a_closed_pipe_exits_141_and_says_nothing(self, run_6x4, unbuffered):
+        """``steplab report | head``, when head has gone: with stdout buffered
+        or not, no traceback and no second failure at the interpreter's exit."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": unbuffered}
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "steplab.cli", "report", "--out-dir", str(run_6x4)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (child.returncode, child.stderr) == (141, b"")
+
 
 @pytest.fixture(scope="module")
 def small_run(small_corpus, tmp_path_factory):
@@ -948,6 +964,12 @@ def _step_scores(run, damage):
     ]
     rows[0]["step_probs"] = damage(rows[0]["step_probs"])
     return _jsonl(rows)
+
+
+def _first_trace_repeated(traces: Path) -> str:
+    """The traces file, then its first trace's ids again with the second trace's text."""
+    rows = list(read_jsonl(traces))
+    return _jsonl([*rows, {**rows[0], "raw_text": rows[1]["raw_text"]}])
 
 
 MALFORMED_USER_FILES = {
@@ -1007,6 +1029,7 @@ MALFORMED_USER_FILES = {
         "traces",
         lambda c, r: _jsonl([{**row, "raw_text": ["step", "$4$"]} for row in read_jsonl(c["traces"])]),
     ),
+    "trace-id-repeated": ("traces", lambda c, r: _first_trace_repeated(c["traces"])),
     "step-scores-without-step-probs": (
         "step_scores",
         lambda c, r: _jsonl(
@@ -1022,6 +1045,7 @@ MALFORMED_USER_FILES = {
         "step_scores",
         lambda c, r: _step_scores(r, lambda probs: [math.nan, *probs[1:]]),
     ),
+    "step-scores-empty": ("step_scores", lambda c, r: _step_scores(r, lambda probs: [])),
     "thresholds-a-list": ("thresholds", lambda c, r: "[0.5]"),
     "thresholds-not-numbers": ("thresholds", lambda c, r: '{"math": "high"}'),
     "thresholds-nan": ("thresholds", lambda c, r: '{"math": NaN}'),
@@ -1052,12 +1076,35 @@ class TestMalformedUserFiles:
 
 
 # eval_report.json of the demo corpus's default run, re-evaluated with each
-# scorer, as recorded from an eval stage that ran the validators itself:
-# reading the validate stage's verdicts must not change a byte.
+# scorer (step-product and orm read :func:`_fixed_step_scores`). The first
+# two were recorded from an eval stage that ran the validators itself, the
+# rest from one that passed each verdict to best-of-K as a callable: taking
+# the verdict from the judged trace must not change a byte.
 DEMO_EVAL_REPORTS = {
     "label-product": "e8f8a367f84e65652ade006b072334a4a435183738f18a157eb68f09952df89a",
     "oracle": "75a39b9ca54c9d98d6715558363420b5d856c380e0618295bd1d36e80ae43c2b",
+    "random": "1e38f4d41737e85f6c0fe718098d73cd8fcc86627e94015ff6bdd0097db3b493",
+    "majority": "5093294538eabfc166a575e041517d63344d09073b09d1b4b3094ad82cb94de0",
+    "step-product": "21e7b5443db0528ad1e72878a833de5740096fc70af308e9734b9765deedab86",
+    "orm": "51be12782235d7993fdc144831fcbdd151748b0f7c7d4bc6a0b2408a5ea8ee9c",
 }
+
+
+def _fixed_step_scores(run: Path) -> Path:
+    """A step-scores file for ``run``: every fifth parsed trace has no row,
+    and each step of the others a probability set by its position."""
+    rows = [
+        {
+            "problem_id": obj["problem_id"],
+            "trace_id": obj["trace_id"],
+            "step_probs": [((n + j) % 10 + 1) / 10 for j in range(len(obj["steps"]))],
+        }
+        for n, obj in enumerate(read_jsonl(run / "parsed_traces.jsonl"))
+        if n % 5 != 4
+    ]
+    path = run.parent / "step_scores.jsonl"
+    path.write_text(_jsonl(rows))
+    return path
 
 
 class TestEvalVerdicts:
@@ -1084,7 +1131,8 @@ class TestEvalVerdicts:
         monkeypatch.setattr(validators, "validate", refuse)
         report = demo_run / "eval_report.json"
         report.unlink()
-        assert main(["eval-bok", "--out-dir", str(demo_run), "--scorer", scorer, "--force"]) == 0
+        scores = ["--step-scores", str(_fixed_step_scores(demo_run))] if scorer in ("step-product", "orm") else []
+        assert main(["eval-bok", "--out-dir", str(demo_run), "--scorer", scorer, *scores, "--force"]) == 0
         assert hashlib.sha256(report.read_bytes()).hexdigest() == DEMO_EVAL_REPORTS[scorer]
 
     def test_unscored_candidates_match_a_brute_force_count(self, demo_run):
@@ -1206,7 +1254,9 @@ MALFORMED_RUN_ARTIFACTS = {
     "pool-with-wrong-as-a-number": ("pools", lambda row: {**row, "wrong": 7}, ["eval-bok"]),
     "profile-without-values": ("profiles", _without("values"), ["label"]),
     "profile-with-no-rows": ("profiles", lambda row: {**row, "values": []}, ["label"]),
+    "profile-with-only-the-step-0-row": ("profiles", lambda row: {**row, "values": row["values"][:1]}, ["label"]),
     "signal-without-method": ("signals", _without("method"), ["run", "--stages", "label"]),
+    "signal-with-no-values": ("signals", lambda row: {**row, "values": []}, ["run", "--stages", "label"]),
     "step-labels-without-labels": ("step_labels", _without("labels"), ["emit"]),
     "step-labels-as-a-string": ("step_labels", lambda row: {**row, "labels": "10"}, ["emit"]),
     "step-labels-out-of-0-and-1": ("step_labels", lambda row: {**row, "labels": [7] * len(row["labels"])}, ["emit"]),
@@ -1218,6 +1268,7 @@ MALFORMED_RUN_ARTIFACTS = {
     "step-labels-of-one-half-in-eval": (
         "step_labels", lambda row: {**row, "labels": [0.5] * len(row["labels"])}, ["eval-bok"],
     ),
+    "step-labels-empty-in-eval": ("step_labels", lambda row: {**row, "labels": []}, ["eval-bok"]),
     "working-set-without-trace-ids": ("working_set", _without("trace_ids"), ["emit"]),
 }
 

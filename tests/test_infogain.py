@@ -96,14 +96,14 @@ class TestNetInfo:
         assert net_info(profile, pool) == [0.0, 0.0]
 
     def test_empty_side_is_undefined(self):
-        profile = make_profile([[-1.0, -2.0]])
+        profile = make_profile([[-1.0, -2.0], [-1.5, -2.5]])
         with pytest.raises(UndefinedSignalError):
             net_info(profile, AnswerPool(problem_id="p1", correct=[], wrong=["a1"]))
         with pytest.raises(UndefinedSignalError):
             net_info(profile, AnswerPool(problem_id="p1", correct=["a0"], wrong=[]))
 
     def test_pool_answer_missing_from_profile(self):
-        profile = make_profile([[-1.0, -2.0]])
+        profile = make_profile([[-1.0, -2.0], [-1.5, -2.5]])
         pool = AnswerPool(problem_id="p1", correct=["zz"], wrong=["a1"])
         with pytest.raises(ConfigError):
             net_info(profile, pool)
@@ -164,6 +164,10 @@ class TestStepSignalJson:
         obj = {"problem_id": "p7", "trace_id": "t3", "method": "MCNIG", "values": [0.5, bad, 1.0]}
         with pytest.raises(ValueError, match="p7/t3"):
             StepSignal(**obj)
+
+    def test_no_values_rejected(self):
+        with pytest.raises(ValueError, match="p7/t3"):
+            StepSignal(problem_id="p7", trace_id="t3", method="MCNIG", values=[])
 
 
 class TestAssignLabels:
