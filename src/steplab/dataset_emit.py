@@ -9,13 +9,15 @@ marker segment after every step; the classifier target (POS or NEG) applies
 at each marker. An outcome-level record keeps the same layout but carries a
 single target at the trailing marker only. The reserved symbols are literal
 strings here; trainers map them onto unused vocabulary ids.
+
+Lines are assembled as text from a trace's :func:`trace_fragment`, which encodes
+its ids, question and steps once; each equals ``encode_json(record) + "\\n"``.
 """
 
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable
 
 from .errors import ReservedSymbolError
-from .ioutil import encode_json
 from .trace_model import Problem, ReasoningTrace
 
 STEP_MARKER = "<|s_req|>"
@@ -25,6 +27,14 @@ RESERVED_SYMBOLS = (STEP_MARKER, POSITIVE_SYMBOL, NEGATIVE_SYMBOL)
 
 TARGET_POS = "POS"
 TARGET_NEG = "NEG"
+
+# JSON text between a record's strings, as ``encode_json`` separates it.
+_SEGMENT = ', {"text": '
+_PLAIN = ', "is_target": false}'
+_MARKER = _SEGMENT + encode_basestring(STEP_MARKER) + ', "is_target": '
+_TARGET_MARKER = _MARKER + "true}"
+_PLAIN_MARKER = _MARKER + "false}"
+_TARGET_TEXT = (encode_basestring(TARGET_NEG), encode_basestring(TARGET_POS))  # by 0/1 label
 
 
 def _check_reserved(problem: Problem, trace: ReasoningTrace) -> None:
@@ -42,70 +52,51 @@ def _check_reserved(problem: Problem, trace: ReasoningTrace) -> None:
                 )
 
 
-def _record(problem: Problem, trace: ReasoningTrace, target_markers: str) -> dict:
-    """A record without its targets: ids and the segments [question, step,
-    marker, step, marker, ...]; ``target_markers`` is "all" or "last" and
-    controls which markers carry a prediction target."""
+def trace_fragment(problem: Problem, trace: ReasoningTrace) -> tuple[str, list[str]]:
+    """The JSON text a trace's records share: the record head through the
+    question segment, and each step's segment with its leading separator.
+    A question or step holding a reserved symbol raises ReservedSymbolError."""
     _check_reserved(problem, trace)
-    segments = [{"text": problem.question, "is_target": False}]
-    last = len(trace.steps) - 1
-    for i, step in enumerate(trace.steps):
-        segments.append({"text": step, "is_target": False})
-        segments.append({"text": STEP_MARKER, "is_target": target_markers == "all" or i == last})
-    return {"problem_id": problem.id, "trace_id": trace.trace_id, "segments": segments}
+    head = (
+        '{"problem_id": ' + encode_basestring(problem.id) + ', "trace_id": ' + encode_basestring(trace.trace_id)
+        + ', "segments": [{"text": ' + encode_basestring(problem.question) + _PLAIN
+    )
+    return head, [_SEGMENT + encode_basestring(step) + _PLAIN for step in trace.steps]
 
 
-def emit_prm_record(problem: Problem, trace: ReasoningTrace, labels: list[int]) -> dict:
-    """Build a step-level record: one target marker per step, POS where the
-    step label is 1."""
-    record = _record(problem, trace, target_markers="all")
-    record["targets"] = [TARGET_POS if l == 1 else TARGET_NEG for l in labels]
-    return record
+def emit_prm_record(fragment: tuple[str, list[str]], labels: list[int]) -> str:
+    """A step-level record's line: a target marker after every step, POS
+    where the step label is 1."""
+    head, steps = fragment
+    targets = ", ".join([_TARGET_TEXT[label] for label in labels])
+    return head + _TARGET_MARKER.join(steps) + _TARGET_MARKER + '], "targets": [' + targets + "]}\n"
 
 
-def emit_orm_record(problem: Problem, trace: ReasoningTrace) -> dict:
-    """Build an outcome-level record: the single trailing marker carries the
-    validator outcome."""
-    if trace.correct is None:
-        raise ValueError(f"trace {trace.trace_id!r} has no validation outcome")
-    record = _record(problem, trace, target_markers="last")
-    record["target"] = TARGET_POS if trace.correct else TARGET_NEG
-    return record
+def emit_orm_record(fragment: tuple[str, list[str]], correct: bool) -> str:
+    """An outcome-level record's line: only the trailing marker is a
+    target, and it carries the validator outcome."""
+    head, steps = fragment
+    return head + _PLAIN_MARKER.join(steps) + _TARGET_MARKER + '], "target": ' + _TARGET_TEXT[correct] + "}\n"
 
 
 def write_shards(
-    records: list[dict],
+    lines: list[str],
     directory: str | Path,
     split: str,
     records_per_shard: int = 100_000,
 ) -> list[Path]:
-    """Write records, one JSON line each, into ``{split}-{shard:05d}.jsonl`` files."""
+    """Write record lines into ``{split}-{shard:05d}.jsonl`` files, each in one write."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths: list[Path] = []
-    handle = None
-    written = 0
-    try:
-        for record in records:
-            if handle is None or written >= records_per_shard:
-                if handle is not None:
-                    handle.close()
-                path = directory / f"{split}-{len(paths):05d}.jsonl"
-                handle = open(path, "w", encoding="utf-8")
-                paths.append(path)
-                written = 0
-            handle.write(encode_json(record) + "\n")
-            written += 1
-    finally:
-        if handle is not None:
-            handle.close()
+    for start in range(0, len(lines), records_per_shard):
+        path = directory / f"{split}-{len(paths):05d}.jsonl"
+        path.write_text("".join(lines[start : start + records_per_shard]), encoding="utf-8")
+        paths.append(path)
     return paths
 
 
-def label_balance(records: Iterable[dict]) -> dict[str, int]:
-    """Dataset-level POS/NEG target counts."""
-    counts = {TARGET_POS: 0, TARGET_NEG: 0}
-    for record in records:
-        for t in record["targets"] if "targets" in record else [record["target"]]:
-            counts[t] = counts.get(t, 0) + 1
-    return counts
+def label_balance(labels: list[int]) -> dict[str, int]:
+    """Dataset-level POS/NEG target counts, from the 0/1 label of every target."""
+    positive = sum(labels)
+    return {TARGET_POS: positive, TARGET_NEG: len(labels) - positive}

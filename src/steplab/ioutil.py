@@ -9,17 +9,27 @@ from typing import Any, Callable, Iterable, Iterator
 from .errors import DataError
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def read_jsonl(path: str | Path, make: Callable[[dict], Any] | None = None) -> Iterator:
     """Yield one parsed object per non-empty line of a JSONL file, or ``make(obj)``.
     With ``make``, a line that is not a JSON object, or that ``make`` rejects
-    for a missing or wrong-typed field, is a DataError naming file and line."""
+    for a missing or wrong-typed field, is a DataError naming file and line.
+    A line is decoded in one ``raw_decode`` call; if it is not one whole JSON
+    value, ``json.loads`` gives the error reported."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                try:
+                    obj, end = _raw_decode(line)
+                except json.JSONDecodeError:
+                    end = -1
+                if end != len(line):
+                    obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: invalid JSON: {exc.msg}", line=lineno, offset=exc.colno) from exc
             if make is not None:

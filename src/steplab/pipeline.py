@@ -28,7 +28,7 @@ from typing import Any, Callable
 
 from . import __version__
 from .calibration import percentile_grid, sweep_threshold
-from .dataset_emit import emit_orm_record, emit_prm_record, label_balance, write_shards
+from .dataset_emit import emit_orm_record, emit_prm_record, label_balance, trace_fragment, write_shards
 from .errors import ConfigError, DataError, ReservedSymbolError, UndefinedMetricError, exit_code
 from .evaluation import best_of_k, majority_best_of_k, oracle_score, random_scorer, step_product_scorer
 from .infogain import AGGREGATIONS, REFERENCES, StepSignal, assign_labels, ig_signal, mcnig_signal
@@ -262,6 +262,21 @@ def _finish_stage(
     return report
 
 
+def _one_per_trace(path: str | Path, make: Callable[[dict], Any], key=lambda row: (row.problem_id, row.trace_id)):
+    """The rows ``make`` builds from the JSONL file ``path``, where a second
+    row for one (problem id, trace id), its ``key``, is malformed."""
+    seen: set = set()
+
+    def row(obj: dict):
+        built = make(obj)
+        if key(built) in seen:
+            raise ValueError("trace {1!r} of problem {0!r} repeats an earlier row".format(*key(built)))
+        seen.add(key(built))
+        return built
+
+    return list(read_jsonl(path, row))
+
+
 def _step_labels_row(obj: dict) -> tuple[str, str, list[int]]:
     """A ``step_labels.jsonl`` row as (problem id, trace id, labels): one
     label per step, so at least one, each the integer 0 or 1 (JSON ``true``
@@ -272,16 +287,16 @@ def _step_labels_row(obj: dict) -> tuple[str, str, list[int]]:
     return obj["problem_id"], obj["trace_id"], labels
 
 
-# The one row builder of each JSONL run artifact. Readers are looked up when
-# called, so a reader patched in this module is the one used.
+# The one row builder of each JSONL run artifact (one row per trace where rows
+# are per trace). Readers are looked up when called, so a patched one is used.
 READERS: dict[str, Callable[[Path], Any]] = {
     "problems": lambda path: read_problems(path),
     "parsed_traces": lambda path: read_traces(path),
     "pools": lambda path: {pool.problem_id: pool for pool in read_jsonl(path, lambda obj: AnswerPool(**obj))},
     "working_set": lambda path: list(read_jsonl(path, lambda obj: (obj["problem_id"], obj["trace_ids"]))),
-    "profiles": lambda path: list(read_jsonl(path, lambda obj: InformationProfile(**obj))),
-    "signals": lambda path: list(read_jsonl(path, lambda obj: StepSignal(**obj))),
-    "step_labels": lambda path: list(read_jsonl(path, _step_labels_row)),
+    "profiles": lambda path: _one_per_trace(path, lambda obj: InformationProfile(**obj)),
+    "signals": lambda path: _one_per_trace(path, lambda obj: StepSignal(**obj)),
+    "step_labels": lambda path: _one_per_trace(path, _step_labels_row, key=lambda row: row[:2]),
 }
 
 
@@ -547,19 +562,20 @@ def _prepare_label(cfg: RunConfig, paths: dict[str, Path]):
 def _label(cfg: RunConfig, io: StageIO, state) -> dict:
     thresholds, thresholds_source = state
     domain_of = {p.id: p.domain for p in io.rows("problems")}
-    rows = []
+    rows, labeled = [], []
     for signal in io.rows("signals"):
         _check_known(io.paths["signals"], signal, io.paths["problems"], domain_of)
         tau = thresholds.get(domain_of[signal.problem_id], 0.0)
-        rows.append({**vars(signal), "labels": assign_labels(signal, tau), "threshold": tau})
-    io.wrote("step_labels", write_jsonl(io.paths["step_labels"], rows), [_step_labels_row(row) for row in rows])
+        rows.append(row := {**vars(signal), "labels": assign_labels(signal, tau), "threshold": tau})
+        labeled.append((signal.problem_id, signal.trace_id, row["labels"]))
+    io.wrote("step_labels", write_jsonl(io.paths["step_labels"], rows), labeled)
     return {"traces_labeled": len(rows), "thresholds_source": thresholds_source}
 
 
 def _emit(cfg: RunConfig, io: StageIO, state) -> dict:
     """Both training datasets from one read of their inputs: a PRM record per
     labeled trace and an ORM record per working-set trace. Every row is
-    checked before either dataset is written."""
+    checked before either dataset is written. Both lines of a trace share its fragment."""
     paths = io.paths
     problems = {p.id: p for p in io.rows("problems")}
     traces = {(t.problem_id, t.trace_id): t for t in _judged_traces(io)}
@@ -569,37 +585,49 @@ def _emit(cfg: RunConfig, io: StageIO, state) -> dict:
         "prm": (paths["step_labels"], io.rows("step_labels")),
         "orm": (paths["working_set"], [(pid, tid, None) for pid, tid in working]),
     }
+    fragments: dict[tuple[str, str], tuple | ReservedSymbolError] = {}  # a dropped trace keeps its error
     for source, dataset_jobs in jobs.values():
         for pid, trace_id, labels in dataset_jobs:
             trace = traces.get((pid, trace_id))
             where = f"{source}: trace {trace_id!r} of problem {pid!r}"
             if pid not in problems or trace is None:
                 raise DataError(f"{where} is not in {paths['parsed_traces']}")
+            if labels is None and trace.correct is None:
+                raise DataError(f"{where} has no validation outcome")
             if labels is not None and len(labels) != len(trace.steps):
                 raise DataError(f"{where} has {len(labels)} labels for {len(trace.steps)} steps")
+            if (pid, trace_id) not in fragments:
+                try:
+                    fragments[(pid, trace_id)] = trace_fragment(problems[pid], trace)
+                except ReservedSymbolError as exc:
+                    fragments[(pid, trace_id)] = exc
     counts = {}
     for which, (_, dataset_jobs) in jobs.items():
-        records, dropped = [], {}
+        lines, targets, dropped = [], [], {}
         for pid, trace_id, labels in dataset_jobs:
-            problem, trace = problems[pid], traces[(pid, trace_id)]
-            try:
-                record = emit_orm_record(problem, trace) if labels is None else emit_prm_record(problem, trace, labels)
-                records.append(record)
-            except ReservedSymbolError as exc:
-                dropped[trace_id] = exc.reason_code
-                log.info("dropped trace %s: %s", trace_id, exc.reason_code)
+            fragment = fragments[(pid, trace_id)]
+            if isinstance(fragment, ReservedSymbolError):
+                dropped[trace_id] = fragment.reason_code
+                log.info("dropped trace %s: %s", trace_id, fragment.reason_code)
+            elif labels is None:
+                correct = traces[(pid, trace_id)].correct
+                lines.append(emit_orm_record(fragment, correct))
+                targets.append(correct)
+            else:
+                lines.append(emit_prm_record(fragment, labels))
+                targets.extend(labels)
         out_dir = paths[f"{which}_dir"]
         tmp_dir = out_dir.with_name(out_dir.name + ".tmp")
         shutil.rmtree(tmp_dir, ignore_errors=True)
-        shard_paths = write_shards(records, tmp_dir, cfg.split, cfg.shard_size)
+        shard_paths = write_shards(lines, tmp_dir, cfg.split, cfg.shard_size)
         shutil.rmtree(out_dir, ignore_errors=True)
         tmp_dir.rename(out_dir)
         counts[which] = {
-            "records": len(records),
+            "records": len(lines),
             "traces_in": len(dataset_jobs),
             "dropped_by_reason": _reason_counts(dropped),
             "dropped": dropped,
-            "balance": label_balance(records),
+            "balance": label_balance(targets),
             "shards": [str(out_dir / p.name) for p in shard_paths],
         }
     balance = {which: c["balance"] for which, c in counts.items()}
@@ -617,13 +645,17 @@ def _prepare_eval(cfg: RunConfig, paths: dict[str, Path]):
     return None, extra, {}
 
 
-def _step_scores_row(obj: dict) -> tuple[tuple[str, str], list[float]]:
+def _step_scores_row(obj: dict, step_counts: dict) -> tuple[tuple[str, str], list[float]]:
     """A ``--step-scores`` row as ((problem id, trace id), step probabilities):
-    one per step, so at least one, each in [0, 1] (NaN is not)."""
+    one per step, so at least one and, for a trace in ``step_counts``, its
+    step count; each in [0, 1] (NaN is not)."""
     probs = [float(v) for v in obj["step_probs"]]
     if not probs or not all(0.0 <= p <= 1.0 for p in probs):
         raise ValueError(f"step_probs must be a non-empty list of probabilities in [0, 1], got {obj['step_probs']!r}")
-    return (obj["problem_id"], obj["trace_id"]), probs
+    key = (obj["problem_id"], obj["trace_id"])
+    if len(probs) != step_counts.get(key, len(probs)):
+        raise ValueError(f"trace {key[1]!r} has {len(probs)} step probabilities for {step_counts[key]} steps")
+    return key, probs
 
 
 def _build_scorer(cfg: RunConfig, io: StageIO):
@@ -635,7 +667,9 @@ def _build_scorer(cfg: RunConfig, io: StageIO):
         # This toolkit's own binary labels, as 0/1 step probabilities.
         return step_product_scorer({(pid, tid): labels for pid, tid, labels in io.rows("step_labels")})
     # step-product and orm: external per-step probabilities from --step-scores
-    return step_product_scorer(dict(read_jsonl(cfg.step_scores, _step_scores_row)))
+    step_counts = {(t.problem_id, t.trace_id): len(t.steps) for t in io.rows("parsed_traces")}
+    rows = _one_per_trace(cfg.step_scores, partial(_step_scores_row, step_counts=step_counts), key=lambda row: row[0])
+    return step_product_scorer(dict(rows))
 
 
 def _eval(cfg: RunConfig, io: StageIO, state) -> dict:
@@ -692,6 +726,8 @@ class Stage:
     up-to-date check and returns the state handed to ``body``, extra files
     to digest, and extra fingerprint entries. ``command`` is the CLI
     subcommand that runs the stages in ``runs_first`` and then this one.
+    ``format`` numbers the stage's output layout; above 0 it is part of the
+    fingerprint, so raising it re-runs the stage in existing run directories.
     """
 
     name: str
@@ -704,6 +740,7 @@ class Stage:
     command: str = ""
     help: str = ""
     runs_first: tuple[str, ...] = ()
+    format: int = 0
 
 
 STAGE_TABLE = {
@@ -782,6 +819,8 @@ def run_stage(name: str, cfg: RunConfig, memo: dict | None = None) -> dict:
     _require(extra_inputs, name)
     inputs = _digest_paths(needs + extra_inputs)
     config = {_FINGERPRINT_KEYS.get(f, f): getattr(cfg, f) for f in stage.fingerprint}
+    if stage.format:  # format 0 adds nothing, so fingerprints made before formats stay valid
+        config["format"] = stage.format
     fingerprint = _fingerprint(inputs, {**config, **extra_config})
     skipped = _maybe_skip(cfg.out, name, fingerprint, cfg.force)
     if skipped:

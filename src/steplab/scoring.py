@@ -547,7 +547,7 @@ class InformationProfile:
         for row in self.values:
             if len(row) != len(self.answers):
                 raise ValueError("profile row width does not match the answer list")
-            if any(not math.isfinite(v) for v in row):
+            if not all(map(math.isfinite, row)):
                 raise ValueError("profile entries must be finite")
 
     def column(self, answer: str) -> int:

@@ -23,7 +23,7 @@ from steplab.analysis import (
     tokens_omegaprm,
 )
 from steplab.calibration import sweep_threshold
-from steplab.dataset_emit import STEP_MARKER, emit_orm_record, emit_prm_record, write_shards
+from steplab.dataset_emit import STEP_MARKER, emit_orm_record, emit_prm_record, trace_fragment, write_shards
 from steplab.errors import ReservedSymbolError
 from steplab.evaluation import best_of_k, oracle_score, random_scorer
 from steplab.infogain import StepSignal, mcnig_extended, mcnig_signal, net_info
@@ -340,27 +340,25 @@ def test_c10_dataset_emission(tmp_path):
             correct=bool(rng.randint(0, 1)),
         )
         labels = [rng.randint(0, 1) for _ in range(n_steps)]
-        prm = emit_prm_record(problem, trace, labels)
+        fragment = trace_fragment(problem, trace)
+        built["prm"].append(emit_prm_record(fragment, labels))
+        prm = parse_record_line(built["prm"][-1])
         assert sum(s["is_target"] for s in prm["segments"]) == n_steps == len(prm["targets"])
-        built["prm"].append(prm)
 
-        orm = emit_orm_record(problem, trace)
+        built["orm"].append(emit_orm_record(fragment, trace.correct))
+        orm = parse_record_line(built["orm"][-1])
         assert sum(s["is_target"] for s in orm["segments"]) == 1
-        built["orm"].append(orm)
 
-    # Round trip: each shard line loads back as the builder's dict, and
-    # passes the marker-layout check.
-    for which, records in built.items():
-        lines = [
-            line for path in write_shards(records, tmp_path / which, "train", records_per_shard=300)
-            for line in path.read_text(encoding="utf-8").splitlines()
-        ]
-        assert [json.loads(line) for line in lines] == records
-        assert [parse_record_line(line) for line in lines] == records
+    # Round trip: the shards hold the builders' lines, each of which loads
+    # back and passes the marker-layout check.
+    for which, lines in built.items():
+        paths = write_shards(lines, tmp_path / which, "train", records_per_shard=300)
+        assert "".join(path.read_text(encoding="utf-8") for path in paths) == "".join(lines)
+        assert [parse_record_line(line) for line in lines] == [json.loads(line) for line in lines]
 
     poisoned = make_trace(steps=[f"uses {STEP_MARKER} inline"], correct=True)
     with pytest.raises(ReservedSymbolError) as err:
-        emit_orm_record(make_problem(), poisoned)
+        trace_fragment(make_problem(), poisoned)
     assert err.value.reason_code == "reserved_symbol_in_step"
     _passed(10, "dataset-emission")
 

@@ -9,12 +9,13 @@ import sqlite3
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from helpers import CountingBackend
+from steplab.dataset_emit import STEP_MARKER
 from steplab.cli import build_parser, main
 from steplab.errors import ConfigError, DataError, exit_code
 from steplab.fixtures import build_demo_corpus
@@ -1046,6 +1047,11 @@ MALFORMED_USER_FILES = {
         lambda c, r: _step_scores(r, lambda probs: [math.nan, *probs[1:]]),
     ),
     "step-scores-empty": ("step_scores", lambda c, r: _step_scores(r, lambda probs: [])),
+    "step-scores-longer-than-its-trace": ("step_scores", lambda c, r: _step_scores(r, lambda probs: [*probs, 0.5])),
+    "step-scores-trace-repeated": (
+        "step_scores",
+        lambda c, r: _step_scores(r, list) + _step_scores(r, list).splitlines(keepends=True)[0],
+    ),
     "thresholds-a-list": ("thresholds", lambda c, r: "[0.5]"),
     "thresholds-not-numbers": ("thresholds", lambda c, r: '{"math": "high"}'),
     "thresholds-nan": ("thresholds", lambda c, r: '{"math": NaN}'),
@@ -1212,6 +1218,84 @@ class TestEmitInputs:
         )
         assert {name: (run / name).stat().st_ino for name in datasets} == datasets
 
+    def test_repeated_step_labels_row_exits_3(self, run_6x4, tmp_path, caplog):
+        run = tmp_path / "run"
+        shutil.copytree(run_6x4, run)
+        path = artifact_paths(run)["step_labels"]
+        rows = list(read_jsonl(path))
+        path.write_text(_jsonl([*rows, rows[0]]))
+        datasets = {name: (run / name).stat().st_ino for name in ("prm", "orm")}
+        assert main(["emit", "--out-dir", str(run)]) == 3
+        assert any(
+            "DataError" in r.message and f"{path}:{len(rows) + 1}:" in r.message
+            and repr(rows[0]["trace_id"]) in r.message and repr(rows[0]["problem_id"]) in r.message
+            for r in caplog.records
+        )
+        assert {name: (run / name).stat().st_ino for name in datasets} == datasets
+
+    def test_working_set_trace_without_a_verdict_exits_3(self, run_6x4, tmp_path, caplog):
+        run = tmp_path / "run"
+        shutil.copytree(run_6x4, run)
+        paths = artifact_paths(run)
+        trace_id = next(read_jsonl(paths["working_set"]))["trace_ids"][0]
+        rows = [
+            {**row, "final_answer": None, "parse_ok": False, "correct": None} if row["trace_id"] == trace_id else row
+            for row in read_jsonl(paths["parsed_traces"])
+        ]
+        paths["parsed_traces"].write_text(_jsonl(rows))
+        assert main(["emit", "--out-dir", str(run)]) == 3
+        assert any(
+            "DataError" in r.message and str(paths["working_set"]) in r.message and repr(trace_id) in r.message
+            for r in caplog.records
+        )
+
+    def test_reserved_symbol_drops_the_trace_from_both_datasets(self, run_6x4, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(run_6x4, run)
+        paths = artifact_paths(run)
+        trace_id = next(read_jsonl(paths["step_labels"]))["trace_id"]
+        rows = list(read_jsonl(paths["parsed_traces"]))
+        for row in rows:
+            if row["trace_id"] == trace_id:
+                row["steps"][-1] += f" {STEP_MARKER}"
+        paths["parsed_traces"].write_text(_jsonl(rows))
+        before = json.loads((run / "stages" / "emit.json").read_text())["counts"]
+        assert main(["emit", "--out-dir", str(run)]) == 0
+        counts = json.loads((run / "stages" / "emit.json").read_text())["counts"]
+        for which in ("prm", "orm"):
+            assert counts[which]["dropped"] == {trace_id: "reserved_symbol_in_step"}
+            assert counts[which]["dropped_by_reason"] == {"reserved_symbol_in_step": 1}
+            assert counts[which]["records"] == before[which]["records"] - 1
+            assert trace_id not in {obj["trace_id"] for p in counts[which]["shards"] for obj in read_jsonl(p)}
+
+
+class TestStageFormat:
+    """A stage's output format is part of its fingerprint once above 0."""
+
+    def rerun(self, run: Path, corpus: Path) -> dict[str, bool]:
+        """Each stage of a full run of ``corpus`` in ``run``, and whether it was skipped."""
+        manifest = run_pipeline(load_config(overrides=dict(
+            problems=str(corpus / "problems.jsonl"),
+            traces=str(corpus / "traces.jsonl"),
+            out_dir=str(run),
+            backend=f"reference:{corpus / 'reference_model.json'}",
+        ), env={}))
+        return {report["name"]: report["skipped"] for report in manifest["stages"]}
+
+    def test_with_every_format_at_0_nothing_reruns(self, run_6x4, tmp_path):
+        assert {stage.format for stage in STAGE_TABLE.values()} == {0}
+        run = tmp_path / "run"
+        shutil.copytree(run_6x4, run)
+        assert self.rerun(run, run_6x4.parent / "corpus") == dict.fromkeys(STAGES, True)
+
+    def test_a_raised_format_reruns_only_its_stage(self, run_6x4, tmp_path, monkeypatch):
+        run = tmp_path / "run"
+        shutil.copytree(run_6x4, run)
+        monkeypatch.setitem(STAGE_TABLE, "emit", replace(STAGE_TABLE["emit"], format=1))
+        corpus = run_6x4.parent / "corpus"
+        assert self.rerun(run, corpus) == {**dict.fromkeys(STAGES, True), "emit": False}
+        assert self.rerun(run, corpus) == dict.fromkeys(STAGES, True)
+
 
 class TestSignalAndLabelInputs:
     # (artifact with the damaged row, the table its problem is missing from);
@@ -1243,8 +1327,9 @@ def _without(key):
     return lambda row: {k: v for k, v in row.items() if k != key}
 
 
-# Each case: the run artifact whose first row it damages, the damage, and
-# the command that reads the artifact.
+# Each case: the run artifact whose first row it damages, the damage (a row,
+# or rows to put in its place, the last of them the one reported), and the
+# command that reads the artifact.
 MALFORMED_RUN_ARTIFACTS = {
     "parsed-trace-without-steps": ("parsed_traces", _without("steps"), ["validate"]),
     "parsed-trace-with-steps-as-one-string": ("parsed_traces", lambda row: {**row, "steps": " ".join(row["steps"])}, ["validate"]),
@@ -1255,12 +1340,15 @@ MALFORMED_RUN_ARTIFACTS = {
     "profile-without-values": ("profiles", _without("values"), ["label"]),
     "profile-with-no-rows": ("profiles", lambda row: {**row, "values": []}, ["label"]),
     "profile-with-only-the-step-0-row": ("profiles", lambda row: {**row, "values": row["values"][:1]}, ["label"]),
+    "profile-row-repeated": ("profiles", lambda row: [row, row], ["label"]),
     "signal-without-method": ("signals", _without("method"), ["run", "--stages", "label"]),
     "signal-with-no-values": ("signals", lambda row: {**row, "values": []}, ["run", "--stages", "label"]),
+    "signal-row-repeated": ("signals", lambda row: [row, row], ["run", "--stages", "label"]),
     "step-labels-without-labels": ("step_labels", _without("labels"), ["emit"]),
     "step-labels-as-a-string": ("step_labels", lambda row: {**row, "labels": "10"}, ["emit"]),
     "step-labels-out-of-0-and-1": ("step_labels", lambda row: {**row, "labels": [7] * len(row["labels"])}, ["emit"]),
     "step-labels-as-booleans": ("step_labels", lambda row: {**row, "labels": [True] * len(row["labels"])}, ["emit"]),
+    "step-labels-row-repeated": ("step_labels", lambda row: [row, row], ["emit"]),
     # eval's label-product scorer reads step labels through emit's row check
     "step-labels-as-booleans-in-eval": (
         "step_labels", lambda row: {**row, "labels": [True] * len(row["labels"])}, ["eval-bok"],
@@ -1281,9 +1369,11 @@ class TestMalformedRunArtifacts:
         shutil.copytree(run_6x4, run)
         path = artifact_paths(run)[artifact]
         rows = list(read_jsonl(path))
-        path.write_text(_jsonl([damage(rows[0]), *rows[1:]]))
+        damaged = damage(rows[0])
+        damaged = damaged if isinstance(damaged, list) else [damaged]
+        path.write_text(_jsonl([*damaged, *rows[1:]]))
         assert main([*command, "--out-dir", str(run)]) == 3
-        assert any("DataError" in r.message and f"{path}:1:" in r.message for r in caplog.records)
+        assert any("DataError" in r.message and f"{path}:{len(damaged)}:" in r.message for r in caplog.records)
 
 
 @pytest.fixture()

@@ -41,6 +41,26 @@ class TestJsonl:
         assert err.value.line == 2
         assert err.value.offset is not None
 
+    def test_each_line_decodes_as_json_loads_does(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        lines = [json.dumps(value, ensure_ascii=False) for value in JSON_VALUES] + [' \t{"a": [1 , 2]} \r', "7"]
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        # Compared as JSON text: NaN is unequal to itself.
+        assert [json.dumps(obj) for obj in read_jsonl(path)] == [json.dumps(json.loads(line)) for line in lines]
+
+    @pytest.mark.parametrize(
+        "line", ['{"a": 1} {"b": 2}', '{"a": 1}]', "\ufeff{}", "[1, 2", "nul", '{"a": 1}x', '"\\ud800'],
+    )
+    def test_an_invalid_line_reports_the_error_of_json_loads(self, tmp_path, line):
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(line)
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(DataError) as err:
+            list(read_jsonl(path))
+        assert str(err.value) == f"{path}:2: invalid JSON: {expected.value.msg}"
+        assert (err.value.line, err.value.offset) == (2, expected.value.colno)
+
 
 class TestEncodeJson:
     @pytest.fixture(params=["c", "python"])
