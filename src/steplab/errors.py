@@ -40,10 +40,6 @@ class ValidatorError(ToolkitError):
     exit_code = 5
 
 
-class UndefinedSignalError(ToolkitError):
-    """A step signal has no defined value, e.g. an aggregation over an empty answer set."""
-
-
 class UndefinedMetricError(ToolkitError):
     """A metric denominator is zero for the given counts."""
 

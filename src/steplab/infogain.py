@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 from statistics import fmean
 
-from .errors import ConfigError, UndefinedSignalError
 from .scoring import InformationProfile
 from .trace_model import AnswerPool
 
@@ -44,13 +43,7 @@ class StepSignal:
 
 def ig_signal(profile: InformationProfile, gold_answer: str) -> StepSignal:
     """Gold-answer information lift of each step prefix over step 0."""
-    try:
-        col = profile.column(gold_answer)
-    except KeyError:
-        raise ConfigError(
-            f"gold answer {gold_answer!r} was not scored into profile "
-            f"{profile.problem_id}/{profile.trace_id}"
-        ) from None
+    col = profile.column(gold_answer)
     base = profile.values[0][col]
     return StepSignal(
         problem_id=profile.problem_id,
@@ -64,19 +57,12 @@ def net_info(profile: InformationProfile, pool: AnswerPool, aggregation: str = "
     """Aggregated correct-answer information minus aggregated wrong-answer
     information, one value per step prefix 0..N.
 
-    Undefined when either side of the pool is empty. ``max`` keeps the
-    strongest alternative on each side; ``mean`` averages in log space.
+    Both sides must be non-empty, and each pool answer a column of the
+    profile. ``max`` keeps the strongest alternative on each side; ``mean``
+    averages in log space.
     """
-    if not pool.correct or not pool.wrong:
-        missing = "correct" if not pool.correct else "wrong"
-        raise UndefinedSignalError(
-            f"problem {pool.problem_id!r}: cannot aggregate over an empty {missing} answer set"
-        )
-    try:
-        c_cols = [profile.column(a) for a in pool.correct]
-        w_cols = [profile.column(a) for a in pool.wrong]
-    except KeyError as exc:
-        raise ConfigError(f"pool answer missing from profile: {exc}") from None
+    c_cols = [profile.column(a) for a in pool.correct]
+    w_cols = [profile.column(a) for a in pool.wrong]
     aggregate = AGGREGATIONS[aggregation]
     return [aggregate([row[c] for c in c_cols]) - aggregate([row[c] for c in w_cols]) for row in profile.values]
 

@@ -12,12 +12,16 @@ from .errors import DataError
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def read_jsonl(path: str | Path, make: Callable[[dict], Any] | None = None) -> Iterator:
+def read_jsonl(path: str | Path, make: Callable[[dict], Any] | None = None, key: Callable | None = None) -> Iterator:
     """Yield one parsed object per non-empty line of a JSONL file, or ``make(obj)``.
     With ``make``, a line that is not a JSON object, or that ``make`` rejects
     for a missing or wrong-typed field, is a DataError naming file and line.
-    A line is decoded in one ``raw_decode`` call; if it is not one whole JSON
-    value, ``json.loads`` gives the error reported."""
+    With ``key``, so is a row whose ``key(row)`` an earlier row had: this is
+    the program's one check for a row repeated across a file (a repeat inside
+    one row is for ``make`` to reject). A line is decoded in one
+    ``raw_decode`` call; if it is not one whole JSON value, ``json.loads``
+    gives the error reported."""
+    first_line: dict = {}  # each key, and the line that had it first
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -32,13 +36,16 @@ def read_jsonl(path: str | Path, make: Callable[[dict], Any] | None = None) -> I
                     obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: invalid JSON: {exc.msg}", line=lineno, offset=exc.colno) from exc
-            if make is not None:
-                try:
+            try:
+                if make is not None:
                     if not isinstance(obj, dict):
                         raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
                     obj = make(obj)
-                except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                    raise DataError(f"{path}:{lineno}: malformed record: {exc!r}", line=lineno) from exc
+                if key is not None and first_line.setdefault(key(obj), lineno) != lineno:
+                    first = first_line[key(obj)]
+                    raise DataError(f"{path}:{lineno}: repeats the key {key(obj)!r} of line {first}", line=lineno)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"{path}:{lineno}: malformed record: {exc!r}", line=lineno) from exc
             yield obj
 
 

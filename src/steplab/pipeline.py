@@ -23,6 +23,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Callable
 
@@ -262,21 +263,6 @@ def _finish_stage(
     return report
 
 
-def _one_per_trace(path: str | Path, make: Callable[[dict], Any], key=lambda row: (row.problem_id, row.trace_id)):
-    """The rows ``make`` builds from the JSONL file ``path``, where a second
-    row for one (problem id, trace id), its ``key``, is malformed."""
-    seen: set = set()
-
-    def row(obj: dict):
-        built = make(obj)
-        if key(built) in seen:
-            raise ValueError("trace {1!r} of problem {0!r} repeats an earlier row".format(*key(built)))
-        seen.add(key(built))
-        return built
-
-    return list(read_jsonl(path, row))
-
-
 def _step_labels_row(obj: dict) -> tuple[str, str, list[int]]:
     """A ``step_labels.jsonl`` row as (problem id, trace id, labels): one
     label per step, so at least one, each the integer 0 or 1 (JSON ``true``
@@ -287,16 +273,25 @@ def _step_labels_row(obj: dict) -> tuple[str, str, list[int]]:
     return obj["problem_id"], obj["trace_id"], labels
 
 
-# The one row builder of each JSONL run artifact (one row per trace where rows
-# are per trace). Readers are looked up when called, so a patched one is used.
+def _working_set_row(obj: dict) -> tuple[str, list[str]]:
+    """A ``working_set.jsonl`` row as (problem id, trace ids), each trace once."""
+    trace_ids = obj["trace_ids"]
+    if type(trace_ids) is not list or len(set(trace_ids)) != len(trace_ids):
+        raise ValueError(f"trace_ids must be a list of distinct trace ids, got {trace_ids!r}")
+    return obj["problem_id"], trace_ids
+
+
+# The one row builder of each JSONL run artifact, and the key of which it holds
+# one row. Readers are looked up when called, so a patched one is used.
+_PROBLEM_KEY, _TRACE_KEY = attrgetter("problem_id"), attrgetter("problem_id", "trace_id")
 READERS: dict[str, Callable[[Path], Any]] = {
     "problems": lambda path: read_problems(path),
     "parsed_traces": lambda path: read_traces(path),
-    "pools": lambda path: {pool.problem_id: pool for pool in read_jsonl(path, lambda obj: AnswerPool(**obj))},
-    "working_set": lambda path: list(read_jsonl(path, lambda obj: (obj["problem_id"], obj["trace_ids"]))),
-    "profiles": lambda path: _one_per_trace(path, lambda obj: InformationProfile(**obj)),
-    "signals": lambda path: _one_per_trace(path, lambda obj: StepSignal(**obj)),
-    "step_labels": lambda path: _one_per_trace(path, _step_labels_row, key=lambda row: row[:2]),
+    "pools": lambda path: {p.problem_id: p for p in read_jsonl(path, lambda obj: AnswerPool(**obj), key=_PROBLEM_KEY)},
+    "working_set": lambda path: list(read_jsonl(path, _working_set_row, key=itemgetter(0))),
+    "profiles": lambda path: list(read_jsonl(path, lambda obj: InformationProfile(**obj), key=_TRACE_KEY)),
+    "signals": lambda path: list(read_jsonl(path, lambda obj: StepSignal(**obj), key=_TRACE_KEY)),
+    "step_labels": lambda path: list(read_jsonl(path, _step_labels_row, key=itemgetter(0, 1))),
 }
 
 
@@ -343,26 +338,18 @@ def _prepare_ingest(cfg: RunConfig, paths: dict[str, Path]):
 
 def _ingest(cfg: RunConfig, io: StageIO, state) -> dict:
     problems = read_problems(cfg.problems)
-    dropped: dict[str, str] = {}
-    if cfg.domains:
-        kept_problems = [p for p in problems if p.domain in cfg.domains]
-        for p in problems:
-            if p.domain not in cfg.domains:
-                dropped[p.id] = "domain_excluded"
-                log.info("dropped problem %s: domain_excluded", p.id)
-        problems = kept_problems
-    problem_ids = {p.id for p in problems}
+    dropped = {p.id: "domain_excluded" for p in problems if cfg.domains and p.domain not in cfg.domains}
+    for pid in dropped:
+        log.info("dropped problem %s: domain_excluded", pid)
+    problems = [p for p in problems if p.id not in dropped]
     domain_of = {p.id: p.domain for p in problems}
 
     parsed = []
-    seen: set[tuple[str, str]] = set()
-    parse_failures = 0
+    traces_in = parse_failures = 0
     for obj in read_raw_traces(cfg.traces):
+        traces_in += 1
         pid = obj["problem_id"]
-        if (pid, obj["trace_id"]) in seen:
-            raise DataError(f"duplicate trace id {obj['trace_id']!r} of problem {pid!r} in {cfg.traces}")
-        seen.add((pid, obj["trace_id"]))
-        if pid not in problem_ids:
+        if pid not in domain_of:
             continue
         try:
             trace = parse_trace(obj["raw_text"], domain_of[pid], problem_id=pid, trace_id=obj["trace_id"])
@@ -378,7 +365,7 @@ def _ingest(cfg: RunConfig, io: StageIO, state) -> dict:
         "problems_out": len(problems),
         "dropped_by_reason": _reason_counts(dropped),
         "dropped": dropped,
-        "traces_in": len(seen),
+        "traces_in": traces_in,
         "traces_out": len(parsed),
         "parse_failures": parse_failures,
     }
@@ -480,7 +467,6 @@ def _signals(cfg: RunConfig, io: StageIO, state) -> dict:
     for profile in io.rows("profiles", keep=False):  # no later stage reads profiles
         profile_problems.add(profile.problem_id)
         _check_known(paths["profiles"], profile, paths["problems"], problems)
-        problem = problems[profile.problem_id]
         if cfg.method == "mcnig":
             _check_known(paths["profiles"], profile, paths["pools"], pools)
             pool = pools[profile.problem_id]
@@ -489,10 +475,14 @@ def _signals(cfg: RunConfig, io: StageIO, state) -> dict:
                     dropped[profile.problem_id] = "no_correct_answers_in_pool"
                     log.info("dropped problem %s: no_correct_answers_in_pool", profile.problem_id)
                 continue
-            signal = mcnig_signal(profile, pool, cfg.aggregation, cfg.reference)
+            if not pool.wrong:
+                raise DataError(f"{paths['pools']}: trace {profile.trace_id!r} has no wrong answer in its pool")
+            _require_columns(paths["profiles"], profile, pool.correct + pool.wrong)
+            signals.append(mcnig_signal(profile, pool, cfg.aggregation, cfg.reference))
         else:
-            signal = ig_signal(profile, problem.gold_answer)
-        signals.append(signal)
+            gold = problems[profile.problem_id].gold_answer
+            _require_columns(paths["profiles"], profile, [gold])
+            signals.append(ig_signal(profile, gold))
     io.wrote("signals", write_jsonl(paths["signals"], map(vars, signals)), signals)
     return {
         "problems_in": len(profile_problems),
@@ -548,8 +538,17 @@ def _prepare_label(cfg: RunConfig, paths: dict[str, Path]):
     else:
         source = paths["thresholds"]
         _require([source], "label")
+
+    def one_value_per_key(pairs: list) -> dict:
+        obj: dict = {}
+        for key, value in pairs:
+            if key in obj:
+                raise DataError(f"thresholds file {source} repeats the key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        thresholds = json.loads(source.read_text(encoding="utf-8"))
+        thresholds = json.loads(source.read_text(encoding="utf-8"), object_pairs_hook=one_value_per_key)
     except ValueError as exc:
         raise DataError(f"thresholds file {source} is not JSON: {exc}") from exc
     if not isinstance(thresholds, dict) or not all(
@@ -668,7 +667,7 @@ def _build_scorer(cfg: RunConfig, io: StageIO):
         return step_product_scorer({(pid, tid): labels for pid, tid, labels in io.rows("step_labels")})
     # step-product and orm: external per-step probabilities from --step-scores
     step_counts = {(t.problem_id, t.trace_id): len(t.steps) for t in io.rows("parsed_traces")}
-    rows = _one_per_trace(cfg.step_scores, partial(_step_scores_row, step_counts=step_counts), key=lambda row: row[0])
+    rows = read_jsonl(cfg.step_scores, partial(_step_scores_row, step_counts=step_counts), key=itemgetter(0))
     return step_product_scorer(dict(rows))
 
 
@@ -698,6 +697,13 @@ def _check_known(source: Path, row, table: Path, known: dict) -> None:
     """A ``source`` row (a profile or signal) must name a problem of ``table``."""
     if row.problem_id not in known:
         raise DataError(f"{source}: trace {row.trace_id!r} names problem {row.problem_id!r}, which is not in {table}")
+
+
+def _require_columns(source: Path, profile: InformationProfile, answers: list[str]) -> None:
+    """A ``source`` profile must have a column for each answer its signal reads."""
+    for answer in answers:
+        if answer not in profile.answers:
+            raise DataError(f"{source}: trace {profile.trace_id!r} has no column for answer {answer!r}")
 
 
 def _by_problem(traces: list) -> dict[str, list]:

@@ -551,10 +551,7 @@ class InformationProfile:
                 raise ValueError("profile entries must be finite")
 
     def column(self, answer: str) -> int:
-        try:
-            return self.answers.index(answer)
-        except ValueError:
-            raise KeyError(f"answer {answer!r} is not a profile column") from None
+        return self.answers.index(answer)
 
 
 def profile_requests(problem: Problem, trace: ReasoningTrace, answers: list[str]) -> list[ScoringRequest]:

@@ -9,11 +9,12 @@ import logging
 import random
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .errors import DataError, ValidatorError
-from .ioutil import read_jsonl, stable_seed, write_jsonl
+from .errors import ValidatorError
+from .ioutil import encode_json, read_jsonl, stable_seed, write_jsonl
 from .validators import ValidatorSpec, parse_numeric
 
 log = logging.getLogger(__name__)
@@ -251,10 +252,19 @@ def _subsample(parsed: list[ReasoningTrace], k: int, seed: int, problem_id: str)
 # JSONL interfaces
 
 
+def _utf8(name: str, text: str) -> None:
+    """Reject a string holding a lone surrogate (``\\ud800``), which UTF-8 cannot encode."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"{name!r} holds the lone surrogate {exc.object[exc.start]!r}") from None
+
+
 def _string_fields(obj: dict, *keys: str) -> dict[str, str]:
     for key in keys:
         if not isinstance(obj[key], str):
             raise TypeError(f"{key!r} must be a string, got {type(obj[key]).__name__}")
+        _utf8(key, obj[key])
     return {key: obj[key] for key in keys}
 
 
@@ -262,6 +272,7 @@ def _problem(obj: dict) -> Problem:
     spec = obj.get("validator")
     if spec and not isinstance(spec, dict):
         raise TypeError(f"'validator' must be an object, got {type(spec).__name__}")
+    _utf8("validator", encode_json(spec))
     return Problem(
         **_string_fields(obj, "id", "domain", "question", "gold_answer"),
         validator_spec=ValidatorSpec.from_json_dict(spec) if spec else None,
@@ -269,13 +280,7 @@ def _problem(obj: dict) -> Problem:
 
 
 def read_problems(path: str | Path) -> list[Problem]:
-    problems = list(read_jsonl(path, _problem))
-    seen: set[str] = set()
-    for p in problems:
-        if p.id in seen:
-            raise DataError(f"duplicate problem id {p.id!r} in {path}")
-        seen.add(p.id)
-    return problems
+    return list(read_jsonl(path, _problem, key=attrgetter("id")))
 
 
 def write_problems(path: str | Path, problems: Iterable[Problem]) -> str:
@@ -295,8 +300,9 @@ def write_problems(path: str | Path, problems: Iterable[Problem]) -> str:
 
 
 def read_raw_traces(path: str | Path) -> Iterable[dict]:
-    """Raw generation records: {problem_id, trace_id, raw_text}, all strings."""
-    return read_jsonl(path, lambda obj: _string_fields(obj, "problem_id", "trace_id", "raw_text"))
+    """Raw generation records: {problem_id, trace_id, raw_text}, all strings, one per (problem_id, trace_id)."""
+    fields = ("problem_id", "trace_id", "raw_text")
+    return read_jsonl(path, lambda obj: _string_fields(obj, *fields), key=itemgetter("problem_id", "trace_id"))
 
 
 def write_traces(path: str | Path, traces: Iterable[ReasoningTrace]) -> str:
@@ -304,4 +310,4 @@ def write_traces(path: str | Path, traces: Iterable[ReasoningTrace]) -> str:
 
 
 def read_traces(path: str | Path) -> list[ReasoningTrace]:
-    return list(read_jsonl(path, lambda obj: ReasoningTrace(**obj)))
+    return list(read_jsonl(path, lambda obj: ReasoningTrace(**obj), key=attrgetter("problem_id", "trace_id")))

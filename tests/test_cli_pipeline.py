@@ -689,6 +689,22 @@ class TestCli:
         assert not (out / "sweep.json").exists()
         assert not (out / "thresholds.json").exists()
 
+    def test_domains_flag_drops_the_problems_of_other_domains(self, small_corpus, tmp_path, capsys):
+        out = tmp_path / "math-only"
+        assert main([
+            "ingest", "--out-dir", str(out), "--domains", "math",
+            "--problems", str(small_corpus["problems"]), "--traces", str(small_corpus["traces"]),
+        ]) == 0
+        domain_of = {row["id"]: row["domain"] for row in read_jsonl(small_corpus["problems"])}
+        others = [pid for pid, domain in domain_of.items() if domain != "math"]
+        counts = json.loads((out / "stages" / "ingest.json").read_text())["counts"]
+        assert others and counts["dropped"] == dict.fromkeys(others, "domain_excluded")
+        assert counts["traces_in"] == len(list(read_jsonl(small_corpus["traces"])))
+        assert [row["id"] for row in read_jsonl(out / "problems.jsonl")] == [p for p in domain_of if p not in others]
+        parsed = [row["problem_id"] for row in read_jsonl(out / "parsed_traces.jsonl")]
+        assert parsed and {domain_of[pid] for pid in parsed} == {"math"} and len(parsed) == counts["traces_out"]
+        assert f"dropped domain_excluded={len(others)}" in capsys.readouterr().out
+
     def test_run_help_lists_every_stage_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["run", "--help"])
@@ -1031,6 +1047,21 @@ MALFORMED_USER_FILES = {
         lambda c, r: _jsonl([{**row, "raw_text": ["step", "$4$"]} for row in read_jsonl(c["traces"])]),
     ),
     "trace-id-repeated": ("traces", lambda c, r: _first_trace_repeated(c["traces"])),
+    # JSON's escape of a lone surrogate decodes, but UTF-8 cannot encode it into an artifact
+    "trace-raw-text-lone-surrogate": (
+        "traces",
+        lambda c, r: _jsonl([{**row, "raw_text": row["raw_text"] + " \ud800"} for row in read_jsonl(c["traces"])]),
+    ),
+    "problem-question-lone-surrogate": (
+        "problems",
+        lambda c, r: _jsonl([{**row, "question": row["question"] + " \ud800"} for row in read_jsonl(c["problems"])]),
+    ),
+    "problem-validator-lone-surrogate": (
+        "problems",
+        lambda c, r: _jsonl([
+            {**row, "validator": {**row["validator"], "note": "\ud800"}} for row in read_jsonl(c["problems"])
+        ]),
+    ),
     "step-scores-without-step-probs": (
         "step_scores",
         lambda c, r: _jsonl(
@@ -1057,6 +1088,7 @@ MALFORMED_USER_FILES = {
     "thresholds-nan": ("thresholds", lambda c, r: '{"math": NaN}'),
     "thresholds-infinite": ("thresholds", lambda c, r: '{"math": 0.1, "qa": -Infinity}'),
     "thresholds-not-json": ("thresholds", lambda c, r: '{"math": 0.1'),
+    "thresholds-domain-repeated": ("thresholds", lambda c, r: '{"math": 99, "math": -99, "qa": 0}'),
 }
 
 
@@ -1297,6 +1329,113 @@ class TestStageFormat:
         assert self.rerun(run, corpus) == dict.fromkeys(STAGES, True)
 
 
+def _drop_column(profile: dict, answer: str) -> None:
+    """Take ``answer``'s column out of a profile row."""
+    col = profile["answers"].index(answer)
+    del profile["answers"][col]
+    for row in profile["values"]:
+        del row[col]
+
+
+class TestProfilesThatCannotBeSignalled:
+    """The signals stage checks that each profile can be signalled before it
+    computes: a profile without a column its method reads, or a pool without
+    a wrong answer, is a data error naming the file and the trace."""
+
+    @pytest.fixture()
+    def run(self, run_6x4, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(run_6x4, run)
+        return run
+
+    @staticmethod
+    def rows(run):
+        """The profile rows, the pool rows by problem id, and the first
+        profile whose pool has a correct answer."""
+        paths = artifact_paths(run)
+        profiles = list(read_jsonl(paths["profiles"]))
+        pools = {row["problem_id"]: row for row in read_jsonl(paths["pools"])}
+        return profiles, pools, next(p for p in profiles if pools[p["problem_id"]]["correct"])
+
+    @pytest.mark.parametrize("method", ["mcnig", "ig"])
+    def test_profile_without_the_column_of_an_answer_exits_3(self, run, caplog, method):
+        paths = artifact_paths(run)
+        profiles, pools, profile = self.rows(run)
+        gold = {row["id"]: row["gold_answer"] for row in read_jsonl(paths["problems"])}[profile["problem_id"]]
+        answer = pools[profile["problem_id"]]["wrong"][0] if method == "mcnig" else gold
+        _drop_column(profile, answer)
+        paths["profiles"].write_text(_jsonl(profiles))
+        assert main(["label", "--method", method, "--out-dir", str(run)]) == 3
+        assert any(
+            "DataError" in r.message and str(paths["profiles"]) in r.message
+            and repr(profile["trace_id"]) in r.message and repr(answer) in r.message
+            for r in caplog.records
+        )
+
+    def test_pool_without_a_wrong_answer_exits_3(self, run, caplog):
+        paths = artifact_paths(run)
+        _, pools, profile = self.rows(run)
+        pools[profile["problem_id"]]["wrong"] = []
+        paths["pools"].write_text(_jsonl(pools.values()))
+        assert main(["label", "--out-dir", str(run)]) == 3
+        assert any(
+            "DataError" in r.message and str(paths["pools"]) in r.message and repr(profile["trace_id"]) in r.message
+            for r in caplog.records
+        )
+
+    def test_pool_without_a_correct_answer_drops_its_problem(self, run):
+        paths = artifact_paths(run)
+        _, pools, profile = self.rows(run)
+        pools[profile["problem_id"]]["correct"] = []
+        paths["pools"].write_text(_jsonl(pools.values()))
+        assert main(["label", "--out-dir", str(run)]) == 0
+        counts = json.loads((run / "stages" / "signals.json").read_text())["counts"]
+        assert counts["dropped"][profile["problem_id"]] == "no_correct_answers_in_pool"
+        assert profile["problem_id"] not in {row["problem_id"] for row in read_jsonl(paths["signals"])}
+
+
+class TestSweepOfOneClass:
+    def test_domain_of_one_class_is_skipped_and_labelled_at_0(self, run_6x4, tmp_path):
+        from steplab.trace_model import normalize_answer
+
+        run = tmp_path / "run"
+        shutil.copytree(run_6x4, run)
+        paths = artifact_paths(run)
+        domain_of = {row["id"]: row["domain"] for row in read_jsonl(paths["problems"])}
+        correct = {
+            row["problem_id"]: {normalize_answer(a, domain_of[row["problem_id"]]) for a in row["correct"]}
+            for row in read_jsonl(paths["pools"])
+        }
+        correct_qa_traces = {
+            (row["problem_id"], row["trace_id"])
+            for row in read_jsonl(paths["parsed_traces"])
+            if domain_of[row["problem_id"]] == "qa" and row["parse_ok"]
+            and normalize_answer(row["final_answer"], "qa") in correct[row["problem_id"]]
+        }
+        signals = list(read_jsonl(paths["signals"]))
+        kept = [row for row in signals if (row["problem_id"], row["trace_id"]) not in correct_qa_traces]
+        qa = [row for row in kept if domain_of[row["problem_id"]] == "qa"]
+        assert qa and len(kept) < len(signals)
+        paths["signals"].write_text(_jsonl(kept))
+
+        assert main(["sweep", "--out-dir", str(run)]) == 0
+        sweep = {report["domain"]: report for report in json.loads(paths["sweep"].read_text())["domains"]}
+        assert sweep["qa"]["skipped"] is True and "balanced accuracy" in sweep["qa"]["reason"]
+        assert "skipped" not in sweep["math"]
+        thresholds = json.loads(paths["thresholds"].read_text())
+        assert list(thresholds) == ["math"]
+
+        assert main(["label", "--out-dir", str(run)]) == 0
+        labels = {(row["problem_id"], row["trace_id"]): row for row in read_jsonl(paths["step_labels"])}
+        for row in qa:
+            labelled = labels[(row["problem_id"], row["trace_id"])]
+            assert labelled["threshold"] == 0.0
+            assert labelled["labels"] == [int(v > 0.0) for v in row["values"]]
+        assert {row["threshold"] for row in labels.values() if domain_of[row["problem_id"]] == "math"} == {
+            thresholds["math"]
+        }
+
+
 class TestSignalAndLabelInputs:
     # (artifact with the damaged row, the table its problem is missing from);
     # profiles are read by the signals stage, signals by the label stage.
@@ -1334,9 +1473,11 @@ MALFORMED_RUN_ARTIFACTS = {
     "parsed-trace-without-steps": ("parsed_traces", _without("steps"), ["validate"]),
     "parsed-trace-with-steps-as-one-string": ("parsed_traces", lambda row: {**row, "steps": " ".join(row["steps"])}, ["validate"]),
     "parsed-trace-with-a-numeric-answer": ("parsed_traces", lambda row: {**row, "final_answer": 4, "parse_ok": True}, ["validate"]),
+    "parsed-trace-row-repeated": ("parsed_traces", lambda row: [row, row], ["validate"]),
     "pool-with-an-unknown-key": ("pools", lambda row: {**row, "verdict": True}, ["eval-bok"]),
     "pool-with-correct-as-a-string": ("pools", lambda row: {**row, "correct": "".join(row["correct"])}, ["eval-bok"]),
     "pool-with-wrong-as-a-number": ("pools", lambda row: {**row, "wrong": 7}, ["eval-bok"]),
+    "pool-row-repeated": ("pools", lambda row: [row, row], ["eval-bok"]),
     "profile-without-values": ("profiles", _without("values"), ["label"]),
     "profile-with-no-rows": ("profiles", lambda row: {**row, "values": []}, ["label"]),
     "profile-with-only-the-step-0-row": ("profiles", lambda row: {**row, "values": row["values"][:1]}, ["label"]),
@@ -1358,6 +1499,10 @@ MALFORMED_RUN_ARTIFACTS = {
     ),
     "step-labels-empty-in-eval": ("step_labels", lambda row: {**row, "labels": []}, ["eval-bok"]),
     "working-set-without-trace-ids": ("working_set", _without("trace_ids"), ["emit"]),
+    "working-set-row-repeated": ("working_set", lambda row: [row, row], ["emit"]),
+    "working-set-trace-id-repeated": (
+        "working_set", lambda row: {**row, "trace_ids": [*row["trace_ids"], row["trace_ids"][0]]}, ["emit"],
+    ),
 }
 
 
@@ -1384,9 +1529,9 @@ def parses(monkeypatch):
 
     counts = Counter()
     for module in (pipeline, trace_model):
-        def counted(path, make=None, read=module.read_jsonl):
+        def counted(path, make=None, key=None, read=module.read_jsonl):
             counts[Path(path)] += 1
-            return read(path, make)
+            return read(path, make, key)
 
         monkeypatch.setattr(module, "read_jsonl", counted)
     return counts

@@ -61,6 +61,22 @@ class TestJsonl:
         assert str(err.value) == f"{path}:2: invalid JSON: {expected.value.msg}"
         assert (err.value.line, err.value.offset) == (2, expected.value.colno)
 
+    def test_a_repeated_key_names_its_line_and_the_first(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"id": "a"}\n{"id": "b"}\n\n{"id": "a"}\n')
+        rows = read_jsonl(path, dict, key=lambda row: row["id"])
+        assert next(rows) == {"id": "a"} and next(rows) == {"id": "b"}
+        with pytest.raises(DataError) as err:
+            next(rows)
+        assert str(err.value) == f"{path}:4: repeats the key 'a' of line 1"
+        assert err.value.line == 4
+
+    def test_a_key_that_cannot_be_hashed_is_a_malformed_record(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"id": ["a"]}\n')
+        with pytest.raises(DataError, match=f"{path}:1: malformed record: TypeError"):
+            list(read_jsonl(path, dict, key=lambda row: row["id"]))
+
 
 class TestEncodeJson:
     @pytest.fixture(params=["c", "python"])
