@@ -17,11 +17,12 @@ from .errors import UndefinedMetricError
 from .infogain import StepSignal
 from .infogain import assign_labels  # noqa: F401  unused here; bench/traced.py counts calls through this name
 
+# The percentiles of the pooled signal values that bound the threshold grid.
+GRID_LO_PCT, GRID_HI_PCT = 1.0, 99.0
+
 
 def balanced_accuracy(tp: int, fn: int, tn: int, fp: int) -> float:
-    """Mean of sensitivity and specificity."""
-    if tp + fn == 0 or tn + fp == 0:
-        raise UndefinedMetricError("balanced accuracy needs at least one trace of each class")
+    """Mean of sensitivity and specificity; both classes must have a trace."""
     return 0.5 * (tp / (tp + fn) + tn / (tn + fp))
 
 
@@ -69,17 +70,13 @@ def sweep_threshold(
     }
 
 
-def percentile_grid(
-    values: list[float],
-    size: int,
-    lo_pct: float = 1.0,
-    hi_pct: float = 99.0,
-) -> list[float]:
-    """Evenly spaced thresholds between two percentiles of the pooled signal
-    values. Percentile bounds absorb scale differences between domains."""
+def percentile_grid(values: list[float], size: int) -> list[float]:
+    """Evenly spaced thresholds between the :data:`GRID_LO_PCT` and
+    :data:`GRID_HI_PCT` percentiles of the pooled signal values. Percentile
+    bounds absorb scale differences between domains."""
     ordered = sorted(values)
-    lo = _percentile(ordered, lo_pct)
-    hi = _percentile(ordered, hi_pct)
+    lo = _percentile(ordered, GRID_LO_PCT)
+    hi = _percentile(ordered, GRID_HI_PCT)
     if lo == hi or size == 1:
         return [lo]
     step = (hi - lo) / (size - 1)
@@ -88,8 +85,6 @@ def percentile_grid(
 
 def _percentile(ordered: list[float], pct: float) -> float:
     """Linear-interpolation percentile over already sorted values."""
-    if len(ordered) == 1:
-        return ordered[0]
     rank = (pct / 100.0) * (len(ordered) - 1)
     lower = int(rank)
     upper = min(lower + 1, len(ordered) - 1)

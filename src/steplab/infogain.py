@@ -43,7 +43,7 @@ class StepSignal:
 
 def ig_signal(profile: InformationProfile, gold_answer: str) -> StepSignal:
     """Gold-answer information lift of each step prefix over step 0."""
-    col = profile.column(gold_answer)
+    col = profile.answers.index(gold_answer)
     base = profile.values[0][col]
     return StepSignal(
         problem_id=profile.problem_id,
@@ -61,8 +61,8 @@ def net_info(profile: InformationProfile, pool: AnswerPool, aggregation: str = "
     profile. ``max`` keeps the strongest alternative on each side; ``mean``
     averages in log space.
     """
-    c_cols = [profile.column(a) for a in pool.correct]
-    w_cols = [profile.column(a) for a in pool.wrong]
+    c_cols = [profile.answers.index(a) for a in pool.correct]
+    w_cols = [profile.answers.index(a) for a in pool.wrong]
     aggregate = AGGREGATIONS[aggregation]
     return [aggregate([row[c] for c in c_cols]) - aggregate([row[c] for c in w_cols]) for row in profile.values]
 

@@ -36,6 +36,7 @@ from .infogain import AGGREGATIONS, REFERENCES, StepSignal, assign_labels, ig_si
 from .ioutil import atomic_write_text, read_jsonl, sha256_file, sha256_text, write_jsonl
 from .scoring import InformationProfile, information_profile, make_backend, score_traces
 from .trace_model import (
+    DOMAINS,
     AnswerPool,
     ReasoningTrace,
     build_answer_pool,
@@ -110,6 +111,16 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a finite number of seconds, got {getattr(self, name)!r}")
         if self.eval_scorer in ("step-product", "orm") and not self.step_scores:
             raise ConfigError(f"scorer {self.eval_scorer!r} needs --step-scores with per-trace probabilities")
+        for domain in self.domains:
+            if domain not in DOMAINS:
+                raise ConfigError(f"unknown domain in domains: {domain!r}; choose from {DOMAINS}")
+        if not self.split or "/" in self.split:
+            raise ConfigError(f"split must be a non-empty name without '/', got {self.split!r}")
+        for name in ("out_dir", "cache_dir"):  # mkdir makes each: its nearest existing path must be a directory
+            path = Path(getattr(self, name))
+            nearest = next(p for p in (path, *path.parents) if p.exists())
+            if not nearest.is_dir():
+                raise ConfigError(f"{name} {getattr(self, name)!r} cannot be a directory: {str(nearest)!r} is not one")
 
     @property
     def out(self) -> Path:
@@ -397,6 +408,9 @@ def _judged_traces(io: StageIO) -> list[ReasoningTrace]:
         return io.memo[memo_key]
     domain_of = {p.id: p.domain for p in io.rows("problems")}
     pools = io.rows("pools")
+    for pid in pools:
+        if pid not in domain_of:
+            raise DataError(f"{io.paths['pools']}: pool of problem {pid!r}, which is not in {io.paths['problems']}")
     correct_keys = {pid: {normalize_answer(a, domain_of[pid]) for a in pool.correct} for pid, pool in pools.items()}
     verdicts: dict[tuple[str, str], bool] = {}
     judged = []
@@ -430,10 +444,10 @@ def _score(cfg: RunConfig, io: StageIO, backend) -> dict:
     problems = io.rows("problems")
     pools = io.rows("pools")
     traces = _judged_traces(io)
-    result = filter_and_subsample(problems, _by_problem(traces), k=cfg.k_subsample, seed=cfg.seed)
+    kept, dropped = filter_and_subsample(problems, _by_problem(traces), k=cfg.k_subsample, seed=cfg.seed)
     working = []
     jobs = []
-    for problem, kept_traces in result.kept:
+    for problem, kept_traces in kept:
         pool = pools[problem.id]
         answers = list(dict.fromkeys(pool.correct + pool.wrong + [problem.gold_answer]))
         working.append((problem.id, [t.trace_id for t in kept_traces]))
@@ -448,9 +462,9 @@ def _score(cfg: RunConfig, io: StageIO, backend) -> dict:
     io.wrote("profiles", write_jsonl(io.paths["profiles"], map(vars, profiles)), profiles)
     return {
         "problems_in": len(problems),
-        "problems_out": len(result.kept),
-        "dropped_by_reason": _reason_counts(result.dropped),
-        "dropped": result.dropped,
+        "problems_out": len(kept),
+        "dropped_by_reason": _reason_counts(dropped),
+        "dropped": dropped,
         "traces_scored": len(profiles),
         "requests": sum(map(len, totals)),
         **counts,
@@ -496,16 +510,20 @@ def _signals(cfg: RunConfig, io: StageIO, state) -> dict:
 def _sweep(cfg: RunConfig, io: StageIO, state) -> dict:
     paths = io.paths
     problems = {p.id: p for p in io.rows("problems")}
-    truth_of = {(t.problem_id, t.trace_id): int(t.correct) for t in _judged_traces(io) if t.parse_ok}
+    judged = {(t.problem_id, t.trace_id): t for t in _judged_traces(io) if t.parse_ok}
     by_domain: dict[str, tuple[list[StepSignal], list[int]]] = {}
     for signal in io.rows("signals"):
         key = (signal.problem_id, signal.trace_id)
-        if key not in truth_of:
+        trace = judged.get(key)
+        if trace is None:
             raise DataError(f"{paths['signals']}: trace {key} is not a parseable trace of {paths['parsed_traces']}")
+        if len(signal.values) != len(trace.steps):
+            counts = f"{len(signal.values)} values for {len(trace.steps)} steps"
+            raise DataError(f"{paths['signals']}: trace {key} has {counts}")
         domain = problems[signal.problem_id].domain
         signals, truths = by_domain.setdefault(domain, ([], []))
         signals.append(signal)
-        truths.append(truth_of[key])
+        truths.append(int(trace.correct))
 
     reports = []
     thresholds: dict[str, float] = {}

@@ -74,10 +74,6 @@ class ScoringRequest:
     context: str
     continuation: str
 
-    def __post_init__(self):
-        if not self.continuation:
-            raise ValueError("continuation must be non-empty")
-
 
 @dataclass
 class TokenLogprobs:
@@ -549,9 +545,6 @@ class InformationProfile:
                 raise ValueError("profile row width does not match the answer list")
             if not all(map(math.isfinite, row)):
                 raise ValueError("profile entries must be finite")
-
-    def column(self, answer: str) -> int:
-        return self.answers.index(answer)
 
 
 def profile_requests(problem: Problem, trace: ReasoningTrace, answers: list[str]) -> list[ScoringRequest]:

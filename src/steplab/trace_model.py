@@ -35,7 +35,7 @@ class Problem:
     domain: str
     question: str
     gold_answer: str
-    validator_spec: ValidatorSpec | None = None
+    validator_spec: ValidatorSpec
 
     def __post_init__(self):
         if not self.id:
@@ -62,10 +62,12 @@ class ReasoningTrace:
     correct: bool | None = None
 
     def __post_init__(self):
+        if type(self.problem_id) is not str or type(self.trace_id) is not str:
+            raise ValueError("problem_id and trace_id must be strings")
         if type(self.steps) is not list or not self.steps or not all(type(s) is str and s for s in self.steps):
             raise ValueError("steps must be a non-empty list of non-empty strings")
-        if self.final_answer is not None and type(self.final_answer) is not str:
-            raise ValueError("final_answer must be a string or null")
+        if self.final_answer is not None and (type(self.final_answer) is not str or not self.final_answer):
+            raise ValueError("final_answer must be a non-empty string or null")
         if self.parse_ok != (self.final_answer is not None):
             raise ValueError("parse_ok must mirror the presence of final_answer")
         if self.correct is not None and not self.parse_ok:
@@ -88,8 +90,8 @@ class AnswerPool:
     diagnostics: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not all(type(v) is list and all(type(a) is str for a in v) for v in (self.correct, self.wrong)):
-            raise ValueError(f"pool {self.problem_id!r}: correct and wrong must be lists of strings")
+        if not all(type(v) is list and all(type(a) is str and a for a in v) for v in (self.correct, self.wrong)):
+            raise ValueError(f"pool {self.problem_id!r}: correct and wrong must be lists of non-empty strings")
         if type(self.multiplicity) is not dict or type(self.diagnostics) is not dict:
             raise ValueError(f"pool {self.problem_id!r}: multiplicity and diagnostics must be objects")
 
@@ -190,21 +192,14 @@ def build_answer_pool(
     return pool
 
 
-@dataclass
-class FilterResult:
-    """Working set produced by :func:`filter_and_subsample` plus drop log."""
-
-    kept: list[tuple[Problem, list[ReasoningTrace]]]
-    dropped: dict[str, str]
-
-
 def filter_and_subsample(
     problems: list[Problem],
     traces_by_problem: dict[str, list[ReasoningTrace]],
     k: int = 8,
     seed: int = 0,
-) -> FilterResult:
-    """Build the working candidate set for labeling from validated traces.
+) -> tuple[list[tuple[Problem, list[ReasoningTrace]]], dict[str, str]]:
+    """Build the working candidate set for labeling from validated traces:
+    the kept (problem, traces) pairs, and each dropped problem's reason.
 
     Unparseable traces are removed, problems whose parsed traces are all
     correct are dropped (no contrast), and each surviving problem keeps a
@@ -226,7 +221,7 @@ def filter_and_subsample(
             log.info("dropped problem %s: all_correct", problem.id)
             continue
         kept.append((problem, _subsample(parsed, k, seed, problem.id)))
-    return FilterResult(kept=kept, dropped=dropped)
+    return kept, dropped
 
 
 def _subsample(parsed: list[ReasoningTrace], k: int, seed: int, problem_id: str) -> list[ReasoningTrace]:
@@ -269,13 +264,13 @@ def _string_fields(obj: dict, *keys: str) -> dict[str, str]:
 
 
 def _problem(obj: dict) -> Problem:
-    spec = obj.get("validator")
-    if spec and not isinstance(spec, dict):
+    spec = obj["validator"]
+    if not isinstance(spec, dict):
         raise TypeError(f"'validator' must be an object, got {type(spec).__name__}")
     _utf8("validator", encode_json(spec))
     return Problem(
         **_string_fields(obj, "id", "domain", "question", "gold_answer"),
-        validator_spec=ValidatorSpec.from_json_dict(spec) if spec else None,
+        validator_spec=ValidatorSpec.from_json_dict(spec),
     )
 
 
@@ -292,7 +287,7 @@ def write_problems(path: str | Path, problems: Iterable[Problem]) -> str:
                 "domain": p.domain,
                 "question": p.question,
                 "gold_answer": p.gold_answer,
-                "validator": p.validator_spec.to_json_dict() if p.validator_spec else None,
+                "validator": p.validator_spec.to_json_dict(),
             }
             for p in problems
         ),

@@ -28,7 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
-from .errors import ConfigError, ValidatorError
+from .errors import ValidatorError
 
 log = logging.getLogger(__name__)
 
@@ -68,32 +68,28 @@ class ValidatorSpec:
 
     def __post_init__(self):
         if self.kind not in VALIDATOR_KINDS:
-            raise ConfigError(f"validator kind must be one of {', '.join(VALIDATOR_KINDS)}, got {self.kind!r}")
+            raise ValueError(f"validator kind must be one of {', '.join(VALIDATOR_KINDS)}, got {self.kind!r}")
         if self.kind == "sql_execution":
             for key in ("fixture", "gold_query"):
                 if not self.payload.get(key):
-                    raise ConfigError(f"sql_execution validator requires payload key {key!r}")
+                    raise ValueError(f"sql_execution validator requires payload key {key!r}")
         if self.kind == "external_command":
             command = self.payload.get("command", "")
             if "{candidate}" not in command:
-                raise ConfigError("external_command validator requires a command template with {candidate}")
+                raise ValueError("external_command validator requires a command template with {candidate}")
             timeout = self.payload.get("timeout_s")
             if timeout is not None and timeout <= 0:
-                raise ConfigError("validator timeout_s must be positive")
+                raise ValueError("validator timeout_s must be positive")
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, **self.payload}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ValidatorSpec":
-        """A spec read from a problem record. A bad kind or payload is then the
-        record's fault, a ValueError, unlike a bad spec built in code."""
+        """A spec read from a problem record's ``validator`` object."""
         obj = dict(obj)
         kind = obj.pop("kind", None)
-        try:
-            return cls(kind=kind, payload=obj)
-        except ConfigError as exc:
-            raise ValueError(str(exc)) from None
+        return cls(kind=kind, payload=obj)
 
 
 @dataclass
@@ -128,10 +124,6 @@ def parse_numeric(text: str) -> Fraction | None:
         return None
 
 
-def _collapse_ws(text: str) -> str:
-    return " ".join(text.split())
-
-
 def _normalize_text(text: str) -> str:
     """Lowercase, collapse whitespace, and strip punctuation at token edges."""
     tokens = [t.strip(string.punctuation) for t in text.lower().split()]
@@ -150,7 +142,7 @@ def numeric_equivalent(a: str, b: str, rel_tol: float = DEFAULT_REL_TOL) -> int:
             return int(math.isclose(float(fa), float(fb), rel_tol=rel_tol, abs_tol=0.0))
         except OverflowError:
             return 0
-    return int(_collapse_ws(a) == _collapse_ws(b))
+    return int(a.split() == b.split())
 
 
 def normalized_exact(candidate: str, gold: str) -> int:
@@ -272,10 +264,9 @@ def validate(spec: ValidatorSpec, candidate: str, problem) -> int:
     """Apply the validator described by ``spec`` to a candidate answer.
 
     Deterministic in its arguments and any fixture contents. ``spec`` was
-    checked when built, so a kind not named below is ``external_command``.
+    checked when built, so a kind not named below is ``external_command``;
+    ``candidate`` is non-empty, as :class:`ReasoningTrace` checks.
     """
-    if not candidate:
-        raise ValueError("candidate answer must be non-empty")
     if spec.kind == "numeric_equivalence":
         gold = spec.payload.get("gold") or problem.gold_answer
         rel_tol = spec.payload.get("rel_tol", DEFAULT_REL_TOL)
@@ -292,6 +283,4 @@ def validate(spec: ValidatorSpec, candidate: str, problem) -> int:
 def make_validator(problem) -> Callable[[str], int]:
     """Bind a problem's validator spec into a ``candidate -> {0,1}`` callable."""
     spec = problem.validator_spec
-    if spec is None:
-        raise ConfigError(f"problem {problem.id!r} has no validator spec")
     return lambda candidate: validate(spec, candidate, problem)

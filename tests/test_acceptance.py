@@ -263,14 +263,14 @@ def test_c08_filtering_invariants():
         problems.append(problem)
         traces_by_problem[problem.id] = traces
 
-    first = filter_and_subsample(problems, traces_by_problem, k=8, seed=17)
-    second = filter_and_subsample(problems, traces_by_problem, k=8, seed=17)
-    as_bytes = lambda res: json.dumps(
-        [(p.id, [t.trace_id for t in ts]) for p, ts in res.kept]
+    first, _ = filter_and_subsample(problems, traces_by_problem, k=8, seed=17)
+    second, _ = filter_and_subsample(problems, traces_by_problem, k=8, seed=17)
+    as_bytes = lambda kept: json.dumps(
+        [(p.id, [t.trace_id for t in ts]) for p, ts in kept]
     ).encode()
     assert as_bytes(first) == as_bytes(second)
 
-    for problem, kept in first.kept:
+    for problem, kept in first:
         parsed = [t for t in traces_by_problem[problem.id] if t.parse_ok]
         assert not all(t.correct for t in parsed)
         assert len(kept) == min(8, len(parsed))

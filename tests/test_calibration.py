@@ -84,10 +84,6 @@ class TestBalancedAccuracy:
     def test_constant_positive_predictor_is_half(self):
         assert balanced_accuracy(tp=4, fn=0, tn=0, fp=4) == 0.5
 
-    def test_missing_class_is_undefined(self):
-        with pytest.raises(UndefinedMetricError):
-            balanced_accuracy(tp=3, fn=1, tn=0, fp=0)
-
 
 def exhaustive_best(signals, truths, grid):
     """Independent re-evaluation: score every threshold by direct counting."""

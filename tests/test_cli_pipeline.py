@@ -613,10 +613,16 @@ class TestCli:
             ("", ["--k-subsample", "abc"], "k_subsample"),
             ("backend_timeout_s = nan\n", [], "backend_timeout_s"),
             ("backend_backoff_s = -1\n", [], "backend_backoff_s"),
+            ("", ["--domains", "maths"], "'maths'"),
+            ("domains = math, sql, Math\n", [], "'Math'"),
+            ("split = ../escape\n", [], "'../escape'"),
+            ("", ["--split", "a/b"], "'a/b'"),
+            ('split = ""\n', [], "split"),
         ],
         ids=[
             "eval-scorer-bogus", "k-0", "grid-size-0", "k-subsample-0", "timeout-soon", "force-yes",
             "retries-true", "seed-float", "k-subsample-abc", "timeout-nan", "backoff-negative",
+            "domain-unknown", "domain-capitalized", "split-escaping", "split-with-a-slash", "split-empty",
         ],
     )
     def test_bad_config_fails_before_any_stage(self, small_corpus, tmp_path, caplog, config_text, flags, key):
@@ -634,6 +640,21 @@ class TestCli:
         assert code == 2
         assert not (out / "stages").exists()
         assert any("ConfigError" in r.message and key in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("flag", ["--out-dir", "--cache-dir"])
+    @pytest.mark.parametrize("below", [False, True], ids=["the-file", "below-the-file"])
+    def test_directory_naming_a_file_exits_2(self, small_corpus, tmp_path, caplog, flag, below):
+        plain = tmp_path / "plain-file"
+        plain.write_text("")
+        value = str(plain / "sub" if below else plain)
+        dirs = {"--out-dir": str(tmp_path / "run"), "--cache-dir": str(tmp_path / "cache"), flag: value}
+        assert main([
+            "--backend", f"reference:{small_corpus['reference_model']}", "--cache-dir", dirs["--cache-dir"],
+            "run", "--out-dir", dirs["--out-dir"],
+            "--problems", str(small_corpus["problems"]), "--traces", str(small_corpus["traces"]),
+        ]) == 2
+        assert any("ConfigError" in r.message and repr(value) in r.message for r in caplog.records)
+        assert not (tmp_path / "run").exists()
 
     def test_seed_flag_is_read_as_an_integer(self, tmp_path):
         pool = tmp_path / "pool.txt"
@@ -1468,7 +1489,9 @@ def _without(key):
 
 # Each case: the run artifact whose first row it damages, the damage (a row,
 # or rows to put in its place, the last of them the one reported), and the
-# command that reads the artifact.
+# command that reads the artifact. A row's builder names its line; a check
+# against another artifact (the cases in CROSS_ARTIFACT_CASES) names its trace.
+CROSS_ARTIFACT_CASES = {"signal-with-a-value-too-few"}
 MALFORMED_RUN_ARTIFACTS = {
     "parsed-trace-without-steps": ("parsed_traces", _without("steps"), ["validate"]),
     "parsed-trace-with-steps-as-one-string": ("parsed_traces", lambda row: {**row, "steps": " ".join(row["steps"])}, ["validate"]),
@@ -1485,6 +1508,7 @@ MALFORMED_RUN_ARTIFACTS = {
     "signal-without-method": ("signals", _without("method"), ["run", "--stages", "label"]),
     "signal-with-no-values": ("signals", lambda row: {**row, "values": []}, ["run", "--stages", "label"]),
     "signal-row-repeated": ("signals", lambda row: [row, row], ["run", "--stages", "label"]),
+    "signal-with-a-value-too-few": ("signals", lambda row: {**row, "values": row["values"][:-1]}, ["sweep"]),
     "step-labels-without-labels": ("step_labels", _without("labels"), ["emit"]),
     "step-labels-as-a-string": ("step_labels", lambda row: {**row, "labels": "10"}, ["emit"]),
     "step-labels-out-of-0-and-1": ("step_labels", lambda row: {**row, "labels": [7] * len(row["labels"])}, ["emit"]),
@@ -1518,7 +1542,60 @@ class TestMalformedRunArtifacts:
         damaged = damaged if isinstance(damaged, list) else [damaged]
         path.write_text(_jsonl([*damaged, *rows[1:]]))
         assert main([*command, "--out-dir", str(run)]) == 3
-        assert any("DataError" in r.message and f"{path}:{len(damaged)}:" in r.message for r in caplog.records)
+        where = f"{path}:{len(damaged)}:"
+        if case in CROSS_ARTIFACT_CASES:
+            where = f"{path}: trace {(damaged[-1]['problem_id'], damaged[-1]['trace_id'])}"
+        assert any("DataError" in r.message and where in r.message for r in caplog.records)
+
+
+def _mutations(row: dict):
+    """``(field, value)`` for each field of ``row`` set to null, to the empty
+    value of its type, and, for a list of strings, to ``[""]``."""
+    for name, value in row.items():
+        values = [None, type(value)()]
+        if isinstance(value, list) and value and all(isinstance(v, str) for v in value):
+            values.append([""])
+        unchanged = json.dumps(value)
+        for text in dict.fromkeys(map(json.dumps, values)):
+            if text != unchanged:
+                yield name, json.loads(text)
+
+
+USER_FILES = ("user_problems", "user_traces")  # the two files ingest reads
+
+
+class TestFieldMutations:
+    """A run whose first row of one artifact has one field nulled or emptied
+    succeeds, or fails with a DataError that names a file of the run: never
+    another error, nor one that names no file."""
+
+    @pytest.mark.parametrize("artifact", [*READERS, *USER_FILES])
+    def test_each_field_mutation_succeeds_or_names_a_file(self, run_6x4, tmp_path, artifact):
+        corpus = run_6x4.parent / "corpus"
+        inputs = {"user_problems": corpus / "problems.jsonl", "user_traces": corpus / "traces.jsonl"}
+        source = inputs.get(artifact) or artifact_paths(run_6x4)[artifact]
+        rows = list(read_jsonl(source))
+        first = next(i for i, row in enumerate(rows) if artifact != "parsed_traces" or row["parse_ok"])
+        writer = next((name for name, stage in STAGE_TABLE.items() if artifact in stage.writes), None)
+        stages = list(STAGES[STAGES.index(writer) + 1:] if writer else STAGES)
+        failures = []
+        for n, (name, value) in enumerate(_mutations(rows[first])):
+            run = tmp_path / f"run-{n}"
+            shutil.copytree(run_6x4, run)
+            damaged = {**inputs, **({artifact: tmp_path / f"{artifact}-{n}.jsonl"} if artifact in USER_FILES else {})}
+            target = damaged.get(artifact) or artifact_paths(run)[artifact]
+            target.write_text(_jsonl([*rows[:first], {**rows[first], name: value}, *rows[first + 1:]]))
+            cfg = load_config(overrides=dict(
+                problems=str(damaged["user_problems"]), traces=str(damaged["user_traces"]), out_dir=str(run),
+                backend=f"reference:{corpus / 'reference_model.json'}", force=True,
+            ), env={})
+            try:
+                run_pipeline(cfg, stages)
+            except Exception as exc:  # noqa: BLE001  every error is checked below
+                files = [str(target), *(str(p) for p in artifact_paths(run).values())]
+                if not isinstance(exc, DataError) or not any(f in str(exc) for f in files):
+                    failures.append(f"{name}={value!r}: {type(exc).__name__}: {exc}")
+        assert n > 0 and not failures
 
 
 @pytest.fixture()

@@ -96,8 +96,8 @@ class TestNetInfo:
             by_max = net_info(profile, pool, "max")
             by_mean = net_info(profile, pool, "mean")
             for i, row in enumerate(profile.values):
-                c_vals = [row[profile.column(a)] for a in pool.correct]
-                w_vals = [row[profile.column(a)] for a in pool.wrong]
+                c_vals = [row[profile.answers.index(a)] for a in pool.correct]
+                w_vals = [row[profile.answers.index(a)] for a in pool.wrong]
                 assert max(c_vals) >= sum(c_vals) / len(c_vals) - 1e-12
                 assert max(w_vals) >= sum(w_vals) / len(w_vals) - 1e-12
                 # The decomposed identity: each aggregation side matches.

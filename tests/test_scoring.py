@@ -209,9 +209,9 @@ class TestReferenceModel:
 
 
 class TestScoringRequest:
-    def test_empty_continuation_rejected(self):
+    def test_empty_continuation_rejected(self, two_token_model):
         with pytest.raises(ValueError):
-            ScoringRequest(context="q", continuation="")
+            two_token_model.score(ScoringRequest(context="q", continuation=""))
 
 
 class TestTokenLogprobs:

@@ -7,7 +7,6 @@ from helpers import make_problem, make_trace
 from steplab.errors import ValidatorError
 from steplab.trace_model import (
     STEP_DELIMITER,
-    FilterResult,
     build_answer_pool,
     extract_answer,
     filter_and_subsample,
@@ -78,6 +77,12 @@ class TestNormalizeAnswer:
 
     def test_non_numeric_math_left_alone(self):
         assert normalize_answer("x+1", "math") == "x+1"
+
+
+class TestReasoningTrace:
+    def test_empty_answer_rejected(self):
+        with pytest.raises(ValueError, match="final_answer"):
+            make_trace(final_answer="")
 
 
 class TestBuildAnswerPool:
@@ -176,9 +181,9 @@ def _synthetic_problem_set(rng, n_problems):
     return problems, traces_by_problem
 
 
-def _workset_bytes(result: FilterResult) -> bytes:
+def _workset_bytes(kept: list) -> bytes:
     payload = [
-        (problem.id, [t.trace_id for t in traces]) for problem, traces in result.kept
+        (problem.id, [t.trace_id for t in traces]) for problem, traces in kept
     ]
     return json.dumps(payload).encode()
 
@@ -189,51 +194,51 @@ class TestFilterAndSubsample:
         traces = [
             make_trace(trace_id=f"t{i}", correct=i < 2) for i in range(10)
         ]
-        result = filter_and_subsample([problem], {problem.id: traces}, k=8, seed=1)
-        (_, kept) = result.kept[0]
+        result, _ = filter_and_subsample([problem], {problem.id: traces}, k=8, seed=1)
+        (_, kept) = result[0]
         assert len(kept) == 8
         assert any(t.correct for t in kept)
 
     def test_all_correct_problem_removed(self):
         problem = make_problem()
         traces = [make_trace(trace_id=f"t{i}", correct=True) for i in range(8)]
-        result = filter_and_subsample([problem], {problem.id: traces}, k=8, seed=1)
-        assert result.kept == []
-        assert result.dropped[problem.id] == "all_correct"
+        kept, dropped = filter_and_subsample([problem], {problem.id: traces}, k=8, seed=1)
+        assert kept == []
+        assert dropped[problem.id] == "all_correct"
 
     def test_fewer_traces_than_k_all_incorrect(self):
         problem = make_problem()
         traces = [make_trace(trace_id=f"t{i}", correct=False) for i in range(3)]
-        result = filter_and_subsample([problem], {problem.id: traces}, k=8, seed=1)
-        (_, kept) = result.kept[0]
+        result, _ = filter_and_subsample([problem], {problem.id: traces}, k=8, seed=1)
+        (_, kept) = result[0]
         assert len(kept) == 3
         assert all(not t.correct for t in kept)
 
     def test_zero_parsed_traces_dropped_with_reason(self):
         problem = make_problem()
         traces = [make_trace(trace_id="t0", final_answer=None, steps=["s"])]
-        result = filter_and_subsample([problem], {problem.id: traces}, k=8, seed=1)
-        assert result.dropped[problem.id] == "no_parsed_traces"
+        _, dropped = filter_and_subsample([problem], {problem.id: traces}, k=8, seed=1)
+        assert dropped[problem.id] == "no_parsed_traces"
 
     def test_deterministic_across_runs_and_order(self):
         rng = random.Random(11)
         problems, traces_by_problem = _synthetic_problem_set(rng, 40)
-        first = filter_and_subsample(problems, traces_by_problem, k=8, seed=5)
-        second = filter_and_subsample(problems, traces_by_problem, k=8, seed=5)
+        first, _ = filter_and_subsample(problems, traces_by_problem, k=8, seed=5)
+        second, _ = filter_and_subsample(problems, traces_by_problem, k=8, seed=5)
         assert _workset_bytes(first) == _workset_bytes(second)
         # Per-problem choice does not depend on dataset order.
         shuffled = list(problems)
         random.Random(0).shuffle(shuffled)
-        third = filter_and_subsample(shuffled, traces_by_problem, k=8, seed=5)
-        kept_of = {p.id: [t.trace_id for t in ts] for p, ts in third.kept}
-        for problem, traces in first.kept:
+        third, _ = filter_and_subsample(shuffled, traces_by_problem, k=8, seed=5)
+        kept_of = {p.id: [t.trace_id for t in ts] for p, ts in third}
+        for problem, traces in first:
             assert kept_of[problem.id] == [t.trace_id for t in traces]
 
     def test_subsample_size_and_correct_presence_invariants(self):
         rng = random.Random(3)
         problems, traces_by_problem = _synthetic_problem_set(rng, 60)
-        result = filter_and_subsample(problems, traces_by_problem, k=8, seed=9)
-        for problem, kept in result.kept:
+        result, _ = filter_and_subsample(problems, traces_by_problem, k=8, seed=9)
+        for problem, kept in result:
             parsed = [t for t in traces_by_problem[problem.id] if t.parse_ok]
             assert len(kept) == min(8, len(parsed))
             assert not all(t.correct for t in parsed)
