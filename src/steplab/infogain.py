@@ -35,8 +35,10 @@ class StepSignal:
     values: list[float] = field(kw_only=True)
 
     def __post_init__(self):
-        """Values, one per step, must be finite numbers: thresholding and
-        calibration need a total order on them."""
+        """Ids must be strings, and values, one per step, finite numbers:
+        thresholding and calibration need a total order on them."""
+        if type(self.problem_id) is not str or type(self.trace_id) is not str:
+            raise ValueError("problem_id and trace_id must be strings")
         if not self.values or not all(type(v) in (int, float) and math.isfinite(v) for v in self.values):
             raise ValueError(f"trace {self.problem_id}/{self.trace_id}: values must be one or more finite numbers")
 

@@ -349,18 +349,20 @@ def _prepare_ingest(cfg: RunConfig, paths: dict[str, Path]):
 
 def _ingest(cfg: RunConfig, io: StageIO, state) -> dict:
     problems = read_problems(cfg.problems)
-    dropped = {p.id: "domain_excluded" for p in problems if cfg.domains and p.domain not in cfg.domains}
-    for pid in dropped:
-        log.info("dropped problem %s: domain_excluded", pid)
-    problems = [p for p in problems if p.id not in dropped]
     domain_of = {p.id: p.domain for p in problems}
+    dropped = {pid: "domain_excluded" for pid, domain in domain_of.items() if cfg.domains and domain not in cfg.domains}
+    kept = [p for p in problems if p.id not in dropped]
 
     parsed = []
-    traces_in = parse_failures = 0
+    traces_in = domain_excluded = parse_failures = 0
     for obj in read_raw_traces(cfg.traces):
         traces_in += 1
         pid = obj["problem_id"]
         if pid not in domain_of:
+            where = f"{cfg.traces}: trace {obj['trace_id']!r} names problem {pid!r}"
+            raise DataError(f"{where}, which is not in {cfg.problems}")
+        if pid in dropped:
+            domain_excluded += 1
             continue
         try:
             trace = parse_trace(obj["raw_text"], domain_of[pid], problem_id=pid, trace_id=obj["trace_id"])
@@ -369,15 +371,13 @@ def _ingest(cfg: RunConfig, io: StageIO, state) -> dict:
         if not trace.parse_ok:
             parse_failures += 1
         parsed.append(trace)
-    io.wrote("problems", write_problems(io.paths["problems"], problems), problems)
+    io.wrote("problems", write_problems(io.paths["problems"], kept), kept)
     io.wrote("parsed_traces", write_traces(io.paths["parsed_traces"], parsed), parsed)
     return {
-        "problems_in": len(problems) + len(dropped),
-        "problems_out": len(problems),
-        "dropped_by_reason": _reason_counts(dropped),
-        "dropped": dropped,
+        **_drop_counts("problems", len(problems), dropped),
         "traces_in": traces_in,
         "traces_out": len(parsed),
+        "traces_domain_excluded": domain_excluded,
         "parse_failures": parse_failures,
     }
 
@@ -461,10 +461,7 @@ def _score(cfg: RunConfig, io: StageIO, backend) -> dict:
     io.wrote("working_set", write_jsonl(io.paths["working_set"], working_rows), working)
     io.wrote("profiles", write_jsonl(io.paths["profiles"], map(vars, profiles)), profiles)
     return {
-        "problems_in": len(problems),
-        "problems_out": len(kept),
-        "dropped_by_reason": _reason_counts(dropped),
-        "dropped": dropped,
+        **_drop_counts("problems", len(problems), dropped),
         "traces_scored": len(profiles),
         "requests": sum(map(len, totals)),
         **counts,
@@ -485,9 +482,7 @@ def _signals(cfg: RunConfig, io: StageIO, state) -> dict:
             _check_known(paths["profiles"], profile, paths["pools"], pools)
             pool = pools[profile.problem_id]
             if not pool.correct:
-                if profile.problem_id not in dropped:
-                    dropped[profile.problem_id] = "no_correct_answers_in_pool"
-                    log.info("dropped problem %s: no_correct_answers_in_pool", profile.problem_id)
+                dropped[profile.problem_id] = "no_correct_answers_in_pool"
                 continue
             if not pool.wrong:
                 raise DataError(f"{paths['pools']}: trace {profile.trace_id!r} has no wrong answer in its pool")
@@ -498,13 +493,7 @@ def _signals(cfg: RunConfig, io: StageIO, state) -> dict:
             _require_columns(paths["profiles"], profile, [gold])
             signals.append(ig_signal(profile, gold))
     io.wrote("signals", write_jsonl(paths["signals"], map(vars, signals)), signals)
-    return {
-        "problems_in": len(profile_problems),
-        "problems_out": len(profile_problems) - len(dropped),
-        "dropped_by_reason": _reason_counts(dropped),
-        "dropped": dropped,
-        "traces_signaled": len(signals),
-    }
+    return {**_drop_counts("problems", len(profile_problems), dropped), "traces_signaled": len(signals)}
 
 
 def _sweep(cfg: RunConfig, io: StageIO, state) -> dict:
@@ -624,8 +613,7 @@ def _emit(cfg: RunConfig, io: StageIO, state) -> dict:
         for pid, trace_id, labels in dataset_jobs:
             fragment = fragments[(pid, trace_id)]
             if isinstance(fragment, ReservedSymbolError):
-                dropped[trace_id] = fragment.reason_code
-                log.info("dropped trace %s: %s", trace_id, fragment.reason_code)
+                dropped.setdefault(pid, {})[trace_id] = fragment.reason_code
             elif labels is None:
                 correct = traces[(pid, trace_id)].correct
                 lines.append(emit_orm_record(fragment, correct))
@@ -641,9 +629,7 @@ def _emit(cfg: RunConfig, io: StageIO, state) -> dict:
         tmp_dir.rename(out_dir)
         counts[which] = {
             "records": len(lines),
-            "traces_in": len(dataset_jobs),
-            "dropped_by_reason": _reason_counts(dropped),
-            "dropped": dropped,
+            **_drop_counts("traces", len(dataset_jobs), dropped),
             "balance": label_balance(targets),
             "shards": [str(out_dir / p.name) for p in shard_paths],
         }
@@ -658,6 +644,8 @@ def _prepare_eval(cfg: RunConfig, paths: dict[str, Path]):
     if cfg.eval_scorer == "label-product":
         extra.append(paths["step_labels"])
     if cfg.step_scores:
+        if not Path(cfg.step_scores).exists():
+            raise ConfigError(f"step scores file not found: {cfg.step_scores}")
         extra.append(Path(cfg.step_scores))
     return None, extra, {}
 
@@ -731,8 +719,18 @@ def _by_problem(traces: list) -> dict[str, list]:
     return grouped
 
 
-def _reason_counts(dropped: dict[str, str]) -> dict[str, int]:
-    return dict(Counter(dropped.values()))
+def _drop_counts(unit: str, count_in: int, dropped: dict) -> dict:
+    """A stage's one record of what it dropped, for its manifest: of
+    ``count_in`` items of ``unit``, those in ``dropped``, which maps each
+    dropped item's id to its reason, or a problem id to such a map of its
+    traces (trace ids repeat across problems)."""
+    reasons = Counter(r for v in dropped.values() for r in (v.values() if isinstance(v, dict) else [v]))
+    return {
+        f"{unit}_in": count_in,
+        f"{unit}_out": count_in - reasons.total(),
+        "dropped_by_reason": dict(reasons),
+        "dropped": dropped,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -536,6 +536,8 @@ class InformationProfile:
     values: list[list[float]]
 
     def __post_init__(self):
+        if type(self.problem_id) is not str or type(self.trace_id) is not str:
+            raise ValueError("problem_id and trace_id must be strings")
         if len(self.values) < 2:
             raise ValueError("a profile holds the step-0 row and at least one step row")
         if len(set(self.answers)) != len(self.answers):

@@ -214,11 +214,9 @@ def filter_and_subsample(
         parsed = [t for t in traces_by_problem.get(problem.id, []) if t.parse_ok]
         if not parsed:
             dropped[problem.id] = "no_parsed_traces"
-            log.info("dropped problem %s: no_parsed_traces", problem.id)
             continue
         if all(t.correct for t in parsed):
             dropped[problem.id] = "all_correct"
-            log.info("dropped problem %s: all_correct", problem.id)
             continue
         kept.append((problem, _subsample(parsed, k, seed, problem.id)))
     return kept, dropped

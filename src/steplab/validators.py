@@ -19,7 +19,6 @@ import math
 import os
 import re
 import string
-import threading
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -42,11 +41,6 @@ DEFAULT_COMMAND_TIMEOUT_S = 30.0
 # DETACH or PRAGMA.
 SQL_STEP_BUDGET = 20_000_000
 SQL_PROGRESS_INTERVAL = 1_000
-
-# Callers may run validators from worker threads; child processes stay
-# bounded regardless.
-MAX_CONCURRENT_COMMANDS = 8
-_command_slots = threading.BoundedSemaphore(MAX_CONCURRENT_COMMANDS)
 
 
 @dataclass(frozen=True)
@@ -238,7 +232,7 @@ def check_external(command_template: str, candidate: str, timeout_s: float = DEF
         cand_path.write_text(candidate, encoding="utf-8")
         argv = shlex.split(command_template.replace("{candidate}", str(cand_path)))
         try:
-            with _command_slots, subprocess.Popen(
+            with subprocess.Popen(
                 argv, cwd=workdir, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True
             ) as proc:
                 try:

@@ -216,17 +216,38 @@ class TestPipeline:
         assert stage_names == ["ingest", "validate", "score", "signals", "sweep", "label", "emit", "eval"]
 
     def test_manifest_accounting_identity(self, small_corpus, tmp_path):
-        cfg = config_for(small_corpus, tmp_path)
-        manifest = run_pipeline(cfg)
-        for stage in manifest["stages"]:
-            counts = stage.get("counts", {})
-            if "problems_in" in counts and "dropped_by_reason" in counts:
-                dropped_total = sum(counts["dropped_by_reason"].values())
-                assert counts["problems_in"] == counts["problems_out"] + dropped_total
-        emit = next(stage["counts"] for stage in manifest["stages"] if stage["name"] == "emit")
-        for which in ("prm", "orm"):
-            dropped_total = sum(emit[which]["dropped_by_reason"].values())
-            assert emit[which]["records"] + dropped_total == emit[which]["traces_in"], which
+        """Every item a stage takes in is kept or dropped with a reason: in a
+        plain run, in one with a domain excluded, and in one whose trace ids
+        repeat across problems, with a reserved symbol in every trace t1."""
+        repeated = tmp_path / "repeated-ids.jsonl"
+        rows = []
+        for row in read_jsonl(small_corpus["traces"]):
+            trace_id = row["trace_id"].rsplit("-", 1)[1]  # t0, t1, ... in every problem
+            marker = f"{STEP_MARKER} " if trace_id == "t1" else ""
+            rows.append({**row, "trace_id": trace_id, "raw_text": marker + row["raw_text"]})
+        repeated.write_text(_jsonl(rows))
+        runs = {
+            "plain": config_for(small_corpus, tmp_path),
+            "math-only": config_for(small_corpus, tmp_path, out="math", domains=["math"]),
+            "repeated-ids": config_for(small_corpus, tmp_path, out="repeated", traces=str(repeated)),
+        }
+        for run, cfg in runs.items():
+            stages = {stage["name"]: stage["counts"] for stage in run_pipeline(cfg)["stages"]}
+            for name, counts in stages.items():
+                if "problems_in" in counts and "dropped_by_reason" in counts:
+                    dropped_total = sum(counts["dropped_by_reason"].values())
+                    assert counts["problems_in"] == counts["problems_out"] + dropped_total, (run, name)
+            ingest = stages["ingest"]
+            assert ingest["traces_in"] == ingest["traces_out"] + ingest["traces_domain_excluded"], run
+            assert (ingest["traces_domain_excluded"] > 0) == (run == "math-only")
+            for which in ("prm", "orm"):
+                emit = stages["emit"][which]
+                dropped_total = sum(emit["dropped_by_reason"].values())
+                assert emit["records"] + dropped_total == emit["traces_in"], (run, which)
+                assert dropped_total == sum(map(len, emit["dropped"].values())), (run, which)
+                if run == "repeated-ids":
+                    assert len(emit["dropped"]) > 1
+                    assert all(traces == {"t1": "reserved_symbol_in_step"} for traces in emit["dropped"].values())
 
     def test_rerun_same_dir_skips_all_stages(self, small_corpus, tmp_path):
         cfg = config_for(small_corpus, tmp_path)
@@ -957,6 +978,13 @@ class TestRunReport:
             " run the upstream stage first"
         )
 
+    def test_eval_with_a_missing_step_scores_file_names_it(self, run_6x4, tmp_path, capsys):
+        run, missing = tmp_path / "run", tmp_path / "nope.jsonl"
+        shutil.copytree(run_6x4, run)
+        argv = ["eval-bok", "--out-dir", str(run), "--scorer", "step-product", "--step-scores", str(missing)]
+        assert main(argv) == 2
+        assert self.report(run, capsys)[-1] == f"  eval: failed | ConfigError: step scores file not found: {missing}"
+
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     def test_report_into_a_closed_pipe_exits_141_and_says_nothing(self, run_6x4, unbuffered):
         """``steplab report | head``, when head has gone: with stdout buffered
@@ -1068,6 +1096,10 @@ MALFORMED_USER_FILES = {
         lambda c, r: _jsonl([{**row, "raw_text": ["step", "$4$"]} for row in read_jsonl(c["traces"])]),
     ),
     "trace-id-repeated": ("traces", lambda c, r: _first_trace_repeated(c["traces"])),
+    "trace-of-an-unknown-problem": (
+        "traces",
+        lambda c, r: c["traces"].read_text() + _jsonl([{"problem_id": "nowhere", "trace_id": "t0", "raw_text": "$4$"}]),
+    ),
     # JSON's escape of a lone surrogate decodes, but UTF-8 cannot encode it into an artifact
     "trace-raw-text-lone-surrogate": (
         "traces",
@@ -1306,7 +1338,8 @@ class TestEmitInputs:
         run = tmp_path / "run"
         shutil.copytree(run_6x4, run)
         paths = artifact_paths(run)
-        trace_id = next(read_jsonl(paths["step_labels"]))["trace_id"]
+        first = next(read_jsonl(paths["step_labels"]))
+        problem_id, trace_id = first["problem_id"], first["trace_id"]
         rows = list(read_jsonl(paths["parsed_traces"]))
         for row in rows:
             if row["trace_id"] == trace_id:
@@ -1316,7 +1349,7 @@ class TestEmitInputs:
         assert main(["emit", "--out-dir", str(run)]) == 0
         counts = json.loads((run / "stages" / "emit.json").read_text())["counts"]
         for which in ("prm", "orm"):
-            assert counts[which]["dropped"] == {trace_id: "reserved_symbol_in_step"}
+            assert counts[which]["dropped"] == {problem_id: {trace_id: "reserved_symbol_in_step"}}
             assert counts[which]["dropped_by_reason"] == {"reserved_symbol_in_step": 1}
             assert counts[which]["records"] == before[which]["records"] - 1
             assert trace_id not in {obj["trace_id"] for p in counts[which]["shards"] for obj in read_jsonl(p)}
@@ -1505,9 +1538,11 @@ MALFORMED_RUN_ARTIFACTS = {
     "profile-with-no-rows": ("profiles", lambda row: {**row, "values": []}, ["label"]),
     "profile-with-only-the-step-0-row": ("profiles", lambda row: {**row, "values": row["values"][:1]}, ["label"]),
     "profile-row-repeated": ("profiles", lambda row: [row, row], ["label"]),
+    "profile-with-a-null-trace-id": ("profiles", lambda row: {**row, "trace_id": None}, ["label"]),
     "signal-without-method": ("signals", _without("method"), ["run", "--stages", "label"]),
     "signal-with-no-values": ("signals", lambda row: {**row, "values": []}, ["run", "--stages", "label"]),
     "signal-row-repeated": ("signals", lambda row: [row, row], ["run", "--stages", "label"]),
+    "signal-with-a-null-problem-id": ("signals", lambda row: {**row, "problem_id": None}, ["run", "--stages", "label"]),
     "signal-with-a-value-too-few": ("signals", lambda row: {**row, "values": row["values"][:-1]}, ["sweep"]),
     "step-labels-without-labels": ("step_labels", _without("labels"), ["emit"]),
     "step-labels-as-a-string": ("step_labels", lambda row: {**row, "labels": "10"}, ["emit"]),
