@@ -12,7 +12,7 @@ import random
 from pathlib import Path
 
 from .ioutil import stable_seed, write_jsonl
-from .scoring import ReferenceModel, build_context
+from .scoring import ReferenceModel, prefix_contexts
 from .trace_model import Problem, parse_trace, write_problems
 from .validators import ValidatorSpec
 
@@ -130,8 +130,7 @@ def _add_table_weights(
     rng = random.Random(stable_seed(seed, "table", problem.id, trace.trace_id))
     own = trace.final_answer
     ends_correct = own == problem.gold_answer
-    for i in range(len(trace.steps) + 1):
-        base_key = build_context(problem.question, trace.steps[:i])
+    for i, base_key in enumerate(prefix_contexts(problem.question, trace.steps)):
         for answer in answers:
             # Traces that end correct build support for their own answer as
             # steps accumulate; other answers drift slightly down.
@@ -141,9 +140,13 @@ def _add_table_weights(
                 weight = min(0.9, 0.30 + 0.08 * i + rng.uniform(0.0, 0.1))
             else:
                 weight = max(0.03, 0.30 - 0.04 * i + rng.uniform(-0.05, 0.1))
+            weight = round(weight, 4)
             for c, ch in enumerate(answer):
                 key = base_key + answer[:c]
-                weights.setdefault(key, {}).setdefault(ch, round(weight, 4))
+                if (dist := weights.get(key)) is None:
+                    weights[key] = {ch: weight}
+                elif ch not in dist:  # the first trace to reach a key sets its weight
+                    dist[ch] = weight
 
 
 def _normalize_weights(weights: dict[str, dict[str, float]]) -> dict[str, dict[str, float]]:

@@ -485,7 +485,10 @@ def _signals(cfg: RunConfig, io: StageIO, state) -> dict:
                 dropped[profile.problem_id] = "no_correct_answers_in_pool"
                 continue
             if not pool.wrong:
-                raise DataError(f"{paths['pools']}: trace {profile.trace_id!r} has no wrong answer in its pool")
+                raise DataError(
+                    f"{paths['pools']}: trace {profile.trace_id!r} of problem {profile.problem_id!r}"
+                    " has no wrong answer in its pool"
+                )
             _require_columns(paths["profiles"], profile, pool.correct + pool.wrong)
             signals.append(mcnig_signal(profile, pool, cfg.aggregation, cfg.reference))
         else:
@@ -659,7 +662,9 @@ def _step_scores_row(obj: dict, step_counts: dict) -> tuple[tuple[str, str], lis
         raise ValueError(f"step_probs must be a non-empty list of probabilities in [0, 1], got {obj['step_probs']!r}")
     key = (obj["problem_id"], obj["trace_id"])
     if len(probs) != step_counts.get(key, len(probs)):
-        raise ValueError(f"trace {key[1]!r} has {len(probs)} step probabilities for {step_counts[key]} steps")
+        raise ValueError(
+            f"trace {key[1]!r} of problem {key[0]!r} has {len(probs)} step probabilities for {step_counts[key]} steps"
+        )
     return key, probs
 
 
@@ -709,7 +714,10 @@ def _require_columns(source: Path, profile: InformationProfile, answers: list[st
     """A ``source`` profile must have a column for each answer its signal reads."""
     for answer in answers:
         if answer not in profile.answers:
-            raise DataError(f"{source}: trace {profile.trace_id!r} has no column for answer {answer!r}")
+            raise DataError(
+                f"{source}: trace {profile.trace_id!r} of problem {profile.problem_id!r}"
+                f" has no column for answer {answer!r}"
+            )
 
 
 def _by_problem(traces: list) -> dict[str, list]:
@@ -955,8 +963,16 @@ def summarize_run(out_dir: str | Path) -> str:
                     f", backend p50 {counts['backend_p50_ms']:.2f} ms, p99 {counts['backend_p99_ms']:.2f} ms"
                 )
             parts.append(requests)
+        if "chars_sent" in counts:
+            chars = f"chars sent {counts['chars_sent']}"
+            if counts["chars_linear"]:
+                chars += f" ({counts['chars_sent'] / counts['chars_linear']:.1f}x the linear cost)"
+            parts.append(chars)
         if "cache_hit_rate" in counts:
-            parts.append(f"cache hit rate {counts['cache_hit_rate']:.1%}")
+            cache = f"cache hit rate {counts['cache_hit_rate']:.1%}"
+            if counts.get("cache_damaged"):
+                cache += f", damaged rows {counts['cache_damaged']}"
+            parts.append(cache)
         if "accuracy" in counts:
             parts.append(f"accuracy {counts['accuracy']:.4f}")
         if "unscored_candidates" in counts:

@@ -37,8 +37,9 @@ import time
 from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from pathlib import Path
-from typing import Protocol
+from typing import NamedTuple, Protocol
 from urllib.parse import SplitResult, urlsplit
 
 from .errors import BackendError, ConfigError, DataError
@@ -49,6 +50,8 @@ log = logging.getLogger(__name__)
 
 CONTEXT_JOINER = "\n"
 LOGPROB_FLOOR = -100.0
+# The reference model's entry for a context key its table lacks; never written.
+_NO_TOKENS: dict[str, float] = {}
 # Longest wait between HTTP attempts, whether from backoff or Retry-After.
 BACKOFF_CAP_S = 30.0
 # Longest HTTP answer body read, in bytes.
@@ -69,8 +72,14 @@ def build_context(question: str, steps_prefix: list[str]) -> str:
     return CONTEXT_JOINER.join([question, *steps_prefix])
 
 
-@dataclass(frozen=True)
-class ScoringRequest:
+def prefix_contexts(question: str, steps: list[str]) -> list[str]:
+    """:func:`build_context` of each step prefix 0..N, each extending the last."""
+    return list(accumulate(steps, lambda context, step: context + CONTEXT_JOINER + step, initial=question))
+
+
+class ScoringRequest(NamedTuple):
+    """One cell: a tuple, so it hashes and compares as ``(context, continuation)``."""
+
     context: str
     continuation: str
 
@@ -122,12 +131,14 @@ class ReferenceModel:
     falling back to ``fallback_prob`` for unlisted entries. The fixture file
     is a JSON object ``{"fallback_prob": p, "table": {key: {token: prob}}}``.
     The id hashes the file's bytes, or for a model built in memory the bytes
-    :meth:`to_file` writes. A file is parsed when a call first needs the table.
+    :meth:`to_file` writes, serialized once. A file is parsed when a call
+    first needs the table.
     """
 
     def __init__(self, table: dict[str, dict[str, float]], fallback_prob: float = 0.01):
         self._set(table, fallback_prob)
-        self.backend_id = "reference:" + sha256_text(self._dump())[:12]
+        self._data = self._dump()
+        self.backend_id = "reference:" + sha256_bytes(self._data)[:12]
 
     def _set(self, table: dict[str, dict[str, float]], fallback_prob: float) -> None:
         if not 0 < fallback_prob < 1:
@@ -145,7 +156,7 @@ class ReferenceModel:
         except OSError as exc:
             raise ConfigError(f"reference model {path} is unreadable: {exc.strerror or exc}") from exc
         model = cls.__new__(cls)
-        model._source, model._lock, model._failure = (Path(path), data), threading.Lock(), ""
+        model._source, model._lock, model._failure, model._data = (Path(path), data), threading.Lock(), "", None
         model.backend_id = "reference:" + sha256_bytes(data)[:12]
         return model
 
@@ -162,21 +173,25 @@ class ReferenceModel:
                         self._failure = f"reference model {self._source[0]} is invalid: {exc!r}"
                         raise DataError(self._failure) from exc
 
-    def _dump(self) -> str:
-        return json.dumps({"fallback_prob": self.fallback_prob, "table": self.table}, ensure_ascii=False)
+    def _dump(self) -> bytes:
+        return json.dumps({"fallback_prob": self.fallback_prob, "table": self.table}, ensure_ascii=False).encode()
 
     def to_file(self, path: str | Path) -> None:
         self._load()
-        Path(path).write_text(self._dump(), encoding="utf-8")
+        Path(path).write_bytes(self._data or self._dump())
 
     def score(self, request: ScoringRequest) -> TokenLogprobs:
         self._load()
-        logprobs = []
-        for idx, ch in enumerate(request.continuation):
-            key = request.context + request.continuation[:idx]
-            prob = self.table.get(key, {}).get(ch, self.fallback_prob)
-            logprobs.append(math.log(prob))
-        return TokenLogprobs.clamped(list(request.continuation), logprobs, self.backend_id)
+        context, continuation = request
+        if not continuation:
+            raise ValueError("the continuation is empty")
+        table, fallback = self.table, self.fallback_prob
+        # _set admits only probabilities in (0, 1]: each log is finite and <= 0.
+        logprobs = [
+            max(LOGPROB_FLOOR, math.log(table.get(context + continuation[:i], _NO_TOKENS).get(ch, fallback)))
+            for i, ch in enumerate(continuation)
+        ]
+        return TokenLogprobs(list(continuation), logprobs, self.backend_id)
 
     def close(self) -> None:
         pass
@@ -437,15 +452,17 @@ class ScoreCache:
     only the calling thread touches the database. Inserts are ``INSERT OR
     IGNORE`` in one transaction per :meth:`put`: processes sharing the file
     lose no row, and caches merge the same way from an attached file. A row
-    that is not the expected number of finite totals <= 0 is deleted and
-    counts as a miss, so it gets rewritten; a file SQLite cannot read is a
-    :class:`ConfigError`. Tables of earlier formats are not read.
+    that is not the expected number of finite totals <= 0 is deleted, counted
+    in ``damaged`` and counts as a miss, so it gets rewritten; a file SQLite
+    cannot read is a :class:`ConfigError`. Tables of earlier formats are not
+    read.
     """
 
     FILENAME = "scores.sqlite"
 
     def __init__(self, directory: str | Path):
         self.path = Path(directory) / self.FILENAME
+        self.damaged = 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self._connect() as db:
             db.execute("CREATE TABLE IF NOT EXISTS profiles (key TEXT PRIMARY KEY, totals BLOB NOT NULL) WITHOUT ROWID")
@@ -478,12 +495,13 @@ class ScoreCache:
                 for key, blob in db.execute(f"SELECT key, totals FROM profiles WHERE key IN ({marks})", chunk):
                     totals = _unpack_totals(blob, wanted[key])
                     if totals is None:
-                        log.warning("discarding damaged cache record %s", key[:12])
+                        log.debug("discarding damaged cache record %s", key[:12])
                         damaged.append((key,))
                     else:
                         found[key] = totals
             if damaged:
                 db.executemany("DELETE FROM profiles WHERE key = ?", damaged)
+        self.damaged += len(damaged)
         return found
 
     def put(self, rows: Iterable[tuple[str, list[float]]]) -> None:
@@ -552,7 +570,7 @@ class InformationProfile:
 def profile_requests(problem: Problem, trace: ReasoningTrace, answers: list[str]) -> list[ScoringRequest]:
     """The requests of a trace's profile in row order: each step prefix
     0..N, and within a prefix each answer."""
-    contexts = [build_context(problem.question, trace.steps[:i]) for i in range(len(trace.steps) + 1)]
+    contexts = prefix_contexts(problem.question, trace.steps)
     return [ScoringRequest(context, answer) for context in contexts for answer in answers]
 
 
@@ -588,21 +606,27 @@ def score_traces(
 
     The counts are ``backend_calls`` completed, ``retries``, ``cache_hits``
     and ``cache_misses`` per distinct trace (0 without a cache) and
-    ``rows_stored``; on success also the backend latency quantiles and the
-    cache hit rate.
+    ``rows_stored``. On success they also hold ``cache_damaged``, the cache
+    rows discarded; ``chars_sent``, the context and continuation characters
+    of the cells scored; ``chars_linear``, the paper's linear cost of the
+    jobs, |q| + sum|steps| + (N+1) * sum|answers| characters each; the backend
+    latency quantiles and the cache hit rate.
     """
     cache, inner = (backend.cache, backend.inner) if isinstance(backend, CachingBackend) else (None, backend)
     keys = [trace_key(backend.backend_id, problem.question, trace.steps, answers) for problem, trace, answers in jobs]
     distinct = dict(zip(keys, jobs))
     counts = {"backend_calls": 0, "retries": 0, "cache_hits": 0, "cache_misses": 0, "rows_stored": 0}
+    damaged = 0
     retries_before = getattr(inner, "retries", 0)
     rows: dict[str, list[float]] = {}
     done: dict[ScoringRequest, float] = {}  # every cell scored so far, and its total
     latencies: list[float] = []
     try:
         if cache is not None:
+            damaged_before = cache.damaged
             rows = cache.get({key: (len(t.steps) + 1) * len(answers) for key, (_, t, answers) in distinct.items()})
             counts["cache_hits"], counts["cache_misses"] = len(rows), len(distinct) - len(rows)
+            damaged = cache.damaged - damaged_before
         missed = [key for key in distinct if key not in rows]
         score_many = getattr(inner, "score_many", functools.partial(_score_serially, inner))
         for start in range(0, len(missed), CACHE_BATCH):
@@ -629,6 +653,12 @@ def score_traces(
         counts["retries"] = getattr(inner, "retries", 0) - retries_before
     lookups = counts["cache_hits"] + counts["cache_misses"]
     counts.update(
+        cache_damaged=damaged,
+        chars_sent=sum(map(len, chain.from_iterable(done))),  # a cell is (context, continuation)
+        chars_linear=sum(
+            len(problem.question) + sum(map(len, trace.steps)) + (len(trace.steps) + 1) * sum(map(len, answers))
+            for problem, trace, answers in jobs
+        ),
         backend_p50_ms=round(_latency_ms(latencies, 0.50), 3),
         backend_p99_ms=round(_latency_ms(latencies, 0.99), 3),
         cache_hit_rate=counts["cache_hits"] / lookups if lookups else 0.0,

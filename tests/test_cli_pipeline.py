@@ -2,6 +2,7 @@ import fcntl
 import gc
 import hashlib
 import json
+import logging
 import math
 import os
 import shutil
@@ -923,6 +924,32 @@ class TestRunReport:
         assert 0 < failed["counts"]["rows_stored"] == cache_tables(tmp_path / "cache")["profiles"]
         assert f"rows stored {failed['counts']['rows_stored']}" in self.report(cfg.out, capsys)[-1]
 
+    def test_cold_and_warm_runs_report_the_characters_sent(self, small_corpus, tmp_path, capsys):
+        run_pipeline(config_for(small_corpus, tmp_path, out="cold"))
+        run_pipeline(config_for(small_corpus, tmp_path, out="warm"))
+        cold, warm = (
+            json.loads((tmp_path / out / "stages" / "score.json").read_text())["counts"] for out in ("cold", "warm")
+        )
+        assert cold["chars_sent"] > cold["chars_linear"] == warm["chars_linear"] > 0 == warm["chars_sent"]
+        ratio = f"{cold['chars_sent'] / cold['chars_linear']:.1f}x"
+        line = self.report(tmp_path / "cold", capsys)[2]
+        assert f"| chars sent {cold['chars_sent']} ({ratio} the linear cost) |" in line
+        assert "| chars sent 0 (0.0x the linear cost) |" in self.report(tmp_path / "warm", capsys)[2]
+
+    def test_damaged_cache_rows_are_counted_not_warned(self, small_corpus, tmp_path, capsys, caplog):
+        run_pipeline(config_for(small_corpus, tmp_path, out="cold"))
+        with sqlite3.connect(tmp_path / "cache" / "scores.sqlite") as db:
+            db.execute("UPDATE profiles SET totals = x'00' WHERE key IN (SELECT key FROM profiles LIMIT 2)")
+        db.close()
+        caplog.clear()
+        run_pipeline(config_for(small_corpus, tmp_path, out="warm"))
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
+        counts = json.loads((tmp_path / "warm" / "stages" / "score.json").read_text())["counts"]
+        assert counts["cache_damaged"] == counts["cache_misses"] == counts["rows_stored"] == 2
+        assert "| cache hit rate " in (line := self.report(tmp_path / "warm", capsys)[2])
+        assert line.endswith(", damaged rows 2")
+        assert "damaged" not in self.report(tmp_path / "cold", capsys)[2]
+
     def test_unknown_stage_is_recorded_as_failed_before_any_stage_runs(self, run_6x4, tmp_path, capsys):
         run = tmp_path / "run"
         shutil.copytree(run_6x4, run)
@@ -1446,6 +1473,66 @@ class TestProfilesThatCannotBeSignalled:
         counts = json.loads((run / "stages" / "signals.json").read_text())["counts"]
         assert counts["dropped"][profile["problem_id"]] == "no_correct_answers_in_pool"
         assert profile["problem_id"] not in {row["problem_id"] for row in read_jsonl(paths["signals"])}
+
+
+@pytest.fixture(scope="module")
+def run_t0_t3(tmp_path_factory):
+    """A finished run of a 6x4 demo corpus whose traces are t0-t3 in each
+    problem, so that a trace id alone names no trace."""
+    root = tmp_path_factory.mktemp("run-t0-t3")
+    corpus = build_demo_corpus(root / "corpus", n_problems=6, traces_per_problem=4)
+    rows = [{**row, "trace_id": row["trace_id"].rsplit("-", 1)[1]} for row in read_jsonl(corpus["traces"])]
+    corpus["traces"].write_text(_jsonl(rows))
+    assert main([
+        "--backend", f"reference:{corpus['reference_model']}",
+        "run", "--out-dir", str(root / "run"),
+        "--problems", str(corpus["problems"]),
+        "--traces", str(corpus["traces"]),
+    ]) == 0
+    return root / "run"
+
+
+class TestErrorsNameProblemAndTrace:
+    """Where trace ids repeat across problems, a data error about one trace
+    names its problem too."""
+
+    @pytest.fixture()
+    def run(self, run_t0_t3, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(run_t0_t3, run)
+        return run
+
+    @staticmethod
+    def named(caplog, profile) -> bool:
+        where = f"trace {profile['trace_id']!r} of problem {profile['problem_id']!r}"
+        return any("DataError" in r.message and where in r.message for r in caplog.records)
+
+    def signalled_profile(self, run):
+        profiles, pools, profile = TestProfilesThatCannotBeSignalled.rows(run)
+        assert profile["trace_id"] in {"t0", "t1", "t2", "t3"}
+        return profiles, pools, profile
+
+    def test_profile_without_a_column(self, run, caplog):
+        profiles, pools, profile = self.signalled_profile(run)
+        _drop_column(profile, pools[profile["problem_id"]]["wrong"][0])
+        artifact_paths(run)["profiles"].write_text(_jsonl(profiles))
+        assert main(["label", "--out-dir", str(run)]) == 3
+        assert self.named(caplog, profile)
+
+    def test_pool_without_a_wrong_answer(self, run, caplog):
+        _, pools, profile = self.signalled_profile(run)
+        pools[profile["problem_id"]]["wrong"] = []
+        artifact_paths(run)["pools"].write_text(_jsonl(pools.values()))
+        assert main(["label", "--out-dir", str(run)]) == 3
+        assert self.named(caplog, profile)
+
+    def test_step_scores_of_the_wrong_length(self, run, tmp_path, caplog):
+        step_scores = tmp_path / "step_scores.jsonl"
+        step_scores.write_text(_step_scores(run, lambda probs: probs + [0.5]))
+        first = next(read_jsonl(step_scores))
+        argv = ["eval-bok", "--out-dir", str(run), "--scorer", "step-product", "--step-scores", str(step_scores)]
+        assert main(argv) == 3
+        assert self.named(caplog, first)
 
 
 class TestSweepOfOneClass:

@@ -2,7 +2,8 @@
 
 The digests were recorded from a full run of the pipeline before the stage
 table replaced the per-stage code, with the reference backend, no score
-cache and the default seed. Any change to a byte-stable artifact fails here.
+cache and the default seed. Any change to a byte-stable artifact fails here,
+and so does any change to the files ``build_demo_corpus`` writes.
 """
 
 import hashlib
@@ -10,6 +11,7 @@ import hashlib
 import pytest
 
 from steplab.cli import main
+from steplab.fixtures import build_demo_corpus
 
 GOLDEN = {
     "problems.jsonl": "ee603f7fed7d7bdc870673e212463326bb70f23c9f0eaf5784659f0c1b4262a6",
@@ -29,6 +31,25 @@ EVAL_REPORT = {
     "label-product": "e8f8a367f84e65652ade006b072334a4a435183738f18a157eb68f09952df89a",
     "majority": "5093294538eabfc166a575e041517d63344d09073b09d1b4b3094ad82cb94de0",
 }
+# sha256 of each file of a 6x4 demo corpus, by seed.
+DEMO_CORPUS = {
+    20240801: {
+        "problems": "c8c5a02ebb443a91eb9b383eecb5ed61e4ad957e533f3d17a59c4b67c51e4e86",
+        "traces": "2da68f602ffeb686b9108489d29da76f483631b6101ce2951d8e83c83362bb98",
+        "reference_model": "51b166761f048475f2ef25fd0c460b6ab07e4282f0e17f4e72be3dd8f67b17e0",
+    },
+    7: {
+        "problems": "7258133b8224607ae21693aa48912b2ccfdd1c5478681ba0ed907f894880d4fd",
+        "traces": "0e2ffd6fb771914a272eac550d27e77a4fd43b17ce2bfe41fe8e2f05c3feb333",
+        "reference_model": "8c8d04a496342d77aea535b45365147f67eb2b1b54956e9fd789f107c51f5cbf",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DEMO_CORPUS))
+def test_demo_corpus_rebuilds_byte_identically(tmp_path, seed):
+    paths = build_demo_corpus(tmp_path, n_problems=6, traces_per_problem=4, seed=seed)
+    assert {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()} == DEMO_CORPUS[seed]
 
 
 def digests(run_dir):

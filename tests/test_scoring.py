@@ -14,11 +14,13 @@ import time
 from email.utils import formatdate
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from statistics import fmean
 
 import pytest
 
 from helpers import CountingBackend, information, make_problem, make_trace, scored_profile
 from steplab import scoring
+from steplab.analysis import ComplexityParams, tokens_mcnig
 from steplab.errors import BackendError, ConfigError, DataError
 from steplab.scoring import (
     CachingBackend,
@@ -29,6 +31,7 @@ from steplab.scoring import (
     TokenLogprobs,
     build_context,
     information_profile,
+    prefix_contexts,
     profile_requests,
     score_traces,
     trace_key,
@@ -108,6 +111,13 @@ class TestReferenceModel:
         model = ReferenceModel(table={"q": {"a": 1e-60}}, fallback_prob=0.5)
         result = model.score(ScoringRequest("q", "a"))
         assert result.logprobs == [-100.0]
+
+    def test_edge_probabilities(self):
+        model = ReferenceModel(table={"q": {"a": 1.0}, "qa": {"b": 1e-60}}, fallback_prob=0.05)
+        result = model.score(ScoringRequest("q", "abc"))
+        assert result.tokens == ["a", "b", "c"]
+        assert result.logprobs == [0.0, -100.0, math.log(0.05)]
+        assert math.copysign(1.0, result.logprobs[0]) == 1.0
 
     def test_invalid_table_rejected(self):
         with pytest.raises(ValueError):
@@ -213,6 +223,11 @@ class TestScoringRequest:
         with pytest.raises(ValueError):
             two_token_model.score(ScoringRequest(context="q", continuation=""))
 
+    def test_a_request_is_the_tuple_of_its_fields(self):
+        request = ScoringRequest("c", "a")
+        assert request == ("c", "a") and hash(request) == hash(("c", "a"))
+        assert (request.context, request.continuation) == ("c", "a")
+
 
 class TestTokenLogprobs:
     def test_positive_logprob_clamps_to_zero(self):
@@ -317,11 +332,11 @@ class TestCache:
         healed = CachingBackend(counting, ScoreCache(cache_dir))
         first, counts = score_traces(healed, jobs)
         assert first == expected
-        assert counts["cache_misses"] == 1 and counting.calls == 4
+        assert counts["cache_misses"] == counts["cache_damaged"] == 1 and counting.calls == 4
         assert stored_blobs(cache_dir) == [blob]
         again, counts = score_traces(healed, jobs)
         assert again == expected
-        assert counts["cache_hits"] == 1 and counting.calls == 4
+        assert counts["cache_hits"] == 1 and counts["cache_damaged"] == 0 and counting.calls == 4
 
     def test_bulk_lookup_counts_each_distinct_trace_once(self, tmp_path, two_token_model):
         cache = ScoreCache(tmp_path / "cache")
@@ -424,6 +439,24 @@ class TestScoreTraces:
         _, warm = score_traces(backend, jobs)
         assert warm["backend_calls"] == 0 and warm["backend_p50_ms"] == warm["backend_p99_ms"] == 0.0
         assert warm["cache_hit_rate"] == 1.0
+
+    def test_characters_sent_and_the_linear_cost(self, tmp_path, two_token_model):
+        jobs = [job("q", [step, "step 2"], ["4", "42"], trace_id=step) for step in ("4", "xyz", "4")]
+        backend = CachingBackend(two_token_model, ScoreCache(tmp_path / "cache"))
+        _, cold = score_traces(backend, jobs)
+        cells = {cell for j in jobs for cell in profile_requests(*j)}
+        assert cold["chars_sent"] == sum(len(cell.context) + len(cell.continuation) for cell in cells)
+        linear = [
+            tokens_mcnig(ComplexityParams(
+                steps=len(trace.steps), tokens_per_step=fmean(map(len, trace.steps)),
+                sampled_answers=len(answers), answer_tokens=fmean(map(len, answers)),
+                question_tokens=len(problem.question),
+            ))
+            for problem, trace, answers in jobs
+        ]
+        assert cold["chars_linear"] == pytest.approx(sum(linear))
+        _, warm = score_traces(backend, jobs)
+        assert warm["chars_sent"] == 0 and warm["chars_linear"] == cold["chars_linear"]
 
     def test_failed_run_stores_only_complete_traces_and_rerun_scores_the_rest(self, tmp_path):
         model = ReferenceModel(table={}, fallback_prob=0.5)
@@ -533,6 +566,11 @@ class TestInformationProfile:
         assert len(profile_requests(problem, trace, ["a", "b"])) == 6
         with pytest.raises(ValueError):
             information_profile(problem, trace, ["a", "b"], [-1.0, -2.0, -3.0, -4.0])
+
+    def test_prefix_contexts_are_the_built_contexts(self):
+        steps = ["s1", "s2", "s3"]
+        assert prefix_contexts("Q", steps) == [build_context("Q", steps[:i]) for i in range(len(steps) + 1)]
+        assert prefix_contexts("Q", []) == ["Q"]
 
     def test_context_rows_are_prefix_extensions(self):
         problem = make_problem(question="Q text")
