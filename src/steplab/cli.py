@@ -4,18 +4,20 @@ Stage subcommands run stages of a run directory from persisted artifacts;
 ``run`` runs the whole pipeline. Both print the run report, as ``report``
 does. Exit codes: 0 ok, 2 config error, 3 data error, 4 backend error,
 5 validator infrastructure error, 141 stdout closed by its reader
-(``steplab report | head``), 1 anything else.
+(``steplab report | head``), 143 terminated by SIGTERM, 1 anything else.
 """
 
 import argparse
 import json
 import logging
 import os
+import signal
 import sys
+import threading
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from .errors import ConfigError, exit_code
+from .errors import ConfigError, Terminated, exit_code
 from .ioutil import atomic_write_text
 from .pipeline import CHOICES, STAGE_TABLE, RunConfig, comma_list, load_config, run_pipeline, summarize_run
 
@@ -149,10 +151,27 @@ def _cmd_analyze_bias(args: argparse.Namespace, seed: int) -> int:
     return 0
 
 
+def _terminate(signum, frame) -> None:
+    raise Terminated("terminated by SIGTERM")
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; its exit code. On the main thread, SIGTERM raises
+    :class:`Terminated` while the command runs, so a run records it as it
+    does an interrupt, and the previous handler comes back after."""
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    if threading.current_thread() is not threading.main_thread():
+        return _main(args)
+    previous = signal.signal(signal.SIGTERM, _terminate)
+    try:
+        return _main(args)
+    finally:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
+
+
+def _main(args: argparse.Namespace) -> int:
     try:
         if args.command == "analyze-complexity":
             return _cmd_analyze_complexity(args)
@@ -163,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
             run_pipeline(cfg, args.stages)
         print(summarize_run(args.out_dir), flush=True)  # a closed pipe fails here, not at exit
         return 0
-    except Exception as exc:  # noqa: BLE001
+    except (Exception, Terminated) as exc:  # noqa: BLE001
         code = exit_code(exc)
         if isinstance(exc, BrokenPipeError):
             # Nobody reads stdout any more: log nothing, and send what is

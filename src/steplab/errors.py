@@ -52,15 +52,24 @@ class ReservedSymbolError(DataError):
         self.reason_code = reason_code
 
 
+class Terminated(BaseException):
+    """The process got SIGTERM. Raised in the main thread as
+    KeyboardInterrupt is for SIGINT, and like it no Exception, so no
+    handler of errors catches it."""
+
+
 def exit_code(exc: BaseException) -> int:
     """The process exit code of a command that failed with ``exc``: a
     ToolkitError's own, 3 for any other ValueError (invalid input), 130 for
     an interrupt (the shell's code for SIGINT), 141 for a write to a closed
-    pipe (the shell's code for SIGPIPE), else 1."""
+    pipe (the shell's code for SIGPIPE), 143 for :class:`Terminated` (the
+    shell's code for SIGTERM), else 1."""
     if isinstance(exc, ToolkitError):
         return exc.exit_code
     if isinstance(exc, KeyboardInterrupt):
         return 130
+    if isinstance(exc, Terminated):
+        return 143
     if isinstance(exc, BrokenPipeError):
         return 141
     return 3 if isinstance(exc, ValueError) else 1

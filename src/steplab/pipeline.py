@@ -30,7 +30,7 @@ from typing import Any, Callable
 from . import __version__
 from .calibration import percentile_grid, sweep_threshold
 from .dataset_emit import emit_orm_record, emit_prm_record, label_balance, trace_fragment, write_shards
-from .errors import ConfigError, DataError, ReservedSymbolError, UndefinedMetricError, exit_code
+from .errors import ConfigError, DataError, ReservedSymbolError, Terminated, UndefinedMetricError, exit_code
 from .evaluation import best_of_k, majority_best_of_k, oracle_score, random_scorer, step_product_scorer
 from .infogain import AGGREGATIONS, REFERENCES, StepSignal, assign_labels, ig_signal, mcnig_signal
 from .ioutil import atomic_write_text, read_jsonl, sha256_file, sha256_text, write_jsonl
@@ -879,9 +879,10 @@ def run_pipeline(cfg: RunConfig, stages: list[str] | None = None) -> dict:
     calibrated from the signals before labels are assigned, so emitted
     datasets use calibrated labels. Re-running with identical inputs and
     config skips up-to-date stages. A stage that fails or is interrupted
-    comes last in the manifest, with its error, its exit code and the
-    ``counts`` its error carries, and runs again next time; an unknown stage
-    name fails as itself before any stage runs. Python's cyclic garbage
+    (by ``KeyboardInterrupt``, or :class:`Terminated` on SIGTERM) comes last
+    in the manifest, with its error, its exit code and the ``counts`` its
+    error carries, and runs again next time; an unknown stage name fails as
+    itself before any stage runs. Python's cyclic garbage
     collector is paused while the stages run (their rows hold no reference
     cycles), and the caller's setting restored after. A run holds an
     exclusive ``flock`` on the run directory until its manifest is written;
@@ -906,7 +907,7 @@ def run_pipeline(cfg: RunConfig, stages: list[str] | None = None) -> dict:
         for name in sequence:
             log.info("running stage %s", name)
             reports.append(run_stage(name, cfg, memo))
-    except (Exception, KeyboardInterrupt) as exc:  # ``name`` is the stage that raised
+    except (Exception, KeyboardInterrupt, Terminated) as exc:  # ``name`` is the stage that raised
         failed = {"name": name, "error": type(exc).__name__, "message": str(exc), "exit_code": exit_code(exc)}
         if hasattr(exc, "counts"):  # the work a failed stage did before it raised
             failed["counts"] = exc.counts
@@ -951,6 +952,8 @@ def summarize_run(out_dir: str | Path) -> str:
         if "problems_in" in counts:
             parts.append(f"problems {counts['problems_in']} -> {counts.get('problems_out', '?')}")
         parts.extend(_drops(counts))
+        if counts.get("validator_errors"):
+            parts.append(f"validator errors {counts['validator_errors']}")
         for which in ("prm", "orm"):
             if which in counts:
                 parts.append(", ".join([f"{which} records {counts[which]['records']}", *_drops(counts[which])]))

@@ -5,7 +5,7 @@ continuation (a candidate answer, wrappers stripped), a backend returns one
 natural-log probability per continuation token. Two backends exist:
 
 * :class:`ReferenceModel`, a deterministic table-driven stand-in for an LLM,
-  used for fixtures and tests, named by its file's bytes and parsed lazily;
+  used for fixtures and tests, named by its file's hash and read lazily;
 * :class:`HttpBackend`, a client for the JSON-over-HTTP protocol
   (``POST /v1/score``).
 
@@ -43,7 +43,7 @@ from typing import NamedTuple, Protocol
 from urllib.parse import SplitResult, urlsplit
 
 from .errors import BackendError, ConfigError, DataError
-from .ioutil import sha256_bytes, sha256_text
+from .ioutil import sha256_bytes, sha256_file, sha256_text
 from .trace_model import Problem, ReasoningTrace
 
 log = logging.getLogger(__name__)
@@ -131,8 +131,9 @@ class ReferenceModel:
     falling back to ``fallback_prob`` for unlisted entries. The fixture file
     is a JSON object ``{"fallback_prob": p, "table": {key: {token: prob}}}``.
     The id hashes the file's bytes, or for a model built in memory the bytes
-    :meth:`to_file` writes, serialized once. A file is parsed when a call
-    first needs the table.
+    :meth:`to_file` writes, serialized once. A file is hashed in a streaming
+    read when the model is built, and read whole, checked against that hash
+    and parsed only when a call first needs the table.
     """
 
     def __init__(self, table: dict[str, dict[str, float]], fallback_prob: float = 0.01):
@@ -152,25 +153,34 @@ class ReferenceModel:
     @classmethod
     def from_file(cls, path: str | Path) -> "ReferenceModel":
         try:
-            data = Path(path).read_bytes()
+            digest = sha256_file(path)
         except OSError as exc:
             raise ConfigError(f"reference model {path} is unreadable: {exc.strerror or exc}") from exc
         model = cls.__new__(cls)
-        model._source, model._lock, model._failure, model._data = (Path(path), data), threading.Lock(), "", None
-        model.backend_id = "reference:" + sha256_bytes(data)[:12]
+        model._source, model._lock, model._failure, model._data = (Path(path), digest), threading.Lock(), "", None
+        model.backend_id = "reference:" + digest[:12]
         return model
 
     def _load(self) -> None:
         if self._source is not None:
             with self._lock:
-                if self._failure:  # the first load failed: parse no more
+                if self._failure:  # the first load failed: read no more
                     raise DataError(self._failure)
                 if self._source is not None:
+                    path, digest = self._source
                     try:
-                        obj = json.loads(self._source[1])
+                        data = path.read_bytes()
+                    except OSError as exc:
+                        self._failure = f"reference model {path} became unreadable: {exc.strerror or exc}"
+                        raise DataError(self._failure) from exc
+                    if sha256_bytes(data) != digest:
+                        self._failure = f"reference model {path} changed after its id was taken"
+                        raise DataError(self._failure)
+                    try:
+                        obj = json.loads(data)
                         self._set(obj["table"], obj.get("fallback_prob", 0.01))
                     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                        self._failure = f"reference model {self._source[0]} is invalid: {exc!r}"
+                        self._failure = f"reference model {path} is invalid: {exc!r}"
                         raise DataError(self._failure) from exc
 
     def _dump(self) -> bytes:
@@ -205,7 +215,7 @@ class HttpBackend:
     keep-alive connections. Transport failures, answers not read whole
     within the timeout of their send or longer than :data:`MAX_ANSWER_BYTES`,
     5xx and HTTP 429 are retried with backoff (a 429's ``Retry-After``
-    replaces it), logged and counted in ``retries``; exhausted retries
+    replaces it), counted in ``retries`` and logged at DEBUG; exhausted retries
     surface as :class:`BackendError` (kind "transport"), malformed responses
     as kind "protocol". Proxy variables are not read.
     """
@@ -296,7 +306,7 @@ class HttpBackend:
             elif not errors:
                 delay = min(BACKOFF_CAP_S, self.backoff_s * 2**attempt if retry_after is None else retry_after)
                 self.retries += 1
-                log.warning("retrying %s in %.2f s after: %s", self._url, delay, failure)
+                log.debug("retrying %s in %.2f s after: %s", self._url, delay, failure)
                 waiting.append((time.monotonic() + delay, request, attempt + 1, started))
 
         try:

@@ -167,7 +167,8 @@ def build_answer_pool(
 
     Each distinct answer (under normalization) is validated exactly once; the
     first-seen spelling represents its group. A validator crash records the
-    answer as wrong with a diagnostic instead of sinking the whole problem.
+    answer as wrong with a diagnostic instead of sinking the whole problem;
+    the validate stage counts the diagnostics, so each is logged at DEBUG.
     """
     pool = AnswerPool(problem_id=problem.id)
     representatives: dict[str, str] = {}
@@ -181,7 +182,7 @@ def build_answer_pool(
         try:
             outcome = validator(answer)
         except ValidatorError as exc:
-            log.warning("problem %s: validator error on %r: %s", problem.id, answer, exc)
+            log.debug("problem %s: validator error on %r: %s", problem.id, answer, exc)
             pool.wrong.append(answer)
             pool.diagnostics[answer] = f"validator_error: {exc}"
             continue

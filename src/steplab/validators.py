@@ -37,10 +37,14 @@ DEFAULT_REL_TOL = 1e-9
 DEFAULT_COMMAND_TIMEOUT_S = 30.0
 
 # Candidate SQL runs under a budget of SQLite VM instructions, checked every
-# SQL_PROGRESS_INTERVAL instructions, and may only read: no writes, ATTACH,
-# DETACH or PRAGMA.
+# SQL_PROGRESS_INTERVAL instructions, may make no string or blob longer than
+# SQL_VALUE_LIMIT bytes, and may only read: no writes, ATTACH, DETACH or
+# PRAGMA.
 SQL_STEP_BUDGET = 20_000_000
 SQL_PROGRESS_INTERVAL = 1_000
+SQL_VALUE_LIMIT = 1 << 20
+# Bytes of a command's stderr read back for its diagnostic, from the end.
+STDERR_TAIL_BYTES = 4096
 
 
 @dataclass(frozen=True)
@@ -177,8 +181,10 @@ def check_sql(candidate_query: str, gold_query: str, fixture: str | Path) -> Che
     ORDER BY, in which case row order must match too. A candidate that fails
     to execute, or is denied anything but reading, scores 0 with a
     diagnostic; one that exceeds ``SQL_STEP_BUDGET`` scores 0 with the
-    diagnostic "timeout". A broken fixture or gold query is an
-    infrastructure error.
+    diagnostic "timeout", and one that makes a value longer than
+    ``SQL_VALUE_LIMIT`` bytes with "execution error: string or blob too
+    big". The bound is set after the gold query runs, so it does not limit
+    the fixture. A broken fixture or gold query is an infrastructure error.
     """
     import sqlite3
 
@@ -199,6 +205,7 @@ def check_sql(candidate_query: str, gold_query: str, fixture: str | Path) -> Che
         reads = (sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE)
         conn.set_authorizer(lambda action, *_: sqlite3.SQLITE_OK if action in reads else sqlite3.SQLITE_DENY)
         conn.set_progress_handler(over_budget, SQL_PROGRESS_INTERVAL)
+        conn.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, SQL_VALUE_LIMIT)
         try:
             cand_rows = conn.execute(candidate_query).fetchall()
         except sqlite3.Error as exc:
@@ -223,7 +230,9 @@ def check_external(command_template: str, candidate: str, timeout_s: float = DEF
     ``timed_out`` flag; a command that cannot be spawned at all raises
     :class:`ValidatorError`. The command runs in its own process group,
     which is killed at the timeout and after the command exits, so nothing
-    it started outlives it.
+    it started outlives it. Its stderr goes to an unnamed file in the
+    working directory, and a failure's diagnostic keeps the last 200
+    characters of that file's last :data:`STDERR_TAIL_BYTES` bytes.
     """
     import shlex, signal, subprocess, tempfile  # noqa: E401  only command validators load them
 
@@ -231,26 +240,26 @@ def check_external(command_template: str, candidate: str, timeout_s: float = DEF
         cand_path = Path(workdir) / "candidate"
         cand_path.write_text(candidate, encoding="utf-8")
         argv = shlex.split(command_template.replace("{candidate}", str(cand_path)))
-        try:
-            with subprocess.Popen(
-                argv, cwd=workdir, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True
-            ) as proc:
-                try:
-                    stderr = proc.communicate(timeout=timeout_s)[1]
-                except subprocess.TimeoutExpired:
-                    stderr = None
-                finally:
-                    with suppress(ProcessLookupError):
-                        os.killpg(proc.pid, signal.SIGKILL)
-        except FileNotFoundError as exc:
-            raise ValidatorError(f"command not found: {argv[0]}") from exc
-        except OSError as exc:
-            raise ValidatorError(f"failed to spawn command: {exc}") from exc
-        if stderr is None:
-            return Check(0, f"timeout after {timeout_s}s", timed_out=True)
-        if proc.returncode == 0:
-            return Check(1)
-        stderr_tail = stderr.decode("utf-8", "replace").strip()[-200:]
+        with tempfile.TemporaryFile(dir=workdir) as stderr:
+            try:
+                with subprocess.Popen(
+                    argv, cwd=workdir, stdout=subprocess.DEVNULL, stderr=stderr, start_new_session=True
+                ) as proc:
+                    try:
+                        proc.wait(timeout=timeout_s)
+                    finally:
+                        with suppress(ProcessLookupError):
+                            os.killpg(proc.pid, signal.SIGKILL)
+            except subprocess.TimeoutExpired:
+                return Check(0, f"timeout after {timeout_s}s", timed_out=True)
+            except FileNotFoundError as exc:
+                raise ValidatorError(f"command not found: {argv[0]}") from exc
+            except OSError as exc:
+                raise ValidatorError(f"failed to spawn command: {exc}") from exc
+            if proc.returncode == 0:
+                return Check(1)
+            stderr.seek(max(0, stderr.seek(0, os.SEEK_END) - STDERR_TAIL_BYTES))
+            stderr_tail = stderr.read().decode("utf-8", "replace").strip()[-200:]
         return Check(0, f"exit status {proc.returncode}: {stderr_tail}")
 
 

@@ -6,9 +6,11 @@ import logging
 import math
 import os
 import shutil
+import signal
 import sqlite3
 import subprocess
 import sys
+import threading
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -550,7 +552,16 @@ class TestCli:
         def refuse(*args):
             raise AssertionError("the reference model was parsed or a request was built")
 
+        read_bytes = Path.read_bytes
+
+        def refuse_the_model(path):
+            if path == Path(small_corpus["reference_model"]):
+                raise AssertionError(f"{path} was read whole")
+            return read_bytes(path)
+
         monkeypatch.setattr(ReferenceModel, "_load", refuse)
+        # Its id comes from a streaming hash: the file is never read whole.
+        monkeypatch.setattr(Path, "read_bytes", refuse_the_model)
         # A fully warm score stage builds no (prefix, answer) request.
         monkeypatch.setattr(scoring, "profile_requests", refuse)
         capsys.readouterr()
@@ -950,6 +961,20 @@ class TestRunReport:
         assert line.endswith(", damaged rows 2")
         assert "damaged" not in self.report(tmp_path / "cold", capsys)[2]
 
+    def test_validator_errors_are_counted_not_warned(self, small_corpus, tmp_path, capsys, caplog):
+        rows = [json.loads(line) for line in small_corpus["problems"].read_text().splitlines()]
+        rows[0]["validator"] = {"kind": "external_command", "command": "definitely-not-a-command-9f2 {candidate}"}
+        problems = tmp_path / "problems.jsonl"
+        problems.write_text(_jsonl(rows))
+        cfg = config_for(small_corpus, tmp_path, problems=str(problems))
+        run_pipeline(cfg, ["ingest", "validate"])
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
+        errors = json.loads((cfg.out / "stages" / "validate.json").read_text())["counts"]["validator_errors"]
+        assert errors > 0
+        assert self.report(cfg.out, capsys)[-1].endswith(f" | validator errors {errors}")
+        run_pipeline(config_for(small_corpus, tmp_path, out="clean"), ["ingest", "validate"])
+        assert "validator errors" not in self.report(tmp_path / "clean", capsys)[-1]
+
     def test_unknown_stage_is_recorded_as_failed_before_any_stage_runs(self, run_6x4, tmp_path, capsys):
         run = tmp_path / "run"
         shutil.copytree(run_6x4, run)
@@ -1011,6 +1036,20 @@ class TestRunReport:
         argv = ["eval-bok", "--out-dir", str(run), "--scorer", "step-product", "--step-scores", str(missing)]
         assert main(argv) == 2
         assert self.report(run, capsys)[-1] == f"  eval: failed | ConfigError: step scores file not found: {missing}"
+
+    def test_sigterm_is_handled_only_while_a_main_thread_command_runs(self, run_6x4, monkeypatch):
+        from steplab import cli
+
+        seen = []
+        monkeypatch.setattr(cli, "summarize_run", lambda out: seen.append(signal.getsignal(signal.SIGTERM)) or "")
+        before = signal.getsignal(signal.SIGTERM)
+        assert main(["report", "--out-dir", str(run_6x4)]) == 0
+        assert seen == [cli._terminate] and signal.getsignal(signal.SIGTERM) is before
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(main(["report", "--out-dir", str(run_6x4)])))
+        worker.start()
+        worker.join(timeout=60)
+        assert codes == [0] and seen[-1] is before
 
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     def test_report_into_a_closed_pipe_exits_141_and_says_nothing(self, run_6x4, unbuffered):

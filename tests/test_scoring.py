@@ -4,6 +4,7 @@ import math
 import logging
 import os
 import resource
+import signal
 import socket
 import sqlite3
 import struct
@@ -22,6 +23,8 @@ from helpers import CountingBackend, information, make_problem, make_trace, scor
 from steplab import scoring
 from steplab.analysis import ComplexityParams, tokens_mcnig
 from steplab.errors import BackendError, ConfigError, DataError
+from steplab.fixtures import build_demo_corpus
+from steplab.pipeline import RunConfig, run_pipeline, summarize_run
 from steplab.scoring import (
     CachingBackend,
     HttpBackend,
@@ -140,6 +143,63 @@ class TestReferenceModel:
         spaced.write_bytes(path.read_bytes() + b" ")
         assert ReferenceModel.from_file(spaced).backend_id != ReferenceModel.from_file(path).backend_id
         assert ReferenceModel.from_file(spaced).score(ScoringRequest("q", "a")).logprobs == [math.log(0.5)]
+
+    def test_id_is_taken_without_reading_the_file_whole(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        ReferenceModel(table={"q": {"a": 0.5}}, fallback_prob=0.05).to_file(path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+
+        def refuse(self):
+            raise AssertionError(f"{self} was read whole")
+
+        monkeypatch.setattr(Path, "read_bytes", refuse)
+        model = ReferenceModel.from_file(path)
+        assert model.backend_id == f"reference:{digest[:12]}"
+        assert not any(isinstance(value, (bytes, bytearray)) for value in vars(model).values())
+
+    @pytest.mark.parametrize("change", ["rewritten", "removed"])
+    def test_a_file_changed_before_its_first_load_is_a_data_error_naming_it(self, tmp_path, change):
+        path = tmp_path / "model.json"
+        ReferenceModel(table={"q": {"a": 0.5}}, fallback_prob=0.05).to_file(path)
+        original = path.read_bytes()
+        model = ReferenceModel.from_file(path)
+        if change == "rewritten":
+            ReferenceModel(table={"q": {"a": 0.25}}, fallback_prob=0.05).to_file(path)
+            reason = "changed after its id was taken"
+        else:
+            path.unlink()
+            reason = "became unreadable"
+        for _ in range(2):
+            with pytest.raises(DataError, match=f"model.json {reason}"):
+                model.score(ScoringRequest("q", "a"))
+        path.write_bytes(original)  # the failure is kept, not retried
+        with pytest.raises(DataError, match=reason):
+            model.score(ScoringRequest("q", "a"))
+
+    def test_taking_the_id_of_a_large_file_holds_none_of_it(self, tmp_path):
+        path = tmp_path / "large_model.json"
+        with path.open("wb") as fh:
+            fh.write(b'{"fallback_prob": 0.05, "table": {')
+            fh.writelines(b'"context %d": {"a": 0.5}, ' % i for i in range(800_000))
+            fh.write(b'"q": {"a": 0.5}}}')
+        assert path.stat().st_size >= 20 << 20
+        script = (
+            "import sys\n"
+            "from steplab.scoring import ReferenceModel\n"
+            "def hwm_kib():\n"
+            "    return next(int(l.split()[1]) for l in open('/proc/self/status') if l.startswith('VmHWM:'))\n"
+            "before = hwm_kib()\n"
+            "model = ReferenceModel.from_file(sys.argv[1])\n"
+            "print(hwm_kib() - before, model.backend_id)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        child = subprocess.run([sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True,
+                               timeout=60)
+        assert child.returncode == 0, child.stderr
+        grown_kib, backend_id = child.stdout.split()
+        with path.open("rb") as fh:
+            assert backend_id == "reference:" + hashlib.file_digest(fh, "sha256").hexdigest()[:12]
+        assert int(grown_kib) < 4 << 10
 
     def test_file_is_parsed_only_when_a_score_needs_it(self, tmp_path, monkeypatch):
         path = tmp_path / "model.json"
@@ -616,7 +676,7 @@ class _StubHandler(BaseHTTPRequestHandler):
     # "Connection: close"), releasing ``closed`` once the socket is shut.
     close_after_response: bool = False
     # Seconds each answer is held back, and a context never answered (its
-    # handler waits for ``release``).
+    # handler sets ``arrived`` and waits for ``release``).
     hold_s: float = 0.0
     stalled: str | None = None
     # Answer bodies go out one byte every ``drip_s`` seconds; a set
@@ -632,6 +692,7 @@ class _StubHandler(BaseHTTPRequestHandler):
     paths: list
     spans: list
     closed: threading.Semaphore
+    arrived: threading.Event
     release: threading.Event
     lock = threading.Lock()
 
@@ -645,6 +706,7 @@ class _StubHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length)) if length else {}
         if body.get("context") == self.stalled:
+            self.arrived.set()
             self.release.wait(timeout=60)
             return
         time.sleep(self.hold_s)
@@ -709,6 +771,7 @@ def stub_server(info_problem_model):
             "paths": [],
             "spans": [],
             "closed": threading.Semaphore(0),
+            "arrived": threading.Event(),
             "release": threading.Event(),
         },
     )
@@ -1015,6 +1078,53 @@ class TestHttpBackend:
         second, counts = score_traces(backend, jobs)
         assert first == second
         assert counts["cache_hits"] == 1 and len(handler.paths) == 4
+
+
+class TestRunsAgainstTheStub:
+    """Whole runs whose score stage talks to the loopback stub."""
+
+    @pytest.fixture()
+    def corpus(self, tmp_path):
+        return build_demo_corpus(tmp_path / "corpus", n_problems=6, traces_per_problem=3)
+
+    def test_a_throttled_run_counts_its_retries_and_warns_nothing(self, stub_server, corpus, tmp_path, caplog):
+        url, handler = stub_server
+        handler.throttled, handler.retry_after = 2, "0"
+        out = tmp_path / "run"
+        run_pipeline(RunConfig(problems=str(corpus["problems"]), traces=str(corpus["traces"]), out_dir=str(out),
+                               backend=url), ["ingest", "validate", "score"])
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
+        assert json.loads((out / "stages" / "score.json").read_text())["counts"]["retries"] == 2
+        assert ", retries 2" in summarize_run(out).splitlines()[-1]
+
+    def test_sigterm_in_the_score_stage_is_recorded_and_exits_143(self, stub_server, corpus, tmp_path):
+        url, handler = stub_server
+        out, cache = tmp_path / "run", tmp_path / "cache"
+        files = ["--problems", str(corpus["problems"]), "--traces", str(corpus["traces"])]
+        run_pipeline(RunConfig(problems=files[1], traces=files[3], out_dir=str(out),
+                               backend=f"reference:{corpus['reference_model']}"))
+        # The stub never answers the step-0 cell of the working set's last
+        # problem, so the traces before it are scored and stored first.
+        last = (out / "working_set.jsonl").read_text().splitlines()[-1]
+        questions = {row["id"]: row["question"] for row in map(json.loads, corpus["problems"].read_text().splitlines())}
+        handler.stalled = questions[json.loads(last)["problem_id"]]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        argv = [sys.executable, "-m", "steplab.cli", "--backend", url, "--cache-dir", str(cache), "run",
+                "--out-dir", str(out), *files]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True) as child:
+            try:
+                assert handler.arrived.wait(timeout=60)
+                child.send_signal(signal.SIGTERM)
+                stderr = child.communicate(timeout=60)[1]
+            finally:
+                child.kill()
+        assert child.returncode == 143, stderr
+        stages = json.loads((out / "manifest.json").read_text())["stages"]
+        assert [stage["name"] for stage in stages] == ["ingest", "validate", "score"]
+        assert (stages[-1]["error"], stages[-1]["exit_code"]) == ("Terminated", 143)
+        assert 0 < stages[-1]["counts"]["rows_stored"] == cache_rows(cache)
+        report = summarize_run(out).splitlines()[1:]
+        assert len(report) == 3 and report[-1].startswith("  score: failed | Terminated: terminated by SIGTERM | ")
 
 
 class TestProfileFailure:

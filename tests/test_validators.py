@@ -1,8 +1,12 @@
+import json
+import os
 import sqlite3
+import subprocess
 import sys
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,8 @@ from steplab.validators import (
     parse_numeric,
     validate,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestNumericEquivalent:
@@ -160,6 +166,13 @@ class TestSqlGuards:
         assert result.value == 0
         assert "not authorized" in result.diagnostic
 
+    def test_a_value_over_the_length_bound_scores_zero(self, sql_fixture):
+        result = check_sql("SELECT randomblob(2000000)", "SELECT 1", sql_fixture)
+        assert (result.value, result.diagnostic) == (0, "execution error: string or blob too big")
+
+    def test_the_gold_query_runs_before_the_bound(self, sql_fixture):
+        assert check_sql("SELECT 2000000", "SELECT length(randomblob(2000000))", sql_fixture).value == 1
+
 
 class TestRunExternal:
     def test_passing_command(self):
@@ -188,6 +201,34 @@ class TestRunExternal:
         assert result.timed_out == (rest != "true")
         time.sleep(1.2)
         assert not marker.exists()
+
+    def test_a_flood_of_stderr_is_kept_as_a_bounded_tail(self):
+        """The validating process reads back only the end of a command's
+        stderr: measured as a child process's peak RSS, not the suite's."""
+        candidate = (
+            "import sys\n"
+            "for _ in range(64 * 1024):\n"
+            "    sys.stderr.buffer.write(b'x' * 1023 + b'\\n')\n"
+            "sys.stderr.buffer.write('the last line, \u00e9\\n'.encode())\n"
+            "sys.exit(1)\n"
+        )
+        script = (
+            "import json, sys\n"
+            "from steplab.validators import check_external\n"
+            "def hwm_kib():\n"
+            "    return next(int(l.split()[1]) for l in open('/proc/self/status') if l.startswith('VmHWM:'))\n"
+            "before = hwm_kib()\n"
+            "result = check_external(sys.executable + ' {candidate}', sys.argv[1], timeout_s=60)\n"
+            "print(json.dumps([hwm_kib() - before, result.value, result.diagnostic]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        child = subprocess.run([sys.executable, "-c", script, candidate], env=env, capture_output=True, text=True,
+                               timeout=120)
+        assert child.returncode == 0, child.stderr
+        grown_kib, value, diagnostic = json.loads(child.stdout)
+        stderr = "x" * 1023 + "\n" + "the last line, \u00e9\n"
+        assert (value, diagnostic) == (0, f"exit status 1: {stderr.strip()[-200:]}")
+        assert grown_kib < 16 << 10
 
     def test_command_not_found_is_structured_error(self):
         with pytest.raises(ValidatorError):
