@@ -14,46 +14,27 @@ import os
 import signal
 import sys
 import threading
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import ConfigError, Terminated, exit_code
 from .ioutil import atomic_write_text
-from .pipeline import CHOICES, STAGE_TABLE, RunConfig, comma_list, load_config, run_pipeline, summarize_run
+from .pipeline import OPTIONS, STAGE_TABLE, comma_list, load_config, run_pipeline, summarize_run
 
 log = logging.getLogger(__name__)
 
 
-# Flag of each RunConfig field a subcommand takes; the other fields come
-# from the global flags or the config file. Values reach load_config as text.
-_FLAGS = {
-    "problems": "--problems",
-    "traces": "--traces",
-    "domains": "--domains",
-    "k_subsample": "--k-subsample",
-    "concurrency_limit": "--concurrency",
-    "method": "--method",
-    "aggregation": "--aggregation",
-    "reference": "--reference",
-    "thresholds_file": "--thresholds",
-    "grid_size": "--grid-size",
-    "split": "--split",
-    "shard_size": "--shard-size",
-    "eval_scorer": "--scorer",
-    "eval_k": "--k",
-    "step_scores": "--step-scores",
-}
-
-
 def _stage_parser(sub, name: str, help_text: str, stages) -> argparse.ArgumentParser:
-    """A subcommand running ``stages``, with a flag for every field they read."""
+    """A subcommand running ``stages``, with the flag of each field they read
+    that has one. Values reach load_config as text; RunConfig checks them."""
     p = sub.add_parser(name, help=help_text)
     p.set_defaults(stages=list(stages))
     p.add_argument("--out-dir", required=True)
     p.add_argument("--force", action="store_true", default=None, help="re-run even if up to date")
     for key in dict.fromkeys(key for stage in stages for key in STAGE_TABLE[stage].reads):
-        if key in _FLAGS:
-            p.add_argument(_FLAGS[key], choices=CHOICES.get(key), default=None, dest=key)
+        flag, choices = OPTIONS[key]["flag"], OPTIONS[key]["choices"]
+        if flag:
+            p.add_argument(flag, default=None, dest=key, help=choices and "from " + ", ".join(choices))
     return p
 
 
@@ -178,7 +159,7 @@ def _main(args: argparse.Namespace) -> int:
         if args.command == "analyze-bias":
             return _cmd_analyze_bias(args, seed=load_config(overrides={"seed": args.seed}).seed)
         if args.command != "report":
-            cfg = load_config(args.config, overrides={f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
+            cfg = load_config(args.config, overrides={name: getattr(args, name, None) for name in OPTIONS})
             run_pipeline(cfg, args.stages)
         print(summarize_run(args.out_dir), flush=True)  # a closed pipe fails here, not at exit
         return 0

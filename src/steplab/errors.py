@@ -18,11 +18,6 @@ class DataError(ToolkitError):
 
     exit_code = 3
 
-    def __init__(self, message: str, *, line: int | None = None, offset: int | None = None):
-        super().__init__(message)
-        self.line = line
-        self.offset = offset
-
 
 class BackendError(ToolkitError):
     """Scoring backend failure. ``kind`` is "transport" or "protocol"."""

@@ -35,7 +35,7 @@ def read_jsonl(path: str | Path, make: Callable[[dict], Any] | None = None, key:
                 if end != len(line):
                     obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {exc.msg}", line=lineno, offset=exc.colno) from exc
+                raise DataError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
             try:
                 if make is not None:
                     if not isinstance(obj, dict):
@@ -43,9 +43,9 @@ def read_jsonl(path: str | Path, make: Callable[[dict], Any] | None = None, key:
                     obj = make(obj)
                 if key is not None and first_line.setdefault(key(obj), lineno) != lineno:
                     first = first_line[key(obj)]
-                    raise DataError(f"{path}:{lineno}: repeats the key {key(obj)!r} of line {first}", line=lineno)
+                    raise DataError(f"{path}:{lineno}: repeats the key {key(obj)!r} of line {first}")
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: malformed record: {exc!r}", line=lineno) from exc
+                raise DataError(f"{path}:{lineno}: malformed record: {exc!r}") from exc
             yield obj
 
 

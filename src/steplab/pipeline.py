@@ -53,67 +53,62 @@ from .validators import make_validator
 
 log = logging.getLogger(__name__)
 
-METHODS = ("ig", "mcnig")
 EVAL_SCORERS = ("step-product", "orm", "label-product", "oracle", "random", "majority")
 
-# Allowed values of each enumerated RunConfig field; the CLI offers the same.
-CHOICES = {
-    "method": METHODS,
-    "aggregation": tuple(AGGREGATIONS),
-    "reference": REFERENCES,
-    "eval_scorer": EVAL_SCORERS,
-}
-# RunConfig fields that count something and must be at least 1.
-_COUNTS = ("k_subsample", "eval_k", "grid_size", "shard_size", "backend_retries", "concurrency_limit")
 
-ENV_BACKEND = "STEPLAB_BACKEND_URL"
-ENV_CACHE_DIR = "STEPLAB_CACHE_DIR"
+def _option(default, *, flag=None, choices=None, least=None, env=None, key=None, fingerprint=True):
+    """A RunConfig field with its option's facts as metadata: its subcommand
+    ``flag``, allowed ``choices`` (of each item, for a list), lower bound
+    ``least``, environment variable ``env`` and fingerprint name ``key``, if
+    not the field's. A stage fingerprints each field it reads unless
+    ``fingerprint=False``: a file the stage digests, or a setting that does
+    not change what the stage writes."""
+    metadata = dict(flag=flag, choices=choices, least=least, env=env, key=key, fingerprint=fingerprint)
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata=metadata)
+    return field(default=default, metadata=metadata)
 
 
 @dataclass
 class RunConfig:
-    problems: str = ""
-    traces: str = ""
-    out_dir: str = ""
-    backend: str = ""
-    cache_dir: str = ""
-    seed: int = 0
-    domains: list[str] = field(default_factory=list)
-    method: str = "mcnig"
-    aggregation: str = "max"
-    reference: str = "step0"
-    k_subsample: int = 8
-    thresholds_file: str = ""
-    concurrency_limit: int = 1
-    backend_timeout_s: float = 30.0
-    backend_retries: int = 3
-    backend_backoff_s: float = 0.5
-    grid_size: int = 256
-    eval_scorer: str = "label-product"
-    eval_k: int = 8
-    step_scores: str = ""
-    split: str = "train"
-    shard_size: int = 100_000
-    force: bool = False
+    problems: str = _option("", flag="--problems", fingerprint=False)
+    traces: str = _option("", flag="--traces", fingerprint=False)
+    out_dir: str = _option("")
+    backend: str = _option("", env="STEPLAB_BACKEND_URL", fingerprint=False)  # _prepare_score adds its id
+    cache_dir: str = _option("", env="STEPLAB_CACHE_DIR", fingerprint=False)
+    seed: int = _option(0)
+    domains: list[str] = _option([], flag="--domains", choices=DOMAINS)
+    method: str = _option("mcnig", flag="--method", choices=("ig", "mcnig"))
+    aggregation: str = _option("max", flag="--aggregation", choices=tuple(AGGREGATIONS))
+    reference: str = _option("step0", flag="--reference", choices=REFERENCES)
+    k_subsample: int = _option(8, flag="--k-subsample", least=1)
+    thresholds_file: str = _option("", flag="--thresholds", fingerprint=False)
+    concurrency_limit: int = _option(1, flag="--concurrency", least=1, fingerprint=False)
+    backend_timeout_s: float = _option(30.0, fingerprint=False)
+    backend_retries: int = _option(3, least=1, fingerprint=False)
+    backend_backoff_s: float = _option(0.5, fingerprint=False)
+    grid_size: int = _option(256, flag="--grid-size", least=1)
+    eval_scorer: str = _option("label-product", flag="--scorer", choices=EVAL_SCORERS, key="scorer")
+    eval_k: int = _option(8, flag="--k", least=1, key="k")
+    step_scores: str = _option("", flag="--step-scores", fingerprint=False)
+    split: str = _option("train", flag="--split")
+    shard_size: int = _option(100_000, flag="--shard-size", least=1)
+    force: bool = _option(False)
 
     def __post_init__(self):
         """The one place where configuration is validated."""
-        for name, choices in CHOICES.items():
-            value = getattr(self, name)
-            if value not in choices:
-                raise ConfigError(f"unknown {name}: {value!r}; choose from {choices}")
-        for name in _COUNTS:
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name} must be an integer of at least 1, got {value!r}")
+        for f in fields(self):
+            value, choices, least = getattr(self, f.name), f.metadata["choices"], f.metadata["least"]
+            for item in (value if isinstance(value, list) else [value]) if choices else ():
+                if item not in choices:
+                    raise ConfigError(f"unknown {f.name}: {item!r}; choose from {choices}")
+            if least is not None and (not isinstance(value, int) or value < least):
+                raise ConfigError(f"{f.name} must be an integer of at least {least}, got {value!r}")
         for name in ("backend_timeout_s", "backend_backoff_s"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be a finite number of seconds, got {getattr(self, name)!r}")
         if self.eval_scorer in ("step-product", "orm") and not self.step_scores:
             raise ConfigError(f"scorer {self.eval_scorer!r} needs --step-scores with per-trace probabilities")
-        for domain in self.domains:
-            if domain not in DOMAINS:
-                raise ConfigError(f"unknown domain in domains: {domain!r}; choose from {DOMAINS}")
         if not self.split or "/" in self.split:
             raise ConfigError(f"split must be a non-empty name without '/', got {self.split!r}")
         for name in ("out_dir", "cache_dir"):  # mkdir makes each: its nearest existing path must be a directory
@@ -127,6 +122,9 @@ class RunConfig:
         if not self.out_dir:
             raise ConfigError("out_dir is not configured")
         return Path(self.out_dir)
+
+
+OPTIONS = {f.name: f.metadata for f in fields(RunConfig)}  # each option's facts, by field name
 
 
 def comma_list(text: str) -> list[str]:
@@ -179,7 +177,7 @@ def load_config(config_file: str | None = None, overrides: dict | None = None, e
         if not Path(config_file).exists():
             raise ConfigError(f"config file not found: {config_file}")
         values.update(parse_config_file(config_file))
-    from_env = {"backend": env.get(ENV_BACKEND) or None, "cache_dir": env.get(ENV_CACHE_DIR) or None}
+    from_env = {name: env.get(option["env"]) or None for name, option in OPTIONS.items() if option["env"]}
     for key, value in [*from_env.items(), *(overrides or {}).items()]:
         if value is not None:
             values[key] = _parse_value(key, value) if isinstance(value, str) else value
@@ -656,10 +654,10 @@ def _prepare_eval(cfg: RunConfig, paths: dict[str, Path]):
 def _step_scores_row(obj: dict, step_counts: dict) -> tuple[tuple[str, str], list[float]]:
     """A ``--step-scores`` row as ((problem id, trace id), step probabilities):
     one per step, so at least one and, for a trace in ``step_counts``, its
-    step count; each in [0, 1] (NaN is not)."""
-    probs = [float(v) for v in obj["step_probs"]]
-    if not probs or not all(0.0 <= p <= 1.0 for p in probs):
-        raise ValueError(f"step_probs must be a non-empty list of probabilities in [0, 1], got {obj['step_probs']!r}")
+    step count; each a JSON number in [0, 1] (NaN and ``true`` are not)."""
+    probs = obj["step_probs"]
+    if type(probs) is not list or not probs or not all(type(p) in (int, float) and 0 <= p <= 1 for p in probs):
+        raise ValueError(f"step_probs must be a non-empty list of probabilities in [0, 1], got {probs!r}")
     key = (obj["problem_id"], obj["trace_id"])
     if len(probs) != step_counts.get(key, len(probs)):
         raise ValueError(
@@ -751,11 +749,11 @@ class Stage:
 
     ``needs`` and ``writes`` name artifacts (keys of :func:`artifact_paths`).
     ``reads`` lists the RunConfig fields the stage uses; they also give its
-    CLI flags. ``fingerprint`` is the subset of ``reads`` whose change makes
-    the stage re-run. ``prepare(cfg, paths)``, when set, runs before the
-    up-to-date check and returns the state handed to ``body``, extra files
-    to digest, and extra fingerprint entries. ``command`` is the CLI
-    subcommand that runs the stages in ``runs_first`` and then this one.
+    CLI flags and its fingerprint (:func:`_fingerprinted`). ``prepare(cfg,
+    paths)``, when set, runs before the up-to-date check and returns the
+    state handed to ``body``, extra files to digest, and extra fingerprint
+    entries. ``command`` is the CLI subcommand that runs the stages in
+    ``runs_first`` and then this one.
     ``format`` numbers the stage's output layout; above 0 it is part of the
     fingerprint, so raising it re-runs the stage in existing run directories.
     """
@@ -764,7 +762,6 @@ class Stage:
     needs: tuple[str, ...]
     writes: tuple[str, ...]
     reads: tuple[str, ...]
-    fingerprint: tuple[str, ...]
     body: Callable[[RunConfig, StageIO, Any], dict]
     prepare: Callable[[RunConfig, dict[str, Path]], tuple[Any, list[Path], dict]] | None = None
     command: str = ""
@@ -778,51 +775,47 @@ STAGE_TABLE = {
     for stage in (
         Stage(
             "ingest", needs=(), writes=("problems", "parsed_traces"),
-            reads=("problems", "traces", "domains"), fingerprint=("domains",),
-            body=_ingest, prepare=_prepare_ingest,
+            reads=("problems", "traces", "domains"), body=_ingest, prepare=_prepare_ingest,
             command="ingest", help="parse raw traces into steps and answers",
         ),
         Stage(
             "validate", needs=("problems", "parsed_traces"), writes=("pools",),
-            reads=(), fingerprint=(), body=_validate,
+            reads=(), body=_validate,
             command="validate", help="validate answers and build answer pools",
         ),
         Stage(
             "score", needs=("problems", "parsed_traces", "pools"), writes=("working_set", "profiles"),
             reads=("backend", "cache_dir", "backend_timeout_s", "backend_retries", "backend_backoff_s",
-                   "k_subsample", "seed", "concurrency_limit"),
-            fingerprint=("k_subsample", "seed"), body=_score, prepare=_prepare_score,
+                   "k_subsample", "seed", "concurrency_limit"), body=_score, prepare=_prepare_score,
             command="score", help="filter, subsample, and score information profiles",
         ),
         Stage(
             "signals", needs=("problems", "profiles", "pools"), writes=("signals",),
-            reads=("method", "aggregation", "reference"),
-            fingerprint=("method", "aggregation", "reference"), body=_signals,
+            reads=("method", "aggregation", "reference"), body=_signals,
         ),
         # label and sweep both need the signal values, so their subcommands
         # compute them first (a no-op when signals are up to date).
         Stage(
             "sweep", needs=("problems", "signals", "parsed_traces", "pools"), writes=("sweep", "thresholds"),
-            reads=("grid_size",), fingerprint=("grid_size",), body=_sweep,
+            reads=("grid_size",), body=_sweep,
             command="sweep", help="calibrate per-domain thresholds by balanced accuracy",
             runs_first=("signals",),
         ),
         Stage(
             "label", needs=("problems", "signals"), writes=("step_labels",),
-            reads=("thresholds_file",), fingerprint=(), body=_label, prepare=_prepare_label,
+            reads=("thresholds_file",), body=_label, prepare=_prepare_label,
             command="label", help="compute step signals and thresholded labels",
             runs_first=("signals",),
         ),
         Stage(
             "emit", needs=("problems", "parsed_traces", "pools", "working_set", "step_labels"),
             writes=("prm_dir", "orm_dir", "emit_report"),
-            reads=("split", "shard_size"), fingerprint=("split", "shard_size"), body=_emit,
+            reads=("split", "shard_size"), body=_emit,
             command="emit", help="write the prm and orm training records",
         ),
         Stage(
             "eval", needs=("problems", "parsed_traces", "pools"), writes=("eval_report",),
-            reads=("eval_scorer", "eval_k", "step_scores", "seed"),
-            fingerprint=("eval_scorer", "eval_k", "seed"), body=_eval, prepare=_prepare_eval,
+            reads=("eval_scorer", "eval_k", "step_scores", "seed"), body=_eval, prepare=_prepare_eval,
             command="eval-bok", help="best-of-K evaluation",
         ),
     )
@@ -833,9 +826,10 @@ STAGE_TABLE = {
 # emitted datasets always use calibrated labels.
 STAGES = tuple(STAGE_TABLE)
 
-# Fingerprint keys of fields whose key differs from the field name; changing
-# them would make every existing run directory out of date.
-_FINGERPRINT_KEYS = {"eval_scorer": "scorer", "eval_k": "k"}
+
+def _fingerprinted(stage: Stage) -> list[str]:
+    """The fields of ``stage.reads`` not marked ``fingerprint=False``: a change to one re-runs the stage."""
+    return [name for name in stage.reads if OPTIONS[name]["fingerprint"]]
 
 
 def run_stage(name: str, cfg: RunConfig, memo: dict | None = None) -> dict:
@@ -848,7 +842,7 @@ def run_stage(name: str, cfg: RunConfig, memo: dict | None = None) -> dict:
     state, extra_inputs, extra_config = stage.prepare(cfg, paths) if stage.prepare else (None, [], {})
     _require(extra_inputs, name)
     inputs = _digest_paths(needs + extra_inputs)
-    config = {_FINGERPRINT_KEYS.get(f, f): getattr(cfg, f) for f in stage.fingerprint}
+    config = {OPTIONS[f]["key"] or f: getattr(cfg, f) for f in _fingerprinted(stage)}
     if stage.format:  # format 0 adds nothing, so fingerprints made before formats stay valid
         config["format"] = stage.format
     fingerprint = _fingerprint(inputs, {**config, **extra_config})

@@ -45,6 +45,11 @@ SQL_PROGRESS_INTERVAL = 1_000
 SQL_VALUE_LIMIT = 1 << 20
 # Bytes of a command's stderr read back for its diagnostic, from the end.
 STDERR_TAIL_BYTES = 4096
+# A command validator's process may map at most COMMAND_ADDRESS_SPACE bytes,
+# write no file past COMMAND_FILE_SIZE bytes, and dump no core. A lower hard
+# limit that steplab already runs under stays.
+COMMAND_ADDRESS_SPACE = 2 << 30
+COMMAND_FILE_SIZE = 256 << 20
 
 
 @dataclass(frozen=True)
@@ -65,19 +70,27 @@ class ValidatorSpec:
     payload: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        """Check the kind, and each payload value of any kind: ``gold``,
+        ``fixture``, ``gold_query`` and ``command`` are strings, ``rel_tol``
+        a finite number of at least 0 and ``timeout_s`` a finite number above
+        0 (``true`` is no number)."""
         if self.kind not in VALIDATOR_KINDS:
             raise ValueError(f"validator kind must be one of {', '.join(VALIDATOR_KINDS)}, got {self.kind!r}")
+        for key in ("gold", "fixture", "gold_query", "command"):
+            if key in self.payload and type(self.payload[key]) is not str:
+                raise TypeError(f"validator {key!r} must be a string, got {self.payload[key]!r}")
+        rel_tol = self.payload.get("rel_tol", DEFAULT_REL_TOL)
+        if type(rel_tol) not in (int, float) or not 0 <= rel_tol < math.inf:
+            raise ValueError(f"validator rel_tol must be a finite number of at least 0, got {rel_tol!r}")
+        timeout_s = self.payload.get("timeout_s", DEFAULT_COMMAND_TIMEOUT_S)
+        if type(timeout_s) not in (int, float) or not 0 < timeout_s < math.inf:
+            raise ValueError(f"validator timeout_s must be a positive finite number, got {timeout_s!r}")
         if self.kind == "sql_execution":
             for key in ("fixture", "gold_query"):
                 if not self.payload.get(key):
                     raise ValueError(f"sql_execution validator requires payload key {key!r}")
-        if self.kind == "external_command":
-            command = self.payload.get("command", "")
-            if "{candidate}" not in command:
-                raise ValueError("external_command validator requires a command template with {candidate}")
-            timeout = self.payload.get("timeout_s")
-            if timeout is not None and timeout <= 0:
-                raise ValueError("validator timeout_s must be positive")
+        if self.kind == "external_command" and "{candidate}" not in self.payload.get("command", ""):
+            raise ValueError("external_command validator requires a command template with {candidate}")
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, **self.payload}
@@ -230,11 +243,23 @@ def check_external(command_template: str, candidate: str, timeout_s: float = DEF
     ``timed_out`` flag; a command that cannot be spawned at all raises
     :class:`ValidatorError`. The command runs in its own process group,
     which is killed at the timeout and after the command exits, so nothing
-    it started outlives it. Its stderr goes to an unnamed file in the
-    working directory, and a failure's diagnostic keeps the last 200
-    characters of that file's last :data:`STDERR_TAIL_BYTES` bytes.
+    it started outlives it, and under the limits :data:`COMMAND_ADDRESS_SPACE`
+    and :data:`COMMAND_FILE_SIZE`, with no core dump. Its stderr goes to an
+    unnamed file in the working directory, and a failure's diagnostic keeps
+    the last 200 characters of that file's last :data:`STDERR_TAIL_BYTES` bytes.
     """
-    import shlex, signal, subprocess, tempfile  # noqa: E401  only command validators load them
+    import resource, shlex, signal, subprocess, tempfile  # noqa: E401  only command validators load them
+
+    def limit_child() -> None:
+        # Runs in the child between fork and exec, where a lock another thread
+        # held at the fork stays held. No steplab thread runs a validator: the
+        # validate stage calls them on the thread that runs the pipeline.
+        for which, limit in (
+            (resource.RLIMIT_AS, COMMAND_ADDRESS_SPACE), (resource.RLIMIT_FSIZE, COMMAND_FILE_SIZE), (resource.RLIMIT_CORE, 0)
+        ):
+            hard = resource.getrlimit(which)[1]
+            limit = limit if hard == resource.RLIM_INFINITY else min(limit, hard)
+            resource.setrlimit(which, (limit, limit))
 
     with tempfile.TemporaryDirectory(prefix="steplab-validate-") as workdir:
         cand_path = Path(workdir) / "candidate"
@@ -243,7 +268,8 @@ def check_external(command_template: str, candidate: str, timeout_s: float = DEF
         with tempfile.TemporaryFile(dir=workdir) as stderr:
             try:
                 with subprocess.Popen(
-                    argv, cwd=workdir, stdout=subprocess.DEVNULL, stderr=stderr, start_new_session=True
+                    argv, cwd=workdir, stdout=subprocess.DEVNULL, stderr=stderr, start_new_session=True,
+                    preexec_fn=limit_child,
                 ) as proc:
                     try:
                         proc.wait(timeout=timeout_s)

@@ -84,31 +84,31 @@ def information(problem, steps_prefix, answer, backend):
 def parse_record_line(line, lineno=0):
     """Parse one emitted training record, checking its marker layout: the
     round-trip oracle for the records ``write_shards`` writes. A malformed
-    line raises DataError with its line (and, for bad JSON, offset)."""
+    line raises DataError naming its line."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise DataError(f"line {lineno}: invalid JSON: {exc.msg}", line=lineno, offset=exc.colno) from exc
+        raise DataError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
     if not isinstance(obj, dict):
-        raise DataError(f"line {lineno}: record is not an object", line=lineno)
+        raise DataError(f"line {lineno}: record is not an object")
     try:
         segments = [{"text": s["text"], "is_target": bool(s["is_target"])} for s in obj["segments"]]
         record = {"problem_id": obj["problem_id"], "trace_id": obj["trace_id"], "segments": segments}
     except (KeyError, TypeError) as exc:
-        raise DataError(f"line {lineno}: missing record field: {exc}", line=lineno) from exc
+        raise DataError(f"line {lineno}: missing record field: {exc}") from exc
     n_targets = sum(1 for s in segments if s["is_target"])
     if not segments or segments[0]["is_target"]:
-        raise DataError(f"line {lineno}: record must start with a question segment", line=lineno)
+        raise DataError(f"line {lineno}: record must start with a question segment")
     if "targets" in obj:
         targets = list(obj["targets"])
         if len(targets) != n_targets:
-            raise DataError(f"line {lineno}: {len(targets)} targets for {n_targets} marker segments", line=lineno)
+            raise DataError(f"line {lineno}: {len(targets)} targets for {n_targets} marker segments")
         return {**record, "targets": targets}
     if "target" in obj:
         if n_targets != 1 or not segments[-1]["is_target"]:
-            raise DataError(f"line {lineno}: outcome record must have exactly one trailing target", line=lineno)
+            raise DataError(f"line {lineno}: outcome record must have exactly one trailing target")
         return {**record, "target": obj["target"]}
-    raise DataError(f"line {lineno}: record has neither 'targets' nor 'target'", line=lineno)
+    raise DataError(f"line {lineno}: record has neither 'targets' nor 'target'")
 
 
 def read_records(path):

@@ -24,10 +24,12 @@ from steplab.errors import ConfigError, DataError, exit_code
 from steplab.fixtures import build_demo_corpus
 from steplab.ioutil import read_jsonl, sha256_file
 from steplab.pipeline import (
+    OPTIONS,
     READERS,
     STAGE_TABLE,
     STAGES,
     RunConfig,
+    _fingerprinted,
     _parse_value,
     artifact_paths,
     load_config,
@@ -175,13 +177,58 @@ class TestConfig:
             RunConfig(**{key: 0})
 
 
+# Each stage's fingerprint of a default run of the 6x4 demo corpus.
+DEMO_FINGERPRINTS = {
+    "ingest": "08465d316b550c38956acbc12fc9c4957c72360bb03d540076273264ecd587a7",
+    "validate": "437ace455bf22a0aa8d815632172e15e881eedd55542ebc60f197bfae13b1614",
+    "score": "3b961d9d5654eaf5dbdca13d5ef115782bdd901d90e3ed79ae2dbc8f501c2b63",
+    "signals": "9d3d1cf1bac75d55fb33c4254cd3fd02d7f9a034a8464a7c352bd177b22b34bc",
+    "sweep": "fc38a022e3182ed558064d0fc56cfe5111e9c4480741fbaba1e7332b87a82edb",
+    "label": "06fb71a8be6d059ac663de079057b841bf74ffb2783f712637253a4fdde5df1d",
+    "emit": "bb1f7ba4f2b0527441ad06411daa7caa910a441caab704a8b1fe2e0a99c2ad2e",
+    "eval": "eb1d69f5480cc6dc1fb8f68b22bdead9e464ca562e58a053c04484b8a666be24",
+}
+
+
 class TestStageTable:
     def test_rows_name_known_artifacts_and_fields(self):
         artifacts = set(artifact_paths(Path("run")))
         config_fields = {f.name for f in fields(RunConfig)}
         for stage in STAGE_TABLE.values():
             assert set(stage.needs) | set(stage.writes) <= artifacts, stage.name
-            assert set(stage.fingerprint) <= set(stage.reads) <= config_fields, stage.name
+            assert set(stage.reads) <= config_fields, stage.name
+
+    def test_fingerprinted_fields_are_the_hand_written_lists_they_replace(self):
+        assert {name: _fingerprinted(stage) for name, stage in STAGE_TABLE.items()} == {
+            "ingest": ["domains"],
+            "validate": [],
+            "score": ["k_subsample", "seed"],
+            "signals": ["method", "aggregation", "reference"],
+            "sweep": ["grid_size"],
+            "label": [],
+            "emit": ["split", "shard_size"],
+            "eval": ["eval_scorer", "eval_k", "seed"],
+        }
+
+    def test_default_demo_run_fingerprints_are_unchanged(self, tmp_path):
+        # Recorded before each option's facts moved onto its RunConfig field:
+        # a run directory made before then is still up to date.
+        corpus = build_demo_corpus(tmp_path / "corpus", 6, 4)
+        cfg = RunConfig(
+            problems=str(corpus["problems"]), traces=str(corpus["traces"]), out_dir=str(tmp_path / "run"),
+            backend=f"reference:{corpus['reference_model']}",
+        )
+        assert {s["name"]: s["fingerprint"] for s in run_pipeline(cfg)["stages"]} == DEMO_FINGERPRINTS
+
+    def test_readme_option_table_names_each_field_and_its_flag(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("## Configuration"):readme.index("## Scoring backends")]
+        rows = [line for line in section.splitlines() if line.startswith("| `")]
+        for name, option in OPTIONS.items():
+            row = next((r for r in rows if f"`{name}`" in r.split(" | ")[0]), None)
+            assert row is not None, name
+            if option["flag"]:
+                assert f"`{option['flag']}`" in row or f" {option['flag']}`" in row, name
 
 
 class TestStageIsolation:
@@ -651,11 +698,13 @@ class TestCli:
             ("split = ../escape\n", [], "'../escape'"),
             ("", ["--split", "a/b"], "'a/b'"),
             ('split = ""\n', [], "split"),
+            ("", ["--method", "guess"], "method"),
         ],
         ids=[
             "eval-scorer-bogus", "k-0", "grid-size-0", "k-subsample-0", "timeout-soon", "force-yes",
             "retries-true", "seed-float", "k-subsample-abc", "timeout-nan", "backoff-negative",
             "domain-unknown", "domain-capitalized", "split-escaping", "split-with-a-slash", "split-empty",
+            "method-flag-guess",
         ],
     )
     def test_bad_config_fails_before_any_stage(self, small_corpus, tmp_path, caplog, config_text, flags, key):
@@ -1145,6 +1194,24 @@ MALFORMED_USER_FILES = {
             for row in read_jsonl(c["problems"])
         ]),
     ),
+    **{
+        f"problem-validator-{case}": ("problems", lambda c, r, validator=validator: _jsonl([
+            {**row, "validator": validator} for row in read_jsonl(c["problems"])
+        ]))
+        for case, validator in {
+            "rel-tol-text": {"kind": "numeric_equivalence", "rel_tol": "x"},
+            "rel-tol-negative": {"kind": "numeric_equivalence", "rel_tol": -1},
+            "rel-tol-a-bool": {"kind": "numeric_equivalence", "rel_tol": True},
+            "rel-tol-infinite": {"kind": "numeric_equivalence", "rel_tol": math.inf},
+            "numeric-gold-a-number": {"kind": "numeric_equivalence", "gold": 5},
+            "exact-gold-a-number": {"kind": "normalized_exact", "gold": 5},
+            "sql-fixture-a-number": {"kind": "sql_execution", "fixture": 5, "gold_query": "SELECT 1"},
+            "sql-gold-query-a-list": {"kind": "sql_execution", "fixture": "f.sql", "gold_query": ["SELECT 1"]},
+            "command-a-list": {"kind": "external_command", "command": ["test", "{candidate}"]},
+            "timeout-a-bool": {"kind": "external_command", "command": "test {candidate}", "timeout_s": True},
+            "timeout-text": {"kind": "external_command", "command": "test {candidate}", "timeout_s": "5"},
+        }.items()
+    },
     "problem-gold-answer-a-number": (
         "problems",
         lambda c, r: _jsonl([{**row, "gold_answer": 4} for row in read_jsonl(c["problems"])]),
@@ -1196,6 +1263,9 @@ MALFORMED_USER_FILES = {
         "step_scores",
         lambda c, r: _step_scores(r, lambda probs: [math.nan, *probs[1:]]),
     ),
+    "step-scores-a-string": ("step_scores", lambda c, r: _step_scores(r, lambda probs: "1" * len(probs))),
+    "step-scores-bools": ("step_scores", lambda c, r: _step_scores(r, lambda probs: [True] * len(probs))),
+    "step-scores-numeric-strings": ("step_scores", lambda c, r: _step_scores(r, lambda probs: ["0.5"] * len(probs))),
     "step-scores-empty": ("step_scores", lambda c, r: _step_scores(r, lambda probs: [])),
     "step-scores-longer-than-its-trace": ("step_scores", lambda c, r: _step_scores(r, lambda probs: [*probs, 0.5])),
     "step-scores-trace-repeated": (

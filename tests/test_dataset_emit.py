@@ -132,8 +132,7 @@ class TestRoundtrip:
         line = random_record(random.Random(11), 0)[3]
         with pytest.raises(DataError) as err:
             parse_record_line(line[: len(line) // 2], lineno=3)
-        assert err.value.line == 3
-        assert err.value.offset is not None
+        assert str(err.value).startswith("line 3: invalid JSON: ")
 
     def test_target_count_mismatch_is_parse_error(self):
         obj = json.loads(random_record(random.Random(12), 0)[3])

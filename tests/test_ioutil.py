@@ -33,13 +33,12 @@ class TestJsonl:
         path.write_text('{"a": 1}\n\n{"b": 2}\n')
         assert list(read_jsonl(path)) == [{"a": 1}, {"b": 2}]
 
-    def test_invalid_json_reports_line_and_offset(self, tmp_path):
+    def test_invalid_json_names_file_and_line(self, tmp_path):
         path = tmp_path / "rows.jsonl"
         path.write_text('{"a": 1}\n{"broken": \n')
         with pytest.raises(DataError) as err:
             list(read_jsonl(path))
-        assert err.value.line == 2
-        assert err.value.offset is not None
+        assert str(err.value).startswith(f"{path}:2: invalid JSON: ")
 
     def test_each_line_decodes_as_json_loads_does(self, tmp_path):
         path = tmp_path / "rows.jsonl"
@@ -59,7 +58,6 @@ class TestJsonl:
         with pytest.raises(DataError) as err:
             list(read_jsonl(path))
         assert str(err.value) == f"{path}:2: invalid JSON: {expected.value.msg}"
-        assert (err.value.line, err.value.offset) == (2, expected.value.colno)
 
     def test_a_repeated_key_names_its_line_and_the_first(self, tmp_path):
         path = tmp_path / "rows.jsonl"
@@ -69,7 +67,6 @@ class TestJsonl:
         with pytest.raises(DataError) as err:
             next(rows)
         assert str(err.value) == f"{path}:4: repeats the key 'a' of line 1"
-        assert err.value.line == 4
 
     def test_a_key_that_cannot_be_hashed_is_a_malformed_record(self, tmp_path):
         path = tmp_path / "rows.jsonl"

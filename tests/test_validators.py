@@ -13,6 +13,8 @@ import pytest
 from helpers import make_problem
 from steplab.errors import ValidatorError
 from steplab.validators import (
+    COMMAND_ADDRESS_SPACE,
+    COMMAND_FILE_SIZE,
     ValidatorSpec,
     check_external,
     check_sql,
@@ -229,6 +231,28 @@ class TestRunExternal:
         stderr = "x" * 1023 + "\n" + "the last line, \u00e9\n"
         assert (value, diagnostic) == (0, f"exit status 1: {stderr.strip()[-200:]}")
         assert grown_kib < 16 << 10
+
+    def test_the_command_runs_under_the_resource_limits(self):
+        program = (
+            "import resource as r, sys\n"
+            f"limits = [(r.RLIMIT_AS, {COMMAND_ADDRESS_SPACE}), (r.RLIMIT_FSIZE, {COMMAND_FILE_SIZE}), (r.RLIMIT_CORE, 0)]\n"
+            "sys.exit(0 if all(r.getrlimit(which) == (limit, limit) for which, limit in limits) else 1)\n"
+        )
+        assert check_external(f"{sys.executable} {{candidate}}", program, timeout_s=30).value == 1
+
+    def test_a_lower_hard_limit_is_kept(self):
+        """Run from a process whose hard file-size limit is 1 MiB, the command
+        gets 1 MiB, not COMMAND_FILE_SIZE: no limit is raised."""
+        script = (
+            "import resource, sys\n"
+            "from steplab.validators import check_external\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, 1 << 20))\n"
+            "program = 'import resource, sys; sys.exit(resource.getrlimit(resource.RLIMIT_FSIZE) != (1 << 20, 1 << 20))'\n"
+            "sys.exit(check_external(sys.executable + ' {candidate}', program, timeout_s=30).value != 1)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0, child.stderr
 
     def test_command_not_found_is_structured_error(self):
         with pytest.raises(ValidatorError):
