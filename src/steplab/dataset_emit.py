@@ -18,6 +18,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 
 from .errors import ReservedSymbolError
+from .ioutil import atomic_write_lines
 from .trace_model import Problem, ReasoningTrace
 
 STEP_MARKER = "<|s_req|>"
@@ -85,13 +86,13 @@ def write_shards(
     split: str,
     records_per_shard: int = 100_000,
 ) -> list[Path]:
-    """Write record lines into ``{split}-{shard:05d}.jsonl`` files, each in one write."""
+    """Write record lines into ``{split}-{shard:05d}.jsonl`` files, each as a stream."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths: list[Path] = []
     for start in range(0, len(lines), records_per_shard):
         path = directory / f"{split}-{len(paths):05d}.jsonl"
-        path.write_text("".join(lines[start : start + records_per_shard]), encoding="utf-8")
+        atomic_write_lines(path, lines[start : start + records_per_shard])
         paths.append(path)
     return paths
 

@@ -66,12 +66,18 @@ encode_json = _json_encoder()
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> str:
     """Write records as one JSON object per line. The file appears atomically.
     Returns the sha256 of the bytes written."""
-    return atomic_write_text(path, "".join(encode_json(r) + "\n" for r in records))
+    return atomic_write_lines(path, (encode_json(r) + "\n" for r in records))
 
 
 def atomic_write_text(path: str | Path, text: str) -> str:
-    """Write via a temp file and rename, so readers never see partial output.
-    Returns the sha256 of the bytes written.
+    """Write ``text`` as :func:`atomic_write_lines` writes one line."""
+    return atomic_write_lines(path, [text])
+
+
+def atomic_write_lines(path: str | Path, lines: Iterable[str]) -> str:
+    """Write the lines via a temp file and rename, so readers never see partial
+    output and a failed write leaves ``path`` as it was. Each line is encoded
+    and hashed as written, through a 64-KiB buffer. Returns the bytes' sha256.
 
     Each write gets its own temp name, so concurrent writers of one path never
     rename each other's file; the last rename wins.
@@ -79,14 +85,18 @@ def atomic_write_text(path: str | Path, text: str) -> str:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.urandom(16).hex()}.tmp")
-    data = text.encode("utf-8")
+    digest = hashlib.sha256()
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb", buffering=1 << 16) as fh:
+            for line in lines:
+                data = line.encode("utf-8")
+                digest.update(data)
+                fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    return sha256_bytes(data)
+    return digest.hexdigest()
 
 
 def sha256_bytes(data: bytes) -> str:

@@ -233,18 +233,23 @@ def _stage_manifest_path(out: Path, stage: str) -> Path:
 
 
 def _maybe_skip(out: Path, stage: str, fingerprint: str, force: bool) -> dict | None:
-    """Return the stored report when the stage is up to date, else None."""
+    """Return the stored report when the stage is up to date, else None. A
+    damaged manifest, not an object with the fingerprint and a list of output
+    paths, is out of date: the stage runs and rewrites it."""
     if force:
         return None
     manifest_path = _stage_manifest_path(out, stage)
     if not manifest_path.exists():
         return None
-    stored = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if stored.get("fingerprint") != fingerprint:
+    try:
+        stored = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError:
         return None
-    for output in stored.get("outputs", []):
-        if not (out / output).exists():
-            return None
+    if not isinstance(stored, dict) or stored.get("fingerprint") != fingerprint:
+        return None
+    outputs = stored.get("outputs")
+    if not isinstance(outputs, list) or not all(isinstance(o, str) and (out / o).exists() for o in outputs):
+        return None
     stored["skipped"] = True
     log.info("stage %s is up to date, skipped", stage)
     return stored
@@ -290,17 +295,23 @@ def _working_set_row(obj: dict) -> tuple[str, list[str]]:
     return obj["problem_id"], trace_ids
 
 
+def _jsonl_rows(make: Callable[[dict], Any], key: Callable, collect: Callable = list) -> Callable:
+    """A reader of a JSONL artifact's rows, built by ``make``, one per ``key``:
+    ``collect``-ed, or with ``stream=True`` parsed one at a time as iterated."""
+    return lambda path, stream=False: (iter if stream else collect)(read_jsonl(path, make, key=key))
+
+
 # The one row builder of each JSONL run artifact, and the key of which it holds
 # one row. Readers are looked up when called, so a patched one is used.
 _PROBLEM_KEY, _TRACE_KEY = attrgetter("problem_id"), attrgetter("problem_id", "trace_id")
-READERS: dict[str, Callable[[Path], Any]] = {
-    "problems": lambda path: read_problems(path),
-    "parsed_traces": lambda path: read_traces(path),
-    "pools": lambda path: {p.problem_id: p for p in read_jsonl(path, lambda obj: AnswerPool(**obj), key=_PROBLEM_KEY)},
-    "working_set": lambda path: list(read_jsonl(path, _working_set_row, key=itemgetter(0))),
-    "profiles": lambda path: list(read_jsonl(path, lambda obj: InformationProfile(**obj), key=_TRACE_KEY)),
-    "signals": lambda path: list(read_jsonl(path, lambda obj: StepSignal(**obj), key=_TRACE_KEY)),
-    "step_labels": lambda path: list(read_jsonl(path, _step_labels_row, key=itemgetter(0, 1))),
+READERS: dict[str, Callable[..., Any]] = {
+    "problems": lambda path, stream=False: read_problems(path),
+    "parsed_traces": lambda path, stream=False: read_traces(path),
+    "pools": _jsonl_rows(lambda obj: AnswerPool(**obj), _PROBLEM_KEY, lambda pools: {p.problem_id: p for p in pools}),
+    "working_set": _jsonl_rows(_working_set_row, itemgetter(0)),
+    "profiles": _jsonl_rows(lambda obj: InformationProfile(**obj), _TRACE_KEY),
+    "signals": _jsonl_rows(lambda obj: StepSignal(**obj), _TRACE_KEY),
+    "step_labels": _jsonl_rows(_step_labels_row, itemgetter(0, 1)),
 }
 
 
@@ -308,9 +319,10 @@ READERS: dict[str, Callable[[Path], Any]] = {
 class StageIO:
     """A stage body's artifact paths and input rows. ``digests`` maps each
     input path to the sha256 its fingerprint took. Rows are memoized in
-    ``memo`` under (artifact, digest), unless read with ``keep=False``, so
-    stages sharing one memo parse each artifact's bytes once, and a rewritten
-    artifact is parsed afresh. Rows are shared: never change them."""
+    ``memo`` under (artifact, digest), so stages sharing one memo parse each
+    artifact's bytes once, and a rewritten artifact is parsed afresh. Rows are
+    shared: never change them, unless read with ``keep=False``, which takes
+    them: popped from the memo, or parsed from the file as the caller iterates."""
 
     paths: dict[str, Path]
     digests: dict[str, str]
@@ -321,7 +333,7 @@ class StageIO:
 
     def rows(self, key: str, keep: bool = True):
         memo_key = (key, self.digest(key))
-        rows = self.memo.pop(memo_key) if memo_key in self.memo else READERS[key](self.paths[key])
+        rows = self.memo.pop(memo_key) if memo_key in self.memo else READERS[key](self.paths[key], stream=not keep)
         if keep:
             self.memo[memo_key] = rows
         return rows
@@ -396,11 +408,11 @@ def _validate(cfg: RunConfig, io: StageIO, state) -> dict:
 
 
 def _judged_traces(io: StageIO) -> list[ReasoningTrace]:
-    """The parsed traces, each parseable one copied with ``correct`` set: its
-    normalized final answer is among its answer pool's normalized correct
-    answers. Each (problem, final answer) pair is normalized once, and the
-    list is memoized on the digests of its three inputs. The copies skip
-    ``ReasoningTrace.__post_init__``: their fields were checked when parsed."""
+    """The parsed traces, taken from ``io``, with ``correct`` set on each
+    parseable one: its normalized final answer is among its answer pool's
+    normalized correct answers. Each (problem, final answer) pair is
+    normalized once, and the list is memoized on the digests of its three
+    inputs."""
     memo_key = ("judged", *(io.digest(key) for key in ("problems", "parsed_traces", "pools")))
     if memo_key in io.memo:
         return io.memo[memo_key]
@@ -411,18 +423,15 @@ def _judged_traces(io: StageIO) -> list[ReasoningTrace]:
             raise DataError(f"{io.paths['pools']}: pool of problem {pid!r}, which is not in {io.paths['problems']}")
     correct_keys = {pid: {normalize_answer(a, domain_of[pid]) for a in pool.correct} for pid, pool in pools.items()}
     verdicts: dict[tuple[str, str], bool] = {}
-    judged = []
-    for t in io.rows("parsed_traces"):
+    judged = io.rows("parsed_traces", keep=False)
+    for t in judged:
         if t.parse_ok:
             key = (t.problem_id, t.final_answer)
             if key not in verdicts:
                 if t.problem_id not in correct_keys:
                     raise DataError(f"{io.paths['pools']}: no answer pool for problem {t.problem_id!r}")
                 verdicts[key] = normalize_answer(t.final_answer, domain_of[t.problem_id]) in correct_keys[t.problem_id]
-            copy = object.__new__(ReasoningTrace)
-            copy.__dict__.update(vars(t), correct=verdicts[key])
-            t = copy
-        judged.append(t)
+            t.correct = verdicts[key]
     io.memo[memo_key] = judged
     return judged
 
@@ -675,7 +684,7 @@ def _build_scorer(cfg: RunConfig, io: StageIO):
         # This toolkit's own binary labels, as 0/1 step probabilities.
         return step_product_scorer({(pid, tid): labels for pid, tid, labels in io.rows("step_labels")})
     # step-product and orm: external per-step probabilities from --step-scores
-    step_counts = {(t.problem_id, t.trace_id): len(t.steps) for t in io.rows("parsed_traces")}
+    step_counts = {(t.problem_id, t.trace_id): len(t.steps) for t in _judged_traces(io)}
     rows = read_jsonl(cfg.step_scores, partial(_step_scores_row, step_counts=step_counts), key=itemgetter(0))
     return step_product_scorer(dict(rows))
 
@@ -929,9 +938,16 @@ def summarize_run(out_dir: str | Path) -> str:
     manifest_path = artifact_paths(Path(out_dir))["manifest"]
     if not manifest_path.exists():
         raise ConfigError(f"no run manifest under {out_dir}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DataError(f"run manifest {manifest_path} is not JSON: {exc}") from exc
+    stages = manifest.get("stages") if isinstance(manifest, dict) else None
+    named = type(stages) is list and all(type(r) is dict and "name" in r for r in stages)
+    if not named or "toolkit_version" not in manifest:
+        raise DataError(f"run manifest {manifest_path} needs a toolkit_version and stages that each have a name")
     lines = [f"run of steplab {manifest['toolkit_version']}"]
-    for report in manifest["stages"]:
+    for report in stages:
         if "error" in report:
             line = f"  {report['name']}: failed | {report['error']}: {report['message']}"
             if report.get("counts"):  # what the stage did before it failed

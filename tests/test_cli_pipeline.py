@@ -1,3 +1,4 @@
+import copy
 import fcntl
 import gc
 import hashlib
@@ -304,6 +305,26 @@ class TestPipeline:
         run_pipeline(cfg)
         again = run_pipeline(cfg)
         assert all(s["skipped"] for s in again["stages"])
+
+    @pytest.mark.parametrize(
+        "stage, damage",
+        [
+            ("ingest", lambda stored: '{"fingerprint": '),
+            ("validate", lambda stored: "[]"),
+            ("score", lambda stored: json.dumps({**stored, "outputs": [1]})),
+            ("emit", lambda stored: json.dumps({k: v for k, v in stored.items() if k != "outputs"})),
+        ],
+        ids=["truncated", "a-list", "an-output-not-a-path", "no-outputs"],
+    )
+    def test_a_damaged_stage_manifest_reruns_its_stage(self, small_corpus, tmp_path, stage, damage):
+        cfg = config_for(small_corpus, tmp_path)
+        run_pipeline(cfg)
+        path = cfg.out / "stages" / f"{stage}.json"
+        stored = json.loads(path.read_text())
+        path.write_text(damage(stored))
+        again = run_pipeline(cfg)
+        assert [s["name"] for s in again["stages"] if not s["skipped"]] == [stage]
+        assert json.loads(path.read_text())["fingerprint"] == stored["fingerprint"]
 
     def test_moved_run_directory_stays_up_to_date(self, small_corpus, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1887,7 +1908,8 @@ class TestEachArtifactParsedOnce:
 @pytest.fixture(scope="module")
 def memo_run(small_corpus, tmp_path_factory):
     """A full run whose stages share one memo, and every memo entry seen
-    after a stage."""
+    after a stage, copied then: a later stage may take an entry's rows and
+    change them."""
     root = tmp_path_factory.mktemp("memo-run")
     cfg = config_for(small_corpus, root)
     cfg.out.mkdir()
@@ -1895,7 +1917,7 @@ def memo_run(small_corpus, tmp_path_factory):
     seen: dict = {}
     for name in STAGES:
         run_stage(name, cfg, memo)
-        seen.update(memo)
+        seen.update(copy.deepcopy(memo))
     return cfg.out, seen
 
 
@@ -1906,9 +1928,16 @@ class TestHandedOnRows:
         path = artifact_paths(out)[key]
         assert memo[(key, sha256_file(path))] == READERS[key](path)
 
-    def test_a_full_run_never_parses_its_own_artifacts(self, small_corpus, tmp_path, parses):
-        run_pipeline(config_for(small_corpus, tmp_path))
-        assert set(parses) == {small_corpus["problems"], small_corpus["traces"]}
+    @pytest.mark.parametrize("scorer", ["label-product", "step-product"])
+    def test_a_full_run_never_parses_its_own_artifacts(self, small_corpus, tmp_path, parses, scorer):
+        inputs, step_scores = {small_corpus["problems"], small_corpus["traces"]}, {}
+        if scorer == "step-product":  # its step counts come from the judged traces
+            run_pipeline(config_for(small_corpus, tmp_path, out="ingested"), ["ingest"])
+            step_scores["step_scores"] = str(_fixed_step_scores(tmp_path / "ingested"))
+            inputs.add(Path(step_scores["step_scores"]))
+            parses.clear()
+        run_pipeline(config_for(small_corpus, tmp_path, eval_scorer=scorer, **step_scores))
+        assert set(parses) == inputs
 
     def test_memoized_parsed_traces_carry_no_verdict(self, memo_run):
         out, memo = memo_run
@@ -1922,6 +1951,26 @@ class TestSummarize:
     def test_missing_manifest_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             summarize_run(tmp_path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"toolkit_version": "0", "stages": [',
+            '{"stages": [{"name": "x"}]}',
+            '{"toolkit_version": "0"}',
+            '{"toolkit_version": "0", "stages": [{"skipped": true}]}',
+            '{"toolkit_version": "0", "stages": ["ingest"]}',
+            "[]",
+        ],
+        ids=["truncated", "no-version", "no-stages", "a-stage-without-name", "a-stage-not-an-object", "a-list"],
+    )
+    def test_a_damaged_manifest_is_a_data_error_naming_it(self, tmp_path, caplog, text):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"run manifest {path} "):
+            summarize_run(tmp_path)
+        assert main(["report", "--out-dir", str(tmp_path)]) == 3
+        assert f"DataError: run manifest {path} " in caplog.text
 
     def test_emit_line_shows_each_dataset_and_its_drops(self, tmp_path):
         dataset = {"records": 5, "dropped_by_reason": {"reserved_symbol_in_step": 2, "reserved_symbol_in_question": 1}}

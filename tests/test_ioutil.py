@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from steplab import ioutil
 from steplab.errors import DataError
-from steplab.ioutil import atomic_write_text, read_jsonl, sha256_file, stable_seed, write_jsonl
+from steplab.ioutil import atomic_write_text, encode_json, read_jsonl, sha256_file, stable_seed, write_jsonl
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Values whose text json.dumps spells in a way of its own.
 JSON_VALUES = [
@@ -124,6 +130,56 @@ class TestAtomicWrite:
         with pytest.raises(UnicodeEncodeError):
             atomic_write_text(path, "\udcff")
         assert list(tmp_path.iterdir()) == []
+
+
+# Rows whose lines run past the writer's 64-KiB chunks, some of them non-ASCII.
+LONG_ROWS = [{"id": i, "text": ("naïve ∑ 数学 \U0001f600 " if i % 3 else "plain ") * 40} for i in range(400)]
+
+
+class TestStreamedWrite:
+    @pytest.mark.parametrize(
+        "rows", [[], [{"a": 1}], LONG_ROWS, [{"text": value} for value in JSON_VALUES]],
+        ids=["none", "one", "past-a-chunk", "non-ascii"],
+    )
+    def test_bytes_and_digest_equal_those_of_the_joined_text(self, tmp_path, rows):
+        path = tmp_path / "rows.jsonl"
+        digest = write_jsonl(path, iter(rows))
+        assert path.read_bytes() == "".join(encode_json(r) + "\n" for r in rows).encode("utf-8")
+        assert digest == sha256_file(path)
+
+    def test_a_row_that_fails_after_a_chunk_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text("old\n")
+        written = []
+
+        def rows():
+            yield from LONG_ROWS
+            written.extend(tmp.stat().st_size for tmp in tmp_path.glob("*.tmp"))
+            yield {"bad": {1}}
+
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write_jsonl(path, rows())
+        assert written and written[0] > 0  # a chunk was in the temp file
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM of Linux's /proc")
+    def test_peak_memory_grows_by_far_less_than_the_file(self, tmp_path):
+        # Measured in a fresh process: VmHWM is its own peak resident size.
+        code = (
+            "import sys; from pathlib import Path; from steplab.ioutil import write_jsonl\n"
+            "status = Path('/proc/self/status')\n"
+            "def hwm(): return next(int(l.split()[1]) for l in status.read_text().splitlines() if l[:6] == 'VmHWM:')\n"
+            "before = hwm()\n"
+            "write_jsonl(sys.argv[1], ({'id': i, 'text': 'x' * 1000} for i in range(20_000)))\n"
+            "print(1024 * (hwm() - before))\n"
+        )
+        path = tmp_path / "big.jsonl"
+        argv, env = [sys.executable, "-c", code, str(path)], {**os.environ, "PYTHONPATH": str(SRC)}
+        out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        size = path.stat().st_size
+        assert size > 20_000_000 and int(out.stdout) < size / 2
 
 
 class TestHashing:
