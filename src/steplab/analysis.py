@@ -39,8 +39,8 @@ class ComplexityParams:
             raise ValueError("steps must be at least 1")
         if self.rollouts_per_prefix < 1 or self.sampled_answers < 1:
             raise ValueError("rollout and answer counts must be at least 1")
-        if min(self.tokens_per_step, self.answer_tokens, self.question_tokens) < 0:
-            raise ValueError("token counts must be non-negative")
+        if not all(0 <= n < math.inf for n in (self.tokens_per_step, self.answer_tokens, self.question_tokens)):
+            raise ValueError("token counts must be finite and non-negative")
 
 
 def tokens_mathshepherd(p: ComplexityParams) -> float:

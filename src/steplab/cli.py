@@ -10,6 +10,7 @@ does. Exit codes: 0 ok, 2 config error, 3 data error, 4 backend error,
 import argparse
 import json
 import logging
+import math
 import os
 import signal
 import sys
@@ -17,7 +18,7 @@ import threading
 from dataclasses import asdict
 from pathlib import Path
 
-from .errors import ConfigError, Terminated, exit_code
+from .errors import ConfigError, DataError, Terminated, exit_code
 from .ioutil import atomic_write_text
 from .pipeline import OPTIONS, STAGE_TABLE, comma_list, load_config, run_pipeline, summarize_run
 
@@ -80,9 +81,13 @@ def _load_pool_file(path: str) -> list[float]:
     text = Path(path).read_text(encoding="utf-8").strip()
     if not text:
         raise ConfigError(f"pool file {path} is empty")
-    if text.startswith("["):
-        return [float(v) for v in json.loads(text)]
-    return [float(line) for line in text.splitlines() if line.strip()]
+    try:
+        values = json.loads(text) if text[0] == "[" else [float(line) for line in text.splitlines() if line.strip()]
+        if not all(type(v) in (int, float) and math.isfinite(v) for v in values):
+            raise ValueError("its values must be finite numbers")
+    except (ValueError, OverflowError) as exc:
+        raise DataError(f"pool file {path}: {exc}") from exc
+    return [float(v) for v in values]
 
 
 def _emit_report(report: dict, out: str | None) -> None:

@@ -232,49 +232,85 @@ def _stage_manifest_path(out: Path, stage: str) -> Path:
     return out / "stages" / f"{stage}.json"
 
 
-def _maybe_skip(out: Path, stage: str, fingerprint: str, force: bool) -> dict | None:
-    """Return the stored report when the stage is up to date, else None. A
-    damaged manifest, not an object with the fingerprint and a list of output
-    paths, is out of date: the stage runs and rewrites it."""
-    if force:
-        return None
-    manifest_path = _stage_manifest_path(out, stage)
-    if not manifest_path.exists():
-        return None
+def _maybe_skip(out: Path, stage: str, fingerprint: str) -> dict | None:
+    """The stage's stored entry when the stage is up to date, else None. A
+    damaged one (:func:`_stage_entry`) is out of date, so the stage reruns."""
     try:
-        stored = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except ValueError:
+        stored = _stage_entry(json.loads(_stage_manifest_path(out, stage).read_text(encoding="utf-8")))
+    except (FileNotFoundError, ValueError):
         return None
-    if not isinstance(stored, dict) or stored.get("fingerprint") != fingerprint:
+    if (stored["name"], stored["fingerprint"]) != (stage, fingerprint):
         return None
-    outputs = stored.get("outputs")
-    if not isinstance(outputs, list) or not all(isinstance(o, str) and (out / o).exists() for o in outputs):
+    if not all((out / o).exists() for o in stored["outputs"]):
         return None
     stored["skipped"] = True
     log.info("stage %s is up to date, skipped", stage)
     return stored
 
 
-def _finish_stage(
-    out: Path,
-    stage: str,
-    fingerprint: str,
-    inputs: dict[str, str],
-    outputs: list[Path],
-    counts: dict,
-    wall_s: float,
-) -> dict:
-    report = {
-        "name": stage,
-        "fingerprint": fingerprint,
-        "inputs": inputs,
-        "outputs": [str(p.relative_to(out)) for p in outputs],
-        "counts": counts,
-        "wall_s": round(wall_s, 3),
-        "skipped": False,
-    }
-    atomic_write_text(_stage_manifest_path(out, stage), json.dumps(report, ensure_ascii=False, indent=1))
-    return report
+def _fits(value: Any, spec: Any) -> bool:
+    """Whether a JSON ``value`` fits ``spec``: its exact type (``true`` is a
+    bool, not an int), a check, or a dict of the specs of an object's fields."""
+    if type(spec) is dict:
+        return type(value) is dict and all(_fits(value.get(name), field) for name, field in spec.items())
+    return type(value) is spec if type(spec) is type else spec(value)
+
+
+def _counts(counts: Any) -> bool:
+    """Whether ``counts`` holds every count of each report part whose first count it holds."""
+    return type(counts) is dict and all(_fits(counts, spec) for spec, _ in _REPORT if next(iter(spec)) in counts)
+
+
+_NUM = lambda value: type(value) in (int, float)  # noqa: E731
+_DATASET = lambda counts: _counts(counts) and "records" in counts  # noqa: E731  the counts of prm or orm
+_DROPS = lambda reasons: reasons and "dropped " + ", ".join(f"{r}={reasons[r]}" for r in sorted(reasons))  # noqa: E731
+# The parts of a stage's report line, in order: (the counts a part reads, with
+# their specs; its text, from their values). A part prints when its first count
+# is present and its text is not empty, 0 or {}. A text that begins ", "
+# extends the part before it, whose first count it reads.
+_REPORT = (
+    ({"records": int}, "records {}".format),  # of a dataset
+    ({"problems_in": int, "problems_out": int}, "problems {} -> {}".format),
+    ({"dropped_by_reason": dict}, _DROPS),
+    ({"validator_errors": int}, lambda errors: errors and f"validator errors {errors}"),
+    ({"prm": _DATASET}, lambda prm: "prm " + ", ".join(_report_parts(prm))),
+    ({"orm": _DATASET}, lambda orm: "orm " + ", ".join(_report_parts(orm))),
+    ({"backend_calls": int, "requests": int, "retries": int}, "requests {1}, backend calls {0}, retries {2}".format),
+    ({"backend_p50_ms": _NUM, "backend_p99_ms": _NUM, "backend_calls": int},
+     ", backend p50 {:.2f} ms, p99 {:.2f} ms".format),
+    ({"chars_sent": int, "chars_linear": int},
+     lambda sent, linear: f"chars sent {sent}" + (f" ({sent / linear:.1f}x the linear cost)" if linear else "")),
+    ({"cache_hit_rate": _NUM}, "cache hit rate {:.1%}".format),
+    ({"cache_damaged": int, "cache_hit_rate": _NUM}, lambda damaged, _: damaged and f", damaged rows {damaged}"),
+    ({"accuracy": _NUM}, "accuracy {:.4f}".format),
+    ({"unscored_candidates": int, "candidates": int}, "candidates {1} ({0} unscored)".format),
+)
+# A stage's entry as run_stage writes it, and as run_pipeline records a failed stage.
+_FINISHED = {
+    "name": str, "fingerprint": str, "inputs": dict, "counts": _counts, "wall_s": _NUM, "skipped": bool,
+    "outputs": lambda paths: type(paths) is list and all(type(p) is str for p in paths),
+}
+_FAILED = {"name": str, "error": str, "message": str, "exit_code": int, "counts": dict}
+
+
+def _stage_entry(entry: Any, failed_too: bool = False) -> dict:
+    """``entry`` if it is one stage's entry as :func:`run_stage` writes it or,
+    with ``failed_too``, as :func:`run_pipeline` records a failed stage, whose
+    counts are ``{}`` when it has none; else ValueError."""
+    failed = type(entry) is dict and "error" in entry
+    checked = {"counts": {}, **entry} if failed else entry
+    if (failed and not failed_too) or not _fits(checked, _FAILED if failed else _FINISHED):
+        raise ValueError(f"a stage entry lacks a field, or holds one of another type: {entry!r:.120}")
+    return checked
+
+
+def _report_parts(counts: dict) -> list[str]:
+    """The parts of a report line from ``counts``, which :func:`_counts` accepts."""
+    parts: list[str] = []
+    for spec, text in _REPORT:
+        if next(iter(spec)) in counts and (part := text(*(counts[name] for name in spec))):
+            parts += [parts.pop() + part] if part.startswith(", ") else [part]
+    return parts
 
 
 def _step_labels_row(obj: dict) -> tuple[str, str, list[int]]:
@@ -855,14 +891,17 @@ def run_stage(name: str, cfg: RunConfig, memo: dict | None = None) -> dict:
     if stage.format:  # format 0 adds nothing, so fingerprints made before formats stay valid
         config["format"] = stage.format
     fingerprint = _fingerprint(inputs, {**config, **extra_config})
-    skipped = _maybe_skip(cfg.out, name, fingerprint, cfg.force)
-    if skipped:
-        return skipped
+    if not cfg.force and (stored := _maybe_skip(cfg.out, name, fingerprint)):
+        return stored
     start = time.perf_counter()
     counts = stage.body(cfg, StageIO(paths, inputs, {} if memo is None else memo), state)
-    wall_s = time.perf_counter() - start
-    outputs = _files([paths[n] for n in stage.writes])
-    return _finish_stage(cfg.out, name, fingerprint, inputs, outputs, counts, wall_s)
+    wall_s = round(time.perf_counter() - start, 3)
+    outputs = [str(p.relative_to(cfg.out)) for p in _files([paths[n] for n in stage.writes])]
+    entry = dict(
+        name=name, fingerprint=fingerprint, inputs=inputs, outputs=outputs, counts=counts, wall_s=wall_s, skipped=False
+    )
+    atomic_write_text(_stage_manifest_path(cfg.out, name), json.dumps(entry, ensure_ascii=False, indent=1))
+    return entry
 
 
 stage_ingest = partial(run_stage, "ingest")
@@ -927,12 +966,6 @@ def run_pipeline(cfg: RunConfig, stages: list[str] | None = None) -> dict:
     return manifest
 
 
-def _drops(counts: dict) -> list[str]:
-    """A stage's drop reasons as one report part, or none."""
-    reasons = counts.get("dropped_by_reason") or {}
-    return ["dropped " + ", ".join(f"{r}={n}" for r, n in sorted(reasons.items()))] if reasons else []
-
-
 def summarize_run(out_dir: str | Path) -> str:
     """Human-readable accounting of the last run in ``out_dir``, failed or not."""
     manifest_path = artifact_paths(Path(out_dir))["manifest"]
@@ -940,55 +973,18 @@ def summarize_run(out_dir: str | Path) -> str:
         raise ConfigError(f"no run manifest under {out_dir}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        if not _fits(manifest, {"toolkit_version": str, "stages": list}):
+            raise ValueError("it needs a toolkit_version and a list of stages")
+        entries = [_stage_entry(entry, failed_too=True) for entry in manifest["stages"]]
     except ValueError as exc:
-        raise DataError(f"run manifest {manifest_path} is not JSON: {exc}") from exc
-    stages = manifest.get("stages") if isinstance(manifest, dict) else None
-    named = type(stages) is list and all(type(r) is dict and "name" in r for r in stages)
-    if not named or "toolkit_version" not in manifest:
-        raise DataError(f"run manifest {manifest_path} needs a toolkit_version and stages that each have a name")
+        raise DataError(f"run manifest {manifest_path} is damaged: {exc}") from exc
     lines = [f"run of steplab {manifest['toolkit_version']}"]
-    for report in stages:
-        if "error" in report:
-            line = f"  {report['name']}: failed | {report['error']}: {report['message']}"
-            if report.get("counts"):  # what the stage did before it failed
-                line += " | " + ", ".join(f"{key.replace('_', ' ')} {value}" for key, value in report["counts"].items())
-            lines.append(line)
-            continue
-        counts = report.get("counts", {})
-        status = "skipped" if report.get("skipped") else "ran"
-        parts = [f"{report['name']}: {status}"]
-        if status == "ran" and "wall_s" in report:
-            parts.append(f"wall {report['wall_s']:.3f} s")
-        if "problems_in" in counts:
-            parts.append(f"problems {counts['problems_in']} -> {counts.get('problems_out', '?')}")
-        parts.extend(_drops(counts))
-        if counts.get("validator_errors"):
-            parts.append(f"validator errors {counts['validator_errors']}")
-        for which in ("prm", "orm"):
-            if which in counts:
-                parts.append(", ".join([f"{which} records {counts[which]['records']}", *_drops(counts[which])]))
-        if "backend_calls" in counts:
-            requests = (
-                f"requests {counts['requests']}, backend calls {counts['backend_calls']}, retries {counts['retries']}"
-            )
-            if "backend_p50_ms" in counts:
-                requests += (
-                    f", backend p50 {counts['backend_p50_ms']:.2f} ms, p99 {counts['backend_p99_ms']:.2f} ms"
-                )
-            parts.append(requests)
-        if "chars_sent" in counts:
-            chars = f"chars sent {counts['chars_sent']}"
-            if counts["chars_linear"]:
-                chars += f" ({counts['chars_sent'] / counts['chars_linear']:.1f}x the linear cost)"
-            parts.append(chars)
-        if "cache_hit_rate" in counts:
-            cache = f"cache hit rate {counts['cache_hit_rate']:.1%}"
-            if counts.get("cache_damaged"):
-                cache += f", damaged rows {counts['cache_damaged']}"
-            parts.append(cache)
-        if "accuracy" in counts:
-            parts.append(f"accuracy {counts['accuracy']:.4f}")
-        if "unscored_candidates" in counts:
-            parts.append(f"candidates {counts['candidates']} ({counts['unscored_candidates']} unscored)")
-        lines.append("  " + " | ".join(parts))
+    for entry in entries:
+        if "error" in entry:
+            counts = ", ".join(f"{key.replace('_', ' ')} {value}" for key, value in entry["counts"].items())
+            parts = [f"failed | {entry['error']}: {entry['message']}", *([counts] if counts else [])]
+        else:
+            parts = ["skipped" if entry["skipped"] else f"ran | wall {entry['wall_s']:.3f} s"]
+            parts += _report_parts(entry["counts"])
+        lines.append(f"  {entry['name']}: " + " | ".join(parts))
     return "\n".join(lines)

@@ -96,18 +96,17 @@ class TokenLogprobs:
     def clamped(cls, tokens: list[str], logprobs: list[float], backend_id: str) -> "TokenLogprobs":
         """Construct with each logprob clamped into [LOGPROB_FLOOR, 0].
 
-        Tokens and logprobs must be equal-length and non-empty. Infinities
-        clamp to the range edges; NaN is rejected, since a backend emitting
-        NaN is broken rather than merely extreme.
+        Tokens are a non-empty list as long as logprobs; each logprob is a JSON
+        number, not a string or ``true``. Infinities clamp to the range edges;
+        NaN is rejected, since a backend emitting NaN is broken, not extreme.
         """
-        if len(tokens) != len(logprobs) or not tokens:
-            raise ValueError("tokens and logprobs must be equal-length and non-empty")
+        if type(tokens) is not list or len(tokens) != len(logprobs) or not tokens:
+            raise ValueError("tokens must be a list as long as logprobs, and not empty")
         safe = []
         for lp in logprobs:
-            lp = float(lp)
-            if math.isnan(lp):
-                raise ValueError("logprob is NaN")
-            safe.append(min(0.0, max(LOGPROB_FLOOR, lp)))
+            if type(lp) not in (int, float) or math.isnan(lp):
+                raise ValueError(f"logprob {lp!r} is not a number")
+            safe.append(min(0.0, max(LOGPROB_FLOOR, float(lp))))
         return cls(tokens=list(tokens), logprobs=safe, backend_id=backend_id)
 
     def total(self) -> float:
@@ -359,7 +358,7 @@ class HttpBackend:
                         try:
                             obj = json.loads(data)
                             result = TokenLogprobs.clamped(obj["tokens"], obj["logprobs"], str(obj["backend_id"]))
-                        except (KeyError, TypeError, ValueError) as exc:
+                        except (KeyError, TypeError, ValueError, OverflowError) as exc:
                             stop(BackendError(f"malformed score response from {self._url}: {exc!r}", kind="protocol"))
                         else:
                             yield request, result, time.monotonic() - started

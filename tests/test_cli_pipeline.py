@@ -6,6 +6,7 @@ import json
 import logging
 import math
 import os
+import re
 import shutil
 import signal
 import sqlite3
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from helpers import CountingBackend
+from steplab import __version__
 from steplab.dataset_emit import STEP_MARKER
 from steplab.cli import build_parser, main
 from steplab.errors import ConfigError, DataError, exit_code
@@ -46,6 +48,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # The keys analyze-bias prints, in order.
 ANALYZE_BIAS_KEYS = ["pool_size", "pool_max", "s", "replicates", "bias", "variance", "exact"]
+# A stage's entry as run_stage writes it, with no inputs, outputs or counts.
+EMPTY_ENTRY = dict(name="score", fingerprint="", inputs={}, outputs=[], counts={}, wall_s=0.0, skipped=False)
 
 
 @pytest.fixture(scope="module")
@@ -313,8 +317,9 @@ class TestPipeline:
             ("validate", lambda stored: "[]"),
             ("score", lambda stored: json.dumps({**stored, "outputs": [1]})),
             ("emit", lambda stored: json.dumps({k: v for k, v in stored.items() if k != "outputs"})),
+            ("label", lambda stored: json.dumps({**stored, "error": "BackendError"})),
         ],
-        ids=["truncated", "a-list", "an-output-not-a-path", "no-outputs"],
+        ids=["truncated", "a-list", "an-output-not-a-path", "no-outputs", "an-error"],
     )
     def test_a_damaged_stage_manifest_reruns_its_stage(self, small_corpus, tmp_path, stage, damage):
         cfg = config_for(small_corpus, tmp_path)
@@ -770,7 +775,8 @@ class TestCli:
         from steplab import pipeline
 
         seen = []
-        monkeypatch.setattr(pipeline, "run_stage", lambda name, cfg, memo: seen.append(cfg.domains) or {"name": name})
+        stub = lambda name, cfg, memo: seen.append(cfg.domains) or {**EMPTY_ENTRY, "name": name}  # noqa: E731
+        monkeypatch.setattr(pipeline, "run_stage", stub)
         out = ["ingest", "--out-dir", str(tmp_path / "run")]
         assert main([*out, "--domains", "math, qa"]) == 0
         for line in ("domains = math, qa", 'domains = "math, qa"'):
@@ -894,6 +900,32 @@ class TestCli:
         assert report["exact"] is False
         assert abs(report["bias"] - (-1 / 3)) < 0.05
 
+    @pytest.mark.parametrize(
+        "text, mode",
+        [
+            ("[1, NaN, 3]", ["--replicates", "50"]),
+            ("[1, Infinity, 3]", ["--exhaustive"]),
+            ("[1, true, 3]", ["--exhaustive"]),
+            ('[1, "2", 3]', ["--exhaustive"]),
+            ("[1, 1" + "0" * 400 + ", 3]", ["--exhaustive"]),
+            ("1\ninf\n3\n", ["--exhaustive"]),
+            ("1\nnan\n3\n", ["--replicates", "50"]),
+        ],
+        ids=["json-nan", "json-infinity", "json-true", "json-string", "json-huge-integer", "line-inf", "line-nan"],
+    )
+    def test_analyze_bias_pool_of_non_finite_numbers_exits_3_naming_it(self, tmp_path, caplog, text, mode):
+        pool_file = tmp_path / "pool.txt"
+        pool_file.write_text(text)
+        assert main(["analyze-bias", "--pool-file", str(pool_file), "--s", "2", *mode]) == 3
+        assert f"DataError: pool file {pool_file}" in caplog.text
+
+    @pytest.mark.parametrize("flag", ["--s-bar", "--t", "--q-len"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_analyze_complexity_non_finite_token_count_exits_3(self, caplog, flag, value):
+        argv = ["analyze-complexity", "--n", "10", "--s-bar", "30", flag, value]
+        assert main(argv) == 3
+        assert "token counts must be finite and non-negative" in caplog.text
+
     def test_eval_bok_with_external_step_scores(self, small_corpus, tmp_path, capsys):
         out = tmp_path / "cli-scores"
         base = [
@@ -951,6 +983,46 @@ class TestCli:
         assert not (out / "eval_report.json").exists()
 
 
+def _masked(report: str) -> str:
+    """A report with its timings, each stage's wall time and the backend latencies, as ``*``."""
+    return re.sub(r"(wall|p50|p99) \d+\.\d+", r"\1 *", report)
+
+
+_SCORED = "problems 6 -> 4 | dropped all_correct=1, no_parsed_traces=1 | requests 169"
+_COLD = f"{_SCORED}, backend calls 136, retries 0, backend p50 * ms, p99 * ms | chars sent 17007 (6.0x the linear cost)"
+_WARM = f"{_SCORED}, backend calls 0, retries 0, backend p50 * ms, p99 * ms | chars sent 0 (0.0x the linear cost)"
+_AFTER_SCORE = [
+    "  signals: {} | problems 4 -> 4",
+    "  sweep: {}",
+    "  label: {}",
+    "  emit: {} | prm records 16 | orm records 16",
+    "  eval: {} | problems 6 -> 6 | accuracy 0.8333 | candidates 24 (8 unscored)",
+]
+_RAN, _SKIPPED = "ran | wall * s", "skipped"
+# The whole report of four runs of the 6x4 demo corpus, timings masked: a run,
+# its all-skipped rerun, a warm run on a primed cache, and a run whose score
+# stage failed at its 25th backend call.
+GOLDEN_REPORTS = {
+    "run": [
+        f"  ingest: {_RAN} | problems 6 -> 6", f"  validate: {_RAN} | problems 6 -> 6",
+        f"  score: {_RAN} | {_COLD} | cache hit rate 0.0%", *(line.format(_RAN) for line in _AFTER_SCORE),
+    ],
+    "rerun": [
+        f"  ingest: {_SKIPPED} | problems 6 -> 6", f"  validate: {_SKIPPED} | problems 6 -> 6",
+        f"  score: {_SKIPPED} | {_COLD} | cache hit rate 0.0%", *(line.format(_SKIPPED) for line in _AFTER_SCORE),
+    ],
+    "warm": [
+        f"  ingest: {_RAN} | problems 6 -> 6", f"  validate: {_RAN} | problems 6 -> 6",
+        f"  score: {_RAN} | {_WARM} | cache hit rate 100.0%", *(line.format(_RAN) for line in _AFTER_SCORE),
+    ],
+    "failed": [
+        f"  ingest: {_RAN} | problems 6 -> 6", f"  validate: {_RAN} | problems 6 -> 6",
+        "  score: failed | BackendError: connection dropped"
+        " | backend calls 24, retries 0, cache hits 0, cache misses 16, rows stored 2",
+    ],
+}
+
+
 class TestRunReport:
     """Every invocation that runs stages, failed ones too, leaves the
     manifest that ``report`` reads, naming that invocation's stages."""
@@ -985,6 +1057,16 @@ class TestRunReport:
         )
         # The failed stage leaves no stage manifest, so it runs again next time.
         assert not (out / "stages" / "score.json").exists()
+
+    def test_four_reports_are_pinned_whole(self, run_6x4, failed_6x4, tmp_path):
+        argv = _run_6x4_argv(run_6x4)
+        shutil.copytree(run_6x4, tmp_path / "rerun")
+        assert main([*argv, "--out-dir", str(tmp_path / "rerun")]) == 0
+        for out in ("cold", "warm"):
+            assert main(["--cache-dir", str(tmp_path / "cache"), *argv, "--out-dir", str(tmp_path / out)]) == 0
+        runs = {"run": run_6x4, "rerun": tmp_path / "rerun", "warm": tmp_path / "warm", "failed": failed_6x4}
+        reports = {name: _masked(summarize_run(out)).splitlines() for name, out in runs.items()}
+        assert reports == {name: [f"run of steplab {__version__}", *lines] for name, lines in GOLDEN_REPORTS.items()}
 
     def test_failed_score_stage_records_the_rows_it_stored(self, small_corpus, tmp_path, monkeypatch, capsys):
         from steplab import pipeline
@@ -1424,6 +1506,33 @@ def run_6x4(tmp_path_factory):
     return root / "run"
 
 
+def _run_6x4_argv(run_6x4: Path) -> list[str]:
+    """The arguments of ``run`` on the corpus of ``run_6x4``, but its --out-dir."""
+    corpus = run_6x4.parent / "corpus"
+    return [
+        "--backend", f"reference:{corpus / 'reference_model.json'}", "run",
+        "--problems", str(corpus / "problems.jsonl"), "--traces", str(corpus / "traces.jsonl"),
+    ]
+
+
+@pytest.fixture(scope="module")
+def failed_6x4(run_6x4, tmp_path_factory):
+    """A run of the 6x4 demo corpus whose score stage failed at its 25th
+    backend call, with the counts of the work it did."""
+    from steplab import pipeline
+    from steplab.scoring import CachingBackend, ReferenceModel, ScoreCache
+
+    root = tmp_path_factory.mktemp("failed-6x4")
+    flaky = CountingBackend(ReferenceModel.from_file(run_6x4.parent / "corpus" / "reference_model.json"), fail_at=25)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            pipeline, "make_backend", lambda spec, cache_dir, **kw: CachingBackend(flaky, ScoreCache(cache_dir))
+        )
+        argv = ["--cache-dir", str(root / "cache"), *_run_6x4_argv(run_6x4), "--out-dir", str(root / "run")]
+        assert main(argv) == 4
+    return root / "run"
+
+
 class TestEmitInputs:
     @pytest.mark.parametrize("artifact", ["working_set", "step_labels"])
     def test_row_naming_an_unknown_trace_exits_3(self, run_6x4, tmp_path, caplog, artifact):
@@ -1850,6 +1959,99 @@ class TestFieldMutations:
         assert n > 0 and not failures
 
 
+DELETE = object()
+# Values of other JSON types, for a value of each type: every number is also
+# tried as true, which Python takes for 1.
+OTHER_TYPES = {str: [1], int: ["1", True], float: ["1.5", True], bool: [1], list: [{}], dict: [[]]}
+# The counts a finished stage's report line prints, in stages/*.json and in
+# manifest.json: one of another type, or null, damages its entry.
+PRINTED_COUNTS = {
+    "problems_in", "problems_out", "dropped_by_reason", "validator_errors", "prm", "orm", "records", "requests",
+    "backend_calls", "retries", "backend_p50_ms", "backend_p99_ms", "chars_sent", "chars_linear", "cache_hit_rate",
+    "cache_damaged", "accuracy", "candidates", "unscored_candidates",
+}
+
+
+def _entry_mutations(entry: dict):
+    """``(path, value)`` for each field of a stage entry, of its counts and of
+    the counts of its prm and orm datasets: null, each of OTHER_TYPES for the
+    field's type, and DELETE."""
+    counts = entry.get("counts") or {}
+    paths = [(name,) for name in entry] + [("counts", key) for key in counts]
+    paths += [("counts", which, key) for which in ("prm", "orm") if which in counts for key in counts[which]]
+    for path in paths:
+        value = entry
+        for key in path:
+            value = value[key]
+        for other in [None, *OTHER_TYPES[type(value)], DELETE]:
+            yield path, other
+
+
+def _mutated(entry: dict, path: tuple, value) -> dict:
+    """A copy of ``entry`` with the field at ``path`` set to ``value``, or deleted."""
+    copy = json.loads(json.dumps(entry))
+    *parents, name = path
+    target = copy
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        del target[name]
+    else:
+        target[name] = value
+    return copy
+
+
+def _damages(path: tuple, value) -> bool:
+    """Whether this mutation of a finished stage's entry must damage it: a
+    field of the entry set to null or another type, or deleted, or a count
+    its report prints set to null or another type."""
+    return len(path) == 1 or (path[-1] in PRINTED_COUNTS and value is not DELETE)
+
+
+class TestManifestMutations:
+    """Each field of a stage entry, of its counts and of its datasets' counts
+    is set to null, to another JSON type, and deleted. ``run`` exits 0, and
+    reruns the stage when that damages its ``stages/*.json``; ``report``
+    exits 0, or 3 naming ``manifest.json`` without a traceback."""
+
+    def test_each_stage_manifest_mutation_reruns_or_is_reported(self, run_6x4, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(run_6x4, run)
+        failures = []
+        for stage in STAGES:
+            path = run / "stages" / f"{stage}.json"
+            stored = json.loads(path.read_text())
+            for field_path, value in _entry_mutations(stored):
+                path.write_text(json.dumps(_mutated(stored, field_path, value)))
+                code = main([*_run_6x4_argv(run_6x4), "--out-dir", str(run), "--stages", stage])
+                (entry,) = json.loads((run / "manifest.json").read_text())["stages"]
+                if code != 0 or (_damages(field_path, value) and entry["skipped"]):
+                    failures.append(f"{stage} {field_path}={value!r}: exit {code}, skipped {entry['skipped']}")
+                elif not entry["skipped"]:  # rerun: the stage wrote its manifest afresh
+                    rewritten = json.loads(path.read_text())
+                    assert all(rewritten[key] == stored[key] for key in ("fingerprint", "outputs"))
+            path.write_text(json.dumps(stored))
+        assert not failures
+
+    def test_each_run_manifest_mutation_is_reported_or_names_the_file(self, run_6x4, failed_6x4, tmp_path, caplog):
+        path = tmp_path / "manifest.json"
+        failures = []
+        for source in (run_6x4, failed_6x4):
+            manifest = json.loads((source / "manifest.json").read_text())
+            stages = manifest["stages"]
+            for i, entry in enumerate(stages):
+                for field_path, value in _entry_mutations(entry):
+                    damaged = _mutated(entry, field_path, value)
+                    path.write_text(json.dumps({**manifest, "stages": [*stages[:i], damaged, *stages[i + 1:]]}))
+                    caplog.clear()
+                    code = main(["report", "--out-dir", str(tmp_path)])
+                    named = str(path) in caplog.text and not any(r.exc_info for r in caplog.records)
+                    must_fail = "error" not in entry and _damages(field_path, value)
+                    if code not in ((3,) if must_fail else (0, 3)) or (code == 3 and not named):
+                        failures.append(f"{entry['name']} {field_path}={value!r}: exit {code}")
+        assert not failures
+
+
 @pytest.fixture()
 def parses(monkeypatch):
     """Counts of JSONL parses by path, through every reader the pipeline
@@ -1947,6 +2149,11 @@ class TestHandedOnRows:
         assert {t.correct for t in judged if t.parse_ok} == {True, False}
 
 
+def _one_entry(**fields) -> str:
+    """A one-line run manifest of EMPTY_ENTRY with ``fields``."""
+    return json.dumps({"toolkit_version": "0", "stages": [{**EMPTY_ENTRY, **fields}]})
+
+
 class TestSummarize:
     def test_missing_manifest_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -1961,8 +2168,18 @@ class TestSummarize:
             '{"toolkit_version": "0", "stages": [{"skipped": true}]}',
             '{"toolkit_version": "0", "stages": ["ingest"]}',
             "[]",
+            '{"toolkit_version": "0", "stages": [{"name": "score", "error": "BackendError"}]}',
+            _one_entry(counts=[]),
+            _one_entry(name="emit", counts={"prm": []}),
+            _one_entry(counts={"backend_calls": 3}),
+            _one_entry(wall_s="fast"),
+            _one_entry(name="eval", counts={"accuracy": "high"}),
         ],
-        ids=["truncated", "no-version", "no-stages", "a-stage-without-name", "a-stage-not-an-object", "a-list"],
+        ids=[
+            "truncated", "no-version", "no-stages", "a-stage-without-name", "a-stage-not-an-object", "a-list",
+            "a-failed-stage-without-message", "counts-as-a-list", "a-dataset-as-a-list",
+            "backend-calls-without-requests", "wall-time-as-a-string", "accuracy-as-a-string",
+        ],
     )
     def test_a_damaged_manifest_is_a_data_error_naming_it(self, tmp_path, caplog, text):
         path = tmp_path / "manifest.json"
@@ -1974,10 +2191,10 @@ class TestSummarize:
 
     def test_emit_line_shows_each_dataset_and_its_drops(self, tmp_path):
         dataset = {"records": 5, "dropped_by_reason": {"reserved_symbol_in_step": 2, "reserved_symbol_in_question": 1}}
-        emit = {"name": "emit", "skipped": False, "counts": {"prm": dataset, "orm": {**dataset, "records": 7}}}
+        emit = {**EMPTY_ENTRY, "name": "emit", "counts": {"prm": dataset, "orm": {**dataset, "records": 7}}}
         (tmp_path / "manifest.json").write_text(json.dumps({"toolkit_version": "0", "stages": [emit]}))
         assert summarize_run(tmp_path).splitlines()[1] == (
-            "  emit: ran"
+            "  emit: ran | wall 0.000 s"
             " | prm records 5, dropped reserved_symbol_in_question=1, reserved_symbol_in_step=2"
             " | orm records 7, dropped reserved_symbol_in_question=1, reserved_symbol_in_step=2"
         )

@@ -816,8 +816,15 @@ class TestHttpBackend:
             {"nonsense": True},
             {"tokens": ["a", "b"], "logprobs": [-1.0], "backend_id": "stub-llm"},
             {"tokens": [], "logprobs": [], "backend_id": "stub-llm"},
+            {"tokens": ["a"], "logprobs": ["-0.5"], "backend_id": "stub-llm"},
+            {"tokens": ["a"], "logprobs": [True], "backend_id": "stub-llm"},
+            {"tokens": "ab", "logprobs": [-0.5, -0.5], "backend_id": "stub-llm"},
+            {"tokens": ["a"], "logprobs": [-10**400], "backend_id": "stub-llm"},
         ],
-        ids=["no-fields", "unequal-lengths", "no-tokens"],
+        ids=[
+            "no-fields", "unequal-lengths", "no-tokens", "logprob-as-a-string", "logprob-as-true", "tokens-as-a-string",
+            "logprob-past-the-float-range",
+        ],
     )
     def test_malformed_response_is_protocol_error(self, http_backend, stub_server, payload):
         url, handler = stub_server
