@@ -3,8 +3,9 @@
 Stage subcommands run stages of a run directory from persisted artifacts;
 ``run`` runs the whole pipeline. Both print the run report, as ``report``
 does. Exit codes: 0 ok, 2 config error, 3 data error, 4 backend error,
-5 validator infrastructure error, 141 stdout closed by its reader
-(``steplab report | head``), 143 terminated by SIGTERM, 1 anything else.
+141 stdout closed by its reader (``steplab report | head``), 143
+terminated by SIGTERM, 1 anything else. No command returns 5 (validator
+infrastructure error): validate counts an answer whose validator fails as wrong.
 """
 
 import argparse
@@ -19,7 +20,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .errors import ConfigError, DataError, Terminated, exit_code
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, input_file
 from .pipeline import OPTIONS, STAGE_TABLE, comma_list, load_config, run_pipeline, summarize_run
 
 log = logging.getLogger(__name__)
@@ -78,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_pool_file(path: str) -> list[float]:
-    text = Path(path).read_text(encoding="utf-8").strip()
+    text = input_file(path, "pool").read_text(encoding="utf-8").strip()
     if not text:
         raise ConfigError(f"pool file {path} is empty")
     try:
@@ -159,6 +160,10 @@ def main(argv: list[str] | None = None) -> int:
 
 def _main(args: argparse.Namespace) -> int:
     try:
+        if args.command.startswith("analyze-") and args.out:  # checked before anything is computed
+            out = Path(args.out)
+            if out.is_dir() or not next(p for p in out.parents if p.exists()).is_dir():
+                raise ConfigError(f"--out {args.out} is a directory or below a file; name a file to write")
         if args.command == "analyze-complexity":
             return _cmd_analyze_complexity(args)
         if args.command == "analyze-bias":

@@ -6,7 +6,7 @@ import os
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 
 _raw_decode = json.JSONDecoder().raw_decode
@@ -97,6 +97,15 @@ def atomic_write_lines(path: str | Path, lines: Iterable[str]) -> str:
         tmp.unlink(missing_ok=True)
         raise
     return digest.hexdigest()
+
+
+def input_file(path: str | Path, what: str) -> Path:
+    """``path``, a file a user named, if it is a regular file, else a ConfigError
+    naming it, before anything opens it: a directory fails a read, a FIFO can block one."""
+    if not os.path.isfile(path):
+        problem = "is not a regular file" if os.path.exists(path) else "not found"
+        raise ConfigError(f"{what} file {problem}: {path}")
+    return Path(path)
 
 
 def sha256_bytes(data: bytes) -> str:

@@ -33,7 +33,7 @@ from .dataset_emit import emit_orm_record, emit_prm_record, label_balance, trace
 from .errors import ConfigError, DataError, ReservedSymbolError, Terminated, UndefinedMetricError, exit_code
 from .evaluation import best_of_k, majority_best_of_k, oracle_score, random_scorer, step_product_scorer
 from .infogain import AGGREGATIONS, REFERENCES, StepSignal, assign_labels, ig_signal, mcnig_signal
-from .ioutil import atomic_write_text, read_jsonl, sha256_file, sha256_text, write_jsonl
+from .ioutil import atomic_write_text, input_file, read_jsonl, sha256_file, sha256_text, write_jsonl
 from .scoring import InformationProfile, information_profile, make_backend, score_traces
 from .trace_model import (
     DOMAINS,
@@ -56,14 +56,15 @@ log = logging.getLogger(__name__)
 EVAL_SCORERS = ("step-product", "orm", "label-product", "oracle", "random", "majority")
 
 
-def _option(default, *, flag=None, choices=None, least=None, env=None, key=None, fingerprint=True):
+def _option(default, *, flag=None, choices=None, least=None, env=None, key=None, fingerprint=True, file=None):
     """A RunConfig field with its option's facts as metadata: its subcommand
     ``flag``, allowed ``choices`` (of each item, for a list), lower bound
     ``least``, environment variable ``env`` and fingerprint name ``key``, if
-    not the field's. A stage fingerprints each field it reads unless
-    ``fingerprint=False``: a file the stage digests, or a setting that does
-    not change what the stage writes."""
-    metadata = dict(flag=flag, choices=choices, least=least, env=env, key=key, fingerprint=fingerprint)
+    not the field's. A stage fingerprints each field it reads but a ``file``,
+    which names that file in messages and whose bytes are digested, and one
+    marked ``fingerprint=False``: a setting that does not change what it writes."""
+    fingerprint = fingerprint and not file
+    metadata = dict(flag=flag, choices=choices, least=least, env=env, key=key, fingerprint=fingerprint, file=file)
     if isinstance(default, list):
         return field(default_factory=default.copy, metadata=metadata)
     return field(default=default, metadata=metadata)
@@ -71,8 +72,8 @@ def _option(default, *, flag=None, choices=None, least=None, env=None, key=None,
 
 @dataclass
 class RunConfig:
-    problems: str = _option("", flag="--problems", fingerprint=False)
-    traces: str = _option("", flag="--traces", fingerprint=False)
+    problems: str = _option("", flag="--problems", file="problems")
+    traces: str = _option("", flag="--traces", file="traces")
     out_dir: str = _option("")
     backend: str = _option("", env="STEPLAB_BACKEND_URL", fingerprint=False)  # _prepare_score adds its id
     cache_dir: str = _option("", env="STEPLAB_CACHE_DIR", fingerprint=False)
@@ -82,7 +83,7 @@ class RunConfig:
     aggregation: str = _option("max", flag="--aggregation", choices=tuple(AGGREGATIONS))
     reference: str = _option("step0", flag="--reference", choices=REFERENCES)
     k_subsample: int = _option(8, flag="--k-subsample", least=1)
-    thresholds_file: str = _option("", flag="--thresholds", fingerprint=False)
+    thresholds_file: str = _option("", flag="--thresholds", file="thresholds")
     concurrency_limit: int = _option(1, flag="--concurrency", least=1, fingerprint=False)
     backend_timeout_s: float = _option(30.0, fingerprint=False)
     backend_retries: int = _option(3, least=1, fingerprint=False)
@@ -90,7 +91,7 @@ class RunConfig:
     grid_size: int = _option(256, flag="--grid-size", least=1)
     eval_scorer: str = _option("label-product", flag="--scorer", choices=EVAL_SCORERS, key="scorer")
     eval_k: int = _option(8, flag="--k", least=1, key="k")
-    step_scores: str = _option("", flag="--step-scores", fingerprint=False)
+    step_scores: str = _option("", flag="--step-scores", file="step scores")
     split: str = _option("train", flag="--split")
     shard_size: int = _option(100_000, flag="--shard-size", least=1)
     force: bool = _option(False)
@@ -174,9 +175,7 @@ def load_config(config_file: str | None = None, overrides: dict | None = None, e
     env = os.environ if env is None else env
     values: dict = {}
     if config_file:
-        if not Path(config_file).exists():
-            raise ConfigError(f"config file not found: {config_file}")
-        values.update(parse_config_file(config_file))
+        values.update(parse_config_file(input_file(config_file, "config")))
     from_env = {name: env.get(option["env"]) or None for name, option in OPTIONS.items() if option["env"]}
     for key, value in [*from_env.items(), *(overrides or {}).items()]:
         if value is not None:
@@ -385,15 +384,9 @@ class StageIO:
 # counts for the stage manifest.
 
 
-def _prepare_ingest(cfg: RunConfig, paths: dict[str, Path]):
-    if not cfg.problems or not Path(cfg.problems).exists():
-        raise ConfigError(f"problems file not found: {cfg.problems!r}")
-    if not cfg.traces or not Path(cfg.traces).exists():
-        raise ConfigError(f"traces file not found: {cfg.traces!r}")
-    return None, [Path(cfg.problems), Path(cfg.traces)], {}
-
-
 def _ingest(cfg: RunConfig, io: StageIO, state) -> dict:
+    if not (cfg.problems and cfg.traces):
+        raise ConfigError("ingest needs --problems and --traces")
     problems = read_problems(cfg.problems)
     domain_of = {p.id: p.domain for p in problems}
     dropped = {pid: "domain_excluded" for pid, domain in domain_of.items() if cfg.domains and domain not in cfg.domains}
@@ -582,15 +575,11 @@ def _sweep(cfg: RunConfig, io: StageIO, state) -> dict:
 
 def _prepare_label(cfg: RunConfig, paths: dict[str, Path]):
     """Threshold table for labeling, and its source, which is digested: the
-    ``--thresholds`` file, else the sweep's output in the run directory. A
-    domain the table does not name, such as one the sweep skipped, gets 0.0."""
-    if cfg.thresholds_file:
-        source = Path(cfg.thresholds_file)
-        if not source.exists():
-            raise ConfigError(f"thresholds file not found: {source}")
-    else:
-        source = paths["thresholds"]
-        _require([source], "label")
+    ``--thresholds`` file (by run_stage), else the sweep's output in the run
+    directory, named relative to it. A domain the table does not name gets 0.0."""
+    source = Path(cfg.thresholds_file) if cfg.thresholds_file else paths["thresholds"]
+    own = [] if cfg.thresholds_file else [source]
+    _require(own, "label")
 
     def one_value_per_key(pairs: list) -> dict:
         obj: dict = {}
@@ -608,7 +597,7 @@ def _prepare_label(cfg: RunConfig, paths: dict[str, Path]):
         type(tau) in (int, float) and abs(tau) < math.inf for tau in thresholds.values()
     ):
         raise DataError(f"thresholds file {source} must be a JSON object of finite numbers, one per domain")
-    return (thresholds, str(source)), [source], {}
+    return (thresholds, cfg.thresholds_file or str(source.relative_to(cfg.out))), own, {}
 
 
 def _label(cfg: RunConfig, io: StageIO, state) -> dict:
@@ -670,14 +659,13 @@ def _emit(cfg: RunConfig, io: StageIO, state) -> dict:
         out_dir = paths[f"{which}_dir"]
         tmp_dir = out_dir.with_name(out_dir.name + ".tmp")
         shutil.rmtree(tmp_dir, ignore_errors=True)
-        shard_paths = write_shards(lines, tmp_dir, cfg.split, cfg.shard_size)
+        write_shards(lines, tmp_dir, cfg.split, cfg.shard_size)
         shutil.rmtree(out_dir, ignore_errors=True)
         tmp_dir.rename(out_dir)
         counts[which] = {
             "records": len(lines),
             **_drop_counts("traces", len(dataset_jobs), dropped),
             "balance": label_balance(targets),
-            "shards": [str(out_dir / p.name) for p in shard_paths],
         }
     balance = {which: c["balance"] for which, c in counts.items()}
     atomic_write_text(paths["emit_report"], json.dumps(balance, ensure_ascii=False, indent=1))
@@ -685,15 +673,8 @@ def _emit(cfg: RunConfig, io: StageIO, state) -> dict:
 
 
 def _prepare_eval(cfg: RunConfig, paths: dict[str, Path]):
-    """Digest the scorer's own inputs: labels or external step scores."""
-    extra = []
-    if cfg.eval_scorer == "label-product":
-        extra.append(paths["step_labels"])
-    if cfg.step_scores:
-        if not Path(cfg.step_scores).exists():
-            raise ConfigError(f"step scores file not found: {cfg.step_scores}")
-        extra.append(Path(cfg.step_scores))
-    return None, extra, {}
+    """Digest label-product's own input, the step labels."""
+    return None, [paths["step_labels"]] if cfg.eval_scorer == "label-product" else [], {}
 
 
 def _step_scores_row(obj: dict, step_counts: dict) -> tuple[tuple[str, str], list[float]]:
@@ -794,9 +775,10 @@ class Stage:
 
     ``needs`` and ``writes`` name artifacts (keys of :func:`artifact_paths`).
     ``reads`` lists the RunConfig fields the stage uses; they also give its
-    CLI flags and its fingerprint (:func:`_fingerprinted`). ``prepare(cfg,
-    paths)``, when set, runs before the up-to-date check and returns the
-    state handed to ``body``, extra files to digest, and extra fingerprint
+    CLI flags, its fingerprint (:func:`_fingerprinted`) and the named files
+    run_stage checks and digests. ``prepare(cfg, paths)``, when set, runs
+    after that check, before the up-to-date check, and returns the state
+    handed to ``body``, extra files to digest, and extra fingerprint
     entries. ``command`` is the CLI subcommand that runs the stages in
     ``runs_first`` and then this one.
     ``format`` numbers the stage's output layout; above 0 it is part of the
@@ -820,7 +802,7 @@ STAGE_TABLE = {
     for stage in (
         Stage(
             "ingest", needs=(), writes=("problems", "parsed_traces"),
-            reads=("problems", "traces", "domains"), body=_ingest, prepare=_prepare_ingest,
+            reads=("problems", "traces", "domains"), body=_ingest,
             command="ingest", help="parse raw traces into steps and answers",
         ),
         Stage(
@@ -873,7 +855,7 @@ STAGES = tuple(STAGE_TABLE)
 
 
 def _fingerprinted(stage: Stage) -> list[str]:
-    """The fields of ``stage.reads`` not marked ``fingerprint=False``: a change to one re-runs the stage."""
+    """The fields of ``stage.reads`` fingerprinted by value, so no file: a change to one re-runs the stage."""
     return [name for name in stage.reads if OPTIONS[name]["fingerprint"]]
 
 
@@ -884,9 +866,11 @@ def run_stage(name: str, cfg: RunConfig, memo: dict | None = None) -> dict:
     paths = artifact_paths(cfg.out)
     needs = [paths[n] for n in stage.needs]
     _require(needs, name)
+    named = [f for f in stage.reads if OPTIONS[f]["file"] and getattr(cfg, f)]
+    files = [input_file(getattr(cfg, f), OPTIONS[f]["file"]) for f in named]  # before prepare, which may read one
     state, extra_inputs, extra_config = stage.prepare(cfg, paths) if stage.prepare else (None, [], {})
     _require(extra_inputs, name)
-    inputs = _digest_paths(needs + extra_inputs)
+    inputs = _digest_paths(needs + extra_inputs + files)  # this order keeps each fingerprint as it was
     config = {OPTIONS[f]["key"] or f: getattr(cfg, f) for f in _fingerprinted(stage)}
     if stage.format:  # format 0 adds nothing, so fingerprints made before formats stay valid
         config["format"] = stage.format

@@ -170,8 +170,8 @@ def _open_fixture(fixture: str | Path) -> "sqlite3.Connection":
     import sqlite3  # only SQL validators load it
 
     path = Path(fixture)
-    if not path.exists():
-        raise ValidatorError(f"database fixture not found: {path}")
+    if not path.is_file():  # a FIFO would block the read
+        raise ValidatorError(f"database fixture not found, or not a regular file: {path}")
     if path.suffix == ".sql":
         conn = sqlite3.connect(":memory:")
         try:

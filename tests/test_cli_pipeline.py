@@ -194,6 +194,17 @@ DEMO_FINGERPRINTS = {
     "eval": "eb1d69f5480cc6dc1fb8f68b22bdead9e464ca562e58a053c04484b8a666be24",
 }
 
+# The fingerprints of the same run, but labelled at a --thresholds file and
+# evaluated by label-product with a --step-scores file too, recorded before
+# run_stage checked and digested each file option: each file is digested in
+# the order it was, so such a run directory is still up to date.
+FILE_OPTION_FINGERPRINTS = {
+    **DEMO_FINGERPRINTS,
+    "label": "faf03fd4f0fb77d498a4abbbd794951c501bdb4b12bd63ff6a2bb4ea538ae447",
+    "emit": "e6b20bb261b0a4f61e9aec3651a0c5eddd40858ac6c1cffbbd3f66ee42b694de",
+    "eval": "5efa537a8fb766137c7e1e5aea8c5053658a95ca806b7b03d49e2edd1ea6b4e3",
+}
+
 
 class TestStageTable:
     def test_rows_name_known_artifacts_and_fields(self):
@@ -224,6 +235,29 @@ class TestStageTable:
             backend=f"reference:{corpus['reference_model']}",
         )
         assert {s["name"]: s["fingerprint"] for s in run_pipeline(cfg)["stages"]} == DEMO_FINGERPRINTS
+
+    def test_file_option_fingerprints_are_unchanged(self, tmp_path):
+        assert [name for name, option in OPTIONS.items() if option["file"]] == [
+            "problems", "traces", "thresholds_file", "step_scores",
+        ]
+        corpus = build_demo_corpus(tmp_path / "corpus", 6, 4)
+        thresholds, step_scores = tmp_path / "thresholds.json", tmp_path / "step_scores.jsonl"
+        thresholds.write_text('{"math": 0.25, "qa": -0.5}\n')
+        step_scores.write_text('{"problem_id": "p0", "trace_id": "t0", "step_probs": [0.5]}\n')
+        cfg = RunConfig(
+            problems=str(corpus["problems"]), traces=str(corpus["traces"]), out_dir=str(tmp_path / "run"),
+            backend=f"reference:{corpus['reference_model']}", thresholds_file=str(thresholds),
+            step_scores=str(step_scores),
+        )
+        first = run_pipeline(cfg)["stages"]
+        assert {s["name"]: s["fingerprint"] for s in first} == FILE_OPTION_FINGERPRINTS
+        label, evaluation = first[STAGES.index("label")], first[STAGES.index("eval")]
+        assert str(thresholds) in label["inputs"] and label["counts"]["thresholds_source"] == str(thresholds)
+        assert {str(artifact_paths(cfg.out)["step_labels"]), str(step_scores)} <= set(evaluation["inputs"])
+        again = run_pipeline(cfg)["stages"]
+        assert [(s["name"], s["fingerprint"], s["skipped"]) for s in again] == [
+            (s["name"], s["fingerprint"], True) for s in first
+        ]
 
     def test_readme_option_table_names_each_field_and_its_flag(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -339,6 +373,27 @@ class TestPipeline:
         (tmp_path / "mv-run").rename(tmp_path / "moved")
         moved = run_pipeline(config_for(small_corpus, tmp_path, out="moved"))
         assert all(s["skipped"] for s in moved["stages"])
+
+    def test_a_missing_output_reruns_its_stage_byte_for_byte(self, run_6x4, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(run_6x4, run)
+        shard = sorted((run / "orm").glob("*.jsonl"))[0]
+        before = shard.read_bytes()
+        shard.unlink()
+        assert main([*_run_6x4_argv(run_6x4), "--out-dir", str(run)]) == 0
+        stages = json.loads((run / "manifest.json").read_text())["stages"]
+        assert [s["name"] for s in stages if not s["skipped"]] == ["emit"]
+        assert shard.read_bytes() == before
+
+    def test_a_copied_run_names_the_old_directory_in_no_count(self, run_6x4, tmp_path):
+        run = tmp_path / "copy"
+        shutil.copytree(run_6x4, run)
+        assert main([*_run_6x4_argv(run_6x4), "--out-dir", str(run)]) == 0
+        assert all(s["skipped"] for s in json.loads((run / "manifest.json").read_text())["stages"])
+        for name in STAGES:
+            counts = json.loads((run / "stages" / f"{name}.json").read_text())["counts"]
+            assert str(run_6x4) not in json.dumps(counts), name
+        assert json.loads((run / "stages" / "label.json").read_text())["counts"]["thresholds_source"] == "thresholds.json"
 
     def test_fresh_dir_reproduces_every_artifact_byte_for_byte(self, small_corpus, tmp_path):
         cfg1 = config_for(small_corpus, tmp_path, out="byte1")
@@ -918,6 +973,20 @@ class TestCli:
         pool_file.write_text(text)
         assert main(["analyze-bias", "--pool-file", str(pool_file), "--s", "2", *mode]) == 3
         assert f"DataError: pool file {pool_file}" in caplog.text
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze-complexity", "--n", "10", "--s-bar", "30"], ["analyze-bias", "--pool-file", "absent", "--s", "2"]],
+        ids=["complexity", "bias"],
+    )
+    @pytest.mark.parametrize("below", [False, True], ids=["a-directory", "below-a-file"])
+    def test_analyze_out_that_cannot_be_a_file_exits_2_before_computing(self, tmp_path, capsys, caplog, argv, below):
+        # The bias pool file does not exist: the --out check comes first.
+        (tmp_path / "plain-file").write_text("")
+        out = tmp_path / "plain-file" / "report.json" if below else tmp_path
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"ConfigError: --out {out} is a directory or below a file" in caplog.text
+        assert capsys.readouterr().out == "" and [p.name for p in tmp_path.iterdir()] == ["plain-file"]
 
     @pytest.mark.parametrize("flag", ["--s-bar", "--t", "--q-len"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -1533,6 +1602,53 @@ def failed_6x4(run_6x4, tmp_path_factory):
     return root / "run"
 
 
+# Each case: a command's arguments, in which {dir} is a directory, {fifo} a
+# FIFO nothing writes to, {missing} a path to nothing, {corpus} the corpus of
+# run_6x4, {run} a copy of run_6x4 and {new} a fresh run directory; the text
+# stderr names; and the stage whose failed entry the manifest ends with.
+_CORPUS = "--problems {corpus}/problems.jsonl --traces {corpus}/traces.jsonl"
+NAMED_FILE_CASES = {
+    "problems-directory": ("ingest --out-dir {new} --problems {dir} --traces {corpus}/traces.jsonl", "{dir}", "ingest"),
+    "traces-directory": ("ingest --out-dir {new} --problems {corpus}/problems.jsonl --traces {dir}", "{dir}", "ingest"),
+    "thresholds-directory": ("label --out-dir {run} --thresholds {dir}", "{dir}", "label"),
+    "step-scores-directory": ("eval-bok --out-dir {run} --scorer step-product --step-scores {dir}", "{dir}", "eval"),
+    "config-directory": ("--config {dir} ingest --out-dir {new} " + _CORPUS, "{dir}", None),
+    "pool-file-directory": ("analyze-bias --pool-file {dir} --s 2", "{dir}", None),
+    "pool-file-missing": ("analyze-bias --pool-file {missing} --s 2", "{missing}", None),
+    "problems-fifo": ("ingest --out-dir {new} --problems {fifo} --traces {corpus}/traces.jsonl", "{fifo}", "ingest"),
+    "config-fifo": ("--config {fifo} ingest --out-dir {new} " + _CORPUS, "{fifo}", None),
+    "reference-model-fifo": ("--backend reference:{fifo} score --out-dir {run}", "{fifo}", "score"),
+    "ingest-without-problems": ("ingest --out-dir {new} --traces {corpus}/traces.jsonl", "--problems", "ingest"),
+}
+
+
+class TestNamedFiles:
+    """Every file a user names is checked before anything opens it."""
+
+    @pytest.mark.parametrize("case", NAMED_FILE_CASES)
+    def test_a_file_that_is_not_a_regular_one_exits_2_naming_it(self, run_6x4, tmp_path, case):
+        argv, named, stage = NAMED_FILE_CASES[case]
+        places = dict(
+            dir=tmp_path / "a-directory", fifo=tmp_path / "a-fifo", missing=tmp_path / "absent",
+            corpus=run_6x4.parent / "corpus", run=tmp_path / "run", new=tmp_path / "new",
+        )
+        places["dir"].mkdir()
+        os.mkfifo(places["fifo"])
+        shutil.copytree(run_6x4, places["run"])
+        child = subprocess.run(
+            [sys.executable, "-m", "steplab.cli", *argv.format(**places).split()],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=20,
+        )
+        assert child.returncode == 2, child.stderr
+        assert "ConfigError" in child.stderr and named.format(**places) in child.stderr
+        assert "Traceback" not in child.stderr
+        if stage:
+            out = places["new" if "{new}" in argv else "run"]
+            failed = json.loads((out / "manifest.json").read_text())["stages"][-1]
+            assert (failed["name"], failed["exit_code"]) == (stage, 2)
+            assert named.format(**places) in failed["message"]
+
+
 class TestEmitInputs:
     @pytest.mark.parametrize("artifact", ["working_set", "step_labels"])
     def test_row_naming_an_unknown_trace_exits_3(self, run_6x4, tmp_path, caplog, artifact):
@@ -1613,12 +1729,14 @@ class TestEmitInputs:
         paths["parsed_traces"].write_text(_jsonl(rows))
         before = json.loads((run / "stages" / "emit.json").read_text())["counts"]
         assert main(["emit", "--out-dir", str(run)]) == 0
-        counts = json.loads((run / "stages" / "emit.json").read_text())["counts"]
+        entry = json.loads((run / "stages" / "emit.json").read_text())
+        counts = entry["counts"]
         for which in ("prm", "orm"):
             assert counts[which]["dropped"] == {problem_id: {trace_id: "reserved_symbol_in_step"}}
             assert counts[which]["dropped_by_reason"] == {"reserved_symbol_in_step": 1}
             assert counts[which]["records"] == before[which]["records"] - 1
-            assert trace_id not in {obj["trace_id"] for p in counts[which]["shards"] for obj in read_jsonl(p)}
+            shards = [run / p for p in entry["outputs"] if p.startswith(f"{which}/")]
+            assert shards and trace_id not in {obj["trace_id"] for p in shards for obj in read_jsonl(p)}
 
 
 class TestStageFormat:

@@ -22,7 +22,7 @@ import pytest
 from helpers import CountingBackend, information, make_problem, make_trace, scored_profile
 from steplab import scoring
 from steplab.analysis import ComplexityParams, tokens_mcnig
-from steplab.errors import BackendError, ConfigError, DataError
+from steplab.errors import BackendError, ConfigError, DataError, exit_code
 from steplab.fixtures import build_demo_corpus
 from steplab.pipeline import RunConfig, run_pipeline, summarize_run
 from steplab.scoring import (
@@ -877,6 +877,19 @@ class TestHttpBackend:
             backend.score(ScoringRequest("What?", "a"))
         assert err.value.kind == "transport" and "429" in str(err.value)
         assert backend.retries == 1
+
+    def test_a_status_that_is_not_retried_ends_the_score_stage(self, stub_server, tmp_path):
+        url, handler = stub_server
+        handler.prefix = "/elsewhere"  # so /v1/score answers 404
+        corpus = build_demo_corpus(tmp_path / "corpus", 6, 4)
+        out = tmp_path / "run"
+        cfg = RunConfig(problems=str(corpus["problems"]), traces=str(corpus["traces"]), out_dir=str(out), backend=url)
+        with pytest.raises(BackendError) as err:
+            run_pipeline(cfg)
+        assert (err.value.kind, exit_code(err.value), str(err.value)) == ("protocol", 4, f"{url}/v1/score returned 404")
+        failed = json.loads((out / "manifest.json").read_text())["stages"][-1]
+        assert (failed["name"], failed["exit_code"], failed["counts"]["retries"]) == ("score", 4, 0)
+        assert handler.paths == ["/v1/score"]
 
     def test_sequential_scores_share_one_connection(self, http_backend, stub_server, info_problem_model):
         url, handler = stub_server

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import sqlite3
@@ -114,6 +115,24 @@ class TestSqlEquivalent:
     def test_missing_fixture_is_structured_error(self):
         with pytest.raises(ValidatorError):
             check_sql("SELECT 1", "SELECT 1", "does/not/exist.sqlite")
+
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    @pytest.mark.parametrize("suffix", [".sql", ".sqlite"])
+    def test_a_fixture_that_is_not_a_regular_file_is_a_structured_error(self, tmp_path, kind, suffix):
+        fixture = tmp_path / f"company{suffix}"
+        os.mkfifo(fixture) if kind == "fifo" else fixture.mkdir()
+        errors = []
+
+        def check():
+            try:
+                check_sql("SELECT 1", "SELECT 1", fixture)
+            except ValidatorError as exc:
+                errors.append(exc)
+
+        worker = threading.Thread(target=check, daemon=True)  # a read of the FIFO would block for ever
+        worker.start()
+        worker.join(timeout=20)
+        assert not worker.is_alive() and len(errors) == 1 and str(fixture) in str(errors[0])
 
     def test_symmetry_without_ordering_clauses(self, sql_fixture):
         pairs = [
@@ -278,6 +297,22 @@ class TestValidateDispatch:
         )
         assert validate(spec, "SELECT city FROM departments ORDER BY dept_id", problem) == 1
         assert validate(spec, "SELECT name FROM departments", problem) == 0
+
+    def test_sql_on_a_sqlite_file_opens_it_read_only(self, sql_fixture, tmp_path):
+        database = tmp_path / "company.sqlite"
+        with sqlite3.connect(database) as conn:
+            conn.executescript(sql_fixture.read_text())
+        conn.close()
+        before = hashlib.sha256(database.read_bytes()).hexdigest()
+        problem = make_problem(domain="sql", gold="unused")
+        spec = ValidatorSpec(
+            kind="sql_execution",
+            payload={"fixture": str(database), "gold_query": "SELECT name FROM employees WHERE dept_id = 2"},
+        )
+        assert validate(spec, "SELECT name FROM employees WHERE salary BETWEEN 6500 AND 7500", problem) == 1
+        assert validate(spec, "SELECT name FROM employees WHERE dept_id = 3", problem) == 0
+        assert validate(spec, "DELETE FROM employees", problem) == 0
+        assert hashlib.sha256(database.read_bytes()).hexdigest() == before
 
     def test_determinism(self, sql_fixture):
         problem = make_problem(domain="sql", gold="unused")
