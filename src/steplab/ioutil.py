@@ -108,6 +108,14 @@ def input_file(path: str | Path, what: str) -> Path:
     return Path(path)
 
 
+def input_digest(path: str | Path, what: str) -> str:
+    """The sha256 of a file a user named, checked by :func:`input_file`; an unreadable one is a ConfigError."""
+    try:
+        return sha256_file(input_file(path, what))
+    except OSError as exc:
+        raise ConfigError(f"{what} file is unreadable: {path}") from exc
+
+
 def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 

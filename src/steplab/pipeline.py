@@ -22,10 +22,10 @@ import shutil
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
+from functools import cached_property, partial
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from . import __version__
 from .calibration import percentile_grid, sweep_threshold
@@ -33,7 +33,7 @@ from .dataset_emit import emit_orm_record, emit_prm_record, label_balance, trace
 from .errors import ConfigError, DataError, ReservedSymbolError, Terminated, UndefinedMetricError, exit_code
 from .evaluation import best_of_k, majority_best_of_k, oracle_score, random_scorer, step_product_scorer
 from .infogain import AGGREGATIONS, REFERENCES, StepSignal, assign_labels, ig_signal, mcnig_signal
-from .ioutil import atomic_write_text, input_file, read_jsonl, sha256_file, sha256_text, write_jsonl
+from .ioutil import atomic_write_text, input_digest, input_file, read_jsonl, sha256_file, sha256_text, write_jsonl
 from .scoring import InformationProfile, information_profile, make_backend, score_traces
 from .trace_model import (
     DOMAINS,
@@ -217,14 +217,15 @@ def _files(paths: list[Path]) -> list[Path]:
     return [child for p in paths for child in (sorted(p.glob("*.jsonl")) if p.is_dir() else [p])]
 
 
-def _digest_paths(paths: list[Path]) -> dict[str, str]:
-    return {str(p): sha256_file(p) for p in _files(paths)}
+def _digest_paths(paths: list[Path], out: Path) -> dict[str, str]:
+    """The sha256 of each file of ``paths``, all in the run directory ``out``, by its path relative to it."""
+    return {str(p.relative_to(out)): sha256_file(p) for p in _files(paths)}
 
 
-def _fingerprint(inputs: dict[str, str], config_keys: dict) -> str:
+def _fingerprint(digests: list[str], config_keys: dict) -> str:
     """Hash of the input digests, in input order, and the config: not of the
     input paths, so a moved or renamed run directory stays up to date."""
-    return sha256_text(json.dumps({"inputs": list(inputs.values()), "config": config_keys}, sort_keys=True))
+    return sha256_text(json.dumps({"inputs": digests, "config": config_keys}, sort_keys=True))
 
 
 def _stage_manifest_path(out: Path, stage: str) -> Path:
@@ -353,18 +354,19 @@ READERS: dict[str, Callable[..., Any]] = {
 @dataclass
 class StageIO:
     """A stage body's artifact paths and input rows. ``digests`` maps each
-    input path to the sha256 its fingerprint took. Rows are memoized in
-    ``memo`` under (artifact, digest), so stages sharing one memo parse each
-    artifact's bytes once, and a rewritten artifact is parsed afresh. Rows are
-    shared: never change them, unless read with ``keep=False``, which takes
-    them: popped from the memo, or parsed from the file as the caller iterates."""
+    input artifact's path, relative to the run directory, to the sha256 its
+    fingerprint took. Rows are memoized in ``memo`` under (artifact, digest),
+    so stages sharing one memo parse each artifact's bytes once, and a
+    rewritten artifact is parsed afresh. Rows are shared: never change them,
+    unless read with ``keep=False``, which takes them: popped from the memo,
+    or parsed from the file as the caller iterates."""
 
     paths: dict[str, Path]
     digests: dict[str, str]
     memo: dict
 
     def digest(self, key: str) -> str:
-        return self.digests[str(self.paths[key])]
+        return self.digests[self.paths[key].name]  # each artifact is a file in the run directory
 
     def rows(self, key: str, keep: bool = True):
         memo_key = (key, self.digest(key))
@@ -372,6 +374,37 @@ class StageIO:
         if keep:
             self.memo[memo_key] = rows
         return rows
+
+    @cached_property
+    def judged(self) -> dict[tuple[str, str], ReasoningTrace]:
+        """The parsed traces, taken from here, by (problem id, trace id), with
+        ``correct`` set on each parseable one: its normalized final answer is
+        among its answer pool's normalized correct answers. Each (problem,
+        final answer) pair is normalized once, and the table is memoized on
+        the digests of its three inputs, so stages sharing a memo judge once."""
+        paths = self.paths
+        memo_key = ("judged", *(self.digest(key) for key in ("problems", "parsed_traces", "pools")))
+        if memo_key in self.memo:
+            return self.memo[memo_key]
+        domain_of = {p.id: p.domain for p in self.rows("problems")}
+        pools = self.rows("pools")
+        for pid in pools:
+            if pid not in domain_of:
+                raise DataError(f"{paths['pools']}: pool of problem {pid!r}, which is not in {paths['problems']}")
+        correct_keys = {pid: {normalize_answer(a, domain_of[pid]) for a in pool.correct} for pid, pool in pools.items()}
+        verdicts: dict[tuple[str, str], bool] = {}
+        judged = {(t.problem_id, t.trace_id): t for t in self.rows("parsed_traces", keep=False)}
+        for t in judged.values():
+            if t.parse_ok:
+                key = (t.problem_id, t.final_answer)
+                if key not in verdicts:
+                    if t.problem_id not in correct_keys:
+                        raise DataError(f"{paths['pools']}: no answer pool for problem {t.problem_id!r}")
+                    answer = normalize_answer(t.final_answer, domain_of[t.problem_id])
+                    verdicts[key] = answer in correct_keys[t.problem_id]
+                t.correct = verdicts[key]
+        self.memo[memo_key] = judged
+        return judged
 
     def wrote(self, key: str, digest: str, rows) -> None:
         """Hand on ``rows``, equal to a parse of the bytes just written to ``key``."""
@@ -436,33 +469,18 @@ def _validate(cfg: RunConfig, io: StageIO, state) -> dict:
     }
 
 
-def _judged_traces(io: StageIO) -> list[ReasoningTrace]:
-    """The parsed traces, taken from ``io``, with ``correct`` set on each
-    parseable one: its normalized final answer is among its answer pool's
-    normalized correct answers. Each (problem, final answer) pair is
-    normalized once, and the list is memoized on the digests of its three
-    inputs."""
-    memo_key = ("judged", *(io.digest(key) for key in ("problems", "parsed_traces", "pools")))
-    if memo_key in io.memo:
-        return io.memo[memo_key]
-    domain_of = {p.id: p.domain for p in io.rows("problems")}
-    pools = io.rows("pools")
-    for pid in pools:
-        if pid not in domain_of:
-            raise DataError(f"{io.paths['pools']}: pool of problem {pid!r}, which is not in {io.paths['problems']}")
-    correct_keys = {pid: {normalize_answer(a, domain_of[pid]) for a in pool.correct} for pid, pool in pools.items()}
-    verdicts: dict[tuple[str, str], bool] = {}
-    judged = io.rows("parsed_traces", keep=False)
-    for t in judged:
-        if t.parse_ok:
-            key = (t.problem_id, t.final_answer)
-            if key not in verdicts:
-                if t.problem_id not in correct_keys:
-                    raise DataError(f"{io.paths['pools']}: no answer pool for problem {t.problem_id!r}")
-                verdicts[key] = normalize_answer(t.final_answer, domain_of[t.problem_id]) in correct_keys[t.problem_id]
-            t.correct = verdicts[key]
-    io.memo[memo_key] = judged
-    return judged
+def _trace_of(io: StageIO, source: str, problem_id: str, trace_id: str, steps: int | None = None) -> ReasoningTrace:
+    """The one check that a per-trace row fits its trace: the parseable judged
+    trace a row of the artifact ``source`` names, with ``steps`` steps when
+    given, else a DataError naming the row's file and trace. The trace's
+    problem has a row in problems.jsonl and a pool (:attr:`StageIO.judged`)."""
+    trace = io.judged.get((problem_id, trace_id))
+    if trace is not None and trace.parse_ok and steps in (None, len(trace.steps)):
+        return trace
+    where = f"{io.paths[source]}: trace {trace_id!r} of problem {problem_id!r}"
+    if trace is None or not trace.parse_ok:
+        raise DataError(f"{where} is not a parseable trace of {io.paths['parsed_traces']}")
+    raise DataError(f"{where} has entries for {steps} steps, but the trace has {len(trace.steps)}")
 
 
 def _prepare_score(cfg: RunConfig, paths: dict[str, Path]):
@@ -479,7 +497,7 @@ def _prepare_score(cfg: RunConfig, paths: dict[str, Path]):
 def _score(cfg: RunConfig, io: StageIO, backend) -> dict:
     problems = io.rows("problems")
     pools = io.rows("pools")
-    traces = _judged_traces(io)
+    traces = io.judged.values()
     kept, dropped = filter_and_subsample(problems, _by_problem(traces), k=cfg.k_subsample, seed=cfg.seed)
     working = []
     jobs = []
@@ -513,9 +531,8 @@ def _signals(cfg: RunConfig, io: StageIO, state) -> dict:
     profile_problems: set[str] = set()
     for profile in io.rows("profiles", keep=False):  # no later stage reads profiles
         profile_problems.add(profile.problem_id)
-        _check_known(paths["profiles"], profile, paths["problems"], problems)
+        _trace_of(io, "profiles", profile.problem_id, profile.trace_id, len(profile.values) - 1)
         if cfg.method == "mcnig":
-            _check_known(paths["profiles"], profile, paths["pools"], pools)
             pool = pools[profile.problem_id]
             if not pool.correct:
                 dropped[profile.problem_id] = "no_correct_answers_in_pool"
@@ -538,18 +555,10 @@ def _signals(cfg: RunConfig, io: StageIO, state) -> dict:
 def _sweep(cfg: RunConfig, io: StageIO, state) -> dict:
     paths = io.paths
     problems = {p.id: p for p in io.rows("problems")}
-    judged = {(t.problem_id, t.trace_id): t for t in _judged_traces(io) if t.parse_ok}
     by_domain: dict[str, tuple[list[StepSignal], list[int]]] = {}
     for signal in io.rows("signals"):
-        key = (signal.problem_id, signal.trace_id)
-        trace = judged.get(key)
-        if trace is None:
-            raise DataError(f"{paths['signals']}: trace {key} is not a parseable trace of {paths['parsed_traces']}")
-        if len(signal.values) != len(trace.steps):
-            counts = f"{len(signal.values)} values for {len(trace.steps)} steps"
-            raise DataError(f"{paths['signals']}: trace {key} has {counts}")
-        domain = problems[signal.problem_id].domain
-        signals, truths = by_domain.setdefault(domain, ([], []))
+        trace = _trace_of(io, "signals", signal.problem_id, signal.trace_id, len(signal.values))
+        signals, truths = by_domain.setdefault(problems[signal.problem_id].domain, ([], []))
         signals.append(signal)
         truths.append(int(trace.correct))
 
@@ -605,7 +614,7 @@ def _label(cfg: RunConfig, io: StageIO, state) -> dict:
     domain_of = {p.id: p.domain for p in io.rows("problems")}
     rows, labeled = [], []
     for signal in io.rows("signals"):
-        _check_known(io.paths["signals"], signal, io.paths["problems"], domain_of)
+        _trace_of(io, "signals", signal.problem_id, signal.trace_id, len(signal.values))
         tau = thresholds.get(domain_of[signal.problem_id], 0.0)
         rows.append(row := {**vars(signal), "labels": assign_labels(signal, tau), "threshold": tau})
         labeled.append((signal.problem_id, signal.trace_id, row["labels"]))
@@ -619,24 +628,15 @@ def _emit(cfg: RunConfig, io: StageIO, state) -> dict:
     checked before either dataset is written. Both lines of a trace share its fragment."""
     paths = io.paths
     problems = {p.id: p for p in io.rows("problems")}
-    traces = {(t.problem_id, t.trace_id): t for t in _judged_traces(io)}
-    working = [(pid, tid) for pid, trace_ids in io.rows("working_set") for tid in trace_ids]
     # A job is (problem id, trace id, step labels); an ORM job has no labels.
     jobs = {
-        "prm": (paths["step_labels"], io.rows("step_labels")),
-        "orm": (paths["working_set"], [(pid, tid, None) for pid, tid in working]),
+        "prm": ("step_labels", io.rows("step_labels")),
+        "orm": ("working_set", [(pid, tid, None) for pid, trace_ids in io.rows("working_set") for tid in trace_ids]),
     }
     fragments: dict[tuple[str, str], tuple | ReservedSymbolError] = {}  # a dropped trace keeps its error
     for source, dataset_jobs in jobs.values():
         for pid, trace_id, labels in dataset_jobs:
-            trace = traces.get((pid, trace_id))
-            where = f"{source}: trace {trace_id!r} of problem {pid!r}"
-            if pid not in problems or trace is None:
-                raise DataError(f"{where} is not in {paths['parsed_traces']}")
-            if labels is None and trace.correct is None:
-                raise DataError(f"{where} has no validation outcome")
-            if labels is not None and len(labels) != len(trace.steps):
-                raise DataError(f"{where} has {len(labels)} labels for {len(trace.steps)} steps")
+            trace = _trace_of(io, source, pid, trace_id, None if labels is None else len(labels))
             if (pid, trace_id) not in fragments:
                 try:
                     fragments[(pid, trace_id)] = trace_fragment(problems[pid], trace)
@@ -650,7 +650,7 @@ def _emit(cfg: RunConfig, io: StageIO, state) -> dict:
             if isinstance(fragment, ReservedSymbolError):
                 dropped.setdefault(pid, {})[trace_id] = fragment.reason_code
             elif labels is None:
-                correct = traces[(pid, trace_id)].correct
+                correct = io.judged[(pid, trace_id)].correct
                 lines.append(emit_orm_record(fragment, correct))
                 targets.append(correct)
             else:
@@ -677,18 +677,17 @@ def _prepare_eval(cfg: RunConfig, paths: dict[str, Path]):
     return None, [paths["step_labels"]] if cfg.eval_scorer == "label-product" else [], {}
 
 
-def _step_scores_row(obj: dict, step_counts: dict) -> tuple[tuple[str, str], list[float]]:
+def _step_scores_row(obj: dict, traces: dict) -> tuple[tuple[str, str], list[float]]:
     """A ``--step-scores`` row as ((problem id, trace id), step probabilities):
-    one per step, so at least one and, for a trace in ``step_counts``, its
-    step count; each a JSON number in [0, 1] (NaN and ``true`` are not)."""
+    one per step, so at least one and, for a trace of ``traces``, its step
+    count; each a JSON number in [0, 1] (NaN and ``true`` are not)."""
     probs = obj["step_probs"]
     if type(probs) is not list or not probs or not all(type(p) in (int, float) and 0 <= p <= 1 for p in probs):
         raise ValueError(f"step_probs must be a non-empty list of probabilities in [0, 1], got {probs!r}")
     key = (obj["problem_id"], obj["trace_id"])
-    if len(probs) != step_counts.get(key, len(probs)):
-        raise ValueError(
-            f"trace {key[1]!r} of problem {key[0]!r} has {len(probs)} step probabilities for {step_counts[key]} steps"
-        )
+    steps = len(traces[key].steps) if key in traces else len(probs)
+    if len(probs) != steps:
+        raise ValueError(f"trace {key[1]!r} of problem {key[0]!r} has {len(probs)} probabilities for {steps} steps")
     return key, probs
 
 
@@ -699,17 +698,19 @@ def _build_scorer(cfg: RunConfig, io: StageIO):
         return random_scorer(cfg.seed)
     if cfg.eval_scorer == "label-product":
         # This toolkit's own binary labels, as 0/1 step probabilities.
-        return step_product_scorer({(pid, tid): labels for pid, tid, labels in io.rows("step_labels")})
+        rows = io.rows("step_labels")
+        for pid, tid, labels in rows:
+            _trace_of(io, "step_labels", pid, tid, len(labels))
+        return step_product_scorer({(pid, tid): labels for pid, tid, labels in rows})
     # step-product and orm: external per-step probabilities from --step-scores
-    step_counts = {(t.problem_id, t.trace_id): len(t.steps) for t in _judged_traces(io)}
-    rows = read_jsonl(cfg.step_scores, partial(_step_scores_row, step_counts=step_counts), key=itemgetter(0))
+    rows = read_jsonl(cfg.step_scores, partial(_step_scores_row, traces=io.judged), key=itemgetter(0))
     return step_product_scorer(dict(rows))
 
 
 def _eval(cfg: RunConfig, io: StageIO, state) -> dict:
     # Each judged trace carries the verdict of the validate stage's answer
     # pools, which decides success: no validator runs here.
-    candidates = _by_problem(_judged_traces(io))
+    candidates = _by_problem(io.judged.values())
     problems = [p for p in io.rows("problems") if candidates.get(p.id)]
     if cfg.eval_scorer == "majority":
         report, considered, unscored = majority_best_of_k(problems, candidates, cfg.eval_k)
@@ -728,12 +729,6 @@ def _eval(cfg: RunConfig, io: StageIO, state) -> dict:
     }
 
 
-def _check_known(source: Path, row, table: Path, known: dict) -> None:
-    """A ``source`` row (a profile or signal) must name a problem of ``table``."""
-    if row.problem_id not in known:
-        raise DataError(f"{source}: trace {row.trace_id!r} names problem {row.problem_id!r}, which is not in {table}")
-
-
 def _require_columns(source: Path, profile: InformationProfile, answers: list[str]) -> None:
     """A ``source`` profile must have a column for each answer its signal reads."""
     for answer in answers:
@@ -744,7 +739,7 @@ def _require_columns(source: Path, profile: InformationProfile, answers: list[st
             )
 
 
-def _by_problem(traces: list) -> dict[str, list]:
+def _by_problem(traces: Iterable) -> dict[str, list]:
     grouped: dict[str, list] = {}
     for t in traces:
         grouped.setdefault(t.problem_id, []).append(t)
@@ -817,7 +812,7 @@ STAGE_TABLE = {
             command="score", help="filter, subsample, and score information profiles",
         ),
         Stage(
-            "signals", needs=("problems", "profiles", "pools"), writes=("signals",),
+            "signals", needs=("problems", "profiles", "parsed_traces", "pools"), writes=("signals",),
             reads=("method", "aggregation", "reference"), body=_signals,
         ),
         # label and sweep both need the signal values, so their subcommands
@@ -829,7 +824,7 @@ STAGE_TABLE = {
             runs_first=("signals",),
         ),
         Stage(
-            "label", needs=("problems", "signals"), writes=("step_labels",),
+            "label", needs=("problems", "signals", "parsed_traces", "pools"), writes=("step_labels",),
             reads=("thresholds_file",), body=_label, prepare=_prepare_label,
             command="label", help="compute step signals and thresholded labels",
             runs_first=("signals",),
@@ -866,21 +861,22 @@ def run_stage(name: str, cfg: RunConfig, memo: dict | None = None) -> dict:
     paths = artifact_paths(cfg.out)
     needs = [paths[n] for n in stage.needs]
     _require(needs, name)
-    named = [f for f in stage.reads if OPTIONS[f]["file"] and getattr(cfg, f)]
-    files = [input_file(getattr(cfg, f), OPTIONS[f]["file"]) for f in named]  # before prepare, which may read one
+    named = [(getattr(cfg, f), OPTIONS[f]["file"]) for f in stage.reads if OPTIONS[f]["file"] and getattr(cfg, f)]
+    files = {os.path.abspath(path): input_digest(path, what) for path, what in named}  # before prepare reads one
     state, extra_inputs, extra_config = stage.prepare(cfg, paths) if stage.prepare else (None, [], {})
     _require(extra_inputs, name)
-    inputs = _digest_paths(needs + extra_inputs + files)  # this order keeps each fingerprint as it was
+    inputs = _digest_paths(needs + extra_inputs, cfg.out)  # then the named files: each fingerprint stays as it was
     config = {OPTIONS[f]["key"] or f: getattr(cfg, f) for f in _fingerprinted(stage)}
     if stage.format:  # format 0 adds nothing, so fingerprints made before formats stay valid
         config["format"] = stage.format
-    fingerprint = _fingerprint(inputs, {**config, **extra_config})
+    fingerprint = _fingerprint([*inputs.values(), *files.values()], {**config, **extra_config})
     if not cfg.force and (stored := _maybe_skip(cfg.out, name, fingerprint)):
         return stored
     start = time.perf_counter()
     counts = stage.body(cfg, StageIO(paths, inputs, {} if memo is None else memo), state)
     wall_s = round(time.perf_counter() - start, 3)
     outputs = [str(p.relative_to(cfg.out)) for p in _files([paths[n] for n in stage.writes])]
+    inputs.update(files)
     entry = dict(
         name=name, fingerprint=fingerprint, inputs=inputs, outputs=outputs, counts=counts, wall_s=wall_s, skipped=False
     )

@@ -43,7 +43,7 @@ from typing import NamedTuple, Protocol
 from urllib.parse import SplitResult, urlsplit
 
 from .errors import BackendError, ConfigError, DataError
-from .ioutil import input_file, sha256_bytes, sha256_file, sha256_text
+from .ioutil import input_digest, sha256_bytes, sha256_text
 from .trace_model import Problem, ReasoningTrace
 
 log = logging.getLogger(__name__)
@@ -151,13 +151,9 @@ class ReferenceModel:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ReferenceModel":
-        path = input_file(path, "reference model")
-        try:
-            digest = sha256_file(path)
-        except OSError as exc:
-            raise ConfigError(f"reference model {path} is unreadable: {exc.strerror or exc}") from exc
+        digest = input_digest(path, "reference model")
         model = cls.__new__(cls)
-        model._source, model._lock, model._failure, model._data = (path, digest), threading.Lock(), "", None
+        model._source, model._lock, model._failure, model._data = (Path(path), digest), threading.Lock(), "", None
         model.backend_id = "reference:" + digest[:12]
         return model
 

@@ -182,14 +182,16 @@ class TestConfig:
             RunConfig(**{key: 0})
 
 
-# Each stage's fingerprint of a default run of the 6x4 demo corpus.
+# Each stage's fingerprint of a default run of the 6x4 demo corpus. Signals
+# and label took theirs when each began to digest the traces and pools its
+# rows are checked against.
 DEMO_FINGERPRINTS = {
     "ingest": "08465d316b550c38956acbc12fc9c4957c72360bb03d540076273264ecd587a7",
     "validate": "437ace455bf22a0aa8d815632172e15e881eedd55542ebc60f197bfae13b1614",
     "score": "3b961d9d5654eaf5dbdca13d5ef115782bdd901d90e3ed79ae2dbc8f501c2b63",
-    "signals": "9d3d1cf1bac75d55fb33c4254cd3fd02d7f9a034a8464a7c352bd177b22b34bc",
+    "signals": "42c6fcf3cb7229f77a1027451be661294bb7914b36532ff9e2846f57e240bb68",
     "sweep": "fc38a022e3182ed558064d0fc56cfe5111e9c4480741fbaba1e7332b87a82edb",
-    "label": "06fb71a8be6d059ac663de079057b841bf74ffb2783f712637253a4fdde5df1d",
+    "label": "afe8f12ffb06a8dae700ab02d1bff022dd6cb4e5cff8031cd5298caac6f1fc3c",
     "emit": "bb1f7ba4f2b0527441ad06411daa7caa910a441caab704a8b1fe2e0a99c2ad2e",
     "eval": "eb1d69f5480cc6dc1fb8f68b22bdead9e464ca562e58a053c04484b8a666be24",
 }
@@ -200,7 +202,7 @@ DEMO_FINGERPRINTS = {
 # the order it was, so such a run directory is still up to date.
 FILE_OPTION_FINGERPRINTS = {
     **DEMO_FINGERPRINTS,
-    "label": "faf03fd4f0fb77d498a4abbbd794951c501bdb4b12bd63ff6a2bb4ea538ae447",
+    "label": "a429f3a744988631d5115421b8b2c626ee5bcae3a6f6f3a071293439479356d7",
     "emit": "e6b20bb261b0a4f61e9aec3651a0c5eddd40858ac6c1cffbbd3f66ee42b694de",
     "eval": "5efa537a8fb766137c7e1e5aea8c5053658a95ca806b7b03d49e2edd1ea6b4e3",
 }
@@ -253,7 +255,7 @@ class TestStageTable:
         assert {s["name"]: s["fingerprint"] for s in first} == FILE_OPTION_FINGERPRINTS
         label, evaluation = first[STAGES.index("label")], first[STAGES.index("eval")]
         assert str(thresholds) in label["inputs"] and label["counts"]["thresholds_source"] == str(thresholds)
-        assert {str(artifact_paths(cfg.out)["step_labels"]), str(step_scores)} <= set(evaluation["inputs"])
+        assert {"step_labels.jsonl", str(step_scores)} <= set(evaluation["inputs"])
         again = run_pipeline(cfg)["stages"]
         assert [(s["name"], s["fingerprint"], s["skipped"]) for s in again] == [
             (s["name"], s["fingerprint"], True) for s in first
@@ -391,9 +393,30 @@ class TestPipeline:
         assert main([*_run_6x4_argv(run_6x4), "--out-dir", str(run)]) == 0
         assert all(s["skipped"] for s in json.loads((run / "manifest.json").read_text())["stages"])
         for name in STAGES:
-            counts = json.loads((run / "stages" / f"{name}.json").read_text())["counts"]
-            assert str(run_6x4) not in json.dumps(counts), name
+            entry = json.loads((run / "stages" / f"{name}.json").read_text())
+            assert str(run_6x4) not in json.dumps([entry["counts"], entry["inputs"]]), name
+        # Inputs in the run directory are named relative to it, a named file by its absolute path.
+        corpus = run_6x4.parent / "corpus"
+        assert list(json.loads((run / "stages" / "ingest.json").read_text())["inputs"]) == [
+            str(corpus / "problems.jsonl"), str(corpus / "traces.jsonl"),
+        ]
+        assert list(json.loads((run / "stages" / "signals.json").read_text())["inputs"]) == [
+            "problems.jsonl", "profiles.jsonl", "parsed_traces.jsonl", "pools.jsonl",
+        ]
         assert json.loads((run / "stages" / "label.json").read_text())["counts"]["thresholds_source"] == "thresholds.json"
+
+    def test_a_named_file_and_a_run_file_of_one_name_are_both_inputs(self, run_6x4, tmp_path, monkeypatch):
+        # A named file is keyed by its absolute path, so it cannot take a run file's relative key.
+        shutil.copytree(run_6x4, tmp_path / "run")
+        monkeypatch.chdir(tmp_path)
+        Path("step_labels.jsonl").write_text('{"problem_id": "p0", "trace_id": "t0", "step_probs": [0.5]}\n')
+        argv = ["eval-bok", "--out-dir", "run", "--scorer", "label-product", "--step-scores", "step_labels.jsonl"]
+        assert main(argv) == 0
+        inputs = json.loads(Path("run/stages/eval.json").read_text())["inputs"]
+        named = os.path.abspath("step_labels.jsonl")
+        assert list(inputs) == ["problems.jsonl", "parsed_traces.jsonl", "pools.jsonl", "step_labels.jsonl", named]
+        assert inputs["step_labels.jsonl"] == sha256_file("run/step_labels.jsonl")
+        assert inputs[named] == sha256_file(named)
 
     def test_fresh_dir_reproduces_every_artifact_byte_for_byte(self, small_corpus, tmp_path):
         cfg1 = config_for(small_corpus, tmp_path, out="byte1")
@@ -928,6 +951,13 @@ class TestCli:
         assert report["tokens"]["mathshepherd"] == 1_188_000
         assert report["tokens"]["mcnig"] == 35_380
         assert abs(report["tokens"]["omegaprm"] - 79_726.27) < 0.1
+
+    def test_analyze_complexity_out_writes_the_json_it_prints(self, tmp_path, capsys):
+        out = tmp_path / "reports" / "complexity.json"
+        assert main(["analyze-complexity", "--n", "100", "--s-bar", "30", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert out.read_text(encoding="utf-8") + "\n" == printed and json.loads(printed)["tokens"]
+        assert [p.name for p in out.parent.iterdir()] == ["complexity.json"]
 
     def test_analyze_bias_exhaustive(self, tmp_path, capsys):
         pool_file = tmp_path / "pool.json"
@@ -1648,6 +1678,36 @@ class TestNamedFiles:
             assert (failed["name"], failed["exit_code"]) == (stage, 2)
             assert named.format(**places) in failed["message"]
 
+    # Each case: a command's arguments, in which {file} is the unreadable
+    # file, the name messages give that file, and the stage that reads it.
+    @pytest.mark.parametrize("argv, what, stage", [
+        ("ingest --problems {file} --traces {corpus}/traces.jsonl", "problems", "ingest"),
+        ("label --thresholds {file}", "thresholds", "label"),
+        ("eval-bok --scorer step-product --step-scores {file}", "step scores", "eval"),
+        ("--backend reference:{file} score --force", "reference model", "score"),
+    ], ids=["problems", "thresholds", "step-scores", "reference-model"])
+    def test_an_unreadable_file_exits_2_naming_it(self, run_6x4, tmp_path, monkeypatch, caplog, argv, what, stage):
+        # Root reads a file whatever its permission bits, so the digest refuses it instead.
+        from steplab import ioutil
+
+        run, unreadable = tmp_path / "run", tmp_path / "unreadable"
+        shutil.copytree(run_6x4, run)
+        unreadable.write_text("{}\n")
+        sha256_file = ioutil.sha256_file
+
+        def refuse(path):
+            if Path(path) == unreadable:
+                raise PermissionError(13, "Permission denied", str(path))
+            return sha256_file(path)
+
+        monkeypatch.setattr(ioutil, "sha256_file", refuse)
+        args = argv.format(file=unreadable, corpus=run_6x4.parent / "corpus").split()
+        assert main([*args, "--out-dir", str(run)]) == 2
+        message = f"ConfigError: {what} file is unreadable: {unreadable}"
+        assert any(message in r.message for r in caplog.records)
+        failed = json.loads((run / "manifest.json").read_text())["stages"][-1]
+        assert (failed["name"], failed["exit_code"]) == (stage, 2) and message.endswith(failed["message"])
+
 
 class TestEmitInputs:
     @pytest.mark.parametrize("artifact", ["working_set", "step_labels"])
@@ -1710,6 +1770,9 @@ class TestEmitInputs:
             for row in read_jsonl(paths["parsed_traces"])
         ]
         paths["parsed_traces"].write_text(_jsonl(rows))
+        # emit checks the step labels first: the trace has none, so the working set names it
+        labels = [row for row in read_jsonl(paths["step_labels"]) if row["trace_id"] != trace_id]
+        paths["step_labels"].write_text(_jsonl(labels))
         assert main(["emit", "--out-dir", str(run)]) == 3
         assert any(
             "DataError" in r.message and str(paths["working_set"]) in r.message and repr(trace_id) in r.message
@@ -1936,7 +1999,10 @@ class TestSweepOfOneClass:
 
 class TestSignalAndLabelInputs:
     # (artifact with the damaged row, the table its problem is missing from);
-    # profiles are read by the signals stage, signals by the label stage.
+    # profiles are read by the signals stage, signals by the label stage. A
+    # row whose problem is not in problems.jsonl names no parseable trace of
+    # parsed_traces.jsonl; a parseable trace whose problem has no pool is an
+    # error of pools.jsonl, naming the problem.
     @pytest.mark.parametrize("artifact, table", [("profiles", "problems"), ("profiles", "pools"), ("signals", "problems")])
     def test_row_naming_an_unknown_problem_exits_3(self, run_6x4, tmp_path, caplog, artifact, table):
         run = tmp_path / "run"
@@ -1947,17 +2013,75 @@ class TestSignalAndLabelInputs:
         if table == "pools":
             pools = [pool for pool in read_jsonl(paths["pools"]) if pool["problem_id"] != rows[0]["problem_id"]]
             paths["pools"].write_text(_jsonl(pools))
+            named = [str(paths["pools"]), repr(rows[0]["problem_id"])]
         else:
             rows[0]["problem_id"] = "no-such"
             paths[artifact].write_text(_jsonl(rows))
+            named = [str(paths[artifact]), str(paths["parsed_traces"]), repr(rows[0]["trace_id"])]
         assert main(["label", "--out-dir", str(run)]) == 3
-        assert any(
-            "DataError" in r.message
-            and str(paths[artifact]) in r.message
-            and str(paths[table]) in r.message
-            and rows[0]["trace_id"] in r.message
-            for r in caplog.records
+        assert any("DataError" in r.message and all(n in r.message for n in named) for r in caplog.records)
+
+
+class TestRowsFitTheirTraces:
+    """A per-trace row fits its trace where it is read: it names a parseable
+    trace of parsed_traces.jsonl and has one entry per step of it."""
+
+    @pytest.fixture()
+    def run(self, run_6x4, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(run_6x4, run)
+        (tmp_path / "thresholds.json").write_text('{"math": 0.25, "qa": -0.5}\n')
+        return run
+
+    @staticmethod
+    def relabel(run, *stages):
+        thresholds = str(run.parent / "thresholds.json")
+        return main(["run", "--stages", ",".join(stages), "--thresholds", thresholds, "--force", "--out-dir", str(run)])
+
+    @staticmethod
+    def damage_first_row(path, damage) -> dict:
+        rows = list(read_jsonl(path))
+        rows[0] = damage(rows[0])
+        path.write_text(_jsonl(rows))
+        return rows[0]
+
+    @staticmethod
+    def failed_in(run, stage, path, row, caplog) -> bool:
+        failed = json.loads((run / "manifest.json").read_text())["stages"][-1]
+        where = f"{path}: trace {row['trace_id']!r} of problem {row['problem_id']!r}"
+        return (failed["name"], failed["exit_code"]) == (stage, 3) and where in failed["message"] and any(
+            "DataError" in r.message and where in r.message for r in caplog.records
         )
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda row: {**row, "values": [*row["values"], row["values"][-1]]},
+            lambda row: {**row, "trace_id": "no-such"},
+        ],
+        ids=["a-row-too-many", "an-unknown-trace"],
+    )
+    def test_a_profile_that_fits_no_trace_fails_signals(self, run, caplog, damage):
+        paths = artifact_paths(run)
+        before = {name: paths[name].read_bytes() for name in ("signals", "step_labels")}
+        row = self.damage_first_row(paths["profiles"], damage)
+        assert self.relabel(run, "signals", "label", "eval") == 3
+        assert self.failed_in(run, "signals", paths["profiles"], row, caplog)
+        assert {name: paths[name].read_bytes() for name in before} == before
+
+    def test_a_signal_with_a_value_too_many_fails_label(self, run, caplog):
+        paths = artifact_paths(run)
+        before = paths["step_labels"].read_bytes()
+        row = self.damage_first_row(paths["signals"], lambda row: {**row, "values": [*row["values"], 0.0]})
+        assert self.relabel(run, "label", "eval") == 3
+        assert self.failed_in(run, "label", paths["signals"], row, caplog)
+        assert paths["step_labels"].read_bytes() == before
+
+    def test_step_labels_with_a_label_too_many_fail_label_product_eval(self, run, caplog):
+        paths = artifact_paths(run)
+        row = self.damage_first_row(paths["step_labels"], lambda row: {**row, "labels": [*row["labels"], 0]})
+        assert main(["eval-bok", "--scorer", "label-product", "--out-dir", str(run)]) == 3
+        assert self.failed_in(run, "eval", paths["step_labels"], row, caplog)
 
 
 def _without(key):
@@ -1974,6 +2098,9 @@ MALFORMED_RUN_ARTIFACTS = {
     "parsed-trace-with-steps-as-one-string": ("parsed_traces", lambda row: {**row, "steps": " ".join(row["steps"])}, ["validate"]),
     "parsed-trace-with-a-numeric-answer": ("parsed_traces", lambda row: {**row, "final_answer": 4, "parse_ok": True}, ["validate"]),
     "parsed-trace-row-repeated": ("parsed_traces", lambda row: [row, row], ["validate"]),
+    "parsed-trace-unparseable-with-a-verdict": (
+        "parsed_traces", lambda row: {**row, "final_answer": None, "parse_ok": False, "correct": True}, ["validate"],
+    ),
     "pool-with-an-unknown-key": ("pools", lambda row: {**row, "verdict": True}, ["eval-bok"]),
     "pool-with-correct-as-a-string": ("pools", lambda row: {**row, "correct": "".join(row["correct"])}, ["eval-bok"]),
     "pool-with-wrong-as-a-number": ("pools", lambda row: {**row, "wrong": 7}, ["eval-bok"]),
@@ -1982,6 +2109,9 @@ MALFORMED_RUN_ARTIFACTS = {
     "profile-with-no-rows": ("profiles", lambda row: {**row, "values": []}, ["label"]),
     "profile-with-only-the-step-0-row": ("profiles", lambda row: {**row, "values": row["values"][:1]}, ["label"]),
     "profile-row-repeated": ("profiles", lambda row: [row, row], ["label"]),
+    "profile-with-an-infinite-entry": (
+        "profiles", lambda row: {**row, "values": [[math.inf] * len(row["answers"]), *row["values"][1:]]}, ["label"],
+    ),
     "profile-with-a-null-trace-id": ("profiles", lambda row: {**row, "trace_id": None}, ["label"]),
     "signal-without-method": ("signals", _without("method"), ["run", "--stages", "label"]),
     "signal-with-no-values": ("signals", lambda row: {**row, "values": []}, ["run", "--stages", "label"]),
@@ -2023,7 +2153,7 @@ class TestMalformedRunArtifacts:
         assert main([*command, "--out-dir", str(run)]) == 3
         where = f"{path}:{len(damaged)}:"
         if case in CROSS_ARTIFACT_CASES:
-            where = f"{path}: trace {(damaged[-1]['problem_id'], damaged[-1]['trace_id'])}"
+            where = f"{path}: trace {damaged[-1]['trace_id']!r} of problem {damaged[-1]['problem_id']!r}"
         assert any("DataError" in r.message and where in r.message for r in caplog.records)
 
 
@@ -2264,7 +2394,7 @@ class TestHandedOnRows:
         traces = memo[("parsed_traces", sha256_file(artifact_paths(out)["parsed_traces"]))]
         assert traces and all(t.correct is None for t in traces)
         judged = next(rows for key, rows in memo.items() if key[0] == "judged")
-        assert {t.correct for t in judged if t.parse_ok} == {True, False}
+        assert {t.correct for t in judged.values() if t.parse_ok} == {True, False}
 
 
 def _one_entry(**fields) -> str:
