@@ -97,13 +97,15 @@ class RunConfig:
     force: bool = _option(False)
 
     def __post_init__(self):
-        """The one place where configuration is validated."""
+        """The one place where configuration is validated; each value has its field's type (an int is a float)."""
         for f in fields(self):
             value, choices, least = getattr(self, f.name), f.metadata["choices"], f.metadata["least"]
+            if type(value) not in ((int, float) if f.type is float else (getattr(f.type, "__origin__", f.type),)):
+                raise ConfigError(f"{f.name} must be of type {f.type.__name__}, got {value!r}")
             for item in (value if isinstance(value, list) else [value]) if choices else ():
-                if item not in choices:
+                if item not in choices:  # so each item of domains is a string
                     raise ConfigError(f"unknown {f.name}: {item!r}; choose from {choices}")
-            if least is not None and (not isinstance(value, int) or value < least):
+            if least is not None and value < least:
                 raise ConfigError(f"{f.name} must be an integer of at least {least}, got {value!r}")
         for name in ("backend_timeout_s", "backend_backoff_s"):
             if not 0 <= getattr(self, name) < math.inf:
@@ -483,7 +485,7 @@ def _trace_of(io: StageIO, source: str, problem_id: str, trace_id: str, steps: i
     raise DataError(f"{where} has entries for {steps} steps, but the trace has {len(trace.steps)}")
 
 
-def _prepare_score(cfg: RunConfig, paths: dict[str, Path]):
+def _prepare_score(cfg: RunConfig):
     """Build the backend: its id is part of the fingerprint."""
     if not cfg.backend:
         raise ConfigError("no scoring backend configured (use --backend or the env override)")
@@ -491,7 +493,7 @@ def _prepare_score(cfg: RunConfig, paths: dict[str, Path]):
         cfg.backend, cfg.cache_dir or None,
         timeout_s=cfg.backend_timeout_s, max_retries=cfg.backend_retries, backoff_s=cfg.backend_backoff_s,
     )
-    return backend, [], {"backend": backend.backend_id}
+    return backend, {"backend": backend.backend_id}
 
 
 def _score(cfg: RunConfig, io: StageIO, backend) -> dict:
@@ -582,13 +584,8 @@ def _sweep(cfg: RunConfig, io: StageIO, state) -> dict:
     return {"domains_swept": swept, "domains_skipped": len(reports) - swept, "best_thresholds": thresholds}
 
 
-def _prepare_label(cfg: RunConfig, paths: dict[str, Path]):
-    """Threshold table for labeling, and its source, which is digested: the
-    ``--thresholds`` file (by run_stage), else the sweep's output in the run
-    directory, named relative to it. A domain the table does not name gets 0.0."""
-    source = Path(cfg.thresholds_file) if cfg.thresholds_file else paths["thresholds"]
-    own = [] if cfg.thresholds_file else [source]
-    _require(own, "label")
+def _thresholds(source: Path) -> dict:
+    """The threshold table in ``source``: a JSON object of finite numbers naming no domain twice."""
 
     def one_value_per_key(pairs: list) -> dict:
         obj: dict = {}
@@ -606,11 +603,14 @@ def _prepare_label(cfg: RunConfig, paths: dict[str, Path]):
         type(tau) in (int, float) and abs(tau) < math.inf for tau in thresholds.values()
     ):
         raise DataError(f"thresholds file {source} must be a JSON object of finite numbers, one per domain")
-    return (thresholds, cfg.thresholds_file or str(source.relative_to(cfg.out))), own, {}
+    return thresholds
 
 
 def _label(cfg: RunConfig, io: StageIO, state) -> dict:
-    thresholds, thresholds_source = state
+    """Label each signal's steps at its domain's threshold, from ``--thresholds``, else the
+    sweep's ``thresholds.json``; a domain the table does not name gets 0.0."""
+    source = Path(cfg.thresholds_file) if cfg.thresholds_file else io.paths["thresholds"]
+    thresholds = _thresholds(source)
     domain_of = {p.id: p.domain for p in io.rows("problems")}
     rows, labeled = [], []
     for signal in io.rows("signals"):
@@ -619,7 +619,7 @@ def _label(cfg: RunConfig, io: StageIO, state) -> dict:
         rows.append(row := {**vars(signal), "labels": assign_labels(signal, tau), "threshold": tau})
         labeled.append((signal.problem_id, signal.trace_id, row["labels"]))
     io.wrote("step_labels", write_jsonl(io.paths["step_labels"], rows), labeled)
-    return {"traces_labeled": len(rows), "thresholds_source": thresholds_source}
+    return {"traces_labeled": len(rows), "thresholds_source": cfg.thresholds_file or source.name}
 
 
 def _emit(cfg: RunConfig, io: StageIO, state) -> dict:
@@ -670,11 +670,6 @@ def _emit(cfg: RunConfig, io: StageIO, state) -> dict:
     balance = {which: c["balance"] for which, c in counts.items()}
     atomic_write_text(paths["emit_report"], json.dumps(balance, ensure_ascii=False, indent=1))
     return counts
-
-
-def _prepare_eval(cfg: RunConfig, paths: dict[str, Path]):
-    """Digest label-product's own input, the step labels."""
-    return None, [paths["step_labels"]] if cfg.eval_scorer == "label-product" else [], {}
 
 
 def _step_scores_row(obj: dict, traces: dict) -> tuple[tuple[str, str], list[float]]:
@@ -769,11 +764,13 @@ class Stage:
     """One stage: what it needs and writes, which config it reads, its body.
 
     ``needs`` and ``writes`` name artifacts (keys of :func:`artifact_paths`).
+    A need in ``when`` is required and digested only when its condition on
+    the config holds; such needs come last, so other digests keep their order.
     ``reads`` lists the RunConfig fields the stage uses; they also give its
     CLI flags, its fingerprint (:func:`_fingerprinted`) and the named files
-    run_stage checks and digests. ``prepare(cfg, paths)``, when set, runs
-    after that check, before the up-to-date check, and returns the state
-    handed to ``body``, extra files to digest, and extra fingerprint
+    run_stage checks and digests. ``prepare(cfg)``, when set, builds what
+    the fingerprint needs before the up-to-date check, which is score's
+    backend, and returns the state handed to ``body`` and extra fingerprint
     entries. ``command`` is the CLI subcommand that runs the stages in
     ``runs_first`` and then this one.
     ``format`` numbers the stage's output layout; above 0 it is part of the
@@ -785,7 +782,8 @@ class Stage:
     writes: tuple[str, ...]
     reads: tuple[str, ...]
     body: Callable[[RunConfig, StageIO, Any], dict]
-    prepare: Callable[[RunConfig, dict[str, Path]], tuple[Any, list[Path], dict]] | None = None
+    when: dict[str, Callable[[RunConfig], bool]] = field(default_factory=dict)
+    prepare: Callable[[RunConfig], tuple[Any, dict]] | None = None
     command: str = ""
     help: str = ""
     runs_first: tuple[str, ...] = ()
@@ -824,8 +822,8 @@ STAGE_TABLE = {
             runs_first=("signals",),
         ),
         Stage(
-            "label", needs=("problems", "signals", "parsed_traces", "pools"), writes=("step_labels",),
-            reads=("thresholds_file",), body=_label, prepare=_prepare_label,
+            "label", needs=("problems", "signals", "parsed_traces", "pools", "thresholds"), writes=("step_labels",),
+            reads=("thresholds_file",), body=_label, when={"thresholds": lambda cfg: not cfg.thresholds_file},
             command="label", help="compute step signals and thresholded labels",
             runs_first=("signals",),
         ),
@@ -836,8 +834,9 @@ STAGE_TABLE = {
             command="emit", help="write the prm and orm training records",
         ),
         Stage(
-            "eval", needs=("problems", "parsed_traces", "pools"), writes=("eval_report",),
-            reads=("eval_scorer", "eval_k", "step_scores", "seed"), body=_eval, prepare=_prepare_eval,
+            "eval", needs=("problems", "parsed_traces", "pools", "step_labels"), writes=("eval_report",),
+            reads=("eval_scorer", "eval_k", "step_scores", "seed"), body=_eval,
+            when={"step_labels": lambda cfg: cfg.eval_scorer == "label-product"},
             command="eval-bok", help="best-of-K evaluation",
         ),
     )
@@ -859,13 +858,12 @@ def run_stage(name: str, cfg: RunConfig, memo: dict | None = None) -> dict:
     run with one ``memo`` share their parsed inputs (:class:`StageIO`)."""
     stage = STAGE_TABLE[name]
     paths = artifact_paths(cfg.out)
-    needs = [paths[n] for n in stage.needs]
+    needs = [paths[n] for n in stage.needs if n not in stage.when or stage.when[n](cfg)]
     _require(needs, name)
     named = [(getattr(cfg, f), OPTIONS[f]["file"]) for f in stage.reads if OPTIONS[f]["file"] and getattr(cfg, f)]
-    files = {os.path.abspath(path): input_digest(path, what) for path, what in named}  # before prepare reads one
-    state, extra_inputs, extra_config = stage.prepare(cfg, paths) if stage.prepare else (None, [], {})
-    _require(extra_inputs, name)
-    inputs = _digest_paths(needs + extra_inputs, cfg.out)  # then the named files: each fingerprint stays as it was
+    files = {os.path.abspath(path): input_digest(path, what) for path, what in named}
+    state, extra_config = stage.prepare(cfg) if stage.prepare else (None, {})
+    inputs = _digest_paths(needs, cfg.out)  # then the named files: each fingerprint stays as it was
     config = {OPTIONS[f]["key"] or f: getattr(cfg, f) for f in _fingerprinted(stage)}
     if stage.format:  # format 0 adds nothing, so fingerprints made before formats stay valid
         config["format"] = stage.format

@@ -181,6 +181,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             RunConfig(**{key: 0})
 
+    # load_config takes a value that is not text, as Python code passes it, as it is.
+    @pytest.mark.parametrize("key, value", [
+        ("k_subsample", True), ("grid_size", True), ("backend_timeout_s", True), ("seed", 1.5),
+        ("force", 1), ("split", 5), ("domains", "math"), ("domains", ["math", 1]),
+    ], ids=[
+        "k-subsample-true", "grid-size-true", "timeout-true", "seed-float", "force-int", "split-int",
+        "domains-a-string", "domains-item-int",
+    ])
+    def test_a_value_of_another_type_is_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(**{key: value})
+
+    def test_an_int_is_a_float(self):
+        assert load_config(overrides={"backend_timeout_s": 2}, env={}).backend_timeout_s == 2
+
 
 # Each stage's fingerprint of a default run of the 6x4 demo corpus. Signals
 # and label took theirs when each began to digest the traces and pools its
@@ -215,6 +230,8 @@ class TestStageTable:
         for stage in STAGE_TABLE.values():
             assert set(stage.needs) | set(stage.writes) <= artifacts, stage.name
             assert set(stage.reads) <= config_fields, stage.name
+            # Conditional needs come last, so the digests of the others keep their order.
+            assert set(stage.needs[len(stage.needs) - len(stage.when):]) == set(stage.when), stage.name
 
     def test_fingerprinted_fields_are_the_hand_written_lists_they_replace(self):
         assert {name: _fingerprinted(stage) for name, stage in STAGE_TABLE.items()} == {
@@ -417,6 +434,24 @@ class TestPipeline:
         assert list(inputs) == ["problems.jsonl", "parsed_traces.jsonl", "pools.jsonl", "step_labels.jsonl", named]
         assert inputs["step_labels.jsonl"] == sha256_file("run/step_labels.jsonl")
         assert inputs[named] == sha256_file(named)
+
+    def test_an_up_to_date_label_is_skipped_without_reading_its_thresholds(self, run_6x4, tmp_path, monkeypatch):
+        # The label body reads the table; the up-to-date check only digests the file.
+        run, pinned = tmp_path / "run", tmp_path / "pinned.json"
+        shutil.copytree(run_6x4, run)
+        pinned.write_text('{"math": 0.25, "qa": -0.5}\n')
+        argv = ["label", "--out-dir", str(run), "--thresholds", str(pinned)]
+        assert main(argv) == 0
+        read_text, read = Path.read_text, []
+
+        def recorded(path, *args, **kwargs):
+            read.append(path)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", recorded)
+        assert main(argv) == 0
+        assert json.loads((run / "manifest.json").read_text())["stages"][-1]["skipped"] is True
+        assert pinned not in read
 
     def test_fresh_dir_reproduces_every_artifact_byte_for_byte(self, small_corpus, tmp_path):
         cfg1 = config_for(small_corpus, tmp_path, out="byte1")
@@ -662,6 +697,16 @@ class TestCli:
         assert code == 2
         assert any("ConfigError" in r.message and str(missing) in r.message for r in caplog.records)
 
+    def test_unrecognized_backend_spec_exits_2(self, small_corpus, tmp_path, caplog):
+        code = main([
+            "--backend", "ftp://x",
+            "run", "--out-dir", str(tmp_path / "run"),
+            "--problems", str(small_corpus["problems"]),
+            "--traces", str(small_corpus["traces"]),
+        ])
+        assert code == 2
+        assert any("ConfigError: unrecognized backend spec: 'ftp://x'" in r.message for r in caplog.records)
+
     @pytest.mark.parametrize("workers", ["1", "4"])
     @pytest.mark.parametrize("damage", ["not-an-object", "no-table", "invalid-probabilities"])
     def test_invalid_model_file_exits_3_when_a_miss_loads_it(self, small_corpus, tmp_path, caplog, damage, workers):
@@ -803,12 +848,14 @@ class TestCli:
             ("", ["--split", "a/b"], "'a/b'"),
             ('split = ""\n', [], "split"),
             ("", ["--method", "guess"], "method"),
+            ("k_subsample 4\n", [], "run.cfg:1: expected key = value"),
+            ("", ["--scorer", "step-product"], "needs --step-scores"),
         ],
         ids=[
             "eval-scorer-bogus", "k-0", "grid-size-0", "k-subsample-0", "timeout-soon", "force-yes",
             "retries-true", "seed-float", "k-subsample-abc", "timeout-nan", "backoff-negative",
             "domain-unknown", "domain-capitalized", "split-escaping", "split-with-a-slash", "split-empty",
-            "method-flag-guess",
+            "method-flag-guess", "line-without-equals", "step-product-without-step-scores",
         ],
     )
     def test_bad_config_fails_before_any_stage(self, small_corpus, tmp_path, caplog, config_text, flags, key):

@@ -13,6 +13,7 @@ from steplab.trace_model import (
     normalize_answer,
     parse_trace,
 )
+from steplab.validators import ValidatorSpec, make_validator
 
 
 class TestParseTrace:
@@ -121,17 +122,28 @@ class TestBuildAnswerPool:
         assert calls == ["0.5"]
         assert pool.multiplicity["0.5"] == 2
 
-    def test_validator_crash_goes_to_wrong_with_flag(self):
-        problem = make_problem()
+    @pytest.mark.parametrize("case", ["raises", "sql-fixture-fails-to-build", "sql-gold-query-fails"])
+    def test_validator_crash_goes_to_wrong_with_flag(self, sql_fixture, tmp_path, case):
+        gold_query, fixture = "SELECT 1", tmp_path / "broken.sql"
+        fixture.write_text("CREATE TABLE t (x INTEGER);\nTHIS IS NOT SQL;\n")
+        if case == "sql-gold-query-fails":
+            gold_query, fixture = "SELECT nothing FROM nowhere", sql_fixture
+        spec = ValidatorSpec(kind="sql_execution", payload={"fixture": str(fixture), "gold_query": gold_query})
+        problem = make_problem(domain="sql", gold="unused", validator=spec)
         traces = [make_trace(final_answer="4")]
 
         def validator(answer):
             raise ValidatorError("fixture exploded")
 
-        pool = build_answer_pool(problem, traces, validator)
+        pool = build_answer_pool(problem, traces, validator if case == "raises" else make_validator(problem))
         assert pool.correct == []
         assert pool.wrong == ["4"]
-        assert "validator_error" in pool.diagnostics["4"]
+        expected = {
+            "raises": "fixture exploded",
+            "sql-fixture-fails-to-build": f"failed to build fixture from {fixture}",
+            "sql-gold-query-fails": "gold query failed on fixture",
+        }[case]
+        assert pool.diagnostics["4"].startswith(f"validator_error: {expected}")
 
     def test_unparsed_traces_contribute_nothing(self):
         problem = make_problem()

@@ -47,6 +47,14 @@ class TestNumericEquivalent:
     def test_currency_and_separators(self):
         assert numeric_equivalent("$32,348", "32348") == 1
 
+    @pytest.mark.parametrize("text", ["1/0", "inf", "nan"])
+    def test_what_is_no_finite_rational_parses_to_none(self, text):
+        assert parse_numeric(text) is None
+
+    def test_unequal_values_beyond_the_float_range_are_unequal(self):
+        # Both parse exactly, but neither converts to a float for the tolerance check.
+        assert numeric_equivalent("1e400", "2e400") == 0
+
     def test_equivalence_relation_at_tolerance_zero(self):
         values = ["1/2", "0.5", "2/4", "0.25", "3"]
         parsed = [v for v in values if parse_numeric(v) is not None]
