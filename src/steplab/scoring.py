@@ -7,7 +7,7 @@ natural-log probability per continuation token. Two backends exist:
 * :class:`ReferenceModel`, a deterministic table-driven stand-in for an LLM,
   used for fixtures and tests, named by its file's hash and read lazily;
 * :class:`HttpBackend`, a client for the JSON-over-HTTP protocol
-  (``POST /v1/score``).
+  (``POST /v1/score``) that speaks HTTP/1.1 on its own sockets.
 
 :class:`CachingBackend` pairs either with a persistent :class:`ScoreCache`.
 
@@ -30,6 +30,7 @@ import json
 import logging
 import math
 import os
+import re
 import select
 import struct
 import threading
@@ -54,8 +55,11 @@ LOGPROB_FLOOR = -100.0
 _NO_TOKENS: dict[str, float] = {}
 # Longest wait between HTTP attempts, whether from backoff or Retry-After.
 BACKOFF_CAP_S = 30.0
-# Longest HTTP answer body read, in bytes.
+# Longest HTTP answer body read, and longest answer head, in bytes.
 MAX_ANSWER_BYTES = 1 << 20
+MAX_HEAD_BYTES = 1 << 16
+_STATUS_LINE = re.compile(r"HTTP/1\.([01]) ([0-9]{3})(?: .*)?")
+_CHUNK_SIZE = re.compile(r"([0-9A-Fa-f]+)[ \t]*(?:;.*)?")
 # Keys per cache lookup statement (below SQLite's bound-parameter limit)
 # and trace rows per cache commit.
 CACHE_BATCH = 500
@@ -207,20 +211,17 @@ class HttpBackend:
     """Client for a remote scoring server speaking the JSON protocol.
 
     ``POST {base}/v1/score`` with ``{"context", "continuation"}`` must return
-    ``{"tokens", "logprobs", "backend_id"}``, over stdlib ``http.client``
-    keep-alive connections. Transport failures, answers not read whole
-    within the timeout of their send or longer than :data:`MAX_ANSWER_BYTES`,
-    5xx and HTTP 429 are retried with backoff (a 429's ``Retry-After``
-    replaces it), counted in ``retries`` and logged at DEBUG; exhausted retries
-    surface as :class:`BackendError` (kind "transport"), malformed responses
-    as kind "protocol". Proxy variables are not read.
+    ``{"tokens", "logprobs", "backend_id"}``, over HTTP/1.1 keep-alive
+    sockets of its own, one send per request. Transport failures, malformed
+    heads, answers not read whole by the deadline of their send or longer
+    than :data:`MAX_ANSWER_BYTES`, 5xx and HTTP 429 are retried with backoff
+    (a 429's ``Retry-After`` replaces it), counted in ``retries`` and logged
+    at DEBUG; exhausted retries surface as :class:`BackendError` (kind
+    "transport"), malformed responses as kind "protocol". Proxy variables
+    are not read.
     """
 
     def __init__(self, base_url: str, timeout_s: float = 30.0, max_retries: int = 3, backoff_s: float = 0.5):
-        # Imported here, not at module level: runs that never call a server
-        # (relabelling, warm caches) skip its import cost.
-        import http.client
-
         self.base_url = base_url.rstrip("/")
         self.backend_id = self.base_url
         self.timeout_s = timeout_s
@@ -228,65 +229,67 @@ class HttpBackend:
         self.backoff_s = backoff_s
         parts = urlsplit(self.base_url)
         try:
-            port = parts.port
+            port = parts.port or (443 if parts.scheme == "https" else 80)
         except ValueError as exc:
             raise ConfigError(f"invalid backend URL {base_url!r}: {exc}") from exc
         if not parts.hostname:
             raise ConfigError(f"backend URL {base_url!r} names no host")
         self._url = self.base_url + "/v1/score"
-        self._path = parts.path + "/v1/score"
-        connection = http.client.HTTPConnection
+        host = parts.netloc.rpartition("@")[2]  # without user information
+        self._head = f"POST {parts.path}/v1/score HTTP/1.1\r\nHost: {host}\r\n".encode()
+        self._head += b"Content-Type: application/json\r\n"  # Content-Length and the body follow per request
+        self._address = (parts.hostname, port)
+        self._tls = None
         if parts.scheme == "https":
-            import ssl
-
-            connection = functools.partial(http.client.HTTPSConnection, context=ssl.create_default_context())
-        self._open = functools.partial(connection, parts.hostname, port, timeout=timeout_s)
-        self._failures = (OSError, http.client.HTTPException)
-        self._idle: list = []
+            import ssl  # loaded for https:// backends only
+            self._tls = ssl.create_default_context()
+        self._idle: list = []  # keep-alive sockets, most recently used last
         self.retries = 0
         proxy_variable = _environment_proxy(parts)
         if proxy_variable is not None:
             log.warning("%s is set but not used: steplab connects to %s directly", proxy_variable, self.base_url)
 
     def _send(self, request: ScoringRequest):
-        """POST ``request`` on an idle connection or a new one; the connection."""
-        conn = self._idle.pop() if self._idle else self._open()
-        if conn.sock is not None:
-            conn.sock.settimeout(self.timeout_s)  # the last answer's read shortened it
+        """POST ``request`` on an idle socket or a new one; the socket."""
+        sock = self._idle.pop() if self._idle else None
+        if sock is not None:
             # An idle socket that polls readable was closed by the server (or
             # holds bytes no request asked for): reconnect before sending.
             idle = select.poll()  # unlike select.select, takes any descriptor
-            idle.register(conn.sock, select.POLLIN)
+            idle.register(sock, select.POLLIN)
             if idle.poll(0):
-                conn.close()
+                sock.close()
+                sock = None
         try:
-            if conn.sock is None:
-                import socket  # loaded with http.client
-                conn.connect()
-                # http.client writes the headers and the body in two sends;
-                # Nagle's algorithm would hold the body for the server's ACK.
-                conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if sock is None:
+                import socket  # here, not at module level: runs that call no server skip it
+                sock = socket.create_connection(self._address, self.timeout_s)
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                if self._tls is not None:
+                    sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+            sock.settimeout(self.timeout_s)  # the last answer's read shortened it
             body = json.dumps({"context": request.context, "continuation": request.continuation}).encode()
-            conn.request("POST", self._path, body, {"Content-Type": "application/json"})
+            sock.sendall(b"%sContent-Length: %d\r\n\r\n%s" % (self._head, len(body), body))
         except BaseException:
-            conn.close()
+            if sock is not None:
+                sock.close()
             raise
-        return conn
+        return sock
 
     def score_many(self, requests: Iterable[ScoringRequest], in_flight: int = 1):
         """Yield ``(request, logprobs, latency_s)`` for each request as its
         answer arrives, with at most ``in_flight`` requests outstanding.
 
-        Each request sent holds one connection, and ``poll`` waits for
+        Each request sent holds one socket, and ``poll`` waits for
         whichever answers first; an answer is read whole once it starts to
         arrive, by the deadline its send set. A request waiting to retry
-        keeps its place but holds no connection. The latency runs from a
+        keeps its place but holds no socket. The latency runs from a
         request's first send to its answer, retries included. After a
         failure nothing new is sent: answers already on their way are still
         yielded, and then the first failure is raised.
         """
         todo = iter(requests)
-        sent: dict = {}  # descriptor -> (connection, request, attempt, first send, answer deadline)
+        sent: dict = {}  # descriptor -> (socket, request, attempt, first send, answer deadline)
         waiting: list = []  # (retry time, request, attempt, first send)
         errors: list[BackendError] = []
         poller = select.poll()
@@ -316,12 +319,12 @@ class HttpBackend:
                     if errors:
                         break
                     try:
-                        conn = self._send(request)
-                    except self._failures as exc:
+                        sock = self._send(request)
+                    except OSError as exc:
                         retry(request, attempt, started, exc)
                     else:
-                        poller.register(conn.sock, select.POLLIN)
-                        sent[conn.sock.fileno()] = (conn, request, attempt, started, time.monotonic() + self.timeout_s)
+                        poller.register(sock, select.POLLIN)
+                        sent[sock.fileno()] = (sock, request, attempt, started, time.monotonic() + self.timeout_s)
                 if not sent and not waiting:
                     break
                 timeout = max(0.0, min([e[4] for e in sent.values()] + [e[0] for e in waiting]) - time.monotonic())
@@ -330,24 +333,23 @@ class HttpBackend:
                     continue
                 ready = {fd for fd, _ in poller.poll(1000 * timeout)}
                 now = time.monotonic()
-                for fd, (conn, request, attempt, started, deadline) in list(sent.items()):
+                for fd, (sock, request, attempt, started, deadline) in list(sent.items()):
                     if fd not in ready and deadline > now:
                         continue
                     poller.unregister(fd)
                     del sent[fd]
                     try:  # past its deadline, a socket not ready fails here
-                        response, data = self._read_answer(conn, deadline)
-                    except self._failures as exc:
-                        conn.close()
+                        status, headers, data, reusable = self._read_answer(sock, deadline)
+                    except OSError as exc:
+                        sock.close()
                         retry(request, attempt, started, exc)
                         continue
-                    if response.will_close:
-                        conn.close()
+                    if reusable:
+                        self._idle.append(sock)
                     else:
-                        self._idle.append(conn)
-                    status = response.status
+                        sock.close()
                     if status == 429 or status >= 500:
-                        retry_after = _retry_after_s(response.getheader("Retry-After")) if status == 429 else None
+                        retry_after = _retry_after_s(headers.get("retry-after")) if status == 429 else None
                         retry(request, attempt, started, BackendError(f"{self._url} returned {status}"), retry_after)
                     elif status != 200:
                         stop(BackendError(f"{self._url} returned {status}", kind="protocol"))
@@ -362,25 +364,70 @@ class HttpBackend:
             if errors:
                 raise errors[0]
         finally:
-            for conn, *_ in sent.values():
-                conn.close()
+            for sock, *_ in sent.values():
+                sock.close()
 
-    def _read_answer(self, conn, deadline: float):
-        """The response on ``conn`` and its body, read by ``deadline`` (each
-        read waits only for the time left); a body, or a ``Content-Length``,
-        over :data:`MAX_ANSWER_BYTES` is refused."""
-        sock, body = conn.sock, bytearray()
-        sock.settimeout(_time_left(deadline))
-        response = conn.getresponse()
-        while response.length != 0:  # None for a chunked or close-delimited body: read to b""
-            if len(body) + (response.length or 0) > MAX_ANSWER_BYTES:
+    def _read_answer(self, sock, deadline: float) -> tuple[int, dict[str, str], bytearray, bool]:
+        """``(status, headers, body, reusable)`` of the answer on ``sock``, read by
+        ``deadline`` (each read waits for the time left), 1xx heads skipped, header
+        names lower-cased. A head over :data:`MAX_HEAD_BYTES` or not HTTP/1.x, or a
+        body over :data:`MAX_ANSWER_BYTES` (by ``Content-Length``, then unread, or
+        as read), is an ``OSError``. Only an HTTP/1.1 answer framed by length or
+        chunks, with no ``Connection: close`` or bytes past it, leaves ``sock`` reusable."""
+        buf = bytearray()
+
+        def fill(eof_ends: bool = False) -> bytes:
+            if (left := deadline - time.monotonic()) <= 0:
+                raise TimeoutError("answer not read by its deadline")
+            sock.settimeout(left)
+            if not (chunk := sock.recv(65536)) and not eof_ends:
+                raise ConnectionError("the server closed the connection mid-answer")
+            buf.extend(chunk)
+            return chunk
+
+        def take(size: int, skip: int = 0) -> bytearray:
+            while len(buf) < size + skip:
+                fill()
+            taken = buf[:size]
+            del buf[: size + skip]
+            return taken
+
+        def line(end: bytes = b"\r\n") -> str:
+            while (size := buf.find(end)) < 0 or size > MAX_HEAD_BYTES:
+                if len(buf) > MAX_HEAD_BYTES:
+                    raise OSError(f"answer head exceeds {MAX_HEAD_BYTES} bytes")
+                fill()
+            return take(size, len(end)).decode("latin-1")
+
+        status = 100
+        while 100 <= status < 200:
+            status_line, *fields = line(b"\r\n\r\n").split("\r\n")
+            if not (match := _STATUS_LINE.fullmatch(status_line)) or not all(":" in field for field in fields):
+                raise OSError(f"malformed answer head {status_line[:80]!r}")
+            status = int(match[2])
+        headers = {name.strip().lower(): value.strip() for name, _, value in (f.partition(":") for f in fields)}
+        reusable = match[1] == "1" and "close" not in headers.get("connection", "").lower()
+        body, length = bytearray(), headers.get("content-length")
+        if headers.get("transfer-encoding", "").lower() == "chunked":
+            while (match := _CHUNK_SIZE.fullmatch(size_line := line())) and (size := int(match[1], 16)):
+                if len(body) + size > MAX_ANSWER_BYTES:
+                    raise OSError(f"answer exceeds {MAX_ANSWER_BYTES} bytes")
+                body += take(size, 2)  # and the CRLF after the chunk
+            if not match:
+                raise OSError(f"malformed chunk size line {size_line[:80]!r}")
+            while line():  # trailer fields
+                pass
+        elif length is not None:
+            if not (length.isascii() and length.isdigit()) or int(length) > MAX_ANSWER_BYTES:
+                raise OSError(f"answer length {length[:40]!r} is malformed or exceeds {MAX_ANSWER_BYTES} bytes")
+            body = take(int(length))
+        elif status not in (204, 304):  # framed by the server's close
+            while len(buf) <= MAX_ANSWER_BYTES and fill(eof_ends=True):
+                pass
+            if len(buf) > MAX_ANSWER_BYTES:
                 raise OSError(f"answer exceeds {MAX_ANSWER_BYTES} bytes")
-            sock.settimeout(_time_left(deadline))
-            if not (chunk := response.read1(65536)):
-                break
-            body += chunk
-        response.close()
-        return response, body
+            body, reusable = take(len(buf)), False
+        return status, headers, body, reusable and not buf
 
     def score(self, request: ScoringRequest) -> TokenLogprobs:
         ((_, result, _),) = self.score_many([request])
@@ -390,13 +437,6 @@ class HttpBackend:
         """Close the idle connections; a later call opens new ones."""
         while self._idle:
             self._idle.pop().close()
-
-
-def _time_left(deadline: float) -> float:
-    """Seconds until ``deadline``, which must lie ahead."""
-    if (left := deadline - time.monotonic()) <= 0:
-        raise TimeoutError("answer not read by its deadline")
-    return left
 
 
 def _environment_proxy(url: SplitResult) -> str | None:
@@ -421,7 +461,7 @@ def _retry_after_s(value: str | None) -> float | None:
         return max(0.0, float(value))
     except ValueError:
         pass
-    from email.utils import parsedate_to_datetime  # deferred like http.client: HTTP only
+    from email.utils import parsedate_to_datetime  # deferred: only a 429 with a date needs it
 
     try:
         when = parsedate_to_datetime(value)

@@ -686,6 +686,9 @@ class _StubHandler(BaseHTTPRequestHandler):
     drip_s: float = 0.0
     claimed_length: int | None = None
     close_delimited: bool = False
+    # When set, each request is answered with these bytes as they stand,
+    # written piece by piece, each after a pause of ``drip_s``.
+    raw: list[bytes] | None = None
     # Per fixture: one entry per accepted connection, every request path,
     # and the (start, end) times of each answer.
     connections: list
@@ -705,6 +708,14 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.paths.append(self.path)
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length)) if length else {}
+        if self.raw is not None:
+            try:
+                for piece in self.raw:
+                    time.sleep(self.drip_s)
+                    self.wfile.write(piece)
+            except OSError:  # the client gave up on the answer
+                self.close_connection = True
+            return
         if body.get("context") == self.stalled:
             self.arrived.set()
             self.release.wait(timeout=60)
@@ -784,6 +795,28 @@ def stub_server(info_problem_model):
     server.shutdown()
     server.server_close()
     thread.join(timeout=5)
+
+
+_CHUNKED_HEAD = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nTransfer-Encoding: chunked\r\n\r\n"
+
+
+def _payload(result: TokenLogprobs) -> bytes:
+    return json.dumps({"tokens": result.tokens, "logprobs": result.logprobs, "backend_id": result.backend_id}).encode()
+
+
+def _sized(body: bytes, version: bytes = b"HTTP/1.1") -> bytes:
+    return version + b" 200 OK\r\nContent-Length: %d\r\n\r\n" % len(body) + body
+
+
+def _chunked(body: bytes, size: int, trailer: bytes = b"") -> bytes:
+    """A chunked answer of ``body`` in chunks of ``size`` bytes, each with
+    a chunk extension, then ``trailer``."""
+    chunks = b"".join(b"%x;ext=1\r\n%s\r\n" % (len(chunk), chunk) for chunk in _pieces(body, size))
+    return _CHUNKED_HEAD + chunks + b"0\r\n" + trailer + b"\r\n"
+
+
+def _pieces(data: bytes, size: int) -> list[bytes]:
+    return [data[i : i + size] for i in range(0, len(data), size)]
 
 
 @pytest.fixture()
@@ -981,6 +1014,103 @@ class TestHttpBackend:
             backend.score(ScoringRequest("What?", "a"))
         assert err.value.kind == "transport" and "exceeds 10 bytes" in str(err.value)
 
+    def test_a_head_dripped_past_its_deadline_ends_each_attempt_by_its_deadline(self, http_backend, stub_server):
+        url, handler = stub_server
+        head = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nX-Pad: 0\r\n\r\n"
+        handler.raw, handler.drip_s = _pieces(head, 1), 0.05
+        backend = http_backend(url, timeout_s=0.3, max_retries=2, backoff_s=0.01)
+        start = time.monotonic()
+        with pytest.raises(BackendError) as err:
+            backend.score(ScoringRequest("What?", "a"))
+        elapsed = time.monotonic() - start
+        assert err.value.kind == "transport"
+        assert backend.retries == 1 and len(handler.paths) == 2
+        # Each attempt waits out its 0.3 s deadline, and no more: a fresh
+        # timeout for each read of the head would let it run 61 x 0.05 s.
+        assert 2 * 0.3 <= elapsed < 2 * 0.3 + 0.4
+
+    def test_a_chunked_answer_scores_like_a_sized_one_and_keeps_its_connection(self, http_backend, stub_server):
+        url, handler = stub_server
+        backend = http_backend(url)
+        sized = backend.score(ScoringRequest("What?", "a"))
+        handler.raw = _pieces(_chunked(_payload(sized), 9, trailer=b"X-Check: 1\r\n"), 7)
+        assert backend.score(ScoringRequest("What?", "a")) == sized
+        assert backend.score(ScoringRequest("What?", "a")) == sized
+        assert len(handler.connections) == 1 and len(handler.paths) == 3 and backend.retries == 0
+
+    def test_a_chunked_answer_over_the_cap_is_refused(self, http_backend, stub_server, monkeypatch):
+        url, handler = stub_server
+        backend = http_backend(url, timeout_s=5.0, max_retries=1)
+        start = time.monotonic()
+        handler.raw = [_CHUNKED_HEAD + b"%x\r\n" % (scoring.MAX_ANSWER_BYTES + 1)]  # and no chunk
+        with pytest.raises(BackendError) as err:
+            backend.score(ScoringRequest("What?", "a"))
+        assert err.value.kind == "transport" and "exceeds" in str(err.value)
+        assert time.monotonic() - start < 2.0
+        monkeypatch.setattr(scoring, "MAX_ANSWER_BYTES", 10)
+        handler.raw = [_chunked(b"0123456789A", 8)]  # each chunk fits, not the two
+        with pytest.raises(BackendError) as err:
+            backend.score(ScoringRequest("What?", "a"))
+        assert err.value.kind == "transport" and "exceeds 10 bytes" in str(err.value)
+
+    def test_an_http_1_0_answer_closes_its_connection(self, http_backend, stub_server):
+        url, handler = stub_server
+        backend = http_backend(url)
+        sized = backend.score(ScoringRequest("What?", "a"))
+        handler.raw = [_sized(_payload(sized), version=b"HTTP/1.0")]
+        assert backend.score(ScoringRequest("What?", "a")) == sized
+        assert backend._idle == []
+        assert backend.score(ScoringRequest("What?", "a")) == sized
+        assert len(handler.connections) == 2 and backend.retries == 0
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"HTTP/1.1 OK\r\nContent-Length: 0\r\n\r\n",
+            b"ICY 200 OK\r\nContent-Length: 0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nno colon here\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: \xb2\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nX-Pad: " + b"x" * scoring.MAX_HEAD_BYTES + b"\r\nContent-Length: 0\r\n\r\n",
+        ],
+        ids=["status-without-code", "not-http", "header-without-colon", "non-ascii-length", "head-over-64-kib"],
+    )
+    def test_a_malformed_head_is_a_retried_transport_failure(self, http_backend, stub_server, head):
+        url, handler = stub_server
+        handler.raw = [head]
+        backend = http_backend(url, max_retries=2, backoff_s=0.01)
+        with pytest.raises(BackendError) as err:
+            backend.score(ScoringRequest("What?", "a"))
+        assert err.value.kind == "transport"
+        assert backend.retries == 1 and len(handler.paths) == 2
+
+    def test_a_204_answer_has_no_body_to_wait_for(self, http_backend, stub_server):
+        url, handler = stub_server
+        handler.raw = [b"HTTP/1.1 204 No Content\r\n\r\n"]
+        backend = http_backend(url, timeout_s=5.0)
+        start = time.monotonic()
+        with pytest.raises(BackendError) as err:
+            backend.score(ScoringRequest("What?", "a"))
+        assert (err.value.kind, str(err.value)) == ("protocol", f"{url}/v1/score returned 204")
+        assert time.monotonic() - start < 2.0 and len(backend._idle) == 1
+
+    def test_an_interim_100_head_is_skipped(self, http_backend, stub_server):
+        url, handler = stub_server
+        backend = http_backend(url)
+        sized = backend.score(ScoringRequest("What?", "a"))
+        handler.raw = [b"HTTP/1.1 100 Continue\r\n\r\n", _sized(_payload(sized))]
+        assert backend.score(ScoringRequest("What?", "a")) == sized
+        assert len(handler.connections) == 1 and backend.retries == 0
+
+    def test_bytes_past_the_body_drop_the_connection(self, http_backend, stub_server):
+        url, handler = stub_server
+        backend = http_backend(url)
+        sized = backend.score(ScoringRequest("What?", "a"))
+        handler.raw = [_sized(_payload(sized)) + b"HTTP/1.1 200 OK\r\n"]
+        assert backend.score(ScoringRequest("What?", "a")) == sized
+        assert backend._idle == []
+        assert backend.score(ScoringRequest("What?", "a")) == sized
+        assert len(handler.connections) == 2 and backend.retries == 0
+
     def test_sockets_numbered_past_1024_are_polled(self, http_backend, stub_server):
         if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1100:
             pytest.skip("needs a soft RLIMIT_NOFILE of at least 1100")
@@ -992,26 +1122,17 @@ class TestHttpBackend:
                 held.append(os.open(os.devnull, os.O_RDONLY))
             for _ in range(2):  # on a new connection, then on the idle one
                 assert backend.score(ScoringRequest("What?", "a")).backend_id == "stub-llm"
-            assert backend._idle[0].sock.fileno() >= 1024
+            assert backend._idle[0].fileno() >= 1024
         finally:
             for fd in held:
                 os.close(fd)
 
-    def test_every_connection_disables_nagle(self, http_backend, stub_server, monkeypatch):
-        """TCP_NODELAY is set on the backend's sockets whatever http.client's
-        own ``connect`` does."""
-        import http.client
-
+    def test_every_connection_disables_nagle(self, http_backend, stub_server):
         url, _ = stub_server
-
-        def connect(conn):
-            conn.sock = socket.create_connection((conn.host, conn.port), conn.timeout)
-
-        monkeypatch.setattr(http.client.HTTPConnection, "connect", connect)
         backend = http_backend(url)
         backend.score(ScoringRequest("What?", "a"))
-        [conn] = backend._idle
-        assert conn.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+        [sock] = backend._idle
+        assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
 
     @pytest.mark.parametrize("status", [429, 503])
     def test_retry_reuses_the_connection(self, http_backend, stub_server, status):
@@ -1116,6 +1237,19 @@ class TestRunsAgainstTheStub:
         assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
         assert json.loads((out / "stages" / "score.json").read_text())["counts"]["retries"] == 2
         assert ", retries 2" in summarize_run(out).splitlines()[-1]
+
+    def test_a_score_over_http_loads_no_http_client_email_parser_or_ssl(self, stub_server, corpus, tmp_path):
+        url, _ = stub_server
+        code = (
+            "import json, sys; from steplab.cli import main; code = main(sys.argv[1:]); "
+            "print(json.dumps([code, *(m in sys.modules for m in ('http.client', 'email.feedparser', 'ssl'))]))"
+        )
+        files = ["--problems", str(corpus["problems"]), "--traces", str(corpus["traces"])]
+        argv = [sys.executable, "-c", code, "--backend", url, "run", "--stages", "ingest,validate,score",
+                "--out-dir", str(tmp_path / "run"), *files]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert json.loads(out.stdout.splitlines()[-1]) == [0, False, False, False], out.stderr
 
     def test_sigterm_in_the_score_stage_is_recorded_and_exits_143(self, stub_server, corpus, tmp_path):
         url, handler = stub_server
