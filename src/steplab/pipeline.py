@@ -9,7 +9,8 @@ idempotent. Outputs are byte-stable given identical inputs, configuration,
 and seed; only manifests carry timestamps.
 
 Every stage is one row of :data:`STAGE_TABLE`, run by :func:`run_stage`;
-the CLI derives its subcommands and flags from the same table.
+the CLI derives its subcommands and flags from the same table. Every
+artifact is one row of :data:`ARTIFACTS`, read and written by :class:`StageIO`.
 """
 
 import fcntl
@@ -38,6 +39,7 @@ from .scoring import InformationProfile, information_profile, make_backend, scor
 from .trace_model import (
     DOMAINS,
     AnswerPool,
+    Problem,
     ReasoningTrace,
     build_answer_pool,
     filter_and_subsample,
@@ -45,10 +47,8 @@ from .trace_model import (
     parse_trace,
     read_problems,
     read_raw_traces,
-    read_traces,
-    write_problems,
-    write_traces,
 )
+from .trace_model import read_traces, write_problems, write_traces  # noqa: F401  only bench/traced.py patches these
 from .validators import make_validator
 
 log = logging.getLogger(__name__)
@@ -186,32 +186,15 @@ def load_config(config_file: str | None = None, overrides: dict | None = None, e
 
 
 # ---------------------------------------------------------------------------
-# Artifact paths
-
-
-def artifact_paths(out: Path) -> dict[str, Path]:
-    return {
-        "problems": out / "problems.jsonl",
-        "parsed_traces": out / "parsed_traces.jsonl",
-        "pools": out / "pools.jsonl",
-        "working_set": out / "working_set.jsonl",
-        "profiles": out / "profiles.jsonl",
-        "signals": out / "signals.jsonl",
-        "step_labels": out / "step_labels.jsonl",
-        "sweep": out / "sweep.json",
-        "thresholds": out / "thresholds.json",
-        "prm_dir": out / "prm",
-        "orm_dir": out / "orm",
-        "emit_report": out / "emit_report.json",
-        "eval_report": out / "eval_report.json",
-        "manifest": out / "manifest.json",
-    }
+# Stage inputs, entries and artifacts
 
 
 def _require(paths: list[Path], stage: str) -> None:
+    """Each need of ``stage`` must be a regular file (:func:`input_file`): a FIFO can block a read."""
     for path in paths:
         if not path.exists():
             raise ConfigError(f"stage {stage!r} needs {path}; run the upstream stage first")
+        input_file(path, f"stage {stage!r} input")
 
 
 def _files(paths: list[Path]) -> list[Path]:
@@ -219,9 +202,9 @@ def _files(paths: list[Path]) -> list[Path]:
     return [child for p in paths for child in (sorted(p.glob("*.jsonl")) if p.is_dir() else [p])]
 
 
-def _digest_paths(paths: list[Path], out: Path) -> dict[str, str]:
-    """The sha256 of each file of ``paths``, all in the run directory ``out``, by its path relative to it."""
-    return {str(p.relative_to(out)): sha256_file(p) for p in _files(paths)}
+def _write_json(path: Path, obj: Any) -> None:
+    """The one writer of a JSON artifact or stage entry: indented, to be read by eye."""
+    atomic_write_text(path, json.dumps(obj, ensure_ascii=False, indent=1))
 
 
 def _fingerprint(digests: list[str], config_keys: dict) -> str:
@@ -316,9 +299,8 @@ def _report_parts(counts: dict) -> list[str]:
 
 
 def _step_labels_row(obj: dict) -> tuple[str, str, list[int]]:
-    """A ``step_labels.jsonl`` row as (problem id, trace id, labels): one
-    label per step, so at least one, each the integer 0 or 1 (JSON ``true``
-    is not one)."""
+    """A ``step_labels.jsonl`` row as (problem id, trace id, labels): one label
+    per step, so at least one, each the integer 0 or 1 (not JSON ``true``)."""
     labels = obj["labels"]
     if type(labels) is not list or not labels or not all(type(l) is int and l in (0, 1) for l in labels):
         raise ValueError(f"labels must be a non-empty list of 0 and 1, got {labels!r}")
@@ -333,35 +315,58 @@ def _working_set_row(obj: dict) -> tuple[str, list[str]]:
     return obj["problem_id"], trace_ids
 
 
-def _jsonl_rows(make: Callable[[dict], Any], key: Callable, collect: Callable = list) -> Callable:
-    """A reader of a JSONL artifact's rows, built by ``make``, one per ``key``:
-    ``collect``-ed, or with ``stream=True`` parsed one at a time as iterated."""
-    return lambda path, stream=False: (iter if stream else collect)(read_jsonl(path, make, key=key))
+@dataclass(frozen=True)
+class Artifact:
+    """A run artifact's ``file`` (emit's are shard directories) and, for JSONL,
+    its row builder ``make``, the ``key`` it holds one row per, how ``collect``
+    gathers rows, how ``encode`` makes a row its line's object and, where a
+    line holds more than its row, how ``kept`` makes the row of such an object."""
+
+    file: str
+    make: Callable[[dict], Any] | None = None
+    key: Callable | None = None
+    collect: Callable = list
+    encode: Callable[[Any], dict] = vars
+    kept: Callable[[dict], Any] | None = None
 
 
-# The one row builder of each JSONL run artifact, and the key of which it holds
-# one row. Readers are looked up when called, so a patched one is used.
-_PROBLEM_KEY, _TRACE_KEY = attrgetter("problem_id"), attrgetter("problem_id", "trace_id")
-READERS: dict[str, Callable[..., Any]] = {
-    "problems": lambda path, stream=False: read_problems(path),
-    "parsed_traces": lambda path, stream=False: read_traces(path),
-    "pools": _jsonl_rows(lambda obj: AnswerPool(**obj), _PROBLEM_KEY, lambda pools: {p.problem_id: p for p in pools}),
-    "working_set": _jsonl_rows(_working_set_row, itemgetter(0)),
-    "profiles": _jsonl_rows(lambda obj: InformationProfile(**obj), _TRACE_KEY),
-    "signals": _jsonl_rows(lambda obj: StepSignal(**obj), _TRACE_KEY),
-    "step_labels": _jsonl_rows(_step_labels_row, itemgetter(0, 1)),
+# Every run artifact, by its name in the stage table.
+_TRACE_KEY = attrgetter("problem_id", "trace_id")
+ARTIFACTS = {
+    "problems": Artifact("problems.jsonl", Problem.from_json_dict, attrgetter("id"), encode=Problem.to_json_dict),
+    "parsed_traces": Artifact("parsed_traces.jsonl", lambda obj: ReasoningTrace(**obj), _TRACE_KEY),
+    "pools": Artifact("pools.jsonl", lambda obj: AnswerPool(**obj), attrgetter("problem_id"),
+                      collect=lambda pools: {p.problem_id: p for p in pools}),
+    "working_set": Artifact("working_set.jsonl", _working_set_row, itemgetter(0),
+                            encode=lambda row: {"problem_id": row[0], "trace_ids": row[1]}),
+    "profiles": Artifact("profiles.jsonl", lambda obj: InformationProfile(**obj), _TRACE_KEY),
+    "signals": Artifact("signals.jsonl", lambda obj: StepSignal(**obj), _TRACE_KEY),
+    # A line holds its signal's fields and threshold too, which no stage reads.
+    "step_labels": Artifact("step_labels.jsonl", _step_labels_row, itemgetter(0, 1),
+                            encode=dict, kept=itemgetter("problem_id", "trace_id", "labels")),
+    "sweep": Artifact("sweep.json"),
+    "thresholds": Artifact("thresholds.json"),
+    "prm_dir": Artifact("prm"),
+    "orm_dir": Artifact("orm"),
+    "emit_report": Artifact("emit_report.json"),
+    "eval_report": Artifact("eval_report.json"),
+    "manifest": Artifact("manifest.json"),
 }
+
+
+def artifact_paths(out: Path) -> dict[str, Path]:
+    return {name: out / artifact.file for name, artifact in ARTIFACTS.items()}
 
 
 @dataclass
 class StageIO:
-    """A stage body's artifact paths and input rows. ``digests`` maps each
-    input artifact's path, relative to the run directory, to the sha256 its
-    fingerprint took. Rows are memoized in ``memo`` under (artifact, digest),
-    so stages sharing one memo parse each artifact's bytes once, and a
-    rewritten artifact is parsed afresh. Rows are shared: never change them,
-    unless read with ``keep=False``, which takes them: popped from the memo,
-    or parsed from the file as the caller iterates."""
+    """A stage body's artifact paths, and the rows of its JSONL artifacts, read
+    and written through :data:`ARTIFACTS`. ``digests`` maps each input's path,
+    relative to the run directory, to the sha256 its fingerprint took. Rows are
+    memoized in ``memo`` under (artifact, digest), so stages sharing one memo
+    parse each artifact's bytes once, and none that :meth:`write` wrote. Rows
+    are shared: never change them, unless read with ``keep=False``, which takes
+    them: popped from the memo, or parsed from the file as the caller iterates."""
 
     paths: dict[str, Path]
     digests: dict[str, str]
@@ -370,12 +375,20 @@ class StageIO:
     def digest(self, key: str) -> str:
         return self.digests[self.paths[key].name]  # each artifact is a file in the run directory
 
-    def rows(self, key: str, keep: bool = True):
-        memo_key = (key, self.digest(key))
-        rows = self.memo.pop(memo_key) if memo_key in self.memo else READERS[key](self.paths[key], stream=not keep)
-        if keep:
-            self.memo[memo_key] = rows
-        return rows
+    def rows(self, name: str, keep: bool = True):
+        memo_key, artifact = (name, self.digest(name)), ARTIFACTS[name]
+        if memo_key not in self.memo:
+            rows = read_jsonl(self.paths[name], artifact.make, key=artifact.key)
+            if not keep:  # parsed as the caller iterates
+                return rows
+            self.memo[memo_key] = artifact.collect(rows)
+        return self.memo[memo_key] if keep else self.memo.pop(memo_key)
+
+    def write(self, name: str, rows: list) -> None:
+        """Write ``rows`` atomically as the JSONL artifact ``name``; hand them on as its reader builds them."""
+        artifact = ARTIFACTS[name]
+        digest = write_jsonl(self.paths[name], map(artifact.encode, rows))
+        self.memo[(name, digest)] = artifact.collect(map(artifact.kept, rows) if artifact.kept else rows)
 
     @cached_property
     def judged(self) -> dict[tuple[str, str], ReasoningTrace]:
@@ -407,10 +420,6 @@ class StageIO:
                 t.correct = verdicts[key]
         self.memo[memo_key] = judged
         return judged
-
-    def wrote(self, key: str, digest: str, rows) -> None:
-        """Hand on ``rows``, equal to a parse of the bytes just written to ``key``."""
-        self.memo[(key, digest)] = rows
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +454,8 @@ def _ingest(cfg: RunConfig, io: StageIO, state) -> dict:
         if not trace.parse_ok:
             parse_failures += 1
         parsed.append(trace)
-    io.wrote("problems", write_problems(io.paths["problems"], kept), kept)
-    io.wrote("parsed_traces", write_traces(io.paths["parsed_traces"], parsed), parsed)
+    io.write("problems", kept)
+    io.write("parsed_traces", parsed)
     return {
         **_drop_counts("problems", len(problems), dropped),
         "traces_in": traces_in,
@@ -462,7 +471,7 @@ def _validate(cfg: RunConfig, io: StageIO, state) -> dict:
     by_problem = _by_problem(traces)
 
     pools = [build_answer_pool(p, by_problem.get(p.id, []), make_validator(p)) for p in problems]
-    io.wrote("pools", write_jsonl(io.paths["pools"], map(vars, pools)), {pool.problem_id: pool for pool in pools})
+    io.write("pools", pools)
     return {
         "problems_in": len(problems),
         "problems_out": len(problems),
@@ -513,9 +522,8 @@ def _score(cfg: RunConfig, io: StageIO, backend) -> dict:
     finally:
         backend.close()
     profiles = [information_profile(*job, job_totals) for job, job_totals in zip(jobs, totals)]
-    working_rows = ({"problem_id": pid, "trace_ids": trace_ids} for pid, trace_ids in working)
-    io.wrote("working_set", write_jsonl(io.paths["working_set"], working_rows), working)
-    io.wrote("profiles", write_jsonl(io.paths["profiles"], map(vars, profiles)), profiles)
+    io.write("working_set", working)
+    io.write("profiles", profiles)
     return {
         **_drop_counts("problems", len(problems), dropped),
         "traces_scored": len(profiles),
@@ -550,12 +558,11 @@ def _signals(cfg: RunConfig, io: StageIO, state) -> dict:
             gold = problems[profile.problem_id].gold_answer
             _require_columns(paths["profiles"], profile, [gold])
             signals.append(ig_signal(profile, gold))
-    io.wrote("signals", write_jsonl(paths["signals"], map(vars, signals)), signals)
+    io.write("signals", signals)
     return {**_drop_counts("problems", len(profile_problems), dropped), "traces_signaled": len(signals)}
 
 
 def _sweep(cfg: RunConfig, io: StageIO, state) -> dict:
-    paths = io.paths
     problems = {p.id: p for p in io.rows("problems")}
     by_domain: dict[str, tuple[list[StepSignal], list[int]]] = {}
     for signal in io.rows("signals"):
@@ -578,8 +585,8 @@ def _sweep(cfg: RunConfig, io: StageIO, state) -> dict:
             continue
         reports.append(sweep)
         thresholds[domain] = sweep["best_threshold"]
-    atomic_write_text(paths["sweep"], json.dumps({"domains": reports}, ensure_ascii=False, indent=1))
-    atomic_write_text(paths["thresholds"], json.dumps(thresholds, ensure_ascii=False, indent=1))
+    _write_json(io.paths["sweep"], {"domains": reports})
+    _write_json(io.paths["thresholds"], thresholds)
     swept = len(thresholds)
     return {"domains_swept": swept, "domains_skipped": len(reports) - swept, "best_thresholds": thresholds}
 
@@ -612,21 +619,19 @@ def _label(cfg: RunConfig, io: StageIO, state) -> dict:
     source = Path(cfg.thresholds_file) if cfg.thresholds_file else io.paths["thresholds"]
     thresholds = _thresholds(source)
     domain_of = {p.id: p.domain for p in io.rows("problems")}
-    rows, labeled = [], []
+    records = []
     for signal in io.rows("signals"):
         _trace_of(io, "signals", signal.problem_id, signal.trace_id, len(signal.values))
         tau = thresholds.get(domain_of[signal.problem_id], 0.0)
-        rows.append(row := {**vars(signal), "labels": assign_labels(signal, tau), "threshold": tau})
-        labeled.append((signal.problem_id, signal.trace_id, row["labels"]))
-    io.wrote("step_labels", write_jsonl(io.paths["step_labels"], rows), labeled)
-    return {"traces_labeled": len(rows), "thresholds_source": cfg.thresholds_file or source.name}
+        records.append({**vars(signal), "labels": assign_labels(signal, tau), "threshold": tau})
+    io.write("step_labels", records)
+    return {"traces_labeled": len(records), "thresholds_source": cfg.thresholds_file or source.name}
 
 
 def _emit(cfg: RunConfig, io: StageIO, state) -> dict:
     """Both training datasets from one read of their inputs: a PRM record per
     labeled trace and an ORM record per working-set trace. Every row is
     checked before either dataset is written. Both lines of a trace share its fragment."""
-    paths = io.paths
     problems = {p.id: p for p in io.rows("problems")}
     # A job is (problem id, trace id, step labels); an ORM job has no labels.
     jobs = {
@@ -656,7 +661,7 @@ def _emit(cfg: RunConfig, io: StageIO, state) -> dict:
             else:
                 lines.append(emit_prm_record(fragment, labels))
                 targets.extend(labels)
-        out_dir = paths[f"{which}_dir"]
+        out_dir = io.paths[f"{which}_dir"]
         tmp_dir = out_dir.with_name(out_dir.name + ".tmp")
         shutil.rmtree(tmp_dir, ignore_errors=True)
         write_shards(lines, tmp_dir, cfg.split, cfg.shard_size)
@@ -668,7 +673,7 @@ def _emit(cfg: RunConfig, io: StageIO, state) -> dict:
             "balance": label_balance(targets),
         }
     balance = {which: c["balance"] for which, c in counts.items()}
-    atomic_write_text(paths["emit_report"], json.dumps(balance, ensure_ascii=False, indent=1))
+    _write_json(io.paths["emit_report"], balance)
     return counts
 
 
@@ -712,7 +717,7 @@ def _eval(cfg: RunConfig, io: StageIO, state) -> dict:
     else:
         scorer_id = f"random:{cfg.seed}" if cfg.eval_scorer == "random" else cfg.eval_scorer
         report, considered, unscored = best_of_k(problems, candidates, _build_scorer(cfg, io), cfg.eval_k, scorer_id)
-    atomic_write_text(io.paths["eval_report"], json.dumps(report, ensure_ascii=False, indent=1))
+    _write_json(io.paths["eval_report"], report)
     return {
         "problems_in": len(problems),
         "problems_out": len(problems),
@@ -763,7 +768,7 @@ def _drop_counts(unit: str, count_in: int, dropped: dict) -> dict:
 class Stage:
     """One stage: what it needs and writes, which config it reads, its body.
 
-    ``needs`` and ``writes`` name artifacts (keys of :func:`artifact_paths`).
+    ``needs`` and ``writes`` name artifacts (keys of :data:`ARTIFACTS`).
     A need in ``when`` is required and digested only when its condition on
     the config holds; such needs come last, so other digests keep their order.
     ``reads`` lists the RunConfig fields the stage uses; they also give its
@@ -863,7 +868,8 @@ def run_stage(name: str, cfg: RunConfig, memo: dict | None = None) -> dict:
     named = [(getattr(cfg, f), OPTIONS[f]["file"]) for f in stage.reads if OPTIONS[f]["file"] and getattr(cfg, f)]
     files = {os.path.abspath(path): input_digest(path, what) for path, what in named}
     state, extra_config = stage.prepare(cfg) if stage.prepare else (None, {})
-    inputs = _digest_paths(needs, cfg.out)  # then the named files: each fingerprint stays as it was
+    # Each need's sha256 by its path in the run directory, then the named files': each fingerprint stays as it was.
+    inputs = {str(p.relative_to(cfg.out)): sha256_file(p) for p in needs}
     config = {OPTIONS[f]["key"] or f: getattr(cfg, f) for f in _fingerprinted(stage)}
     if stage.format:  # format 0 adds nothing, so fingerprints made before formats stay valid
         config["format"] = stage.format
@@ -878,7 +884,7 @@ def run_stage(name: str, cfg: RunConfig, memo: dict | None = None) -> dict:
     entry = dict(
         name=name, fingerprint=fingerprint, inputs=inputs, outputs=outputs, counts=counts, wall_s=wall_s, skipped=False
     )
-    atomic_write_text(_stage_manifest_path(cfg.out, name), json.dumps(entry, ensure_ascii=False, indent=1))
+    _write_json(_stage_manifest_path(cfg.out, name), entry)
     return entry
 
 
@@ -936,7 +942,7 @@ def run_pipeline(cfg: RunConfig, stages: list[str] | None = None) -> dict:
     finally:
         try:
             manifest = dict(toolkit_version=__version__, created_unix=time.time(), config=asdict(cfg), stages=reports)
-            atomic_write_text(artifact_paths(cfg.out)["manifest"], json.dumps(manifest, ensure_ascii=False, indent=1))
+            _write_json(artifact_paths(cfg.out)["manifest"], manifest)
         finally:
             os.close(lock)
             if gc_was_enabled:

@@ -25,6 +25,7 @@ DOMAINS = ("math", "python", "sql", "qa", "other")
 _DOLLAR_SPAN_RE = re.compile(r"\$([^$]*)\$")
 _FENCE_RE = re.compile(r"```(.*?)```", re.DOTALL)
 _LANG_TAG_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_+-]*$")
+_TEXT_FIELDS = ("id", "domain", "question", "gold_answer")  # a problem's string fields, in its JSON object's order
 
 
 @dataclass
@@ -44,6 +45,19 @@ class Problem:
             raise ValueError(f"problem {self.id!r}: gold answer must be non-empty")
         if self.domain not in DOMAINS:
             raise ValueError(f"problem {self.id!r}: unknown domain {self.domain!r}")
+
+    @classmethod
+    def from_json_dict(cls, obj: dict) -> "Problem":
+        """A problem from its JSON object, a ``--problems`` or ``problems.jsonl`` row."""
+        spec = obj["validator"]
+        if not isinstance(spec, dict):
+            raise TypeError(f"'validator' must be an object, got {type(spec).__name__}")
+        _utf8("validator", encode_json(spec))
+        return cls(**_string_fields(obj, *_TEXT_FIELDS), validator_spec=ValidatorSpec.from_json_dict(spec))
+
+    def to_json_dict(self) -> dict:
+        """The one encoder of a problem: the inverse of :meth:`from_json_dict`."""
+        return {**{name: getattr(self, name) for name in _TEXT_FIELDS}, "validator": self.validator_spec.to_json_dict()}
 
 
 @dataclass
@@ -262,35 +276,12 @@ def _string_fields(obj: dict, *keys: str) -> dict[str, str]:
     return {key: obj[key] for key in keys}
 
 
-def _problem(obj: dict) -> Problem:
-    spec = obj["validator"]
-    if not isinstance(spec, dict):
-        raise TypeError(f"'validator' must be an object, got {type(spec).__name__}")
-    _utf8("validator", encode_json(spec))
-    return Problem(
-        **_string_fields(obj, "id", "domain", "question", "gold_answer"),
-        validator_spec=ValidatorSpec.from_json_dict(spec),
-    )
-
-
 def read_problems(path: str | Path) -> list[Problem]:
-    return list(read_jsonl(path, _problem, key=attrgetter("id")))
+    return list(read_jsonl(path, Problem.from_json_dict, key=attrgetter("id")))
 
 
 def write_problems(path: str | Path, problems: Iterable[Problem]) -> str:
-    return write_jsonl(
-        path,
-        (
-            {
-                "id": p.id,
-                "domain": p.domain,
-                "question": p.question,
-                "gold_answer": p.gold_answer,
-                "validator": p.validator_spec.to_json_dict(),
-            }
-            for p in problems
-        ),
-    )
+    return write_jsonl(path, map(Problem.to_json_dict, problems))
 
 
 def read_raw_traces(path: str | Path) -> Iterable[dict]:
@@ -299,6 +290,8 @@ def read_raw_traces(path: str | Path) -> Iterable[dict]:
     return read_jsonl(path, lambda obj: _string_fields(obj, *fields), key=itemgetter("problem_id", "trace_id"))
 
 
+# Only bench/traced.py uses these two, by patching them: pipeline.ARTIFACTS
+# holds the reader and encoder of parsed_traces.jsonl.
 def write_traces(path: str | Path, traces: Iterable[ReasoningTrace]) -> str:
     return write_jsonl(path, (vars(t) for t in traces))
 

@@ -25,13 +25,14 @@ from steplab.dataset_emit import STEP_MARKER
 from steplab.cli import build_parser, main
 from steplab.errors import ConfigError, DataError, exit_code
 from steplab.fixtures import build_demo_corpus
-from steplab.ioutil import read_jsonl, sha256_file
+from steplab.ioutil import encode_json, read_jsonl, sha256_file
 from steplab.pipeline import (
+    ARTIFACTS,
     OPTIONS,
-    READERS,
     STAGE_TABLE,
     STAGES,
     RunConfig,
+    StageIO,
     _fingerprinted,
     _parse_value,
     artifact_paths,
@@ -45,6 +46,7 @@ from steplab.pipeline import (
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+JSONL = [name for name, artifact in ARTIFACTS.items() if artifact.make]  # the run's JSONL artifacts, in table order
 
 # The keys analyze-bias prints, in order.
 ANALYZE_BIAS_KEYS = ["pool_size", "pool_max", "s", "replicates", "bias", "variance", "exact"]
@@ -612,9 +614,7 @@ class TestCli:
         ]) == 0
         assert (out / "step_labels.jsonl").read_bytes() == (tmp_path / "one-run" / "step_labels.jsonl").read_bytes()
 
-    def test_emit_is_one_stage_that_reads_the_traces_once(self, small_corpus, tmp_path, monkeypatch, capsys):
-        from steplab import pipeline
-
+    def test_emit_is_one_stage_that_reads_the_traces_once(self, small_corpus, tmp_path, parses, capsys):
         out = tmp_path / "run"
         base = ["--backend", f"reference:{small_corpus['reference_model']}", "--cache-dir", str(tmp_path / "cache")]
         assert main(base + [
@@ -622,14 +622,12 @@ class TestCli:
             "--problems", str(small_corpus["problems"]),
             "--traces", str(small_corpus["traces"]),
         ]) == 0
-        parses = []
-        read_traces = pipeline.read_traces
-        monkeypatch.setattr(pipeline, "read_traces", lambda path: parses.append(path) or read_traces(path))
+        parses.clear()
         capsys.readouterr()
         assert main(["emit", "--out-dir", str(out)]) == 0
         printed = capsys.readouterr().out.splitlines()
         assert len(printed) == 2 and printed[1].startswith("  emit: ran | ")
-        assert parses == [artifact_paths(out)["parsed_traces"]]
+        assert parses[artifact_paths(out)["parsed_traces"]] == 1
         assert list((out / "prm").glob("train-*.jsonl")) and list((out / "orm").glob("train-*.jsonl"))
         report = json.loads((out / "emit_report.json").read_text())
         counts = json.loads((out / "stages" / "emit.json").read_text())["counts"]
@@ -1725,6 +1723,25 @@ class TestNamedFiles:
             assert (failed["name"], failed["exit_code"]) == (stage, 2)
             assert named.format(**places) in failed["message"]
 
+    @pytest.mark.parametrize("kind, artifact, stage", [
+        ("directory", "profiles", "signals"), ("fifo", "signals", "sweep"),
+    ], ids=["directory", "fifo"])
+    def test_a_run_directory_input_that_is_not_a_regular_file_exits_2_naming_it(
+        self, run_6x4, tmp_path, kind, artifact, stage
+    ):
+        run = tmp_path / "run"
+        shutil.copytree(run_6x4, run)
+        path = artifact_paths(run)[artifact]
+        path.unlink()
+        path.mkdir() if kind == "directory" else os.mkfifo(path)
+        child = subprocess.run(  # in a child with a timeout: a read of the FIFO would block for ever
+            [sys.executable, "-m", "steplab.cli", "run", "--out-dir", str(run), "--stages", stage, "--force"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=20,
+        )
+        assert child.returncode == 2, child.stderr
+        assert f"ConfigError: stage {stage!r} input file is not a regular file: {path}" in child.stderr
+        assert "Traceback" not in child.stderr
+
     # Each case: a command's arguments, in which {file} is the unreadable
     # file, the name messages give that file, and the stage that reads it.
     @pytest.mark.parametrize("argv, what, stage", [
@@ -2225,7 +2242,7 @@ class TestFieldMutations:
     succeeds, or fails with a DataError that names a file of the run: never
     another error, nor one that names no file."""
 
-    @pytest.mark.parametrize("artifact", [*READERS, *USER_FILES])
+    @pytest.mark.parametrize("artifact", [*JSONL, *USER_FILES])
     def test_each_field_mutation_succeeds_or_names_a_file(self, run_6x4, tmp_path, artifact):
         corpus = run_6x4.parent / "corpus"
         inputs = {"user_problems": corpus / "problems.jsonl", "user_traces": corpus / "traces.jsonl"}
@@ -2419,11 +2436,12 @@ def memo_run(small_corpus, tmp_path_factory):
 
 
 class TestHandedOnRows:
-    @pytest.mark.parametrize("key", sorted(READERS))
+    @pytest.mark.parametrize("key", sorted(JSONL))
     def test_rows_handed_on_equal_a_fresh_parse(self, memo_run, key):
         out, memo = memo_run
         path = artifact_paths(out)[key]
-        assert memo[(key, sha256_file(path))] == READERS[key](path)
+        fresh = StageIO(artifact_paths(out), {path.name: sha256_file(path)}, {})
+        assert memo[(key, sha256_file(path))] == fresh.rows(key)
 
     @pytest.mark.parametrize("scorer", ["label-product", "step-product"])
     def test_a_full_run_never_parses_its_own_artifacts(self, small_corpus, tmp_path, parses, scorer):
@@ -2435,6 +2453,23 @@ class TestHandedOnRows:
             parses.clear()
         run_pipeline(config_for(small_corpus, tmp_path, eval_scorer=scorer, **step_scores))
         assert set(parses) == inputs
+
+    @pytest.mark.parametrize("name", JSONL)
+    def test_each_line_is_its_row_encoded(self, run_6x4, name):
+        """The inverse pair StageIO.write relies on: each line, built into its
+        row by the artifact's row builder and encoded back, is the line. A step
+        label line holds more than its row: it encodes back whole, and its row
+        holds the ids and labels the line holds, as its written record's does."""
+        artifact = ARTIFACTS[name]
+        lines = artifact_paths(run_6x4)[name].read_text(encoding="utf-8").splitlines(keepends=True)
+        for line in lines:
+            obj = json.loads(line)
+            row = artifact.make(obj)
+            if artifact.kept:
+                assert row == artifact.kept(obj) == (obj["problem_id"], obj["trace_id"], obj["labels"])
+                row = obj
+            assert encode_json(artifact.encode(row)) + "\n" == line
+        assert lines
 
     def test_memoized_parsed_traces_carry_no_verdict(self, memo_run):
         out, memo = memo_run
