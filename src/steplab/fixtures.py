@@ -8,11 +8,12 @@ problem the model always solves and one it never parses (both get dropped
 by filtering), and one problem with no correct answer at all.
 """
 
+import json
 import random
 from pathlib import Path
 
 from .ioutil import stable_seed, write_jsonl
-from .scoring import ReferenceModel, prefix_contexts
+from .scoring import prefix_contexts
 from .trace_model import Problem, parse_trace, write_problems
 from .validators import ValidatorSpec
 
@@ -51,9 +52,6 @@ def build_demo_corpus(
         for trace in parsed:
             _add_table_weights(weights, problem, trace, sorted(answers), seed)
 
-    table = _normalize_weights(weights)
-    model = ReferenceModel(table=table, fallback_prob=FALLBACK_PROB)
-
     paths = {
         "problems": out_dir / "problems.jsonl",
         "traces": out_dir / "traces.jsonl",
@@ -61,7 +59,8 @@ def build_demo_corpus(
     }
     write_problems(paths["problems"], problems)
     write_jsonl(paths["traces"], raw_traces)
-    model.to_file(paths["reference_model"])
+    model = {"fallback_prob": FALLBACK_PROB, "table": _normalize_weights(weights)}  # checked by ReferenceModel._load
+    paths["reference_model"].write_bytes(json.dumps(model, ensure_ascii=False).encode())
     return paths
 
 

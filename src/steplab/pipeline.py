@@ -107,9 +107,10 @@ class RunConfig:
                     raise ConfigError(f"unknown {f.name}: {item!r}; choose from {choices}")
             if least is not None and value < least:
                 raise ConfigError(f"{f.name} must be an integer of at least {least}, got {value!r}")
-        for name in ("backend_timeout_s", "backend_backoff_s"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be a finite number of seconds, got {getattr(self, name)!r}")
+        if not 0 < self.backend_timeout_s < math.inf:  # at 0, each answer's deadline has passed when it is sent
+            raise ConfigError(f"backend_timeout_s must be a finite number above 0, got {self.backend_timeout_s!r}")
+        if not 0 <= self.backend_backoff_s < math.inf:
+            raise ConfigError(f"backend_backoff_s must be a finite number of seconds, got {self.backend_backoff_s!r}")
         if self.eval_scorer in ("step-product", "orm") and not self.step_scores:
             raise ConfigError(f"scorer {self.eval_scorer!r} needs --step-scores with per-trace probabilities")
         if not self.split or "/" in self.split:

@@ -25,7 +25,6 @@ rows are stored together.
 All values are in nats.
 """
 
-import functools
 import json
 import logging
 import math
@@ -35,7 +34,7 @@ import select
 import struct
 import threading
 import time
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, chain
@@ -122,42 +121,44 @@ class Backend(Protocol):
 
     def score(self, request: ScoringRequest) -> TokenLogprobs: ...
 
+    def score_many(
+        self, requests: Iterable[ScoringRequest], in_flight: int = 1
+    ) -> Iterator[tuple[ScoringRequest, TokenLogprobs, float]]:
+        """Yield ``(request, logprobs, latency_s)`` for each request, with at
+        most ``in_flight`` outstanding; the first failure is raised."""
+
     def close(self) -> None:
         """Release what the backend holds open between calls."""
 
 
 class ReferenceModel:
-    """Deterministic, table-driven scoring backend.
+    """Deterministic, table-driven scoring backend, built from its file by
+    :meth:`from_file`.
 
     Continuations are tokenized one character per token. The probability of
     character ``ch`` is looked up in ``table[context + scored_prefix][ch]``,
-    falling back to ``fallback_prob`` for unlisted entries. The fixture file
-    is a JSON object ``{"fallback_prob": p, "table": {key: {token: prob}}}``.
-    The id hashes the file's bytes, or for a model built in memory the bytes
-    :meth:`to_file` writes, serialized once. A file is hashed in a streaming
-    read when the model is built, and read whole, checked against that hash
-    and parsed only when a call first needs the table.
+    falling back to ``fallback_prob`` for unlisted entries. The file is a
+    JSON object ``{"fallback_prob": p, "table": {key: {token: prob}}}``.
+    The id hashes the file's bytes, in a streaming read when the model is
+    built; the file is read whole, checked against that hash and parsed
+    only when a call first needs the table.
     """
-
-    def __init__(self, table: dict[str, dict[str, float]], fallback_prob: float = 0.01):
-        self._set(table, fallback_prob)
-        self._data = self._dump()
-        self.backend_id = "reference:" + sha256_bytes(self._data)[:12]
 
     def _set(self, table: dict[str, dict[str, float]], fallback_prob: float) -> None:
         if not 0 < fallback_prob < 1:
             raise ValueError("fallback_prob must lie in (0, 1)")
         for key, dist in table.items():
-            total = sum(dist.values())
-            if total > 1 + 1e-9 or any(not 0 < p <= 1 for p in dist.values()):
-                raise ValueError(f"probabilities for context key {key[:40]!r}... are invalid")
+            total = 0
+            for p in dist.values():  # each a JSON number in (0, 1], so not true, and a key's sum 1 at most
+                if type(p) not in (int, float) or not 0 < p <= 1 or (total := total + p) > 1 + 1e-9:
+                    raise ValueError(f"probabilities for context key {key[:40]!r}... are invalid")
         self.table, self.fallback_prob, self._source = table, fallback_prob, None  # _source last: see _load
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ReferenceModel":
         digest = input_digest(path, "reference model")
-        model = cls.__new__(cls)
-        model._source, model._lock, model._failure, model._data = (Path(path), digest), threading.Lock(), "", None
+        model = cls()
+        model._source, model._lock, model._failure = (Path(path), digest), threading.Lock(), ""
         model.backend_id = "reference:" + digest[:12]
         return model
 
@@ -183,13 +184,6 @@ class ReferenceModel:
                         self._failure = f"reference model {path} is invalid: {exc!r}"
                         raise DataError(self._failure) from exc
 
-    def _dump(self) -> bytes:
-        return json.dumps({"fallback_prob": self.fallback_prob, "table": self.table}, ensure_ascii=False).encode()
-
-    def to_file(self, path: str | Path) -> None:
-        self._load()
-        Path(path).write_bytes(self._data or self._dump())
-
     def score(self, request: ScoringRequest) -> TokenLogprobs:
         self._load()
         context, continuation = request
@@ -202,6 +196,14 @@ class ReferenceModel:
             for i, ch in enumerate(continuation)
         ]
         return TokenLogprobs(list(continuation), logprobs, self.backend_id)
+
+    def score_many(self, requests: Iterable[ScoringRequest], in_flight: int = 1):
+        """Yield ``(request, logprobs, latency_s)`` for each request in turn,
+        each scored through :meth:`score`; ``in_flight`` is ignored."""
+        for request in requests:
+            start = time.perf_counter()
+            result = self.score(request)
+            yield request, result, time.perf_counter() - start
 
     def close(self) -> None:
         pass
@@ -581,14 +583,6 @@ def _latency_ms(latencies_s: list[float], fraction: float) -> float:
     return 1000.0 * ordered[max(0, math.ceil(fraction * len(ordered)) - 1)]
 
 
-def _score_serially(backend: Backend, requests: list[ScoringRequest], in_flight: int = 1):
-    """Yield ``(request, logprobs, latency_s)`` for each request in turn, ignoring ``in_flight``."""
-    for request in requests:
-        start = time.perf_counter()
-        result = backend.score(request)
-        yield request, result, time.perf_counter() - start
-
-
 @dataclass
 class InformationProfile:
     """Information values for one trace: rows are step prefixes 0..N, columns
@@ -644,8 +638,8 @@ def score_traces(
     Through a :class:`CachingBackend`, the distinct trace keys
     (:func:`trace_key`) are looked up in one bulk call. Batches of up to
     :data:`CACHE_BATCH` missed traces, in job order, send their distinct
-    cells not yet scored to the inner backend (``score_many``, up to
-    ``in_flight`` at once, if it has it), so a problem's traces share their
+    cells not yet scored to the inner backend's ``score_many``, up to
+    ``in_flight`` at once, so a problem's traces share their
     step-0 cells. Each batch's rows are stored in one call. When scoring
     fails, the rows of every missed trace whose cells all came back are
     stored, and the error carries the counts as ``counts``.
@@ -674,12 +668,11 @@ def score_traces(
             counts["cache_hits"], counts["cache_misses"] = len(rows), len(distinct) - len(rows)
             damaged = cache.damaged - damaged_before
         missed = [key for key in distinct if key not in rows]
-        score_many = getattr(inner, "score_many", functools.partial(_score_serially, inner))
         for start in range(0, len(missed), CACHE_BATCH):
             cells = {key: profile_requests(*distinct[key]) for key in missed[start : start + CACHE_BATCH]}
             try:
                 todo = [cell for cell in dict.fromkeys(c for cs in cells.values() for c in cs) if cell not in done]
-                for request, logprobs, latency_s in score_many(todo, in_flight):
+                for request, logprobs, latency_s in inner.score_many(todo, in_flight):
                     done[request] = logprobs.total()
                     latencies.append(latency_s)
             except BaseException:  # a later trace may have all its cells too

@@ -4,7 +4,7 @@ import json
 import threading
 
 from steplab.errors import BackendError, DataError
-from steplab.scoring import InformationProfile, ScoringRequest, build_context
+from steplab.scoring import InformationProfile, ReferenceModel, ScoringRequest, build_context
 from steplab.trace_model import Problem, ReasoningTrace
 from steplab.validators import ValidatorSpec
 
@@ -31,10 +31,18 @@ def make_trace(problem_id="p1", trace_id="t1", steps=None, final_answer="4", cor
     )
 
 
-class CountingBackend:
-    """Wraps a backend and counts how many requests actually reach it.
+def reference_model(path, table, fallback_prob=0.01):
+    """Write a reference model file to ``path``, in the bytes
+    ``build_demo_corpus`` writes, and build the model from it."""
+    path.write_bytes(json.dumps({"fallback_prob": fallback_prob, "table": table}, ensure_ascii=False).encode())
+    return ReferenceModel.from_file(path)
 
-    With ``fail_at`` set, that call (1-based) raises ``fail_with``, a
+
+class CountingBackend:
+    """Wraps a backend and counts how many requests actually reach it,
+    through ``score`` or ``score_many``.
+
+    With ``fail_at`` set, that request (1-based) raises ``fail_with``, a
     BackendError unless given.
     """
 
@@ -58,6 +66,8 @@ class CountingBackend:
         with self._lock:
             self.succeeded += 1
         return result
+
+    score_many = ReferenceModel.score_many  # each request in turn, through score
 
     def close(self):
         self.closed = True

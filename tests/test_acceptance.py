@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import information, make_problem, make_trace, parse_record_line, scored_profile
+from helpers import information, make_problem, make_trace, parse_record_line, reference_model, scored_profile
 from steplab.analysis import (
     ComplexityParams,
     exhaustive_bias,
@@ -28,7 +28,7 @@ from steplab.errors import ReservedSymbolError
 from steplab.evaluation import best_of_k, oracle_score, random_scorer
 from steplab.infogain import StepSignal, mcnig_extended, mcnig_signal, net_info
 from steplab.pipeline import RunConfig, artifact_paths, run_pipeline
-from steplab.scoring import InformationProfile, ReferenceModel, build_context
+from steplab.scoring import InformationProfile, build_context
 from steplab.trace_model import AnswerPool, filter_and_subsample
 from steplab.validators import check_sql
 
@@ -37,7 +37,7 @@ def _passed(n, name):
     print(f"ACCEPTANCE {n:02d} {name}: PASS")
 
 
-def test_c01_information_oracle_equivalence():
+def test_c01_information_oracle_equivalence(tmp_path):
     """information(...) equals hand-summed table log-probs on 50 random pairs."""
     rng = random.Random(101)
     table = {}
@@ -52,7 +52,7 @@ def test_c01_information_oracle_equivalence():
             key = context + answer[:c]
             table.setdefault(key, {})[answer[c]] = round(rng.uniform(0.05, 0.9), 6)
         cases.append((question, steps, answer))
-    model = ReferenceModel(table=table, fallback_prob=0.05)
+    model = reference_model(tmp_path / "model.json", table, 0.05)
     for question, steps, answer in cases:
         problem = make_problem(question=question)
         # Independent oracle: walk the raw table and sum logs by hand.
@@ -95,13 +95,11 @@ def test_c02_definition_identities():
     _passed(2, "definition-identities")
 
 
-def test_c03_worked_mcnig_fixture():
+def test_c03_worked_mcnig_fixture(tmp_path):
     """Two-answer fixture reproduces the hand-computed net values."""
     problem = make_problem(question="What?", gold="a")
-    model = ReferenceModel(
-        table={"What?": {"a": 0.5, "b": 0.4}, "What?\nr1": {"a": 0.8, "b": 0.1}},
-        fallback_prob=0.01,
-    )
+    table = {"What?": {"a": 0.5, "b": 0.4}, "What?\nr1": {"a": 0.8, "b": 0.1}}
+    model = reference_model(tmp_path / "model.json", table, 0.01)
     trace = make_trace(steps=["r1"], final_answer="a")
     profile = scored_profile(problem, trace, ["a", "b"], model)
     pool = AnswerPool(problem_id="p1", correct=["a"], wrong=["b"])

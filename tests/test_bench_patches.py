@@ -7,8 +7,9 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+from helpers import reference_model
 from steplab import pipeline
-from steplab.scoring import CachingBackend, ReferenceModel, ScoreCache, score_traces
+from steplab.scoring import CachingBackend, ScoreCache, score_traces
 
 TRACED = Path(__file__).resolve().parents[1] / "bench" / "traced.py"
 
@@ -35,7 +36,7 @@ def test_every_stage_has_the_name_it_is_run_by():
 
 def test_the_scoring_layers_it_wraps_exist(tmp_path):
     assert load_traced().CachingBackend is CachingBackend
-    backend = CachingBackend(ReferenceModel({}, 0.5), ScoreCache(tmp_path))
+    backend = CachingBackend(reference_model(tmp_path / "model.json", {}, 0.5), ScoreCache(tmp_path))
     for layer in (backend.inner.score, backend.cache.get, backend.cache.put, backend.score):
         assert callable(layer)
     assert list(inspect.signature(pipeline.information_profile).parameters) == ["problem", "trace", "answers", "totals"]

@@ -706,15 +706,17 @@ class TestCli:
         assert any("ConfigError: unrecognized backend spec: 'ftp://x'" in r.message for r in caplog.records)
 
     @pytest.mark.parametrize("workers", ["1", "4"])
-    @pytest.mark.parametrize("damage", ["not-an-object", "no-table", "invalid-probabilities"])
+    @pytest.mark.parametrize("damage", ["not-an-object", "no-table", "invalid-probabilities", "probability-true"])
     def test_invalid_model_file_exits_3_when_a_miss_loads_it(self, small_corpus, tmp_path, caplog, damage, workers):
         model = json.loads(Path(small_corpus["reference_model"]).read_text())
         if damage == "not-an-object":
             model = [model]
         elif damage == "no-table":
             del model["table"]
-        else:
+        elif damage == "invalid-probabilities":
             model["table"][next(iter(model["table"]))] = {"a": 0.9, "b": 0.9}
+        else:  # a JSON true is no probability, not even 1
+            model["table"][next(iter(model["table"]))] = {"a": True}
         path = tmp_path / "damaged_model.json"
         path.write_text(json.dumps(model))
         out = tmp_path / "run"
@@ -839,6 +841,7 @@ class TestCli:
             ("seed = 7.0\n", [], "seed"),
             ("", ["--k-subsample", "abc"], "k_subsample"),
             ("backend_timeout_s = nan\n", [], "backend_timeout_s"),
+            ("backend_timeout_s = 0\n", [], "backend_timeout_s"),
             ("backend_backoff_s = -1\n", [], "backend_backoff_s"),
             ("", ["--domains", "maths"], "'maths'"),
             ("domains = math, sql, Math\n", [], "'Math'"),
@@ -851,7 +854,7 @@ class TestCli:
         ],
         ids=[
             "eval-scorer-bogus", "k-0", "grid-size-0", "k-subsample-0", "timeout-soon", "force-yes",
-            "retries-true", "seed-float", "k-subsample-abc", "timeout-nan", "backoff-negative",
+            "retries-true", "seed-float", "k-subsample-abc", "timeout-nan", "timeout-0", "backoff-negative",
             "domain-unknown", "domain-capitalized", "split-escaping", "split-with-a-slash", "split-empty",
             "method-flag-guess", "line-without-equals", "step-product-without-step-scores",
         ],

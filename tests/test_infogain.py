@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import make_problem, make_trace, scored_profile
+from helpers import make_problem, make_trace, reference_model, scored_profile
 from steplab.infogain import (
     StepSignal,
     assign_labels,
@@ -12,7 +12,7 @@ from steplab.infogain import (
     mcnig_signal,
     net_info,
 )
-from steplab.scoring import InformationProfile, ReferenceModel
+from steplab.scoring import InformationProfile
 from steplab.trace_model import AnswerPool
 
 
@@ -34,14 +34,12 @@ def random_profile(rng, n_steps=None, n_answers=None):
 
 
 @pytest.fixture()
-def worked_fixture():
+def worked_fixture(tmp_path):
     """One-step trace over answers a (correct) and b (wrong) with hand-set
     probabilities: p(a)=0.5->0.8 and p(b)=0.4->0.1 as the step arrives."""
     problem = make_problem(question="What?", gold="a")
-    model = ReferenceModel(
-        table={"What?": {"a": 0.5, "b": 0.4}, "What?\nr1": {"a": 0.8, "b": 0.1}},
-        fallback_prob=0.01,
-    )
+    table = {"What?": {"a": 0.5, "b": 0.4}, "What?\nr1": {"a": 0.8, "b": 0.1}}
+    model = reference_model(tmp_path / "model.json", table, 0.01)
     trace = make_trace(steps=["r1"], final_answer="a")
     profile = scored_profile(problem, trace, ["a", "b"], model)
     pool = AnswerPool(problem_id="p1", correct=["a"], wrong=["b"])

@@ -19,7 +19,7 @@ from statistics import fmean
 
 import pytest
 
-from helpers import CountingBackend, information, make_problem, make_trace, scored_profile
+from helpers import CountingBackend, information, make_problem, make_trace, reference_model, scored_profile
 from steplab import scoring
 from steplab.analysis import ComplexityParams, tokens_mcnig
 from steplab.errors import BackendError, ConfigError, DataError, exit_code
@@ -84,18 +84,15 @@ def score_from_threads(model, requests, threads=4):
 
 
 @pytest.fixture()
-def two_token_model():
-    return ReferenceModel(table={"q": {"4": 0.5}, "q4": {"2": 0.25}}, fallback_prob=0.01)
+def two_token_model(tmp_path):
+    return reference_model(tmp_path / "two_token_model.json", {"q": {"4": 0.5}, "q4": {"2": 0.25}}, 0.01)
 
 
 @pytest.fixture()
-def info_problem_model():
+def info_problem_model(tmp_path):
     problem = make_problem(question="What?", gold="a")
-    model = ReferenceModel(
-        table={"What?": {"a": 0.5, "b": 0.4}, "What?\nr1": {"a": 0.8, "b": 0.1}},
-        fallback_prob=0.01,
-    )
-    return problem, model
+    table = {"What?": {"a": 0.5, "b": 0.4}, "What?\nr1": {"a": 0.8, "b": 0.1}}
+    return problem, reference_model(tmp_path / "info_problem_model.json", table, 0.01)
 
 
 class TestReferenceModel:
@@ -105,38 +102,48 @@ class TestReferenceModel:
         assert result.logprobs == pytest.approx([math.log(0.5), math.log(0.25)], abs=1e-12)
         assert result.total() == pytest.approx(-0.6931 + -1.3863, abs=1e-3)
 
-    def test_fallback_prob_used_for_unknown_keys(self):
-        model = ReferenceModel(table={}, fallback_prob=0.1)
+    def test_fallback_prob_used_for_unknown_keys(self, tmp_path):
+        model = reference_model(tmp_path / "model.json", {}, 0.1)
         result = model.score(ScoringRequest("anything", "xy"))
         assert result.total() == pytest.approx(2 * math.log(0.1))
 
-    def test_tiny_probabilities_clamp_to_floor(self):
-        model = ReferenceModel(table={"q": {"a": 1e-60}}, fallback_prob=0.5)
+    def test_tiny_probabilities_clamp_to_floor(self, tmp_path):
+        model = reference_model(tmp_path / "model.json", {"q": {"a": 1e-60}}, 0.5)
         result = model.score(ScoringRequest("q", "a"))
         assert result.logprobs == [-100.0]
 
-    def test_edge_probabilities(self):
-        model = ReferenceModel(table={"q": {"a": 1.0}, "qa": {"b": 1e-60}}, fallback_prob=0.05)
+    def test_edge_probabilities(self, tmp_path):
+        model = reference_model(tmp_path / "model.json", {"q": {"a": 1.0}, "qa": {"b": 1e-60}}, 0.05)
         result = model.score(ScoringRequest("q", "abc"))
         assert result.tokens == ["a", "b", "c"]
         assert result.logprobs == [0.0, -100.0, math.log(0.05)]
         assert math.copysign(1.0, result.logprobs[0]) == 1.0
 
-    def test_invalid_table_rejected(self):
-        with pytest.raises(ValueError):
-            ReferenceModel(table={"q": {"a": 0.8, "b": 0.5}})
-        with pytest.raises(ValueError):
-            ReferenceModel(table={}, fallback_prob=1.5)
+    def test_invalid_table_rejected(self, tmp_path):
+        cases = [({"q": {"a": 0.8, "b": 0.5}}, 0.01, "'q'"), ({}, 1.5, "fallback_prob")]
+        cases += [({"q": {"a": probability}}, 0.01, "'q'") for probability in (True, "0.5", None, [0.5])]  # no numbers
+        for table, fallback_prob, reason in cases:
+            model = reference_model(tmp_path / "model.json", table, fallback_prob)
+            with pytest.raises(DataError, match=f"model.json is invalid: .*{reason}"):
+                model.score(ScoringRequest("q", "a"))
 
     def test_fingerprint_is_stable(self, tmp_path):
-        model = ReferenceModel(table={"q": {"a": 0.5}}, fallback_prob=0.05)
-        path = tmp_path / "model.json"
-        model.to_file(path)
-        assert ReferenceModel.from_file(path).backend_id == model.backend_id
+        model = reference_model(tmp_path / "model.json", {"q": {"a": 0.5}}, 0.05)
+        assert reference_model(tmp_path / "again.json", {"q": {"a": 0.5}}, 0.05).backend_id == model.backend_id
+        assert reference_model(tmp_path / "other.json", {"q": {"a": 0.25}}, 0.05).backend_id != model.backend_id
+
+    def test_score_many_scores_each_request_once_in_order_through_score(self, two_token_model, monkeypatch):
+        requests = [ScoringRequest("q", "42"), ScoringRequest("q", "4"), ScoringRequest("x", "4")]
+        score, seen = two_token_model.score, []
+        monkeypatch.setattr(two_token_model, "score", lambda request: seen.append(request) or score(request))
+        answers = list(two_token_model.score_many(iter(requests), in_flight=4))
+        assert seen == [request for request, _, _ in answers] == requests
+        assert [logprobs for _, logprobs, _ in answers] == [score(request) for request in requests]
+        assert all(latency_s >= 0 for _, _, latency_s in answers)
 
     def test_id_is_the_hash_of_the_file_bytes(self, tmp_path):
         path = tmp_path / "model.json"
-        ReferenceModel(table={"q": {"a": 0.5}}, fallback_prob=0.05).to_file(path)
+        reference_model(path, {"q": {"a": 0.5}}, 0.05)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert ReferenceModel.from_file(path).backend_id == f"reference:{digest[:12]}"
         spaced = tmp_path / "spaced.json"
@@ -146,7 +153,7 @@ class TestReferenceModel:
 
     def test_id_is_taken_without_reading_the_file_whole(self, tmp_path, monkeypatch):
         path = tmp_path / "model.json"
-        ReferenceModel(table={"q": {"a": 0.5}}, fallback_prob=0.05).to_file(path)
+        reference_model(path, {"q": {"a": 0.5}}, 0.05)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
 
         def refuse(self):
@@ -160,11 +167,11 @@ class TestReferenceModel:
     @pytest.mark.parametrize("change", ["rewritten", "removed"])
     def test_a_file_changed_before_its_first_load_is_a_data_error_naming_it(self, tmp_path, change):
         path = tmp_path / "model.json"
-        ReferenceModel(table={"q": {"a": 0.5}}, fallback_prob=0.05).to_file(path)
+        reference_model(path, {"q": {"a": 0.5}}, 0.05)
         original = path.read_bytes()
         model = ReferenceModel.from_file(path)
         if change == "rewritten":
-            ReferenceModel(table={"q": {"a": 0.25}}, fallback_prob=0.05).to_file(path)
+            reference_model(path, {"q": {"a": 0.25}}, 0.05)
             reason = "changed after its id was taken"
         else:
             path.unlink()
@@ -203,7 +210,7 @@ class TestReferenceModel:
 
     def test_file_is_parsed_only_when_a_score_needs_it(self, tmp_path, monkeypatch):
         path = tmp_path / "model.json"
-        ReferenceModel(table={"q": {"a": 0.5}}, fallback_prob=0.05).to_file(path)
+        reference_model(path, {"q": {"a": 0.5}}, 0.05)
         parsed = []
         original = ReferenceModel._set
         monkeypatch.setattr(ReferenceModel, "_set", lambda self, *args: parsed.append(1) or original(self, *args))
@@ -215,7 +222,7 @@ class TestReferenceModel:
 
     def test_concurrent_misses_parse_the_file_once(self, tmp_path, monkeypatch):
         path = tmp_path / "model.json"
-        ReferenceModel(table={"q": {"a": 0.5}}, fallback_prob=0.05).to_file(path)
+        reference_model(path, {"q": {"a": 0.5}}, 0.05)
         parsed = []
         original = ReferenceModel._set
 
@@ -519,7 +526,7 @@ class TestScoreTraces:
         assert warm["chars_sent"] == 0 and warm["chars_linear"] == cold["chars_linear"]
 
     def test_failed_run_stores_only_complete_traces_and_rerun_scores_the_rest(self, tmp_path):
-        model = ReferenceModel(table={}, fallback_prob=0.5)
+        model = reference_model(tmp_path / "model.json", {}, 0.5)
         jobs = [
             job(f"question {p}", [f"s1 {t}", "s2"], ["a", "b"], trace_id=f"{p}-{t}") for p in range(2) for t in range(10)
         ]
@@ -539,7 +546,7 @@ class TestScoreTraces:
 
     def test_batches_share_cells_and_store_their_rows_together(self, tmp_path, monkeypatch):
         monkeypatch.setattr(scoring, "CACHE_BATCH", 2)
-        model = ReferenceModel(table={}, fallback_prob=0.5)
+        model = reference_model(tmp_path / "model.json", {}, 0.5)
         jobs = [job(f"question {p}", [f"s1 {t}", "s2"], ["a", "b"], trace_id=f"{p}-{t}") for p in "01" for t in "012"]
         cache = ScoreCache(tmp_path / "cache")
         puts = []
@@ -555,7 +562,7 @@ class TestScoreTraces:
 
     def test_failure_in_a_later_batch_keeps_every_complete_row(self, tmp_path, monkeypatch):
         monkeypatch.setattr(scoring, "CACHE_BATCH", 2)
-        model = ReferenceModel(table={}, fallback_prob=0.5)
+        model = reference_model(tmp_path / "model.json", {}, 0.5)
         jobs = [job(f"question {p}", [f"s1 {t}", "s2"], ["a", "b"], trace_id=f"{p}-{t}") for p in "01" for t in "012"]
         # The last batch's trace is a prefix of the first: its cells are all
         # scored in batch 1.
@@ -1297,6 +1304,12 @@ class TestProfileFailure:
                     raise BackendError("connection dropped")
                 return model.score(request)
 
+            score_many = ReferenceModel.score_many  # each request in turn, through score
+
         trace = make_trace(steps=["r1", "r2"], final_answer="a")
         with pytest.raises(BackendError):
             scored_profile(problem, trace, ["a", "b"], FlakyBackend())
+        flaky = FlakyBackend()
+        with pytest.raises(BackendError) as err:
+            score_traces(flaky, [(problem, trace, ["a", "b"])])
+        assert flaky.calls == 3 and err.value.counts["backend_calls"] == 2
