@@ -2,7 +2,8 @@
 
 The scoring contract: given a context (question plus a step prefix) and a
 continuation (a candidate answer, wrappers stripped), a backend returns one
-natural-log probability per continuation token. Two backends exist:
+natural-log probability per continuation token. Two backends exist, each a
+:class:`Backend`:
 
 * :class:`ReferenceModel`, a deterministic table-driven stand-in for an LLM,
   used for fixtures and tests, named by its file's hash and read lazily;
@@ -39,7 +40,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from pathlib import Path
-from typing import NamedTuple, Protocol
+from typing import NamedTuple
 from urllib.parse import SplitResult, urlsplit
 
 from .errors import BackendError, ConfigError, DataError
@@ -116,22 +117,33 @@ class TokenLogprobs:
         return sum(self.logprobs)
 
 
-class Backend(Protocol):
-    backend_id: str
+class Backend:
+    """A scoring backend. A subclass defines :meth:`score` or
+    :meth:`score_many`, whichever it makes natively, and gets the other."""
 
-    def score(self, request: ScoringRequest) -> TokenLogprobs: ...
+    backend_id: str
+    retries = 0  # attempts repeated after a failure, for a backend that retries
+
+    def score(self, request: ScoringRequest) -> TokenLogprobs:
+        ((_, result, _),) = self.score_many([request])
+        return result
 
     def score_many(
         self, requests: Iterable[ScoringRequest], in_flight: int = 1
     ) -> Iterator[tuple[ScoringRequest, TokenLogprobs, float]]:
         """Yield ``(request, logprobs, latency_s)`` for each request, with at
-        most ``in_flight`` outstanding; the first failure is raised."""
+        most ``in_flight`` outstanding; the first failure is raised. Here,
+        each request in turn through :meth:`score`, ignoring ``in_flight``."""
+        for request in requests:
+            start = time.perf_counter()
+            result = self.score(request)
+            yield request, result, time.perf_counter() - start
 
     def close(self) -> None:
         """Release what the backend holds open between calls."""
 
 
-class ReferenceModel:
+class ReferenceModel(Backend):
     """Deterministic, table-driven scoring backend, built from its file by
     :meth:`from_file`.
 
@@ -197,19 +209,8 @@ class ReferenceModel:
         ]
         return TokenLogprobs(list(continuation), logprobs, self.backend_id)
 
-    def score_many(self, requests: Iterable[ScoringRequest], in_flight: int = 1):
-        """Yield ``(request, logprobs, latency_s)`` for each request in turn,
-        each scored through :meth:`score`; ``in_flight`` is ignored."""
-        for request in requests:
-            start = time.perf_counter()
-            result = self.score(request)
-            yield request, result, time.perf_counter() - start
 
-    def close(self) -> None:
-        pass
-
-
-class HttpBackend:
+class HttpBackend(Backend):
     """Client for a remote scoring server speaking the JSON protocol.
 
     ``POST {base}/v1/score`` with ``{"context", "continuation"}`` must return
@@ -246,7 +247,6 @@ class HttpBackend:
             import ssl  # loaded for https:// backends only
             self._tls = ssl.create_default_context()
         self._idle: list = []  # keep-alive sockets, most recently used last
-        self.retries = 0
         proxy_variable = _environment_proxy(parts)
         if proxy_variable is not None:
             log.warning("%s is set but not used: steplab connects to %s directly", proxy_variable, self.base_url)
@@ -285,14 +285,17 @@ class HttpBackend:
         Each request sent holds one socket, and ``poll`` waits for
         whichever answers first; an answer is read whole once it starts to
         arrive, by the deadline its send set. A request waiting to retry
-        keeps its place but holds no socket. The latency runs from a
+        keeps its place but holds no socket; such requests are resent in
+        the order of their retry times. The latency runs from a
         request's first send to its answer, retries included. After a
         failure nothing new is sent: answers already on their way are still
         yielded, and then the first failure is raised.
         """
+        import heapq  # here, not at module level: runs that call no server skip it
+
         todo = iter(requests)
         sent: dict = {}  # descriptor -> (socket, request, attempt, first send, answer deadline)
-        waiting: list = []  # (retry time, request, attempt, first send)
+        waiting: list = []  # heap of (retry time, request, attempt, first send)
         errors: list[BackendError] = []
         poller = select.poll()
 
@@ -308,31 +311,28 @@ class HttpBackend:
                 delay = min(BACKOFF_CAP_S, self.backoff_s * 2**attempt if retry_after is None else retry_after)
                 self.retries += 1
                 log.debug("retrying %s in %.2f s after: %s", self._url, delay, failure)
-                waiting.append((time.monotonic() + delay, request, attempt + 1, started))
+                heapq.heappush(waiting, (time.monotonic() + delay, request, attempt + 1, started))
+
+        def send(request, attempt, started) -> None:
+            try:
+                sock = self._send(request)
+            except OSError as exc:
+                retry(request, attempt, started, exc)
+            else:
+                poller.register(sock, select.POLLIN)
+                sent[sock.fileno()] = (sock, request, attempt, started, time.monotonic() + self.timeout_s)
 
         try:
             while True:
                 now = time.monotonic()
-                due = [entry for entry in waiting if entry[0] <= now]
-                waiting[:] = [entry for entry in waiting if entry[0] > now]
-                while not errors and len(sent) + len(waiting) + len(due) < in_flight and (request := next(todo, None)):
-                    due.append((now, request, 0, now))
-                for _, request, attempt, started in due:
-                    if errors:
-                        break
-                    try:
-                        sock = self._send(request)
-                    except OSError as exc:
-                        retry(request, attempt, started, exc)
-                    else:
-                        poller.register(sock, select.POLLIN)
-                        sent[sock.fileno()] = (sock, request, attempt, started, time.monotonic() + self.timeout_s)
+                while waiting and waiting[0][0] <= now:
+                    send(*heapq.heappop(waiting)[1:])
+                while not errors and len(sent) + len(waiting) < in_flight and (request := next(todo, None)):
+                    send(request, 0, now)
                 if not sent and not waiting:
                     break
-                timeout = max(0.0, min([e[4] for e in sent.values()] + [e[0] for e in waiting]) - time.monotonic())
-                if not sent:
-                    time.sleep(timeout)
-                    continue
+                # With nothing in flight, poll watches no socket and sleeps until the next retry.
+                timeout = max(0.0, min([e[4] for e in sent.values()] + [e[0] for e in waiting[:1]]) - time.monotonic())
                 ready = {fd for fd, _ in poller.poll(1000 * timeout)}
                 now = time.monotonic()
                 for fd, (sock, request, attempt, started, deadline) in list(sent.items()):
@@ -430,10 +430,6 @@ class HttpBackend:
                 raise OSError(f"answer exceeds {MAX_ANSWER_BYTES} bytes")
             body, reusable = take(len(buf)), False
         return status, headers, body, reusable and not buf
-
-    def score(self, request: ScoringRequest) -> TokenLogprobs:
-        ((_, result, _),) = self.score_many([request])
-        return result
 
     def close(self) -> None:
         """Close the idle connections; a later call opens new ones."""
@@ -603,8 +599,10 @@ class InformationProfile:
         for row in self.values:
             if len(row) != len(self.answers):
                 raise ValueError("profile row width does not match the answer list")
-            if not all(map(math.isfinite, row)):
-                raise ValueError("profile entries must be finite")
+        # Each a JSON number (not true), finite and <= 0, checked in C: a warm run builds every profile.
+        cells = [*chain.from_iterable(self.values)]
+        if not ({*map(type, cells)} <= {int, float} and all(map(math.isfinite, cells)) and max(cells, default=0) <= 0):
+            raise ValueError("profile entries must be finite JSON numbers <= 0")
 
 
 def profile_requests(problem: Problem, trace: ReasoningTrace, answers: list[str]) -> list[ScoringRequest]:
@@ -630,7 +628,7 @@ def information_profile(
 
 
 def score_traces(
-    backend: Backend, jobs: list[tuple[Problem, ReasoningTrace, list[str]]], in_flight: int = 1
+    backend: Backend | CachingBackend, jobs: list[tuple[Problem, ReasoningTrace, list[str]]], in_flight: int = 1
 ) -> tuple[list[list[float]], dict]:
     """Each job's totals, row-major as :func:`information_profile` takes
     them, and the counts of the work done. A job is (problem, trace, answers).
@@ -657,7 +655,7 @@ def score_traces(
     distinct = dict(zip(keys, jobs))
     counts = {"backend_calls": 0, "retries": 0, "cache_hits": 0, "cache_misses": 0, "rows_stored": 0}
     damaged = 0
-    retries_before = getattr(inner, "retries", 0)
+    retries_before = inner.retries
     rows: dict[str, list[float]] = {}
     done: dict[ScoringRequest, float] = {}  # every cell scored so far, and its total
     latencies: list[float] = []
@@ -689,7 +687,7 @@ def score_traces(
         raise
     finally:
         counts["backend_calls"] = len(done)
-        counts["retries"] = getattr(inner, "retries", 0) - retries_before
+        counts["retries"] = inner.retries - retries_before
     lookups = counts["cache_hits"] + counts["cache_misses"]
     counts.update(
         cache_damaged=damaged,
@@ -705,13 +703,13 @@ def score_traces(
     return [rows[key] for key in keys], counts
 
 
-def make_backend(backend_spec: str, cache_dir: str | Path | None = None, **http_options) -> Backend:
+def make_backend(backend_spec: str, cache_dir: str | Path | None = None, **http_options) -> Backend | CachingBackend:
     """Build a backend from its config string: ``reference:<fixture path>``
     names the reference model by its file, an http:// or https:// URL an
     :class:`HttpBackend` built with ``http_options``. A cache directory, when
     given, pairs the backend with its ScoreCache in a CachingBackend."""
     if backend_spec.startswith("reference:"):
-        backend: Backend = ReferenceModel.from_file(backend_spec.split(":", 1)[1])
+        backend: Backend | CachingBackend = ReferenceModel.from_file(backend_spec.split(":", 1)[1])
     elif backend_spec.startswith(("http://", "https://")):
         backend = HttpBackend(backend_spec, **http_options)
     else:

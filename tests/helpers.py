@@ -4,7 +4,7 @@ import json
 import threading
 
 from steplab.errors import BackendError, DataError
-from steplab.scoring import InformationProfile, ReferenceModel, ScoringRequest, build_context
+from steplab.scoring import Backend, InformationProfile, ReferenceModel, ScoringRequest, build_context
 from steplab.trace_model import Problem, ReasoningTrace
 from steplab.validators import ValidatorSpec
 
@@ -38,7 +38,7 @@ def reference_model(path, table, fallback_prob=0.01):
     return ReferenceModel.from_file(path)
 
 
-class CountingBackend:
+class CountingBackend(Backend):
     """Wraps a backend and counts how many requests actually reach it,
     through ``score`` or ``score_many``.
 
@@ -66,8 +66,6 @@ class CountingBackend:
         with self._lock:
             self.succeeded += 1
         return result
-
-    score_many = ReferenceModel.score_many  # each request in turn, through score
 
     def close(self):
         self.closed = True

@@ -2179,6 +2179,12 @@ MALFORMED_RUN_ARTIFACTS = {
     "profile-with-an-infinite-entry": (
         "profiles", lambda row: {**row, "values": [[math.inf] * len(row["answers"]), *row["values"][1:]]}, ["label"],
     ),
+    "profile-with-a-true-entry": (
+        "profiles", lambda row: {**row, "values": [[True, *row["values"][0][1:]], *row["values"][1:]]}, ["label"],
+    ),
+    "profile-with-a-positive-entry": (
+        "profiles", lambda row: {**row, "values": [[5.0, *row["values"][0][1:]], *row["values"][1:]]}, ["label"],
+    ),
     "profile-with-a-null-trace-id": ("profiles", lambda row: {**row, "trace_id": None}, ["label"]),
     "signal-without-method": ("signals", _without("method"), ["run", "--stages", "label"]),
     "signal-with-no-values": ("signals", lambda row: {**row, "values": []}, ["run", "--stages", "label"]),

@@ -26,6 +26,7 @@ from steplab.errors import BackendError, ConfigError, DataError, exit_code
 from steplab.fixtures import build_demo_corpus
 from steplab.pipeline import RunConfig, run_pipeline, summarize_run
 from steplab.scoring import (
+    Backend,
     CachingBackend,
     HttpBackend,
     ReferenceModel,
@@ -673,10 +674,10 @@ class _StubHandler(BaseHTTPRequestHandler):
     # A 200 answer sent instead of the model's, when set.
     broken: dict | None = None
     # The next ``throttled`` requests get ``throttle_status`` with this
-    # Retry-After header.
+    # Retry-After header, or with the one given for their context.
     throttled: int = 0
     throttle_status: int = 429
-    retry_after: str | None = None
+    retry_after: str | dict[str, str] | None = None
     # Where /v1/score is served, for base URLs with a path.
     prefix: str = ""
     # Close each connection after one response without saying so (no
@@ -732,8 +733,11 @@ class _StubHandler(BaseHTTPRequestHandler):
             throttle, type(self).throttled = self.throttled > 0, max(0, self.throttled - 1)
         if throttle:
             self.send_response(self.throttle_status)
-            if self.retry_after is not None:
-                self.send_header("Retry-After", self.retry_after)
+            retry_after = self.retry_after
+            if isinstance(retry_after, dict):
+                retry_after = retry_after.get(body.get("context"))
+            if retry_after is not None:
+                self.send_header("Retry-After", retry_after)
             self.send_header("Content-Length", "0")
             self.end_headers()
             return
@@ -974,6 +978,23 @@ class TestHttpBackend:
         *others, (_, _, retried_latency_s) = answers
         assert retried_latency_s >= 0.3 > max(latency_s for *_, latency_s in others)
         assert backend.retries == 1 and len(handler.paths) == 9
+
+    def test_requests_waiting_to_retry_are_resent_in_the_order_of_their_retry_times(
+        self, http_backend, stub_server, info_problem_model
+    ):
+        url, handler = stub_server
+        _, model = info_problem_model
+        handler.throttled, handler.retry_after = 2, {"context 0": "0.6", "context 1": "0.1"}
+        backend = http_backend(url, max_retries=2)
+        first, second, third = [ScoringRequest(f"context {i}", "a") for i in range(3)]
+        answers = list(backend.score_many([first, second, third], in_flight=2))
+        # Both waiting requests keep their places, so the third is sent only
+        # once the second, with the shorter wait, is answered.
+        assert [(request, result.total()) for request, result, _ in answers] == [
+            (request, model.score(request).total()) for request in (second, third, first)
+        ]
+        assert answers[0][2] < 0.6 <= answers[2][2]
+        assert backend.retries == 2 and len(handler.paths) == 5
 
     def test_a_request_never_answered_fails_after_the_other_traces_are_cached(
         self, http_backend, stub_server, tmp_path
@@ -1292,7 +1313,7 @@ class TestProfileFailure:
     def test_partial_failure_aborts_whole_profile(self, info_problem_model):
         problem, model = info_problem_model
 
-        class FlakyBackend:
+        class FlakyBackend(Backend):
             backend_id = "flaky"
 
             def __init__(self):
@@ -1303,8 +1324,6 @@ class TestProfileFailure:
                 if self.calls == 3:
                     raise BackendError("connection dropped")
                 return model.score(request)
-
-            score_many = ReferenceModel.score_many  # each request in turn, through score
 
         trace = make_trace(steps=["r1", "r2"], final_answer="a")
         with pytest.raises(BackendError):
