@@ -12,10 +12,14 @@ strings here; trainers map them onto unused vocabulary ids.
 
 Lines are assembled as text from a trace's :func:`trace_fragment`, which encodes
 its ids, question and steps once; each equals ``encode_json(record) + "\\n"``.
+A dataset's lines are built one at a time, as :func:`write_shards` writes them
+(:class:`RecordLines`).
 """
 
+from itertools import chain, islice, starmap
 from json.encoder import encode_basestring
 from pathlib import Path
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import ReservedSymbolError
 from .ioutil import atomic_write_lines
@@ -80,19 +84,36 @@ def emit_orm_record(fragment: tuple[str, list[str]], correct: bool) -> str:
     return head + _PLAIN_MARKER.join(steps) + _TARGET_MARKER + '], "target": ' + _TARGET_TEXT[correct] + "}\n"
 
 
+class RecordLines:
+    """A dataset's record lines, each built by ``build(fragment, target)`` from
+    one of ``records`` as a reader iterates, so the lines are never held
+    whole. Its length is the number of records, known before any is built."""
+
+    def __init__(self, build: Callable[[tuple[str, list[str]], Any], str], records: list[tuple]):
+        self.build, self.records = build, records
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __iter__(self) -> Iterator[str]:
+        return starmap(self.build, self.records)
+
+
 def write_shards(
-    lines: list[str],
+    lines: Iterable[str],
     directory: str | Path,
     split: str,
     records_per_shard: int = 100_000,
 ) -> list[Path]:
-    """Write record lines into ``{split}-{shard:05d}.jsonl`` files, each as a stream."""
+    """Write record lines into ``{split}-{shard:05d}.jsonl`` files, each as a
+    stream, reading ``lines`` once as they are written: no shard is empty."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths: list[Path] = []
-    for start in range(0, len(lines), records_per_shard):
+    lines = iter(lines)
+    for first in lines:
         path = directory / f"{split}-{len(paths):05d}.jsonl"
-        atomic_write_lines(path, lines[start : start + records_per_shard])
+        atomic_write_lines(path, chain([first], islice(lines, records_per_shard - 1)))
         paths.append(path)
     return paths
 

@@ -23,7 +23,7 @@ AGGREGATIONS = {"max": max, "mean": fmean}
 REFERENCES = ("step0", "previous")
 
 
-@dataclass
+@dataclass(slots=True)
 class StepSignal:
     """Per-step signal values for one trace, indexed i = 1..N."""
 

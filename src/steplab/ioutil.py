@@ -63,6 +63,12 @@ def _json_encoder() -> Callable[[Any], str]:
 encode_json = _json_encoder()
 
 
+def row_object(row) -> dict:
+    """A row's JSON object: the fields of its slotted dataclass, in declaration
+    order, by name. The values are the row's own, not copies."""
+    return {name: getattr(row, name) for name in row.__slots__}
+
+
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> str:
     """Write records as one JSON object per line. The file appears atomically.
     Returns the sha256 of the bytes written."""

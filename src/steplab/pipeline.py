@@ -30,11 +30,13 @@ from typing import Any, Callable, Iterable
 
 from . import __version__
 from .calibration import percentile_grid, sweep_threshold
-from .dataset_emit import emit_orm_record, emit_prm_record, label_balance, trace_fragment, write_shards
+from .dataset_emit import RecordLines, emit_orm_record, emit_prm_record, label_balance, trace_fragment, write_shards
 from .errors import ConfigError, DataError, ReservedSymbolError, Terminated, UndefinedMetricError, exit_code
 from .evaluation import best_of_k, majority_best_of_k, oracle_score, random_scorer, step_product_scorer
 from .infogain import AGGREGATIONS, REFERENCES, StepSignal, assign_labels, ig_signal, mcnig_signal
-from .ioutil import atomic_write_text, input_digest, input_file, read_jsonl, sha256_file, sha256_text, write_jsonl
+from .ioutil import (
+    atomic_write_text, input_digest, input_file, read_jsonl, row_object, sha256_file, sha256_text, write_jsonl,
+)
 from .scoring import InformationProfile, information_profile, make_backend, score_traces
 from .trace_model import (
     DOMAINS,
@@ -327,7 +329,7 @@ class Artifact:
     make: Callable[[dict], Any] | None = None
     key: Callable | None = None
     collect: Callable = list
-    encode: Callable[[Any], dict] = vars
+    encode: Callable[[Any], dict] = row_object
     kept: Callable[[dict], Any] | None = None
 
 
@@ -624,7 +626,7 @@ def _label(cfg: RunConfig, io: StageIO, state) -> dict:
     for signal in io.rows("signals"):
         _trace_of(io, "signals", signal.problem_id, signal.trace_id, len(signal.values))
         tau = thresholds.get(domain_of[signal.problem_id], 0.0)
-        records.append({**vars(signal), "labels": assign_labels(signal, tau), "threshold": tau})
+        records.append({**row_object(signal), "labels": assign_labels(signal, tau), "threshold": tau})
     io.write("step_labels", records)
     return {"traces_labeled": len(records), "thresholds_source": cfg.thresholds_file or source.name}
 
@@ -632,7 +634,8 @@ def _label(cfg: RunConfig, io: StageIO, state) -> dict:
 def _emit(cfg: RunConfig, io: StageIO, state) -> dict:
     """Both training datasets from one read of their inputs: a PRM record per
     labeled trace and an ORM record per working-set trace. Every row is
-    checked before either dataset is written. Both lines of a trace share its fragment."""
+    checked before either dataset is written, and each line is built as its
+    shard is written (:class:`RecordLines`). Both lines of a trace share its fragment."""
     problems = {p.id: p for p in io.rows("problems")}
     # A job is (problem id, trace id, step labels); an ORM job has no labels.
     jobs = {
@@ -650,18 +653,19 @@ def _emit(cfg: RunConfig, io: StageIO, state) -> dict:
                     fragments[(pid, trace_id)] = exc
     counts = {}
     for which, (_, dataset_jobs) in jobs.items():
-        lines, targets, dropped = [], [], {}
+        records, targets, dropped = [], [], {}  # a record is (fragment, its step labels or its trace's verdict)
         for pid, trace_id, labels in dataset_jobs:
             fragment = fragments[(pid, trace_id)]
             if isinstance(fragment, ReservedSymbolError):
                 dropped.setdefault(pid, {})[trace_id] = fragment.reason_code
             elif labels is None:
                 correct = io.judged[(pid, trace_id)].correct
-                lines.append(emit_orm_record(fragment, correct))
+                records.append((fragment, correct))
                 targets.append(correct)
             else:
-                lines.append(emit_prm_record(fragment, labels))
+                records.append((fragment, labels))
                 targets.extend(labels)
+        lines = RecordLines(emit_prm_record if which == "prm" else emit_orm_record, records)
         out_dir = io.paths[f"{which}_dir"]
         tmp_dir = out_dir.with_name(out_dir.name + ".tmp")
         shutil.rmtree(tmp_dir, ignore_errors=True)
@@ -914,6 +918,9 @@ def run_pipeline(cfg: RunConfig, stages: list[str] | None = None) -> dict:
     cycles), and the caller's setting restored after. A run holds an
     exclusive ``flock`` on the run directory until its manifest is written;
     a second run there fails at once with a ConfigError, manifest untouched.
+    The stages share one memo of parsed rows (:class:`StageIO`); after each
+    stage, the rows of every artifact that no later stage of the sequence
+    needs, conditionally or not, are dropped.
     """
     sequence = list(stages) if stages else list(STAGES)
     cfg.out.mkdir(parents=True, exist_ok=True)
@@ -931,9 +938,13 @@ def run_pipeline(cfg: RunConfig, stages: list[str] | None = None) -> dict:
         for name in sequence:  # every name is checked before any stage runs
             if name not in STAGES:
                 raise ConfigError(f"unknown stage {name!r}; choose from {STAGES}")
-        for name in sequence:
+        for i, name in enumerate(sequence):
             log.info("running stage %s", name)
             reports.append(run_stage(name, cfg, memo))
+            # Drop the rows no later stage needs; the judged table goes with its parsed traces.
+            later = {need for stage in sequence[i + 1 :] for need in STAGE_TABLE[stage].needs}
+            for key in [key for key in memo if ("parsed_traces" if key[0] == "judged" else key[0]) not in later]:
+                del memo[key]
     except (Exception, KeyboardInterrupt, Terminated) as exc:  # ``name`` is the stage that raised
         failed = {"name": name, "error": type(exc).__name__, "message": str(exc), "exit_code": exit_code(exc)}
         if hasattr(exc, "counts"):  # the work a failed stage did before it raised

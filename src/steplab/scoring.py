@@ -483,7 +483,7 @@ def _unpack_totals(blob, cells: int) -> list[float] | None:
     if not isinstance(blob, bytes) or len(blob) != 8 * cells:
         return None
     totals = list(struct.unpack(f"<{cells}d", blob))
-    return totals if all(-math.inf < total <= 0 for total in totals) else None
+    return totals if all(map(math.isfinite, totals)) and max(totals, default=0) <= 0 else None  # checked in C
 
 
 class ScoreCache:
@@ -579,7 +579,7 @@ def _latency_ms(latencies_s: list[float], fraction: float) -> float:
     return 1000.0 * ordered[max(0, math.ceil(fraction * len(ordered)) - 1)]
 
 
-@dataclass
+@dataclass(slots=True)
 class InformationProfile:
     """Information values for one trace: rows are step prefixes 0..N, columns
     the scored answers."""

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .errors import ValidatorError
-from .ioutil import encode_json, read_jsonl, stable_seed, write_jsonl
+from .ioutil import encode_json, read_jsonl, row_object, stable_seed, write_jsonl
 from .validators import ValidatorSpec, parse_numeric
 
 log = logging.getLogger(__name__)
@@ -60,7 +60,7 @@ class Problem:
         return {**{name: getattr(self, name) for name in _TEXT_FIELDS}, "validator": self.validator_spec.to_json_dict()}
 
 
-@dataclass
+@dataclass(slots=True)
 class ReasoningTrace:
     """A parsed multi-step answer to one problem.
 
@@ -88,7 +88,7 @@ class ReasoningTrace:
             raise ValueError("only parseable traces can carry a validation outcome")
 
 
-@dataclass
+@dataclass(slots=True)
 class AnswerPool:
     """Validated final answers for one problem, split into correct and wrong.
 
@@ -293,7 +293,7 @@ def read_raw_traces(path: str | Path) -> Iterable[dict]:
 # Only bench/traced.py uses these two, by patching them: pipeline.ARTIFACTS
 # holds the reader and encoder of parsed_traces.jsonl.
 def write_traces(path: str | Path, traces: Iterable[ReasoningTrace]) -> str:
-    return write_jsonl(path, (vars(t) for t in traces))
+    return write_jsonl(path, map(row_object, traces))
 
 
 def read_traces(path: str | Path) -> list[ReasoningTrace]:

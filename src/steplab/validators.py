@@ -43,6 +43,16 @@ DEFAULT_COMMAND_TIMEOUT_S = 30.0
 SQL_STEP_BUDGET = 20_000_000
 SQL_PROGRESS_INTERVAL = 1_000
 SQL_VALUE_LIMIT = 1 << 20
+# No SELECT of a candidate may have more columns, nor ORDER BY or GROUP BY more
+# terms, than SQL_COLUMN_LIMIT or the gold's result width, whichever is more.
+SQL_COLUMN_LIMIT = 100
+# A decimal parses as a number only with at most NUMBER_DIGITS significant
+# digits and an exponent (of its leading digit, Decimal.adjusted) at most
+# NUMBER_DIGITS from 0, and a p/q fraction only with at most NUMBER_DIGITS
+# digits in each part. So a model's answer parses in no time to speak of, and
+# its exact value prints within Python's limit of 4,300 digits for an integer.
+NUMBER_DIGITS = 1000
+_FRACTION = re.compile(rf"([+-]?\d{{1,{NUMBER_DIGITS}}})\s*/\s*([+-]?\d{{1,{NUMBER_DIGITS}}})")
 # Bytes of a command's stderr read back for its diagnostic, from the end.
 STDERR_TAIL_BYTES = 4096
 # A command validator's process may map at most COMMAND_ADDRESS_SPACE bytes,
@@ -114,25 +124,28 @@ def parse_numeric(text: str) -> Fraction | None:
     """Parse integers, decimals, and simple p/q fractions to an exact rational.
 
     A leading currency ``$`` and thousands separators are tolerated. Returns
-    None for anything else (symbolic expressions stay unparsed on purpose).
+    None for anything else (symbolic expressions stay unparsed on purpose),
+    for infinities and NaN, and for a number past :data:`NUMBER_DIGITS`.
     """
     s = text.strip()
     if s.startswith("$"):
         s = s[1:].strip()
     if re.fullmatch(r"[+-]?\d{1,3}(,\d{3})+(\.\d+)?", s):
         s = s.replace(",", "")
-    m = re.fullmatch(r"([+-]?\d+)\s*/\s*([+-]?\d+)", s)
+    m = _FRACTION.fullmatch(s)
     if m:
         num, den = int(m.group(1)), int(m.group(2))
         if den == 0:
             return None
         return Fraction(num, den)
-    if s.lower() in ("inf", "-inf", "infinity", "-infinity", "nan"):
-        return None
     try:
-        return Fraction(Decimal(s))
-    except (InvalidOperation, ValueError, OverflowError):
+        number = Decimal(s)
+    except InvalidOperation:
         return None
+    digits = len(number.as_tuple().digits)
+    if not number.is_finite() or digits > NUMBER_DIGITS or abs(number.adjusted()) > NUMBER_DIGITS:
+        return None
+    return Fraction(number)
 
 
 def _normalize_text(text: str) -> str:
@@ -196,17 +209,24 @@ def check_sql(candidate_query: str, gold_query: str, fixture: str | Path) -> Che
     diagnostic; one that exceeds ``SQL_STEP_BUDGET`` scores 0 with the
     diagnostic "timeout", and one that makes a value longer than
     ``SQL_VALUE_LIMIT`` bytes with "execution error: string or blob too
-    big". The bound is set after the gold query runs, so it does not limit
-    the fixture. A broken fixture or gold query is an infrastructure error.
+    big". These bounds, and :data:`SQL_COLUMN_LIMIT`, are set after the gold
+    query runs, so they do not limit the fixture. A result of another width
+    than the gold's scores 0 with "result width mismatch" before any of its
+    rows is read, and one with more rows than the gold's with "result too
+    large" once one row more is read: the candidate's rows held are at most
+    the gold's row count plus one, each of the gold's width. A broken
+    fixture or gold query is an infrastructure error.
     """
     import sqlite3
 
     conn = _open_fixture(fixture)
     try:
         try:
-            gold_rows = conn.execute(gold_query).fetchall()
+            gold = conn.execute(gold_query)
+            gold_rows = gold.fetchall()
         except sqlite3.Error as exc:
             raise ValidatorError(f"gold query failed on fixture: {exc}") from exc
+        width = len(gold.description or ())
         budget = SQL_STEP_BUDGET // SQL_PROGRESS_INTERVAL
         ticks = 0
 
@@ -219,12 +239,18 @@ def check_sql(candidate_query: str, gold_query: str, fixture: str | Path) -> Che
         conn.set_authorizer(lambda action, *_: sqlite3.SQLITE_OK if action in reads else sqlite3.SQLITE_DENY)
         conn.set_progress_handler(over_budget, SQL_PROGRESS_INTERVAL)
         conn.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, SQL_VALUE_LIMIT)
+        conn.setlimit(sqlite3.SQLITE_LIMIT_COLUMN, max(width, SQL_COLUMN_LIMIT))
         try:
-            cand_rows = conn.execute(candidate_query).fetchall()
+            candidate = conn.execute(candidate_query)
+            if len(candidate.description or ()) != width:
+                return Check(0, "result width mismatch")
+            cand_rows = candidate.fetchmany(len(gold_rows) + 1)
         except sqlite3.Error as exc:
             if ticks > budget:
                 return Check(0, "timeout")
             return Check(0, f"execution error: {exc}")
+        if len(cand_rows) > len(gold_rows):
+            return Check(0, "result too large")
         if _has_order_by(gold_query):
             equal = cand_rows == gold_rows
         else:

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from helpers import CountingBackend
-from steplab import __version__
+from steplab import __version__, pipeline
 from steplab.dataset_emit import STEP_MARKER
 from steplab.cli import build_parser, main
 from steplab.errors import ConfigError, DataError, exit_code
@@ -2401,6 +2401,31 @@ class TestEachArtifactParsedOnce:
         assert parses and max(parses.values()) == 1
         assert parses[paths["signals"]] == parses[paths["step_labels"]] == 0
 
+    def test_a_relabel_drops_each_artifacts_rows_after_their_last_reader(self, run_6x4, tmp_path, monkeypatch):
+        """The artifacts whose rows the memo holds as each stage starts, and at
+        the end: the judged table stands for its parsed traces."""
+        run = tmp_path / "run"
+        shutil.copytree(run_6x4, run)
+        held, memos = {}, []
+
+        def spy(name, cfg, memo):
+            held[name], memos[:] = {key[0] for key in memo}, [memo]
+            return run_stage(name, cfg, memo)
+
+        monkeypatch.setattr(pipeline, "run_stage", spy)
+        run_pipeline(load_config(overrides={"out_dir": str(run), "force": True}, env={}), RELABEL)
+        assert held["label"] == {"problems", "pools", "judged", "signals"}
+        assert held["emit"] == held["eval"] == {"problems", "pools", "judged", "step_labels"}
+        assert memos == [{}]
+
+    def test_the_label_command_hands_its_signals_on(self, run_6x4, tmp_path, parses):
+        run = tmp_path / "run"
+        shutil.copytree(run_6x4, run)
+        before = (run / "step_labels.jsonl").read_bytes()
+        assert main(["label", "--out-dir", str(run), "--force"]) == 0
+        assert parses[artifact_paths(run)["signals"]] == 0
+        assert (run / "step_labels.jsonl").read_bytes() == before
+
     def test_an_artifact_edited_between_calls_is_read_fresh(self, run_6x4, tmp_path, parses):
         run = tmp_path / "run"
         shutil.copytree(run_6x4, run)
@@ -2677,3 +2702,18 @@ class TestOneWriterPerRunDirectory:
         run_pipeline(load_config(overrides={"out_dir": str(run)}, env={}), ["signals"])
         assert len(attempts) == 1
         held_lock(run)  # released once the run returns
+
+
+def test_a_math_answer_too_long_to_print_is_a_wrong_answer(tmp_path):
+    """A 6x4 run whose one math trace answers $1e5000$ runs to its end: the
+    answer parses as no number, so its pool files it as wrong."""
+    corpus = build_demo_corpus(tmp_path / "corpus", n_problems=6, traces_per_problem=4)
+    rows = list(read_jsonl(corpus["traces"]))
+    rows[0]["raw_text"] = rows[0]["raw_text"].rsplit("$", 2)[0] + "$1e5000$"
+    corpus["traces"].write_text("".join(json.dumps(row) + "\n" for row in rows))
+    out = tmp_path / "run"
+    argv = ["--problems", str(corpus["problems"]), "--traces", str(corpus["traces"]), "--out-dir", str(out)]
+    assert main(["--backend", f"reference:{corpus['reference_model']}", "run", *argv]) == 0
+    problem = next(p for p in read_jsonl(corpus["problems"]) if p["id"] == rows[0]["problem_id"])
+    pool = next(p for p in read_jsonl(out / "pools.jsonl") if p["problem_id"] == problem["id"])
+    assert problem["domain"] == "math" and "1e5000" in pool["wrong"] and not pool["diagnostics"]

@@ -8,6 +8,7 @@ from steplab.dataset_emit import (
     NEGATIVE_SYMBOL,
     POSITIVE_SYMBOL,
     STEP_MARKER,
+    RecordLines,
     emit_orm_record,
     emit_prm_record,
     label_balance,
@@ -156,6 +157,36 @@ class TestShards:
         loaded = [r for p in paths for r in read_records(p)]
         assert [encode_json(r) + "\n" for r in loaded] == lines
         assert [p.read_text(encoding="utf-8") for p in paths] == ["".join(lines[i : i + 10]) for i in range(0, 25, 10)]
+
+    def test_lines_of_a_generator_are_written_as_they_come(self, tmp_path):
+        """Each shard is on disk before a line of the next is asked for, and
+        an empty generator makes no shard."""
+        rng = random.Random(13)
+        lines = [random_record(rng, i)[3] for i in range(25)]
+        on_disk = []  # the shards written when each line is asked for
+
+        def generated():
+            for line in lines:
+                on_disk.append(len(list(tmp_path.glob("*.jsonl"))))
+                yield line
+
+        paths = write_shards(generated(), tmp_path, "train", records_per_shard=10)
+        assert [len(read_records(p)) for p in paths] == [10, 10, 5]
+        assert "".join(p.read_text(encoding="utf-8") for p in paths) == "".join(lines)
+        assert on_disk == [0] * 10 + [1] * 10 + [2] * 5
+        assert write_shards(iter(()), tmp_path / "empty", "train", records_per_shard=10) == []
+        assert list((tmp_path / "empty").iterdir()) == []
+
+    def test_record_lines_are_counted_before_and_built_as_read(self):
+        built = []
+
+        def build(fragment, target):
+            built.append(target)
+            return f"{fragment}:{target}\n"
+
+        lines = RecordLines(build, [("a", 1), ("b", 0)])
+        assert len(lines) == 2 and built == []
+        assert list(lines) == ["a:1\n", "b:0\n"] and built == [1, 0]
 
     def test_balance_report_matches_targets(self):
         rng = random.Random(14)

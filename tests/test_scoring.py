@@ -681,7 +681,8 @@ class _StubHandler(BaseHTTPRequestHandler):
     # Where /v1/score is served, for base URLs with a path.
     prefix: str = ""
     # Close each connection after one response without saying so (no
-    # "Connection: close"), releasing ``closed`` once the socket is shut.
+    # "Connection: close"), releasing ``closed`` once the socket is shut; after
+    # ``raw`` bytes, close it as they end, without releasing ``closed``.
     close_after_response: bool = False
     # Seconds each answer is held back, and a context never answered (its
     # handler sets ``arrived`` and waits for ``release``).
@@ -723,6 +724,7 @@ class _StubHandler(BaseHTTPRequestHandler):
                     self.wfile.write(piece)
             except OSError:  # the client gave up on the answer
                 self.close_connection = True
+            self.close_connection |= self.close_after_response
             return
         if body.get("context") == self.stalled:
             self.arrived.set()
@@ -911,6 +913,15 @@ class TestHttpBackend:
         handler.throttled, handler.retry_after = 1, None
         backend = http_backend(url, max_retries=2, backoff_s=0.01)
         assert backend.score(ScoringRequest("What?", "a")).backend_id == "stub-llm"
+        assert backend.retries == 1
+
+    def test_an_unreadable_retry_after_date_falls_back_to_the_backoff(self, http_backend, stub_server):
+        url, handler = stub_server
+        handler.throttled, handler.retry_after = 1, "Someday, 32 Foo 2026 25:61:61 GMT"
+        backend = http_backend(url, max_retries=2, backoff_s=0.3)
+        start = time.monotonic()
+        assert backend.score(ScoringRequest("What?", "a")).backend_id == "stub-llm"
+        assert 0.3 <= time.monotonic() - start < 10.0
         assert backend.retries == 1
 
     def test_persistent_429_exhausts_retries(self, http_backend, stub_server):
@@ -1110,6 +1121,23 @@ class TestHttpBackend:
             backend.score(ScoringRequest("What?", "a"))
         assert err.value.kind == "transport"
         assert backend.retries == 1 and len(handler.paths) == 2
+
+    @pytest.mark.parametrize(
+        "answer, failure",
+        [
+            (b'HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{"tokens": ', "closed the connection mid-answer"),
+            (_CHUNKED_HEAD + b"1g\r\n{}\r\n0\r\n\r\n", "malformed chunk size line '1g'"),
+        ],
+        ids=["closed-mid-answer", "malformed-chunk-size-line"],
+    )
+    def test_a_broken_answer_body_is_a_retried_transport_failure(self, http_backend, stub_server, answer, failure):
+        url, handler = stub_server
+        handler.raw, handler.close_after_response = [answer], True
+        backend = http_backend(url, max_retries=2, backoff_s=0.01)
+        with pytest.raises(BackendError) as err:
+            backend.score(ScoringRequest("What?", "a"))
+        assert err.value.kind == "transport" and failure in str(err.value)
+        assert backend.retries == 1 and len(handler.paths) == len(handler.connections) == 2
 
     def test_a_204_answer_has_no_body_to_wait_for(self, http_backend, stub_server):
         url, handler = stub_server

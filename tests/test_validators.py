@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from steplab.errors import ValidatorError
 from steplab.validators import (
     COMMAND_ADDRESS_SPACE,
     COMMAND_FILE_SIZE,
+    NUMBER_DIGITS,
     ValidatorSpec,
     check_external,
     check_sql,
@@ -26,6 +28,21 @@ from steplab.validators import (
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _probe(script: str, *args: str, address_space: int | None = None, timeout: float = 60):
+    """The JSON that ``script`` prints, run by one child interpreter with ``src``
+    and the tests on its path, a timeout and, when given, an address space of
+    at most ``address_space`` bytes: a probe that hangs or exhausts memory
+    fails the test, not the suite."""
+    if address_space is not None:
+        limit = f"resource.setrlimit(resource.RLIMIT_AS, ({address_space}, {address_space}))"
+        script = f"import resource\n{limit}\n{script}"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(Path(__file__).parent)])}
+    child = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True,
+                           timeout=timeout)
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
 
 
 class TestNumericEquivalent:
@@ -50,6 +67,43 @@ class TestNumericEquivalent:
     @pytest.mark.parametrize("text", ["1/0", "inf", "nan"])
     def test_what_is_no_finite_rational_parses_to_none(self, text):
         assert parse_numeric(text) is None
+
+    def test_a_huge_exponent_scores_zero_within_a_second(self):
+        script = (
+            "import json, time\n"
+            "from helpers import make_problem\n"
+            "from steplab.validators import ValidatorSpec, validate\n"
+            "start = time.perf_counter()\n"
+            "value = validate(ValidatorSpec(kind='numeric_equivalence'), '1e100000000', make_problem(gold='3'))\n"
+            "print(json.dumps([value, time.perf_counter() - start]))\n"
+        )
+        value, seconds = _probe(script, address_space=1 << 30, timeout=20)
+        assert value == 0 and seconds < 1.0
+
+    @pytest.mark.parametrize("answer", ["1e5000", "5" * 5000 + "/2"], ids=["exponent", "numerator"])
+    def test_a_number_too_long_to_print_is_a_wrong_answer(self, answer):
+        """``normalize_answer`` prints the exact value of a parsed number, and
+        Python prints no integer of more than 4,300 digits: such a number
+        parses to None, so the pool files it as wrong, with no diagnostic."""
+        script = (
+            "import json, sys\n"
+            "from helpers import make_problem, make_trace\n"
+            "from steplab.trace_model import build_answer_pool, normalize_answer\n"
+            "from steplab.validators import make_validator\n"
+            "problem, answer = make_problem(gold='3'), sys.argv[1]\n"
+            "traces = [make_trace(trace_id=t, final_answer=a) for t, a in (('t1', answer), ('t2', '3'))]\n"
+            "pool = build_answer_pool(problem, traces, make_validator(problem))\n"
+            "print(json.dumps([pool.correct, pool.wrong, pool.diagnostics, normalize_answer(answer, 'math')]))\n"
+        )
+        assert _probe(script, answer, timeout=20) == [["3"], [answer], {}, answer]
+
+    def test_the_number_bound_is_inclusive(self):
+        bound = NUMBER_DIGITS
+        assert parse_numeric(f"1e{bound}") == 10**bound and parse_numeric(f"1e-{bound}") == Fraction(1, 10**bound)
+        assert parse_numeric("7" * bound) == int("7" * bound)
+        assert parse_numeric("7" * bound + "/" + "3" * bound) == Fraction(int("7" * bound), int("3" * bound))
+        for past in (f"1e{bound + 1}", f"1e-{bound + 1}", "7" * (bound + 1), "7" * (bound + 1) + "/3"):
+            assert parse_numeric(past) is None
 
     def test_unequal_values_beyond_the_float_range_are_unequal(self):
         # Both parse exactly, but neither converts to a float for the tolerance check.
@@ -201,6 +255,50 @@ class TestSqlGuards:
 
     def test_the_gold_query_runs_before_the_bound(self, sql_fixture):
         assert check_sql("SELECT 2000000", "SELECT length(randomblob(2000000))", sql_fixture).value == 1
+
+    @pytest.mark.parametrize("candidate, diagnostic", [
+        ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x+1 FROM c) SELECT zeroblob(1000000) FROM c",
+         "result too large"),
+        ("SELECT " + ", ".join(["randomblob(1000000)"] * 600), "execution error: too many columns in result set"),
+    ], ids=["endless-rows-of-1-mb", "600-values-of-1-mb-in-a-row"])
+    def test_a_result_too_large_to_hold_scores_zero_in_bounded_memory(self, sql_fixture, candidate, diagnostic):
+        """About 1.1M rows of 1 MB fit in the step budget, and a row may hold
+        2,000 values of 1 MB: only the gold's row count plus one rows are read,
+        and a row wider than SQL_COLUMN_LIMIT is refused before it is made, in a
+        child whose address space is 512 MB."""
+        script = (
+            "import json, sys\n"
+            "from steplab.validators import check_sql\n"
+            "result = check_sql(sys.argv[1], 'SELECT name FROM employees', sys.argv[2])\n"
+            "print(json.dumps([result.value, result.diagnostic]))\n"
+        )
+        assert _probe(script, candidate, str(sql_fixture), address_space=512 << 20) == [0, diagnostic]
+
+    @pytest.mark.parametrize("candidate, gold", [
+        ("SELECT name, salary FROM employees", "SELECT name FROM employees"),
+        ("SELECT name, " + ", ".join(["zeroblob(1000000)"] * 50) + " FROM employees", "SELECT name FROM employees"),
+        ("SELECT name FROM employees LIMIT 0", "SELECT name, salary FROM employees WHERE 0"),
+    ], ids=["wider", "wider-by-50-large-values", "narrower-and-both-empty"])
+    def test_a_result_of_another_width_scores_zero_before_a_row_is_read(self, sql_fixture, candidate, gold):
+        result = check_sql(candidate, gold, sql_fixture)
+        assert (result.value, result.diagnostic) == (0, "result width mismatch")
+
+    def test_a_result_one_row_longer_than_the_golds_scores_zero(self, sql_fixture):
+        candidate = "SELECT name FROM employees UNION ALL SELECT 'Zed'"
+        result = check_sql(candidate, "SELECT name FROM employees", sql_fixture)
+        assert (result.value, result.diagnostic) == (0, "result too large")
+
+    @pytest.mark.parametrize("candidate", [
+        "SELECT name FROM employees ORDER BY dept_id, salary DESC, name",
+        "SELECT name FROM (SELECT * FROM employees JOIN departments USING (dept_id)) ORDER BY dept_id, salary DESC",
+        "SELECT e.name FROM employees e GROUP BY e.dept_id, e.salary, e.name ORDER BY e.dept_id, e.salary DESC",
+    ])
+    def test_the_column_limit_keeps_a_correct_candidate_that_orders_by_more_than_it_returns(
+        self, sql_fixture, candidate
+    ):
+        gold = "SELECT name FROM employees ORDER BY dept_id, salary DESC"
+        assert check_sql(gold, gold, sql_fixture).value == 1
+        assert check_sql(candidate, gold, sql_fixture).value == 1
 
 
 class TestRunExternal:
