@@ -10,8 +10,8 @@ at each marker. An outcome-level record keeps the same layout but carries a
 single target at the trailing marker only. The reserved symbols are literal
 strings here; trainers map them onto unused vocabulary ids.
 
-Lines are assembled as text from a trace's :func:`trace_fragment`, which encodes
-its ids, question and steps once; each equals ``encode_json(record) + "\\n"``.
+Lines are assembled as text from a trace's :func:`trace_fragment`, the JSON
+text of its ids, question and steps; each equals ``encode_json(record) + "\\n"``.
 A dataset's lines are built one at a time, as :func:`write_shards` writes them
 (:class:`RecordLines`).
 """
@@ -19,7 +19,7 @@ A dataset's lines are built one at a time, as :func:`write_shards` writes them
 from itertools import chain, islice, starmap
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import ReservedSymbolError
 from .ioutil import atomic_write_lines
@@ -42,7 +42,8 @@ _PLAIN_MARKER = _MARKER + "false}"
 _TARGET_TEXT = (encode_basestring(TARGET_NEG), encode_basestring(TARGET_POS))  # by 0/1 label
 
 
-def _check_reserved(problem: Problem, trace: ReasoningTrace) -> None:
+def check_reserved(problem: Problem, trace: ReasoningTrace) -> None:
+    """A ReservedSymbolError, with its ``reason_code``, when the question or a step holds a reserved symbol."""
     for symbol in RESERVED_SYMBOLS:
         if symbol in problem.question:
             raise ReservedSymbolError(
@@ -61,7 +62,7 @@ def trace_fragment(problem: Problem, trace: ReasoningTrace) -> tuple[str, list[s
     """The JSON text a trace's records share: the record head through the
     question segment, and each step's segment with its leading separator.
     A question or step holding a reserved symbol raises ReservedSymbolError."""
-    _check_reserved(problem, trace)
+    check_reserved(problem, trace)
     head = (
         '{"problem_id": ' + encode_basestring(problem.id) + ', "trace_id": ' + encode_basestring(trace.trace_id)
         + ', "segments": [{"text": ' + encode_basestring(problem.question) + _PLAIN
@@ -85,11 +86,11 @@ def emit_orm_record(fragment: tuple[str, list[str]], correct: bool) -> str:
 
 
 class RecordLines:
-    """A dataset's record lines, each built by ``build(fragment, target)`` from
-    one of ``records`` as a reader iterates, so the lines are never held
-    whole. Its length is the number of records, known before any is built."""
+    """A dataset's record lines, each built by ``build(*record)``, a record being
+    its line builder's arguments, as a reader iterates, so the lines are never
+    held whole. Its length is the number of records, known before any is built."""
 
-    def __init__(self, build: Callable[[tuple[str, list[str]], Any], str], records: list[tuple]):
+    def __init__(self, build: Callable[..., str], records: list[tuple]):
         self.build, self.records = build, records
 
     def __len__(self) -> int:

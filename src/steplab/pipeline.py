@@ -30,7 +30,9 @@ from typing import Any, Callable, Iterable
 
 from . import __version__
 from .calibration import percentile_grid, sweep_threshold
-from .dataset_emit import RecordLines, emit_orm_record, emit_prm_record, label_balance, trace_fragment, write_shards
+from .dataset_emit import (
+    RecordLines, check_reserved, emit_orm_record, emit_prm_record, label_balance, trace_fragment, write_shards,
+)
 from .errors import ConfigError, DataError, ReservedSymbolError, Terminated, UndefinedMetricError, exit_code
 from .evaluation import best_of_k, majority_best_of_k, oracle_score, random_scorer, step_product_scorer
 from .infogain import AGGREGATIONS, REFERENCES, StepSignal, assign_labels, ig_signal, mcnig_signal
@@ -634,38 +636,31 @@ def _label(cfg: RunConfig, io: StageIO, state) -> dict:
 def _emit(cfg: RunConfig, io: StageIO, state) -> dict:
     """Both training datasets from one read of their inputs: a PRM record per
     labeled trace and an ORM record per working-set trace. Every row is
-    checked before either dataset is written, and each line is built as its
-    shard is written (:class:`RecordLines`). Both lines of a trace share its fragment."""
+    checked before either dataset is written, and each line is built from its
+    trace as its shard is written (:class:`RecordLines`)."""
     problems = {p.id: p for p in io.rows("problems")}
     # A job is (problem id, trace id, step labels); an ORM job has no labels.
     jobs = {
         "prm": ("step_labels", io.rows("step_labels")),
         "orm": ("working_set", [(pid, tid, None) for pid, trace_ids in io.rows("working_set") for tid in trace_ids]),
     }
-    fragments: dict[tuple[str, str], tuple | ReservedSymbolError] = {}  # a dropped trace keeps its error
-    for source, dataset_jobs in jobs.values():
+    checked = {}
+    for which, (source, dataset_jobs) in jobs.items():
+        records, targets, dropped = [], [], {}  # a record is (problem, trace, its step labels or its verdict)
         for pid, trace_id, labels in dataset_jobs:
             trace = _trace_of(io, source, pid, trace_id, None if labels is None else len(labels))
-            if (pid, trace_id) not in fragments:
-                try:
-                    fragments[(pid, trace_id)] = trace_fragment(problems[pid], trace)
-                except ReservedSymbolError as exc:
-                    fragments[(pid, trace_id)] = exc
+            try:
+                check_reserved(problems[pid], trace)
+            except ReservedSymbolError as exc:
+                dropped.setdefault(pid, {})[trace_id] = exc.reason_code
+                continue
+            records.append((problems[pid], trace, trace.correct if labels is None else labels))
+            targets.extend([trace.correct] if labels is None else labels)
+        checked[which] = records, targets, dropped, len(dataset_jobs)
     counts = {}
-    for which, (_, dataset_jobs) in jobs.items():
-        records, targets, dropped = [], [], {}  # a record is (fragment, its step labels or its trace's verdict)
-        for pid, trace_id, labels in dataset_jobs:
-            fragment = fragments[(pid, trace_id)]
-            if isinstance(fragment, ReservedSymbolError):
-                dropped.setdefault(pid, {})[trace_id] = fragment.reason_code
-            elif labels is None:
-                correct = io.judged[(pid, trace_id)].correct
-                records.append((fragment, correct))
-                targets.append(correct)
-            else:
-                records.append((fragment, labels))
-                targets.extend(labels)
-        lines = RecordLines(emit_prm_record if which == "prm" else emit_orm_record, records)
+    for which, (records, targets, dropped, count_in) in checked.items():
+        build = emit_prm_record if which == "prm" else emit_orm_record
+        lines = RecordLines(lambda problem, trace, target: build(trace_fragment(problem, trace), target), records)
         out_dir = io.paths[f"{which}_dir"]
         tmp_dir = out_dir.with_name(out_dir.name + ".tmp")
         shutil.rmtree(tmp_dir, ignore_errors=True)
@@ -673,12 +668,9 @@ def _emit(cfg: RunConfig, io: StageIO, state) -> dict:
         shutil.rmtree(out_dir, ignore_errors=True)
         tmp_dir.rename(out_dir)
         counts[which] = {
-            "records": len(lines),
-            **_drop_counts("traces", len(dataset_jobs), dropped),
-            "balance": label_balance(targets),
+            "records": len(lines), **_drop_counts("traces", count_in, dropped), "balance": label_balance(targets),
         }
-    balance = {which: c["balance"] for which, c in counts.items()}
-    _write_json(io.paths["emit_report"], balance)
+    _write_json(io.paths["emit_report"], {which: c["balance"] for which, c in counts.items()})
     return counts
 
 
@@ -868,6 +860,8 @@ def run_stage(name: str, cfg: RunConfig, memo: dict | None = None) -> dict:
     run with one ``memo`` share their parsed inputs (:class:`StageIO`)."""
     stage = STAGE_TABLE[name]
     paths = artifact_paths(cfg.out)
+    if (entry_path := _stage_manifest_path(cfg.out, name)).exists():  # a FIFO blocks a read, a directory a write
+        input_file(entry_path, f"stage {name!r} entry")
     needs = [paths[n] for n in stage.needs if n not in stage.when or stage.when[n](cfg)]
     _require(needs, name)
     named = [(getattr(cfg, f), OPTIONS[f]["file"]) for f in stage.reads if OPTIONS[f]["file"] and getattr(cfg, f)]
@@ -924,6 +918,8 @@ def run_pipeline(cfg: RunConfig, stages: list[str] | None = None) -> dict:
     """
     sequence = list(stages) if stages else list(STAGES)
     cfg.out.mkdir(parents=True, exist_ok=True)
+    if (manifest_path := artifact_paths(cfg.out)["manifest"]).exists():  # checked before any stage runs
+        input_file(manifest_path, "run manifest")
     lock = os.open(cfg.out, os.O_RDONLY)  # the directory's own descriptor: no lock file
     try:
         fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -967,6 +963,7 @@ def summarize_run(out_dir: str | Path) -> str:
     manifest_path = artifact_paths(Path(out_dir))["manifest"]
     if not manifest_path.exists():
         raise ConfigError(f"no run manifest under {out_dir}")
+    input_file(manifest_path, "run manifest")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         if not _fits(manifest, {"toolkit_version": str, "stages": list}):

@@ -1681,9 +1681,10 @@ def failed_6x4(run_6x4, tmp_path_factory):
 
 
 # Each case: a command's arguments, in which {dir} is a directory, {fifo} a
-# FIFO nothing writes to, {missing} a path to nothing, {corpus} the corpus of
-# run_6x4, {run} a copy of run_6x4 and {new} a fresh run directory; the text
-# stderr names; and the stage whose failed entry the manifest ends with.
+# FIFO nothing writes to, {missing} a path to nothing, {empty} an empty file,
+# {corpus} the corpus of run_6x4, {run} a copy of run_6x4 and {new} a fresh
+# run directory; the text stderr names; and the stage whose failed entry the
+# manifest ends with. The command runs with no backend in its environment.
 _CORPUS = "--problems {corpus}/problems.jsonl --traces {corpus}/traces.jsonl"
 NAMED_FILE_CASES = {
     "problems-directory": ("ingest --out-dir {new} --problems {dir} --traces {corpus}/traces.jsonl", "{dir}", "ingest"),
@@ -1697,6 +1698,8 @@ NAMED_FILE_CASES = {
     "config-fifo": ("--config {fifo} ingest --out-dir {new} " + _CORPUS, "{fifo}", None),
     "reference-model-fifo": ("--backend reference:{fifo} score --out-dir {run}", "{fifo}", "score"),
     "ingest-without-problems": ("ingest --out-dir {new} --traces {corpus}/traces.jsonl", "--problems", "ingest"),
+    "score-without-backend": ("score --out-dir {run}", "--backend", "score"),
+    "pool-file-empty": ("analyze-bias --pool-file {empty} --s 2", "{empty}", None),
 }
 
 
@@ -1708,14 +1711,16 @@ class TestNamedFiles:
         argv, named, stage = NAMED_FILE_CASES[case]
         places = dict(
             dir=tmp_path / "a-directory", fifo=tmp_path / "a-fifo", missing=tmp_path / "absent",
-            corpus=run_6x4.parent / "corpus", run=tmp_path / "run", new=tmp_path / "new",
+            empty=tmp_path / "empty", corpus=run_6x4.parent / "corpus", run=tmp_path / "run", new=tmp_path / "new",
         )
         places["dir"].mkdir()
         os.mkfifo(places["fifo"])
+        places["empty"].touch()
         shutil.copytree(run_6x4, places["run"])
+        env = {name: value for name, value in os.environ.items() if name != "STEPLAB_BACKEND_URL"}
         child = subprocess.run(
             [sys.executable, "-m", "steplab.cli", *argv.format(**places).split()],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=20,
+            capture_output=True, text=True, env={**env, "PYTHONPATH": str(SRC)}, timeout=20,
         )
         assert child.returncode == 2, child.stderr
         assert "ConfigError" in child.stderr and named.format(**places) in child.stderr
@@ -1726,23 +1731,36 @@ class TestNamedFiles:
             assert (failed["name"], failed["exit_code"]) == (stage, 2)
             assert named.format(**places) in failed["message"]
 
-    @pytest.mark.parametrize("kind, artifact, stage", [
-        ("directory", "profiles", "signals"), ("fifo", "signals", "sweep"),
-    ], ids=["directory", "fifo"])
+    # Each case: what the file becomes, its path in the run directory, the
+    # command run there ({argv} is the arguments of the run that made it),
+    # and what the message calls the file.
+    @pytest.mark.parametrize("kind, file, command, what", [
+        ("directory", "profiles.jsonl", "run --stages signals --force", "stage 'signals' input"),
+        ("fifo", "signals.jsonl", "run --stages sweep --force", "stage 'sweep' input"),
+        ("fifo", "stages/sweep.json", "{argv}", "stage 'sweep' entry"),
+        ("directory", "stages/sweep.json", "run --stages sweep --force", "stage 'sweep' entry"),
+        ("fifo", "manifest.json", "report", "run manifest"),
+        ("directory", "manifest.json", "report", "run manifest"),
+        ("directory", "manifest.json", "{argv}", "run manifest"),
+    ], ids=[
+        "directory", "fifo", "entry-fifo", "entry-directory-forced",
+        "manifest-fifo-report", "manifest-directory-report", "manifest-directory-run",
+    ])
     def test_a_run_directory_input_that_is_not_a_regular_file_exits_2_naming_it(
-        self, run_6x4, tmp_path, kind, artifact, stage
+        self, run_6x4, tmp_path, kind, file, command, what
     ):
         run = tmp_path / "run"
         shutil.copytree(run_6x4, run)
-        path = artifact_paths(run)[artifact]
+        path = run / file
         path.unlink()
         path.mkdir() if kind == "directory" else os.mkfifo(path)
+        argv = command.format(argv=" ".join(_run_6x4_argv(run_6x4))).split()
         child = subprocess.run(  # in a child with a timeout: a read of the FIFO would block for ever
-            [sys.executable, "-m", "steplab.cli", "run", "--out-dir", str(run), "--stages", stage, "--force"],
+            [sys.executable, "-m", "steplab.cli", *argv, "--out-dir", str(run)],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=20,
         )
         assert child.returncode == 2, child.stderr
-        assert f"ConfigError: stage {stage!r} input file is not a regular file: {path}" in child.stderr
+        assert f"ConfigError: {what} file is not a regular file: {path}" in child.stderr
         assert "Traceback" not in child.stderr
 
     # Each case: a command's arguments, in which {file} is the unreadable
@@ -1846,27 +1864,67 @@ class TestEmitInputs:
             for r in caplog.records
         )
 
-    def test_reserved_symbol_drops_the_trace_from_both_datasets(self, run_6x4, tmp_path):
+    @pytest.mark.parametrize("place, reason", [
+        ("step", "reserved_symbol_in_step"), ("question", "reserved_symbol_in_question"),
+    ], ids=["step", "question"])
+    def test_reserved_symbol_drops_the_trace_from_both_datasets(self, run_6x4, tmp_path, place, reason):
+        """A marker in a trace's last step drops that trace; one in its
+        problem's question drops every working-set trace of the problem."""
         run = tmp_path / "run"
         shutil.copytree(run_6x4, run)
         paths = artifact_paths(run)
         first = next(read_jsonl(paths["step_labels"]))
         problem_id, trace_id = first["problem_id"], first["trace_id"]
-        rows = list(read_jsonl(paths["parsed_traces"]))
-        for row in rows:
-            if row["trace_id"] == trace_id:
-                row["steps"][-1] += f" {STEP_MARKER}"
-        paths["parsed_traces"].write_text(_jsonl(rows))
+        if place == "step":
+            rows, trace_ids = list(read_jsonl(paths["parsed_traces"])), [trace_id]
+            for row in rows:
+                if row["trace_id"] == trace_id:
+                    row["steps"][-1] += f" {STEP_MARKER}"
+            paths["parsed_traces"].write_text(_jsonl(rows))
+        else:
+            rows = list(read_jsonl(paths["problems"]))
+            for row in rows:
+                if row["id"] == problem_id:
+                    row["question"] += f" {STEP_MARKER}"
+            paths["problems"].write_text(_jsonl(rows))
+            trace_ids = next(r["trace_ids"] for r in read_jsonl(paths["working_set"]) if r["problem_id"] == problem_id)
+            assert len(trace_ids) > 1
         before = json.loads((run / "stages" / "emit.json").read_text())["counts"]
         assert main(["emit", "--out-dir", str(run)]) == 0
         entry = json.loads((run / "stages" / "emit.json").read_text())
         counts = entry["counts"]
         for which in ("prm", "orm"):
-            assert counts[which]["dropped"] == {problem_id: {trace_id: "reserved_symbol_in_step"}}
-            assert counts[which]["dropped_by_reason"] == {"reserved_symbol_in_step": 1}
-            assert counts[which]["records"] == before[which]["records"] - 1
+            assert counts[which]["dropped"] == {problem_id: dict.fromkeys(trace_ids, reason)}
+            assert counts[which]["dropped_by_reason"] == {reason: len(trace_ids)}
+            assert counts[which]["records"] == before[which]["records"] - len(trace_ids)
             shards = [run / p for p in entry["outputs"] if p.startswith(f"{which}/")]
-            assert shards and trace_id not in {obj["trace_id"] for p in shards for obj in read_jsonl(p)}
+            emitted = {(obj["problem_id"], obj["trace_id"]) for p in shards for obj in read_jsonl(p)}
+            assert shards and emitted.isdisjoint((problem_id, tid) for tid in trace_ids)
+
+    def test_no_fragment_is_built_before_its_line_is_read(self, run_6x4, tmp_path, monkeypatch):
+        """The check pass encodes no trace: each line encodes its own as its shard is written."""
+        from steplab import pipeline
+
+        run = tmp_path / "run"
+        shutil.copytree(run_6x4, run)
+        trace_fragment, write_shards = pipeline.trace_fragment, pipeline.write_shards
+        built, at_first_write = [], []
+
+        def counted(problem, trace):
+            built.append(trace.trace_id)
+            return trace_fragment(problem, trace)
+
+        def noting(lines, *args):
+            if not at_first_write:
+                at_first_write.append(len(built))
+            return write_shards(lines, *args)
+
+        monkeypatch.setattr(pipeline, "trace_fragment", counted)
+        monkeypatch.setattr(pipeline, "write_shards", noting)
+        assert main(["emit", "--out-dir", str(run), "--force"]) == 0
+        counts = json.loads((run / "stages" / "emit.json").read_text())["counts"]
+        assert at_first_write == [0]
+        assert len(built) == counts["prm"]["records"] + counts["orm"]["records"]
 
 
 class TestStageFormat:
