@@ -266,6 +266,7 @@ _REPORT = (
     ({"prm": _DATASET}, lambda prm: "prm " + ", ".join(_report_parts(prm))),
     ({"orm": _DATASET}, lambda orm: "orm " + ", ".join(_report_parts(orm))),
     ({"backend_calls": int, "requests": int, "retries": int}, "requests {1}, backend calls {0}, retries {2}".format),
+    ({"connections": int, "backend_calls": int}, lambda connections, _: connections and f", connections {connections}"),
     ({"backend_p50_ms": _NUM, "backend_p99_ms": _NUM, "backend_calls": int},
      ", backend p50 {:.2f} ms, p99 {:.2f} ms".format),
     ({"chars_sent": int, "chars_linear": int},

@@ -35,11 +35,13 @@ import select
 import struct
 import threading
 import time
+import weakref
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 from urllib.parse import SplitResult, urlsplit
 
@@ -58,6 +60,8 @@ BACKOFF_CAP_S = 30.0
 # Longest HTTP answer body read, and longest answer head, in bytes.
 MAX_ANSWER_BYTES = 1 << 20
 MAX_HEAD_BYTES = 1 << 16
+# Most requests an HTTP connection carries at a time once it has answered a 200 (pipelining).
+PIPELINE_DEPTH = 16
 _STATUS_LINE = re.compile(r"HTTP/1\.([01]) ([0-9]{3})(?: .*)?")
 _CHUNK_SIZE = re.compile(r"([0-9A-Fa-f]+)[ \t]*(?:;.*)?")
 # Keys per cache lookup statement (below SQLite's bound-parameter limit)
@@ -123,6 +127,7 @@ class Backend:
 
     backend_id: str
     retries = 0  # attempts repeated after a failure, for a backend that retries
+    connections = 0  # connections opened, for a backend that opens them
 
     def score(self, request: ScoringRequest) -> TokenLogprobs:
         ((_, result, _),) = self.score_many([request])
@@ -132,8 +137,9 @@ class Backend:
         self, requests: Iterable[ScoringRequest], in_flight: int = 1
     ) -> Iterator[tuple[ScoringRequest, TokenLogprobs, float]]:
         """Yield ``(request, logprobs, latency_s)`` for each request, with at
-        most ``in_flight`` outstanding; the first failure is raised. Here,
-        each request in turn through :meth:`score`, ignoring ``in_flight``."""
+        most ``in_flight`` outstanding (for HTTP, connections); the first failure
+        is raised. Here, each request in turn through :meth:`score`, ignoring
+        ``in_flight``."""
         for request in requests:
             start = time.perf_counter()
             result = self.score(request)
@@ -215,13 +221,14 @@ class HttpBackend(Backend):
 
     ``POST {base}/v1/score`` with ``{"context", "continuation"}`` must return
     ``{"tokens", "logprobs", "backend_id"}``, over HTTP/1.1 keep-alive
-    sockets of its own, one send per request. Transport failures, malformed
-    heads, answers not read whole by the deadline of their send or longer
-    than :data:`MAX_ANSWER_BYTES`, 5xx and HTTP 429 are retried with backoff
-    (a 429's ``Retry-After`` replaces it), counted in ``retries`` and logged
-    at DEBUG; exhausted retries surface as :class:`BackendError` (kind
-    "transport"), malformed responses as kind "protocol". Proxy variables
-    are not read.
+    sockets of its own, pipelined once they have answered. Transport
+    failures, malformed heads, answers not read whole by their deadline or
+    longer than :data:`MAX_ANSWER_BYTES`, 5xx and HTTP 429 are retried with
+    backoff (a 429's ``Retry-After`` replaces it), counted in ``retries``
+    and logged at DEBUG; exhausted retries surface as :class:`BackendError`
+    (kind "transport"), malformed responses, and an answer naming another
+    ``backend_id`` than the first, as kind "protocol". Proxy variables are
+    not read.
     """
 
     def __init__(self, base_url: str, timeout_s: float = 30.0, max_retries: int = 3, backoff_s: float = 0.5):
@@ -247,61 +254,60 @@ class HttpBackend(Backend):
             import ssl  # loaded for https:// backends only
             self._tls = ssl.create_default_context()
         self._idle: list = []  # keep-alive sockets, most recently used last
+        self._pipelined: weakref.WeakSet = weakref.WeakSet()  # sockets that returned a 200 and stayed open
+        self._pipelining = True  # until an answer times out with requests queued behind it
+        self._server_id: str | None = None  # the backend_id of the first answer
         proxy_variable = _environment_proxy(parts)
         if proxy_variable is not None:
             log.warning("%s is set but not used: steplab connects to %s directly", proxy_variable, self.base_url)
 
-    def _send(self, request: ScoringRequest):
-        """POST ``request`` on an idle socket or a new one; the socket."""
-        sock = self._idle.pop() if self._idle else None
-        if sock is not None:
-            # An idle socket that polls readable was closed by the server (or
-            # holds bytes no request asked for): reconnect before sending.
+    def _connect(self) -> tuple:
+        """An idle socket the server has not closed, or a new one; and whether it was idle."""
+        while self._idle:
+            sock = self._idle.pop()
+            # One that polls readable was closed by the server, or holds bytes no request asked for.
             idle = select.poll()  # unlike select.select, takes any descriptor
             idle.register(sock, select.POLLIN)
-            if idle.poll(0):
-                sock.close()
-                sock = None
+            if not idle.poll(0):
+                return sock, True
+            sock.close()
+        import socket  # here, not at module level: runs that call no server skip it
+        sock = socket.create_connection(self._address, self.timeout_s)
+        self.connections += 1
         try:
-            if sock is None:
-                import socket  # here, not at module level: runs that call no server skip it
-                sock = socket.create_connection(self._address, self.timeout_s)
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                if self._tls is not None:
-                    sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
-            sock.settimeout(self.timeout_s)  # the last answer's read shortened it
-            body = json.dumps({"context": request.context, "continuation": request.continuation}).encode()
-            sock.sendall(b"%sContent-Length: %d\r\n\r\n%s" % (self._head, len(body), body))
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
         except BaseException:
-            if sock is not None:
-                sock.close()
+            sock.close()
             raise
-        return sock
+        return sock, False
 
     def score_many(self, requests: Iterable[ScoringRequest], in_flight: int = 1):
         """Yield ``(request, logprobs, latency_s)`` for each request as its
-        answer arrives, with at most ``in_flight`` requests outstanding.
-
-        Each request sent holds one socket, and ``poll`` waits for
-        whichever answers first; an answer is read whole once it starts to
-        arrive, by the deadline its send set. A request waiting to retry
-        keeps its place but holds no socket; such requests are resent in
-        the order of their retry times. The latency runs from a
-        request's first send to its answer, retries included. After a
-        failure nothing new is sent: answers already on their way are still
-        yielded, and then the first failure is raised.
-        """
+        answer arrives, over at most ``in_flight`` connections (README's
+        "Scoring backends" says how each carries its requests). A request
+        waiting to retry keeps its place; such requests are resent in the
+        order of their retry times. After a failure nothing new is sent:
+        answers already queued are still yielded, then the first failure is
+        raised."""
         import heapq  # here, not at module level: runs that call no server skip it
 
         todo = iter(requests)
-        sent: dict = {}  # descriptor -> (socket, request, attempt, first send, answer deadline)
+        # Descriptor -> connection: its socket, whether it has answered, its requests sent and not
+        # answered as (request, attempt, first send, send), its bytes not parsed, its last answer's time.
+        conns: dict[int, SimpleNamespace] = {}
+        ready: list = []  # (request, attempt, first send) to send now
         waiting: list = []  # heap of (retry time, request, attempt, first send)
         errors: list[BackendError] = []
         poller = select.poll()
+        depth = lambda conn: PIPELINE_DEPTH if self._pipelining and conn.sock in self._pipelined else 1  # noqa: E731
+        deadline = lambda conn: max(conn.queue[0][3], conn.since) + self.timeout_s  # noqa: E731  of its next answer
 
         def stop(error: BackendError) -> None:
             errors.append(error)
             waiting.clear()
+            ready.clear()
 
         def retry(request, attempt, started, failure, retry_after=None) -> None:
             """Queue the request's next attempt, or stop after its last."""
@@ -313,90 +319,137 @@ class HttpBackend(Backend):
                 log.debug("retrying %s in %.2f s after: %s", self._url, delay, failure)
                 heapq.heappush(waiting, (time.monotonic() + delay, request, attempt + 1, started))
 
-        def send(request, attempt, started) -> None:
-            try:
-                sock = self._send(request)
-            except OSError as exc:
-                retry(request, attempt, started, exc)
-            else:
-                poller.register(sock, select.POLLIN)
-                sent[sock.fileno()] = (sock, request, attempt, started, time.monotonic() + self.timeout_s)
+        def drop(conn: SimpleNamespace, failure: OSError | None = None) -> None:
+            """Close ``conn`` and resend its queued requests at no cost; after ``failure`` the first uses an
+            attempt, unless the connection had answered and then ended before that answer's first byte."""
+            poller.unregister(conn.sock)
+            del conns[conn.sock.fileno()]
+            conn.sock.close()
+            if isinstance(failure, TimeoutError) and len(conn.queue) > 1 and self._pipelining:
+                self._pipelining = False
+                log.warning("%s timed out with requests pipelined behind it: pipelining is off", self._url)
+            if failure is not None and not (conn.answered and isinstance(failure, ConnectionError) and not conn.buf):
+                retry(*conn.queue.pop(0)[:3], failure)
+            ready[:0] = [entry[:3] for entry in conn.queue if not errors]
+            conn.queue.clear()
+
+        def receive(conn: SimpleNamespace):
+            """Read ``conn``'s answers in order while they arrive, yielding each result."""
+            if not conn.queue:
+                drop(conn)  # closed by the server, or bytes no request asked for
+            while conn.queue:
+                request, attempt, started, _ = conn.queue[0]
+                try:  # past its deadline, an answer not arrived fails here
+                    status, headers, data, reusable = self._read_answer(conn.sock, conn.buf, deadline(conn))
+                except OSError as exc:
+                    return drop(conn, exc)
+                del conn.queue[0]
+                conn.answered, conn.since = True, time.monotonic()
+                if status == 429 or status >= 500:
+                    retry_after = _retry_after_s(headers.get("retry-after")) if status == 429 else None
+                    retry(request, attempt, started, BackendError(f"{self._url} returned {status}"), retry_after)
+                elif status != 200:
+                    stop(BackendError(f"{self._url} returned {status}", kind="protocol"))
+                else:
+                    if reusable:
+                        self._pipelined.add(conn.sock)
+                    try:
+                        obj = json.loads(data)
+                        result = TokenLogprobs.clamped(obj["tokens"], obj["logprobs"], str(obj["backend_id"]))
+                    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                        stop(BackendError(f"malformed score response from {self._url}: {exc!r}", kind="protocol"))
+                    else:
+                        first = self._server_id = result.backend_id if self._server_id is None else self._server_id
+                        if result.backend_id != first:
+                            stop(BackendError(f"{self._url} answered as {result.backend_id!r} after {first!r}",
+                                              kind="protocol"))
+                        else:
+                            yield request, result, time.monotonic() - started
+                # Bytes past an answer begin the next one; with none queued, they drop the connection.
+                unread = conn.buf or (self._tls is not None and conn.sock.pending())
+                if not reusable or (unread and not conn.queue):
+                    drop(conn)
+                if not unread:
+                    return
 
         try:
             while True:
                 now = time.monotonic()
                 while waiting and waiting[0][0] <= now:
-                    send(*heapq.heappop(waiting)[1:])
-                while not errors and len(sent) + len(waiting) < in_flight and (request := next(todo, None)):
-                    send(request, 0, now)
-                if not sent and not waiting:
+                    ready.append(heapq.heappop(waiting)[1:])
+                free = in_flight - len(waiting) + sum(depth(conn) - 1 - len(conn.queue) for conn in conns.values())
+                while not errors and len(ready) < free and (request := next(todo, None)):
+                    ready.append((request, 0, now))
+                while ready:
+                    if len(conns) < in_flight:
+                        try:
+                            sock, answered = self._connect()
+                        except OSError as exc:
+                            retry(*ready.pop(0), exc)
+                            continue
+                        conn = conns[sock.fileno()] = SimpleNamespace(sock=sock, answered=answered, queue=[],
+                                                                      buf=bytearray(), since=0.0)
+                        poller.register(sock, select.POLLIN)
+                    else:
+                        conn = max(conns.values(), key=lambda c: depth(c) - len(c.queue))
+                    if (room := depth(conn) - len(conn.queue)) <= 0:
+                        break
+                    batch, ready[:room] = ready[:room], []
+                    conn.queue += [(*entry, time.monotonic()) for entry in batch]
+                    bodies = [json.dumps(request._asdict()).encode() for request, *_ in batch]
+                    try:  # in one send, after undoing the timeout the last answer's read shortened
+                        conn.sock.settimeout(self.timeout_s)
+                        conn.sock.sendall(b"".join(b"%sContent-Length: %d\r\n\r\n%s" % (self._head, len(b), b)
+                                                   for b in bodies))
+                    except OSError as exc:
+                        drop(conn, exc)
+                deadlines = [deadline(conn) for conn in conns.values() if conn.queue]
+                if not deadlines and not waiting:
                     break
                 # With nothing in flight, poll watches no socket and sleeps until the next retry.
-                timeout = max(0.0, min([e[4] for e in sent.values()] + [e[0] for e in waiting[:1]]) - time.monotonic())
-                ready = {fd for fd, _ in poller.poll(1000 * timeout)}
+                timeout = max(0.0, min(deadlines + [e[0] for e in waiting[:1]]) - time.monotonic())
+                polled = {fd for fd, _ in poller.poll(1000 * timeout)}
                 now = time.monotonic()
-                for fd, (sock, request, attempt, started, deadline) in list(sent.items()):
-                    if fd not in ready and deadline > now:
-                        continue
-                    poller.unregister(fd)
-                    del sent[fd]
-                    try:  # past its deadline, a socket not ready fails here
-                        status, headers, data, reusable = self._read_answer(sock, deadline)
-                    except OSError as exc:
-                        sock.close()
-                        retry(request, attempt, started, exc)
-                        continue
-                    if reusable:
-                        self._idle.append(sock)
-                    else:
-                        sock.close()
-                    if status == 429 or status >= 500:
-                        retry_after = _retry_after_s(headers.get("retry-after")) if status == 429 else None
-                        retry(request, attempt, started, BackendError(f"{self._url} returned {status}"), retry_after)
-                    elif status != 200:
-                        stop(BackendError(f"{self._url} returned {status}", kind="protocol"))
-                    else:
-                        try:
-                            obj = json.loads(data)
-                            result = TokenLogprobs.clamped(obj["tokens"], obj["logprobs"], str(obj["backend_id"]))
-                        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                            stop(BackendError(f"malformed score response from {self._url}: {exc!r}", kind="protocol"))
-                        else:
-                            yield request, result, time.monotonic() - started
+                for conn in [c for fd, c in conns.items() if fd in polled or c.queue and deadline(c) <= now]:
+                    yield from receive(conn)
             if errors:
                 raise errors[0]
         finally:
-            for sock, *_ in sent.values():
-                sock.close()
+            for conn in conns.values():
+                if conn.queue or conn.buf:
+                    conn.sock.close()
+                else:
+                    self._idle.append(conn.sock)
 
-    def _read_answer(self, sock, deadline: float) -> tuple[int, dict[str, str], bytearray, bool]:
-        """``(status, headers, body, reusable)`` of the answer on ``sock``, read by
-        ``deadline`` (each read waits for the time left), 1xx heads skipped, header
-        names lower-cased. A head over :data:`MAX_HEAD_BYTES` or not HTTP/1.x, or a
-        body over :data:`MAX_ANSWER_BYTES` (by ``Content-Length``, then unread, or
+    def _read_answer(self, sock, buf: bytearray, deadline: float) -> tuple[int, dict[str, str], bytearray, bool]:
+        """``(status, headers, body, reusable)`` of the next answer, read from ``buf``
+        and ``sock`` by ``deadline`` (each read waits for the time left), 1xx heads
+        skipped, header names lower-cased; ``buf`` keeps the bytes past it, or all of
+        an answer not read whole. A head over :data:`MAX_HEAD_BYTES` or not HTTP/1.x,
+        or a body over :data:`MAX_ANSWER_BYTES` (by ``Content-Length``, then unread, or
         as read), is an ``OSError``. Only an HTTP/1.1 answer framed by length or
-        chunks, with no ``Connection: close`` or bytes past it, leaves ``sock`` reusable."""
-        buf = bytearray()
+        chunks, with no ``Connection: close``, leaves ``sock`` reusable."""
+        pos = 0  # bytes of buf parsed
 
         def fill(eof_ends: bool = False) -> bytes:
             if (left := deadline - time.monotonic()) <= 0:
                 raise TimeoutError("answer not read by its deadline")
             sock.settimeout(left)
             if not (chunk := sock.recv(65536)) and not eof_ends:
-                raise ConnectionError("the server closed the connection mid-answer")
+                raise ConnectionError(f"the server closed the connection {'mid-answer' if buf else 'before answering'}")
             buf.extend(chunk)
             return chunk
 
         def take(size: int, skip: int = 0) -> bytearray:
-            while len(buf) < size + skip:
+            nonlocal pos
+            while len(buf) < pos + size + skip:
                 fill()
-            taken = buf[:size]
-            del buf[: size + skip]
-            return taken
+            pos += size + skip
+            return buf[pos - size - skip : pos - skip]
 
         def line(end: bytes = b"\r\n") -> str:
-            while (size := buf.find(end)) < 0 or size > MAX_HEAD_BYTES:
-                if len(buf) > MAX_HEAD_BYTES:
+            while (size := buf.find(end, pos) - pos) < 0 or size > MAX_HEAD_BYTES:
+                if len(buf) - pos > MAX_HEAD_BYTES:
                     raise OSError(f"answer head exceeds {MAX_HEAD_BYTES} bytes")
                 fill()
             return take(size, len(end)).decode("latin-1")
@@ -424,12 +477,13 @@ class HttpBackend(Backend):
                 raise OSError(f"answer length {length[:40]!r} is malformed or exceeds {MAX_ANSWER_BYTES} bytes")
             body = take(int(length))
         elif status not in (204, 304):  # framed by the server's close
-            while len(buf) <= MAX_ANSWER_BYTES and fill(eof_ends=True):
+            while len(buf) - pos <= MAX_ANSWER_BYTES and fill(eof_ends=True):
                 pass
-            if len(buf) > MAX_ANSWER_BYTES:
+            if len(buf) - pos > MAX_ANSWER_BYTES:
                 raise OSError(f"answer exceeds {MAX_ANSWER_BYTES} bytes")
-            body, reusable = take(len(buf)), False
-        return status, headers, body, reusable and not buf
+            body, reusable = take(len(buf) - pos), False
+        del buf[:pos]
+        return status, headers, body, reusable
 
     def close(self) -> None:
         """Close the idle connections; a later call opens new ones."""
@@ -644,18 +698,18 @@ def score_traces(
 
     The counts are ``backend_calls`` completed, ``retries``, ``cache_hits``
     and ``cache_misses`` per distinct trace (0 without a cache) and
-    ``rows_stored``. On success they also hold ``cache_damaged``, the cache
-    rows discarded; ``chars_sent``, the context and continuation characters
-    of the cells scored; ``chars_linear``, the paper's linear cost of the
-    jobs, |q| + sum|steps| + (N+1) * sum|answers| characters each; the backend
-    latency quantiles and the cache hit rate.
+    ``rows_stored``. On success they also hold ``connections`` opened;
+    ``cache_damaged``, the cache rows discarded; ``chars_sent``, the context
+    and continuation characters of the cells scored; ``chars_linear``, the
+    paper's linear cost of the jobs, |q| + sum|steps| + (N+1) * sum|answers|
+    characters each; the backend latency quantiles and the cache hit rate.
     """
     cache, inner = (backend.cache, backend.inner) if isinstance(backend, CachingBackend) else (None, backend)
     keys = [trace_key(backend.backend_id, problem.question, trace.steps, answers) for problem, trace, answers in jobs]
     distinct = dict(zip(keys, jobs))
     counts = {"backend_calls": 0, "retries": 0, "cache_hits": 0, "cache_misses": 0, "rows_stored": 0}
     damaged = 0
-    retries_before = inner.retries
+    retries_before, connections_before = inner.retries, inner.connections
     rows: dict[str, list[float]] = {}
     done: dict[ScoringRequest, float] = {}  # every cell scored so far, and its total
     latencies: list[float] = []
@@ -690,6 +744,7 @@ def score_traces(
         counts["retries"] = inner.retries - retries_before
     lookups = counts["cache_hits"] + counts["cache_misses"]
     counts.update(
+        connections=inner.connections - connections_before,
         cache_damaged=damaged,
         chars_sent=sum(map(len, chain.from_iterable(done))),  # a cell is (context, continuation)
         chars_linear=sum(

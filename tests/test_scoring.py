@@ -1,17 +1,21 @@
 import hashlib
+import itertools
 import json
 import math
 import logging
 import os
 import resource
+import re
 import signal
 import socket
 import sqlite3
+import ssl
 import struct
 import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from email.utils import formatdate
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -22,6 +26,7 @@ import pytest
 from helpers import CountingBackend, information, make_problem, make_trace, reference_model, scored_profile
 from steplab import scoring
 from steplab.analysis import ComplexityParams, tokens_mcnig
+from steplab.cli import main
 from steplab.errors import BackendError, ConfigError, DataError, exit_code
 from steplab.fixtures import build_demo_corpus
 from steplab.pipeline import RunConfig, run_pipeline, summarize_run
@@ -698,11 +703,20 @@ class _StubHandler(BaseHTTPRequestHandler):
     # When set, each request is answered with these bytes as they stand,
     # written piece by piece, each after a pause of ``drip_s``.
     raw: list[bytes] | None = None
+    # When set, a connection's request after this many answers ends the
+    # connection without a head.
+    answers_per_connection: int | None = None
+    # When set, answers name "other-llm", not "stub-llm", after this many answers.
+    renamed_after: int | None = None
+    # When set, each answer records in ``queued`` how many requests its
+    # connection had already received behind it (plain HTTP only).
+    count_queued: bool = False
     # Per fixture: one entry per accepted connection, every request path,
-    # and the (start, end) times of each answer.
+    # the (start, end) times of each answer, and the counts above.
     connections: list
     paths: list
     spans: list
+    queued: list
     closed: threading.Semaphore
     arrived: threading.Event
     release: threading.Event
@@ -711,12 +725,16 @@ class _StubHandler(BaseHTTPRequestHandler):
     def setup(self):
         super().setup()
         self.connections.append(self.client_address)
+        self.answered = 0
 
     def do_POST(self):
         start = time.monotonic()
         self.paths.append(self.path)
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length)) if length else {}
+        if self.answers_per_connection is not None and self.answered >= self.answers_per_connection:
+            self.close_connection = True
+            return
         if self.raw is not None:
             try:
                 for piece in self.raw:
@@ -731,6 +749,12 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.release.wait(timeout=60)
             return
         time.sleep(self.hold_s)
+        if self.count_queued:  # the requests read ahead into rfile's buffer
+            self.connection.setblocking(False)
+            try:
+                self.queued.append(self.rfile.peek().count(b"POST "))
+            finally:
+                self.connection.setblocking(True)
         with self.lock:  # requests arrive on several connections at once
             throttle, type(self).throttled = self.throttled > 0, max(0, self.throttled - 1)
         if throttle:
@@ -747,7 +771,9 @@ class _StubHandler(BaseHTTPRequestHandler):
             payload = self.broken
         elif self.path == self.prefix + "/v1/score":
             result = self.model.score(ScoringRequest(body["context"], body["continuation"]))
-            payload = {"tokens": result.tokens, "logprobs": result.logprobs, "backend_id": "stub-llm"}
+            renamed = self.renamed_after is not None and len(self.spans) >= self.renamed_after
+            payload = {"tokens": result.tokens, "logprobs": result.logprobs,
+                       "backend_id": "other-llm" if renamed else "stub-llm"}
         else:
             self.send_response(404)
             self.send_header("Content-Length", "0")
@@ -773,6 +799,7 @@ class _StubHandler(BaseHTTPRequestHandler):
         except OSError:  # the client gave up on a dripped answer
             return
         self.spans.append((start, time.monotonic()))
+        self.answered += 1
         if self.close_after_response:
             self.connection.shutdown(socket.SHUT_WR)
             self.close_connection = True
@@ -782,9 +809,9 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture()
-def stub_server(info_problem_model):
-    _, model = info_problem_model
+@contextmanager
+def _serving(model, tls: ssl.SSLContext | None = None):
+    """The test stub serving ``model``, through ``tls`` when given: its URL and handler class."""
     handler = type(
         "Handler",
         (_StubHandler,),
@@ -794,20 +821,31 @@ def stub_server(info_problem_model):
             "connections": [],
             "paths": [],
             "spans": [],
+            "queued": [],
             "closed": threading.Semaphore(0),
             "arrived": threading.Event(),
             "release": threading.Event(),
         },
     )
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    if tls is not None:
+        server.socket = tls.wrap_socket(server.socket, server_side=True)
     server.daemon_threads = True
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}", handler
-    handler.release.set()
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
+    try:
+        yield f"{'https' if tls else 'http'}://127.0.0.1:{server.server_address[1]}", handler
+    finally:
+        handler.release.set()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+@pytest.fixture()
+def stub_server(info_problem_model):
+    with _serving(info_problem_model[1]) as served:
+        yield served
 
 
 _CHUNKED_HEAD = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nTransfer-Encoding: chunked\r\n\r\n"
@@ -1277,6 +1315,144 @@ class TestHttpBackend:
         assert counts["cache_hits"] == 1 and len(handler.paths) == 4
 
 
+TLS = Path(__file__).resolve().parent / "tls"  # a self-signed certificate for 127.0.0.1, and its key
+
+
+class TestPipelining:
+    """A connection that has answered a request carries up to PIPELINE_DEPTH at once."""
+
+    def test_two_connections_carry_more_than_two_requests_and_score_as_the_reference(
+        self, http_backend, stub_server, info_problem_model
+    ):
+        url, handler = stub_server
+        _, model = info_problem_model
+        handler.count_queued = True
+        jobs = [job(f"context {i}", ["s"], ["a", "b"], trace_id=str(i)) for i in range(10)]
+        totals, counts = score_traces(http_backend(url), jobs, in_flight=2)
+        reference, _ = score_traces(model, jobs)
+        assert totals == reference and counts["backend_calls"] == 40 and counts["retries"] == 0
+        assert max(handler.queued) >= 2  # so at least 3 outstanding on one connection
+        assert len(handler.connections) <= 2 and counts["connections"] == len(handler.connections)
+        problem, trace, answers = jobs[0]
+        assert information_profile(problem, trace, answers, totals[0]) == scored_profile(problem, trace, answers, model)
+
+    def test_a_server_that_answers_404_sees_one_request_per_connection(self, http_backend, stub_server):
+        url, handler = stub_server
+        handler.prefix = "/elsewhere"  # so /v1/score answers 404
+        requests = [ScoringRequest(f"context {i}", "a") for i in range(40)]
+        with pytest.raises(BackendError) as err:
+            list(http_backend(url).score_many(requests, in_flight=4))
+        assert err.value.kind == "protocol"
+        assert len(handler.paths) == len(handler.connections) <= 4
+
+    def test_a_connection_that_ends_after_answering_resends_its_queue_at_no_cost(
+        self, http_backend, stub_server, info_problem_model
+    ):
+        url, handler = stub_server
+        _, model = info_problem_model
+        handler.answers_per_connection = 3
+        backend = http_backend(url, timeout_s=5.0, backoff_s=0.01)
+        requests = [ScoringRequest(f"context {i}", "ab"[i % 2]) for i in range(40)]
+        totals = {request: result.total() for request, result, _ in backend.score_many(requests, in_flight=2)}
+        assert totals == {r: model.score(r).total() for r in requests}
+        assert backend.retries == 0 and len(handler.connections) >= 40 // 3
+
+    def test_a_stalled_answer_uses_attempts_and_the_requests_queued_behind_it_are_answered(
+        self, http_backend, stub_server, caplog
+    ):
+        url, handler = stub_server
+        handler.stalled = "context 1"
+        backend = http_backend(url, timeout_s=0.3, max_retries=2, backoff_s=0.01)
+        requests = [ScoringRequest(f"context {i}", "a") for i in range(6)]
+        answered = []
+        with pytest.raises(BackendError) as err:
+            for request, _, _ in backend.score_many(requests, in_flight=1):
+                answered.append(request)
+        assert err.value.kind == "transport" and backend.retries == 1
+        assert sorted(answered) == [r for r in requests if r.context != "context 1"]
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [
+            f"{url}/v1/score timed out with requests pipelined behind it: pipelining is off"
+        ]
+
+    def test_answers_queued_behind_slow_ones_have_their_own_deadlines(
+        self, http_backend, stub_server, info_problem_model
+    ):
+        url, handler = stub_server
+        _, model = info_problem_model
+        handler.hold_s, handler.count_queued = 0.2, True
+        backend = http_backend(url, timeout_s=0.5, max_retries=1)
+        requests = [ScoringRequest(f"context {i}", "a") for i in range(16)]
+        totals = {request: result.total() for request, result, _ in backend.score_many(requests, in_flight=1)}
+        assert totals == {r: model.score(r).total() for r in requests}
+        assert backend.retries == 0 and len(handler.connections) == 1
+        assert max(handler.queued) >= 2  # pipelined: the last answer waited about 3 s behind the others
+
+    def test_a_server_that_drops_pipelined_requests_turns_pipelining_off(
+        self, http_backend, info_problem_model, caplog
+    ):
+        _, model = info_problem_model
+        received = []  # (connection number, requests in one recv)
+        done = threading.Event()
+
+        def serve(conn, number):
+            """Answer the first request of each recv and drop the bytes after it."""
+            with conn:
+                while data := conn.recv(65536):
+                    received.append((number, data.count(b"POST ")))
+                    head, _, body = data.partition(b"\r\n\r\n")
+                    body = json.loads(body[: int(re.search(rb"Content-Length: (\d+)", head)[1])])
+                    conn.sendall(_sized(_payload(model.score(ScoringRequest(body["context"], body["continuation"])))))
+
+        def accept(listener):
+            for number in itertools.count():
+                while not done.is_set():
+                    try:
+                        conn, _ = listener.accept()
+                        break
+                    except TimeoutError:
+                        continue
+                else:
+                    return
+                conn.settimeout(None)
+                threading.Thread(target=serve, args=(conn, number), daemon=True).start()
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(0.05)
+            acceptor = threading.Thread(target=accept, args=(listener,), daemon=True)
+            acceptor.start()
+            url = f"http://127.0.0.1:{listener.getsockname()[1]}"
+            try:
+                backend = http_backend(url, timeout_s=0.3, backoff_s=0.01)
+                requests = [ScoringRequest(f"context {i}", "a") for i in range(40)]
+                totals = {request: result.total() for request, result, _ in backend.score_many(requests, in_flight=1)}
+                backend.close()
+            finally:
+                done.set()
+                acceptor.join(timeout=5)
+        assert totals == {r: model.score(r).total() for r in requests}
+        assert backend.retries == 1
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [
+            f"{url}/v1/score timed out with requests pipelined behind it: pipelining is off"
+        ]
+        dropped = next(number for number, count in received if count > 1)
+        later = [count for number, count in received if number > dropped]
+        assert later and set(later) == {1}
+
+    def test_https_scoring_pipelines_and_matches_the_reference(self, http_backend, info_problem_model, monkeypatch):
+        _, model = info_problem_model
+        monkeypatch.setenv("SSL_CERT_FILE", str(TLS / "cert.pem"))
+        tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        tls.load_cert_chain(TLS / "cert.pem", TLS / "key.pem")
+        with _serving(model, tls) as (url, handler):
+            backend = http_backend(url)
+            requests = [ScoringRequest(f"context {i}", "ab"[i % 2]) for i in range(40)]
+            totals = {request: result.total() for request, result, _ in backend.score_many(requests, in_flight=2)}
+            assert totals == {r: model.score(r).total() for r in requests}
+            assert backend.retries == 0 and len(handler.connections) <= 2 == backend.connections
+            assert all(isinstance(sock, ssl.SSLSocket) for sock in backend._idle)
+            backend.close()
+
+
 class TestRunsAgainstTheStub:
     """Whole runs whose score stage talks to the loopback stub."""
 
@@ -1306,6 +1482,31 @@ class TestRunsAgainstTheStub:
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
         assert json.loads(out.stdout.splitlines()[-1]) == [0, False, False, False], out.stderr
+
+    def test_a_server_that_answers_as_another_backend_ends_the_score_stage(self, stub_server, corpus, tmp_path):
+        url, handler = stub_server
+        handler.renamed_after = 5
+        out = tmp_path / "run"
+        argv = ["--backend", url, "run", "--concurrency", "2", "--out-dir", str(out),
+                "--problems", str(corpus["problems"]), "--traces", str(corpus["traces"])]
+        assert main(argv) == 4
+        failed = json.loads((out / "manifest.json").read_text())["stages"][-1]
+        assert (failed["name"], failed["error"], failed["exit_code"]) == ("score", "BackendError", 4)
+        assert failed["message"] == f"{url}/v1/score answered as 'other-llm' after 'stub-llm'"
+
+    @pytest.mark.parametrize("close_after_response", [False, True], ids=["keep-alive", "close-after-response"])
+    def test_the_score_stage_counts_the_connections_it_opens(self, stub_server, corpus, tmp_path, close_after_response):
+        url, handler = stub_server
+        handler.close_after_response = close_after_response
+        out = tmp_path / "run"
+        run_pipeline(RunConfig(problems=str(corpus["problems"]), traces=str(corpus["traces"]), out_dir=str(out),
+                               backend=url, concurrency_limit=2), ["ingest", "validate", "score"])
+        counts = json.loads((out / "stages" / "score.json").read_text())["counts"]
+        if close_after_response:
+            assert counts["connections"] == counts["backend_calls"] == len(handler.connections)
+        else:
+            assert 1 <= counts["connections"] <= 2
+        assert f", retries 0, connections {counts['connections']}, backend p50" in summarize_run(out).splitlines()[-1]
 
     def test_sigterm_in_the_score_stage_is_recorded_and_exits_143(self, stub_server, corpus, tmp_path):
         url, handler = stub_server
