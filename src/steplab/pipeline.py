@@ -523,10 +523,7 @@ def _score(cfg: RunConfig, io: StageIO, backend) -> dict:
         answers = list(dict.fromkeys(pool.correct + pool.wrong + [problem.gold_answer]))
         working.append((problem.id, [t.trace_id for t in kept_traces]))
         jobs.extend((problem, trace, answers) for trace in kept_traces)
-    try:
-        totals, counts = score_traces(backend, jobs, in_flight=cfg.concurrency_limit)
-    finally:
-        backend.close()
+    totals, counts = score_traces(backend, jobs, in_flight=cfg.concurrency_limit)
     profiles = [information_profile(*job, job_totals) for job, job_totals in zip(jobs, totals)]
     io.write("working_set", working)
     io.write("profiles", profiles)

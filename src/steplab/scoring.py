@@ -35,7 +35,6 @@ import select
 import struct
 import threading
 import time
-import weakref
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -145,9 +144,6 @@ class Backend:
             result = self.score(request)
             yield request, result, time.perf_counter() - start
 
-    def close(self) -> None:
-        """Release what the backend holds open between calls."""
-
 
 class ReferenceModel(Backend):
     """Deterministic, table-driven scoring backend, built from its file by
@@ -221,7 +217,8 @@ class HttpBackend(Backend):
 
     ``POST {base}/v1/score`` with ``{"context", "continuation"}`` must return
     ``{"tokens", "logprobs", "backend_id"}``, over HTTP/1.1 keep-alive
-    sockets of its own, pipelined once they have answered. Transport
+    sockets of its own, pipelined once they have answered; each
+    :meth:`score_many` call closes the sockets it opened. Transport
     failures, malformed heads, answers not read whole by their deadline or
     longer than :data:`MAX_ANSWER_BYTES`, 5xx and HTTP 429 are retried with
     backoff (a 429's ``Retry-After`` replaces it), counted in ``retries``
@@ -238,6 +235,12 @@ class HttpBackend(Backend):
         self.max_retries = max_retries
         self.backoff_s = backoff_s
         parts = urlsplit(self.base_url)
+        host = parts.netloc.rpartition("@")[2]  # without user information
+        # None of these would reach the server as written, and any may hold a secret: the message shows none.
+        refused = [name for name, held in (("user information", "@" in parts.netloc), ("a fragment", "#" in base_url),
+                                           ("a query", "?" in base_url.partition("#")[0])) if held]
+        if refused:
+            raise ConfigError(f"backend URL {parts.scheme}://{host}{parts.path} holds {' and '.join(refused)}")
         try:
             port = parts.port or (443 if parts.scheme == "https" else 80)
         except ValueError as exc:
@@ -245,7 +248,6 @@ class HttpBackend(Backend):
         if not parts.hostname:
             raise ConfigError(f"backend URL {base_url!r} names no host")
         self._url = self.base_url + "/v1/score"
-        host = parts.netloc.rpartition("@")[2]  # without user information
         self._head = f"POST {parts.path}/v1/score HTTP/1.1\r\nHost: {host}\r\n".encode()
         self._head += b"Content-Type: application/json\r\n"  # Content-Length and the body follow per request
         self._address = (parts.hostname, port)
@@ -253,24 +255,14 @@ class HttpBackend(Backend):
         if parts.scheme == "https":
             import ssl  # loaded for https:// backends only
             self._tls = ssl.create_default_context()
-        self._idle: list = []  # keep-alive sockets, most recently used last
-        self._pipelined: weakref.WeakSet = weakref.WeakSet()  # sockets that returned a 200 and stayed open
         self._pipelining = True  # until an answer times out with requests queued behind it
         self._server_id: str | None = None  # the backend_id of the first answer
         proxy_variable = _environment_proxy(parts)
         if proxy_variable is not None:
             log.warning("%s is set but not used: steplab connects to %s directly", proxy_variable, self.base_url)
 
-    def _connect(self) -> tuple:
-        """An idle socket the server has not closed, or a new one; and whether it was idle."""
-        while self._idle:
-            sock = self._idle.pop()
-            # One that polls readable was closed by the server, or holds bytes no request asked for.
-            idle = select.poll()  # unlike select.select, takes any descriptor
-            idle.register(sock, select.POLLIN)
-            if not idle.poll(0):
-                return sock, True
-            sock.close()
+    def _connect(self):
+        """A new socket to the server, with Nagle's algorithm off, wrapped in TLS for https://."""
         import socket  # here, not at module level: runs that call no server skip it
         sock = socket.create_connection(self._address, self.timeout_s)
         self.connections += 1
@@ -281,7 +273,7 @@ class HttpBackend(Backend):
         except BaseException:
             sock.close()
             raise
-        return sock, False
+        return sock
 
     def score_many(self, requests: Iterable[ScoringRequest], in_flight: int = 1):
         """Yield ``(request, logprobs, latency_s)`` for each request as its
@@ -290,18 +282,18 @@ class HttpBackend(Backend):
         waiting to retry keeps its place; such requests are resent in the
         order of their retry times. After a failure nothing new is sent:
         answers already queued are still yielded, then the first failure is
-        raised."""
+        raised. Every connection the call opened is closed when it ends."""
         import heapq  # here, not at module level: runs that call no server skip it
 
         todo = iter(requests)
-        # Descriptor -> connection: its socket, whether it has answered, its requests sent and not
-        # answered as (request, attempt, first send, send), its bytes not parsed, its last answer's time.
+        # Descriptor -> connection: its socket, whether it has answered, whether it pipelines, its requests sent
+        # and not answered as (request, attempt, first send, send), its bytes not parsed, its last answer's time.
         conns: dict[int, SimpleNamespace] = {}
         ready: list = []  # (request, attempt, first send) to send now
         waiting: list = []  # heap of (retry time, request, attempt, first send)
         errors: list[BackendError] = []
         poller = select.poll()
-        depth = lambda conn: PIPELINE_DEPTH if self._pipelining and conn.sock in self._pipelined else 1  # noqa: E731
+        depth = lambda conn: PIPELINE_DEPTH if self._pipelining and conn.pipelines else 1  # noqa: E731
         deadline = lambda conn: max(conn.queue[0][3], conn.since) + self.timeout_s  # noqa: E731  of its next answer
 
         def stop(error: BackendError) -> None:
@@ -351,8 +343,7 @@ class HttpBackend(Backend):
                 elif status != 200:
                     stop(BackendError(f"{self._url} returned {status}", kind="protocol"))
                 else:
-                    if reusable:
-                        self._pipelined.add(conn.sock)
+                    conn.pipelines |= reusable
                     try:
                         obj = json.loads(data)
                         result = TokenLogprobs.clamped(obj["tokens"], obj["logprobs"], str(obj["backend_id"]))
@@ -383,12 +374,12 @@ class HttpBackend(Backend):
                 while ready:
                     if len(conns) < in_flight:
                         try:
-                            sock, answered = self._connect()
+                            sock = self._connect()
                         except OSError as exc:
                             retry(*ready.pop(0), exc)
                             continue
-                        conn = conns[sock.fileno()] = SimpleNamespace(sock=sock, answered=answered, queue=[],
-                                                                      buf=bytearray(), since=0.0)
+                        conn = conns[sock.fileno()] = SimpleNamespace(sock=sock, answered=False, pipelines=False,
+                                                                      queue=[], buf=bytearray(), since=0.0)
                         poller.register(sock, select.POLLIN)
                     else:
                         conn = max(conns.values(), key=lambda c: depth(c) - len(c.queue))
@@ -416,10 +407,7 @@ class HttpBackend(Backend):
                 raise errors[0]
         finally:
             for conn in conns.values():
-                if conn.queue or conn.buf:
-                    conn.sock.close()
-                else:
-                    self._idle.append(conn.sock)
+                conn.sock.close()
 
     def _read_answer(self, sock, buf: bytearray, deadline: float) -> tuple[int, dict[str, str], bytearray, bool]:
         """``(status, headers, body, reusable)`` of the next answer, read from ``buf``
@@ -484,11 +472,6 @@ class HttpBackend(Backend):
             body, reusable = take(len(buf) - pos), False
         del buf[:pos]
         return status, headers, body, reusable
-
-    def close(self) -> None:
-        """Close the idle connections; a later call opens new ones."""
-        while self._idle:
-            self._idle.pop().close()
 
 
 def _environment_proxy(url: SplitResult) -> str | None:
@@ -622,9 +605,6 @@ class CachingBackend:
 
     def score(self, request: ScoringRequest) -> TokenLogprobs:
         return self.inner.score(request)
-
-    def close(self) -> None:
-        self.inner.close()
 
 
 def _latency_ms(latencies_s: list[float], fraction: float) -> float:

@@ -53,7 +53,6 @@ class CountingBackend(Backend):
         self.fail_with = fail_with
         self.calls = 0
         self.succeeded = 0
-        self.closed = False
         self._lock = threading.Lock()
 
     def score(self, request):
@@ -66,10 +65,6 @@ class CountingBackend(Backend):
         with self._lock:
             self.succeeded += 1
         return result
-
-    def close(self):
-        self.closed = True
-        self.inner.close()
 
 
 def scored_profile(problem, trace, answers, backend):

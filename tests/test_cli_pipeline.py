@@ -508,7 +508,6 @@ class TestPipeline:
         assert counts["requests"] == len(requests) > len(pairs)
         traces = len(distinct_traces_of(cfg.out))
         assert counts["cache_misses"] == counts["rows_stored"] == (traces if cached else 0)
-        assert counting.closed
 
     def test_warm_cache_totals_are_bit_equal_to_token_sums(self, demo_corpus, tmp_path):
         from steplab.scoring import ReferenceModel, ScoreCache, ScoringRequest, build_context, trace_key

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -872,16 +873,25 @@ def _pieces(data: bytes, size: int) -> list[bytes]:
 
 @pytest.fixture()
 def http_backend():
-    """Builds HttpBackends and closes them after the test."""
-    made = []
+    """Builds HttpBackends."""
+    return HttpBackend
 
-    def make(*args, **kwargs):
-        made.append(HttpBackend(*args, **kwargs))
-        return made[-1]
 
-    yield make
-    for backend in made:
-        backend.close()
+def _stub_result(model: ReferenceModel, request: ScoringRequest) -> TokenLogprobs:
+    """What the stub answers to ``request``: the model's logprobs, under the stub's backend id."""
+    return dataclasses.replace(model.score(request), backend_id="stub-llm")
+
+
+def _record_sockets(backend: HttpBackend) -> list:
+    """The sockets ``backend._connect`` returns from now on, in order."""
+    opened, connect = [], backend._connect
+
+    def record():
+        opened.append(connect())
+        return opened[-1]
+
+    backend._connect = record
+    return opened
 
 
 class TestHttpBackend:
@@ -983,15 +993,6 @@ class TestHttpBackend:
         failed = json.loads((out / "manifest.json").read_text())["stages"][-1]
         assert (failed["name"], failed["exit_code"], failed["counts"]["retries"]) == ("score", 4, 0)
         assert handler.paths == ["/v1/score"]
-
-    def test_sequential_scores_share_one_connection(self, http_backend, stub_server, info_problem_model):
-        url, handler = stub_server
-        _, model = info_problem_model
-        backend = http_backend(url)
-        requests = [ScoringRequest("What?" + "\nr1" * (i % 2), "ab"[i % 2]) for i in range(20)]
-        for request in requests:
-            assert backend.score(request).logprobs == model.score(request).logprobs
-        assert len(handler.connections) == 1 and len(handler.paths) == 20
 
     def test_requests_in_flight_overlap_from_one_thread(
         self, http_backend, stub_server, info_problem_model, monkeypatch
@@ -1106,13 +1107,15 @@ class TestHttpBackend:
         # timeout for each read of the head would let it run 61 x 0.05 s.
         assert 2 * 0.3 <= elapsed < 2 * 0.3 + 0.4
 
-    def test_a_chunked_answer_scores_like_a_sized_one_and_keeps_its_connection(self, http_backend, stub_server):
+    def test_a_chunked_answer_scores_like_a_sized_one_and_keeps_its_connection(
+        self, http_backend, stub_server, info_problem_model
+    ):
         url, handler = stub_server
-        backend = http_backend(url)
-        sized = backend.score(ScoringRequest("What?", "a"))
+        request = ScoringRequest("What?", "a")
+        sized = _stub_result(info_problem_model[1], request)
         handler.raw = _pieces(_chunked(_payload(sized), 9, trailer=b"X-Check: 1\r\n"), 7)
-        assert backend.score(ScoringRequest("What?", "a")) == sized
-        assert backend.score(ScoringRequest("What?", "a")) == sized
+        backend = http_backend(url)
+        assert [result for _, result, _ in backend.score_many([request] * 3)] == [sized] * 3
         assert len(handler.connections) == 1 and len(handler.paths) == 3 and backend.retries == 0
 
     def test_a_chunked_answer_over_the_cap_is_refused(self, http_backend, stub_server, monkeypatch):
@@ -1130,14 +1133,13 @@ class TestHttpBackend:
             backend.score(ScoringRequest("What?", "a"))
         assert err.value.kind == "transport" and "exceeds 10 bytes" in str(err.value)
 
-    def test_an_http_1_0_answer_closes_its_connection(self, http_backend, stub_server):
+    def test_an_http_1_0_answer_closes_its_connection(self, http_backend, stub_server, info_problem_model):
         url, handler = stub_server
-        backend = http_backend(url)
-        sized = backend.score(ScoringRequest("What?", "a"))
+        request = ScoringRequest("What?", "a")
+        sized = _stub_result(info_problem_model[1], request)
         handler.raw = [_sized(_payload(sized), version=b"HTTP/1.0")]
-        assert backend.score(ScoringRequest("What?", "a")) == sized
-        assert backend._idle == []
-        assert backend.score(ScoringRequest("What?", "a")) == sized
+        backend = http_backend(url)
+        assert [result for _, result, _ in backend.score_many([request] * 2)] == [sized] * 2
         assert len(handler.connections) == 2 and backend.retries == 0
 
     @pytest.mark.parametrize(
@@ -1185,24 +1187,24 @@ class TestHttpBackend:
         with pytest.raises(BackendError) as err:
             backend.score(ScoringRequest("What?", "a"))
         assert (err.value.kind, str(err.value)) == ("protocol", f"{url}/v1/score returned 204")
-        assert time.monotonic() - start < 2.0 and len(backend._idle) == 1
+        assert time.monotonic() - start < 2.0
 
-    def test_an_interim_100_head_is_skipped(self, http_backend, stub_server):
+    def test_an_interim_100_head_is_skipped(self, http_backend, stub_server, info_problem_model):
         url, handler = stub_server
-        backend = http_backend(url)
-        sized = backend.score(ScoringRequest("What?", "a"))
+        request = ScoringRequest("What?", "a")
+        sized = _stub_result(info_problem_model[1], request)
         handler.raw = [b"HTTP/1.1 100 Continue\r\n\r\n", _sized(_payload(sized))]
-        assert backend.score(ScoringRequest("What?", "a")) == sized
+        backend = http_backend(url)
+        assert [result for _, result, _ in backend.score_many([request] * 2)] == [sized] * 2
         assert len(handler.connections) == 1 and backend.retries == 0
 
-    def test_bytes_past_the_body_drop_the_connection(self, http_backend, stub_server):
+    def test_bytes_past_the_body_drop_the_connection(self, http_backend, stub_server, info_problem_model):
         url, handler = stub_server
-        backend = http_backend(url)
-        sized = backend.score(ScoringRequest("What?", "a"))
+        request = ScoringRequest("What?", "a")
+        sized = _stub_result(info_problem_model[1], request)
         handler.raw = [_sized(_payload(sized)) + b"HTTP/1.1 200 OK\r\n"]
-        assert backend.score(ScoringRequest("What?", "a")) == sized
-        assert backend._idle == []
-        assert backend.score(ScoringRequest("What?", "a")) == sized
+        backend = http_backend(url)
+        assert [result for _, result, _ in backend.score_many([request] * 2)] == [sized] * 2
         assert len(handler.connections) == 2 and backend.retries == 0
 
     def test_sockets_numbered_past_1024_are_polled(self, http_backend, stub_server):
@@ -1210,13 +1212,14 @@ class TestHttpBackend:
             pytest.skip("needs a soft RLIMIT_NOFILE of at least 1100")
         url, _ = stub_server
         backend = http_backend(url)
+        opened = _record_sockets(backend)
         held = []
         try:
             while len(held) < 1030:
                 held.append(os.open(os.devnull, os.O_RDONLY))
-            for _ in range(2):  # on a new connection, then on the idle one
-                assert backend.score(ScoringRequest("What?", "a")).backend_id == "stub-llm"
-            assert backend._idle[0].fileno() >= 1024
+            for _, result, _ in backend.score_many([ScoringRequest("What?", "a")] * 2):
+                assert result.backend_id == "stub-llm" and opened[0].fileno() >= 1024
+            assert len(opened) == 1
         finally:
             for fd in held:
                 os.close(fd)
@@ -1224,9 +1227,10 @@ class TestHttpBackend:
     def test_every_connection_disables_nagle(self, http_backend, stub_server):
         url, _ = stub_server
         backend = http_backend(url)
-        backend.score(ScoringRequest("What?", "a"))
-        [sock] = backend._idle
-        assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+        opened = _record_sockets(backend)
+        for _ in backend.score_many([ScoringRequest("What?", "a")]):
+            [sock] = opened
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
 
     @pytest.mark.parametrize("status", [429, 503])
     def test_retry_reuses_the_connection(self, http_backend, stub_server, status):
@@ -1251,15 +1255,6 @@ class TestHttpBackend:
         assert backend.retries == 0
         assert len(handler.connections) == len(handler.paths) == 4
 
-    def test_close_drops_idle_connections(self, http_backend, stub_server):
-        url, handler = stub_server
-        backend = http_backend(url)
-        request = ScoringRequest("What?", "a")
-        backend.score(request)
-        backend.close()
-        assert backend.score(request).backend_id == "stub-llm"
-        assert len(handler.connections) == 2 and backend.retries == 0
-
     def test_base_url_path_prefixes_the_endpoint(self, http_backend, stub_server):
         url, handler = stub_server
         handler.prefix = "/api/model"
@@ -1279,6 +1274,20 @@ class TestHttpBackend:
     def test_unusable_url_is_a_config_error(self, url):
         with pytest.raises(ConfigError):
             HttpBackend(url)
+
+    @pytest.mark.parametrize(
+        "url, message",
+        [
+            ("http://h:1/p?token=abc", "backend URL http://h:1/p holds a query"),
+            ("http://h:1/#x", "backend URL http://h:1/ holds a fragment"),
+            ("http://user:pw@h:1", "backend URL http://h:1 holds user information"),
+        ],
+        ids=["query", "fragment", "user-information"],
+    )
+    def test_a_url_part_no_request_would_carry_is_refused_and_not_echoed(self, url, message):
+        with pytest.raises(ConfigError) as err:
+            HttpBackend(url)
+        assert (str(err.value), exit_code(err.value)) == (message, 2)
 
     @pytest.mark.parametrize(
         "env, warned",
@@ -1313,6 +1322,41 @@ class TestHttpBackend:
         second, counts = score_traces(backend, jobs)
         assert first == second
         assert counts["cache_hits"] == 1 and len(handler.paths) == 4
+
+    def test_batches_score_as_the_reference_each_on_connections_of_its_own(
+        self, http_backend, stub_server, info_problem_model, tmp_path, monkeypatch
+    ):
+        url, handler = stub_server
+        _, model = info_problem_model
+        monkeypatch.setattr(scoring, "CACHE_BATCH", 2)
+        jobs = [job(f"question {p}", [f"s1 {t}", "s2"], ["a", "b"], trace_id=f"{p}-{t}") for p in "01" for t in "012"]
+        backend = CachingBackend(http_backend(url), ScoreCache(tmp_path / "cache"))
+        totals, counts = score_traces(backend, jobs, in_flight=2)
+        assert totals == score_traces(model, jobs)[0]
+        # Question 0's step-0 cells, scored in the first batch, are not sent again in the second.
+        cells = {request for j in jobs for request in profile_requests(*j)}
+        assert counts["backend_calls"] == len(cells) == len(handler.paths) and counts["retries"] == 0
+        assert counts["rows_stored"] == len(jobs) == cache_rows(tmp_path / "cache")
+        batches = 3
+        assert batches <= counts["connections"] == len(handler.connections) <= 2 * batches
+
+    @pytest.mark.parametrize("ending", ["answered", "failed", "closed-by-its-caller"])
+    def test_no_socket_outlives_its_score_many_call(self, http_backend, stub_server, ending):
+        url, handler = stub_server
+        if ending == "failed":
+            handler.prefix = "/elsewhere"  # so /v1/score answers 404
+        backend = http_backend(url)
+        opened = _record_sockets(backend)
+        answers = backend.score_many([ScoringRequest(f"context {i}", "a") for i in range(40)], in_flight=2)
+        if ending == "answered":
+            assert len(list(answers)) == 40
+        elif ending == "failed":
+            with pytest.raises(BackendError):
+                list(answers)
+        else:
+            next(answers)
+            answers.close()
+        assert opened and [sock.fileno() for sock in opened] == [-1] * len(opened)
 
 
 TLS = Path(__file__).resolve().parent / "tls"  # a self-signed certificate for 127.0.0.1, and its key
@@ -1425,7 +1469,6 @@ class TestPipelining:
                 backend = http_backend(url, timeout_s=0.3, backoff_s=0.01)
                 requests = [ScoringRequest(f"context {i}", "a") for i in range(40)]
                 totals = {request: result.total() for request, result, _ in backend.score_many(requests, in_flight=1)}
-                backend.close()
             finally:
                 done.set()
                 acceptor.join(timeout=5)
@@ -1445,12 +1488,12 @@ class TestPipelining:
         tls.load_cert_chain(TLS / "cert.pem", TLS / "key.pem")
         with _serving(model, tls) as (url, handler):
             backend = http_backend(url)
+            opened = _record_sockets(backend)
             requests = [ScoringRequest(f"context {i}", "ab"[i % 2]) for i in range(40)]
             totals = {request: result.total() for request, result, _ in backend.score_many(requests, in_flight=2)}
             assert totals == {r: model.score(r).total() for r in requests}
             assert backend.retries == 0 and len(handler.connections) <= 2 == backend.connections
-            assert all(isinstance(sock, ssl.SSLSocket) for sock in backend._idle)
-            backend.close()
+            assert opened and all(isinstance(sock, ssl.SSLSocket) for sock in opened)
 
 
 class TestRunsAgainstTheStub:
